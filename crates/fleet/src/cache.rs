@@ -25,11 +25,13 @@
 //!
 //! The cache stores no data bytes — the simulator models time, not contents —
 //! but it tracks residency and dirtiness exactly, which is all the timing
-//! model needs.
+//! model needs. The state is two O(1) LRU lists (resident pages, and the dirty
+//! ones in the same relative order), so no operation's cost depends on the
+//! capacity or on how many clean pages are resident.
 
-use std::collections::{BTreeMap, HashMap};
-
+use vflash_ftl::Lpn;
 use vflash_nand::Nanos;
+use vflash_ppb::LruList;
 
 /// Tunables of the [`WritebackCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,7 +67,8 @@ impl CacheConfig {
         (self.dirty_flush_threshold * self.capacity_pages as f64).floor() as usize
     }
 
-    fn validate(&self) {
+    /// Panics on a zero capacity or a threshold outside `(0, 1]` (NaN included).
+    pub(crate) fn validate(&self) {
         assert!(self.capacity_pages > 0, "cache capacity must be at least one page");
         assert!(
             self.dirty_flush_threshold > 0.0 && self.dirty_flush_threshold <= 1.0,
@@ -109,17 +112,16 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    stamp: u64,
-    dirty: bool,
-}
-
 /// An LRU write-back, write-allocate page cache over fleet LPNs.
 ///
-/// Recency is tracked with monotonically increasing touch stamps (a
-/// `BTreeMap` keyed by stamp gives deterministic LRU order with no unordered
-/// iteration anywhere), so every run is bit-reproducible.
+/// Two [`LruList`]s are the whole state: `resident` orders every cached page
+/// by recency, `dirty` the dirty subset. A page enters `dirty` only in the
+/// step that makes it the MRU resident, and touching a dirty page moves it to
+/// the MRU end of both — so `dirty` is always `resident` restricted to dirty
+/// pages, and the least-recently-used dirty page is `dirty`'s tail: flush
+/// costs O(pages drained), however many older clean pages are resident.
+/// Order comes only from the lists' slab links (their Fx hash indexes are
+/// probed, never iterated), so runs stay bit-reproducible.
 ///
 /// # Example
 ///
@@ -130,20 +132,18 @@ struct Entry {
 ///     capacity_pages: 2,
 ///     ..CacheConfig::default()
 /// });
-/// assert!(cache.write(7).is_empty(), "absorbing into a cold cache evicts nothing");
+/// assert_eq!(cache.write(7), None, "absorbing into a cold cache evicts nothing");
 /// cache.write(8);
 /// assert!(cache.read(7), "read-your-writes: the absorbed page hits");
 /// // Inserting a third page evicts the LRU page (8 — the read refreshed 7),
 /// // and the evicted page is dirty, so it comes back for writeback.
-/// assert_eq!(cache.write(9), vec![8]);
+/// assert_eq!(cache.write(9), Some(8));
 /// ```
 #[derive(Debug, Clone)]
 pub struct WritebackCache {
     config: CacheConfig,
-    entries: HashMap<u64, Entry>,
-    lru: BTreeMap<u64, u64>,
-    dirty: usize,
-    next_stamp: u64,
+    resident: LruList,
+    dirty: LruList,
     stats: CacheStats,
 }
 
@@ -157,10 +157,8 @@ impl WritebackCache {
         config.validate();
         WritebackCache {
             config,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            dirty: 0,
-            next_stamp: 0,
+            resident: LruList::new(config.capacity_pages),
+            dirty: LruList::new(config.capacity_pages),
             stats: CacheStats::default(),
         }
     }
@@ -177,83 +175,57 @@ impl WritebackCache {
 
     /// Resident pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.resident.len()
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.resident.is_empty()
     }
 
     /// Resident dirty pages.
     pub fn dirty_len(&self) -> usize {
-        self.dirty
+        self.dirty.len()
     }
 
     /// Whether `lpn` is resident (dirty or clean).
     pub fn is_resident(&self, lpn: u64) -> bool {
-        self.entries.contains_key(&lpn)
+        self.resident.contains(Lpn(lpn))
     }
 
     /// Whether `lpn` is resident and dirty.
     pub fn is_dirty(&self, lpn: u64) -> bool {
-        self.entries.get(&lpn).is_some_and(|entry| entry.dirty)
+        self.dirty.contains(Lpn(lpn))
     }
 
     /// Whether the dirty set exceeds the flush threshold.
     pub fn over_threshold(&self) -> bool {
-        self.dirty > self.config.dirty_limit()
-    }
-
-    fn touch(&mut self, lpn: u64) {
-        let entry = self.entries.get_mut(&lpn).expect("touching a non-resident page");
-        self.lru.remove(&entry.stamp);
-        entry.stamp = self.next_stamp;
-        self.lru.insert(self.next_stamp, lpn);
-        self.next_stamp += 1;
+        self.dirty.len() > self.config.dirty_limit()
     }
 
     /// Looks `lpn` up for a host read. A hit refreshes recency and returns
     /// `true`; a miss returns `false` and does **not** allocate.
     pub fn read(&mut self, lpn: u64) -> bool {
-        if self.entries.contains_key(&lpn) {
-            self.touch(lpn);
+        let hit = self.resident.touch(Lpn(lpn));
+        if hit {
+            self.dirty.touch(Lpn(lpn));
             self.stats.read_hits += 1;
-            true
         } else {
             self.stats.read_misses += 1;
-            false
         }
+        hit
     }
 
-    /// Absorbs a host write of `lpn`: the page becomes resident and dirty, and
-    /// the returned LPNs (at most one) are dirty pages evicted to make room —
-    /// the caller must write them back to the devices.
-    pub fn write(&mut self, lpn: u64) -> Vec<u64> {
+    /// Absorbs a host write of `lpn`: the page becomes the most recently used
+    /// resident page and dirty. Inserting into a full cache evicts the LRU
+    /// page; if that page was dirty it is returned, and the caller must write
+    /// it back to the devices.
+    pub fn write(&mut self, lpn: u64) -> Option<u64> {
         self.stats.writes_absorbed += 1;
-        if let Some(entry) = self.entries.get_mut(&lpn) {
-            if !entry.dirty {
-                entry.dirty = true;
-                self.dirty += 1;
-            }
-            self.touch(lpn);
-            return Vec::new();
-        }
-        let mut writeback = Vec::new();
-        if self.entries.len() == self.config.capacity_pages {
-            let (_, victim) = self.lru.pop_first().expect("a full cache has an LRU entry");
-            let entry = self.entries.remove(&victim).expect("LRU entry is resident");
-            if entry.dirty {
-                self.dirty -= 1;
-                self.stats.writebacks += 1;
-                writeback.push(victim);
-            }
-        }
-        self.entries.insert(lpn, Entry { stamp: self.next_stamp, dirty: true });
-        self.lru.insert(self.next_stamp, lpn);
-        self.next_stamp += 1;
-        self.dirty += 1;
-        writeback
+        let victim = self.resident.insert(Lpn(lpn)).filter(|&victim| self.dirty.remove(victim));
+        self.dirty.insert(Lpn(lpn));
+        self.stats.writebacks += u64::from(victim.is_some());
+        victim.map(|victim| victim.0)
     }
 
     /// Notes a write-around of `lpn` (a cold-stream write going straight to
@@ -262,41 +234,23 @@ impl WritebackCache {
     /// exact without a spurious writeback.
     pub fn write_around(&mut self, lpn: u64) {
         self.stats.write_arounds += 1;
-        if let Some(entry) = self.entries.remove(&lpn) {
-            self.lru.remove(&entry.stamp);
-            if entry.dirty {
-                self.dirty -= 1;
-            }
+        if self.resident.remove(Lpn(lpn)) {
+            self.dirty.remove(Lpn(lpn));
         }
     }
 
     /// Drains dirty pages, least-recently-used first, until the dirty count is
-    /// back at or below the threshold. The returned LPNs stay resident but
-    /// clean; the caller must write them back to the devices. Returns an empty
-    /// list when the cache is already at or below the threshold.
+    /// back at or below the threshold. The returned LPNs stay resident — at
+    /// their old recency — but clean; the caller must write them back to the
+    /// devices. Returns an empty list when the cache is already at or below
+    /// the threshold.
     pub fn flush_to_threshold(&mut self) -> Vec<u64> {
-        if !self.over_threshold() {
-            return Vec::new();
-        }
-        self.stats.flushes += 1;
-        let limit = self.config.dirty_limit();
-        let mut flushed = Vec::new();
-        // BTreeMap iteration is stamp order — oldest (LRU) first.
-        let stamps: Vec<u64> = self.lru.keys().copied().collect();
-        for stamp in stamps {
-            if self.dirty <= limit {
-                break;
-            }
-            let lpn = self.lru[&stamp];
-            let entry = self.entries.get_mut(&lpn).expect("LRU entry is resident");
-            if entry.dirty {
-                entry.dirty = false;
-                self.dirty -= 1;
-                self.stats.writebacks += 1;
-                flushed.push(lpn);
-            }
-        }
-        flushed
+        let excess = self.dirty.len().saturating_sub(self.config.dirty_limit());
+        self.stats.flushes += u64::from(excess > 0);
+        self.stats.writebacks += excess as u64;
+        (0..excess)
+            .map(|_| self.dirty.pop_least_recent().expect("excess is at most the dirty count").0)
+            .collect()
     }
 }
 
@@ -323,7 +277,7 @@ mod tests {
     #[test]
     fn absorbed_writes_are_dirty_and_hit_on_readback() {
         let mut c = cache(4, 1.0);
-        assert!(c.write(9).is_empty());
+        assert_eq!(c.write(9), None);
         assert!(c.is_resident(9));
         assert!(c.is_dirty(9));
         assert!(c.read(9));
@@ -347,7 +301,7 @@ mod tests {
         c.write(2);
         // Touch 1 so 2 becomes LRU.
         assert!(c.read(1));
-        assert_eq!(c.write(3), vec![2]);
+        assert_eq!(c.write(3), Some(2));
         assert!(c.is_resident(1) && c.is_resident(3) && !c.is_resident(2));
         assert_eq!(c.stats().writebacks, 1);
     }
@@ -366,6 +320,37 @@ mod tests {
         assert!(c.is_resident(10) && !c.is_dirty(10), "flushed pages stay resident, clean");
         assert!(c.flush_to_threshold().is_empty(), "at the threshold nothing more drains");
         assert_eq!(c.stats().flushes, 1);
+    }
+
+    #[test]
+    fn flush_skips_older_clean_pages_and_redirtied_pages_rejoin_at_the_mru_end() {
+        let mut c = cache(8, 0.25); // dirty limit = 2
+        for lpn in [1, 2, 3, 4] {
+            c.write(lpn);
+        }
+        assert_eq!(c.flush_to_threshold(), vec![1, 2]);
+        // 1 and 2 are now clean and older than every dirty page. Re-dirty 1: it
+        // moves to the MRU end of both orders, behind 3, 4 and 5.
+        c.write(1);
+        c.write(5);
+        assert_eq!(c.dirty_len(), 4);
+        assert_eq!(
+            c.flush_to_threshold(),
+            vec![3, 4],
+            "clean page 2 (the LRU resident) is skipped; re-dirtied 1 is not the oldest dirty"
+        );
+        assert!(c.is_dirty(1) && c.is_dirty(5) && !c.is_dirty(2));
+        // A read hit refreshes a dirty page in the dirty order too.
+        assert!(c.read(1));
+        c.write(6);
+        assert_eq!(c.flush_to_threshold(), vec![5]);
+        // Residency order is untouched by flushing: clean 2 is still the LRU.
+        for lpn in [7, 8] {
+            assert_eq!(c.write(lpn), None);
+        }
+        assert_eq!(c.len(), 8);
+        assert_eq!(c.write(9), None, "the evicted LRU page (2) is clean: no writeback");
+        assert!(!c.is_resident(2));
     }
 
     #[test]
@@ -400,5 +385,7 @@ mod tests {
         assert!(std::panic::catch_unwind(|| cache(0, 0.5)).is_err());
         assert!(std::panic::catch_unwind(|| cache(4, 0.0)).is_err());
         assert!(std::panic::catch_unwind(|| cache(4, 1.5)).is_err());
+        assert!(std::panic::catch_unwind(|| cache(4, f64::NAN)).is_err());
+        assert!(std::panic::catch_unwind(|| cache(4, f64::INFINITY)).is_err());
     }
 }

@@ -141,7 +141,7 @@ impl<F: FlashTranslationLayer> Fleet<F> {
         }
         if let Some(cache) = &config.cache {
             // Validate eagerly so a bad config fails at assembly, not mid-run.
-            let _ = WritebackCache::new(*cache);
+            cache.validate();
         }
         let stripe = StripeMap::new(lanes.len(), lane_pages);
         Fleet { lanes, config, stripe }
@@ -573,18 +573,11 @@ impl FleetDriver {
                                 let evicted = cache.write(fleet_lpn);
                                 cache_now += hit_latency;
                                 cache_touched = true;
-                                for victim in evicted {
-                                    let (wb_lane, wb_offset) = stripe.locate(victim);
-                                    Self::play_writeback(
-                                        &mut fleet.lanes[wb_lane],
-                                        &mut lanes[wb_lane],
-                                        issue,
-                                        wb_offset,
-                                        page_size,
-                                        trace_ops,
-                                    )?;
-                                }
-                                for victim in cache.flush_to_threshold() {
+                                // Background writebacks, in order: the dirty
+                                // page this insert evicted (if any), then
+                                // whatever the dirty-ratio flush drains.
+                                let flushed = cache.flush_to_threshold();
+                                for victim in evicted.into_iter().chain(flushed) {
                                     let (wb_lane, wb_offset) = stripe.locate(victim);
                                     Self::play_writeback(
                                         &mut fleet.lanes[wb_lane],
@@ -954,5 +947,29 @@ mod tests {
             Fleet::new(vec![small, big], FleetConfig::default())
         }))
         .is_err());
+    }
+
+    #[test]
+    fn invalid_cache_configs_are_rejected_at_assembly() {
+        // `Fleet::new` must refuse what `WritebackCache::new` refuses, with the
+        // same message — non-finite thresholds included, which would otherwise
+        // floor to a dirty limit of 0 (or saturate) mid-run.
+        let rejected = |capacity_pages: usize, dirty_flush_threshold: f64| {
+            let cache = CacheConfig {
+                capacity_pages,
+                dirty_flush_threshold,
+                ..CacheConfig::default()
+            };
+            let payload = std::panic::catch_unwind(|| {
+                let config = FleetConfig { cache: Some(cache), ..FleetConfig::default() };
+                Fleet::new(vec![lane()], config)
+            })
+            .expect_err("an invalid cache config must not assemble");
+            payload.downcast_ref::<&str>().expect("assert! with a literal message").to_string()
+        };
+        assert_eq!(rejected(0, 0.5), "cache capacity must be at least one page");
+        for threshold in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(rejected(4, threshold), "dirty flush threshold must be within (0, 1]");
+        }
     }
 }

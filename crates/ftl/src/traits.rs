@@ -144,6 +144,19 @@ pub trait FlashTranslationLayer {
         if requests.is_empty() {
             return Ok(BatchCompletion::default());
         }
+        if let [request] = requests {
+            // A one-request batch is scalar `submit`: one op chain starting at
+            // the batch start finishes — and is the makespan — at its own
+            // latency, so no provenance, tracing toggle or chip clocks are
+            // needed, and the span is whatever the caller's tracing state gives.
+            let completion = self.submit(*request)?;
+            self.note_batch(1);
+            return Ok(BatchCompletion {
+                finish_times: vec![completion.latency],
+                makespan: completion.latency,
+                completions: vec![completion],
+            });
+        }
         let caller_traced = self.device().op_tracing();
         if !caller_traced {
             self.device_mut().set_op_tracing(true);

@@ -23,6 +23,14 @@ pub enum KvError {
     /// On-flash data failed validation (bad magic, checksum mismatch,
     /// truncated structure). Carries a human-readable description.
     Corruption(String),
+    /// A put or delete whose key or value does not fit the on-flash length
+    /// fields (`u16` key length, `u32` value length). Nothing was written.
+    EntryTooLarge {
+        /// Length of the rejected key.
+        key_bytes: usize,
+        /// Length of the rejected value (0 for a delete).
+        value_bytes: usize,
+    },
     /// Any other FTL failure, passed through.
     Ftl(FtlError),
 }
@@ -33,6 +41,13 @@ impl fmt::Display for KvError {
             KvError::ReadOnly => write!(f, "device is in read-only end-of-life mode"),
             KvError::OutOfSpace => write!(f, "out of flash capacity"),
             KvError::Corruption(reason) => write!(f, "on-flash corruption: {reason}"),
+            KvError::EntryTooLarge { key_bytes, value_bytes } => write!(
+                f,
+                "entry too large: key of {key_bytes} bytes (limit {}), \
+                 value of {value_bytes} bytes (limit {})",
+                u16::MAX,
+                u32::MAX
+            ),
             KvError::Ftl(error) => write!(f, "FTL error: {error}"),
         }
     }
@@ -75,5 +90,7 @@ mod tests {
     fn display_is_informative() {
         assert!(KvError::ReadOnly.to_string().contains("read-only"));
         assert!(KvError::Corruption("bad magic".into()).to_string().contains("bad magic"));
+        let too_large = KvError::EntryTooLarge { key_bytes: 70_000, value_bytes: 3 };
+        assert!(too_large.to_string().contains("70000 bytes (limit 65535)"));
     }
 }

@@ -7,7 +7,9 @@
 //! page touched, so every append and read becomes real device traffic (queueing,
 //! GC attribution, fault and end-of-life behavior included) and the accumulated
 //! [`Completion`](vflash_ftl::Completion) latencies drive the store's simulated
-//! clock.
+//! clock. A shadow page doubles as the writer's RAM buffer for that page: an
+//! append charges the device first and then writes its bytes into the page in
+//! place, and reads hand out slices of the shadow pages instead of copies.
 //!
 //! A [`SegmentFile`] is an append-only byte stream laid out over a list of
 //! [`Extent`]s (contiguous LPN runs). Freeing a file returns its extents to the
@@ -116,6 +118,11 @@ pub struct FlashStore<F: FlashTranslationLayer> {
     shadow: Vec<Option<Box<[u8]>>>,
     free: Vec<Extent>,
     io: StoreIoStats,
+    /// The requests of the batch in flight, reused across batches.
+    requests: Vec<IoRequest>,
+    /// Where a read spanning several pages is assembled;
+    /// [`FlashStore::read_range`] lends it out until the next such read.
+    assembly: Vec<u8>,
 }
 
 impl<F: FlashTranslationLayer> FlashStore<F> {
@@ -132,6 +139,8 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             shadow: (0..logical_pages).map(|_| None).collect(),
             free: vec![Extent { start: SUPERBLOCK_LPN + 1, pages: logical_pages - 1 }],
             io: StoreIoStats::default(),
+            requests: Vec::new(),
+            assembly: Vec::new(),
         }
     }
 
@@ -299,10 +308,8 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     /// failures pass through.
     pub fn write_page(&mut self, lpn: u64, data: &[u8], request_bytes: u32) -> Result<(), KvError> {
         debug_assert_eq!(data.len(), self.page_size);
-        let completion = self.ftl.submit(IoRequest::write(Lpn(lpn), request_bytes))?;
-        self.clock += completion.latency;
-        self.io.pages_written += 1;
-        self.shadow[lpn as usize] = Some(data.into());
+        self.charge_write(lpn, request_bytes)?;
+        self.fill_page(lpn, 0, data);
         Ok(())
     }
 
@@ -324,37 +331,46 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         if completion.uncorrectable {
             return Err(KvError::Corruption(format!("uncorrectable read of LPN {lpn}")));
         }
-        Ok(self.shadow[lpn as usize].as_deref().expect("is_written was checked above"))
+        Ok(self.page(lpn))
     }
 
-    /// Programs a run of full pages, batching them at the configured queue
-    /// depth. At depth 1 this is exactly a loop of [`FlashStore::write_page`];
-    /// deeper, each group of up to `io_depth` pages is one
-    /// [`submit_batch`](FlashTranslationLayer::submit_batch) call and the
-    /// clock is charged its makespan.
-    fn write_pages(&mut self, pages: &[(u64, Vec<u8>)], request_bytes: u32) -> Result<(), KvError> {
-        if self.io_depth <= 1 {
-            for (lpn, buffer) in pages {
-                self.write_page(*lpn, buffer, request_bytes)?;
+    /// The shadow bytes of a page the caller has checked (or charged) already.
+    fn page(&self, lpn: u64) -> &[u8] {
+        self.shadow[lpn as usize].as_deref().expect("the page was checked to be written")
+    }
+
+    /// Writes `bytes` into the shadow page of `lpn` at byte `at`. A write
+    /// starting at byte 0 replaces the page: everything past the new bytes is
+    /// zeroed, so a reused page (a WAL region after its reset) never keeps
+    /// stale bytes behind fresh ones. A write further in extends the tail page
+    /// of a file, whose bytes past the logical end are zero already.
+    fn fill_page(&mut self, lpn: u64, at: usize, bytes: &[u8]) {
+        match &mut self.shadow[lpn as usize] {
+            Some(page) => {
+                page[at..at + bytes.len()].copy_from_slice(bytes);
+                if at == 0 {
+                    page[bytes.len()..].fill(0);
+                }
             }
-            return Ok(());
-        }
-        for chunk in pages.chunks(self.io_depth) {
-            let requests: Vec<IoRequest> = chunk
-                .iter()
-                .map(|&(lpn, _)| IoRequest::write(Lpn(lpn), request_bytes))
-                .collect();
-            let batch = self.ftl.submit_batch(&requests)?;
-            self.clock += batch.makespan;
-            self.io.pages_written += chunk.len() as u64;
-            for (lpn, buffer) in chunk {
-                self.shadow[*lpn as usize] = Some(buffer.as_slice().into());
+            slot @ None => {
+                assert_eq!(at, 0, "partial tail page must have been written before");
+                let mut page = Vec::with_capacity(self.page_size);
+                page.extend_from_slice(bytes);
+                page.resize(self.page_size, 0);
+                *slot = Some(page.into_boxed_slice());
             }
         }
+    }
+
+    /// Charges one scalar page program of `lpn` to the clock.
+    fn charge_write(&mut self, lpn: u64, request_bytes: u32) -> Result<(), KvError> {
+        let completion = self.ftl.submit(IoRequest::write(Lpn(lpn), request_bytes))?;
+        self.clock += completion.latency;
+        self.io.pages_written += 1;
         Ok(())
     }
 
-    /// Charges device time for reading every LPN in `lpns`, batching at the
+    /// Charges device time for reading every LPN of `lpns`, batching at the
     /// configured queue depth. The bytes themselves come from the shadow table
     /// afterwards — this pays for the traffic.
     ///
@@ -362,26 +378,29 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     ///
     /// [`KvError::Corruption`] for never-written LPNs (checked up front, before
     /// any device traffic) and for uncorrectable reads.
-    fn charge_reads(&mut self, lpns: &[u64]) -> Result<(), KvError> {
-        for &lpn in lpns {
+    fn charge_reads(&mut self, lpns: impl Iterator<Item = u64> + Clone) -> Result<(), KvError> {
+        for lpn in lpns.clone() {
             if !self.is_written(lpn) {
                 return Err(KvError::Corruption(format!("read of never-written LPN {lpn}")));
             }
         }
         if self.io_depth <= 1 {
-            for &lpn in lpns {
+            for lpn in lpns {
                 self.read_page(lpn)?;
             }
             return Ok(());
         }
-        for chunk in lpns.chunks(self.io_depth) {
-            let requests: Vec<IoRequest> =
-                chunk.iter().map(|&lpn| IoRequest::read(Lpn(lpn))).collect();
-            let batch = self.ftl.submit_batch(&requests)?;
+        let mut lpns = lpns.peekable();
+        while lpns.peek().is_some() {
+            self.requests.clear();
+            self.requests
+                .extend(lpns.by_ref().take(self.io_depth).map(|lpn| IoRequest::read(Lpn(lpn))));
+            let batch = self.ftl.submit_batch(&self.requests)?;
             self.clock += batch.makespan;
-            self.io.pages_read += chunk.len() as u64;
-            for (completion, &lpn) in batch.completions.iter().zip(chunk) {
+            self.io.pages_read += self.requests.len() as u64;
+            for (completion, request) in batch.completions.iter().zip(&self.requests) {
                 if completion.uncorrectable {
+                    let lpn = request.lpn.0;
                     return Err(KvError::Corruption(format!("uncorrectable read of LPN {lpn}")));
                 }
             }
@@ -399,21 +418,23 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     /// [`KvError::Corruption`] for never-written LPNs or uncorrectable reads;
     /// other FTL failures pass through.
     pub fn read_pages(&mut self, lpns: &[u64]) -> Result<Vec<u8>, KvError> {
-        self.charge_reads(lpns)?;
+        self.charge_reads(lpns.iter().copied())?;
         let mut out = Vec::with_capacity(lpns.len() * self.page_size);
         for &lpn in lpns {
-            out.extend_from_slice(
-                self.shadow[lpn as usize].as_deref().expect("charge_reads checked is_written"),
-            );
+            out.extend_from_slice(self.page(lpn));
         }
         Ok(out)
     }
 
     /// Appends `bytes` to `file`, allocating pages on demand and charging one
-    /// page program per page touched. A partial tail page is rewritten in place
-    /// (same LPN), which models the WAL's torn-page overwrite cost faithfully:
-    /// the old version of the page is invalidated and a fresh program pays for
-    /// the new one.
+    /// page program per page touched, one queue-depth window at a time. Each
+    /// window's bytes go into the shadow pages in place once its programs
+    /// succeeded, so an append that fails leaves the pages of the failing and
+    /// all later windows — and `file.len()` — untouched. A partial tail page is
+    /// rewritten (same LPN), which models the WAL's torn-page overwrite cost
+    /// faithfully: the old version of the page is invalidated and a fresh
+    /// program pays for the new one; its already-appended prefix is simply left
+    /// where it is, the way a real writer keeps its tail page in a RAM buffer.
     ///
     /// # Errors
     ///
@@ -431,35 +452,37 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         let page_size = self.page_size as u64;
         let start = file.len;
         let end = start + bytes.len() as u64;
-        let needed_pages = end.div_ceil(page_size);
-        if needed_pages > file.pages() {
-            let grown = self.alloc_run(needed_pages - file.pages())?;
-            file.extents.extend(grown);
-        }
-        let first_page = start / page_size;
+        self.reserve(file, end.div_ceil(page_size))?;
+        let lpn_of = |page: u64| file.lpn_at(page).expect("capacity was reserved above");
         let last_page = (end - 1) / page_size;
-        let mut pages = Vec::with_capacity((last_page - first_page + 1) as usize);
-        for page in first_page..=last_page {
-            let lpn = file.lpn_at(page).expect("capacity was grown above");
-            let mut buffer = vec![0u8; self.page_size];
-            let page_start = page * page_size;
-            // Preserve the already-appended prefix of a partial tail page. The
-            // bytes come from the shadow table without a device read: a real
-            // writer holds its tail page in a RAM buffer.
-            if page_start < start {
-                let existing = self.shadow[lpn as usize]
-                    .as_deref()
-                    .expect("partial tail page must have been written before");
-                let keep = (start - page_start) as usize;
-                buffer[..keep].copy_from_slice(&existing[..keep]);
+        let mut page = start / page_size;
+        while page <= last_page {
+            // One queue-depth window: a scalar `submit` of its single page at
+            // depth 1, one `submit_batch` charged its makespan when deeper.
+            let window = page..(page + self.io_depth as u64).min(last_page + 1);
+            if self.io_depth <= 1 {
+                self.charge_write(lpn_of(page), request_bytes)?;
+            } else {
+                self.requests.clear();
+                self.requests.extend(
+                    window.clone().map(|page| IoRequest::write(Lpn(lpn_of(page)), request_bytes)),
+                );
+                let batch = self.ftl.submit_batch(&self.requests)?;
+                self.clock += batch.makespan;
+                self.io.pages_written += self.requests.len() as u64;
             }
-            let copy_from = page_start.max(start);
-            let copy_to = (page_start + page_size).min(end);
-            buffer[(copy_from - page_start) as usize..(copy_to - page_start) as usize]
-                .copy_from_slice(&bytes[(copy_from - start) as usize..(copy_to - start) as usize]);
-            pages.push((lpn, buffer));
+            for page in window.clone() {
+                let page_start = page * page_size;
+                let from = page_start.max(start);
+                let to = (page_start + page_size).min(end);
+                self.fill_page(
+                    lpn_of(page),
+                    (from - page_start) as usize,
+                    &bytes[(from - start) as usize..(to - start) as usize],
+                );
+            }
+            page = window.end;
         }
-        self.write_pages(&pages, request_bytes)?;
         file.len = end;
         Ok(())
     }
@@ -479,6 +502,9 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     }
 
     /// Reads `len` bytes at `offset`, charging one page read per page touched.
+    /// The bytes are lent, not copied: a range inside one page is a slice of
+    /// that shadow page, a longer one is assembled in a buffer the store
+    /// reuses for the next such read.
     ///
     /// # Errors
     ///
@@ -489,9 +515,9 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         file: &SegmentFile,
         offset: u64,
         len: usize,
-    ) -> Result<Vec<u8>, KvError> {
+    ) -> Result<&[u8], KvError> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(&[]);
         }
         let end = offset + len as u64;
         if end > file.len {
@@ -501,22 +527,21 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             )));
         }
         let page_size = self.page_size as u64;
-        let pages: Vec<u64> = (offset / page_size..=(end - 1) / page_size).collect();
-        let lpns: Vec<u64> = pages
-            .iter()
-            .map(|&page| file.lpn_at(page).expect("range is within the file length"))
-            .collect();
-        self.charge_reads(&lpns)?;
-        let mut out = Vec::with_capacity(len);
-        for (&page, &lpn) in pages.iter().zip(&lpns) {
-            let data =
-                self.shadow[lpn as usize].as_deref().expect("charge_reads checked is_written");
-            let page_start = page * page_size;
-            let from = offset.max(page_start) - page_start;
-            let to = end.min(page_start + page_size) - page_start;
-            out.extend_from_slice(&data[from as usize..to as usize]);
+        let (first_page, last_page) = (offset / page_size, (end - 1) / page_size);
+        let from = (offset - first_page * page_size) as usize;
+        let mut lpns = (first_page..=last_page)
+            .map(|page| file.lpn_at(page).expect("range is within the file length"));
+        self.charge_reads(lpns.clone())?;
+        if first_page == last_page {
+            let lpn = lpns.next().expect("a non-empty range has a first page");
+            return Ok(&self.page(lpn)[from..from + len]);
         }
-        Ok(out)
+        self.assembly.clear();
+        for lpn in lpns {
+            let page = self.shadow[lpn as usize].as_deref().expect("charge_reads checked");
+            self.assembly.extend_from_slice(page);
+        }
+        Ok(&self.assembly[from..from + len])
     }
 
     /// True once a superblock has been written (distinguishes a fresh device
@@ -539,9 +564,9 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
                 self.page_size
             )));
         }
-        let mut buffer = vec![0u8; self.page_size];
-        buffer[..payload.len()].copy_from_slice(payload);
-        self.write_page(SUPERBLOCK_LPN, &buffer, self.page_size as u32)
+        self.charge_write(SUPERBLOCK_LPN, self.page_size as u32)?;
+        self.fill_page(SUPERBLOCK_LPN, 0, payload);
+        Ok(())
     }
 
     /// Reads the superblock page.
@@ -558,7 +583,9 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vflash_ftl::{ConventionalFtl, FtlConfig};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+    use vflash_ftl::{Completion, ConventionalFtl, FtlConfig, FtlError, FtlMetrics};
     use vflash_nand::{NandConfig, NandDevice};
 
     fn store() -> FlashStore<ConventionalFtl> {
@@ -644,7 +671,7 @@ mod tests {
         let mut serial_file = SegmentFile::new();
         serial.append(&mut serial_file, &data, data.len() as u32).unwrap();
         let read_start = serial.clock();
-        let serial_bytes = serial.read_range(&serial_file, 0, data.len()).unwrap();
+        let serial_bytes = serial.read_range(&serial_file, 0, data.len()).unwrap().to_vec();
         let serial_read_time = serial.clock() - read_start;
 
         let mut batched = multi_chip();
@@ -652,7 +679,7 @@ mod tests {
         let mut batched_file = SegmentFile::new();
         batched.append(&mut batched_file, &data, data.len() as u32).unwrap();
         let read_start = batched.clock();
-        let batched_bytes = batched.read_range(&batched_file, 0, data.len()).unwrap();
+        let batched_bytes = batched.read_range(&batched_file, 0, data.len()).unwrap().to_vec();
         let batched_read_time = batched.clock() - read_start;
 
         assert_eq!(serial_bytes, data);
@@ -702,5 +729,139 @@ mod tests {
         store.append(&mut file, &[1, 2, 3], 3).unwrap();
         assert!(matches!(store.read_range(&file, 0, 4), Err(KvError::Corruption(_))));
         assert!(matches!(store.read_page(5), Err(KvError::Corruption(_))));
+    }
+
+    /// A conventional FTL that refuses writes on demand, the way a worn-out
+    /// device does.
+    struct Refusing {
+        inner: ConventionalFtl,
+        read_only: bool,
+    }
+
+    impl FlashTranslationLayer for Refusing {
+        fn name(&self) -> &str {
+            "refusing"
+        }
+        fn logical_pages(&self) -> u64 {
+            self.inner.logical_pages()
+        }
+        fn submit(&mut self, request: IoRequest) -> Result<Completion, FtlError> {
+            if self.read_only && request.is_write() {
+                return Err(FtlError::ReadOnly);
+            }
+            self.inner.submit(request)
+        }
+        fn metrics(&self) -> &FtlMetrics {
+            self.inner.metrics()
+        }
+        fn device(&self) -> &NandDevice {
+            self.inner.device()
+        }
+        fn device_mut(&mut self) -> &mut NandDevice {
+            self.inner.device_mut()
+        }
+    }
+
+    #[test]
+    fn an_append_refused_as_read_only_leaves_the_tail_page_and_length_untouched() {
+        for depth in [1usize, 8] {
+            let inner =
+                ConventionalFtl::new(NandDevice::new(NandConfig::small()), FtlConfig::default())
+                    .unwrap();
+            let mut store = FlashStore::new(Refusing { inner, read_only: false });
+            store.set_io_depth(depth);
+            let page = store.page_size();
+            let mut file = SegmentFile::new();
+            store.append(&mut file, &vec![7u8; page + 100], 64).unwrap();
+            let tail_lpn = file.lpn_at(1).unwrap();
+            let tail_before = store.page(tail_lpn).to_vec();
+            let (len_before, io_before) = (file.len(), store.io_stats());
+
+            store.ftl.read_only = true;
+            // One record into the tail page, then one reaching past it.
+            for size in [50, 2 * page] {
+                let refused = store.append(&mut file, &vec![9u8; size], size as u32);
+                assert!(matches!(refused, Err(KvError::ReadOnly)), "depth {depth}");
+                assert_eq!(file.len(), len_before, "depth {depth}");
+                assert_eq!(store.page(tail_lpn), tail_before, "depth {depth}");
+                assert_eq!(store.io_stats(), io_before, "depth {depth}");
+            }
+            // The file still reads back as it was.
+            let bytes = store.read_range(&file, 0, page + 100).unwrap();
+            assert!(bytes.iter().all(|&byte| byte == 7));
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum FileOp {
+        Append(usize, u8),
+        Truncate,
+    }
+
+    fn file_ops() -> impl Strategy<Value = Vec<FileOp>> {
+        // Mostly record-sized appends into 512-byte pages, some spanning
+        // several pages (and, at depth 8, one batch window), some resets.
+        let op = prop_oneof![
+            (1usize..200, any::<u8>()).prop_map(|(len, fill)| FileOp::Append(len, fill)),
+            (1usize..700, any::<u8>()).prop_map(|(len, fill)| FileOp::Append(len, fill)),
+            (700usize..6_000, any::<u8>()).prop_map(|(len, fill)| FileOp::Append(len, fill)),
+            (0u8..1).prop_map(|_| FileOp::Truncate),
+        ];
+        proptest::collection::vec(op, 1..60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Writing an append into the shadow pages in place must leave every
+        /// page it touches byte-equal to what the store used to build for it:
+        /// a fresh zeroed page buffer, the already-appended prefix of a partial
+        /// tail page copied in, then the new bytes.
+        #[test]
+        fn in_place_appends_build_the_same_page_images(ops in file_ops(), deep in any::<bool>()) {
+            let config = NandConfig::builder()
+                .chips(2)
+                .blocks_per_chip(16)
+                .pages_per_block(16)
+                .page_size_bytes(512)
+                .build()
+                .unwrap();
+            let ftl = ConventionalFtl::new(NandDevice::new(config), FtlConfig::default()).unwrap();
+            let mut store = FlashStore::new(ftl);
+            store.set_io_depth(if deep { 8 } else { 1 });
+            let page_size = store.page_size();
+            // A WAL-like region (reused in place after `truncate`) that appends
+            // may also outgrow.
+            let mut file = SegmentFile::new();
+            store.reserve(&mut file, 3).unwrap();
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut contents: Vec<u8> = Vec::new();
+            for op in ops {
+                let FileOp::Append(len, fill) = op else {
+                    file.truncate();
+                    contents.clear();
+                    continue;
+                };
+                let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                let (start, end) = (contents.len(), contents.len() + len);
+                store.append(&mut file, &bytes, len as u32).unwrap();
+                contents.extend_from_slice(&bytes);
+                for page in start / page_size..=(end - 1) / page_size {
+                    let lpn = file.lpn_at(page as u64).unwrap();
+                    let page_start = page * page_size;
+                    let mut buffer = vec![0u8; page_size];
+                    if page_start < start {
+                        let keep = start - page_start;
+                        buffer[..keep].copy_from_slice(&model[&lpn][..keep]);
+                    }
+                    let (from, to) = (page_start.max(start), (page_start + page_size).min(end));
+                    buffer[from - page_start..to - page_start].copy_from_slice(&contents[from..to]);
+                    prop_assert_eq!(store.page(lpn), buffer.as_slice(), "page {}", page);
+                    model.insert(lpn, buffer);
+                }
+                prop_assert_eq!(file.len(), end as u64);
+                prop_assert_eq!(store.read_range(&file, 0, end).unwrap(), contents.as_slice());
+            }
+        }
     }
 }

@@ -39,6 +39,7 @@ mod error;
 mod flash_file;
 mod hash;
 mod memtable;
+mod merge;
 mod sstable;
 mod store;
 mod wal;
@@ -47,7 +48,9 @@ pub mod workload;
 pub use error::KvError;
 pub use flash_file::{Extent, FlashStore, SegmentFile, StoreIoStats, SUPERBLOCK_LPN};
 pub use memtable::Memtable;
-pub use sstable::{BloomFilter, Entry, TableHandle, TableMeta, TableOptions, TableProbe};
+pub use sstable::{
+    BloomFilter, Entry, TableBuilder, TableHandle, TableMeta, TableOptions, TableProbe,
+};
 pub use store::{
     KvConfig, KvStats, KvStore, Lookup, LookupSource, TableLayout, WriteAmplification,
     WriteReceipt,

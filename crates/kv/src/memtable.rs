@@ -71,11 +71,11 @@ impl Memtable {
             .range::<[u8], _>((Bound::Included(lo), Bound::Excluded(hi)))
     }
 
-    /// Drains every entry in sorted order, leaving the memtable empty (the
-    /// flush path).
-    pub fn drain_sorted(&mut self) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+    /// Drains every entry in sorted order, leaving the memtable empty at once
+    /// (the flush path streams the entries into a table builder).
+    pub fn drain_sorted(&mut self) -> impl Iterator<Item = (Vec<u8>, Option<Vec<u8>>)> {
         self.bytes = 0;
-        std::mem::take(&mut self.entries).into_iter().collect()
+        std::mem::take(&mut self.entries).into_iter()
     }
 }
 
@@ -103,7 +103,7 @@ mod tests {
         memtable.insert(b"b".to_vec(), Some(b"2".to_vec()));
         memtable.insert(b"a".to_vec(), Some(b"1".to_vec()));
         memtable.insert(b"c".to_vec(), None);
-        let drained = memtable.drain_sorted();
+        let drained: Vec<_> = memtable.drain_sorted().collect();
         assert_eq!(
             drained,
             vec![

@@ -15,10 +15,16 @@
 //! then the bloom filter, then binary-search the sparse index and read a single
 //! index bucket — at the default interval that is one small `read_range` per
 //! probed table.
+//!
+//! Reads are borrowed: a probe compares keys inside the bytes the
+//! [`FlashStore`] lends and copies out only the value it returns; a range
+//! scan and a whole-table read copy their rows, still encoded, into a caller's
+//! run buffer that an [`EntryCursor`] then walks without allocating. Tables
+//! are written by a streaming [`TableBuilder`].
 
 use crate::error::KvError;
 use crate::flash_file::{FlashStore, SegmentFile};
-use crate::hash::fnv1a;
+use crate::hash::fnv1a_pair;
 use vflash_ftl::FlashTranslationLayer;
 
 /// Default sparse-index stride: every 16th entry lands in the sparse index
@@ -61,6 +67,17 @@ const FLAG_TOMBSTONE: u8 = 1;
 /// A table entry: a value or a tombstone.
 pub type Entry = (Vec<u8>, Option<Vec<u8>>);
 
+/// A table entry borrowed from encoded bytes (or from the memtable).
+pub(crate) type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// Fixed bytes of a data-section entry: klen(2) + flag(1) + vlen(4).
+const ENTRY_HEADER_BYTES: usize = 7;
+
+/// The encoded data-section size of one entry.
+pub(crate) fn encoded_len(key: &[u8], value: Option<&[u8]>) -> usize {
+    ENTRY_HEADER_BYTES + key.len() + value.map_or(0, <[u8]>::len)
+}
+
 /// A split-block bloom filter over the table's keys (double hashing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -87,27 +104,36 @@ impl BloomFilter {
         self.words.len() as u64 * 64
     }
 
-    fn probe(&self, key: &[u8], i: u32) -> (usize, u64) {
-        let h1 = fnv1a(key, 0x51_73);
-        let h2 = fnv1a(key, 0xB1_00) | 1;
-        let bit = h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.bits();
-        ((bit / 64) as usize, 1u64 << (bit % 64))
+    /// The double-hashing pair every probe position of `key` derives from.
+    fn hash_pair(key: &[u8]) -> (u64, u64) {
+        let (h1, h2) = fnv1a_pair(key, (0x51_73, 0xB1_00));
+        (h1, h2 | 1)
+    }
+
+    /// The `(word, mask)` positions of a hash pair: bit `h1 + i * h2` (mod the
+    /// filter size) for each of the filter's `i < hashes` probes.
+    fn probes(&self, (h1, h2): (u64, u64)) -> impl Iterator<Item = (usize, u64)> {
+        let bits = self.bits();
+        (0..u64::from(self.hashes)).map(move |i| {
+            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % bits;
+            ((bit / 64) as usize, 1u64 << (bit % 64))
+        })
     }
 
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        for i in 0..self.hashes {
-            let (word, mask) = self.probe(key, i);
+        self.insert_hashed(Self::hash_pair(key));
+    }
+
+    fn insert_hashed(&mut self, pair: (u64, u64)) {
+        for (word, mask) in self.probes(pair) {
             self.words[word] |= mask;
         }
     }
 
     /// True when the key *may* be present; false means definitely absent.
     pub fn contains(&self, key: &[u8]) -> bool {
-        (0..self.hashes).all(|i| {
-            let (word, mask) = self.probe(key, i);
-            self.words[word] & mask != 0
-        })
+        self.probes(Self::hash_pair(key)).all(|(word, mask)| self.words[word] & mask != 0)
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -178,67 +204,146 @@ pub struct TableHandle {
     bloom: BloomFilter,
 }
 
+/// Streams sorted entries into one table file: [`TableBuilder::add`] encodes
+/// each entry straight into the data section, [`TableBuilder::finish`] sizes
+/// the bloom filter for the entries actually added, appends the index and
+/// bloom sections and writes the file as one bulk append. The builder is empty
+/// again afterwards and keeps its buffers, so one builder serves every table
+/// of a compaction (and of the store's lifetime).
+#[derive(Debug)]
+pub struct TableBuilder {
+    options: TableOptions,
+    /// The data section so far; `finish` extends it into the whole file image.
+    file_bytes: Vec<u8>,
+    index: Vec<(Vec<u8>, u64)>,
+    /// One bloom hash pair per entry: the filter cannot be sized before the
+    /// entry count is known.
+    hash_pairs: Vec<(u64, u64)>,
+    min_key: Vec<u8>,
+    max_key: Vec<u8>,
+}
+
+impl TableBuilder {
+    /// An empty builder. `options.sparse_index_interval` must be at least 1.
+    pub fn new(options: TableOptions) -> Self {
+        assert!(options.sparse_index_interval >= 1, "the sparse-index stride is at least 1");
+        TableBuilder {
+            options,
+            file_bytes: Vec::new(),
+            index: Vec::new(),
+            hash_pairs: Vec::new(),
+            min_key: Vec::new(),
+            max_key: Vec::new(),
+        }
+    }
+
+    /// True when no entry has been added since the last `finish`.
+    pub fn is_empty(&self) -> bool {
+        self.hash_pairs.is_empty()
+    }
+
+    /// Bytes of the data section so far.
+    pub fn data_len(&self) -> usize {
+        self.file_bytes.len()
+    }
+
+    /// Appends one entry (`None` is a tombstone). Keys must arrive strictly
+    /// ascending (a flush or merge output always does; a violation is a logic
+    /// error and panics via `debug_assert`), at most `u16::MAX` bytes long,
+    /// with values of at most `u32::MAX` bytes — [`KvStore`](crate::KvStore)
+    /// rejects larger ones before they get here.
+    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
+        let key_len = u16::try_from(key.len()).expect("table keys fit a u16 length");
+        let value_len = u32::try_from(value.map_or(0, <[u8]>::len))
+            .expect("table values fit a u32 length");
+        if self.is_empty() {
+            self.min_key.extend_from_slice(key);
+        } else {
+            debug_assert!(self.max_key.as_slice() < key, "table entries must be strictly sorted");
+        }
+        self.max_key.clear();
+        self.max_key.extend_from_slice(key);
+        if self.hash_pairs.len().is_multiple_of(self.options.sparse_index_interval) {
+            self.index.push((key.to_vec(), self.file_bytes.len() as u64));
+        }
+        self.hash_pairs.push(BloomFilter::hash_pair(key));
+        self.file_bytes.extend_from_slice(&key_len.to_le_bytes());
+        self.file_bytes.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
+        self.file_bytes.extend_from_slice(&value_len.to_le_bytes());
+        self.file_bytes.extend_from_slice(key);
+        self.file_bytes.extend_from_slice(value.unwrap_or_default());
+    }
+
+    /// Writes the table (data + index + bloom) through `store` as one bulk
+    /// append — PPB's classifier sees a large sequential write; at
+    /// `io_depth > 1` the pages go out batched — and leaves the builder empty.
+    ///
+    /// # Errors
+    ///
+    /// Allocation and write errors pass through (the entries added so far are
+    /// dropped either way). At least one entry must have been added.
+    pub fn finish<F: FlashTranslationLayer>(
+        &mut self,
+        store: &mut FlashStore<F>,
+        id: u64,
+    ) -> Result<TableHandle, KvError> {
+        assert!(!self.is_empty(), "tables are never built empty");
+        let entries = self.hash_pairs.len();
+        let mut bloom = BloomFilter::with_bits_per_key(entries, self.options.bloom_bits_per_key);
+        for pair in self.hash_pairs.drain(..) {
+            bloom.insert_hashed(pair);
+        }
+        let index = std::mem::take(&mut self.index);
+        let data_len = self.file_bytes.len() as u64;
+        self.file_bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
+        for (key, offset) in &index {
+            self.file_bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            self.file_bytes.extend_from_slice(&offset.to_le_bytes());
+            self.file_bytes.extend_from_slice(key);
+        }
+        let bloom_off = self.file_bytes.len() as u64;
+        bloom.encode(&mut self.file_bytes);
+        let mut file = SegmentFile::new();
+        let request_bytes = u32::try_from(self.file_bytes.len()).unwrap_or(u32::MAX);
+        let written = store.append(&mut file, &self.file_bytes, request_bytes);
+        self.file_bytes.clear();
+        let min_key = std::mem::take(&mut self.min_key);
+        let max_key = std::mem::take(&mut self.max_key);
+        written?;
+        let meta = TableMeta {
+            id,
+            file,
+            entries: entries as u64,
+            data_len,
+            index_off: data_len,
+            bloom_off,
+            min_key,
+            max_key,
+        };
+        Ok(TableHandle { meta, index, bloom })
+    }
+}
+
 impl TableHandle {
-    /// Builds a table from sorted, deduplicated entries, writing data + index +
-    /// bloom through `store` as one bulk append (PPB's classifier sees a large
-    /// sequential write; at `io_depth > 1` the pages go out batched).
+    /// Builds a table from sorted, deduplicated entries: a [`TableBuilder`]
+    /// fed the whole slice.
     ///
     /// # Errors
     ///
     /// Allocation and write errors pass through. `entries` must be non-empty
-    /// and strictly sorted by key (a flush or merge output always is;
-    /// violations are a logic error and panic via `debug_assert`).
-    /// `options.sparse_index_interval` must be at least 1.
+    /// and strictly sorted by key, and `options.sparse_index_interval` at
+    /// least 1.
     pub fn build<F: FlashTranslationLayer>(
         store: &mut FlashStore<F>,
         id: u64,
         entries: &[Entry],
         options: TableOptions,
     ) -> Result<TableHandle, KvError> {
-        assert!(!entries.is_empty(), "tables are never built empty");
-        assert!(options.sparse_index_interval >= 1, "the sparse-index stride is at least 1");
-        debug_assert!(entries.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        let mut data = Vec::new();
-        let mut index = Vec::new();
-        let mut bloom = BloomFilter::with_bits_per_key(entries.len(), options.bloom_bits_per_key);
-        for (position, (key, value)) in entries.iter().enumerate() {
-            if position % options.sparse_index_interval == 0 {
-                index.push((key.clone(), data.len() as u64));
-            }
-            bloom.insert(key);
-            data.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            data.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
-            data.extend_from_slice(&(value.as_ref().map_or(0, Vec::len) as u32).to_le_bytes());
-            data.extend_from_slice(key);
-            if let Some(value) = value {
-                data.extend_from_slice(value);
-            }
+        let mut builder = TableBuilder::new(options);
+        for (key, value) in entries {
+            builder.add(key, value.as_deref());
         }
-        let data_len = data.len() as u64;
-        let index_off = data_len;
-        let mut file_bytes = data;
-        file_bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
-        for (key, offset) in &index {
-            file_bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            file_bytes.extend_from_slice(&offset.to_le_bytes());
-            file_bytes.extend_from_slice(key);
-        }
-        let bloom_off = file_bytes.len() as u64;
-        bloom.encode(&mut file_bytes);
-        let mut file = SegmentFile::new();
-        let request_bytes = u32::try_from(file_bytes.len()).unwrap_or(u32::MAX);
-        store.append(&mut file, &file_bytes, request_bytes)?;
-        let meta = TableMeta {
-            id,
-            file,
-            entries: entries.len() as u64,
-            data_len,
-            index_off,
-            bloom_off,
-            min_key: entries.first().expect("non-empty").0.clone(),
-            max_key: entries.last().expect("non-empty").0.clone(),
-        };
-        Ok(TableHandle { meta, index, bloom })
+        builder.finish(store, id)
     }
 
     /// Reopens a table from its persisted metadata, reading the index and bloom
@@ -282,7 +387,7 @@ impl TableHandle {
             meta.bloom_off,
             (meta.file.len() - meta.bloom_off) as usize,
         )?;
-        let bloom = BloomFilter::decode(&bloom_bytes)?;
+        let bloom = BloomFilter::decode(bloom_bytes)?;
         Ok(TableHandle { meta, index, bloom })
     }
 
@@ -299,7 +404,8 @@ impl TableHandle {
     }
 
     /// Point lookup. Returns the entry (`Some(None)` is a tombstone) and how
-    /// the table was probed.
+    /// the table was probed. Keys are compared inside the bucket's borrowed
+    /// bytes; only a found value is copied out.
     ///
     /// # Errors
     ///
@@ -320,11 +426,11 @@ impl TableHandle {
         };
         let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
         let mut at = 0usize;
-        while let Some((entry_key, value, consumed)) = decode_entry(&bytes, at)? {
+        while let Some(((entry_key, value), consumed)) = decode_entry(bytes, at)? {
             if entry_key == key {
-                return Ok((Some(value), TableProbe::Read));
+                return Ok((Some(value.map(<[u8]>::to_vec)), TableProbe::Read));
             }
-            if entry_key.as_slice() > key {
+            if entry_key > key {
                 break;
             }
             at += consumed;
@@ -332,91 +438,133 @@ impl TableHandle {
         Ok((None, TableProbe::Read))
     }
 
-    /// Every entry of the table in key order (compaction input; reads the whole
-    /// data section).
+    /// Appends every entry of the table, still encoded and in key order, to
+    /// `run` (compaction input; reads the whole data section and checks that
+    /// it decodes).
     ///
     /// # Errors
     ///
-    /// Read and decode errors pass through.
-    pub fn entries<F: FlashTranslationLayer>(
+    /// Read and decode errors pass through; `run` is untouched then.
+    pub fn read_entries<F: FlashTranslationLayer>(
         &self,
         store: &mut FlashStore<F>,
-    ) -> Result<Vec<Entry>, KvError> {
+        run: &mut Vec<u8>,
+    ) -> Result<(), KvError> {
         let bytes = store.read_range(&self.meta.file, 0, self.meta.data_len as usize)?;
-        let mut out = Vec::with_capacity(self.meta.entries as usize);
         let mut at = 0usize;
-        while let Some((key, value, consumed)) = decode_entry(&bytes, at)? {
-            out.push((key, value));
+        while let Some((_, consumed)) = decode_entry(bytes, at)? {
             at += consumed;
         }
-        Ok(out)
+        run.extend_from_slice(bytes);
+        Ok(())
     }
 
-    /// Entries with keys in `[lo, hi)`, reading index buckets lazily from the
-    /// first candidate bucket until a key reaches `hi`.
+    /// Appends the entries with keys in `[lo, hi)`, still encoded and in key
+    /// order, to `run`, reading index buckets lazily from the first candidate
+    /// bucket until a key reaches `hi`.
     ///
     /// # Errors
     ///
-    /// Read and decode errors pass through.
+    /// Read and decode errors pass through (`run` may have grown by then).
     pub fn scan_range<F: FlashTranslationLayer>(
         &self,
         store: &mut FlashStore<F>,
         lo: &[u8],
         hi: &[u8],
-    ) -> Result<Vec<Entry>, KvError> {
+        run: &mut Vec<u8>,
+    ) -> Result<(), KvError> {
         if lo >= hi || hi <= self.meta.min_key.as_slice() || lo > self.meta.max_key.as_slice() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let start = self.bucket_for(lo).map_or(0, |(start, _)| start);
-        let mut out = Vec::new();
         let mut bucket = self.index.partition_point(|(_, offset)| *offset < start);
         debug_assert!(self.index.get(bucket).is_none_or(|(_, offset)| *offset == start));
         let mut offset = start;
-        'buckets: while offset < self.meta.data_len {
+        while offset < self.meta.data_len {
             let end = self
                 .index
                 .get(bucket + 1)
                 .map_or(self.meta.data_len, |(_, next)| *next);
             let bytes = store.read_range(&self.meta.file, offset, (end - offset) as usize)?;
-            let mut at = 0usize;
-            while let Some((key, value, consumed)) = decode_entry(&bytes, at)? {
+            // The in-range entries of a bucket are contiguous: [from, at).
+            let (mut from, mut at) = (0usize, 0usize);
+            let mut reached_hi = false;
+            while let Some(((key, _), consumed)) = decode_entry(bytes, at)? {
+                if key >= hi {
+                    reached_hi = true;
+                    break;
+                }
                 at += consumed;
-                if key.as_slice() >= hi {
-                    break 'buckets;
+                if key < lo {
+                    from = at;
                 }
-                if key.as_slice() >= lo {
-                    out.push((key, value));
-                }
+            }
+            run.extend_from_slice(&bytes[from..at]);
+            if reached_hi {
+                break;
             }
             offset = end;
             bucket += 1;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
-/// Decodes the data-section entry at `bytes[at..]`; `Ok(None)` at the exact end
-/// of the buffer.
-fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(Vec<u8>, Option<Vec<u8>>, usize)>, KvError> {
+/// Decodes the data-section entry at `bytes[at..]` without copying it;
+/// `Ok(None)` at the exact end of the buffer.
+fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(EntryRef<'_>, usize)>, KvError> {
     if at == bytes.len() {
         return Ok(None);
     }
     let corrupt = || KvError::Corruption("truncated table entry".to_string());
     let rest = &bytes[at..];
-    if rest.len() < 7 {
+    if rest.len() < ENTRY_HEADER_BYTES {
         return Err(corrupt());
     }
     let klen = u16::from_le_bytes(rest[0..2].try_into().unwrap()) as usize;
     let flag = rest[2];
     let vlen = u32::from_le_bytes(rest[3..7].try_into().unwrap()) as usize;
-    let total = 7 + klen + vlen;
+    let total = ENTRY_HEADER_BYTES + klen + vlen;
     if rest.len() < total || (flag == FLAG_TOMBSTONE && vlen != 0) || flag > FLAG_TOMBSTONE {
         return Err(corrupt());
     }
-    let key = rest[7..7 + klen].to_vec();
-    let value =
-        (flag == FLAG_VALUE).then(|| rest[7 + klen..total].to_vec());
-    Ok(Some((key, value, total)))
+    let key = &rest[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + klen];
+    let value = (flag == FLAG_VALUE).then(|| &rest[ENTRY_HEADER_BYTES + klen..total]);
+    Ok(Some(((key, value), total)))
+}
+
+/// Walks a run of encoded entries — the segments that
+/// [`TableHandle::read_entries`] or [`TableHandle::scan_range`] filled, and
+/// thereby checked, one after another — without allocating.
+#[derive(Debug, Clone)]
+pub(crate) struct EntryCursor<'a> {
+    segments: &'a [Vec<u8>],
+    /// Byte position in the first of `segments`.
+    at: usize,
+}
+
+impl<'a> EntryCursor<'a> {
+    pub(crate) fn new(segments: &'a [Vec<u8>]) -> Self {
+        EntryCursor { segments, at: 0 }
+    }
+}
+
+impl<'a> Iterator for EntryCursor<'a> {
+    type Item = EntryRef<'a>;
+
+    fn next(&mut self) -> Option<EntryRef<'a>> {
+        loop {
+            let (segment, later) = self.segments.split_first()?;
+            let decoded = decode_entry(segment, self.at);
+            match decoded.expect("run segments are checked when they are filled") {
+                Some((entry, consumed)) => {
+                    self.at += consumed;
+                    return Some(entry);
+                }
+                None => (self.segments, self.at) = (later, 0),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -428,6 +576,31 @@ mod tests {
     fn store() -> FlashStore<ConventionalFtl> {
         let device = NandDevice::new(NandConfig::small());
         FlashStore::new(ConventionalFtl::new(device, FtlConfig::default()).unwrap())
+    }
+
+    /// A table's whole contents, decoded.
+    fn entries_of(table: &TableHandle, store: &mut FlashStore<ConventionalFtl>) -> Vec<Entry> {
+        let mut run = Vec::new();
+        table.read_entries(store, &mut run).unwrap();
+        decoded(&run)
+    }
+
+    /// A table's rows in `[lo, hi)`, decoded.
+    fn scanned(
+        table: &TableHandle,
+        store: &mut FlashStore<ConventionalFtl>,
+        lo: &[u8],
+        hi: &[u8],
+    ) -> Vec<Entry> {
+        let mut run = Vec::new();
+        table.scan_range(store, lo, hi, &mut run).unwrap();
+        decoded(&run)
+    }
+
+    fn decoded(run: &[u8]) -> Vec<Entry> {
+        EntryCursor::new(&[run.to_vec()])
+            .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))
+            .collect()
     }
 
     fn sample_entries(count: usize) -> Vec<Entry> {
@@ -484,7 +657,7 @@ mod tests {
         let table = TableHandle::build(&mut store, 9, &entries, TableOptions::default()).unwrap();
         let recovered = TableHandle::recover(&mut store, table.meta.clone()).unwrap();
         assert_eq!(recovered, table, "index + bloom must round-trip through flash");
-        assert_eq!(recovered.entries(&mut store).unwrap(), entries);
+        assert_eq!(entries_of(&recovered, &mut store), entries);
     }
 
     #[test]
@@ -501,11 +674,8 @@ mod tests {
         // Stride-1 single-entry buckets round-trip through recovery too.
         let recovered = TableHandle::recover(&mut store, table.meta.clone()).unwrap();
         assert_eq!(recovered, table);
-        assert_eq!(recovered.entries(&mut store).unwrap(), entries);
-        assert_eq!(
-            recovered.scan_range(&mut store, b"key00010", b"key00020").unwrap(),
-            entries[10..20]
-        );
+        assert_eq!(entries_of(&recovered, &mut store), entries);
+        assert_eq!(scanned(&recovered, &mut store, b"key00010", b"key00020"), entries[10..20]);
     }
 
     #[test]
@@ -520,7 +690,7 @@ mod tests {
             assert_eq!(found.as_ref(), Some(&entries[0].1));
             assert_eq!(probe, TableProbe::Read);
             let recovered = TableHandle::recover(&mut store, table.meta.clone()).unwrap();
-            assert_eq!(recovered.entries(&mut store).unwrap(), entries);
+            assert_eq!(entries_of(&recovered, &mut store), entries);
         }
     }
 
@@ -569,10 +739,10 @@ mod tests {
             .filter(|(key, _)| key >= &lo && key < &hi)
             .cloned()
             .collect();
-        assert_eq!(table.scan_range(&mut store, &lo, &hi).unwrap(), expected);
-        assert!(table.scan_range(&mut store, &hi, &lo).unwrap().is_empty());
+        assert_eq!(scanned(&table, &mut store, &lo, &hi), expected);
+        assert!(scanned(&table, &mut store, &hi, &lo).is_empty());
         assert_eq!(
-            table.scan_range(&mut store, b"", b"~").unwrap(),
+            scanned(&table, &mut store, b"", b"~"),
             entries,
             "an all-covering range returns every entry"
         );

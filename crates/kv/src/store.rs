@@ -18,8 +18,6 @@
 //! WAL's epoch check replays exactly the committed operations since the last
 //! flush.
 
-use std::collections::BTreeMap;
-
 use vflash_ftl::FlashTranslationLayer;
 use vflash_nand::Nanos;
 
@@ -27,7 +25,10 @@ use crate::error::KvError;
 use crate::flash_file::{Extent, FlashStore, SegmentFile};
 use crate::hash::fnv1a;
 use crate::memtable::Memtable;
-use crate::sstable::{Entry, TableHandle, TableMeta, TableOptions, TableProbe};
+use crate::merge::{NewestWins, Run, RunBuffer};
+use crate::sstable::{
+    encoded_len, EntryRef, TableBuilder, TableHandle, TableMeta, TableOptions, TableProbe,
+};
 use crate::wal::{Wal, WalOp};
 
 const MANIFEST_MAGIC: u64 = 0x564b_4d41_4e49_4631; // "VKMANIF1"
@@ -230,6 +231,10 @@ pub struct KvStore<F: FlashTranslationLayer> {
     /// allocator only after the next commit so a crash never finds the old
     /// manifest pointing at overwritten pages.
     pending_free: Vec<Extent>,
+    /// Builds every table this store writes (flush and compaction outputs).
+    builder: TableBuilder,
+    /// The rows a scan read, until its merge is done.
+    scanned: RunBuffer,
     stats: KvStats,
 }
 
@@ -266,6 +271,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             levels: Vec::new(),
             next_table_id: 1,
             pending_free: Vec::new(),
+            builder: TableBuilder::new(config.table_options()),
+            scanned: RunBuffer::default(),
             stats: KvStats::default(),
         };
         kv.write_manifest()?;
@@ -286,7 +293,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         }
         let manifest_file = SegmentFile::from_parts(manifest_extents, manifest_len);
         let manifest_bytes = store.read_range(&manifest_file, 0, manifest_len as usize)?;
-        let manifest = decode_manifest(&manifest_bytes)?;
+        let manifest = decode_manifest(manifest_bytes)?;
 
         // The manifest is the source of truth for live extents; anything
         // allocated after it was committed (a half-built table from a crashed
@@ -330,6 +337,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             levels,
             next_table_id: manifest.next_table_id,
             pending_free: Vec::new(),
+            builder: TableBuilder::new(config.table_options()),
+            scanned: RunBuffer::default(),
             stats: KvStats::default(),
         })
     }
@@ -338,9 +347,12 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// # Errors
     ///
-    /// [`KvError::ReadOnly`] once the device is worn out, [`KvError::OutOfSpace`]
-    /// when neither the WAL nor a flush can make room; I/O errors pass through.
+    /// [`KvError::EntryTooLarge`] for a key past `u16::MAX` bytes or a value
+    /// past `u32::MAX` (nothing is written); [`KvError::ReadOnly`] once the
+    /// device is worn out, [`KvError::OutOfSpace`] when neither the WAL nor a
+    /// flush can make room; I/O errors pass through.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<WriteReceipt, KvError> {
+        check_entry_size(key, value)?;
         self.stats.puts += 1;
         self.write_op(WalOp::Put { key: key.to_vec(), value: value.to_vec() })
     }
@@ -351,6 +363,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// As for [`KvStore::put`].
     pub fn delete(&mut self, key: &[u8]) -> Result<WriteReceipt, KvError> {
+        check_entry_size(key, &[])?;
         self.stats.deletes += 1;
         self.write_op(WalOp::Delete { key: key.to_vec() })
     }
@@ -445,27 +458,26 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// Read and decode errors pass through.
     pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
         self.stats.scans += 1;
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        let KvStore { store, levels, memtable, .. } = self;
-        // Deepest (oldest) data first; newer layers overwrite on insert.
-        for run in levels.iter().skip(1).rev() {
-            for table in run {
-                for (key, value) in table.scan_range(store, lo, hi)? {
-                    merged.insert(key, value);
-                }
+        let KvStore { store, levels, memtable, scanned, .. } = self;
+        scanned.clear();
+        // Deepest (oldest) data first: each sorted level is one run, each L0
+        // table — oldest first — its own.
+        for level in levels.iter().skip(1).rev() {
+            scanned.begin_run();
+            for table in level {
+                table.scan_range(store, lo, hi, scanned.segment())?;
             }
         }
-        if let Some(l0) = levels.first() {
-            for table in l0.iter().rev() {
-                for (key, value) in table.scan_range(store, lo, hi)? {
-                    merged.insert(key, value);
-                }
-            }
+        for table in levels.first().into_iter().flatten().rev() {
+            scanned.begin_run();
+            table.scan_range(store, lo, hi, scanned.segment())?;
         }
-        for (key, value) in memtable.range(lo, hi) {
-            merged.insert(key.clone(), value.clone());
-        }
-        Ok(merged.into_iter().filter_map(|(key, value)| value.map(|v| (key, v))).collect())
+        let buffered =
+            memtable.range(lo, hi).map(|(key, value)| (key.as_slice(), value.as_deref()));
+        let runs = scanned.cursors().map(Run::Table).chain([Run::Memtable(buffered)]);
+        Ok(NewestWins::new(runs)
+            .filter_map(|(key, value)| value.map(|value| (key.to_vec(), value.to_vec())))
+            .collect())
     }
 
     /// Flushes the memtable to a new L0 table, runs any due compactions and
@@ -481,11 +493,12 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         }
         let start = self.store.clock();
         if !self.memtable.is_empty() {
-            let entries = self.memtable.drain_sorted();
+            for (key, value) in self.memtable.drain_sorted() {
+                self.builder.add(&key, value.as_deref());
+            }
             let id = self.next_table_id;
             self.next_table_id += 1;
-            let table =
-                TableHandle::build(&mut self.store, id, &entries, self.config.table_options())?;
+            let table = self.builder.finish(&mut self.store, id)?;
             if self.levels.is_empty() {
                 self.levels.push(Vec::new());
             }
@@ -538,31 +551,27 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         }
         let sources = std::mem::take(&mut self.levels[level]);
         let targets = std::mem::take(&mut self.levels[level + 1]);
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for table in &targets {
-            for (key, value) in table.entries(&mut self.store)? {
-                merged.insert(key, value);
-            }
-        }
-        // L0 is newest-first; feed oldest first so the newest version wins.
-        for table in sources.iter().rev() {
-            for (key, value) in table.entries(&mut self.store)? {
-                merged.insert(key, value);
-            }
-        }
         // Tombstones are dropped once the output is the bottom of the tree —
         // nothing older exists for them to shadow.
         let bottom = self.levels.iter().skip(level + 2).all(Vec::is_empty);
-        let entries: Vec<Entry> = merged
-            .into_iter()
-            .filter(|(_, value)| !(bottom && value.is_none()))
-            .collect();
-        let mut run = Vec::new();
-        for chunk in split_for_tables(&entries, self.config.target_table_bytes) {
-            let id = self.next_table_id;
-            self.next_table_id += 1;
-            run.push(TableHandle::build(&mut self.store, id, chunk, self.config.table_options())?);
+        let KvStore { store, builder, next_table_id, config, .. } = self;
+        // Every input is read before the first output is written: the target
+        // level, a sorted run, in order; then the sources oldest first (L0 is
+        // kept newest-first), each its own run. The buffer lives as long as
+        // the compaction — megabytes at a deep level, which the store's
+        // reused scan buffer should not pin for good.
+        let mut inputs = RunBuffer::default();
+        inputs.begin_run();
+        for table in &targets {
+            table.read_entries(store, inputs.segment())?;
         }
+        for table in sources.iter().rev() {
+            inputs.begin_run();
+            table.read_entries(store, inputs.segment())?;
+        }
+        let live =
+            NewestWins::new(inputs.cursors()).filter(|(_, value)| !(bottom && value.is_none()));
+        let run = build_tables(live, config.target_table_bytes, builder, store, next_table_id)?;
         self.levels[level + 1] = run;
         for table in sources.into_iter().chain(targets) {
             self.pending_free.extend_from_slice(table.meta.file.extents());
@@ -687,26 +696,43 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     }
 }
 
-/// Splits a sorted entry list into consecutive chunks whose encoded
-/// data-section size stays at or under `target` bytes (a chunk always takes at
-/// least one entry).
-fn split_for_tables(entries: &[Entry], target: u64) -> Vec<&[Entry]> {
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    let mut bytes = 0u64;
-    for (position, (key, value)) in entries.iter().enumerate() {
-        let encoded = 7 + key.len() as u64 + value.as_ref().map_or(0, Vec::len) as u64;
-        if bytes > 0 && bytes + encoded > target {
-            chunks.push(&entries[start..position]);
-            start = position;
-            bytes = 0;
+/// Refuses an entry the WAL, table and manifest encodings cannot hold: they
+/// store a key's length in a `u16` and a value's in a `u32`.
+fn check_entry_size(key: &[u8], value: &[u8]) -> Result<(), KvError> {
+    if u16::try_from(key.len()).is_err() || u32::try_from(value.len()).is_err() {
+        return Err(KvError::EntryTooLarge { key_bytes: key.len(), value_bytes: value.len() });
+    }
+    Ok(())
+}
+
+/// Streams sorted entries into consecutive tables, numbered from
+/// `*next_table_id` on, whose data section stays at or under `target` bytes (a
+/// table always takes at least one entry): an entry that would push the open
+/// table past the target closes it first.
+fn build_tables<'a, F: FlashTranslationLayer>(
+    entries: impl Iterator<Item = EntryRef<'a>>,
+    target: u64,
+    builder: &mut TableBuilder,
+    store: &mut FlashStore<F>,
+    next_table_id: &mut u64,
+) -> Result<Vec<TableHandle>, KvError> {
+    let mut tables = Vec::new();
+    let mut finish = |builder: &mut TableBuilder| {
+        let id = *next_table_id;
+        *next_table_id += 1;
+        builder.finish(store, id)
+    };
+    for (key, value) in entries {
+        let grown = (builder.data_len() + encoded_len(key, value)) as u64;
+        if !builder.is_empty() && grown > target {
+            tables.push(finish(builder)?);
         }
-        bytes += encoded;
+        builder.add(key, value);
     }
-    if start < entries.len() {
-        chunks.push(&entries[start..]);
+    if !builder.is_empty() {
+        tables.push(finish(builder)?);
     }
-    chunks
+    Ok(tables)
 }
 
 fn put_extents(out: &mut Vec<u8>, extents: &[Extent]) {
@@ -718,7 +744,8 @@ fn put_extents(out: &mut Vec<u8>, extents: &[Extent]) {
 }
 
 fn put_key(out: &mut Vec<u8>, key: &[u8]) {
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    let len = u16::try_from(key.len()).expect("table keys fit a u16 length");
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(key);
 }
 
@@ -841,6 +868,9 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sstable::Entry;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
 
@@ -1013,5 +1043,153 @@ mod tests {
         let mut bad = encoded;
         bad[10] ^= 0xFF;
         assert!(matches!(decode_manifest(&bad), Err(KvError::Corruption(_))));
+    }
+
+    #[test]
+    fn oversized_keys_are_rejected_before_anything_is_written() {
+        // A WAL region wide enough for one record with the longest legal key.
+        let config = KvConfig { wal_pages: 24, ..small_config() };
+        let mut kv = KvStore::open(flash(), config).unwrap();
+        kv.put(b"before", b"1").unwrap();
+        let (clock, stats) = (kv.device_clock(), *kv.stats());
+        let long_key = vec![b'k'; usize::from(u16::MAX) + 1];
+        for refused in [kv.put(&long_key, b"value"), kv.delete(&long_key)] {
+            assert!(
+                matches!(refused, Err(KvError::EntryTooLarge { key_bytes: 65_536, .. })),
+                "got {refused:?}"
+            );
+        }
+        assert_eq!(kv.device_clock(), clock, "a refused entry costs no device traffic");
+        assert_eq!(*kv.stats(), stats, "a refused entry is not counted as accepted");
+        // The longest key that fits round-trips, and the log stays replayable:
+        // before the check, the truncated length field of an oversized key
+        // failed its record's checksum on replay and cut off every later op.
+        let widest_key = vec![b'w'; usize::from(u16::MAX)];
+        kv.put(&widest_key, b"fits").unwrap();
+        kv.put(b"after", b"2").unwrap();
+        let mut kv = KvStore::open(kv.crash(), config).unwrap();
+        assert_eq!(kv.get(&widest_key).unwrap().value, Some(b"fits".to_vec()));
+        assert_eq!(kv.get(b"after").unwrap().value, Some(b"2".to_vec()));
+        assert_eq!(kv.get(b"before").unwrap().value, Some(b"1".to_vec()));
+    }
+
+    /// The merge semantics this store had before the streaming merge, kept as
+    /// the model: insert every run into a sorted map oldest first (so the
+    /// newest version of a key wins), drop tombstones at the bottom of the
+    /// tree, then cut the sorted list into tables.
+    fn model_merge(runs: &[Vec<Entry>], bottom: bool) -> Vec<Entry> {
+        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        for (key, value) in runs.iter().flatten() {
+            merged.insert(key.clone(), value.clone());
+        }
+        merged.into_iter().filter(|(_, value)| !(bottom && value.is_none())).collect()
+    }
+
+    fn split_for_tables(entries: &[Entry], target: u64) -> Vec<&[Entry]> {
+        let mut chunks = Vec::new();
+        let mut start = 0usize;
+        let mut bytes = 0u64;
+        for (position, (key, value)) in entries.iter().enumerate() {
+            let encoded = 7 + key.len() as u64 + value.as_ref().map_or(0, Vec::len) as u64;
+            if bytes > 0 && bytes + encoded > target {
+                chunks.push(&entries[start..position]);
+                start = position;
+                bytes = 0;
+            }
+            bytes += encoded;
+        }
+        if start < entries.len() {
+            chunks.push(&entries[start..]);
+        }
+        chunks
+    }
+
+    /// One sorted run: distinct keys out of a small space (so runs overlap),
+    /// a third of them tombstones, values of assorted lengths.
+    fn sorted_run() -> impl Strategy<Value = Vec<Entry>> {
+        proptest::collection::vec((0u8..40, 0u8..3, 0usize..90, any::<u8>()), 0..30).prop_map(
+            |rows| {
+                let run: BTreeMap<Vec<u8>, Option<Vec<u8>>> = rows
+                    .into_iter()
+                    .map(|(key, kind, len, fill)| {
+                        (format!("key{key:03}").into_bytes(), (kind > 0).then(|| vec![fill; len]))
+                    })
+                    .collect();
+                run.into_iter().collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The k-way merge over table cursors (with the memtable on top) and
+        /// the streaming table split must equal the sorted-map merge and the
+        /// slice split they replaced: same rows, same table boundaries, on the
+        /// bottom level and above it.
+        #[test]
+        fn streaming_merge_and_split_match_the_sorted_map_model(
+            runs in proptest::collection::vec(sorted_run(), 1..5),
+            buffered in sorted_run(),
+            bottom in any::<bool>(),
+            target in 60u64..900,
+        ) {
+            let mut store = flash();
+            let options = TableOptions { sparse_index_interval: 4, ..TableOptions::default() };
+            let build = |entries: &[Entry], store: &mut FlashStore<ConventionalFtl>| {
+                TableHandle::build(store, 1, entries, options).unwrap()
+            };
+            // The oldest run plays a sorted level of two tables (one run, two
+            // segments); every other run is one table.
+            let mut inputs = RunBuffer::default();
+            for (age, run) in runs.iter().enumerate() {
+                inputs.begin_run();
+                let halves =
+                    if age == 0 { run.split_at(run.len() / 2) } else { (&run[..], &[][..]) };
+                for half in [halves.0, halves.1] {
+                    if !half.is_empty() {
+                        build(half, &mut store).read_entries(&mut store, inputs.segment()).unwrap();
+                    }
+                }
+            }
+            let mut memtable = Memtable::new();
+            for (key, value) in &buffered {
+                memtable.insert(key.clone(), value.clone());
+            }
+            let top = memtable
+                .range(b"", b"~")
+                .map(|(key, value)| (key.as_slice(), value.as_deref()));
+            let cursors = inputs.cursors().map(Run::Table).chain([Run::Memtable(top)]);
+            let merged =
+                NewestWins::new(cursors).filter(|(_, value)| !(bottom && value.is_none()));
+            let mut builder = TableBuilder::new(options);
+            let tables =
+                build_tables(merged, target, &mut builder, &mut store, &mut 2).unwrap();
+
+            let mut all_runs = runs.clone();
+            all_runs.push(buffered.clone());
+            let expected = model_merge(&all_runs, bottom);
+            let expected_tables = split_for_tables(&expected, target);
+            prop_assert_eq!(tables.len(), expected_tables.len());
+            for (table, expected) in tables.iter().zip(expected_tables) {
+                let mut rows = RunBuffer::default();
+                rows.begin_run();
+                table.read_entries(&mut store, rows.segment()).unwrap();
+                let rows: Vec<Entry> = rows
+                    .cursors()
+                    .flatten()
+                    .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))
+                    .collect();
+                prop_assert_eq!(rows.as_slice(), expected);
+                // Each piece is the table a plain build of the same rows gives.
+                let rebuilt = build(expected, &mut store);
+                prop_assert_eq!(&table.meta.min_key, &rebuilt.meta.min_key);
+                prop_assert_eq!(&table.meta.max_key, &rebuilt.meta.max_key);
+                let sections = |meta: &TableMeta| {
+                    (meta.entries, meta.data_len, meta.bloom_off, meta.file.len())
+                };
+                prop_assert_eq!(sections(&table.meta), sections(&rebuilt.meta));
+            }
+        }
     }
 }

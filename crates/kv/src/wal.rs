@@ -47,22 +47,25 @@ const HEADER_BYTES: usize = 11;
 /// Trailing FNV-64 checksum.
 const CHECKSUM_BYTES: usize = 8;
 
-/// Serializes one record: header, key, value, checksum over everything before
-/// the checksum.
-fn encode(epoch: u32, op: &WalOp) -> Vec<u8> {
+/// Serializes one record into `out` (cleared first): header, key, value,
+/// checksum over everything before the checksum. Keys past `u16::MAX` bytes
+/// and values past `u32::MAX` do not fit the header —
+/// [`KvStore`](crate::KvStore) rejects them before they get here.
+fn encode(epoch: u32, op: &WalOp, out: &mut Vec<u8>) {
     let (kind, key, value): (u8, &[u8], &[u8]) = match op {
         WalOp::Put { key, value } => (KIND_PUT, key, value),
         WalOp::Delete { key } => (KIND_DELETE, key, &[]),
     };
-    let mut out = Vec::with_capacity(HEADER_BYTES + key.len() + value.len() + CHECKSUM_BYTES);
+    let key_len = u16::try_from(key.len()).expect("WAL keys fit a u16 length");
+    let value_len = u32::try_from(value.len()).expect("WAL values fit a u32 length");
+    out.clear();
     out.extend_from_slice(&epoch.to_le_bytes());
     out.push(kind);
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(&key_len.to_le_bytes());
+    out.extend_from_slice(&value_len.to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
-    out.extend_from_slice(&fnv1a(&out, 0).to_le_bytes());
-    out
+    out.extend_from_slice(&fnv1a(out, 0).to_le_bytes());
 }
 
 /// Decodes the record at `bytes[at..]`. Returns `None` when the bytes are not a
@@ -105,12 +108,15 @@ fn decode(bytes: &[u8], at: usize, epoch: u32) -> Option<(WalOp, usize)> {
 pub struct Wal {
     file: SegmentFile,
     epoch: u32,
+    /// The record being appended, encoded here before it goes to the store
+    /// (reused across appends).
+    record: Vec<u8>,
 }
 
 impl Wal {
     /// Wraps a (pre-reserved) region at `epoch`.
     pub fn new(file: SegmentFile, epoch: u32) -> Self {
-        Wal { file, epoch }
+        Wal { file, epoch, record: Vec::new() }
     }
 
     /// The current epoch (persisted in the manifest).
@@ -155,9 +161,9 @@ impl Wal {
         if self.would_overflow(op, store.page_size()) {
             return Err(KvError::OutOfSpace);
         }
-        let record = encode(self.epoch, op);
-        let request_bytes = record.len() as u32;
-        store.append(&mut self.file, &record, request_bytes)
+        encode(self.epoch, op, &mut self.record);
+        let request_bytes = self.record.len() as u32;
+        store.append(&mut self.file, &self.record, request_bytes)
     }
 
     /// Rewinds the region and bumps the epoch (the post-flush reset). Old
@@ -273,8 +279,9 @@ mod tests {
     #[test]
     fn corrupted_checksums_end_the_replayed_prefix() {
         let epoch = 5;
-        let mut bytes = encode(epoch, &WalOp::Put { key: b"k1".to_vec(), value: b"v1".to_vec() });
-        let second = encode(epoch, &WalOp::Put { key: b"k2".to_vec(), value: b"v2".to_vec() });
+        let (mut bytes, mut second) = (Vec::new(), Vec::new());
+        encode(epoch, &WalOp::Put { key: b"k1".to_vec(), value: b"v1".to_vec() }, &mut bytes);
+        encode(epoch, &WalOp::Put { key: b"k2".to_vec(), value: b"v2".to_vec() }, &mut second);
         let flip_at = bytes.len() + 12;
         bytes.extend_from_slice(&second);
         bytes[flip_at] ^= 0xFF;

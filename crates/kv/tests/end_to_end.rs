@@ -2,10 +2,11 @@
 //! write-amplification product identity at workload scale, and clean
 //! [`KvError::ReadOnly`] surfacing once the device wears out.
 
-use vflash_ftl::{ConventionalFtl, FtlConfig};
+use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig};
 use vflash_kv::workload::{compare_conventional_vs_ppb, KvWorkloadConfig};
-use vflash_kv::{FlashStore, KvConfig, KvError, KvStore};
-use vflash_nand::{FaultConfig, NandConfig, NandDevice};
+use vflash_kv::{FlashStore, KvConfig, KvError, KvStats, KvStore};
+use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
+use vflash_ppb::{PpbConfig, PpbFtl};
 
 /// Same seed + same FTL must produce bit-identical summaries — percentiles,
 /// write amplification, device time and the final SSTable layout — for both
@@ -94,4 +95,121 @@ fn worn_out_device_surfaces_read_only_and_still_recovers() {
     let mut recovered = KvStore::open(kv.crash(), config).unwrap();
     recovered.get(&0u64.to_be_bytes()).unwrap();
     assert!(matches!(recovered.put(b"still", b"dead"), Err(KvError::ReadOnly)));
+}
+
+/// One deterministic put/get/delete/scan run (xorshift keys over a small key
+/// space, so overwrites force flushes, multi-level compactions and device GC)
+/// reduced to a fingerprint of everything simulated. The first half is what
+/// neither the FTL nor the queue depth may change (every untimed `KvStats`
+/// field, the page counters, an FNV of every byte returned, host writes, GC
+/// copies, an FNV of the final table layout); the second is `[flush_time,
+/// compaction_time, device_clock, erases, batched_submissions, batched_pages]`.
+fn golden_fingerprint<F: FlashTranslationLayer>(ftl: F, io_depth: usize) -> (String, [u64; 6]) {
+    let config = KvConfig {
+        memtable_bytes: 8 << 10,
+        level_base_bytes: 32 << 10,
+        target_table_bytes: 16 << 10,
+        io_depth,
+        ..KvConfig::default()
+    };
+    let mut kv = KvStore::open(FlashStore::new(ftl), config).unwrap();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // FNV-1a over every byte the store returned (get values, scan rows).
+    let mut returned = 0xcbf2_9ce4_8422_2325u64;
+    let fold = |hash: &mut u64, bytes: &[u8]| {
+        for &byte in bytes {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for _ in 0..12_000 {
+        let draw = next();
+        let rank = (draw >> 8) % 1_500;
+        let key = rank.to_be_bytes();
+        match draw % 20 {
+            0..=12 => {
+                let value = vec![(draw >> 32) as u8; 40 + (draw >> 40) as usize % 200];
+                kv.put(&key, &value).unwrap();
+            }
+            13..=16 => match kv.get(&key).unwrap().value {
+                Some(value) => fold(&mut returned, &value),
+                None => fold(&mut returned, b"absent"),
+            },
+            17 => {
+                kv.delete(&key).unwrap();
+            }
+            _ => {
+                for (key, value) in kv.scan(&key, &(rank + 25).to_be_bytes()).unwrap() {
+                    fold(&mut returned, &key);
+                    fold(&mut returned, &value);
+                }
+            }
+        }
+    }
+    kv.flush().unwrap();
+    let mut layout_hash = 0xcbf2_9ce4_8422_2325u64;
+    fold(&mut layout_hash, format!("{:?}", kv.layout()).as_bytes());
+    let metrics = kv.flash().ftl().metrics();
+    let stats = *kv.stats();
+    let timing = [
+        stats.flush_time.as_nanos(),
+        stats.compaction_time.as_nanos(),
+        kv.device_clock().as_nanos(),
+        metrics.gc_erased_blocks,
+        metrics.batched_submissions,
+        metrics.batched_pages,
+    ];
+    let untimed = KvStats { flush_time: Nanos::ZERO, compaction_time: Nanos::ZERO, ..stats };
+    let traffic = format!(
+        "{untimed:?} {:?} returned={returned:016x} host_writes={} gc_copied={} \
+         layout={layout_hash:016x}",
+        kv.flash().io_stats(),
+        metrics.host_writes,
+        metrics.gc_copied_pages,
+    );
+    (traffic, timing)
+}
+
+/// "Same traffic, same bytes": the literals below were captured on the commit
+/// before the KV byte path was rebuilt (in-place shadow pages, borrowed reads,
+/// streaming merge). Any change to the `IoRequest` sequence — op, LPN, request
+/// size, chunking — or to a table image moves at least one of them.
+#[test]
+fn kv_runs_match_the_golden_fingerprint() {
+    let nand = NandConfig::builder()
+        .chips(4)
+        .blocks_per_chip(12)
+        .pages_per_block(32)
+        .page_size_bytes(4096)
+        .build()
+        .unwrap();
+    const TRAFFIC: &str = "KvStats { puts: 7813, deletes: 642, gets: 2347, scans: 1198, \
+        memtable_hits: 30, sstable_hits: 1776, misses: 541, bloom_skips: 5047, table_reads: 1897, \
+        flushes: 154, wal_forced_flushes: 0, compactions: 61, app_bytes_written: 1165661, \
+        flush_time: Nanos(0), compaction_time: Nanos(0) } \
+        StoreIoStats { pages_written: 10712, pages_read: 13115 } returned=21d38ca11411cea6 \
+        host_writes=10712 gc_copied=0 layout=de2c3fb1866d5cc7";
+    let golden = [
+        ("conventional", 1usize, [1242224036u64, 851193306, 6645434579, 290, 0, 0]),
+        ("conventional", 16, [865816286, 528542855, 6006091862, 290, 17841, 23672]),
+        ("ppb", 1, [1189698429, 805783825, 6652797088, 290, 0, 0]),
+        ("ppb", 16, [1021082456, 717868412, 6414204672, 292, 17841, 23672]),
+    ];
+    for (name, io_depth, expected) in golden {
+        let device = NandDevice::new(nand.clone());
+        let (traffic, timing) = match name {
+            "conventional" => golden_fingerprint(
+                ConventionalFtl::new(device, FtlConfig::default()).unwrap(),
+                io_depth,
+            ),
+            _ => golden_fingerprint(PpbFtl::new(device, PpbConfig::default()).unwrap(), io_depth),
+        };
+        assert_eq!(traffic, TRAFFIC, "{name} at io_depth {io_depth}");
+        assert_eq!(timing, expected, "{name} at io_depth {io_depth}");
+    }
 }

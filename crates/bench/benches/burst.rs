@@ -16,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
 use vflash_sim::experiments::{
-    burst_axis, burst_sweep_mean_iops, run_conventional_driven, ExperimentScale, Workload,
+    burst_axis, burst_sweep_mean_iops, replay_conventional, ExperimentScale, Workload,
 };
 use vflash_sim::ArrivalDiscipline;
 
@@ -46,11 +46,11 @@ fn burst(c: &mut Criterion) {
         group.bench_function(arrival.label(), |b| {
             b.iter(|| {
                 let summary =
-                    run_conventional_driven(&trace, &config, discipline).expect("replay runs");
+                    replay_conventional(&trace, &config, discipline).expect("replay runs");
                 std::hint::black_box(summary.read_latency.p999)
             });
         });
-        let summary = run_conventional_driven(&trace, &config, discipline).expect("replay runs");
+        let summary = replay_conventional(&trace, &config, discipline).expect("replay runs");
         curve.push((
             arrival.label(),
             summary.read_latency.p999,

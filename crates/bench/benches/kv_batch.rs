@@ -36,7 +36,7 @@ fn kv_config(io_depth: usize) -> KvConfig {
     KvConfig { io_depth, ..KvConfig::default() }
 }
 
-fn run_conventional(workload: &KvWorkloadConfig, io_depth: usize) -> KvRunSummary {
+fn kv_conventional(workload: &KvWorkloadConfig, io_depth: usize) -> KvRunSummary {
     let ftl =
         ConventionalFtl::new(NandDevice::new(workload.device_config()), FtlConfig::default())
             .expect("valid ftl");
@@ -44,7 +44,7 @@ fn run_conventional(workload: &KvWorkloadConfig, io_depth: usize) -> KvRunSummar
         .expect("kv run succeeds")
 }
 
-fn run_ppb(workload: &KvWorkloadConfig, io_depth: usize) -> KvRunSummary {
+fn kv_ppb(workload: &KvWorkloadConfig, io_depth: usize) -> KvRunSummary {
     let ftl = PpbFtl::new(NandDevice::new(workload.device_config()), PpbConfig::default())
         .expect("valid ftl");
     run_kv_workload(FlashStore::new(ftl), kv_config(io_depth), workload)
@@ -75,21 +75,21 @@ fn kv_batch(c: &mut Criterion) {
     group.bench_function("lsm_serial_conventional", |b| {
         b.iter(|| {
             let start = Instant::now();
-            let summary = run_conventional(&workload, 1);
+            let summary = kv_conventional(&workload, 1);
             serial = Some((summary, start.elapsed()));
         });
     });
     group.bench_function("lsm_batched_conventional", |b| {
         b.iter(|| {
             let start = Instant::now();
-            let summary = run_conventional(&workload, BATCH_DEPTH);
+            let summary = kv_conventional(&workload, BATCH_DEPTH);
             batched = Some((summary, start.elapsed()));
         });
     });
     group.bench_function("lsm_batched_ppb", |b| {
         b.iter(|| {
             let start = Instant::now();
-            let summary = run_ppb(&workload, BATCH_DEPTH);
+            let summary = kv_ppb(&workload, BATCH_DEPTH);
             batched_ppb = Some((summary, start.elapsed()));
         });
     });

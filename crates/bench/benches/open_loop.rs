@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
 use vflash_sim::experiments::{
-    run_conventional_driven, ExperimentScale, Workload, RATE_SCALES,
+    replay_conventional, ExperimentScale, Workload, RATE_SCALES,
 };
 use vflash_sim::ArrivalDiscipline;
 
@@ -45,11 +45,11 @@ fn open_loop(c: &mut Criterion) {
         group.bench_function(format!("rate{rate_scale}"), |b| {
             b.iter(|| {
                 let summary =
-                    run_conventional_driven(&trace, &config, discipline).expect("replay runs");
+                    replay_conventional(&trace, &config, discipline).expect("replay runs");
                 std::hint::black_box(summary.request_iops())
             });
         });
-        let summary = run_conventional_driven(&trace, &config, discipline).expect("replay runs");
+        let summary = replay_conventional(&trace, &config, discipline).expect("replay runs");
         curve.push((
             rate_scale,
             summary.offered_iops(),

@@ -1,6 +1,6 @@
 //! Queue-depth scaling: replay wall-clock cost and achieved (simulated) IOPS of
-//! the [`QueuedReplayer`](vflash_sim::QueuedReplayer) at QD ∈ {1, 4, 16, 64} on an
-//! 8-chip device.
+//! the closed-loop [`WorkloadDriver`](vflash_sim::WorkloadDriver) at QD ∈ {1, 4, 16, 64}
+//! on an 8-chip device.
 //!
 //! Two things are measured at once:
 //!
@@ -14,7 +14,8 @@
 //! finishes in seconds.
 
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
-use vflash_sim::experiments::{run_conventional_at_depth, ExperimentScale, Workload, QUEUE_DEPTHS};
+use vflash_sim::experiments::{replay_conventional, ExperimentScale, Workload, QUEUE_DEPTHS};
+use vflash_sim::ArrivalDiscipline;
 
 fn scale() -> ExperimentScale {
     let mut scale = ExperimentScale { chips: 8, ..ExperimentScale::quick() };
@@ -36,14 +37,15 @@ fn queue_depth(c: &mut Criterion) {
     group.sample_size(if smoke_mode() { 1 } else { 10 });
     let mut achieved = Vec::new();
     for &depth in &QUEUE_DEPTHS {
+        let discipline = ArrivalDiscipline::ClosedLoop { queue_depth: depth };
         group.bench_function(format!("qd{depth}"), |b| {
             b.iter(|| {
                 let summary =
-                    run_conventional_at_depth(&trace, &config, depth).expect("replay runs");
+                    replay_conventional(&trace, &config, discipline).expect("replay runs");
                 std::hint::black_box(summary.request_iops())
             });
         });
-        let summary = run_conventional_at_depth(&trace, &config, depth).expect("replay runs");
+        let summary = replay_conventional(&trace, &config, discipline).expect("replay runs");
         achieved.push((depth, summary.request_iops(), summary.read_latency));
     }
     group.finish();

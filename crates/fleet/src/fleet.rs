@@ -3,17 +3,19 @@
 //!
 //! # Clock sharing
 //!
-//! The fleet reuses the single-device engine's event model wholesale. One
-//! fleet-level completion calendar (a binary heap of host-completion instants)
-//! carries the arrival discipline — closed-loop slot waits and open-loop
-//! arrival retirement work exactly as in `vflash-sim`'s `EventCalendar` — while
-//! each lane keeps its own per-chip ready clocks
-//! ([`ChipClocks`](vflash_nand::ChipClocks), the same type the engine's
-//! calendar wraps). A multi-page host request splits into per-lane stripe
-//! chains: pages on the same lane serialise (a dependent chain against that
-//! lane's chips), stripes on different lanes run in parallel, and the request
-//! completes at the **max over its stripes** — which is where fan-out tail
-//! amplification comes from.
+//! The timing rule is `vflash-sim`'s, called rather than copied: the fleet is N
+//! engine lanes under one calendar. One [`HostCalendar`] carries the arrival
+//! discipline for the whole fleet — closed-loop slot waits, open-loop arrival
+//! scaling and retirement, the backlog statistics — exactly as it does for the
+//! single-device [`WorkloadDriver`](vflash_sim::WorkloadDriver). Each lane has
+//! its own [`LaneState`]: per-chip ready clocks, latency histograms, and the
+//! page-chain, record and summary rules. What this module adds is only what is
+//! host-tier: a multi-page host request splits into per-lane stripe chains
+//! ([`StripeMap`] routing) — pages on the same lane serialise (one dependent
+//! [`PageChain`] against that lane's chips), stripes on different lanes run in
+//! parallel, and the request completes at the **max over its stripes**, which
+//! is where fan-out tail amplification comes from — plus the cache intercept,
+//! the QoS dispatch order and the fan-out/stripe/tenant accounting.
 //!
 //! # The fleet-of-1 guarantee
 //!
@@ -21,11 +23,12 @@
 //! single-device [`WorkloadDriver`](vflash_sim::WorkloadDriver) **bit-for-bit** — same per-lane
 //! [`RunSummary`], same device state — on both FTLs and every discipline. The
 //! stripe map at width 1 is the identity, the per-request stripe chain is then
-//! the engine's single dependent chain, and the fleet calendar sees exactly
-//! the issue/completion instants the engine's calendar would (at closed-loop
-//! depth 1 the calendar degenerates to the engine's scalar clock: it drains
-//! fully at every arrival, so peak backlog 1 and zero busy arrivals fall out
-//! by construction). `tests/fleet_equivalence.rs` pins this down.
+//! the engine's single dependent chain through the same `LaneState`, and the
+//! calendar sees exactly the issue/completion instants it sees under the
+//! engine (at closed-loop depth 1, where the engine runs a scalar clock
+//! instead, the calendar drains fully at every arrival, so peak backlog 1 and
+//! zero busy arrivals fall out by construction). `tests/fleet_equivalence.rs`
+//! pins this down, and carries it to lane 0 of a wider fleet.
 //!
 //! # Cache and writebacks
 //!
@@ -38,9 +41,12 @@
 //! ready clock), so heavy writeback backlogs surface as queueing delay on
 //! later requests — the classic destaging effect.
 
-use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
-use vflash_nand::{ChipClocks, ChipId, Nanos};
-use vflash_sim::{ArrivalDiscipline, LatencyHistogram, ReplayMode, RunOptions, RunSummary};
+use vflash_ftl::{FlashTranslationLayer, FtlError, Lpn};
+use vflash_nand::Nanos;
+use vflash_sim::{
+    prefill, ArrivalDiscipline, HostCalendar, LaneState, LatencyHistogram, PageChain, RunOptions,
+    RunSummary,
+};
 use vflash_trace::{IoOp, Trace};
 
 use crate::cache::{CacheConfig, WritebackCache};
@@ -174,117 +180,6 @@ impl<F: FlashTranslationLayer> Fleet<F> {
     }
 }
 
-/// Replicates `ArrivalDiscipline::needs_op_tracing` (private to the engine):
-/// closed-loop depth 1 degenerates to serial accumulation where per-op
-/// provenance is pure overhead.
-fn needs_op_tracing(discipline: ArrivalDiscipline) -> bool {
-    match discipline {
-        ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth > 1,
-        ArrivalDiscipline::OpenLoop { .. } => true,
-    }
-}
-
-/// Replicates the engine's arrival scaling: exact at unit rate, rounded
-/// otherwise.
-fn scale_arrival(at_nanos: u64, rate_scale: f64) -> Nanos {
-    if rate_scale == 1.0 {
-        Nanos(at_nanos)
-    } else {
-        Nanos((at_nanos as f64 / rate_scale).round() as u64)
-    }
-}
-
-/// A word-packed page bitmap for the per-lane prefill pass (one bit per
-/// device-local page, iterated in ascending order — the engine's warm-up
-/// order).
-struct PageBitmap {
-    words: Vec<u64>,
-}
-
-impl PageBitmap {
-    fn new(pages: u64) -> Self {
-        PageBitmap { words: vec![0; (pages as usize).div_ceil(64)] }
-    }
-
-    fn set(&mut self, page: u64) {
-        self.words[(page / 64) as usize] |= 1 << (page % 64);
-    }
-
-    fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(word_index, &word)| {
-            let base = word_index as u64 * 64;
-            (0..64).filter(move |bit| word & (1u64 << bit) != 0).map(move |bit| base + bit)
-        })
-    }
-}
-
-/// The fleet-level completion calendar: a faithful replica of the engine's
-/// `EventCalendar` host-completion heap (that type is crate-private to
-/// `vflash-sim`), minus the per-chip clocks, which live per lane here.
-struct CompletionCalendar {
-    events: std::collections::BinaryHeap<std::cmp::Reverse<Nanos>>,
-    peak_outstanding: usize,
-    busy_arrivals: u64,
-}
-
-impl CompletionCalendar {
-    fn new(capacity: usize) -> Self {
-        CompletionCalendar {
-            events: std::collections::BinaryHeap::with_capacity(capacity),
-            peak_outstanding: 0,
-            busy_arrivals: 0,
-        }
-    }
-
-    fn outstanding(&self) -> usize {
-        self.events.len()
-    }
-
-    fn pop_earliest(&mut self) -> Option<Nanos> {
-        self.events.pop().map(|std::cmp::Reverse(at)| at)
-    }
-
-    fn observe_arrival(&mut self, issue: Nanos) {
-        while self.events.peek().is_some_and(|&std::cmp::Reverse(at)| at <= issue) {
-            self.events.pop();
-        }
-        if !self.events.is_empty() {
-            self.busy_arrivals += 1;
-        }
-    }
-
-    fn schedule_completion(&mut self, at: Nanos) {
-        self.events.push(std::cmp::Reverse(at));
-        if self.events.len() > self.peak_outstanding {
-            self.peak_outstanding = self.events.len();
-        }
-    }
-}
-
-/// Per-lane accumulators of the drive loop.
-struct LaneState {
-    chips: ChipClocks,
-    /// Untraced (closed-loop depth 1) device-level ready clock: carries the
-    /// writeback backlog when op tracing is off.
-    ready: Nanos,
-    read_latencies: LatencyHistogram,
-    write_latencies: LatencyHistogram,
-    queue_delays: LatencyHistogram,
-    service_times: LatencyHistogram,
-    requests: u64,
-    last_completion: Nanos,
-    first_arrival: Option<Nanos>,
-    last_arrival: Nanos,
-}
-
-/// Per-request scratch for one lane's stripe chain.
-#[derive(Clone, Copy)]
-struct StripeChain {
-    start: Nanos,
-    now: Nanos,
-    service: Nanos,
-}
-
 /// The fleet workload driver: replays a [`Trace`] against a [`Fleet`] under
 /// the engine's [`ArrivalDiscipline`]s and reports a [`FleetSummary`].
 ///
@@ -301,10 +196,10 @@ impl FleetDriver {
     /// # Panics
     ///
     /// Panics on a zero queue depth or a non-positive/non-finite rate scale
-    /// (via [`WorkloadDriver::new`](vflash_sim::WorkloadDriver::new)'s validation, which this reuses).
+    /// (the engine's [`ArrivalDiscipline::validate`], so both drivers reject the
+    /// same inputs).
     pub fn new(options: RunOptions, discipline: ArrivalDiscipline) -> Self {
-        // Reuse the engine's validation so both drivers reject the same inputs.
-        let _ = vflash_sim::WorkloadDriver::new(options, discipline);
+        discipline.validate();
         FleetDriver { options, discipline }
     }
 
@@ -352,34 +247,19 @@ impl FleetDriver {
         fleet: &mut Fleet<F>,
         trace: &Trace,
     ) -> Result<FleetSummary, FtlError> {
-        let page_size = fleet.lanes[0].device().config().page_size_bytes();
+        // The engine's warm-up, routed by the stripe map.
         let stripe = fleet.stripe;
+        let mut lanes: Vec<&mut F> = fleet.lanes.iter_mut().collect();
+        let route = |page| stripe.locate(page % stripe.fleet_pages());
+        prefill(&self.options, &mut lanes, trace, route)?;
 
-        // The warm-up mirrors the engine's: serial, tracing off, skipped for
-        // read-free traces, ascending device-page order per lane.
-        if self.options.prefill && trace.iter().any(|request| request.op == IoOp::Read) {
-            let mut touched: Vec<PageBitmap> =
-                (0..stripe.width()).map(|_| PageBitmap::new(stripe.lane_pages())).collect();
-            for request in trace {
-                for page in request.logical_pages(page_size) {
-                    let (lane, offset) = stripe.locate(page % stripe.fleet_pages());
-                    touched[lane].set(offset);
-                }
-            }
-            for (lane, bitmap) in fleet.lanes.iter_mut().zip(&touched) {
-                for offset in bitmap.iter_set() {
-                    lane.write(Lpn(offset), self.options.prefill_request_bytes)?;
-                }
-            }
-        }
-
-        let trace_ops = needs_op_tracing(self.discipline);
+        let trace_ops = self.discipline.needs_op_tracing();
         if trace_ops {
             for lane in &mut fleet.lanes {
                 lane.device_mut().set_op_tracing(true);
             }
         }
-        let outcome = self.drive(fleet, trace, page_size);
+        let outcome = self.drive(fleet, trace);
         if trace_ops {
             for lane in &mut fleet.lanes {
                 lane.device_mut().set_op_tracing(false);
@@ -388,115 +268,32 @@ impl FleetDriver {
         outcome
     }
 
-    /// Submits one logical page to its lane and advances that lane's stripe
-    /// chain. Returns `Ok(false)` when the page was skipped (unmapped read with
-    /// prefill off — the engine's rule).
-    #[allow(clippy::too_many_arguments)]
-    fn play_page<F: FlashTranslationLayer>(
-        &self,
-        lane: &mut F,
-        state: &mut LaneState,
-        chain: &mut StripeChain,
-        op: IoOp,
-        offset: u64,
-        request_bytes: u32,
-        trace_ops: bool,
-    ) -> Result<bool, FtlError> {
-        let completion = match op {
-            IoOp::Write => lane.submit(FtlRequest::write(Lpn(offset), request_bytes))?,
-            IoOp::Read => match lane.submit(FtlRequest::read(Lpn(offset))) {
-                Ok(completion) => completion,
-                Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => return Ok(false),
-                Err(err) => return Err(err),
-            },
-        };
-        let span = completion.ops;
-        if !trace_ops || span.is_empty() {
-            chain.now += completion.latency;
-            chain.service += completion.latency;
-        } else {
-            for op in lane.device().ops(span) {
-                chain.now = state.chips.play_op(op.chip.0, chain.now, op.latency);
-                chain.service += op.latency;
-            }
-            lane.device_mut().clear_ops();
-        }
-        Ok(true)
-    }
-
-    /// Plays one background writeback on its owner lane: the write chains from
-    /// `issue` against the lane's chips (traced) or bumps the lane-level ready
-    /// clock (untraced). Never extends the triggering request's latency.
-    fn play_writeback<F: FlashTranslationLayer>(
-        lane: &mut F,
-        state: &mut LaneState,
-        issue: Nanos,
-        offset: u64,
-        page_size: usize,
-        trace_ops: bool,
-    ) -> Result<(), FtlError> {
-        let completion = lane.submit(FtlRequest::write(Lpn(offset), page_size as u32))?;
-        let span = completion.ops;
-        if !trace_ops || span.is_empty() {
-            state.ready = state.ready.max(issue) + completion.latency;
-        } else {
-            let mut now = issue;
-            for op in lane.device().ops(span) {
-                now = state.chips.play_op(op.chip.0, now, op.latency);
-            }
-            lane.device_mut().clear_ops();
-        }
-        Ok(())
-    }
-
-    /// The drive loop: issue → retire → fan out over stripe chains → schedule,
-    /// against one fleet-level completion calendar.
+    /// The drive loop: the calendar issues each request, the request fans out
+    /// over per-lane stripe chains, and completes at the max over them.
     fn drive<F: FlashTranslationLayer>(
         &self,
         fleet: &mut Fleet<F>,
         trace: &Trace,
-        page_size: usize,
     ) -> Result<FleetSummary, FtlError> {
+        let page_size = fleet.lanes[0].device().config().page_size_bytes();
         let stripe = fleet.stripe;
         let width = stripe.width();
         let fleet_pages = stripe.fleet_pages();
-        let trace_ops = needs_op_tracing(self.discipline);
         let tenants = fleet.config.tenants.clone();
         let tenant_count = tenants.len();
-
-        let start_metrics: Vec<_> = fleet.lanes.iter().map(|lane| *lane.metrics()).collect();
-        let busy_start: Vec<Vec<Nanos>> =
-            fleet.lanes.iter().map(|lane| chip_busy_times(lane)).collect();
 
         let mut lanes: Vec<LaneState> = fleet
             .lanes
             .iter()
-            .map(|lane| LaneState {
-                chips: ChipClocks::new(lane.device().config().chips()),
-                ready: Nanos::ZERO,
-                read_latencies: LatencyHistogram::new(),
-                write_latencies: LatencyHistogram::new(),
-                queue_delays: LatencyHistogram::new(),
-                service_times: LatencyHistogram::new(),
-                requests: 0,
-                last_completion: Nanos::ZERO,
-                first_arrival: None,
-                last_arrival: Nanos::ZERO,
-            })
+            .map(|lane| LaneState::new(lane, &self.options, self.discipline))
             .collect();
+        let mut calendar = HostCalendar::new(self.discipline);
 
         let mut cache = fleet.config.cache.map(WritebackCache::new);
         let write_around_bytes =
             fleet.config.cache.map(|config| config.write_around_bytes).unwrap_or(u32::MAX);
         let hit_latency =
             fleet.config.cache.map(|config| config.hit_latency).unwrap_or(Nanos::ZERO);
-
-        let heap_capacity = match self.discipline {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth,
-            ArrivalDiscipline::OpenLoop { .. } => 64,
-        };
-        let mut calendar = CompletionCalendar::new(heap_capacity);
-        let mut clock = Nanos::ZERO;
 
         let mut fanout_read = LatencyHistogram::new();
         let mut fanout_write = LatencyHistogram::new();
@@ -508,12 +305,10 @@ impl FleetDriver {
         let mut tenant_last = vec![Nanos::ZERO; tenant_count];
 
         let mut last_completion = Nanos::ZERO;
-        let mut first_arrival: Option<Nanos> = None;
-        let mut last_arrival = Nanos::ZERO;
         let mut requests = 0u64;
 
         // Per-request scratch, allocated once.
-        let mut chains: Vec<Option<StripeChain>> = vec![None; width];
+        let mut chains: Vec<Option<PageChain>> = vec![None; width];
         let mut touched: Vec<usize> = Vec::with_capacity(width);
 
         // Closed loop with several tenants dispatches via weighted-share QoS
@@ -529,28 +324,9 @@ impl FleetDriver {
             let request = &all_requests[request_index];
             let tenant = request_index % tenant_count;
 
-            let issue = match self.discipline {
-                ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                    if calendar.outstanding() >= queue_depth {
-                        let freed = calendar.pop_earliest().expect("queue depth is at least 1");
-                        if freed > clock {
-                            clock = freed;
-                        }
-                    }
-                    clock
-                }
-                ArrivalDiscipline::OpenLoop { rate_scale } => {
-                    let arrival = scale_arrival(request.at_nanos, rate_scale);
-                    let base = *first_arrival.get_or_insert(arrival);
-                    if arrival > last_arrival {
-                        last_arrival = arrival;
-                    }
-                    arrival.saturating_sub(base)
-                }
-            };
-            calendar.observe_arrival(issue);
+            let issue = calendar.issue(request.at_nanos);
 
-            let mut cache_now = issue;
+            let mut cache_now = issue.at;
             let mut cache_touched = false;
 
             for page in request.logical_pages(page_size) {
@@ -579,13 +355,11 @@ impl FleetDriver {
                                 let flushed = cache.flush_to_threshold();
                                 for victim in evicted.into_iter().chain(flushed) {
                                     let (wb_lane, wb_offset) = stripe.locate(victim);
-                                    Self::play_writeback(
+                                    lanes[wb_lane].play_background_write(
                                         &mut fleet.lanes[wb_lane],
-                                        &mut lanes[wb_lane],
-                                        issue,
-                                        wb_offset,
-                                        page_size,
-                                        trace_ops,
+                                        issue.at,
+                                        Lpn(wb_offset),
+                                        page_size as u32,
                                     )?;
                                 }
                                 continue;
@@ -595,87 +369,46 @@ impl FleetDriver {
                     }
                 }
 
-                // Touch the lane before submitting, so requests whose every
-                // page is skipped (unmapped reads with prefill off) still
-                // record a zero-latency stripe — the engine counts them too.
-                if chains[lane_index].is_none() {
-                    let start = if trace_ops {
-                        issue
-                    } else {
-                        // Untraced: serialise behind the lane's writeback
-                        // backlog (a no-op with the cache off, where `ready`
-                        // never advances past the previous completion).
-                        issue.max(lanes[lane_index].ready)
-                    };
-                    chains[lane_index] = Some(StripeChain { start, now: start, service: Nanos::ZERO });
+                // Open the lane's chain before submitting, so requests whose
+                // every page is skipped (unmapped reads with prefill off)
+                // still record a zero-latency stripe — the engine counts them
+                // too.
+                let state = &mut lanes[lane_index];
+                let chain = chains[lane_index].get_or_insert_with(|| {
                     touched.push(lane_index);
-                }
-                let mut chain = chains[lane_index].expect("chain initialised above");
-                self.play_page(
+                    state.begin(issue.at)
+                });
+                state.play_page(
                     &mut fleet.lanes[lane_index],
-                    &mut lanes[lane_index],
-                    &mut chain,
+                    chain,
                     request.op,
-                    offset,
+                    Lpn(offset),
                     request.length,
-                    trace_ops,
                 )?;
-                chains[lane_index] = Some(chain);
             }
 
             // A request that produced neither cache traffic nor device pages
             // (an empty byte range) still completes: park it on lane 0 with a
             // zero-length chain so the accounting matches the engine's.
             if touched.is_empty() && !cache_touched {
-                let start = if trace_ops { issue } else { issue.max(lanes[0].ready) };
-                chains[0] = Some(StripeChain { start, now: start, service: Nanos::ZERO });
+                chains[0] = Some(lanes[0].begin(issue.at));
                 touched.push(0);
             }
 
             let mut completion = cache_now;
-            for &lane_index in &touched {
-                let chain = chains[lane_index].expect("touched lanes have chains");
-                let sub_latency = chain.now.saturating_sub(issue);
-                let service = if trace_ops {
-                    chain.service
-                } else {
-                    chain.now.saturating_sub(chain.start)
-                };
-                let state = &mut lanes[lane_index];
+            for lane_index in touched.drain(..) {
+                let chain = chains[lane_index].take().expect("touched lanes have chains");
+                let sub_latency = lanes[lane_index].record(request.op, issue, &chain);
                 match request.op {
-                    IoOp::Read => {
-                        state.read_latencies.record(sub_latency);
-                        stripe_read.record(sub_latency);
-                    }
-                    IoOp::Write => {
-                        state.write_latencies.record(sub_latency);
-                        stripe_write.record(sub_latency);
-                    }
-                }
-                state.queue_delays.record(sub_latency.saturating_sub(service));
-                state.service_times.record(service);
-                state.requests += 1;
-                if chain.now > state.last_completion {
-                    state.last_completion = chain.now;
-                }
-                if !trace_ops {
-                    state.ready = chain.now.max(state.ready);
-                }
-                if let ArrivalDiscipline::OpenLoop { rate_scale } = self.discipline {
-                    let arrival = scale_arrival(request.at_nanos, rate_scale);
-                    state.first_arrival.get_or_insert(arrival);
-                    if arrival > state.last_arrival {
-                        state.last_arrival = arrival;
-                    }
+                    IoOp::Read => stripe_read.record(sub_latency),
+                    IoOp::Write => stripe_write.record(sub_latency),
                 }
                 if chain.now > completion {
                     completion = chain.now;
                 }
-                chains[lane_index] = None;
             }
-            touched.clear();
 
-            let latency = completion.saturating_sub(issue);
+            let latency = completion.saturating_sub(issue.at);
             match request.op {
                 IoOp::Read => fanout_read.record(latency),
                 IoOp::Write => fanout_write.record(latency),
@@ -692,47 +425,16 @@ impl FleetDriver {
             requests += 1;
         }
 
-        // Assemble per-lane summaries exactly as the engine does.
-        let (mode, queue_depth, offered_duration) = match self.discipline {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                (ReplayMode::ClosedLoop, queue_depth, Nanos::ZERO)
-            }
-            ArrivalDiscipline::OpenLoop { rate_scale } => (
-                ReplayMode::OpenLoop { rate_scale },
-                0,
-                last_arrival.saturating_sub(first_arrival.unwrap_or(Nanos::ZERO)),
-            ),
-        };
-        let lane_summaries: Vec<RunSummary> = fleet
-            .lanes
-            .iter()
-            .zip(lanes.iter())
-            .enumerate()
-            .map(|(index, (lane, state))| {
-                let end = *lane.metrics();
-                let mut summary = RunSummary::from_metrics_delta(
-                    lane.name(),
+        let lane_summaries: Vec<RunSummary> = lanes
+            .into_iter()
+            .zip(&fleet.lanes)
+            .map(|(state, lane)| {
+                state.finish(
+                    lane,
                     trace.name(),
-                    &start_metrics[index],
-                    &end,
-                );
-                summary.device_makespan = makespan_delta(lane, &busy_start[index]);
-                summary.host_requests = state.requests;
-                summary.host_elapsed = state.last_completion;
-                summary.read_latency = state.read_latencies.percentiles();
-                summary.write_latency = state.write_latencies.percentiles();
-                summary.queue_delay = state.queue_delays.percentiles();
-                summary.service_time = state.service_times.percentiles();
-                summary.peak_queue_depth = calendar.peak_outstanding;
-                summary.busy_arrivals = calendar.busy_arrivals;
-                summary.queue_depth = queue_depth;
-                summary.mode = mode;
-                if let ArrivalDiscipline::OpenLoop { .. } = self.discipline {
-                    summary.offered_duration = state
-                        .last_arrival
-                        .saturating_sub(state.first_arrival.unwrap_or(Nanos::ZERO));
-                }
-                summary
+                    calendar.peak_outstanding(),
+                    calendar.busy_arrivals(),
+                )
             })
             .collect();
 
@@ -752,14 +454,15 @@ impl FleetDriver {
             ftl: fleet.lanes[0].name().to_string(),
             trace: trace.name().to_string(),
             width,
+            // Every lane ran under the one discipline; report its labels.
+            mode: lane_summaries[0].mode,
+            queue_depth: lane_summaries[0].queue_depth,
             lanes: lane_summaries,
-            mode,
-            queue_depth,
             host_requests: requests,
             host_elapsed: last_completion,
-            offered_duration,
-            peak_queue_depth: calendar.peak_outstanding,
-            busy_arrivals: calendar.busy_arrivals,
+            offered_duration: calendar.offered_duration(),
+            peak_queue_depth: calendar.peak_outstanding(),
+            busy_arrivals: calendar.busy_arrivals(),
             fanout_read_latency: fanout_read.percentiles(),
             fanout_write_latency: fanout_write.percentiles(),
             stripe_read_latency: stripe_read.percentiles(),
@@ -768,25 +471,6 @@ impl FleetDriver {
             tenants: tenant_summaries,
         })
     }
-}
-
-/// Snapshot of every chip's busy time on one lane (the engine's helper,
-/// replicated — it is crate-private to `vflash-sim`).
-fn chip_busy_times<F: FlashTranslationLayer>(lane: &F) -> Vec<Nanos> {
-    let device = lane.device();
-    (0..device.config().chips())
-        .map(|chip| device.chip_busy_time(ChipId(chip)).expect("chip ids come from the config"))
-        .collect()
-}
-
-/// The measured-phase makespan of one lane: largest per-chip busy-time delta.
-fn makespan_delta<F: FlashTranslationLayer>(lane: &F, start: &[Nanos]) -> Nanos {
-    chip_busy_times(lane)
-        .iter()
-        .zip(start)
-        .map(|(&end, &begin)| end.saturating_sub(begin))
-        .max()
-        .unwrap_or(Nanos::ZERO)
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //!
 //! * [`MappingTable`] — page-level logical-to-physical mapping with a reverse map for
 //!   garbage collection,
-//! * [`BlockAllocator`] — free-block pool and active-block management,
 //! * [`gc`] — greedy victim selection and valid-page relocation,
 //! * [`hotcold`] — classical two-level hot/cold data identification mechanisms
 //!   (request-size check, two-level LRU, access-frequency table, multi-hash counting),
@@ -47,7 +46,6 @@ pub mod fx;
 pub mod gc;
 pub mod hotcold;
 
-mod allocator;
 mod batch;
 mod config;
 mod conventional;
@@ -59,7 +57,6 @@ mod traits;
 mod types;
 mod wear;
 
-pub use allocator::BlockAllocator;
 pub use batch::BatchCompletion;
 pub use config::FtlConfig;
 pub use conventional::ConventionalFtl;

@@ -176,7 +176,7 @@ impl NandDevice {
         &self.op_trace[span.range()]
     }
 
-    /// Releases the op arena. Replayers call this once a completion's records
+    /// Releases the op arena. Drivers call this once a completion's records
     /// have been played; the backing buffer keeps its capacity, so steady-state
     /// tracing performs no allocation at all. All previously taken spans become
     /// stale.

@@ -1,19 +1,12 @@
-//! The workload-driver engine: one drive loop for every replay discipline.
+//! The workload-driver engine: trace replay against one device.
 //!
-//! Historically the crate had two divergent replayers — a serial `Replayer`
-//! (queue depth 1, summed latencies) and an event-driven `QueuedReplayer`
-//! (queue-depth N over per-chip ready clocks). Both were **closed-loop**: the next
-//! request was issued the moment a queue slot freed, so every reported percentile
-//! was a saturation number and the arrival timestamps the traces carry were
-//! ignored. This module collapses the two loops into a single engine,
-//! parameterised by an [`ArrivalDiscipline`]:
+//! [`WorkloadDriver`] replays a [`Trace`] against any
+//! [`FlashTranslationLayer`] under an [`ArrivalDiscipline`]:
 //!
 //! * [`ArrivalDiscipline::ClosedLoop`] — keep `queue_depth` requests in flight;
-//!   a request is issued when the earliest in-flight request completes. At depth 1
-//!   this reproduces the serial replayer **bit-for-bit** (summary and device
-//!   state), at depth N the queued replayer — both guarantees are locked down by
-//!   `tests/engine_equivalence.rs` against reference implementations of the
-//!   pre-refactor loops.
+//!   a request is issued when the earliest in-flight request completes. Depth 1
+//!   is the paper's serial replay (per-request latency = serial sum of page
+//!   latencies).
 //! * [`ArrivalDiscipline::OpenLoop`] — issue each request at its trace-recorded
 //!   arrival time (`at_nanos`, scaled by `rate_scale`), queueing on the device
 //!   when it is busy. This is what exposes *latency under load*: response time
@@ -21,94 +14,50 @@
 //!   **service time** (time the device actually worked), reported separately in
 //!   the [`RunSummary`], together with offered vs achieved IOPS.
 //!
-//! # The timing model
+//! # One timing core, two callers
+//!
+//! The replay rule — issue → retire → dependent page chain against per-chip
+//! clocks → per-request latency split — exists once in this crate, in two
+//! halves: [`HostCalendar`] decides *when* a request is issued and keeps the
+//! heap of pending completions (`calendar.rs`); [`LaneState`] plays the
+//! request's pages against one device's chip clocks, records the latency split
+//! and assembles the [`RunSummary`] (`lane.rs`, which also documents the op
+//! overlay). This driver is the first caller: one calendar, **one lane**, one
+//! chain per request. `vflash-fleet`'s `FleetDriver` is the second: one
+//! calendar, N lanes, one chain per lane a request touches, request completion
+//! at the max over its chains. `tests/fleet_equivalence.rs` checks that a lane
+//! of a fleet reports what this driver reports for the same requests, and
+//! `tests/engine_equivalence.rs` checks this driver against two independent,
+//! trivially simple reference loops.
 //!
 //! FTL state (mapping tables, GC, hot/cold areas) evolves in **trace order**
 //! regardless of discipline — requests are submitted to the FTL one after another
-//! and only the timing is overlaid by the event model. This keeps device state
-//! identical across queue depths and rate scales, so throughput and latency
-//! differences are attributable to queuing alone.
-//!
-//! For each request the engine obtains the request's timed device operations (via
+//! and only the timing is overlaid. This keeps device state identical across
+//! queue depths and rate scales, so throughput and latency differences are
+//! attributable to queuing alone. Per-op provenance comes from
 //! [`submit`](vflash_ftl::FlashTranslationLayer::submit) completions with
-//! [op tracing](vflash_nand::NandDevice::set_op_tracing) enabled) and plays them
-//! against per-chip ready clocks:
+//! [op tracing](vflash_nand::NandDevice::set_op_tracing) enabled; completions
+//! carry [`OpSpan`](vflash_nand::OpSpan)s into the device's op arena rather
+//! than per-request vectors, so the traced hot path performs no allocation per
+//! request.
 //!
-//! ```text
-//! issue   = slot-free time (closed loop) | scaled arrival time (open loop)
-//! op k:     start = max(end of op k-1, chip_ready[chip(k)])
-//!           chip_ready[chip(k)] = start + latency(k)
-//! latency = end of last op - issue
-//! service = Σ latency(k);   queueing delay = latency - service
-//! ```
+//! # The scalar fast path
 //!
-//! At closed-loop depth 1 every `max` resolves to the running clock, so the op
-//! overlay is unnecessary; the engine then runs with tracing off and charges each
-//! page's completion latency serially — the exact code path (and cost) of the old
-//! serial replayer. Depth 1 additionally needs no event bookkeeping at all (the
-//! next request issues exactly at the previous completion, so no arrival ever
-//! finds the system busy), and the engine runs it as a pure scalar-clock loop.
-//!
-//! # The event calendar
-//!
-//! Every other configuration drains one
-//! [`EventCalendar`](crate::calendar::EventCalendar): a single binary heap of
-//! typed events (host completions, today) plus the per-chip ready clocks. The
-//! closed-loop slot wait pops the earliest completion from the same heap that
-//! the retirement sweep drains — see `calendar.rs` for why one heap reproduces
-//! the historic slot-heap/outstanding-heap pair bit-for-bit. Completions carry
-//! [`OpSpan`](vflash_nand::OpSpan)s into the device's op arena rather than
-//! per-request vectors, so the traced hot path performs no allocation per
-//! request: the engine plays a span against the calendar and releases the arena
-//! before the next page.
+//! At closed-loop depth 1 every `max` of the op overlay resolves to the running
+//! clock, so the overlay is unnecessary; the engine then runs with tracing off
+//! and charges each page's completion latency serially. Depth 1 additionally
+//! needs no event bookkeeping at all (the next request issues exactly at the
+//! previous completion, so no arrival ever finds the system busy), and the
+//! engine runs it as a pure scalar-clock loop that only borrows the lane's
+//! histograms and summary assembly.
 
 use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
-use vflash_nand::{ChipId, Nanos};
+use vflash_nand::Nanos;
 use vflash_trace::{IoOp, Trace};
 
-use crate::calendar::EventCalendar;
-use crate::histogram::LatencyHistogram;
-use crate::report::{ReplayMode, RunSummary};
-
-/// A word-packed bitmap over logical page numbers.
-///
-/// The prefill pass needs one bit per logical page; on multi-million-page devices a
-/// `Vec<bool>` would spend a byte per page, so pages are packed 64 to a `u64` (8x
-/// less memory and far fewer cache lines touched by the marking pass).
-#[derive(Debug, Clone)]
-struct PageBitmap {
-    words: Vec<u64>,
-}
-
-impl PageBitmap {
-    fn new(pages: u64) -> Self {
-        PageBitmap { words: vec![0; (pages as usize).div_ceil(64)] }
-    }
-
-    fn set(&mut self, page: u64) {
-        self.words[(page / 64) as usize] |= 1 << (page % 64);
-    }
-
-    #[cfg(test)]
-    fn get(&self, page: u64) -> bool {
-        self.words[(page / 64) as usize] & (1 << (page % 64)) != 0
-    }
-
-    /// Iterates over set pages in ascending order, skipping empty words wholesale.
-    fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(word_index, &word)| {
-            let base = word_index as u64 * 64;
-            std::iter::successors(
-                (word != 0).then_some(word),
-                |bits| {
-                    let rest = bits & (bits - 1);
-                    (rest != 0).then_some(rest)
-                },
-            )
-            .map(move |bits| base + u64::from(bits.trailing_zeros()))
-        })
-    }
-}
+use crate::calendar::HostCalendar;
+use crate::lane::{prefill, LaneState};
+use crate::report::RunSummary;
 
 /// Options controlling how a trace is replayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,14 +109,20 @@ impl ArrivalDiscipline {
     /// Whether this discipline needs per-op provenance (chips + latencies) from
     /// the FTL. Closed-loop depth 1 degenerates to serial accumulation, where the
     /// overlay is pure overhead.
-    fn needs_op_tracing(self) -> bool {
+    #[inline]
+    pub fn needs_op_tracing(self) -> bool {
         match self {
             ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth > 1,
             ArrivalDiscipline::OpenLoop { .. } => true,
         }
     }
 
-    fn validate(self) {
+    /// Rejects parameters no run can use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero queue depth or a non-positive/non-finite rate scale.
+    pub fn validate(self) {
         match self {
             ArrivalDiscipline::ClosedLoop { queue_depth } => {
                 assert!(queue_depth > 0, "queue depth must be at least 1");
@@ -182,22 +137,9 @@ impl ArrivalDiscipline {
     }
 }
 
-/// Scales a trace arrival timestamp by the open-loop rate multiplier.
-fn scale_arrival(at_nanos: u64, rate_scale: f64) -> Nanos {
-    if rate_scale == 1.0 {
-        Nanos(at_nanos)
-    } else {
-        Nanos((at_nanos as f64 / rate_scale).round() as u64)
-    }
-}
-
 /// The unified workload driver: replays a [`Trace`] against any
 /// [`FlashTranslationLayer`] under a chosen [`ArrivalDiscipline`] and reports a
 /// [`RunSummary`].
-///
-/// The serial [`Replayer`](crate::Replayer) and the queue-depth
-/// [`QueuedReplayer`](crate::QueuedReplayer) are thin compatibility wrappers over
-/// this type.
 ///
 /// # Example
 ///
@@ -307,47 +249,30 @@ impl WorkloadDriver {
         ftl: &mut F,
         trace: &Trace,
     ) -> Result<RunSummary, FtlError> {
-        let page_size = ftl.device().config().page_size_bytes();
         let logical_pages = ftl.logical_pages();
-
-        // The warm-up always runs serially with tracing off, so device state
-        // entering the measured phase is identical across disciplines.
-        if self.options.prefill {
-            prefill_ftl(ftl, trace, page_size, logical_pages, self.options.prefill_request_bytes)?;
-        }
+        prefill(&self.options, &mut [&mut *ftl], trace, |page| (0, page % logical_pages))?;
 
         let trace_ops = self.discipline.needs_op_tracing();
         if trace_ops {
             ftl.device_mut().set_op_tracing(true);
         }
-        let outcome = self.drive(ftl, trace, page_size, logical_pages);
+        let outcome = self.drive(ftl, trace, logical_pages);
         if trace_ops {
             ftl.device_mut().set_op_tracing(false);
         }
         outcome
     }
 
-    /// The single drive loop shared by every discipline: each request walks
-    /// issue → retire → play → schedule against one [`EventCalendar`].
+    /// The drive loop: the scalar clock at closed-loop depth 1, otherwise one
+    /// [`HostCalendar`] issuing requests into one [`LaneState`].
     fn drive<F: FlashTranslationLayer + ?Sized>(
         &self,
         ftl: &mut F,
         trace: &Trace,
-        page_size: usize,
         logical_pages: u64,
     ) -> Result<RunSummary, FtlError> {
-        let start = *ftl.metrics();
-        let busy_start = chip_busy_times(ftl);
-        let chips = ftl.device().config().chips();
-
-        let mut read_latencies = LatencyHistogram::new();
-        let mut write_latencies = LatencyHistogram::new();
-        let mut queue_delays = LatencyHistogram::new();
-        let mut service_times = LatencyHistogram::new();
-        let mut last_completion = Nanos::ZERO;
-        let mut first_arrival: Option<Nanos> = None;
-        let mut last_arrival = Nanos::ZERO;
-        let mut requests = 0u64;
+        let page_size = ftl.device().config().page_size_bytes();
+        let mut lane = LaneState::new(ftl, &self.options, self.discipline);
 
         let (peak_queue_depth, busy_arrivals) = if self.discipline
             == (ArrivalDiscipline::ClosedLoop { queue_depth: 1 })
@@ -380,200 +305,40 @@ impl WorkloadDriver {
                 }
                 let latency = clock.saturating_sub(issue);
                 match request.op {
-                    IoOp::Read => read_latencies.record(latency),
-                    IoOp::Write => write_latencies.record(latency),
+                    IoOp::Read => lane.read_latencies.record(latency),
+                    IoOp::Write => lane.write_latencies.record(latency),
                 }
-                queue_delays.record(Nanos::ZERO);
-                service_times.record(latency);
-                requests += 1;
+                lane.queue_delays.record(Nanos::ZERO);
+                lane.service_times.record(latency);
+                lane.requests += 1;
             }
-            last_completion = clock;
-            (usize::from(requests > 0), 0)
+            lane.last_completion = clock;
+            (usize::from(lane.requests > 0), 0)
         } else {
-            let heap_capacity = match self.discipline {
-                ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth,
-                ArrivalDiscipline::OpenLoop { .. } => 64,
-            };
-            let mut calendar = EventCalendar::new(chips, heap_capacity);
-            let mut clock = Nanos::ZERO;
-
+            let mut calendar = HostCalendar::new(self.discipline);
             for request in trace {
-                // When is this request issued?
-                let issue = match self.discipline {
-                    ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                        // Wait for a queue slot: at full depth the issue time is
-                        // the earliest pending completion (the clock never moves
-                        // backwards, so issue order is preserved). Below full
-                        // depth — retirement already drained the backlog — that
-                        // earliest completion preceded an earlier issue and the
-                        // clock already covers it.
-                        if calendar.outstanding() >= queue_depth {
-                            let freed =
-                                calendar.pop_earliest().expect("queue depth is at least 1");
-                            if freed > clock {
-                                clock = freed;
-                            }
-                        }
-                        clock
-                    }
-                    ArrivalDiscipline::OpenLoop { rate_scale } => {
-                        // The trace-recorded arrival time, compressed or
-                        // stretched by the rate scale. Nothing bounds how many
-                        // requests are outstanding — that is what "open loop"
-                        // means. Issue times are rebased against the trace's
-                        // first arrival: a subset cut from the middle of an MSR
-                        // file keeps file-relative timestamps (deliberately —
-                        // see `msr::SubsetOptions`), and without the rebase that
-                        // offset would count as replay time and deflate the
-                        // achieved IOPS.
-                        let arrival = scale_arrival(request.at_nanos, rate_scale);
-                        let base = *first_arrival.get_or_insert(arrival);
-                        if arrival > last_arrival {
-                            last_arrival = arrival;
-                        }
-                        arrival.saturating_sub(base)
-                    }
-                };
-                // Retire every completion at or before this issue instant;
-                // whatever remains is the queue this arrival joins.
-                calendar.observe_arrival(issue);
-
-                let mut now = issue;
-                let mut service = Nanos::ZERO;
-
-                // A multi-page host request is a dependent chain of page
-                // submissions; each timed device op starts when both its
-                // predecessor in the chain and its chip are ready.
+                let issue = calendar.issue(request.at_nanos);
+                // A multi-page host request is one dependent chain of page
+                // submissions on the lane.
+                let mut chain = lane.begin(issue.at);
                 for page in request.logical_pages(page_size) {
                     let lpn = Lpn(page % logical_pages);
-                    let completion = match request.op {
-                        IoOp::Write => ftl.submit(FtlRequest::write(lpn, request.length))?,
-                        IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
-                            Ok(completion) => completion,
-                            Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => {
-                                continue
-                            }
-                            Err(err) => return Err(err),
-                        },
-                    };
-                    let span = completion.ops;
-                    if span.is_empty() {
-                        now += completion.latency;
-                        service += completion.latency;
-                    } else {
-                        for op in ftl.device().ops(span) {
-                            now = calendar.play_op(op.chip.0, now, op.latency);
-                            service += op.latency;
-                        }
-                        // Release the op arena: spans never outlive the page
-                        // that produced them, so the backing buffer stays at
-                        // one page's worth of records and never reallocates.
-                        ftl.device_mut().clear_ops();
-                    }
+                    lane.play_page(ftl, &mut chain, request.op, lpn, request.length)?;
                 }
-
-                let latency = now.saturating_sub(issue);
-                match request.op {
-                    IoOp::Read => read_latencies.record(latency),
-                    IoOp::Write => write_latencies.record(latency),
-                }
-                queue_delays.record(latency.saturating_sub(service));
-                service_times.record(service);
-                if now > last_completion {
-                    last_completion = now;
-                }
-                calendar.schedule_completion(now);
-                requests += 1;
+                lane.record(request.op, issue, &chain);
+                calendar.schedule_completion(chain.now);
             }
-
             (calendar.peak_outstanding(), calendar.busy_arrivals())
         };
 
-        let end = *ftl.metrics();
-        let mut summary = RunSummary::from_metrics_delta(ftl.name(), trace.name(), &start, &end);
-        summary.device_makespan = makespan_delta(ftl, &busy_start);
-        summary.host_requests = requests;
-        summary.host_elapsed = last_completion;
-        summary.read_latency = read_latencies.percentiles();
-        summary.write_latency = write_latencies.percentiles();
-        summary.queue_delay = queue_delays.percentiles();
-        summary.service_time = service_times.percentiles();
-        summary.peak_queue_depth = peak_queue_depth;
-        summary.busy_arrivals = busy_arrivals;
-        match self.discipline {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                summary.queue_depth = queue_depth;
-                summary.mode = ReplayMode::ClosedLoop;
-            }
-            ArrivalDiscipline::OpenLoop { rate_scale } => {
-                // No queue-depth bound exists in open loop; 0 marks "unbounded".
-                summary.queue_depth = 0;
-                summary.mode = ReplayMode::OpenLoop { rate_scale };
-                summary.offered_duration =
-                    last_arrival.saturating_sub(first_arrival.unwrap_or(Nanos::ZERO));
-            }
-        }
-        Ok(summary)
+        Ok(lane.finish(ftl, trace.name(), peak_queue_depth, busy_arrivals))
     }
-}
-
-/// Snapshot of every chip's busy time, used to compute the measured-phase
-/// makespan as a delta (excluding prefill traffic).
-pub(crate) fn chip_busy_times<F: FlashTranslationLayer + ?Sized>(ftl: &F) -> Vec<Nanos> {
-    let device = ftl.device();
-    (0..device.config().chips())
-        .map(|chip| {
-            device.chip_busy_time(ChipId(chip)).expect("chip ids come from the config")
-        })
-        .collect()
-}
-
-/// The measured-phase makespan: largest per-chip busy-time delta since `start`.
-pub(crate) fn makespan_delta<F: FlashTranslationLayer + ?Sized>(
-    ftl: &F,
-    start: &[Nanos],
-) -> Nanos {
-    chip_busy_times(ftl)
-        .iter()
-        .zip(start)
-        .map(|(&end, &begin)| end.saturating_sub(begin))
-        .max()
-        .unwrap_or(Nanos::ZERO)
-}
-
-/// Writes every logical page the trace touches exactly once (in ascending order),
-/// so later reads always find mapped data. Shared by every discipline, so any
-/// replay warms the device **identically** — a precondition for the bit-identity
-/// guarantees between disciplines.
-///
-/// Traces without a single read skip the warm-up entirely: the prefill exists
-/// only so reads of never-written data behave like reads of pre-existing data,
-/// and a write-only trace has none.
-pub(crate) fn prefill_ftl<F: FlashTranslationLayer + ?Sized>(
-    ftl: &mut F,
-    trace: &Trace,
-    page_size: usize,
-    logical_pages: u64,
-    prefill_request_bytes: u32,
-) -> Result<(), FtlError> {
-    if !trace.iter().any(|request| request.op == IoOp::Read) {
-        return Ok(());
-    }
-    let mut touched = PageBitmap::new(logical_pages);
-    for request in trace {
-        for page in request.logical_pages(page_size) {
-            touched.set(page % logical_pages);
-        }
-    }
-    for page in touched.iter_set() {
-        ftl.write(Lpn(page), prefill_request_bytes)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::ReplayMode;
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
     use vflash_trace::IoRequest;
@@ -605,22 +370,165 @@ mod tests {
         Trace::new("paced", reqs)
     }
 
-    #[test]
-    fn bitmap_sets_and_iterates_in_ascending_order() {
-        let mut bitmap = PageBitmap::new(200);
-        for page in [0u64, 1, 63, 64, 65, 127, 128, 199] {
-            bitmap.set(page);
-        }
-        assert!(bitmap.get(63));
-        assert!(!bitmap.get(62));
-        let set: Vec<u64> = bitmap.iter_set().collect();
-        assert_eq!(set, vec![0, 1, 63, 64, 65, 127, 128, 199]);
+    fn trace(requests: Vec<IoRequest>) -> Trace {
+        Trace::new("test", requests)
+    }
+
+    /// Scattered single-page reads: the prefill writes them, the run reads them
+    /// back in a shuffled order.
+    fn read_heavy_trace(requests: u64) -> Trace {
+        let reqs = (0..requests)
+            .map(|i| IoRequest::new(i, IoOp::Read, (i * 37 % requests) * 4096, 4096))
+            .collect();
+        Trace::new("read-heavy", reqs)
+    }
+
+    fn serial() -> WorkloadDriver {
+        WorkloadDriver::closed_loop(RunOptions::default(), 1)
     }
 
     #[test]
-    fn empty_bitmap_iterates_nothing() {
-        let bitmap = PageBitmap::new(500);
-        assert_eq!(bitmap.iter_set().count(), 0);
+    fn writes_and_reads_are_counted_per_page() {
+        let t = trace(vec![
+            IoRequest::new(0, IoOp::Write, 0, 8192),  // 2 pages
+            IoRequest::new(1, IoOp::Read, 0, 4096),   // 1 page
+            IoRequest::new(2, IoOp::Read, 0, 12288),  // 3 pages
+        ]);
+        let summary = serial().run(ftl(1), &t).unwrap();
+        assert_eq!(summary.host_writes, 2);
+        assert_eq!(summary.host_reads, 4);
+        assert_eq!(summary.trace, "test");
+        assert_eq!(summary.ftl, "conventional");
+    }
+
+    #[test]
+    fn prefill_makes_cold_reads_succeed_and_is_excluded_from_the_summary() {
+        // The trace reads offsets it never wrote.
+        let t = trace(vec![IoRequest::new(0, IoOp::Read, 64 * 1024, 4096)]);
+        let summary = serial().run(ftl(1), &t).unwrap();
+        assert_eq!(summary.host_reads, 1);
+        assert_eq!(summary.host_writes, 0, "warm-up writes must not be reported");
+    }
+
+    #[test]
+    fn without_prefill_unmapped_reads_are_skipped_at_any_depth() {
+        let t = trace(vec![
+            IoRequest::new(0, IoOp::Read, 64 * 1024, 4096),
+            IoRequest::new(1, IoOp::Write, 0, 4096),
+            IoRequest::new(2, IoOp::Read, 0, 4096),
+        ]);
+        let options = RunOptions { prefill: false, ..RunOptions::default() };
+        // Depth 1 is the scalar path, depth 4 the lane's `play_page`.
+        for depth in [1usize, 4] {
+            let summary = WorkloadDriver::closed_loop(options, depth).run(ftl(1), &t).unwrap();
+            assert_eq!(summary.host_reads, 1, "QD{depth}: only the mapped read is served");
+            assert_eq!(summary.host_writes, 1, "QD{depth}");
+            assert_eq!(
+                summary.host_requests, 3,
+                "QD{depth}: skipped requests still complete (with zero work)"
+            );
+        }
+    }
+
+    #[test]
+    fn offsets_beyond_logical_capacity_wrap_around() {
+        let ftl = ftl(1);
+        let capacity_bytes = ftl.logical_pages() * 4096;
+        let t = trace(vec![IoRequest::new(0, IoOp::Write, capacity_bytes * 3 + 4096, 4096)]);
+        let summary = serial().run(ftl, &t).unwrap();
+        assert_eq!(summary.host_writes, 1);
+    }
+
+    #[test]
+    fn write_only_traces_skip_the_prefill_pass() {
+        let t = trace(vec![
+            IoRequest::new(0, IoOp::Write, 0, 8192),
+            IoRequest::new(1, IoOp::Write, 32 * 1024, 4096),
+        ]);
+        let mut ftl = ftl(1);
+        let summary = serial().run_mut(&mut ftl, &t).unwrap();
+        assert_eq!(summary.host_writes, 3);
+        // No warm-up traffic happened at all: the device saw exactly the trace's
+        // three page programs.
+        assert_eq!(ftl.device().stats().counts.programs, 3);
+    }
+
+    #[test]
+    fn summary_reports_the_measured_phase_makespan() {
+        let mut ftl = ftl(1);
+        let t = trace(vec![
+            IoRequest::new(0, IoOp::Write, 0, 4 * 4096),
+            IoRequest::new(1, IoOp::Read, 0, 4096),
+        ]);
+        let summary = serial().run_mut(&mut ftl, &t).unwrap();
+        // Single-chip device: the makespan equals the serial host latency.
+        assert_eq!(summary.device_makespan, summary.read_time + summary.write_time);
+        assert!(summary.host_ops_per_sec() > 0.0);
+        // A second replay reports only its own makespan, not cumulative time.
+        let again = serial().run_mut(&mut ftl, &t).unwrap();
+        assert!(again.device_makespan < summary.device_makespan * 2);
+        assert!(again.device_makespan > Nanos::ZERO);
+    }
+
+    #[test]
+    fn run_mut_allows_back_to_back_traces_on_an_aged_device() {
+        let mut ftl = ftl(1);
+        let first = trace(vec![IoRequest::new(0, IoOp::Write, 0, 16 * 4096)]);
+        let second = trace(vec![IoRequest::new(0, IoOp::Read, 0, 4096)]);
+        let s1 = serial().run_mut(&mut ftl, &first).unwrap();
+        let s2 = serial().run_mut(&mut ftl, &second).unwrap();
+        assert_eq!(s1.host_writes, 16);
+        assert_eq!(s2.host_reads, 1);
+        assert_eq!(s2.host_writes, 0);
+    }
+
+    #[test]
+    fn deeper_queues_overlap_chips_and_cut_elapsed_time() {
+        let t = read_heavy_trace(256);
+        let qd1 = serial().run(ftl(4), &t).unwrap();
+        let qd16 = WorkloadDriver::closed_loop(RunOptions::default(), 16).run(ftl(4), &t).unwrap();
+        // Identical device-state evolution...
+        assert_eq!(qd1.host_reads, qd16.host_reads);
+        assert_eq!(qd1.read_time, qd16.read_time);
+        assert_eq!(qd1.device_makespan, qd16.device_makespan);
+        // ...but the queued overlay finishes sooner and serves more IOPS.
+        assert!(
+            qd16.host_elapsed < qd1.host_elapsed,
+            "QD16 {} should beat QD1 {}",
+            qd16.host_elapsed,
+            qd1.host_elapsed
+        );
+        assert!(qd16.request_iops() > qd1.request_iops());
+        // The overlay can never beat the busiest chip.
+        assert!(qd16.host_elapsed >= qd16.device_makespan);
+    }
+
+    #[test]
+    fn queued_latencies_include_chip_queuing_delay() {
+        // Single chip: depth adds pure queuing delay, so per-request p99 grows
+        // with depth while elapsed stays the serial sum.
+        let t = read_heavy_trace(128);
+        let qd1 = serial().run(ftl(1), &t).unwrap();
+        let qd8 = WorkloadDriver::closed_loop(RunOptions::default(), 8).run(ftl(1), &t).unwrap();
+        assert_eq!(qd1.host_elapsed, qd8.host_elapsed, "one chip cannot overlap anything");
+        assert!(
+            qd8.read_latency.p99 > qd1.read_latency.p99,
+            "queuing on one chip must inflate tail latency ({} vs {})",
+            qd8.read_latency.p99,
+            qd1.read_latency.p99
+        );
+        // The queueing-delay/service-time split names the cause: service times are
+        // depth-invariant, the delay is what grew.
+        assert_eq!(qd1.service_time, qd8.service_time);
+        assert!(qd8.queue_delay.p99 > qd1.queue_delay.p99);
+    }
+
+    #[test]
+    fn tracing_is_disabled_after_the_run() {
+        let t = read_heavy_trace(16);
+        let mut f = ftl(2);
+        WorkloadDriver::closed_loop(RunOptions::default(), 4).run_mut(&mut f, &t).unwrap();
+        assert!(!f.device().op_tracing());
     }
 
     #[test]
@@ -638,13 +546,6 @@ mod tests {
                 "rate scale {bad} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn arrival_scaling_is_exact_at_unit_rate() {
-        assert_eq!(scale_arrival(123_456, 1.0), Nanos(123_456));
-        assert_eq!(scale_arrival(1_000, 2.0), Nanos(500));
-        assert_eq!(scale_arrival(1_000, 0.5), Nanos(2_000));
     }
 
     #[test]

@@ -19,8 +19,8 @@ use vflash_ppb::{PpbConfig, PpbFtl};
 use vflash_trace::synthetic::{self, ArrivalModel, SyntheticConfig};
 use vflash_trace::Trace;
 
-use crate::engine::{prefill_ftl, ArrivalDiscipline, RunOptions, WorkloadDriver};
-use crate::replay::Replayer;
+use crate::engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
+use crate::lane::prefill;
 use crate::report::{Comparison, RunSummary};
 
 /// The speed-difference sweep used throughout the evaluation (2x to 5x).
@@ -151,9 +151,10 @@ impl std::fmt::Display for Workload {
 }
 
 /// First-stage classifier choices for the classifier ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Classifier {
     /// Request-size check (the paper's case study).
+    #[default]
     SizeCheck,
     /// Two-level LRU.
     TwoLevelLru,
@@ -282,118 +283,36 @@ impl Default for ExperimentScale {
     }
 }
 
-fn replayer() -> Replayer {
-    Replayer::new(RunOptions::default())
-}
+/// The paper's replay discipline: closed loop at queue depth 1 (accumulated
+/// access latency per trace, no request overlap).
+pub const SERIAL: ArrivalDiscipline = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
 
-/// Replays an FTL under an arrival discipline through the unified
-/// [`WorkloadDriver`] (which picks the untraced serial path at closed-loop
-/// depth 1 by itself).
-fn replay_driven<F: vflash_ftl::FlashTranslationLayer>(
-    ftl: F,
-    trace: &Trace,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
-    WorkloadDriver::new(RunOptions::default(), discipline).run(ftl, trace)
-}
-
-
-/// Replays `trace` against the conventional FTL on a device built from `config`.
+/// Replays `trace` against the conventional FTL on a device built from `config`,
+/// under `discipline` (closed loop at any depth — [`SERIAL`] for the paper's
+/// figures — or open loop at a rate scale).
 ///
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors.
-pub fn run_conventional(trace: &Trace, config: &NandConfig) -> Result<RunSummary, FtlError> {
-    run_conventional_at_depth(trace, config, 1)
-}
-
-/// Like [`run_conventional`], at an explicit queue depth.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_conventional_at_depth(
-    trace: &Trace,
-    config: &NandConfig,
-    queue_depth: usize,
-) -> Result<RunSummary, FtlError> {
-    run_conventional_driven(trace, config, ArrivalDiscipline::ClosedLoop { queue_depth })
-}
-
-/// Like [`run_conventional`], under an explicit arrival discipline (closed loop at
-/// any depth, or open loop at a rate scale).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_conventional_driven(
+pub fn replay_conventional(
     trace: &Trace,
     config: &NandConfig,
     discipline: ArrivalDiscipline,
 ) -> Result<RunSummary, FtlError> {
     let ftl = ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-    replay_driven(ftl, trace, discipline)
+    WorkloadDriver::new(RunOptions::default(), discipline).run(ftl, trace)
 }
 
-/// Replays `trace` against the PPB FTL (default configuration and classifier) on a
-/// device built from `config`.
+/// Replays `trace` against the PPB FTL with configuration `ppb` and first-stage
+/// `classifier` on a device built from `config`, under `discipline`. The
+/// paper's PPB is `PpbConfig::default()` with `Classifier::default()`; every
+/// figure, sweep and grid row goes through this one construction path, so those
+/// defaults can never diverge between them.
 ///
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors.
-pub fn run_ppb(trace: &Trace, config: &NandConfig) -> Result<RunSummary, FtlError> {
-    run_ppb_with(trace, config, PpbConfig::default(), Classifier::SizeCheck)
-}
-
-/// Like [`run_ppb`], at an explicit queue depth. Shares [`run_ppb_with`]'s
-/// construction path, so the defaults (configuration and classifier) can never
-/// diverge between the serial figures and the queue-depth/grid rows.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_ppb_at_depth(
-    trace: &Trace,
-    config: &NandConfig,
-    queue_depth: usize,
-) -> Result<RunSummary, FtlError> {
-    run_ppb_driven(trace, config, ArrivalDiscipline::ClosedLoop { queue_depth })
-}
-
-/// Like [`run_ppb`], under an explicit arrival discipline. Shares
-/// [`run_ppb_with`]'s construction path, so the defaults can never diverge
-/// between the serial figures and the open-loop/grid rows.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_ppb_driven(
-    trace: &Trace,
-    config: &NandConfig,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
-    run_ppb_with_driven(trace, config, PpbConfig::default(), Classifier::SizeCheck, discipline)
-}
-
-/// Replays `trace` against the PPB FTL with an explicit configuration and first-stage
-/// classifier. Used by the ablation benches.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_ppb_with(
-    trace: &Trace,
-    config: &NandConfig,
-    ppb: PpbConfig,
-    classifier: Classifier,
-) -> Result<RunSummary, FtlError> {
-    run_ppb_with_driven(trace, config, ppb, classifier, ArrivalDiscipline::ClosedLoop {
-        queue_depth: 1,
-    })
-}
-
-/// The single construction + replay path every `run_ppb*` helper funnels into.
-fn run_ppb_with_driven(
+pub fn replay_ppb(
     trace: &Trace,
     config: &NandConfig,
     ppb: PpbConfig,
@@ -401,21 +320,34 @@ fn run_ppb_with_driven(
     discipline: ArrivalDiscipline,
 ) -> Result<RunSummary, FtlError> {
     let device = NandDevice::new(config.clone());
+    let driver = WorkloadDriver::new(RunOptions::default(), discipline);
     match classifier {
-        Classifier::SizeCheck => replay_driven(PpbFtl::new(device, ppb)?, trace, discipline),
+        Classifier::SizeCheck => driver.run(PpbFtl::new(device, ppb)?, trace),
         Classifier::TwoLevelLru => {
             let lru = TwoLevelLru::new(4096, 4096);
-            replay_driven(PpbFtl::with_classifier(device, ppb, lru)?, trace, discipline)
+            driver.run(PpbFtl::with_classifier(device, ppb, lru)?, trace)
         }
         Classifier::FreqTable => {
             let table = FreqTable::new(2, 100_000);
-            replay_driven(PpbFtl::with_classifier(device, ppb, table)?, trace, discipline)
+            driver.run(PpbFtl::with_classifier(device, ppb, table)?, trace)
         }
         Classifier::MultiHash => {
             let sketch = MultiHash::new(1 << 16, 2, 2, 100_000);
-            replay_driven(PpbFtl::with_classifier(device, ppb, sketch)?, trace, discipline)
+            driver.run(PpbFtl::with_classifier(device, ppb, sketch)?, trace)
         }
     }
+}
+
+/// Both FTLs at their default configurations on the same trace and device,
+/// under one discipline: `(conventional, PPB)`.
+fn replay_both(
+    trace: &Trace,
+    config: &NandConfig,
+    discipline: ArrivalDiscipline,
+) -> Result<(RunSummary, RunSummary), FtlError> {
+    let conventional = replay_conventional(trace, config, discipline)?;
+    let ppb = replay_ppb(trace, config, PpbConfig::default(), Classifier::default(), discipline)?;
+    Ok((conventional, ppb))
 }
 
 /// Runs conventional vs PPB on one workload / page size / speed ratio and returns the
@@ -443,8 +375,7 @@ pub fn compare(
 ///
 /// Propagates FTL construction and replay errors.
 pub fn compare_trace(trace: &Trace, config: &NandConfig) -> Result<Comparison, FtlError> {
-    let baseline = run_conventional(trace, config)?;
-    let variant = run_ppb(trace, config)?;
+    let (baseline, variant) = replay_both(trace, config, SERIAL)?;
     Ok(Comparison::new(baseline, variant))
 }
 
@@ -598,11 +529,8 @@ pub fn rate_scale_sweep_for_trace(
     let mut rows = Vec::new();
     for &rate_scale in &RATE_SCALES {
         let discipline = ArrivalDiscipline::OpenLoop { rate_scale };
-        rows.push(RateScaleRow {
-            rate_scale,
-            conventional: run_conventional_driven(trace, &config, discipline)?,
-            ppb: run_ppb_driven(trace, &config, discipline)?,
-        });
+        let (conventional, ppb) = replay_both(trace, &config, discipline)?;
+        rows.push(RateScaleRow { rate_scale, conventional, ppb });
     }
     Ok(rows)
 }
@@ -633,7 +561,11 @@ pub fn burst_sweep_mean_iops(
     scale: &ExperimentScale,
 ) -> Result<f64, FtlError> {
     let config = scale.device_config(16 * 1024, 2.0);
-    let saturated = run_conventional_at_depth(&workload.trace(scale), &config, 64)?;
+    let saturated = replay_conventional(
+        &workload.trace(scale),
+        &config,
+        ArrivalDiscipline::ClosedLoop { queue_depth: 64 },
+    )?;
     Ok(saturated.request_iops() * BURST_SATURATION_FRACTION)
 }
 
@@ -677,11 +609,8 @@ pub fn burst_sweep_at(
     let mut rows = Vec::new();
     for arrival in burst_axis(mean_iops) {
         let trace = workload.trace_with_arrival(scale, arrival);
-        rows.push(BurstRow {
-            arrival,
-            conventional: run_conventional_driven(&trace, &config, discipline)?,
-            ppb: run_ppb_driven(&trace, &config, discipline)?,
-        });
+        let (conventional, ppb) = replay_both(&trace, &config, discipline)?;
+        rows.push(BurstRow { arrival, conventional, ppb });
     }
     Ok(rows)
 }
@@ -729,7 +658,7 @@ pub fn ablation_virtual_blocks(
 ) -> Result<Vec<(usize, f64)>, FtlError> {
     let trace = workload.trace(scale);
     let config = scale.device_config(16 * 1024, 4.0);
-    let baseline = run_conventional(&trace, &config)?;
+    let baseline = replay_conventional(&trace, &config, SERIAL)?;
     let mut rows = Vec::new();
     for virtual_blocks in [1usize, 2, 4] {
         let ppb_config = PpbConfig {
@@ -737,7 +666,7 @@ pub fn ablation_virtual_blocks(
             max_open_blocks_per_area: virtual_blocks.max(2),
             ..PpbConfig::default()
         };
-        let variant = run_ppb_with(&trace, &config, ppb_config, Classifier::SizeCheck)?;
+        let variant = replay_ppb(&trace, &config, ppb_config, Classifier::default(), SERIAL)?;
         let comparison = Comparison::new(baseline.clone(), variant);
         rows.push((virtual_blocks, comparison.read_enhancement_pct()));
     }
@@ -773,11 +702,9 @@ pub fn queue_depth_sweep(
     let config = scale.device_config(16 * 1024, 2.0);
     let mut rows = Vec::new();
     for &queue_depth in &QUEUE_DEPTHS {
-        rows.push(QueueDepthRow {
-            queue_depth,
-            conventional: run_conventional_at_depth(&trace, &config, queue_depth)?,
-            ppb: run_ppb_at_depth(&trace, &config, queue_depth)?,
-        });
+        let discipline = ArrivalDiscipline::ClosedLoop { queue_depth };
+        let (conventional, ppb) = replay_both(&trace, &config, discipline)?;
+        rows.push(QueueDepthRow { queue_depth, conventional, ppb });
     }
     Ok(rows)
 }
@@ -871,6 +798,7 @@ pub struct PolicyEraseRow {
 ///
 /// Propagates FTL construction and replay errors.
 pub fn erase_count_by_policy(scale: &ExperimentScale) -> Result<Vec<PolicyEraseRow>, FtlError> {
+    let serial = WorkloadDriver::new(RunOptions::default(), SERIAL);
     let mut rows = Vec::new();
     for workload in Workload::ALL {
         let trace = workload.trace(scale);
@@ -879,11 +807,11 @@ pub fn erase_count_by_policy(scale: &ExperimentScale) -> Result<Vec<PolicyEraseR
             let mut conventional =
                 ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
             conventional.set_victim_policy(policy.build());
-            let baseline = replayer().run(conventional, &trace)?;
+            let baseline = serial.run(conventional, &trace)?;
 
             let mut ppb = PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default())?;
             ppb.set_victim_policy(policy.build());
-            let variant = replayer().run(ppb, &trace)?;
+            let variant = serial.run(ppb, &trace)?;
 
             rows.push(PolicyEraseRow {
                 workload,
@@ -947,6 +875,7 @@ pub struct FaultRow {
 pub fn fault_sweep(scale: &ExperimentScale) -> Result<Vec<FaultRow>, FtlError> {
     let trace = Workload::WebSqlServer.trace(scale);
     let base = scale.device_config(16 * 1024, 2.0);
+    let serial = WorkloadDriver::new(RunOptions::default(), SERIAL);
     let mut rows = Vec::new();
     for &rber_scale in &RBER_SCALES {
         let faults = FaultConfig { rber_scale, ..FaultConfig::enabled(scale.seed ^ 0xFA17) };
@@ -955,11 +884,11 @@ pub fn fault_sweep(scale: &ExperimentScale) -> Result<Vec<FaultRow>, FtlError> {
             let mut conventional =
                 ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
             conventional.set_victim_policy(policy.build());
-            let baseline = replayer().run(conventional, &trace)?;
+            let baseline = serial.run(conventional, &trace)?;
 
             let mut ppb = PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default())?;
             ppb.set_victim_policy(policy.build());
-            let variant = replayer().run(ppb, &trace)?;
+            let variant = serial.run(ppb, &trace)?;
 
             rows.push(FaultRow { rber_scale, policy, conventional: baseline, ppb: variant });
         }
@@ -1061,10 +990,10 @@ pub fn ablation_classifier(
 ) -> Result<Vec<(Classifier, f64)>, FtlError> {
     let trace = workload.trace(scale);
     let config = scale.device_config(16 * 1024, 4.0);
-    let baseline = run_conventional(&trace, &config)?;
+    let baseline = replay_conventional(&trace, &config, SERIAL)?;
     let mut rows = Vec::new();
     for classifier in Classifier::ALL {
-        let variant = run_ppb_with(&trace, &config, PpbConfig::default(), classifier)?;
+        let variant = replay_ppb(&trace, &config, PpbConfig::default(), classifier, SERIAL)?;
         let comparison = Comparison::new(baseline.clone(), variant);
         rows.push((classifier, comparison.read_enhancement_pct()));
     }
@@ -1174,12 +1103,10 @@ fn sensitivity_run<F: FlashTranslationLayer>(
     trace: &Trace,
     split: usize,
 ) -> Result<RunSummary, FtlError> {
-    let page_size = ftl.device().config().page_size_bytes();
     let logical_pages = ftl.logical_pages();
     let options = RunOptions::default();
-    prefill_ftl(&mut ftl, trace, page_size, logical_pages, options.prefill_request_bytes)?;
-    let driver =
-        WorkloadDriver::closed_loop(RunOptions { prefill: false, ..options }, 1);
+    prefill(&options, &mut [&mut ftl], trace, |page| (0, page % logical_pages))?;
+    let driver = WorkloadDriver::new(RunOptions { prefill: false, ..options }, SERIAL);
     if split > 0 {
         let warmup =
             Trace::new(format!("{}+warmup", trace.name()), trace.requests()[..split].to_vec());

@@ -1,0 +1,361 @@
+//! One device's side of a run: the device half of the timing core.
+//!
+//! A *lane* is one FTL + NAND stack being driven. [`LaneState`] holds
+//! everything the drive loop accumulates about it — per-chip ready clocks, the
+//! four latency histograms, the request count, the snapshots that exclude
+//! warm-up traffic from the report — and owns the rules that turn page
+//! submissions into instants:
+//!
+//! ```text
+//! chain:    start = issue (traced) | max(issue, lane ready clock) (untraced)
+//! op k:     start = max(end of op k-1, chip_ready[chip(k)])
+//!           chip_ready[chip(k)] = start + latency(k)
+//! latency = end of last op - issue
+//! service = Σ latency(k);   queueing delay = latency - service
+//! ```
+//!
+//! A multi-page request is a dependent [`PageChain`] of page submissions on one
+//! lane. The single-device engine drives one lane and one chain per request;
+//! the fleet driver drives N lanes and one chain per lane a request touches.
+//! Both go through the same [`LaneState::play_page`], [`LaneState::record`] and
+//! [`LaneState::finish`], so a lane of a fleet reports exactly what the engine
+//! would report for the requests that lane served.
+
+use vflash_ftl::{FlashTranslationLayer, FtlError, FtlMetrics, IoRequest as FtlRequest, Lpn};
+use vflash_nand::{ChipClocks, ChipId, Nanos};
+use vflash_trace::{IoOp, Trace};
+
+use crate::calendar::{ArrivalWindow, Issue};
+use crate::engine::{ArrivalDiscipline, RunOptions};
+use crate::histogram::LatencyHistogram;
+use crate::report::{ReplayMode, RunSummary};
+
+/// A word-packed bitmap over logical page numbers.
+///
+/// The prefill pass needs one bit per logical page; on multi-million-page devices a
+/// `Vec<bool>` would spend a byte per page, so pages are packed 64 to a `u64` (8x
+/// less memory and far fewer cache lines touched by the marking pass).
+#[derive(Debug, Clone)]
+struct PageBitmap {
+    words: Vec<u64>,
+}
+
+impl PageBitmap {
+    fn new(pages: u64) -> Self {
+        PageBitmap { words: vec![0; (pages as usize).div_ceil(64)] }
+    }
+
+    fn set(&mut self, page: u64) {
+        self.words[(page / 64) as usize] |= 1 << (page % 64);
+    }
+
+    #[cfg(test)]
+    fn get(&self, page: u64) -> bool {
+        self.words[(page / 64) as usize] & (1 << (page % 64)) != 0
+    }
+
+    /// Iterates over set pages in ascending order, skipping empty words wholesale.
+    fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(|(word_index, &word)| {
+            let base = word_index as u64 * 64;
+            std::iter::successors(
+                (word != 0).then_some(word),
+                |bits| {
+                    let rest = bits & (bits - 1);
+                    (rest != 0).then_some(rest)
+                },
+            )
+            .map(move |bits| base + u64::from(bits.trailing_zeros()))
+        })
+    }
+}
+
+/// Writes every logical page the trace touches exactly once (in ascending
+/// order per lane), so later reads always find mapped data. `locate` maps a
+/// trace page number to the `(lane, device page)` that stores it — the
+/// identity modulo capacity for one device, the stripe map for a fleet. Shared
+/// by every driver and discipline, so any replay warms a device
+/// **identically** — a precondition for the bit-identity guarantees between
+/// them. The warm-up always runs serially with tracing off.
+///
+/// Does nothing when `options.prefill` is off, and skips traces without a
+/// single read: the prefill exists only so reads of never-written data behave
+/// like reads of pre-existing data, and a write-only trace has none.
+///
+/// # Errors
+///
+/// Propagates FTL errors from the warm-up writes.
+pub fn prefill<F: FlashTranslationLayer + ?Sized>(
+    options: &RunOptions,
+    lanes: &mut [&mut F],
+    trace: &Trace,
+    locate: impl Fn(u64) -> (usize, u64),
+) -> Result<(), FtlError> {
+    if !options.prefill || !trace.iter().any(|request| request.op == IoOp::Read) {
+        return Ok(());
+    }
+    let page_size = lanes[0].device().config().page_size_bytes();
+    let mut touched: Vec<PageBitmap> =
+        lanes.iter().map(|lane| PageBitmap::new(lane.logical_pages())).collect();
+    for request in trace {
+        for page in request.logical_pages(page_size) {
+            let (lane, offset) = locate(page);
+            touched[lane].set(offset);
+        }
+    }
+    for (lane, bitmap) in lanes.iter_mut().zip(&touched) {
+        for offset in bitmap.iter_set() {
+            lane.write(Lpn(offset), options.prefill_request_bytes)?;
+        }
+    }
+    Ok(())
+}
+
+/// Snapshot of every chip's busy time, used to compute the measured-phase
+/// makespan as a delta (excluding prefill traffic).
+fn chip_busy_times<F: FlashTranslationLayer + ?Sized>(ftl: &F) -> Vec<Nanos> {
+    let device = ftl.device();
+    (0..device.config().chips())
+        .map(|chip| {
+            device.chip_busy_time(ChipId(chip)).expect("chip ids come from the config")
+        })
+        .collect()
+}
+
+/// One request's dependent chain of page submissions on one lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageChain {
+    /// End of the last op played so far (initially when the chain could
+    /// start) — the chain's completion instant once every page has been played.
+    pub now: Nanos,
+    /// Device time the chain's ops took, queueing excluded.
+    pub service: Nanos,
+}
+
+/// Everything one run accumulates about one device. See the module docs.
+#[derive(Debug, Clone)]
+pub struct LaneState {
+    discipline: ArrivalDiscipline,
+    /// Unmapped reads are skipped rather than failed when the run did not
+    /// prefill, mirroring how a real host would simply get zeroes back.
+    skip_unmapped_reads: bool,
+    /// Per-chip busy-until clocks. Resource clocks, not events: ops ask for a
+    /// specific chip's availability by index. The same type the FTL batch path
+    /// (`submit_batch`) schedules with, so both apply the exact same rule.
+    chips: ChipClocks,
+    /// Untraced (closed-loop depth 1) device-level ready clock: with op
+    /// tracing off there are no per-chip spans to overlay, so background
+    /// writes and finished chains push this one clock instead.
+    ready: Nanos,
+    pub(crate) read_latencies: LatencyHistogram,
+    pub(crate) write_latencies: LatencyHistogram,
+    pub(crate) queue_delays: LatencyHistogram,
+    pub(crate) service_times: LatencyHistogram,
+    pub(crate) requests: u64,
+    pub(crate) last_completion: Nanos,
+    /// Arrival window of the requests this lane served.
+    arrivals: ArrivalWindow,
+    start_metrics: FtlMetrics,
+    busy_start: Vec<Nanos>,
+}
+
+impl LaneState {
+    /// Fresh accumulators for a measured phase starting now on `ftl`: its
+    /// metrics and chip busy times are snapshotted so [`LaneState::finish`]
+    /// reports deltas.
+    pub fn new<F: FlashTranslationLayer + ?Sized>(
+        ftl: &F,
+        options: &RunOptions,
+        discipline: ArrivalDiscipline,
+    ) -> Self {
+        LaneState {
+            discipline,
+            skip_unmapped_reads: !options.prefill,
+            chips: ChipClocks::new(ftl.device().config().chips()),
+            ready: Nanos::ZERO,
+            read_latencies: LatencyHistogram::new(),
+            write_latencies: LatencyHistogram::new(),
+            queue_delays: LatencyHistogram::new(),
+            service_times: LatencyHistogram::new(),
+            requests: 0,
+            last_completion: Nanos::ZERO,
+            arrivals: ArrivalWindow::default(),
+            start_metrics: *ftl.metrics(),
+            busy_start: chip_busy_times(ftl),
+        }
+    }
+
+    /// Opens the chain of a request issued at `issue`. With tracing off the
+    /// chain serialises behind the lane's ready clock (background-write
+    /// backlog; a no-op without background writes, where the clock never
+    /// passes the previous completion).
+    #[inline]
+    pub fn begin(&self, issue: Nanos) -> PageChain {
+        let now = if self.discipline.needs_op_tracing() { issue } else { issue.max(self.ready) };
+        PageChain { now, service: Nanos::ZERO }
+    }
+
+    /// Submits one logical page to the lane and advances `chain`: each timed
+    /// device op starts when both its predecessor in the chain and its chip
+    /// are ready; an untraced completion charges its latency serially.
+    ///
+    /// # Errors
+    ///
+    /// Propagates FTL errors, except unmapped reads on a run without prefill,
+    /// which are skipped.
+    #[inline]
+    pub fn play_page<F: FlashTranslationLayer + ?Sized>(
+        &mut self,
+        ftl: &mut F,
+        chain: &mut PageChain,
+        op: IoOp,
+        lpn: Lpn,
+        request_bytes: u32,
+    ) -> Result<(), FtlError> {
+        let completion = match op {
+            IoOp::Write => ftl.submit(FtlRequest::write(lpn, request_bytes))?,
+            IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
+                Ok(completion) => completion,
+                Err(FtlError::UnmappedRead { .. }) if self.skip_unmapped_reads => return Ok(()),
+                Err(err) => return Err(err),
+            },
+        };
+        let span = completion.ops;
+        if span.is_empty() {
+            chain.now += completion.latency;
+            chain.service += completion.latency;
+        } else {
+            for op in ftl.device().ops(span) {
+                chain.now = self.chips.play_op(op.chip.0, chain.now, op.latency);
+                chain.service += op.latency;
+            }
+            // Release the op arena: spans never outlive the page that produced
+            // them, so the backing buffer stays at one page's worth of records
+            // and never reallocates.
+            ftl.device_mut().clear_ops();
+        }
+        Ok(())
+    }
+
+    /// Plays one background page write (a host-cache writeback) issued at
+    /// `issue`: it occupies the lane's chips — or, untraced, the lane's ready
+    /// clock — so later requests queue behind it, but belongs to no request's
+    /// chain and extends no request's latency.
+    ///
+    /// # Errors
+    ///
+    /// Propagates FTL errors.
+    pub fn play_background_write<F: FlashTranslationLayer + ?Sized>(
+        &mut self,
+        ftl: &mut F,
+        issue: Nanos,
+        lpn: Lpn,
+        request_bytes: u32,
+    ) -> Result<(), FtlError> {
+        let completion = ftl.submit(FtlRequest::write(lpn, request_bytes))?;
+        let span = completion.ops;
+        if span.is_empty() {
+            self.ready = self.ready.max(issue) + completion.latency;
+        } else {
+            let mut now = issue;
+            for op in ftl.device().ops(span) {
+                now = self.chips.play_op(op.chip.0, now, op.latency);
+            }
+            ftl.device_mut().clear_ops();
+        }
+        Ok(())
+    }
+
+    /// Records one request's finished chain: response latency into the read or
+    /// write histogram, split into queueing delay and service time. Returns
+    /// the response latency (chain completion minus issue instant).
+    #[inline]
+    pub fn record(&mut self, op: IoOp, issue: Issue, chain: &PageChain) -> Nanos {
+        let latency = chain.now.saturating_sub(issue.at);
+        match op {
+            IoOp::Read => self.read_latencies.record(latency),
+            IoOp::Write => self.write_latencies.record(latency),
+        }
+        self.queue_delays.record(latency.saturating_sub(chain.service));
+        self.service_times.record(chain.service);
+        self.requests += 1;
+        if chain.now > self.last_completion {
+            self.last_completion = chain.now;
+        }
+        if !self.discipline.needs_op_tracing() {
+            self.ready = chain.now.max(self.ready);
+        }
+        self.arrivals.observe(issue.arrival);
+        latency
+    }
+
+    /// Closes the measured phase: the lane's [`RunSummary`], built from the
+    /// FTL's metric delta since [`LaneState::new`] and the accumulated
+    /// histograms. The backlog statistics are the run's, from its
+    /// [`HostCalendar`](crate::HostCalendar).
+    pub fn finish<F: FlashTranslationLayer + ?Sized>(
+        self,
+        ftl: &F,
+        trace_name: &str,
+        peak_queue_depth: usize,
+        busy_arrivals: u64,
+    ) -> RunSummary {
+        let mut summary = RunSummary::from_metrics_delta(
+            ftl.name(),
+            trace_name,
+            &self.start_metrics,
+            ftl.metrics(),
+        );
+        // The measured-phase makespan: largest per-chip busy-time delta.
+        summary.device_makespan = chip_busy_times(ftl)
+            .iter()
+            .zip(&self.busy_start)
+            .map(|(&end, &begin)| end.saturating_sub(begin))
+            .max()
+            .unwrap_or(Nanos::ZERO);
+        summary.host_requests = self.requests;
+        summary.host_elapsed = self.last_completion;
+        summary.read_latency = self.read_latencies.percentiles();
+        summary.write_latency = self.write_latencies.percentiles();
+        summary.queue_delay = self.queue_delays.percentiles();
+        summary.service_time = self.service_times.percentiles();
+        summary.peak_queue_depth = peak_queue_depth;
+        summary.busy_arrivals = busy_arrivals;
+        summary.offered_duration = self.arrivals.duration();
+        match self.discipline {
+            ArrivalDiscipline::ClosedLoop { queue_depth } => {
+                summary.queue_depth = queue_depth;
+                summary.mode = ReplayMode::ClosedLoop;
+            }
+            ArrivalDiscipline::OpenLoop { rate_scale } => {
+                // No queue-depth bound exists in open loop; 0 marks "unbounded".
+                summary.queue_depth = 0;
+                summary.mode = ReplayMode::OpenLoop { rate_scale };
+            }
+        }
+        summary
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bitmap_sets_and_iterates_in_ascending_order() {
+        let mut bitmap = PageBitmap::new(200);
+        for page in [0u64, 1, 63, 64, 65, 127, 128, 199] {
+            bitmap.set(page);
+        }
+        assert!(bitmap.get(63));
+        assert!(!bitmap.get(62));
+        let set: Vec<u64> = bitmap.iter_set().collect();
+        assert_eq!(set, vec![0, 1, 63, 64, 65, 127, 128, 199]);
+    }
+
+    #[test]
+    fn empty_bitmap_iterates_nothing() {
+        let bitmap = PageBitmap::new(500);
+        assert_eq!(bitmap.iter_set().count(), 0);
+    }
+}

@@ -5,17 +5,22 @@
 //!
 //! The crate has these layers:
 //!
-//! * [`WorkloadDriver`] — **the** replay engine: one drive loop over an
-//!   [`ArrivalDiscipline`], either closed-loop (keep `queue_depth` requests in
-//!   flight — saturation replay) or open-loop (issue each request at its
-//!   trace-recorded arrival time scaled by `rate_scale` — latency under load,
-//!   with per-request queueing delay separated from service time). Byte ranges
-//!   are translated into logical pages, and the address space is optionally
-//!   pre-filled so reads of never-written data behave like reads of pre-existing
-//!   data (the standard warm-up used by trace-driven flash simulators).
-//! * [`Replayer`] / [`QueuedReplayer`] — thin compatibility wrappers over the
-//!   engine: the serial (closed-loop depth 1) replayer of the paper's figures,
-//!   and the queue-depth variant. At QD 1 they are bit-identical.
+//! * **The timing core** — the replay rule every tier must agree on, held once:
+//!   [`HostCalendar`] (the [`ArrivalDiscipline`]'s issue rule over the heap of
+//!   pending host completions, with the backlog statistics) and [`LaneState`]
+//!   (one device's chip clocks, dependent page chains, latency split and
+//!   [`RunSummary`] assembly), plus the shared warm-up [`prefill`]. It has two
+//!   callers: [`WorkloadDriver`] below drives one lane, `vflash-fleet`'s
+//!   `FleetDriver` drives N lanes under one calendar.
+//! * [`WorkloadDriver`] — the single-device replay engine: closed-loop (keep
+//!   `queue_depth` requests in flight — saturation replay; depth 1 is the
+//!   serial replay of the paper's figures) or open-loop (issue each request at
+//!   its trace-recorded arrival time scaled by `rate_scale` — latency under
+//!   load, with per-request queueing delay separated from service time). Byte
+//!   ranges are translated into logical pages, and the address space is
+//!   optionally pre-filled so reads of never-written data behave like reads of
+//!   pre-existing data (the standard warm-up used by trace-driven flash
+//!   simulators).
 //! * [`RunSummary`] / [`Comparison`] — the measurements the paper reports: total and
 //!   mean read/write latency, erased-block counts, GC copies and write amplification,
 //!   plus enhancement percentages between a baseline and a variant — and, from the
@@ -45,7 +50,7 @@
 //! ```
 //! use vflash_ftl::{ConventionalFtl, FtlConfig};
 //! use vflash_nand::{NandConfig, NandDevice};
-//! use vflash_sim::{Replayer, RunOptions};
+//! use vflash_sim::{RunOptions, WorkloadDriver};
 //! use vflash_trace::synthetic::{self, SyntheticConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,7 +68,7 @@
 //!         .build()?,
 //! );
 //! let ftl = ConventionalFtl::new(device, FtlConfig::default())?;
-//! let summary = Replayer::new(RunOptions::default()).run(ftl, &trace)?;
+//! let summary = WorkloadDriver::closed_loop(RunOptions::default(), 1).run(ftl, &trace)?;
 //! assert!(summary.host_reads > 0);
 //! # Ok(())
 //! # }
@@ -77,14 +82,13 @@ pub mod experiments;
 mod calendar;
 mod engine;
 mod histogram;
+mod lane;
 mod parallel;
-mod queued;
-mod replay;
 mod report;
 
+pub use calendar::{HostCalendar, Issue};
 pub use engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
+pub use lane::{prefill, LaneState, PageChain};
 pub use parallel::{run_cell, CellResult, ExperimentGrid, FtlKind, GridCell, ParallelRunner};
-pub use queued::QueuedReplayer;
-pub use replay::Replayer;
 pub use report::{Comparison, ReplayMode, RunSummary};

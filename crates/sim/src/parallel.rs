@@ -22,12 +22,13 @@ use std::thread;
 
 use vflash_ftl::FtlError;
 use vflash_nand::FaultConfig;
+use vflash_ppb::PpbConfig;
 use vflash_trace::synthetic::ArrivalModel;
 
 use crate::engine::ArrivalDiscipline;
 use crate::experiments::{
-    burst_axis, grid_burst_mean_iops, run_conventional_driven, run_ppb_driven, ExperimentScale,
-    Workload, FLEET_SIZES, QUEUE_DEPTHS, RATE_SCALES,
+    burst_axis, grid_burst_mean_iops, replay_conventional, replay_ppb, Classifier,
+    ExperimentScale, Workload, FLEET_SIZES, QUEUE_DEPTHS, RATE_SCALES,
 };
 use crate::report::RunSummary;
 
@@ -311,8 +312,14 @@ pub fn run_cell(cell: &GridCell, grid: &ExperimentGrid) -> Result<CellResult, Ft
         config = config.with_faults(faults)?;
     }
     let summary = match cell.ftl {
-        FtlKind::Conventional => run_conventional_driven(&trace, &config, cell.discipline)?,
-        FtlKind::Ppb => run_ppb_driven(&trace, &config, cell.discipline)?,
+        FtlKind::Conventional => replay_conventional(&trace, &config, cell.discipline)?,
+        FtlKind::Ppb => replay_ppb(
+            &trace,
+            &config,
+            PpbConfig::default(),
+            Classifier::default(),
+            cell.discipline,
+        )?,
     };
     Ok(CellResult { cell: *cell, summary })
 }

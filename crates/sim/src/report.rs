@@ -66,9 +66,10 @@ pub struct RunSummary {
     /// [`Nanos::ZERO`] when the summary was not produced by a replay.
     pub device_makespan: Nanos,
     /// The queue depth the replay was driven at: how many host requests were kept
-    /// in flight. `1` for the serial [`Replayer`](crate::Replayer); the configured
-    /// depth for [`QueuedReplayer`](crate::QueuedReplayer) runs; `0` for open-loop
-    /// runs, where nothing bounds the number of outstanding requests.
+    /// in flight — the configured depth of a
+    /// [`ClosedLoop`](crate::ArrivalDiscipline::ClosedLoop) run (`1` is the serial
+    /// replay); `0` for open-loop runs, where nothing bounds the number of
+    /// outstanding requests.
     pub queue_depth: usize,
     /// The arrival discipline the replay was driven under (closed loop by
     /// default; open loop carries its rate scale).

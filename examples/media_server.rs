@@ -8,7 +8,10 @@
 
 use std::error::Error;
 
-use vflash::sim::experiments::{run_conventional, run_ppb, ExperimentScale, Workload};
+use vflash::ppb::PpbConfig;
+use vflash::sim::experiments::{
+    replay_conventional, replay_ppb, Classifier, ExperimentScale, Workload, SERIAL,
+};
 use vflash::sim::Comparison;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -36,8 +39,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.capacity_bytes() as f64 / (1024.0 * 1024.0),
     );
 
-    let baseline = run_conventional(&trace, &config)?;
-    let variant = run_ppb(&trace, &config)?;
+    let baseline = replay_conventional(&trace, &config, SERIAL)?;
+    let variant =
+        replay_ppb(&trace, &config, PpbConfig::default(), Classifier::default(), SERIAL)?;
     println!("conventional FTL : {baseline}");
     println!("FTL with PPB     : {variant}");
 

@@ -1,8 +1,8 @@
 //! Queue-depth sweep: drive the same trace through the submission/completion API
 //! at increasing queue depths and watch IOPS climb while tail latency pays for it.
 //!
-//! Device state evolves identically at every depth — the event-driven
-//! [`QueuedReplayer`](vflash::sim::QueuedReplayer) only overlays *timing* — so the
+//! Device state evolves identically at every depth — the closed-loop
+//! [`WorkloadDriver`](vflash::sim::WorkloadDriver) only overlays *timing* — so the
 //! differences below are pure queuing effects: requests landing on distinct idle
 //! chips overlap, requests hitting the same chip queue behind each other.
 //!
@@ -15,7 +15,7 @@ use std::error::Error;
 use vflash::ftl::{ConventionalFtl, FtlConfig};
 use vflash::nand::NandDevice;
 use vflash::sim::experiments::{ExperimentScale, Workload, QUEUE_DEPTHS};
-use vflash::sim::{QueuedReplayer, RunOptions};
+use vflash::sim::{RunOptions, WorkloadDriver};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut qd1_iops = None;
     for &depth in &QUEUE_DEPTHS {
         let ftl = ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-        let summary = QueuedReplayer::new(RunOptions::default(), depth).run(ftl, &trace)?;
+        let summary = WorkloadDriver::closed_loop(RunOptions::default(), depth).run(ftl, &trace)?;
         let iops = summary.request_iops();
         let baseline = *qd1_iops.get_or_insert(iops);
         println!(

@@ -12,7 +12,7 @@ use std::error::Error;
 
 use vflash::ppb::PpbConfig;
 use vflash::sim::experiments::{
-    run_conventional, run_ppb, run_ppb_with, Classifier, ExperimentScale, Workload,
+    replay_conventional, replay_ppb, Classifier, ExperimentScale, Workload, SERIAL,
 };
 use vflash::sim::Comparison;
 
@@ -40,13 +40,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.page_size_bytes() / 1024,
     );
 
-    let baseline = run_conventional(&trace, &config)?;
+    let baseline = replay_conventional(&trace, &config, SERIAL)?;
     println!("conventional FTL           : {baseline}");
 
-    let ppb_size_check = run_ppb(&trace, &config)?;
+    let ppb_size_check =
+        replay_ppb(&trace, &config, PpbConfig::default(), Classifier::default(), SERIAL)?;
     println!("PPB (size-check stage)     : {ppb_size_check}");
 
-    let ppb_lru = run_ppb_with(&trace, &config, PpbConfig::default(), Classifier::TwoLevelLru)?;
+    let ppb_lru =
+        replay_ppb(&trace, &config, PpbConfig::default(), Classifier::TwoLevelLru, SERIAL)?;
     println!("PPB (two-level-LRU stage)  : {ppb_lru}");
 
     let size_check = Comparison::new(baseline.clone(), ppb_size_check);

@@ -1,17 +1,21 @@
-//! The refactor contract of the unified workload-driver engine.
+//! The contract of the workload-driver engine against an independent model.
 //!
-//! The serial `Replayer` and the event-driven `QueuedReplayer` used to be two
-//! separate drive loops; both are now thin wrappers over `WorkloadDriver`. This
-//! suite keeps verbatim **reference implementations of the pre-refactor loops**
-//! and proves the engine reproduces them bit-for-bit:
+//! The engine shares its timing core (`HostCalendar` + `LaneState`) with the
+//! fleet driver, so this suite keeps two **independent, trivially simple
+//! reference loops** — verbatim copies of the serial and the queued replayer
+//! the engine once replaced, sharing no code with it — and proves the engine
+//! reproduces them bit-for-bit:
 //!
-//! * `ClosedLoop { queue_depth: 1 }` ≡ the old serial replayer — same
+//! * `ClosedLoop { queue_depth: 1 }` ≡ the serial reference — same
 //!   `RunSummary` (every pre-refactor field) and same device state,
-//! * `ClosedLoop { queue_depth: N }` ≡ the old queued replayer, same guarantees,
-//! * and the new discipline behaves sanely at its limits: `OpenLoop` with
-//!   `rate_scale → ∞` converges exactly to closed-loop saturation throughput,
-//!   and at `rate_scale = 1` it reports queueing delay and service time
-//!   separately with achieved IOPS ≤ offered IOPS.
+//! * `ClosedLoop { queue_depth: N }` ≡ the queued reference, same guarantees,
+//! * queue depth only overlays timing: device-visible work is depth-invariant,
+//!   and depth buys throughput on a multi-chip device,
+//! * the open-loop discipline behaves sanely at its limits: `rate_scale → ∞`
+//!   converges exactly to closed-loop saturation throughput, and at
+//!   `rate_scale = 1` it reports queueing delay and service time separately
+//!   with achieved IOPS ≤ offered IOPS,
+//! * and golden fingerprints pin the simulated numbers themselves.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,10 +27,8 @@ use vflash::ftl::{
 };
 use vflash::nand::{ChipId, NandConfig, NandDevice, Nanos};
 use vflash::ppb::{PpbConfig, PpbFtl};
-use vflash::sim::{
-    LatencyHistogram, QueuedReplayer, Replayer, RunOptions, RunSummary, WorkloadDriver,
-};
-use vflash::trace::synthetic::{self, SkewedParams, SyntheticConfig};
+use vflash::sim::{ArrivalDiscipline, LatencyHistogram, RunOptions, RunSummary, WorkloadDriver};
+use vflash::trace::synthetic::{self, ArrivalModel, SkewedParams, SyntheticConfig};
 use vflash::trace::{IoOp, Trace};
 
 fn device(chips: usize) -> NandDevice {
@@ -93,7 +95,7 @@ fn makespan_delta<F: FlashTranslationLayer + ?Sized>(ftl: &F, start: &[Nanos]) -
 }
 
 /// A verbatim re-implementation of the pre-refactor **serial** replayer
-/// (`Replayer::run_mut` as of the queue-depth PR): scalar `read`/`write` calls,
+/// (its `run_mut` as of the queue-depth PR): scalar `read`/`write` calls,
 /// no op tracing, per-request latency = serial sum of page latencies.
 fn reference_serial<F: FlashTranslationLayer + ?Sized>(
     ftl: &mut F,
@@ -143,7 +145,7 @@ fn reference_serial<F: FlashTranslationLayer + ?Sized>(
 }
 
 /// A verbatim re-implementation of the pre-refactor **queued** replayer
-/// (`QueuedReplayer::run_mut`): op tracing on, per-chip ready clocks, a binary
+/// (its `run_mut`): op tracing on, per-chip ready clocks, a binary
 /// heap of in-flight completions handing out queue slots.
 fn reference_queued<F: FlashTranslationLayer + ?Sized>(
     ftl: &mut F,
@@ -289,7 +291,7 @@ fn closed_loop_depth_1_reproduces_the_pre_refactor_serial_replayer() {
             let mut engine_ftl = conventional(chips);
             let reference =
                 reference_serial(&mut reference_ftl, &trace, RunOptions::default()).unwrap();
-            let engine = Replayer::new(RunOptions::default())
+            let engine = WorkloadDriver::closed_loop(RunOptions::default(), 1)
                 .run_mut(&mut engine_ftl, &trace)
                 .unwrap();
             assert_reproduces_reference(
@@ -302,7 +304,7 @@ fn closed_loop_depth_1_reproduces_the_pre_refactor_serial_replayer() {
             let mut engine_ppb = ppb(chips);
             let reference =
                 reference_serial(&mut reference_ppb, &trace, RunOptions::default()).unwrap();
-            let engine = Replayer::new(RunOptions::default())
+            let engine = WorkloadDriver::closed_loop(RunOptions::default(), 1)
                 .run_mut(&mut engine_ppb, &trace)
                 .unwrap();
             assert_reproduces_reference(
@@ -324,7 +326,7 @@ fn closed_loop_depth_n_reproduces_the_pre_refactor_queued_replayer() {
             let reference =
                 reference_queued(&mut reference_ftl, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
+            let engine = WorkloadDriver::closed_loop(RunOptions::default(), depth)
                 .run_mut(&mut engine_ftl, &trace)
                 .unwrap();
             assert_reproduces_reference(
@@ -338,7 +340,7 @@ fn closed_loop_depth_n_reproduces_the_pre_refactor_queued_replayer() {
             let reference =
                 reference_queued(&mut reference_ppb, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
+            let engine = WorkloadDriver::closed_loop(RunOptions::default(), depth)
                 .run_mut(&mut engine_ppb, &trace)
                 .unwrap();
             assert_reproduces_reference(
@@ -366,7 +368,7 @@ fn no_prefill_paths_also_reproduce_the_references() {
     let mut reference_ftl = conventional(2);
     let mut engine_ftl = conventional(2);
     let reference = reference_serial(&mut reference_ftl, &trace, options).unwrap();
-    let engine = Replayer::new(options).run_mut(&mut engine_ftl, &trace).unwrap();
+    let engine = WorkloadDriver::closed_loop(options, 1).run_mut(&mut engine_ftl, &trace).unwrap();
     assert_reproduces_reference(
         (&reference, &reference_ftl),
         (&engine, &engine_ftl),
@@ -376,7 +378,7 @@ fn no_prefill_paths_also_reproduce_the_references() {
     let mut reference_ftl = conventional(2);
     let mut engine_ftl = conventional(2);
     let reference = reference_queued(&mut reference_ftl, &trace, options, 8).unwrap();
-    let engine = QueuedReplayer::new(options, 8).run_mut(&mut engine_ftl, &trace).unwrap();
+    let engine = WorkloadDriver::closed_loop(options, 8).run_mut(&mut engine_ftl, &trace).unwrap();
     assert_reproduces_reference(
         (&reference, &reference_ftl),
         (&engine, &engine_ftl),
@@ -404,7 +406,7 @@ fn open_loop_at_infinite_rate_converges_to_closed_loop_saturation() {
     let open = WorkloadDriver::open_loop(RunOptions::default(), infinite)
         .run(conventional(8), &trace)
         .unwrap();
-    let saturated = QueuedReplayer::new(RunOptions::default(), trace.len())
+    let saturated = WorkloadDriver::closed_loop(RunOptions::default(), trace.len())
         .run(conventional(8), &trace)
         .unwrap();
     assert_eq!(
@@ -452,6 +454,157 @@ fn open_loop_at_unit_rate_reports_the_queueing_split() {
     }
 }
 
+/// The queue-depth acceptance criterion: on an 8-chip device, QD 64 beats QD 1 on
+/// a read-heavy trace, and the percentile fields are populated.
+#[test]
+fn qd64_on_8_chips_outruns_qd1_on_a_read_heavy_trace() {
+    let trace = synthetic::skewed(
+        SyntheticConfig {
+            requests: 4_000,
+            seed: 11,
+            working_set_bytes: 4 * 1024 * 1024,
+            ..Default::default()
+        },
+        SkewedParams {
+            read_ratio: 0.9,
+            min_request_bytes: 4096,
+            max_request_bytes: 4096,
+            ..SkewedParams::default()
+        },
+    );
+    let at_depth = |depth| {
+        WorkloadDriver::closed_loop(RunOptions::default(), depth)
+            .run(conventional(8), &trace)
+            .unwrap()
+    };
+    let (qd1, qd64) = (at_depth(1), at_depth(64));
+
+    assert_eq!(qd1.queue_depth, 1);
+    assert_eq!(qd64.queue_depth, 64);
+    // Same device work at both depths; only the timing overlay differs.
+    assert_eq!(qd1.host_reads, qd64.host_reads);
+    assert_eq!(qd1.erased_blocks, qd64.erased_blocks);
+    assert!(
+        qd64.request_iops() > qd1.request_iops() * 2.0,
+        "QD64 should clearly outrun QD1 on 8 chips: {} vs {} IOPS",
+        qd64.request_iops(),
+        qd1.request_iops()
+    );
+    for summary in [&qd1, &qd64] {
+        let read = &summary.read_latency;
+        assert!(read.p50 > vflash::nand::Nanos::ZERO);
+        assert!(read.p50 <= read.p95 && read.p95 <= read.p99 && read.p99 <= read.max);
+        assert!(summary.request_iops() > 0.0);
+    }
+    // Depth trades tail latency for throughput.
+    assert!(qd64.read_latency.p99 >= qd1.read_latency.p99);
+}
+
+/// The simulated numbers of one engine run that a restructuring of the drive
+/// loop must not move: the latency split, the replay clock, the flash wear and
+/// the backlog statistics.
+#[derive(Debug, PartialEq)]
+struct TimingFingerprint {
+    /// Read mean, read p99.9, write mean, write p99.9, queue-delay p99,
+    /// `host_elapsed`.
+    nanos: [u64; 6],
+    erased_blocks: u64,
+    gc_copied_pages: u64,
+    peak_queue_depth: usize,
+    busy_arrivals: u64,
+}
+
+fn timing_fingerprint(summary: &RunSummary) -> TimingFingerprint {
+    let (read, write) = (&summary.read_latency, &summary.write_latency);
+    TimingFingerprint {
+        nanos: [
+            read.mean.0,
+            read.p999.0,
+            write.mean.0,
+            write.p999.0,
+            summary.queue_delay.p99.0,
+            summary.host_elapsed.0,
+        ],
+        erased_blocks: summary.erased_blocks,
+        gc_copied_pages: summary.gc_copied_pages,
+        peak_queue_depth: summary.peak_queue_depth,
+        busy_arrivals: summary.busy_arrivals,
+    }
+}
+
+/// Golden values captured on the parent commit, where the engine and the fleet
+/// each carried their own copy of the timing rule: "simulated results
+/// unchanged" is a tier-1 assertion here, not only a benchmark fingerprint.
+/// One write-heavy web/SQL trace (enough churn to garbage-collect) on 4 chips,
+/// both FTLs, under the scalar QD-1 path, the calendar path at QD 16 and open
+/// loop at the trace's own clock (bursty Pareto arrivals at about two thirds of
+/// the device's saturation rate, so some arrivals queue and some find it idle).
+#[test]
+fn engine_summaries_match_the_golden_fingerprint() {
+    let golden = |nanos, erased_blocks, gc_copied_pages, peak_queue_depth, busy_arrivals| {
+        TimingFingerprint { nanos, erased_blocks, gc_copied_pages, peak_queue_depth, busy_arrivals }
+    };
+    let closed = |queue_depth| ArrivalDiscipline::ClosedLoop { queue_depth };
+    let cases = [
+        (
+            closed(1),
+            golden([280048, 718645, 3734196, 24117247, 0, 11258643975], 975, 1480, 1, 0),
+            golden([279450, 789695, 4248625, 26214399, 0, 12683223745], 1107, 3606, 1, 0),
+        ),
+        (
+            closed(16),
+            golden(
+                [23264478, 69206015, 30068871, 75497471, 61865983, 9921309065],
+                975,
+                1480,
+                16,
+                5999,
+            ),
+            golden(
+                [28957796, 92274687, 33923452, 96468991, 71303167, 11729846245],
+                1107,
+                3606,
+                16,
+                5999,
+            ),
+        ),
+        (
+            ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },
+            golden(
+                [11161682, 73400319, 17163705, 83068955, 58720255, 14016536454],
+                975,
+                1480,
+                36,
+                4404,
+            ),
+            golden(
+                [55203848, 230686719, 59123260, 239075327, 218103807, 14191351417],
+                1107,
+                3606,
+                102,
+                5069,
+            ),
+        ),
+    ];
+    let trace = synthetic::web_sql_server(SyntheticConfig {
+        requests: 6_000,
+        seed: 29,
+        working_set_bytes: 8 * 1024 * 1024,
+        arrival: ArrivalModel::Pareto { shape: 1.5, mean_iops: 400.0 },
+    });
+    for (discipline, conventional_golden, ppb_golden) in cases {
+        let driver = WorkloadDriver::new(RunOptions::default(), discipline);
+        let summary = driver.run(conventional(4), &trace).unwrap();
+        assert_eq!(
+            timing_fingerprint(&summary),
+            conventional_golden,
+            "conventional, {discipline:?}"
+        );
+        let summary = driver.run(ppb(4), &trace).unwrap();
+        assert_eq!(timing_fingerprint(&summary), ppb_golden, "PPB, {discipline:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -476,7 +629,9 @@ proptest! {
         let mut reference_ftl = conventional(chips);
         let mut engine_ftl = conventional(chips);
         let reference = reference_serial(&mut reference_ftl, &trace, RunOptions::default()).unwrap();
-        let engine = Replayer::new(RunOptions::default()).run_mut(&mut engine_ftl, &trace).unwrap();
+        let engine = WorkloadDriver::closed_loop(RunOptions::default(), 1)
+            .run_mut(&mut engine_ftl, &trace)
+            .unwrap();
         prop_assert_eq!(&reference.read_latency, &engine.read_latency);
         prop_assert_eq!(reference.host_elapsed, engine.host_elapsed);
         prop_assert_eq!(reference.host_requests, engine.host_requests);
@@ -519,7 +674,7 @@ proptest! {
             let reference =
                 reference_queued(&mut reference_ftl, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
+            let engine = WorkloadDriver::closed_loop(RunOptions::default(), depth)
                 .run_mut(&mut engine_ftl, &trace)
                 .unwrap();
             assert_reproduces_reference(
@@ -533,7 +688,7 @@ proptest! {
             let reference =
                 reference_queued(&mut reference_ftl, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
+            let engine = WorkloadDriver::closed_loop(RunOptions::default(), depth)
                 .run_mut(&mut engine_ftl, &trace)
                 .unwrap();
             assert_reproduces_reference(
@@ -561,7 +716,9 @@ proptest! {
             },
             SkewedParams::default(),
         );
-        let closed = Replayer::new(RunOptions::default()).run(conventional(4), &trace).unwrap();
+        let closed = WorkloadDriver::closed_loop(RunOptions::default(), 1)
+            .run(conventional(4), &trace)
+            .unwrap();
         let open = WorkloadDriver::open_loop(RunOptions::default(), rate_scale)
             .run(conventional(4), &trace)
             .unwrap();
@@ -576,5 +733,39 @@ proptest! {
         prop_assert!(open.request_iops() <= open.offered_iops());
         prop_assert!(open.host_elapsed >= open.offered_duration);
         prop_assert!(open.host_elapsed >= open.device_makespan);
+    }
+
+    /// At any depth, device-visible work is identical to the serial replay; only
+    /// timing differs. (The timing overlay must never change what the FTL does.)
+    #[test]
+    fn any_depth_preserves_device_state_evolution(
+        depth in 1usize..80,
+        seed in 0u64..1_000,
+    ) {
+        let trace = synthetic::skewed(
+            SyntheticConfig {
+                requests: 300,
+                seed,
+                working_set_bytes: 1024 * 1024,
+                ..Default::default()
+            },
+            SkewedParams::default(),
+        );
+        let serial = WorkloadDriver::closed_loop(RunOptions::default(), 1)
+            .run(conventional(4), &trace)
+            .unwrap();
+        let queued = WorkloadDriver::closed_loop(RunOptions::default(), depth)
+            .run(conventional(4), &trace)
+            .unwrap();
+        prop_assert_eq!(serial.host_reads, queued.host_reads);
+        prop_assert_eq!(serial.host_writes, queued.host_writes);
+        prop_assert_eq!(serial.read_time, queued.read_time);
+        prop_assert_eq!(serial.write_time, queued.write_time);
+        prop_assert_eq!(serial.erased_blocks, queued.erased_blocks);
+        prop_assert_eq!(serial.device_makespan, queued.device_makespan);
+        // The overlay is bounded below by the busiest chip and above by the
+        // serial sum.
+        prop_assert!(queued.host_elapsed >= queued.device_makespan);
+        prop_assert!(queued.host_elapsed <= serial.host_elapsed);
     }
 }

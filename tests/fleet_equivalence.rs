@@ -3,10 +3,10 @@
 //! A 1-wide [`Fleet`] with the cache disabled and a single tenant is the
 //! single-device engine wearing a different coat: the stripe map is the
 //! identity, every request's stripe chain is the engine's dependent chain, and
-//! the fleet completion calendar sees exactly the instants the engine's
-//! calendar would. This suite proves the claim the same way
-//! `tests/engine_equivalence.rs` proves the replayer refactor — **bit-for-bit**
-//! — against the engine itself:
+//! the calendar sees exactly the instants it sees under the engine. Both
+//! drivers call the same timing core (`HostCalendar` + `LaneState`), so this
+//! suite checks what the fleet adds around it — routing, fan-out, roll-ups —
+//! **bit-for-bit** against the engine itself:
 //!
 //! * the lane's [`RunSummary`] equals a [`WorkloadDriver`] run of the same
 //!   trace field for field (the whole struct, not a projection),
@@ -14,7 +14,9 @@
 //!   chip, FTL metrics),
 //! * on both FTLs, under closed loop (depth 1 and 8) and open loop (rate 1.0
 //!   and 2.0), with and without prefill, and on random traces × random
-//!   disciplines via proptest.
+//!   disciplines via proptest,
+//! * and at width 4, lane 0 reports what the engine reports when every
+//!   request stripes onto it.
 
 use proptest::prelude::*;
 
@@ -213,6 +215,71 @@ fn fleet_of_one_reproduces_the_engine_without_prefill() {
             discipline,
             &format!("ppb, no prefill, {discipline:?}"),
         );
+    }
+}
+
+/// The width-1 guarantee, carried to a wide fleet: when every request of a
+/// width-W trace is a single page at `offset = k * W * page_size`, the stripe
+/// map sends all of them to lane 0 at device page `k`, so lane 0 must report
+/// exactly what the engine reports for the de-striped trace (`offset = k *
+/// page_size`) on one device — the other lanes stay idle and must not leak
+/// into lane 0's clocks, histograms or backlog statistics.
+#[test]
+fn lane_zero_of_a_wide_fleet_reproduces_the_engine_on_the_destriped_trace() {
+    const WIDTH: usize = 4;
+    const PAGE: u64 = 4096;
+    // Page indices past one lane's capacity exercise the wrap on both sides.
+    let pages: Vec<(IoOp, u64)> = (0..3_000u64)
+        .map(|i| {
+            let op = if i % 3 == 0 { IoOp::Write } else { IoOp::Read };
+            (op, i * 7919 % 5_000)
+        })
+        .collect();
+    let trace_at = |stride: u64| {
+        let requests = pages
+            .iter()
+            .enumerate()
+            .map(|(i, &(op, k))| {
+                IoRequest::new(i as u64 * 40_000, op, k * stride * PAGE, PAGE as u32)
+            })
+            .collect();
+        Trace::new("lane-zero", requests)
+    };
+    let (striped, destriped) = (trace_at(WIDTH as u64), trace_at(1));
+
+    fn check<F: FlashTranslationLayer>(
+        make: impl Fn() -> F,
+        striped: &Trace,
+        destriped: &Trace,
+        discipline: ArrivalDiscipline,
+        context: &str,
+    ) {
+        let options = RunOptions::default();
+        let mut single = make();
+        let engine =
+            WorkloadDriver::new(options, discipline).run_mut(&mut single, destriped).unwrap();
+        let lanes = (0..WIDTH).map(|_| make()).collect();
+        let mut fleet = Fleet::new(lanes, FleetConfig::default());
+        let summary = FleetDriver::new(options, discipline).run_mut(&mut fleet, striped).unwrap();
+        assert_eq!(summary.lanes[0], engine, "{context}: lane 0 RunSummary");
+        assert_eq!(single.metrics(), fleet.lanes()[0].metrics(), "{context}: FTL metrics differ");
+        assert_eq!(
+            single.device().stats(),
+            fleet.lanes()[0].device().stats(),
+            "{context}: device stats differ"
+        );
+        for idle in &summary.lanes[1..] {
+            assert_eq!(idle.host_requests, 0, "{context}: only lane 0 is addressed");
+        }
+    }
+    for discipline in [
+        ArrivalDiscipline::ClosedLoop { queue_depth: 1 },
+        ArrivalDiscipline::ClosedLoop { queue_depth: 8 },
+        ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },
+    ] {
+        let context = format!("conventional, {discipline:?}");
+        check(|| conventional(2), &striped, &destriped, discipline, &context);
+        check(|| ppb(2), &striped, &destriped, discipline, &format!("ppb, {discipline:?}"));
     }
 }
 

@@ -14,8 +14,8 @@ use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError};
 use vflash::nand::{FaultConfig, NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
 use vflash::sim::experiments::ExperimentScale;
-use vflash::sim::{ExperimentGrid, ParallelRunner, RunOptions};
-use vflash::trace::synthetic::{self, SyntheticConfig};
+use vflash::sim::{ArrivalDiscipline, ExperimentGrid, ParallelRunner, RunOptions};
+use vflash::trace::synthetic::{self, ArrivalModel, SyntheticConfig};
 use vflash::trace::{IoOp, IoRequest, Trace};
 
 // ---------------------------------------------------------------------------
@@ -506,6 +506,134 @@ fn cached_fleet_summaries_match_the_golden_fingerprint() {
         assert_eq!(fingerprint(&summary), conventional, "conventional, threshold {threshold}");
         let summary = run_cached_fleet(ppb_lanes(healthy), config(), &trace).unwrap();
         assert_eq!(fingerprint(&summary), ppb, "PPB, threshold {threshold}");
+    }
+}
+
+/// The simulated numbers of one cache-off striped run that a restructuring of
+/// the drive loop must not move: the fan-out latency split, the replay clock,
+/// each lane's queueing tail, the flash wear and the backlog statistics.
+#[derive(Debug, PartialEq)]
+struct StripedRunFingerprint {
+    /// Fan-out read mean, read p99.9, write mean, write p99.9, `host_elapsed`.
+    fanout_nanos: [u64; 5],
+    /// Queue-delay p99 of each lane, in stripe order.
+    lane_queue_delay_p99: [u64; 4],
+    erased_blocks: u64,
+    gc_copied_pages: u64,
+    peak_queue_depth: usize,
+    busy_arrivals: u64,
+}
+
+fn striped_fingerprint(summary: &FleetSummary) -> StripedRunFingerprint {
+    let (read, write) = (&summary.fanout_read_latency, &summary.fanout_write_latency);
+    let lane_queue_delay_p99: Vec<u64> =
+        summary.lanes.iter().map(|lane| lane.queue_delay.p99.0).collect();
+    StripedRunFingerprint {
+        fanout_nanos: [
+            read.mean.0,
+            read.p999.0,
+            write.mean.0,
+            write.p999.0,
+            summary.host_elapsed.0,
+        ],
+        lane_queue_delay_p99: lane_queue_delay_p99.try_into().expect("a width-4 fleet"),
+        erased_blocks: summary.lanes.iter().map(|lane| lane.erased_blocks).sum(),
+        gc_copied_pages: summary.lanes.iter().map(|lane| lane.gc_copied_pages).sum(),
+        peak_queue_depth: summary.peak_queue_depth,
+        busy_arrivals: summary.busy_arrivals,
+    }
+}
+
+/// Golden values captured on the parent commit, where the fleet carried its
+/// own copy of the engine's timing rule, for the configuration no engine
+/// equivalence reaches: width 4, cache off, two tenants weighted 3:1 (so
+/// closed loop dispatches in QoS order), both FTLs, under closed loop at depth
+/// 1 (op tracing off) and 16 and open loop at the trace's own clock.
+#[test]
+fn striped_fleet_summaries_match_the_golden_fingerprint() {
+    let golden = |fanout_nanos,
+                  lane_queue_delay_p99,
+                  erased_blocks,
+                  gc_copied_pages,
+                  peak_queue_depth,
+                  busy_arrivals| StripedRunFingerprint {
+        fanout_nanos,
+        lane_queue_delay_p99,
+        erased_blocks,
+        gc_copied_pages,
+        peak_queue_depth,
+        busy_arrivals,
+    };
+    let closed = |queue_depth| ArrivalDiscipline::ClosedLoop { queue_depth };
+    let cases = [
+        (
+            closed(1),
+            golden([91085, 191477, 1850871, 22020095, 7208218958], [0; 4], 772, 2658, 1, 0),
+            golden([88474, 191477, 1913520, 23592959, 7427613707], [0; 4], 814, 3296, 1, 0),
+        ),
+        (
+            closed(16),
+            golden(
+                [6235627, 25165823, 7033443, 27787263, 3316422284],
+                [20971519, 21495807, 20971519, 20971519],
+                772,
+                2658,
+                16,
+                7999,
+            ),
+            golden(
+                [6594320, 29360127, 6750860, 30408703, 3344087153],
+                [19922943, 22544383, 20447231, 21495807],
+                814,
+                3296,
+                16,
+                7999,
+            ),
+        ),
+        (
+            ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },
+            golden(
+                [4101877, 24117247, 5009802, 23592959, 5301103825],
+                [16777215, 18874367, 17825791, 18350079],
+                723,
+                1897,
+                36,
+                6419,
+            ),
+            golden(
+                [4874414, 29360127, 5153469, 31981567, 5304275219],
+                [18350079, 20971519, 19922943, 20971519],
+                782,
+                2802,
+                40,
+                6605,
+            ),
+        ),
+    ];
+    let trace = synthetic::web_sql_server(SyntheticConfig {
+        requests: 8_000,
+        seed: 31,
+        working_set_bytes: 20 * 1024 * 1024,
+        arrival: ArrivalModel::Pareto { shape: 1.5, mean_iops: 1_500.0 },
+    });
+    let healthy = FaultConfig::disabled();
+    let config = || FleetConfig {
+        cache: None,
+        tenants: vec![TenantWeight::new("gold", 3), TenantWeight::new("bronze", 1)],
+    };
+    fn wide<F>(pair: impl Fn() -> Vec<F>) -> Vec<F> {
+        let mut lanes = pair();
+        lanes.extend(pair());
+        lanes
+    }
+    for (discipline, conventional, ppb) in cases {
+        let driver = FleetDriver::new(RunOptions::default(), discipline);
+        let fleet = Fleet::new(wide(|| conventional_lanes(healthy)), config());
+        let summary = driver.run(fleet, &trace).unwrap();
+        assert_eq!(striped_fingerprint(&summary), conventional, "conventional, {discipline:?}");
+        let fleet = Fleet::new(wide(|| ppb_lanes(healthy)), config());
+        let summary = driver.run(fleet, &trace).unwrap();
+        assert_eq!(striped_fingerprint(&summary), ppb, "PPB, {discipline:?}");
     }
 }
 

@@ -58,7 +58,7 @@ fn every_reexported_module_is_reachable() {
         .expect("ftl builds");
     // Requests span multiple flash pages, so the replayer serves at least one page
     // operation per trace request.
-    let summary = vflash::sim::Replayer::new(vflash::sim::RunOptions::default())
+    let summary = vflash::sim::WorkloadDriver::closed_loop(vflash::sim::RunOptions::default(), 1)
         .run(ftl, &trace)
         .expect("replay succeeds");
     assert!(summary.host_reads + summary.host_writes >= 100);

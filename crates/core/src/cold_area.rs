@@ -1,18 +1,18 @@
 //! The cold data area: an access-frequency table for cold and icy-cold entries.
 
-use std::collections::BTreeMap;
-
-use vflash_ftl::fx::FxHashMap;
 use vflash_ftl::Lpn;
 
 use crate::hotness::Hotness;
+
+/// `pos` value of an LPN the table does not track.
+const UNTRACKED: u32 = u32::MAX;
 
 /// Where one tracked entry lives: its clamped read count (= bucket index) and its
 /// position inside that bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     count: u32,
-    pos: usize,
+    pos: u32,
 }
 
 /// Cold-area bookkeeping (paper Figure 11).
@@ -29,13 +29,13 @@ struct Slot {
 /// # Complexity
 ///
 /// The table sits on the host write path and its capacity scales with the logical
-/// address space, so every operation — including overflow eviction — must be O(1).
+/// address space, so no operation — overflow eviction included — may scan entries.
 /// Entries are therefore kept in per-read-count buckets: read counts are clamped to
 /// the promotion threshold (beyond it the level no longer changes), bucket moves on
 /// reads are position-mapped swaps, and eviction pops from the lowest occupied
-/// bucket, choosing an arbitrary but deterministic least-read victim. Only occupied
-/// buckets are stored, so memory stays O(entries) and eviction costs
-/// O(log occupied-buckets) no matter how large the promotion threshold is.
+/// bucket (of `promote_reads + 1`), an arbitrary but deterministic least-read
+/// victim. Each entry's bucket and position live in a dense table indexed by LPN —
+/// one load, no hashing, 8 bytes per logical page, sized once at construction.
 ///
 /// # Example
 ///
@@ -43,7 +43,7 @@ struct Slot {
 /// use vflash_ftl::Lpn;
 /// use vflash_ppb::{ColdArea, Hotness};
 ///
-/// let mut area = ColdArea::new(64, 1);
+/// let mut area = ColdArea::new(1_000, 64, 1);
 /// area.on_write(Lpn(5));
 /// assert_eq!(area.level_of(Lpn(5)), Some(Hotness::IcyCold));
 /// area.on_read(Lpn(5));
@@ -55,32 +55,32 @@ struct Slot {
 /// on overflow, so they are genuinely different states and compare unequal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColdArea {
-    /// Keyed by the deterministic [`fx`](vflash_ftl::fx) hasher: the table is
-    /// probed on every host write and read, where SipHash would cost more
-    /// than the bucket operation. Eviction order never depends on this map's
-    /// iteration order (it comes from `buckets`), so the hash choice cannot
-    /// affect simulated behaviour.
-    slots: FxHashMap<Lpn, Slot>,
+    /// `slots[lpn]` locates a tracked entry inside `buckets`; eviction order never
+    /// depends on this table (it comes from `buckets`).
+    slots: Vec<Slot>,
     /// `buckets[count]` holds every entry whose clamped read count is `count`.
-    /// Empty buckets are removed, so the first entry is always the lowest occupied
-    /// count (the eviction source).
-    buckets: BTreeMap<u32, Vec<Lpn>>,
+    buckets: Vec<Vec<Lpn>>,
+    len: usize,
     capacity: usize,
     promote_reads: u32,
 }
 
 impl ColdArea {
-    /// Creates the cold area with the given table capacity and promotion threshold.
+    /// Creates the cold area for LPNs in `0..logical_pages` with the given table
+    /// capacity and promotion threshold. Tracking an LPN outside that range panics.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` or `promote_reads` is zero.
-    pub fn new(capacity: usize, promote_reads: u32) -> Self {
+    /// Panics if `capacity` or `promote_reads` is zero, or `capacity` does not fit
+    /// a `u32` position.
+    pub fn new(logical_pages: u64, capacity: usize, promote_reads: u32) -> Self {
         assert!(capacity > 0, "cold table capacity must be positive");
+        assert!(capacity < UNTRACKED as usize, "cold table capacity must fit in u32");
         assert!(promote_reads > 0, "promotion threshold must be positive");
         ColdArea {
-            slots: FxHashMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
-            buckets: BTreeMap::new(),
+            slots: vec![Slot { count: 0, pos: UNTRACKED }; logical_pages as usize],
+            buckets: vec![Vec::new(); promote_reads as usize + 1],
+            len: 0,
             capacity,
             promote_reads,
         }
@@ -88,35 +88,37 @@ impl ColdArea {
 
     /// Number of entries currently tracked.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
+    }
+
+    fn slot(&self, lpn: Lpn) -> Option<Slot> {
+        self.slots.get(lpn.as_usize()).copied().filter(|slot| slot.pos != UNTRACKED)
     }
 
     /// Whether `lpn` is tracked.
     pub fn contains(&self, lpn: Lpn) -> bool {
-        self.slots.contains_key(&lpn)
+        self.slot(lpn).is_some()
     }
 
     /// The hotness level the cold area assigns to `lpn`, if tracked. Untracked LPNs
     /// are treated as icy-cold by the caller.
     pub fn level_of(&self, lpn: Lpn) -> Option<Hotness> {
-        self.slots.get(&lpn).map(|slot| {
-            if slot.count >= self.promote_reads {
-                Hotness::Cold
-            } else {
-                Hotness::IcyCold
-            }
-        })
+        self.slot(lpn).map(|slot| self.level(slot.count))
+    }
+
+    fn level(&self, count: u32) -> Hotness {
+        if count >= self.promote_reads { Hotness::Cold } else { Hotness::IcyCold }
     }
 
     /// Number of recorded reads for `lpn`, clamped to the promotion threshold (more
     /// reads no longer change the entry's level, so they are not counted).
     pub fn read_count(&self, lpn: Lpn) -> u32 {
-        self.slots.get(&lpn).map(|slot| slot.count).unwrap_or(0)
+        self.slot(lpn).map(|slot| slot.count).unwrap_or(0)
     }
 
     /// Starts (or restarts) tracking `lpn` after a cold-classified write. The read
@@ -138,60 +140,60 @@ impl ColdArea {
     /// Records a read of `lpn` if it is tracked. Returns the new level, or `None` if
     /// the LPN is not tracked by the cold area.
     pub fn on_read(&mut self, lpn: Lpn) -> Option<Hotness> {
-        let count = self.slots.get(&lpn)?.count;
+        let count = self.slot(lpn)?.count;
         let bumped = count.saturating_add(1).min(self.promote_reads);
         if bumped != count {
             self.set_count(lpn, bumped);
         }
-        Some(if bumped >= self.promote_reads { Hotness::Cold } else { Hotness::IcyCold })
+        Some(self.level(bumped))
     }
 
     /// Stops tracking `lpn` (used when it is re-classified hot). Returns `true` if it
     /// was tracked.
     pub fn remove(&mut self, lpn: Lpn) -> bool {
-        let Some(slot) = self.slots.remove(&lpn) else { return false };
+        let Some(slot) = self.slot(lpn) else { return false };
         self.detach(lpn, slot);
         true
     }
 
-    /// Removes `lpn` from its bucket (the map entry is handled by the caller).
+    /// Removes `lpn` from its bucket and untracks it.
     fn detach(&mut self, lpn: Lpn, slot: Slot) {
-        let bucket = self.buckets.get_mut(&slot.count).expect("tracked entries have a bucket");
-        debug_assert_eq!(bucket[slot.pos], lpn);
-        bucket.swap_remove(slot.pos);
-        if let Some(&moved) = bucket.get(slot.pos) {
-            self.slots.get_mut(&moved).expect("bucket entries are tracked").pos = slot.pos;
-        } else if bucket.is_empty() {
-            self.buckets.remove(&slot.count);
+        let bucket = &mut self.buckets[slot.count as usize];
+        debug_assert_eq!(bucket[slot.pos as usize], lpn);
+        bucket.swap_remove(slot.pos as usize);
+        if let Some(&moved) = bucket.get(slot.pos as usize) {
+            self.slots[moved.as_usize()].pos = slot.pos;
         }
+        self.slots[lpn.as_usize()].pos = UNTRACKED;
+        self.len -= 1;
     }
 
     /// Inserts `lpn` with the given clamped count, or moves it to that bucket.
     fn set_count(&mut self, lpn: Lpn, count: u32) {
-        if let Some(slot) = self.slots.get(&lpn).copied() {
+        if let Some(slot) = self.slot(lpn) {
             if slot.count == count {
                 return;
             }
             self.detach(lpn, slot);
         }
-        let bucket = self.buckets.entry(count).or_default();
+        let bucket = &mut self.buckets[count as usize];
+        self.slots[lpn.as_usize()] = Slot { count, pos: bucket.len() as u32 };
         bucket.push(lpn);
-        self.slots.insert(lpn, Slot { count, pos: bucket.len() - 1 });
+        self.len += 1;
     }
 
     fn evict_if_needed_for(&mut self, lpn: Lpn) {
-        if self.slots.len() < self.capacity || self.slots.contains_key(&lpn) {
+        if self.len < self.capacity || self.contains(lpn) {
             return;
         }
         // Drop a least-read entry: it is the best icy-cold candidate and losing its
-        // history is harmless (untracked entries are icy-cold anyway). Buckets are
-        // never left empty, so the first one holds the lowest read count.
-        let Some((&count, bucket)) = self.buckets.iter_mut().next() else { return };
-        let victim = bucket.pop().expect("buckets are never left empty");
-        if bucket.is_empty() {
-            self.buckets.remove(&count);
-        }
-        self.slots.remove(&victim);
+        // history is harmless (untracked entries are icy-cold anyway).
+        let Some(bucket) = self.buckets.iter_mut().find(|bucket| !bucket.is_empty()) else {
+            return;
+        };
+        let victim = bucket.pop().expect("the bucket was just found occupied");
+        self.slots[victim.as_usize()].pos = UNTRACKED;
+        self.len -= 1;
     }
 }
 
@@ -201,7 +203,7 @@ mod tests {
 
     #[test]
     fn writes_enter_as_icy_cold() {
-        let mut area = ColdArea::new(16, 1);
+        let mut area = ColdArea::new(64, 16, 1);
         area.on_write(Lpn(1));
         assert_eq!(area.level_of(Lpn(1)), Some(Hotness::IcyCold));
         assert_eq!(area.read_count(Lpn(1)), 0);
@@ -211,7 +213,7 @@ mod tests {
 
     #[test]
     fn reads_promote_to_cold_at_the_threshold() {
-        let mut area = ColdArea::new(16, 2);
+        let mut area = ColdArea::new(64, 16, 2);
         area.on_write(Lpn(1));
         assert_eq!(area.on_read(Lpn(1)), Some(Hotness::IcyCold));
         assert_eq!(area.on_read(Lpn(1)), Some(Hotness::Cold));
@@ -220,14 +222,14 @@ mod tests {
 
     #[test]
     fn reads_of_untracked_entries_return_none() {
-        let mut area = ColdArea::new(16, 1);
+        let mut area = ColdArea::new(64, 16, 1);
         assert_eq!(area.on_read(Lpn(7)), None);
         assert_eq!(area.level_of(Lpn(7)), None);
     }
 
     #[test]
     fn rewrites_reset_the_read_history() {
-        let mut area = ColdArea::new(16, 1);
+        let mut area = ColdArea::new(64, 16, 1);
         area.on_write(Lpn(1));
         area.on_read(Lpn(1));
         assert_eq!(area.level_of(Lpn(1)), Some(Hotness::Cold));
@@ -237,14 +239,14 @@ mod tests {
 
     #[test]
     fn demoted_entries_enter_as_cold() {
-        let mut area = ColdArea::new(16, 2);
+        let mut area = ColdArea::new(64, 16, 2);
         area.insert_demoted(Lpn(3));
         assert_eq!(area.level_of(Lpn(3)), Some(Hotness::Cold));
     }
 
     #[test]
     fn overflow_evicts_a_least_read_entry() {
-        let mut area = ColdArea::new(2, 1);
+        let mut area = ColdArea::new(64, 2, 1);
         area.on_write(Lpn(1));
         area.on_write(Lpn(2));
         area.on_read(Lpn(1));
@@ -258,7 +260,7 @@ mod tests {
 
     #[test]
     fn rewriting_tracked_entry_at_capacity_does_not_evict_others() {
-        let mut area = ColdArea::new(2, 1);
+        let mut area = ColdArea::new(64, 2, 1);
         area.on_write(Lpn(1));
         area.on_write(Lpn(2));
         area.on_write(Lpn(2));
@@ -268,7 +270,7 @@ mod tests {
 
     #[test]
     fn remove_untracks() {
-        let mut area = ColdArea::new(4, 1);
+        let mut area = ColdArea::new(64, 4, 1);
         area.on_write(Lpn(1));
         assert!(area.remove(Lpn(1)));
         assert!(!area.remove(Lpn(1)));
@@ -277,7 +279,7 @@ mod tests {
 
     #[test]
     fn read_counts_clamp_at_the_promotion_threshold() {
-        let mut area = ColdArea::new(4, 2);
+        let mut area = ColdArea::new(64, 4, 2);
         area.on_write(Lpn(1));
         for _ in 0..10 {
             area.on_read(Lpn(1));
@@ -288,7 +290,7 @@ mod tests {
 
     #[test]
     fn eviction_prefers_lower_buckets_even_after_bucket_churn() {
-        let mut area = ColdArea::new(3, 2);
+        let mut area = ColdArea::new(64, 3, 2);
         area.on_write(Lpn(1));
         area.on_write(Lpn(2));
         area.on_write(Lpn(3));
@@ -305,7 +307,7 @@ mod tests {
 
     #[test]
     fn bucket_positions_stay_consistent_under_interleaved_removal() {
-        let mut area = ColdArea::new(8, 1);
+        let mut area = ColdArea::new(64, 8, 1);
         for lpn in 0..6 {
             area.on_write(Lpn(lpn));
         }
@@ -325,7 +327,7 @@ mod tests {
         use std::collections::HashMap;
         let capacity = 8usize;
         let promote = 2u32;
-        let mut area = ColdArea::new(capacity, promote);
+        let mut area = ColdArea::new(64, capacity, promote);
         let mut model: HashMap<u64, u32> = HashMap::new();
         let mut state = 0x1234_5678_u64;
         for _ in 0..4_000 {

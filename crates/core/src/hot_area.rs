@@ -29,7 +29,9 @@ pub enum PromotionOutcome {
 /// demoted out of the hot area entirely (the caller moves it to the cold area).
 ///
 /// Promotion and demotion here are *bookkeeping only* — the data is moved to a page of
-/// suitable speed later, on its next update or during garbage collection.
+/// suitable speed later, on its next update or during garbage collection. Both
+/// lists are LPN-indexed ([`LruList`]): every operation is O(1) and hash-free, at
+/// 16 bytes per logical page for the pair, sized once at construction.
 ///
 /// # Example
 ///
@@ -37,7 +39,7 @@ pub enum PromotionOutcome {
 /// use vflash_ftl::Lpn;
 /// use vflash_ppb::{HotArea, Hotness, PromotionOutcome};
 ///
-/// let mut area = HotArea::new(8, 8);
+/// let mut area = HotArea::new(1_000, 8, 8);
 /// area.on_write(Lpn(1));
 /// assert_eq!(area.level_of(Lpn(1)), Some(Hotness::Hot));
 /// assert!(matches!(area.on_read(Lpn(1)), PromotionOutcome::Promoted { .. }));
@@ -50,13 +52,17 @@ pub struct HotArea {
 }
 
 impl HotArea {
-    /// Creates the hot area with the given list capacities.
+    /// Creates the hot area for LPNs in `0..logical_pages` with the given capacities.
     ///
     /// # Panics
     ///
     /// Panics if either capacity is zero.
-    pub fn new(hot_capacity: usize, iron_hot_capacity: usize) -> Self {
-        HotArea { hot: LruList::new(hot_capacity), iron_hot: LruList::new(iron_hot_capacity) }
+    pub fn new(logical_pages: u64, hot_capacity: usize, iron_hot_capacity: usize) -> Self {
+        let mut hot = LruList::new(hot_capacity);
+        let mut iron_hot = LruList::new(iron_hot_capacity);
+        hot.reserve_keys(logical_pages);
+        iron_hot.reserve_keys(logical_pages);
+        HotArea { hot, iron_hot }
     }
 
     /// Number of entries on the hot list.
@@ -141,7 +147,7 @@ mod tests {
 
     #[test]
     fn new_writes_enter_the_hot_list() {
-        let mut area = HotArea::new(4, 4);
+        let mut area = HotArea::new(64, 4, 4);
         assert_eq!(area.on_write(Lpn(1)), None);
         assert_eq!(area.level_of(Lpn(1)), Some(Hotness::Hot));
         assert_eq!(area.hot_len(), 1);
@@ -151,7 +157,7 @@ mod tests {
 
     #[test]
     fn read_promotes_hot_entries_to_iron_hot() {
-        let mut area = HotArea::new(4, 4);
+        let mut area = HotArea::new(64, 4, 4);
         area.on_write(Lpn(1));
         assert_eq!(area.on_read(Lpn(1)), PromotionOutcome::Promoted { demoted_to_hot: None });
         assert_eq!(area.level_of(Lpn(1)), Some(Hotness::IronHot));
@@ -160,13 +166,13 @@ mod tests {
 
     #[test]
     fn reads_of_untracked_entries_are_ignored() {
-        let mut area = HotArea::new(4, 4);
+        let mut area = HotArea::new(64, 4, 4);
         assert_eq!(area.on_read(Lpn(9)), PromotionOutcome::NotTracked);
     }
 
     #[test]
     fn full_iron_hot_list_demotes_lru_back_to_hot() {
-        let mut area = HotArea::new(8, 2);
+        let mut area = HotArea::new(64, 8, 2);
         for lpn in [1, 2, 3] {
             area.on_write(Lpn(lpn));
             area.on_read(Lpn(lpn));
@@ -180,7 +186,7 @@ mod tests {
 
     #[test]
     fn full_hot_list_evicts_lru_towards_cold_area() {
-        let mut area = HotArea::new(2, 2);
+        let mut area = HotArea::new(64, 2, 2);
         assert_eq!(area.on_write(Lpn(1)), None);
         assert_eq!(area.on_write(Lpn(2)), None);
         assert_eq!(area.on_write(Lpn(3)), Some(Lpn(1)));
@@ -189,7 +195,7 @@ mod tests {
 
     #[test]
     fn rewrites_refresh_recency_without_duplicating() {
-        let mut area = HotArea::new(2, 2);
+        let mut area = HotArea::new(64, 2, 2);
         area.on_write(Lpn(1));
         area.on_write(Lpn(2));
         area.on_write(Lpn(1));
@@ -200,7 +206,7 @@ mod tests {
 
     #[test]
     fn writes_to_iron_hot_entries_keep_them_iron_hot() {
-        let mut area = HotArea::new(4, 4);
+        let mut area = HotArea::new(64, 4, 4);
         area.on_write(Lpn(1));
         area.on_read(Lpn(1));
         assert_eq!(area.on_write(Lpn(1)), None);
@@ -209,7 +215,7 @@ mod tests {
 
     #[test]
     fn remove_untracks_from_either_list() {
-        let mut area = HotArea::new(4, 4);
+        let mut area = HotArea::new(64, 4, 4);
         area.on_write(Lpn(1));
         area.on_write(Lpn(2));
         area.on_read(Lpn(2));

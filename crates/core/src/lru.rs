@@ -2,27 +2,32 @@
 //!
 //! The hot area tracks (potentially many thousands of) hot and iron-hot entries and
 //! touches one on every host request, so the usual `VecDeque::remove` approach would
-//! make request handling O(list length). This implementation keeps a doubly-linked
-//! list in a slab of nodes plus a hash index from LPN to slot, giving O(1)
-//! touch / insert / evict / remove. The index uses the deterministic
-//! [`fx`](vflash_ftl::fx) hasher: the list is probed several times per host
-//! request, and SipHash would dominate the cost of the operation itself.
+//! make request handling O(list length). This implementation threads the list
+//! through a dense table indexed by LPN — entry `lpn` holds the LPNs before and
+//! after it, or the absent marker — so touch / insert / evict / remove are O(1)
+//! and hash-free. The table costs 8 bytes per key in `0..=highest key seen`; it
+//! grows on demand unless [`LruList::reserve_keys`] sized it up front.
 
-use vflash_ftl::fx::FxHashMap;
 use vflash_ftl::Lpn;
 
-const NIL: usize = usize::MAX;
+/// End-of-list marker in a link.
+const NIL: u32 = u32::MAX;
+/// `prev` value of a key that is not on the list.
+const ABSENT: u32 = u32::MAX - 1;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Node {
-    lpn: Lpn,
-    prev: usize,
-    next: usize,
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
 }
+
+const UNLINKED: Link = Link { prev: ABSENT, next: NIL };
 
 /// A fixed-capacity least-recently-used list of LPNs.
 ///
 /// The *head* is the most recently used entry, the *tail* the least recently used.
+/// Keys must be below `u32::MAX - 1` (a 64 TiB device at 16 KiB pages). Equality
+/// compares capacity and recency order, not how far the key table happened to grow.
 ///
 /// # Example
 ///
@@ -37,15 +42,22 @@ struct Node {
 /// lru.touch(Lpn(1));
 /// assert_eq!(lru.insert(Lpn(3)), Some(Lpn(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LruList {
-    nodes: Vec<Node>,
-    free_slots: Vec<usize>,
-    index: FxHashMap<Lpn, usize>,
-    head: usize,
-    tail: usize,
+    links: Vec<Link>,
+    head: u32,
+    tail: u32,
+    len: usize,
     capacity: usize,
 }
+
+impl PartialEq for LruList {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for LruList {}
 
 impl LruList {
     /// Creates an empty list holding at most `capacity` entries.
@@ -55,13 +67,15 @@ impl LruList {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "lru capacity must be positive");
-        LruList {
-            nodes: Vec::with_capacity(capacity.min(1024)),
-            free_slots: Vec::new(),
-            index: FxHashMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
-            head: NIL,
-            tail: NIL,
-            capacity,
+        LruList { links: Vec::new(), head: NIL, tail: NIL, len: 0, capacity }
+    }
+
+    /// Sizes the key table for keys in `0..keys` up front, so inserting any of
+    /// them never reallocates.
+    pub fn reserve_keys(&mut self, keys: u64) {
+        if keys as usize > self.links.len() {
+            assert!(keys <= u64::from(ABSENT), "lru keys must be below u32::MAX - 1");
+            self.links.resize(keys as usize, UNLINKED);
         }
     }
 
@@ -72,69 +86,69 @@ impl LruList {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Whether the list is at capacity.
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Whether `lpn` is on the list.
     pub fn contains(&self, lpn: Lpn) -> bool {
-        self.index.contains_key(&lpn)
+        self.links.get(lpn.as_usize()).is_some_and(|link| link.prev != ABSENT)
     }
 
     /// The least recently used entry, if any.
     pub fn least_recent(&self) -> Option<Lpn> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].lpn)
+        (self.tail != NIL).then_some(Lpn(u64::from(self.tail)))
     }
 
     /// The most recently used entry, if any.
     pub fn most_recent(&self) -> Option<Lpn> {
-        (self.head != NIL).then(|| self.nodes[self.head].lpn)
+        (self.head != NIL).then_some(Lpn(u64::from(self.head)))
     }
 
-    fn detach(&mut self, slot: usize) {
-        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
+    fn detach(&mut self, key: u32) {
+        let Link { prev, next } = self.links[key as usize];
         if prev != NIL {
-            self.nodes[prev].next = next;
+            self.links[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].prev = prev;
+            self.links[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.nodes[slot].prev = NIL;
-        self.nodes[slot].next = NIL;
     }
 
-    fn attach_front(&mut self, slot: usize) {
-        self.nodes[slot].prev = NIL;
-        self.nodes[slot].next = self.head;
+    fn attach_front(&mut self, key: u32) {
+        self.links[key as usize] = Link { prev: NIL, next: self.head };
         if self.head != NIL {
-            self.nodes[self.head].prev = slot;
+            self.links[self.head as usize].prev = key;
         }
-        self.head = slot;
+        self.head = key;
         if self.tail == NIL {
-            self.tail = slot;
+            self.tail = key;
         }
     }
 
     /// Moves `lpn` to the most-recently-used position. Returns `false` if it was not
     /// on the list.
     pub fn touch(&mut self, lpn: Lpn) -> bool {
-        let Some(&slot) = self.index.get(&lpn) else { return false };
-        if self.head != slot {
-            self.detach(slot);
-            self.attach_front(slot);
+        if !self.contains(lpn) {
+            return false;
+        }
+        let key = lpn.0 as u32;
+        if self.head != key {
+            self.detach(key);
+            self.attach_front(key);
         }
         true
     }
@@ -142,65 +156,44 @@ impl LruList {
     /// Inserts `lpn` at the most-recently-used position (touching it if already
     /// present). If the list overflows, the least recently used entry is evicted and
     /// returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is not below `u32::MAX - 1`.
     pub fn insert(&mut self, lpn: Lpn) -> Option<Lpn> {
         if self.touch(lpn) {
             return None;
         }
         let evicted = if self.is_full() { self.pop_least_recent() } else { None };
-        let slot = if let Some(slot) = self.free_slots.pop() {
-            self.nodes[slot] = Node { lpn, prev: NIL, next: NIL };
-            slot
-        } else {
-            self.nodes.push(Node { lpn, prev: NIL, next: NIL });
-            self.nodes.len() - 1
-        };
-        self.index.insert(lpn, slot);
-        self.attach_front(slot);
+        self.reserve_keys(lpn.0.saturating_add(1));
+        self.attach_front(lpn.0 as u32);
+        self.len += 1;
         evicted
     }
 
     /// Removes and returns the least recently used entry.
     pub fn pop_least_recent(&mut self) -> Option<Lpn> {
-        let slot = self.tail;
-        if slot == NIL {
-            return None;
-        }
-        let lpn = self.nodes[slot].lpn;
+        let lpn = self.least_recent()?;
         self.remove(lpn);
         Some(lpn)
     }
 
     /// Removes `lpn` from the list. Returns `true` if it was present.
     pub fn remove(&mut self, lpn: Lpn) -> bool {
-        let Some(slot) = self.index.remove(&lpn) else { return false };
-        self.detach(slot);
-        self.free_slots.push(slot);
+        if !self.contains(lpn) {
+            return false;
+        }
+        self.detach(lpn.0 as u32);
+        self.links[lpn.as_usize()] = UNLINKED;
+        self.len -= 1;
         true
     }
 
     /// Iterates from most recently used to least recently used.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter { list: self, slot: self.head }
-    }
-}
-
-/// Iterator over an [`LruList`] from most to least recently used.
-#[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    list: &'a LruList,
-    slot: usize,
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = Lpn;
-
-    fn next(&mut self) -> Option<Lpn> {
-        if self.slot == NIL {
-            return None;
-        }
-        let node = &self.list.nodes[self.slot];
-        self.slot = node.next;
-        Some(node.lpn)
+    pub fn iter(&self) -> impl Iterator<Item = Lpn> + '_ {
+        let listed = |key: u32| (key != NIL).then_some(key);
+        std::iter::successors(listed(self.head), move |&key| listed(self.links[key as usize].next))
+            .map(|key| Lpn(u64::from(key)))
     }
 }
 

@@ -15,6 +15,10 @@
 //!   class of the same area whenever the open-block budget is exhausted, rather than
 //!   opening yet another block, so physical blocks never end up half-full and the
 //!   hot/cold separation between blocks is preserved (Algorithm 1).
+//!
+//! Both per-program entry points are O(1) and allocation-free: `target` keeps a count
+//! of the open blocks and walks the nearest-class order in place; `after_program`
+//! touches the queues only when the block changed class, filled, or shares its class.
 
 use std::collections::VecDeque;
 
@@ -32,6 +36,8 @@ use crate::virtual_block::VirtualBlockTable;
 pub struct AreaWriter {
     name: &'static str,
     open: Vec<VecDeque<BlockAddr>>,
+    /// Blocks across all of `open`.
+    total_open: usize,
     max_open_blocks: usize,
     /// Write lanes the host keeps in flight (1 = unstriped). With `stripe > 1`
     /// the writer opens fresh blocks until that many are open at once, so the
@@ -58,6 +64,7 @@ impl AreaWriter {
         AreaWriter {
             name,
             open: vec![VecDeque::new(); virtual_blocks.per_block()],
+            total_open: 0,
             max_open_blocks,
             stripe: 1,
             blocks_owned: 0,
@@ -82,24 +89,15 @@ impl AreaWriter {
         self.blocks_owned
     }
 
-    /// Blocks currently open for writing in this area (needed to exclude them from
-    /// garbage-collection victim selection).
-    pub fn open_blocks(&self) -> Vec<BlockAddr> {
-        self.open.iter().flatten().copied().collect()
+    /// Blocks currently open for writing in this area, slowest class first (needed
+    /// to exclude them from garbage-collection victim selection).
+    pub fn open_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.open.iter().flatten().copied()
     }
 
     /// Number of classes tracked.
     pub fn classes(&self) -> usize {
         self.open.len()
-    }
-
-    fn class_of_write_pointer(
-        device: &NandDevice,
-        table: &VirtualBlockTable,
-        block: BlockAddr,
-    ) -> Option<usize> {
-        let next = device.block(block).ok()?.next_page()?;
-        Some(table.class_of_page(next).0)
     }
 
     /// Picks the block whose next free page should receive a write that wants speed
@@ -127,7 +125,6 @@ impl AreaWriter {
     ) -> Result<BlockAddr, FtlError> {
         let classes = self.open.len();
         debug_assert!(desired < classes, "desired class out of range");
-        let total_open: usize = self.open.iter().map(VecDeque::len).sum();
         // The stripe widens the open-block budget by its extra lanes; at
         // stripe 1 this is exactly the configured budget.
         let budget = self.max_open_blocks + (self.stripe - 1);
@@ -136,7 +133,7 @@ impl AreaWriter {
         // different chips, and `after_program`'s front-rotation then spreads
         // consecutive programs across the lanes. At stripe 1 this fires only
         // when nothing at all is open, which is the unstriped behavior.
-        if total_open < self.stripe {
+        if self.total_open < self.stripe {
             return self.allocate_block(device);
         }
         // Case 1: the desired class has an open virtual block.
@@ -145,15 +142,18 @@ impl AreaWriter {
         }
         // Case 2: slow-preferring writes may open a new block within the budget,
         // because a fresh block always starts programming at its slow virtual block.
-        if desired == 0 && total_open < budget {
+        if desired == 0 && self.total_open < budget {
             return self.allocate_block(device);
         }
-        // Case 3: divert to the nearest open class.
-        let mut order: Vec<usize> = (0..classes).collect();
-        order.sort_by_key(|&class| (class.abs_diff(desired), class));
-        for class in order {
-            if let Some(&block) = self.open[class].front() {
-                return Ok(block);
+        // Case 3: divert to the nearest open class, the slower one first at equal
+        // distance.
+        for distance in 1..classes {
+            let slower = desired.checked_sub(distance);
+            let faster = Some(desired + distance).filter(|&class| class < classes);
+            for class in slower.into_iter().chain(faster) {
+                if let Some(&block) = self.open[class].front() {
+                    return Ok(block);
+                }
             }
         }
         // Nothing open anywhere in the area: allocate a fresh physical block.
@@ -163,6 +163,7 @@ impl AreaWriter {
     fn allocate_block(&mut self, device: &mut NandDevice) -> Result<BlockAddr, FtlError> {
         let fresh = device.allocate_block().ok_or(FtlError::OutOfSpace)?;
         self.blocks_owned += 1;
+        self.total_open += 1;
         self.open[0].push_back(fresh);
         Ok(fresh)
     }
@@ -175,13 +176,14 @@ impl AreaWriter {
         device: &NandDevice,
         table: &VirtualBlockTable,
     ) {
-        for class_queue in &mut self.open {
-            if let Some(position) = class_queue.iter().position(|&open| open == block) {
-                class_queue.remove(position);
-                break;
-            }
+        let next = device.block(block).ok().and_then(|block| block.next_page());
+        let class = next.map(|page| table.class_of_page(page).0);
+        if class.is_some_and(|class| self.open[class].len() == 1 && self.open[class][0] == block) {
+            return; // still alone in its class: re-queueing would be a no-op
         }
-        if let Some(class) = Self::class_of_write_pointer(device, table, block) {
+        self.evict(block);
+        if let Some(class) = class {
+            self.total_open += 1;
             self.open[class].push_back(block);
         }
         // A full block (no next page) is simply dropped from the open lists; it now
@@ -199,6 +201,7 @@ impl AreaWriter {
         for class_queue in &mut self.open {
             if let Some(position) = class_queue.iter().position(|&open| open == block) {
                 class_queue.remove(position);
+                self.total_open -= 1;
                 return true;
             }
         }
@@ -284,7 +287,7 @@ mod tests {
         // Fast-preferring writes keep landing on the first block's fast half.
         let fast_target = write_one(&mut writer, 1, &mut device, &table);
         assert_eq!(fast_target, first);
-        assert_eq!(writer.open_blocks().len(), 2);
+        assert_eq!(writer.open_blocks().count(), 2);
     }
 
     #[test]
@@ -294,7 +297,7 @@ mod tests {
         for _ in 0..8 {
             write_one(&mut writer, 0, &mut device, &table);
         }
-        assert!(writer.open_blocks().is_empty(), "full block must be retired");
+        assert_eq!(writer.open_blocks().count(), 0, "full block must be retired");
         assert_eq!(writer.blocks_owned(), 1);
         write_one(&mut writer, 0, &mut device, &table);
         assert_eq!(writer.blocks_owned(), 2);
@@ -357,7 +360,7 @@ mod tests {
             write_one(&mut writer, 3, &mut device, &table);
         }
         assert_eq!(writer.blocks_owned(), 1);
-        assert!(writer.open_blocks().is_empty());
+        assert_eq!(writer.open_blocks().count(), 0);
     }
 
     #[test]
@@ -367,7 +370,7 @@ mod tests {
         let block = write_one(&mut writer, 0, &mut device, &table);
         assert!(writer.has_open(0));
         assert!(writer.evict(block));
-        assert!(writer.open_blocks().is_empty());
+        assert_eq!(writer.open_blocks().count(), 0);
         assert!(!writer.evict(block), "a second evict is a no-op");
         // The next write allocates a replacement instead of reusing the evicted block.
         let replacement = write_one(&mut writer, 0, &mut device, &table);

@@ -73,6 +73,10 @@ pub struct PpbFtl<C = SizeCheck> {
     /// of a lost LPN completes instantly with the `uncorrectable` flag (the
     /// device no longer holds the data); a successful rewrite clears the entry.
     lost: HashSet<Lpn>,
+    /// Scratch reused across GC rounds so steady-state collection allocates nothing:
+    /// the victim-selection exclusion list and the residents of the block emptied.
+    exclude: Vec<BlockAddr>,
+    residents: Vec<(PageAddr, Lpn)>,
 }
 
 impl PpbFtl<SizeCheck> {
@@ -133,10 +137,12 @@ impl<C: HotColdClassifier> PpbFtl<C> {
         let cold_writer =
             AreaWriter::new("cold", &virtual_blocks, config.max_open_blocks_per_area);
         let hot_area = HotArea::new(
+            logical_pages,
             config.hot_list_capacity(logical_pages),
             config.iron_hot_list_capacity(logical_pages),
         );
         let cold_area = ColdArea::new(
+            logical_pages,
             config.cold_table_capacity(logical_pages),
             config.cold_promote_reads,
         );
@@ -157,6 +163,8 @@ impl<C: HotColdClassifier> PpbFtl<C> {
             read_only: false,
             block_areas,
             lost: HashSet::new(),
+            exclude: Vec::new(),
+            residents: Vec::new(),
         })
     }
 
@@ -214,14 +222,6 @@ impl<C: HotColdClassifier> PpbFtl<C> {
         }
     }
 
-    fn desired_class(&self, level: Hotness) -> usize {
-        if level.prefers_fast_pages() {
-            self.virtual_blocks.per_block() - 1
-        } else {
-            0
-        }
-    }
-
     /// Updates the area bookkeeping for a write and returns the level the data should
     /// be placed at.
     fn classify_and_track_write(&mut self, lpn: Lpn, request_bytes: u32) -> Hotness {
@@ -269,7 +269,8 @@ impl<C: HotColdClassifier> PpbFtl<C> {
     fn place_page(&mut self, lpn: Lpn, level: Hotness) -> Result<Nanos, FtlError> {
         let mut time = Nanos::ZERO;
         loop {
-            let desired = self.desired_class(level);
+            let fastest = self.virtual_blocks.per_block() - 1;
+            let desired = if level.prefers_fast_pages() { fastest } else { 0 };
             let targeted = match level.area() {
                 Area::Hot => self.hot_writer.target(desired, &mut self.device),
                 Area::Cold => self.cold_writer.target(desired, &mut self.device),
@@ -328,12 +329,10 @@ impl<C: HotColdClassifier> PpbFtl<C> {
     /// Returns the time charged.
     fn rescue_block(&mut self, bad: BlockAddr) -> Result<Nanos, FtlError> {
         let mut time = Nanos::ZERO;
-        let residents: Vec<(PageAddr, Lpn)> = self
-            .mapping
-            .lpns_in_block(bad)
-            .map(|(page, lpn)| (bad.page(page), lpn))
-            .collect();
-        for (source, lpn) in residents {
+        // Taken, not borrowed: a rescue nested in a relocation grows its own.
+        let mut residents = std::mem::take(&mut self.residents);
+        self.mapping.residents_into(bad, &mut residents);
+        for &(source, lpn) in &residents {
             match self.relocation_read(source, lpn)? {
                 Some(read) => time += read,
                 None => {
@@ -347,6 +346,7 @@ impl<C: HotColdClassifier> PpbFtl<C> {
             time += self.place_page(lpn, level)?;
             self.metrics.record_rescue(1);
         }
+        self.residents = residents;
         Ok(time)
     }
 
@@ -372,12 +372,6 @@ impl<C: HotColdClassifier> PpbFtl<C> {
         }
     }
 
-    fn open_blocks(&self) -> Vec<BlockAddr> {
-        let mut open = self.hot_writer.open_blocks();
-        open.extend(self.cold_writer.open_blocks());
-        open
-    }
-
     /// Reclaims blocks until the free pool reaches the configured target.
     ///
     /// Relocation is where the *progressive* movement happens: each surviving page is
@@ -387,8 +381,9 @@ impl<C: HotColdClassifier> PpbFtl<C> {
     fn collect_garbage(&mut self) -> Result<GcOutcome, FtlError> {
         let mut outcome = GcOutcome::default();
         while self.device.available_blocks() < self.config.ftl.gc_target_free_blocks {
-            let exclude = self.open_blocks();
-            let Some(victim) = self.victim_policy.select_victim(&self.device, &exclude) else {
+            self.exclude.clear();
+            self.exclude.extend(self.hot_writer.open_blocks().chain(self.cold_writer.open_blocks()));
+            let Some(victim) = self.victim_policy.select_victim(&self.device, &self.exclude) else {
                 break;
             };
             outcome.merge(self.reclaim_block(victim)?);
@@ -398,13 +393,10 @@ impl<C: HotColdClassifier> PpbFtl<C> {
 
     fn reclaim_block(&mut self, victim: BlockAddr) -> Result<GcOutcome, FtlError> {
         let mut outcome = GcOutcome::default();
-        let residents: Vec<(PageAddr, Lpn)> = self
-            .mapping
-            .lpns_in_block(victim)
-            .map(|(page, lpn)| (victim.page(page), lpn))
-            .collect();
+        let mut residents = std::mem::take(&mut self.residents);
+        self.mapping.residents_into(victim, &mut residents);
         let mut migrated = 0u64;
-        for (source, lpn) in residents {
+        for &(source, lpn) in &residents {
             match self.relocation_read(source, lpn)? {
                 Some(read) => outcome.time += read,
                 None => {
@@ -424,6 +416,7 @@ impl<C: HotColdClassifier> PpbFtl<C> {
                 migrated += 1;
             }
         }
+        self.residents = residents;
         // The erase returns the victim to the device's free pool. A failed erase
         // is instantaneous (the device charges no time) and retires the victim;
         // its valid data is already safe, so GC simply moves on without counting
@@ -525,7 +518,9 @@ impl<C: HotColdClassifier> FlashTranslationLayer for PpbFtl<C> {
 
                 let level = self.classify_and_track_write(lpn, request_bytes);
                 latency += self.place_page(lpn, level)?;
-                self.lost.remove(&lpn);
+                if !self.lost.is_empty() {
+                    self.lost.remove(&lpn); // faults off: never hashed
+                }
                 self.metrics.record_host_write(latency);
                 Ok(Completion {
                     latency,

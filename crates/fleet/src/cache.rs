@@ -120,8 +120,9 @@ impl CacheStats {
 /// the MRU end of both — so `dirty` is always `resident` restricted to dirty
 /// pages, and the least-recently-used dirty page is `dirty`'s tail: flush
 /// costs O(pages drained), however many older clean pages are resident.
-/// Order comes only from the lists' slab links (their Fx hash indexes are
-/// probed, never iterated), so runs stay bit-reproducible.
+/// The lists are indexed by page number — no hashing — at 16 bytes per fleet
+/// page up to the highest one cached, and order comes only from their links, so
+/// runs stay bit-reproducible.
 ///
 /// # Example
 ///

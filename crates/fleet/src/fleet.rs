@@ -47,7 +47,7 @@ use vflash_sim::{
     prefill, ArrivalDiscipline, HostCalendar, LaneState, LatencyHistogram, PageChain, RunOptions,
     RunSummary,
 };
-use vflash_trace::{IoOp, Trace};
+use vflash_trace::{IoOp, PageSplitter, Trace};
 
 use crate::cache::{CacheConfig, WritebackCache};
 use crate::qos::{dispatch_order, TenantWeight};
@@ -276,6 +276,7 @@ impl FleetDriver {
         trace: &Trace,
     ) -> Result<FleetSummary, FtlError> {
         let page_size = fleet.lanes[0].device().config().page_size_bytes();
+        let pages = PageSplitter::new(page_size);
         let stripe = fleet.stripe;
         let width = stripe.width();
         let fleet_pages = stripe.fleet_pages();
@@ -329,7 +330,7 @@ impl FleetDriver {
             let mut cache_now = issue.at;
             let mut cache_touched = false;
 
-            for page in request.logical_pages(page_size) {
+            for page in pages.pages(request) {
                 let fleet_lpn = page % fleet_pages;
                 let (lane_index, offset) = stripe.locate(fleet_lpn);
 

@@ -57,6 +57,10 @@ pub struct ConventionalFtl {
     /// of a lost LPN completes instantly with the `uncorrectable` flag (the
     /// device no longer holds the data); a successful rewrite clears the entry.
     lost: HashSet<Lpn>,
+    /// Scratch reused across GC rounds so steady-state collection allocates nothing:
+    /// the victim-selection exclusion list and the residents of the block emptied.
+    exclude: Vec<BlockAddr>,
+    residents: Vec<(PageAddr, Lpn)>,
 }
 
 impl ConventionalFtl {
@@ -102,6 +106,8 @@ impl ConventionalFtl {
             logical_pages,
             read_only: false,
             lost: HashSet::new(),
+            exclude: Vec::new(),
+            residents: Vec::new(),
         })
     }
 
@@ -134,15 +140,6 @@ impl ConventionalFtl {
         } else {
             Ok(())
         }
-    }
-
-    fn excluded_blocks(&self) -> Vec<BlockAddr> {
-        let mut excluded = Vec::with_capacity(self.active.len() + 1);
-        excluded.extend(self.active.iter().flatten().copied());
-        if let Some(block) = self.gc_active {
-            excluded.push(block);
-        }
-        excluded
     }
 
     /// Returns a block with at least one free page for the given stream, allocating a
@@ -227,9 +224,10 @@ impl ConventionalFtl {
     /// Returns the time charged.
     fn rescue_block(&mut self, bad: BlockAddr, gc_stream: bool) -> Result<Nanos, FtlError> {
         let mut time = Nanos::ZERO;
-        let residents: Vec<_> = self.mapping.lpns_in_block(bad).collect();
-        for (page, lpn) in residents {
-            let source = bad.page(page);
+        // Taken, not borrowed: a rescue nested in a relocation grows its own.
+        let mut residents = std::mem::take(&mut self.residents);
+        self.mapping.residents_into(bad, &mut residents);
+        for &(source, lpn) in &residents {
             match self.relocation_read(source, lpn)? {
                 Some(read) => time += read,
                 None => {
@@ -243,6 +241,7 @@ impl ConventionalFtl {
             self.device.invalidate(source)?;
             self.mapping.map(lpn, destination);
         }
+        self.residents = residents;
         Ok(time)
     }
 
@@ -273,8 +272,10 @@ impl ConventionalFtl {
     fn collect_garbage(&mut self) -> Result<GcOutcome, FtlError> {
         let mut outcome = GcOutcome::default();
         while self.device.available_blocks() < self.config.gc_target_free_blocks {
-            let exclude = self.excluded_blocks();
-            let Some(victim) = self.victim_policy.select_victim(&self.device, &exclude) else {
+            // The open write streams are off limits.
+            self.exclude.clear();
+            self.exclude.extend(self.active.iter().flatten().chain(&self.gc_active));
+            let Some(victim) = self.victim_policy.select_victim(&self.device, &self.exclude) else {
                 break;
             };
             outcome.merge(self.reclaim_block(victim)?);
@@ -287,9 +288,9 @@ impl ConventionalFtl {
     /// data is already safe, so GC simply moves on without counting an erase.
     fn reclaim_block(&mut self, victim: BlockAddr) -> Result<GcOutcome, FtlError> {
         let mut outcome = GcOutcome::default();
-        let residents: Vec<_> = self.mapping.lpns_in_block(victim).collect();
-        for (page, lpn) in residents {
-            let source = victim.page(page);
+        let mut residents = std::mem::take(&mut self.residents);
+        self.mapping.residents_into(victim, &mut residents);
+        for &(source, lpn) in &residents {
             match self.relocation_read(source, lpn)? {
                 Some(read) => outcome.time += read,
                 None => {
@@ -303,6 +304,7 @@ impl ConventionalFtl {
             self.mapping.map(lpn, destination);
             outcome.copied_pages += 1;
         }
+        self.residents = residents;
         // The erase returns the victim to the device's free pool; no separate
         // release step exists any more. Failed erases are instantaneous (the
         // device charges no time) and retire the block.
@@ -394,7 +396,9 @@ impl FlashTranslationLayer for ConventionalFtl {
                 if let Some(previous) = self.mapping.map(lpn, addr) {
                     self.device.invalidate(previous)?;
                 }
-                self.lost.remove(&lpn);
+                if !self.lost.is_empty() {
+                    self.lost.remove(&lpn); // faults off: never hashed
+                }
                 self.metrics.record_host_write(latency);
                 Ok(Completion {
                     latency,

@@ -1,16 +1,15 @@
 //! A fast, deterministic hasher for LPN-keyed tables.
 //!
-//! The FTL bookkeeping structures (`LruList`, `ColdArea`, the classifier
-//! frequency tables) sit on the per-request hot path and key their maps by
-//! [`Lpn`](crate::Lpn) — small integers with plenty of entropy in the low
-//! bits. The standard library's SipHash is DoS-resistant but costs more than
-//! the table operation it guards; profiles of trace replay show it dominating
-//! the PPB submit path. This multiply-fold hasher (the FxHash construction
-//! used by rustc) is an order of magnitude cheaper and — unlike `RandomState`
-//! — has no per-instance seed, so replays stay deterministic by construction.
+//! The alternative first-stage classifiers' frequency tables sit on the
+//! per-request hot path and key their maps by [`Lpn`](crate::Lpn) — small
+//! integers with plenty of entropy in the low bits. The standard library's
+//! SipHash is DoS-resistant but costs more than the table operation it guards.
+//! This multiply-fold hasher (the FxHash construction used by rustc) is an
+//! order of magnitude cheaper and — unlike `RandomState` — has no per-instance
+//! seed, so replays stay deterministic by construction. (The PPB hotness state
+//! — `LruList`, `ColdArea` — does not hash at all: it is indexed by LPN.)
 //!
-//! Nothing in the simulator iterates these maps in storage order (eviction
-//! order comes from the LRU links and the `BTreeMap` buckets), so the hash
+//! Nothing in the simulator iterates these maps in storage order, so the hash
 //! function cannot leak into simulated behaviour; it only changes wall-clock
 //! speed.
 

@@ -42,11 +42,12 @@ pub trait VictimPolicy: std::fmt::Debug {
 /// The classic greedy policy: reclaim the full block with the most invalid pages.
 ///
 /// Blocks with zero invalid pages are never selected (erasing them would only move
-/// data around without freeing anything). Selection walks the device's
-/// [`gc_candidates`](NandDevice::gc_candidates) index — full blocks with at least
-/// one invalid page — so its cost is O(candidates), not O(blocks). Ties on the
-/// invalid-page count are broken towards the lowest address, keeping victim choice
-/// independent of the candidate index's internal ordering.
+/// data around without freeing anything). Selection is one
+/// [`NandDevice::greedy_victim`] query: the device files every candidate — full
+/// blocks with at least one invalid page — under its invalid-page count, so the
+/// pick costs O(chips x blocks / 64) bitmap words, not a scan of the candidates.
+/// Ties on the invalid-page count are broken towards the lowest address, keeping
+/// victim choice independent of the order in which blocks became candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GreedyVictimPolicy;
 
@@ -59,22 +60,7 @@ impl GreedyVictimPolicy {
 
 impl VictimPolicy for GreedyVictimPolicy {
     fn select_victim(&self, device: &NandDevice, exclude: &[BlockAddr]) -> Option<BlockAddr> {
-        let mut best: Option<(BlockAddr, usize)> = None;
-        for addr in device.gc_candidates() {
-            if exclude.contains(&addr) {
-                continue;
-            }
-            let block = device.block(addr).expect("candidate addresses are valid");
-            debug_assert_eq!(block.state(), BlockState::Full);
-            let invalid = block.invalid_pages();
-            debug_assert!(invalid > 0);
-            match best {
-                Some((best_addr, best_invalid))
-                    if invalid < best_invalid || (invalid == best_invalid && addr > best_addr) => {}
-                _ => best = Some((addr, invalid)),
-            }
-        }
-        best.map(|(addr, _)| addr)
+        device.greedy_victim(exclude)
     }
 }
 
@@ -96,8 +82,9 @@ impl VictimPolicy for GreedyVictimPolicy {
 /// clean themselves).
 ///
 /// Fully-invalid blocks (`u = 0`) have infinite score and are always taken first,
-/// oldest first. Like the greedy policy, selection walks the device's
-/// O(candidates) [`gc_candidates`](NandDevice::gc_candidates) index; ties break
+/// oldest first. Scoring needs every candidate's age, so — unlike the greedy
+/// policy — selection walks the device's O(candidates)
+/// [`gc_candidates`](NandDevice::gc_candidates) list; ties break
 /// towards the lowest address so victim choice is independent of the index's
 /// internal ordering.
 ///

@@ -110,6 +110,15 @@ impl MappingTable {
         })
     }
 
+    /// Refills `residents` with the `(physical page, LPN)` pairs currently stored in
+    /// `block`, in page order — [`MappingTable::lpns_in_block`] into a buffer the
+    /// caller reuses from one relocation to the next, so steady-state garbage
+    /// collection does not allocate.
+    pub fn residents_into(&self, block: BlockAddr, residents: &mut Vec<(PageAddr, Lpn)>) {
+        residents.clear();
+        residents.extend(self.lpns_in_block(block).map(|(page, lpn)| (block.page(page), lpn)));
+    }
+
     /// Consistency check used by tests: every forward entry must have a matching
     /// reverse entry and vice versa. Returns the number of mapped pages.
     pub fn check_consistency(&self) -> Result<u64, String> {

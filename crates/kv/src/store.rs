@@ -546,15 +546,14 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// `level + 1`.
     fn compact_level(&mut self, level: usize) -> Result<(), KvError> {
         let start = self.store.clock();
-        if self.levels.len() <= level + 1 {
-            self.levels.push(Vec::new());
-        }
-        let sources = std::mem::take(&mut self.levels[level]);
-        let targets = std::mem::take(&mut self.levels[level + 1]);
         // Tombstones are dropped once the output is the bottom of the tree —
         // nothing older exists for them to shadow.
         let bottom = self.levels.iter().skip(level + 2).all(Vec::is_empty);
-        let KvStore { store, builder, next_table_id, config, .. } = self;
+        let KvStore { store, builder, next_table_id, config, levels, .. } = self;
+        // The inputs stay in `levels` until the output exists: a read or build
+        // that fails returns with every table still in place and still served.
+        let sources = &levels[level];
+        let targets = levels.get(level + 1).map_or(&[][..], Vec::as_slice);
         // Every input is read before the first output is written: the target
         // level, a sorted run, in order; then the sources oldest first (L0 is
         // kept newest-first), each its own run. The buffer lives as long as
@@ -562,7 +561,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         // reused scan buffer should not pin for good.
         let mut inputs = RunBuffer::default();
         inputs.begin_run();
-        for table in &targets {
+        for table in targets {
             table.read_entries(store, inputs.segment())?;
         }
         for table in sources.iter().rev() {
@@ -572,7 +571,11 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         let live =
             NewestWins::new(inputs.cursors()).filter(|(_, value)| !(bottom && value.is_none()));
         let run = build_tables(live, config.target_table_bytes, builder, store, next_table_id)?;
-        self.levels[level + 1] = run;
+        if levels.len() <= level + 1 {
+            levels.push(Vec::new());
+        }
+        let sources = std::mem::take(&mut levels[level]);
+        let targets = std::mem::replace(&mut levels[level + 1], run);
         for table in sources.into_iter().chain(targets) {
             self.pending_free.extend_from_slice(table.meta.file.extents());
         }
@@ -871,7 +874,7 @@ mod tests {
     use crate::sstable::Entry;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use vflash_ftl::{ConventionalFtl, FtlConfig};
+    use vflash_ftl::{Completion, ConventionalFtl, FtlConfig, FtlError, FtlMetrics, IoRequest};
     use vflash_nand::{NandConfig, NandDevice};
 
     fn flash() -> FlashStore<ConventionalFtl> {
@@ -943,6 +946,96 @@ mod tests {
             for pair in run.windows(2) {
                 assert!(pair[0].meta.max_key < pair[1].meta.min_key);
             }
+        }
+    }
+
+    /// A conventional FTL that fails the n-th read after being armed, the way
+    /// an uncorrectable page surfaces mid-compaction.
+    struct FailingRead {
+        inner: ConventionalFtl,
+        reads_until_failure: std::rc::Rc<std::cell::Cell<Option<u32>>>,
+    }
+
+    impl FlashTranslationLayer for FailingRead {
+        fn name(&self) -> &str {
+            "failing-read"
+        }
+        fn logical_pages(&self) -> u64 {
+            self.inner.logical_pages()
+        }
+        fn submit(&mut self, request: IoRequest) -> Result<Completion, FtlError> {
+            if !request.is_write() {
+                match self.reads_until_failure.get() {
+                    Some(0) => {
+                        self.reads_until_failure.set(None);
+                        return Err(FtlError::UnmappedRead { lpn: request.lpn });
+                    }
+                    Some(left) => self.reads_until_failure.set(Some(left - 1)),
+                    None => {}
+                }
+            }
+            self.inner.submit(request)
+        }
+        fn metrics(&self) -> &FtlMetrics {
+            self.inner.metrics()
+        }
+        fn device(&self) -> &NandDevice {
+            self.inner.device()
+        }
+        fn device_mut(&mut self) -> &mut NandDevice {
+            self.inner.device_mut()
+        }
+    }
+
+    #[test]
+    fn a_compaction_that_fails_a_read_keeps_every_input_table_served() {
+        let reads_until_failure = std::rc::Rc::new(std::cell::Cell::new(None));
+        let inner =
+            ConventionalFtl::new(NandDevice::new(NandConfig::small()), FtlConfig::default())
+                .unwrap();
+        let ftl = FailingRead { inner, reads_until_failure: reads_until_failure.clone() };
+        // A trigger the test never reaches: L0 keeps every flushed table until
+        // the test compacts by hand.
+        let config = KvConfig { l0_compaction_trigger: 64, ..small_config() };
+        let mut kv = KvStore::open(FlashStore::new(ftl), config).unwrap();
+        let value = |round: u32, i: u32| format!("round-{round}-{i}").into_bytes();
+        for i in 0..120u32 {
+            kv.put(&key(i), &value(0, i)).unwrap();
+        }
+        kv.flush().unwrap();
+        kv.compact_level(0).unwrap();
+        for i in (0..120u32).step_by(2) {
+            kv.put(&key(i), &value(1, i)).unwrap();
+        }
+        kv.flush().unwrap();
+        assert!(kv.levels[0].len() >= 2 && !kv.levels[1].is_empty(), "inputs at both levels");
+        let newest = |i: u32| value(u32::from(i.is_multiple_of(2)), i);
+        let layout = kv.layout();
+        let compactions = kv.stats().compactions;
+
+        // Fail the first input read, then the second, ... until the compaction
+        // gets through: every read of the target run and of each source table
+        // is the failing one once.
+        let mut failed = 0u32;
+        loop {
+            reads_until_failure.set(Some(failed));
+            if kv.compact_level(0).is_ok() {
+                break;
+            }
+            assert_eq!(reads_until_failure.get(), None, "the armed failure fired");
+            assert_eq!(kv.layout(), layout, "a failed compaction must not drop or move a table");
+            assert_eq!(kv.stats().compactions, compactions);
+            for i in 0..120u32 {
+                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i)), "key {i}");
+            }
+            failed += 1;
+        }
+        reads_until_failure.set(None);
+        assert!(failed >= 3, "the target run and every source table were read: {failed}");
+        // The compaction that got through serves the same data.
+        assert!(kv.levels[0].is_empty());
+        for i in 0..120u32 {
+            assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i)), "key {i}");
         }
     }
 

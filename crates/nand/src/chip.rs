@@ -9,8 +9,13 @@
 //! * **per-state counters** so occupancy queries (`free_blocks`) and wear totals
 //!   (`total_erases`) are O(1),
 //! * a **garbage-collection candidate index** (full blocks holding at least one
-//!   invalid page, position-mapped for O(1) insert/remove) so victim selection is
-//!   O(candidates) instead of O(blocks), and
+//!   invalid page, position-mapped for O(1) insert/remove) that scoring policies
+//!   (cost-benefit, wear-aware, hot/cold) iterate in O(candidates),
+//! * a **greedy victim index** over the same blocks: one block bitmap per
+//!   invalid-page count plus a cursor on the highest occupied count, so the
+//!   greedy pick (`Chip::greedy_victim`: most invalid pages, lowest index) reads
+//!   the first set bit of one bitmap — O(blocks / 64) words, however many
+//!   candidates exist — and refiling a block on invalidate stays O(1), and
 //! * a **busy clock** accumulating the device time this chip spent servicing
 //!   operations. Chips service operations independently, so the device-level
 //!   makespan (`max` over chip busy times) models chip-level interleaving: a
@@ -54,6 +59,9 @@ pub struct Chip {
     candidates: Vec<usize>,
     /// Position of each block in `candidates`, or [`NO_CANDIDATE`].
     candidate_pos: Vec<usize>,
+    /// The greedy victim index: every candidate filed under its invalid-page
+    /// count. A pure function of the block states, like `candidates`' membership.
+    victims: VictimIndex,
     /// Total erases performed on this chip.
     erases: u64,
     /// Blocks retired as bad on this chip.
@@ -78,6 +86,7 @@ impl Chip {
             free_count: blocks_per_chip,
             candidates: Vec::new(),
             candidate_pos: vec![NO_CANDIDATE; blocks_per_chip],
+            victims: VictimIndex::new(blocks_per_chip, pages_per_block),
             erases: 0,
             bad_blocks: 0,
             busy_time: Nanos::ZERO,
@@ -183,6 +192,13 @@ impl Chip {
         self.candidates.iter().copied()
     }
 
+    /// The greedy victim on this chip — most invalid pages, ties to the lowest
+    /// index, skipping every index `excluded` accepts — with its invalid-page
+    /// count. One bitmap walk, plus one per bucket that is excluded whole.
+    pub(crate) fn greedy_victim(&self, excluded: impl Fn(usize) -> bool) -> Option<(usize, usize)> {
+        self.victims.best(excluded)
+    }
+
     /// Accumulates operation latency on this chip's busy clock.
     pub(crate) fn add_busy(&mut self, latency: Nanos) {
         self.busy_time += latency;
@@ -266,10 +282,12 @@ impl Chip {
 
     fn maybe_add_candidate(&mut self, index: usize) {
         let block = &self.blocks[index];
-        if block.state() == BlockState::Full
-            && block.invalid_pages() > 0
-            && self.candidate_pos[index] == NO_CANDIDATE
-        {
+        let invalid = block.invalid_pages();
+        if block.state() != BlockState::Full || invalid == 0 {
+            return;
+        }
+        self.victims.file(index, invalid);
+        if self.candidate_pos[index] == NO_CANDIDATE {
             self.candidate_pos[index] = self.candidates.len();
             self.candidates.push(index);
         }
@@ -280,11 +298,79 @@ impl Chip {
         if pos == NO_CANDIDATE {
             return;
         }
+        self.victims.file(index, 0);
         self.candidates.swap_remove(pos);
         self.candidate_pos[index] = NO_CANDIDATE;
         if let Some(&moved) = self.candidates.get(pos) {
             self.candidate_pos[moved] = pos;
         }
+    }
+}
+
+/// Candidates bucketed by invalid-page count: `bits` holds one block bitmap per
+/// count (bucket 0, "not a candidate", stays empty), `filed[block]` the bucket a
+/// block sits in, `occupancy` each bucket's population and `max_invalid` the
+/// highest occupied bucket (0 = none).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct VictimIndex {
+    bits: Vec<u64>,
+    words_per_bucket: usize,
+    filed: Vec<u32>,
+    occupancy: Vec<u32>,
+    max_invalid: usize,
+}
+
+impl VictimIndex {
+    fn new(blocks: usize, pages_per_block: usize) -> Self {
+        let words_per_bucket = blocks.div_ceil(64);
+        VictimIndex {
+            bits: vec![0; words_per_bucket * (pages_per_block + 1)],
+            words_per_bucket,
+            filed: vec![0; blocks],
+            occupancy: vec![0; pages_per_block + 1],
+            max_invalid: 0,
+        }
+    }
+
+    /// Moves `block` to bucket `invalid` (0 delists it). O(1) amortised: the
+    /// cursor only walks down over buckets an earlier call raised it past.
+    fn file(&mut self, block: usize, invalid: usize) {
+        let old = std::mem::replace(&mut self.filed[block], invalid as u32) as usize;
+        if old == invalid {
+            return;
+        }
+        let (word, mask) = (block / 64, 1u64 << (block % 64));
+        if old != 0 {
+            self.bits[old * self.words_per_bucket + word] &= !mask;
+            self.occupancy[old] -= 1;
+        }
+        if invalid != 0 {
+            self.bits[invalid * self.words_per_bucket + word] |= mask;
+            self.occupancy[invalid] += 1;
+            self.max_invalid = self.max_invalid.max(invalid);
+        }
+        while self.max_invalid > 0 && self.occupancy[self.max_invalid] == 0 {
+            self.max_invalid -= 1;
+        }
+    }
+
+    /// The lowest non-excluded block of the highest bucket that has one, with
+    /// the bucket's invalid-page count.
+    fn best(&self, excluded: impl Fn(usize) -> bool) -> Option<(usize, usize)> {
+        for invalid in (1..=self.max_invalid).rev() {
+            let bucket = &self.bits[invalid * self.words_per_bucket..][..self.words_per_bucket];
+            for (word, &bits) in bucket.iter().enumerate() {
+                let mut rest = bits;
+                while rest != 0 {
+                    let block = word * 64 + rest.trailing_zeros() as usize;
+                    if !excluded(block) {
+                        return Some((block, invalid));
+                    }
+                    rest &= rest - 1;
+                }
+            }
+        }
+        None
     }
 }
 
@@ -294,6 +380,32 @@ impl<'a> IntoIterator for &'a Chip {
 
     fn into_iter(self) -> Self::IntoIter {
         self.blocks.iter()
+    }
+}
+
+#[cfg(test)]
+impl Chip {
+    /// Recounts the greedy victim index from the block states: a block is filed
+    /// under its invalid-page count iff it is full (and so not bad) with at least
+    /// one invalid page, each bucket's bitmap and occupancy say the same, and the
+    /// cursor sits on the highest occupied bucket.
+    pub(crate) fn assert_victim_index_matches_blocks(&self) {
+        let index = &self.victims;
+        let mut occupancy = vec![0u32; index.occupancy.len()];
+        for (block, state) in self.blocks.iter().enumerate() {
+            let expected = if state.state() == BlockState::Full { state.invalid_pages() } else { 0 };
+            assert_eq!(index.filed[block] as usize, expected, "bucket of block {block}");
+            assert_eq!(expected > 0, self.candidate_pos[block] != NO_CANDIDATE, "block {block}");
+            occupancy[expected] += u32::from(expected > 0);
+            for bucket in 0..index.occupancy.len() {
+                let word = index.bits[bucket * index.words_per_bucket + block / 64];
+                let set = word >> (block % 64) & 1 == 1;
+                assert_eq!(set, bucket == expected && bucket > 0, "bit {bucket}/{block}");
+            }
+        }
+        assert_eq!(index.occupancy, occupancy);
+        let highest = occupancy.iter().rposition(|&blocks| blocks > 0).unwrap_or(0);
+        assert_eq!(index.max_invalid, highest, "cursor must sit on the highest occupied bucket");
     }
 }
 

@@ -24,7 +24,10 @@ use crate::time::Nanos;
 /// [`NandDevice::free_block_count`] and [`NandDevice::available_blocks`] are O(1)
 /// (amortised) instead of scanning every block, and
 /// [`NandDevice::gc_candidates`] yields exactly the blocks a garbage collector can
-/// reclaim with benefit (full, at least one invalid page) in O(candidates).
+/// reclaim with benefit (full, at least one invalid page) in O(candidates) — the
+/// list scoring policies iterate. The greedy pick does not scan it:
+/// [`NandDevice::greedy_victim`] reads each chip's invalid-count-bucketed index in
+/// O(chips x blocks / 64) words, independent of how many candidates there are.
 ///
 /// # Chip-level interleaving
 ///
@@ -287,6 +290,28 @@ impl NandDevice {
         self.chips.iter().enumerate().flat_map(|(chip, c)| {
             c.gc_candidates().map(move |index| BlockAddr::new(ChipId(chip), index))
         })
+    }
+
+    /// The greedy garbage-collection victim: the candidate (see
+    /// [`NandDevice::gc_candidates`]) with the most invalid pages that is not in
+    /// `exclude`, ties broken towards the lowest address (chip, then index).
+    /// Answers from the per-chip bucketed index instead of scanning the
+    /// candidates, and returns exactly what that scan would.
+    pub fn greedy_victim(&self, exclude: &[BlockAddr]) -> Option<BlockAddr> {
+        let mut best: Option<(BlockAddr, usize)> = None;
+        for (chip, c) in self.chips.iter().enumerate() {
+            let addr = |index| BlockAddr::new(ChipId(chip), index);
+            let Some((index, invalid)) = c.greedy_victim(|index| exclude.contains(&addr(index)))
+            else {
+                continue;
+            };
+            // Chips are walked in address order, so a later chip only wins on
+            // strictly more invalid pages.
+            if best.is_none_or(|(_, most)| invalid > most) {
+                best = Some((addr(index), invalid));
+            }
+        }
+        best.map(|(addr, _)| addr)
     }
 
     /// Sets or clears a block's data-area tag: an opaque host-side label the FTL
@@ -585,6 +610,7 @@ impl NandDevice {
 mod tests {
     use super::*;
     use crate::latency::SpeedProfile;
+    use proptest::prelude::*;
 
     fn small_device() -> NandDevice {
         let config = NandConfig::builder()
@@ -1030,5 +1056,105 @@ mod tests {
             assert_eq!(page, PageId(expected));
         }
         assert!(matches!(device.program_next(block), Err(NandError::BlockFull { .. })));
+    }
+
+    /// The greedy selection this index replaced, verbatim: a linear scan of the
+    /// candidate list, most invalid pages first, ties to the lowest address.
+    fn linear_scan_victim(device: &NandDevice, exclude: &[BlockAddr]) -> Option<BlockAddr> {
+        let mut best: Option<(BlockAddr, usize)> = None;
+        for addr in device.gc_candidates() {
+            if exclude.contains(&addr) {
+                continue;
+            }
+            let block = device.block(addr).expect("candidate addresses are valid");
+            debug_assert_eq!(block.state(), crate::BlockState::Full);
+            let invalid = block.invalid_pages();
+            debug_assert!(invalid > 0);
+            match best {
+                Some((best_addr, best_invalid))
+                    if invalid < best_invalid || (invalid == best_invalid && addr > best_addr) => {}
+                _ => best = Some((addr, invalid)),
+            }
+        }
+        best.map(|(addr, _)| addr)
+    }
+
+    proptest! {
+        /// Differential: after every step of a random allocate / program /
+        /// invalidate / erase / retire stream — with injected program and erase
+        /// failures — on 1-, 2- and 4-chip devices, the bucketed query returns
+        /// what the linear scan returns for several exclusion lists, and the
+        /// index recounts from the block states.
+        #[test]
+        fn greedy_victim_matches_the_linear_scan_after_every_step(
+            chips in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+            wide in any::<bool>(),
+            fault_seed in 0u64..1_000,
+            steps in proptest::collection::vec((0u8..12, 0usize..1 << 16, 0u64..1 << 32), 1..300),
+        ) {
+            // 70 blocks per chip puts candidates in both words of a bitmap.
+            let blocks_per_chip = if wide { 70 } else { 6 };
+            let pages_per_block = 3;
+            let mut faults = crate::FaultConfig::enabled(fault_seed);
+            faults.program_fail_base = 0.02;
+            faults.erase_fail_base = 0.1;
+            faults.rber_scale = 0.0;
+            let config = NandConfig::builder()
+                .chips(chips)
+                .blocks_per_chip(blocks_per_chip)
+                .pages_per_block(pages_per_block)
+                .page_size_bytes(4096)
+                .faults(faults)
+                .build()
+                .unwrap();
+            let mut device = NandDevice::new(config);
+            // Activity concentrates on a few blocks per chip, at both ends of
+            // the bitmap, so blocks fill, tie on their invalid counts and
+            // cycle through erases within one stream.
+            let busy = [0, 1, 2, 63, 64, 65, 69];
+            let pick = |selector: usize| {
+                let chip = ChipId(selector % chips);
+                BlockAddr::new(chip, busy[selector / 4 % busy.len()] % blocks_per_chip)
+            };
+            let mut leased: Vec<BlockAddr> = Vec::new();
+            for (op, selector, salt) in steps {
+                let block = pick(selector);
+                match op {
+                    0 => leased.extend(device.allocate_block()),
+                    1 => {
+                        if let Some(block) = leased.pop() {
+                            let _ = device.program_next(block);
+                        }
+                    }
+                    2..=5 => {
+                        // Fill: most blocks must reach `Full` to matter here.
+                        while device.program_next(block).is_ok() {}
+                    }
+                    6..=8 => {
+                        let _ = device.invalidate(block.page(PageId(salt as usize % pages_per_block)));
+                    }
+                    9 | 10 => {
+                        for page in 0..pages_per_block {
+                            let _ = device.invalidate(block.page(PageId(page)));
+                        }
+                        let _ = device.erase(block);
+                    }
+                    _ => device.retire_block(block).unwrap(),
+                }
+                for chip in &device.chips {
+                    chip.assert_victim_index_matches_blocks();
+                }
+                // Exclusion lists that bite: nothing, the winner, the winner
+                // and the runner-up, and those plus a random block.
+                let mut exclude: Vec<BlockAddr> = Vec::new();
+                for _ in 0..3 {
+                    let expected = linear_scan_victim(&device, &exclude);
+                    prop_assert_eq!(device.greedy_victim(&exclude), expected, "exclude {:?}", exclude);
+                    exclude.extend(expected);
+                }
+                exclude.push(pick(salt as usize >> 8));
+                prop_assert_eq!(device.greedy_victim(&exclude), linear_scan_victim(&device, &exclude));
+            }
+        }
     }
 }

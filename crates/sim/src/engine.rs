@@ -53,7 +53,7 @@
 
 use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
 use vflash_nand::Nanos;
-use vflash_trace::{IoOp, Trace};
+use vflash_trace::{IoOp, PageSplitter, Trace};
 
 use crate::calendar::HostCalendar;
 use crate::lane::{prefill, LaneState};
@@ -271,7 +271,7 @@ impl WorkloadDriver {
         trace: &Trace,
         logical_pages: u64,
     ) -> Result<RunSummary, FtlError> {
-        let page_size = ftl.device().config().page_size_bytes();
+        let pages = PageSplitter::new(ftl.device().config().page_size_bytes());
         let mut lane = LaneState::new(ftl, &self.options, self.discipline);
 
         let (peak_queue_depth, busy_arrivals) = if self.discipline
@@ -286,7 +286,7 @@ impl WorkloadDriver {
             let mut clock = Nanos::ZERO;
             for request in trace {
                 let issue = clock;
-                for page in request.logical_pages(page_size) {
+                for page in pages.pages(request) {
                     let lpn = Lpn(page % logical_pages);
                     let completion = match request.op {
                         IoOp::Write => ftl.submit(FtlRequest::write(lpn, request.length))?,
@@ -321,7 +321,7 @@ impl WorkloadDriver {
                 // A multi-page host request is one dependent chain of page
                 // submissions on the lane.
                 let mut chain = lane.begin(issue.at);
-                for page in request.logical_pages(page_size) {
+                for page in pages.pages(request) {
                     let lpn = Lpn(page % logical_pages);
                     lane.play_page(ftl, &mut chain, request.op, lpn, request.length)?;
                 }

@@ -23,7 +23,7 @@
 
 use vflash_ftl::{FlashTranslationLayer, FtlError, FtlMetrics, IoRequest as FtlRequest, Lpn};
 use vflash_nand::{ChipClocks, ChipId, Nanos};
-use vflash_trace::{IoOp, Trace};
+use vflash_trace::{IoOp, PageSplitter, Trace};
 
 use crate::calendar::{ArrivalWindow, Issue};
 use crate::engine::{ArrivalDiscipline, RunOptions};
@@ -94,11 +94,11 @@ pub fn prefill<F: FlashTranslationLayer + ?Sized>(
     if !options.prefill || !trace.iter().any(|request| request.op == IoOp::Read) {
         return Ok(());
     }
-    let page_size = lanes[0].device().config().page_size_bytes();
+    let pages = PageSplitter::new(lanes[0].device().config().page_size_bytes());
     let mut touched: Vec<PageBitmap> =
         lanes.iter().map(|lane| PageBitmap::new(lane.logical_pages())).collect();
     for request in trace {
-        for page in request.logical_pages(page_size) {
+        for page in pages.pages(request) {
             let (lane, offset) = locate(page);
             touched[lane].set(offset);
         }

@@ -42,6 +42,6 @@ mod request;
 mod stats;
 mod zipf;
 
-pub use request::{IoOp, IoRequest, Trace};
+pub use request::{IoOp, IoRequest, PageSplitter, Trace};
 pub use stats::TraceStats;
 pub use zipf::Zipf;

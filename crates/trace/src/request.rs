@@ -61,11 +61,7 @@ impl IoRequest {
     ///
     /// Panics if `page_size` is zero.
     pub fn logical_pages(&self, page_size: usize) -> std::ops::Range<u64> {
-        assert!(page_size > 0, "page size must be positive");
-        let page_size = page_size as u64;
-        let first = self.offset / page_size;
-        let last = (self.offset + u64::from(self.length) - 1) / page_size;
-        first..last + 1
+        PageSplitter::new(page_size).pages(self)
     }
 
     /// Whether the request is smaller than one page — the size-check heuristic the
@@ -73,6 +69,38 @@ impl IoRequest {
     /// hot.
     pub fn is_sub_page(&self, page_size: usize) -> bool {
         (self.length as usize) < page_size
+    }
+}
+
+/// [`IoRequest::logical_pages`] for one fixed page size, prepared once per run: a
+/// power-of-two page size (every stock geometry) turns the two divisions per
+/// request into shifts; any other size divides as before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageSplitter {
+    page_size: u64,
+    /// `log2(page_size)` when it is a power of two.
+    shift: Option<u32>,
+}
+
+impl PageSplitter {
+    /// Prepares the split for `page_size`-byte pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_size` is zero.
+    pub fn new(page_size: usize) -> Self {
+        assert!(page_size > 0, "page size must be positive");
+        let shift = page_size.is_power_of_two().then(|| page_size.trailing_zeros());
+        PageSplitter { page_size: page_size as u64, shift }
+    }
+
+    /// The logical page numbers `request` touches.
+    pub fn pages(&self, request: &IoRequest) -> std::ops::Range<u64> {
+        let last_byte = request.offset + u64::from(request.length) - 1;
+        match self.shift {
+            Some(shift) => (request.offset >> shift)..(last_byte >> shift) + 1,
+            None => (request.offset / self.page_size)..(last_byte / self.page_size) + 1,
+        }
     }
 }
 

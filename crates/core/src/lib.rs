@@ -26,9 +26,12 @@
 //!    data physically moves to a page of suitable speed when it is next updated or
 //!    relocated by garbage collection, so no extra write traffic is generated.
 //!
-//! [`PpbFtl`] ties the pieces together and implements the same
-//! [`FlashTranslationLayer`](vflash_ftl::FlashTranslationLayer) trait as the
-//! conventional baseline, so the two can be compared under identical workloads.
+//! [`PpbPlacement`] ties the pieces together as a
+//! [`Placement`](vflash_ftl::Placement) — which block receives a host write or a
+//! relocated page, by hotness — and [`PpbFtl`] is the shared `FtlCore` on it.
+//! Mapping, garbage collection, fault handling and the
+//! [`FlashTranslationLayer`](vflash_ftl::FlashTranslationLayer) implementation are the
+//! conventional baseline's own: placement is the only difference between the two.
 //!
 //! # Example
 //!
@@ -70,5 +73,5 @@ pub use hot_area::{HotArea, PromotionOutcome};
 pub use hotness::{Area, Hotness};
 pub use lru::LruList;
 pub use placement::AreaWriter;
-pub use ppb_ftl::PpbFtl;
+pub use ppb_ftl::{PpbFtl, PpbPlacement};
 pub use virtual_block::{VirtualBlock, VirtualBlockId, VirtualBlockTable};

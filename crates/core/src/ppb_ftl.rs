@@ -1,13 +1,9 @@
-//! The PPB flash translation layer.
-
-use std::collections::HashSet;
+//! The PPB flash translation layer: the hotness-aware [`Placement`] on the shared
+//! [`FtlCore`].
 
 use vflash_ftl::hotcold::{HotColdClassifier, SizeCheck, Temperature};
-use vflash_ftl::{
-    Completion, FlashTranslationLayer, FtlError, FtlMetrics, GcOutcome, GreedyVictimPolicy,
-    IoCommand, IoRequest, Lpn, MappingTable, VictimPolicy,
-};
-use vflash_nand::{BlockAddr, NandDevice, NandError, Nanos, PageAddr};
+use vflash_ftl::{Assemble, FtlConfig, FtlCore, FtlError, Lpn, MappingTable, Placement};
+use vflash_nand::{BlockAddr, NandConfig, NandDevice, PageAddr};
 
 use crate::cold_area::ColdArea;
 use crate::config::PpbConfig;
@@ -26,7 +22,8 @@ use crate::virtual_block::VirtualBlockTable;
 /// block belongs to exactly one area. Promotions and demotions never move data by
 /// themselves: relocation happens when the data is next rewritten or garbage
 /// collected, which is why write latency and erase counts stay at the level of the
-/// conventional FTL.
+/// conventional FTL. Everything else — mapping, garbage collection, fault handling —
+/// is the [`FtlCore`] it shares with the baseline.
 ///
 /// # Example
 ///
@@ -34,155 +31,89 @@ use crate::virtual_block::VirtualBlockTable;
 /// use vflash_ftl::hotcold::TwoLevelLru;
 /// use vflash_ftl::{FlashTranslationLayer, Lpn};
 /// use vflash_nand::{NandConfig, NandDevice};
-/// use vflash_ppb::{PpbConfig, PpbFtl};
+/// use vflash_ppb::{Hotness, PpbConfig, PpbFtl};
 ///
 /// # fn main() -> Result<(), vflash_ftl::FtlError> {
-/// // Default first stage (size check):
-/// let ftl = PpbFtl::new(NandDevice::new(NandConfig::small()), PpbConfig::default())?;
-/// assert_eq!(ftl.name(), "ppb");
+/// // Default first stage (size check); the strategy's state is `placement()`:
+/// let mut ftl = PpbFtl::new(NandDevice::new(NandConfig::small()), PpbConfig::default())?;
+/// ftl.write(Lpn(1), 512)?;
+/// assert_eq!((ftl.name(), ftl.placement().hotness_of(Lpn(1))), ("ppb", Hotness::Hot));
 ///
-/// // Any other classifier plugs in unchanged:
+/// // Any other classifier plugs in unchanged, paired with the configuration:
 /// let lru = TwoLevelLru::new(512, 512);
-/// let _ftl = PpbFtl::with_classifier(
-///     NandDevice::new(NandConfig::small()),
-///     PpbConfig::default(),
-///     lru,
-/// )?;
+/// let _ftl = PpbFtl::new(NandDevice::new(NandConfig::small()), (PpbConfig::default(), lru))?;
 /// # Ok(())
 /// # }
 /// ```
+pub type PpbFtl<C = SizeCheck> = FtlCore<PpbPlacement<C>>;
+
+/// Hotness-aware placement: classifier, hot/cold areas, one [`AreaWriter`] per area and
+/// the block → area table. A page's stream is the [`Hotness`] level it is written at.
 #[derive(Debug)]
-pub struct PpbFtl<C = SizeCheck> {
-    device: NandDevice,
+pub struct PpbPlacement<C = SizeCheck> {
     config: PpbConfig,
-    mapping: MappingTable,
     virtual_blocks: VirtualBlockTable,
     hot_writer: AreaWriter,
     cold_writer: AreaWriter,
     hot_area: HotArea,
     cold_area: ColdArea,
     classifier: C,
-    victim_policy: Box<dyn VictimPolicy>,
-    metrics: FtlMetrics,
-    logical_pages: u64,
-    read_only: bool,
     /// Which area each physical block currently belongs to (by flat block index).
     /// `None` means the block is free or has never been written since its last erase.
     block_areas: Vec<Option<Area>>,
-    /// LPNs whose data was lost to an uncorrectable relocation read. A host read
-    /// of a lost LPN completes instantly with the `uncorrectable` flag (the
-    /// device no longer holds the data); a successful rewrite clears the entry.
-    lost: HashSet<Lpn>,
-    /// Scratch reused across GC rounds so steady-state collection allocates nothing:
-    /// the victim-selection exclusion list and the residents of the block emptied.
-    exclude: Vec<BlockAddr>,
-    residents: Vec<(PageAddr, Lpn)>,
+    blocks_per_chip: usize,
 }
 
-impl PpbFtl<SizeCheck> {
-    /// Builds the PPB FTL with the paper's case-study first stage: the request-size
-    /// check with the flash page size as threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::InvalidConfig`] for inconsistent configurations.
-    pub fn new(device: NandDevice, config: PpbConfig) -> Result<Self, FtlError> {
-        let page_size = device.config().page_size_bytes() as u32;
-        PpbFtl::with_classifier(device, config, SizeCheck::new(page_size))
+/// The paper's case-study first stage: the request-size check with the flash page
+/// size as threshold.
+impl Assemble<PpbConfig> for PpbPlacement<SizeCheck> {
+    fn assemble(config: PpbConfig, nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError> {
+        let classifier = SizeCheck::new(nand.page_size_bytes() as u32);
+        Self::assemble((config, classifier), nand)
     }
 }
 
-impl<C: HotColdClassifier> PpbFtl<C> {
-    /// Builds the PPB FTL with an explicit first-stage hot/cold classifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::InvalidConfig`] for inconsistent configurations.
-    pub fn with_classifier(
-        device: NandDevice,
-        config: PpbConfig,
-        classifier: C,
-    ) -> Result<Self, FtlError> {
+/// An explicit first-stage hot/cold classifier.
+impl<C: HotColdClassifier> Assemble<(PpbConfig, C)> for PpbPlacement<C> {
+    fn assemble(
+        (config, classifier): (PpbConfig, C),
+        nand: &NandConfig,
+    ) -> Result<(FtlConfig, Self), FtlError> {
         config.validate()?;
-        let nand = device.config();
-        let logical_pages = config.ftl.logical_pages(nand.total_pages());
-        if logical_pages == 0 {
-            return Err(FtlError::InvalidConfig {
-                reason: "over-provisioning leaves zero logical pages".to_string(),
-            });
-        }
-        if nand.total_blocks() <= config.ftl.gc_target_free_blocks + 2 {
-            return Err(FtlError::InvalidConfig {
-                reason: format!(
-                    "device has only {} blocks; the PPB strategy needs room for a hot and a cold write stream plus {} free GC blocks",
-                    nand.total_blocks(),
-                    config.ftl.gc_target_free_blocks
-                ),
-            });
-        }
         if config.virtual_blocks_per_block > nand.pages_per_block() {
             return Err(FtlError::InvalidConfig {
                 reason: "virtual_blocks_per_block exceeds pages_per_block".to_string(),
             });
         }
-        let mapping = MappingTable::new(
-            logical_pages,
-            nand.chips(),
-            nand.blocks_per_chip(),
-            nand.pages_per_block(),
-        );
+        let logical_pages = config.ftl.logical_pages(nand.total_pages());
         let virtual_blocks = VirtualBlockTable::new(nand, config.virtual_blocks_per_block);
-        let hot_writer =
-            AreaWriter::new("hot", &virtual_blocks, config.max_open_blocks_per_area);
-        let cold_writer =
-            AreaWriter::new("cold", &virtual_blocks, config.max_open_blocks_per_area);
-        let hot_area = HotArea::new(
-            logical_pages,
-            config.hot_list_capacity(logical_pages),
-            config.iron_hot_list_capacity(logical_pages),
-        );
-        let cold_area = ColdArea::new(
-            logical_pages,
-            config.cold_table_capacity(logical_pages),
-            config.cold_promote_reads,
-        );
-        let block_areas = vec![None; nand.total_blocks()];
-        Ok(PpbFtl {
-            device,
+        let placement = PpbPlacement {
+            hot_writer: AreaWriter::new("hot", &virtual_blocks, config.max_open_blocks_per_area),
+            cold_writer: AreaWriter::new("cold", &virtual_blocks, config.max_open_blocks_per_area),
+            hot_area: HotArea::new(
+                logical_pages,
+                config.hot_list_capacity(logical_pages),
+                config.iron_hot_list_capacity(logical_pages),
+            ),
+            cold_area: ColdArea::new(
+                logical_pages,
+                config.cold_table_capacity(logical_pages),
+                config.cold_promote_reads,
+            ),
             config,
-            mapping,
             virtual_blocks,
-            hot_writer,
-            cold_writer,
-            hot_area,
-            cold_area,
             classifier,
-            victim_policy: Box::new(GreedyVictimPolicy::new()),
-            metrics: FtlMetrics::new(),
-            logical_pages,
-            read_only: false,
-            block_areas,
-            lost: HashSet::new(),
-            exclude: Vec::new(),
-            residents: Vec::new(),
-        })
+            block_areas: vec![None; nand.total_blocks()],
+            blocks_per_chip: nand.blocks_per_chip(),
+        };
+        Ok((config.ftl, placement))
     }
+}
 
+impl<C> PpbPlacement<C> {
     /// The PPB configuration.
     pub fn config(&self) -> &PpbConfig {
         &self.config
-    }
-
-    /// Replaces the garbage-collection victim policy (greedy by default). Used by
-    /// the Figure 18 policy ablation to compare greedy, wear-aware and
-    /// cost-benefit selection on identical workloads.
-    pub fn set_victim_policy(&mut self, policy: Box<dyn VictimPolicy>) {
-        self.victim_policy = policy;
-    }
-
-    /// The mapping table, for inspection in tests and tools.
-    pub fn mapping(&self) -> &MappingTable {
-        &self.mapping
     }
 
     /// The virtual-block geometry helper.
@@ -200,31 +131,25 @@ impl<C: HotColdClassifier> PpbFtl<C> {
             .unwrap_or(Hotness::IcyCold)
     }
 
-    /// Number of free blocks currently available for allocation. O(chips): the
-    /// device tracks the count, no block scan happens.
-    pub fn free_blocks(&self) -> usize {
-        self.device.available_blocks()
-    }
-
     /// The data area `block` is currently dedicated to, or `None` if the block has
     /// not been written since its last erase. A physical block never holds data from
     /// both areas at once — that is the core garbage-collection-preserving invariant
     /// of the virtual-block design.
     pub fn block_area(&self, block: BlockAddr) -> Option<Area> {
-        self.block_areas[block.flat_index(self.device.config().blocks_per_chip())]
+        self.block_areas[block.flat_index(self.blocks_per_chip)]
     }
+}
 
-    fn check_range(&self, lpn: Lpn) -> Result<(), FtlError> {
-        if lpn.0 >= self.logical_pages {
-            Err(FtlError::LpnOutOfRange { lpn, logical_pages: self.logical_pages })
-        } else {
-            Ok(())
-        }
-    }
+impl<C: HotColdClassifier> Placement for PpbPlacement<C> {
+    type Stream = Hotness;
 
-    /// Updates the area bookkeeping for a write and returns the level the data should
-    /// be placed at.
-    fn classify_and_track_write(&mut self, lpn: Lpn, request_bytes: u32) -> Hotness {
+    const NAME: &'static str = "ppb";
+    /// A hot and a cold write stream.
+    const RESERVED_BLOCKS: usize = 2;
+
+    /// Updates the area bookkeeping for a write; returns the level to place it at.
+    #[inline]
+    fn host_write(&mut self, lpn: Lpn, request_bytes: u32) -> Hotness {
         match self.classifier.classify_write(lpn, request_bytes) {
             Temperature::Hot => {
                 self.cold_area.remove(lpn);
@@ -247,325 +172,111 @@ impl<C: HotColdClassifier> PpbFtl<C> {
         }
     }
 
-    /// Converts an allocation failure into the right terminal error: when bad-block
-    /// growth has eaten the spare capacity, the FTL transitions (stickily) to
-    /// read-only mode instead of reporting a capacity bug.
-    fn out_of_space(&mut self) -> FtlError {
-        if self.device.bad_block_count() > 0 {
-            self.read_only = true;
-            self.metrics.record_read_only(self.device.makespan());
-            FtlError::ReadOnly
-        } else {
-            FtlError::OutOfSpace
+    /// Re-access tracking: a read is the signal that promotes hot -> iron-hot and
+    /// icy-cold -> cold. The data itself is not moved here (progressive migration).
+    fn host_read(&mut self, lpn: Lpn) {
+        self.classifier.record_read(lpn);
+        if self.hot_area.on_read(lpn) == PromotionOutcome::NotTracked {
+            self.cold_area.on_read(lpn);
         }
     }
 
-    /// Writes `lpn` at hotness `level`, returning the device time charged.
-    ///
-    /// An injected program failure retires the target block; the writer evicts it,
-    /// its surviving valid pages are rescued (each at its *current* hotness level)
-    /// and the write re-drives into a fresh block, with the rescue time charged to
-    /// the returned latency.
-    fn place_page(&mut self, lpn: Lpn, level: Hotness) -> Result<Nanos, FtlError> {
-        let mut time = Nanos::ZERO;
-        loop {
-            let fastest = self.virtual_blocks.per_block() - 1;
-            let desired = if level.prefers_fast_pages() { fastest } else { 0 };
-            let targeted = match level.area() {
-                Area::Hot => self.hot_writer.target(desired, &mut self.device),
-                Area::Cold => self.cold_writer.target(desired, &mut self.device),
-            };
-            let block = match targeted {
-                Ok(block) => block,
-                Err(FtlError::OutOfSpace) => return Err(self.out_of_space()),
-                Err(err) => return Err(err),
-            };
-            let flat = block.flat_index(self.device.config().blocks_per_chip());
-            if self.block_areas[flat].is_none() {
-                // First data in this block since its erase: claim it for the area and
-                // mirror the claim onto the device as a block tag, so hotness-aware
-                // victim policies (which only see the device) can tell areas apart.
-                self.block_areas[flat] = Some(level.area());
-                self.device
-                    .set_block_area_tag(block, Some(level.area().tag()))
-                    .expect("write target addresses are valid");
-            }
-            let owner = self.block_areas[flat].expect("just claimed above");
-            debug_assert_eq!(
-                owner,
-                level.area(),
-                "block {block} owned by {owner} received {level} data"
-            );
-            match self.device.program_next(block) {
-                Ok((page, program)) => {
-                    let writer = match level.area() {
-                        Area::Hot => &mut self.hot_writer,
-                        Area::Cold => &mut self.cold_writer,
-                    };
-                    writer.after_program(block, &self.device, &self.virtual_blocks);
-                    if let Some(previous) = self.mapping.map(lpn, block.page(page)) {
-                        self.device.invalidate(previous)?;
-                    }
-                    return Ok(time + program);
-                }
-                Err(NandError::ProgramFailed { .. }) => {
-                    // The device retired `block`. Evict it from its writer, move
-                    // its surviving valid pages to safety and try again.
-                    self.metrics.record_bad_block();
-                    self.hot_writer.evict(block);
-                    self.cold_writer.evict(block);
-                    time += self.rescue_block(block)?;
-                    self.metrics.record_remap();
-                }
-                Err(err) => return Err(err.into()),
-            }
+    /// Progressive migration: a relocated page is rewritten at its **current** level, so
+    /// data promoted or demoted since it was written lands on a page of suitable speed.
+    fn relocation_stream(&self, lpn: Lpn, _rescued_from: Option<Hotness>) -> Hotness {
+        self.hotness_of(lpn)
+    }
+
+    #[inline]
+    fn target(&mut self, level: Hotness, device: &mut NandDevice) -> Result<BlockAddr, FtlError> {
+        let fastest = self.virtual_blocks.per_block() - 1;
+        let desired = if level.prefers_fast_pages() { fastest } else { 0 };
+        let area = level.area();
+        let block = match area {
+            Area::Hot => self.hot_writer.target(desired, device)?,
+            Area::Cold => self.cold_writer.target(desired, device)?,
+        };
+        let owner = &mut self.block_areas[block.flat_index(self.blocks_per_chip)];
+        if owner.is_none() {
+            // First data in this block since its erase: claim it for the area and
+            // mirror the claim onto the device as a block tag, so hotness-aware
+            // victim policies (which only see the device) can tell areas apart.
+            *owner = Some(area);
+            device.set_block_area_tag(block, Some(area.tag()))?;
+        }
+        debug_assert_eq!(*owner, Some(area), "block {block} received {level} data");
+        Ok(block)
+    }
+
+    fn programmed(&mut self, level: Hotness, block: BlockAddr, device: &NandDevice) {
+        match level.area() {
+            Area::Hot => self.hot_writer.after_program(block, device, &self.virtual_blocks),
+            Area::Cold => self.cold_writer.after_program(block, device, &self.virtual_blocks),
         }
     }
 
-    /// Relocates every surviving valid page out of `bad` (a freshly retired block),
-    /// each at its current hotness level. Pages whose relocation read is
-    /// uncorrectable are dropped from the mapping and remembered as lost — the
-    /// host's next read of the LPN completes with the `uncorrectable` flag.
-    /// Returns the time charged.
-    fn rescue_block(&mut self, bad: BlockAddr) -> Result<Nanos, FtlError> {
-        let mut time = Nanos::ZERO;
-        // Taken, not borrowed: a rescue nested in a relocation grows its own.
-        let mut residents = std::mem::take(&mut self.residents);
-        self.mapping.residents_into(bad, &mut residents);
-        for &(source, lpn) in &residents {
-            match self.relocation_read(source, lpn)? {
-                Some(read) => time += read,
-                None => {
-                    time += self.device.last_read_faults().total_time;
-                    continue;
-                }
-            }
-            let level = self.hotness_of(lpn);
-            // place_page remaps the LPN and invalidates its previous location,
-            // which is exactly the source page being rescued.
-            time += self.place_page(lpn, level)?;
-            self.metrics.record_rescue(1);
-        }
-        self.residents = residents;
-        Ok(time)
+    fn retired(&mut self, _level: Hotness, block: BlockAddr) {
+        self.hot_writer.evict(block);
+        self.cold_writer.evict(block);
     }
 
-    /// Reads `source` on behalf of a relocation (GC or bad-block rescue). Returns
-    /// `Ok(Some(latency))` on success; on an uncorrectable read the data is lost,
-    /// so the LPN is unmapped and remembered as lost, the page invalidated and
-    /// `Ok(None)` returned (the caller charges
-    /// [`NandDevice::last_read_faults`]'s total time).
-    fn relocation_read(&mut self, source: PageAddr, lpn: Lpn) -> Result<Option<Nanos>, FtlError> {
-        let outcome = self.device.read(source);
-        let faults = self.device.last_read_faults();
-        self.metrics.record_read_retries(faults.retries, faults.retry_time);
-        match outcome {
-            Ok(latency) => Ok(Some(latency)),
-            Err(NandError::UncorrectableRead { .. }) => {
-                self.metrics.record_uncorrectable_read();
-                self.mapping.unmap(lpn);
-                self.lost.insert(lpn);
-                self.device.invalidate(source)?;
-                Ok(None)
-            }
-            Err(err) => Err(err.into()),
-        }
+    /// The erase dissolves the area claim; a failed erase leaves it on the dead block.
+    fn erased(&mut self, block: BlockAddr) {
+        self.block_areas[block.flat_index(self.blocks_per_chip)] = None;
     }
 
-    /// Reclaims blocks until the free pool reaches the configured target.
-    ///
-    /// Relocation is where the *progressive* movement happens: each surviving page is
-    /// rewritten according to its **current** hotness level, so data promoted or
-    /// demoted since it was written finally lands on a page of suitable speed — at
-    /// zero extra cost, because the page had to be copied anyway.
-    fn collect_garbage(&mut self) -> Result<GcOutcome, FtlError> {
-        let mut outcome = GcOutcome::default();
-        while self.device.available_blocks() < self.config.ftl.gc_target_free_blocks {
-            self.exclude.clear();
-            self.exclude.extend(self.hot_writer.open_blocks().chain(self.cold_writer.open_blocks()));
-            let Some(victim) = self.victim_policy.select_victim(&self.device, &self.exclude) else {
-                break;
-            };
-            outcome.merge(self.reclaim_block(victim)?);
-        }
-        Ok(outcome)
+    fn open_blocks(&self, open: &mut Vec<BlockAddr>) {
+        open.extend(self.hot_writer.open_blocks().chain(self.cold_writer.open_blocks()));
     }
 
-    fn reclaim_block(&mut self, victim: BlockAddr) -> Result<GcOutcome, FtlError> {
-        let mut outcome = GcOutcome::default();
-        let mut residents = std::mem::take(&mut self.residents);
-        self.mapping.residents_into(victim, &mut residents);
-        let mut migrated = 0u64;
-        for &(source, lpn) in &residents {
-            match self.relocation_read(source, lpn)? {
-                Some(read) => outcome.time += read,
-                None => {
-                    outcome.time += self.device.last_read_faults().total_time;
-                    continue;
-                }
-            }
-            let level = self.hotness_of(lpn);
-            let source_class = self.virtual_blocks.class_of_page(source.page()).0;
-            // place_page remaps the LPN and invalidates its previous location, which
-            // is exactly the source page being relocated.
-            outcome.time += self.place_page(lpn, level)?;
-            outcome.copied_pages += 1;
-            let destination = self.mapping.lookup(lpn).expect("page was just mapped");
-            let destination_class = self.virtual_blocks.class_of_page(destination.page()).0;
-            if destination_class != source_class {
-                migrated += 1;
-            }
-        }
-        self.residents = residents;
-        // The erase returns the victim to the device's free pool. A failed erase
-        // is instantaneous (the device charges no time) and retires the victim;
-        // its valid data is already safe, so GC simply moves on without counting
-        // an erase, leaving the area claim on the dead block.
-        match self.device.erase(victim) {
-            Ok(erase) => {
-                outcome.time += erase;
-                outcome.erased_blocks += 1;
-                self.block_areas[victim.flat_index(self.device.config().blocks_per_chip())] =
-                    None;
-            }
-            Err(NandError::EraseFailed { .. }) => self.metrics.record_bad_block(),
-            Err(err) => return Err(err.into()),
-        }
-        self.metrics.record_migration(migrated);
-        Ok(outcome)
-    }
-}
-
-impl<C: HotColdClassifier> FlashTranslationLayer for PpbFtl<C> {
-    fn name(&self) -> &str {
-        "ppb"
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.logical_pages
-    }
-
-    fn submit(&mut self, request: IoRequest) -> Result<Completion, FtlError> {
-        let lpn = request.lpn;
-        self.check_range(lpn)?;
-        // Everything recorded into the op arena from here on is this request's.
-        let mark = self.device.op_mark();
-        match request.command {
-            IoCommand::Read => {
-                let Some(addr) = self.mapping.lookup(lpn) else {
-                    if self.lost.contains(&lpn) {
-                        // The data fell to an uncorrectable relocation read and is
-                        // gone from the media: the read completes instantly (no
-                        // device work) with the data-lost flag. No re-access
-                        // tracking either — a lost read is no re-use signal.
-                        self.metrics.record_uncorrectable_read();
-                        self.metrics.record_host_read(Nanos::ZERO);
-                        return Ok(Completion {
-                            latency: Nanos::ZERO,
-                            ops: self.device.ops_since(mark),
-                            gc: GcOutcome::default(),
-                            read_retries: 0,
-                            uncorrectable: true,
-                        });
-                    }
-                    return Err(FtlError::UnmappedRead { lpn });
-                };
-                // An uncorrectable read still completes towards the host — the
-                // full retry-ladder latency was spent — but the data is lost.
-                let (latency, uncorrectable) = match self.device.read(addr) {
-                    Ok(latency) => (latency, false),
-                    Err(NandError::UncorrectableRead { .. }) => {
-                        (self.device.last_read_faults().total_time, true)
-                    }
-                    Err(err) => return Err(err.into()),
-                };
-                let faults = self.device.last_read_faults();
-                self.metrics.record_read_retries(faults.retries, faults.retry_time);
-                if uncorrectable {
-                    self.metrics.record_uncorrectable_read();
-                }
-                self.metrics.record_host_read(latency);
-
-                if !uncorrectable {
-                    // Re-access tracking: a read is the signal that promotes hot ->
-                    // iron-hot and icy-cold -> cold. The data itself is not moved
-                    // here (progressive migration). A lost read is no re-use signal.
-                    self.classifier.record_read(lpn);
-                    if self.hot_area.on_read(lpn) == PromotionOutcome::NotTracked {
-                        self.cold_area.on_read(lpn);
-                    }
-                }
-                Ok(Completion {
-                    latency,
-                    ops: self.device.ops_since(mark),
-                    gc: GcOutcome::default(),
-                    read_retries: faults.retries,
-                    uncorrectable,
-                })
-            }
-            IoCommand::Write { request_bytes } => {
-                if self.read_only {
-                    return Err(FtlError::ReadOnly);
-                }
-                let mut latency = Nanos::ZERO;
-                let mut gc = GcOutcome::default();
-
-                if self.device.available_blocks() < self.config.ftl.gc_trigger_free_blocks {
-                    gc = self.collect_garbage()?;
-                    latency += gc.time;
-                    self.metrics.record_gc(gc.copied_pages, gc.erased_blocks, gc.time);
-                }
-
-                let level = self.classify_and_track_write(lpn, request_bytes);
-                latency += self.place_page(lpn, level)?;
-                if !self.lost.is_empty() {
-                    self.lost.remove(&lpn); // faults off: never hashed
-                }
-                self.metrics.record_host_write(latency);
-                Ok(Completion {
-                    latency,
-                    ops: self.device.ops_since(mark),
-                    gc,
-                    read_retries: 0,
-                    uncorrectable: false,
-                })
-            }
-        }
-    }
-
-    fn note_batch(&mut self, pages: u64) {
-        self.metrics.record_batch(pages);
-    }
-
+    /// Both areas stripe: bulk table builds land in the cold area, WAL appends in the
+    /// hot area, and either benefits from rotating programs across chips under batching.
     fn set_write_stripe(&mut self, lanes: usize) {
-        // Both areas stripe: bulk table builds land in the cold area, WAL
-        // appends in the hot area, and either stream benefits from rotating
-        // programs across chips when the host batches.
         self.hot_writer.set_stripe(lanes);
         self.cold_writer.set_stripe(lanes);
     }
 
-    fn metrics(&self) -> &FtlMetrics {
-        &self.metrics
+    /// A copy that changed speed class.
+    fn migrated(&self, source: PageAddr, destination: PageAddr) -> bool {
+        self.virtual_blocks.class_of_page(source.page())
+            != self.virtual_blocks.class_of_page(destination.page())
     }
 
-    fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
-    fn device(&self) -> &NandDevice {
-        &self.device
-    }
-
-    fn device_mut(&mut self) -> &mut NandDevice {
-        &mut self.device
+    /// The area table mirrors the device's block tags, every block with resident
+    /// data has an owner, and every LPN tracked as hot lives in a hot-area block: a
+    /// hot classification always rewrites into the hot area (a demotion moves nothing,
+    /// so the converse does not hold). Except for the write that hit end of life — it
+    /// was classified, then failed — so a read-only FTL skips that last check.
+    fn check_invariants(
+        &self,
+        device: &NandDevice,
+        mapping: &MappingTable,
+        read_only: bool,
+    ) -> Result<(), String> {
+        for block in device.block_addrs() {
+            let owner = self.block_area(block);
+            let tag = device.block(block).map_err(|err| err.to_string())?.area_tag();
+            if tag != owner.map(Area::tag) {
+                return Err(format!("device tag {tag:?} of {block} disagrees with area {owner:?}"));
+            }
+            for (_, lpn) in mapping.lpns_in_block(block) {
+                let Some(owner) = owner else {
+                    return Err(format!("{block} holds {lpn} but belongs to no area"));
+                };
+                if !read_only && owner != Area::Hot && self.hotness_of(lpn).area() == Area::Hot {
+                    return Err(format!("hot {lpn} resides in a {owner} block {block}"));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vflash_nand::NandConfig;
+    use vflash_ftl::{FlashTranslationLayer, IoRequest};
+    use vflash_nand::Nanos;
 
     fn device(blocks: usize, pages: usize) -> NandDevice {
         NandDevice::new(
@@ -593,8 +304,8 @@ mod tests {
         let mut ftl = small_ftl();
         ftl.write(Lpn(1), 512).unwrap();
         ftl.write(Lpn(2), 64 * 1024).unwrap();
-        assert_eq!(ftl.hotness_of(Lpn(1)), Hotness::Hot);
-        assert_eq!(ftl.hotness_of(Lpn(2)), Hotness::IcyCold);
+        assert_eq!(ftl.placement().hotness_of(Lpn(1)), Hotness::Hot);
+        assert_eq!(ftl.placement().hotness_of(Lpn(2)), Hotness::IcyCold);
     }
 
     #[test]
@@ -604,14 +315,14 @@ mod tests {
         ftl.write(Lpn(2), 64 * 1024).unwrap();
         ftl.read(Lpn(1)).unwrap();
         ftl.read(Lpn(2)).unwrap();
-        assert_eq!(ftl.hotness_of(Lpn(1)), Hotness::IronHot);
-        assert_eq!(ftl.hotness_of(Lpn(2)), Hotness::Cold);
+        assert_eq!(ftl.placement().hotness_of(Lpn(1)), Hotness::IronHot);
+        assert_eq!(ftl.placement().hotness_of(Lpn(2)), Hotness::Cold);
     }
 
     #[test]
     fn untouched_lpns_default_to_icy_cold() {
         let ftl = small_ftl();
-        assert_eq!(ftl.hotness_of(Lpn(40)), Hotness::IcyCold);
+        assert_eq!(ftl.placement().hotness_of(Lpn(40)), Hotness::IcyCold);
     }
 
     #[test]
@@ -627,7 +338,7 @@ mod tests {
         }
         ftl.write(Lpn(1), 512).unwrap();
         let location = ftl.mapping().lookup(Lpn(1)).unwrap();
-        let class = ftl.virtual_blocks().class_of_page(location.page());
+        let class = ftl.placement().virtual_blocks().class_of_page(location.page());
         assert!(!class.is_slowest(), "iron-hot rewrite should land on the fast half");
     }
 
@@ -645,45 +356,11 @@ mod tests {
             }
         }
         // Every block with resident data is owned by exactly one area, and every LPN
-        // the strategy still tracks as hot lives in a hot-area block. (Cold-tracked
-        // LPNs may temporarily sit in hot-area blocks right after a demotion — that is
-        // the "progressive" part — but hot classifications always trigger a rewrite
-        // into the hot area, so the converse holds unconditionally.)
-        for block in ftl.device().block_addrs() {
-            let residents: Vec<_> = ftl.mapping().lpns_in_block(block).collect();
-            if residents.is_empty() {
-                continue;
-            }
-            let owner = ftl.block_area(block).expect("resident data implies an owner area");
-            for (_, lpn) in residents {
-                if ftl.hotness_of(lpn).area() == Area::Hot {
-                    assert_eq!(
-                        owner,
-                        Area::Hot,
-                        "hot {lpn} resides in a {owner} block {block}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sustained_overwrites_survive_gc_and_stay_readable() {
-        let mut ftl = small_ftl();
-        let logical = ftl.logical_pages();
-        for i in 0..(logical * 8) {
-            let lpn = Lpn(i % logical);
-            let size = if lpn.0.is_multiple_of(3) { 512 } else { 32 * 1024 };
-            ftl.write(lpn, size).unwrap();
-            if i % 5 == 0 {
-                ftl.read(lpn).unwrap();
-            }
-        }
-        assert!(ftl.metrics().gc_erased_blocks > 0, "GC never ran");
-        for i in 0..logical {
-            ftl.read(Lpn(i)).unwrap();
-        }
-        ftl.mapping().check_consistency().unwrap();
+        // the strategy still tracks as hot lives in a hot-area block.
+        ftl.check_invariants().unwrap();
+        let owned = ftl.device().block_addrs().filter_map(|block| ftl.placement().block_area(block));
+        let owned: std::collections::HashSet<Area> = owned.collect();
+        assert_eq!(owned.len(), 2, "the workload must populate both areas");
     }
 
     #[test]
@@ -762,15 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_lpns_are_rejected() {
-        let mut ftl = small_ftl();
-        let beyond = Lpn(ftl.logical_pages());
-        assert!(matches!(ftl.write(beyond, 512), Err(FtlError::LpnOutOfRange { .. })));
-        assert!(matches!(ftl.read(beyond), Err(FtlError::LpnOutOfRange { .. })));
-        assert!(matches!(ftl.read(Lpn(0)), Err(FtlError::UnmappedRead { .. })));
-    }
-
-    #[test]
     fn submit_traces_ops_and_sums_to_the_charged_latency() {
         let mut ftl = small_ftl();
         ftl.device_mut().set_op_tracing(true);
@@ -803,18 +471,10 @@ mod tests {
             ftl.write(lpn, if i % 2 == 0 { 512 } else { 64 * 1024 }).unwrap();
         }
         assert!(ftl.metrics().gc_erased_blocks > 0, "workload never exercised GC");
-        let mut tagged = 0;
-        for block in ftl.device().block_addrs() {
-            let tag = ftl.device().block(block).unwrap().area_tag();
-            let area = ftl.block_area(block);
-            assert_eq!(
-                tag,
-                area.map(Area::tag),
-                "device tag of {block} disagrees with FTL area {area:?}"
-            );
-            tagged += usize::from(tag.is_some());
-        }
-        assert!(tagged > 0, "no block ended up tagged");
+        ftl.check_invariants().unwrap();
+        let tagged =
+            ftl.device().block_addrs().filter(|&block| ftl.placement().block_area(block).is_some());
+        assert!(tagged.count() > 0, "no block ended up tagged");
     }
 
     #[test]
@@ -831,147 +491,6 @@ mod tests {
         for i in 0..logical {
             ftl.read(Lpn(i)).unwrap();
         }
-    }
-
-    #[test]
-    fn victim_policy_is_swappable() {
-        use vflash_ftl::CostBenefitVictimPolicy;
-        let mut ftl = small_ftl();
-        ftl.set_victim_policy(Box::new(CostBenefitVictimPolicy::new()));
-        let logical = ftl.logical_pages();
-        for i in 0..(logical * 8) {
-            ftl.write(Lpn(i % logical), if i % 2 == 0 { 512 } else { 64 * 1024 }).unwrap();
-        }
-        assert!(ftl.metrics().gc_erased_blocks > 0);
-        ftl.mapping().check_consistency().unwrap();
-        for i in 0..logical {
-            ftl.read(Lpn(i)).unwrap();
-        }
-    }
-
-    fn faulty_ftl(faults: vflash_nand::FaultConfig) -> PpbFtl {
-        let device = NandDevice::new(
-            NandConfig::builder()
-                .chips(1)
-                .blocks_per_chip(24)
-                .pages_per_block(8)
-                .page_size_bytes(4096)
-                .speed_ratio(4.0)
-                .faults(faults)
-                .build()
-                .unwrap(),
-        );
-        let config = PpbConfig {
-            ftl: vflash_ftl::FtlConfig { over_provisioning: 0.25, ..Default::default() },
-            ..PpbConfig::default()
-        };
-        PpbFtl::new(device, config).unwrap()
-    }
-
-    #[test]
-    fn program_failures_remap_writes_until_spares_run_out() {
-        let mut ftl = faulty_ftl(vflash_nand::FaultConfig {
-            program_fail_base: 0.02,
-            erase_fail_base: 0.0,
-            rber_scale: 0.0,
-            ..vflash_nand::FaultConfig::enabled(13)
-        });
-        let logical = ftl.logical_pages();
-        let mut writes = 0u64;
-        loop {
-            let size = if writes % 2 == 0 { 512 } else { 64 * 1024 };
-            match ftl.write(Lpn(writes % logical), size) {
-                Ok(_) => writes += 1,
-                Err(FtlError::ReadOnly) => break,
-                Err(err) => panic!("unexpected error before end of life: {err}"),
-            }
-            assert!(writes < 1_000_000, "device never reached end of life");
-        }
-        assert!(ftl.is_read_only());
-        assert!(writes > 0, "no writes succeeded before end of life");
-        let metrics = *ftl.metrics();
-        assert!(metrics.bad_blocks_grown > 0);
-        assert!(metrics.remapped_writes > 0);
-        assert!(metrics.time_to_read_only > Nanos::ZERO);
-        // Read-only mode is sticky...
-        assert!(matches!(ftl.write(Lpn(0), 512), Err(FtlError::ReadOnly)));
-        // ...but surviving data is still readable and the mapping is intact.
-        let readable = (0..logical).filter(|&i| ftl.read(Lpn(i)).is_ok()).count();
-        assert!(readable > 0, "read-only mode must keep serving reads");
-        ftl.mapping().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn reads_of_data_lost_in_relocation_complete_with_the_data_lost_flag() {
-        // Every read exhausts the retry ladder, so every GC relocation read
-        // loses its page. Lost LPNs must not surface as UnmappedRead — the
-        // host read completes instantly with the uncorrectable flag.
-        let mut ftl = faulty_ftl(vflash_nand::FaultConfig {
-            rber_scale: 1e12,
-            ecc_correctable_bits: 0,
-            retry_extra_bits: 1,
-            max_read_retries: 2,
-            program_fail_base: 0.0,
-            erase_fail_base: 0.0,
-            ..vflash_nand::FaultConfig::enabled(11)
-        });
-        let logical = ftl.logical_pages();
-        // Fill once, then hammer a small hot set: GC keeps relocating the cold
-        // majority, loses every page it touches, and the lost LPNs are never
-        // rewritten — so they must still read back as lost afterwards.
-        for i in 0..logical {
-            ftl.write(Lpn(i), 4096).unwrap();
-        }
-        for round in 0..(logical * 4) {
-            ftl.write(Lpn(round % 8), 4096).unwrap();
-        }
-        assert!(ftl.metrics().gc_erased_blocks > 0, "workload never triggered GC");
-        let mut lost_seen = false;
-        for i in 0..logical {
-            let completion = ftl.submit(IoRequest::read(Lpn(i))).unwrap();
-            assert!(completion.uncorrectable, "every read on this device fails");
-            if completion.latency == Nanos::ZERO {
-                assert_eq!(completion.read_retries, 0);
-                lost_seen = true;
-            }
-        }
-        assert!(lost_seen, "an uncorrectable-everything device must lose data in GC");
-        // Rewriting a lost LPN revives it.
-        ftl.write(Lpn(0), 4096).unwrap();
-        assert!(ftl.mapping().lookup(Lpn(0)).is_some());
-    }
-
-    #[test]
-    fn fault_paths_preserve_op_latency_accounting() {
-        let mut ftl = faulty_ftl(vflash_nand::FaultConfig {
-            rber_scale: 30.0,
-            program_fail_base: 0.005,
-            erase_fail_base: 0.002,
-            ..vflash_nand::FaultConfig::enabled(42)
-        });
-        ftl.device_mut().set_op_tracing(true);
-        let logical = ftl.logical_pages();
-        for i in 0..(logical * 6) {
-            let lpn = Lpn(i % logical);
-            let size = if i % 2 == 0 { 512 } else { 64 * 1024 };
-            ftl.device_mut().clear_ops();
-            let write = match ftl.submit(IoRequest::write(lpn, size)) {
-                Ok(completion) => completion,
-                Err(FtlError::ReadOnly) => break,
-                Err(err) => panic!("unexpected error: {err}"),
-            };
-            let ops_total: Nanos =
-                ftl.device().ops(write.ops).iter().map(|op| op.latency).sum();
-            assert_eq!(ops_total, write.latency, "write ops must sum to the charge");
-
-            ftl.device_mut().clear_ops();
-            if let Ok(read) = ftl.submit(IoRequest::read(lpn)) {
-                let ops_total: Nanos =
-                    ftl.device().ops(read.ops).iter().map(|op| op.latency).sum();
-                assert_eq!(ops_total, read.latency, "read ops must sum to the charge");
-            }
-        }
-        assert!(ftl.metrics().retried_reads > 0, "fault model never fired");
     }
 
     #[test]

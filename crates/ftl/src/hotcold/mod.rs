@@ -13,7 +13,7 @@
 //!   the frequency table.
 //!
 //! All of them implement [`HotColdClassifier`], so any of them can be plugged into the
-//! conventional FTL or the PPB strategy.
+//! PPB placement as its first identification stage.
 
 mod freq_table;
 mod multi_hash;

@@ -1,20 +1,23 @@
 //! # vflash-ftl
 //!
-//! A baseline **flash translation layer** (FTL) for the 3D charge-trap NAND model in
-//! [`vflash_nand`], plus the building blocks shared by more advanced FTLs:
+//! The **flash translation layer** (FTL) for the 3D charge-trap NAND model in
+//! [`vflash_nand`]: one page-mapped core, and the seam strategies plug into.
 //!
-//! * [`MappingTable`] — page-level logical-to-physical mapping with a reverse map for
-//!   garbage collection,
-//! * [`gc`] — greedy victim selection and valid-page relocation,
+//! * [`FtlCore`] — the standard page-mapping FTL, once: [`MappingTable`], garbage
+//!   collection ([`gc`]: victim policies), bad-block rescue, the read-only transition,
+//!   [`FtlMetrics`] and the only [`FlashTranslationLayer`] implementation of an FTL,
+//! * [`Placement`] — what an FTL built on the core decides: which open block
+//!   receives a host write or a relocated page ([`Assemble`] builds one),
+//! * [`ConventionalFtl`] = `FtlCore<`[`ConventionalPlacement`]`>` — the paper's
+//!   baseline: one write pointer per stream, every page assumed equally fast,
 //! * [`hotcold`] — classical two-level hot/cold data identification mechanisms
 //!   (request-size check, two-level LRU, access-frequency table, multi-hash counting),
-//!   which the PPB strategy reuses as its first identification stage,
-//! * [`ConventionalFtl`] — the paper's comparison baseline: a page-mapping FTL with
-//!   greedy garbage collection that assumes every page has the same access speed.
+//!   the first identification stage of the PPB placement.
 //!
 //! The [`FlashTranslationLayer`] trait is the interface the trace-driven simulator
-//! drives; the PPB strategy in `vflash-ppb` implements the same trait so the two can
-//! be compared under identical workloads. The trait's entry point is the
+//! drives; the PPB strategy (`vflash_ppb::PpbFtl` = `FtlCore<PpbPlacement>`) is the
+//! same core with a different placement, so the two are compared under identical
+//! workloads and identical fault handling. The trait's entry point is the
 //! submission/completion pair [`IoRequest`] → [`Completion`] (host latency, per-chip
 //! op provenance, GC attribution); the scalar `read`/`write` methods are
 //! default-implemented wrappers over [`FlashTranslationLayer::submit`], and
@@ -50,6 +53,7 @@ mod batch;
 mod config;
 mod conventional;
 mod error;
+mod ftl_core;
 mod io;
 mod mapping;
 mod metrics;
@@ -59,8 +63,9 @@ mod wear;
 
 pub use batch::BatchCompletion;
 pub use config::FtlConfig;
-pub use conventional::ConventionalFtl;
+pub use conventional::{ConventionalFtl, ConventionalPlacement, ConventionalStream};
 pub use error::FtlError;
+pub use ftl_core::{Assemble, FtlCore, Placement};
 pub use gc::{
     CostBenefitVictimPolicy, GcOutcome, GreedyVictimPolicy, HotColdVictimPolicy, VictimPolicy,
 };

@@ -10,10 +10,10 @@ use crate::types::Lpn;
 
 /// A flash translation layer that the trace-driven simulator can exercise.
 ///
-/// Both the conventional baseline ([`crate::ConventionalFtl`]) and the PPB strategy
-/// (`vflash_ppb::PpbFtl`) implement this trait, which is what makes the paper's
-/// "conventional FTL vs FTL with PPB strategy" comparison a one-line swap in the
-/// experiment harness.
+/// [`crate::FtlCore`] implements it for every placement — the conventional baseline
+/// ([`crate::ConventionalFtl`]) and the PPB strategy (`vflash_ppb::PpbFtl`) alike —
+/// which is what makes the paper's "conventional FTL vs FTL with PPB strategy"
+/// comparison a one-line swap in the experiment harness.
 ///
 /// # Submission/completion model
 ///
@@ -23,9 +23,7 @@ use crate::types::Lpn;
 /// [op tracing](NandDevice::set_op_tracing) is enabled) and the GC attribution.
 /// The scalar [`read`](FlashTranslationLayer::read) and
 /// [`write`](FlashTranslationLayer::write) methods are default-implemented
-/// wrappers over `submit`, so existing call sites keep working unchanged —
-/// implementors migrating from the scalar API move their `read`/`write` bodies
-/// into `submit` and delete the scalar overrides.
+/// wrappers over `submit`.
 ///
 /// The trait is object-safe so harness code can hold `Box<dyn FlashTranslationLayer>`.
 pub trait FlashTranslationLayer {

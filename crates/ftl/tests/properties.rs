@@ -38,7 +38,7 @@ proptest! {
             ftl.write(Lpn(lpn), 4096).expect("write succeeds");
             written[lpn as usize] = true;
         }
-        ftl.mapping().check_consistency().expect("mapping stays consistent");
+        ftl.check_invariants().expect("mapping and device stay consistent");
         for (lpn, was_written) in written.iter().enumerate() {
             let result = ftl.read(Lpn(lpn as u64));
             if *was_written {
@@ -50,8 +50,8 @@ proptest! {
         }
     }
 
-    /// The device never reports more valid pages than the FTL has distinct mapped
-    /// LPNs (no leaked or duplicated mappings), and free accounting stays sane.
+    /// The device's valid pages are exactly the FTL's mapped LPNs, block by block (no
+    /// leaked or duplicated mappings), and free accounting stays sane.
     #[test]
     fn valid_page_accounting_matches_mapping(
         writes in proptest::collection::vec(0u64..80, 1..600),
@@ -61,13 +61,7 @@ proptest! {
         for lpn in writes {
             ftl.write(Lpn(lpn % logical), 4096).expect("write succeeds");
         }
-        let mapped = ftl.mapping().mapped_pages();
-        let valid_on_device: usize = ftl
-            .device()
-            .block_addrs()
-            .map(|addr| ftl.device().block(addr).expect("block exists").valid_pages())
-            .sum();
-        prop_assert_eq!(valid_on_device as u64, mapped);
+        ftl.check_invariants().expect("every mapped page is valid, every valid page mapped");
         prop_assert!(ftl.free_blocks() >= 1);
     }
 

@@ -325,15 +325,15 @@ pub fn replay_ppb(
         Classifier::SizeCheck => driver.run(PpbFtl::new(device, ppb)?, trace),
         Classifier::TwoLevelLru => {
             let lru = TwoLevelLru::new(4096, 4096);
-            driver.run(PpbFtl::with_classifier(device, ppb, lru)?, trace)
+            driver.run(PpbFtl::new(device, (ppb, lru))?, trace)
         }
         Classifier::FreqTable => {
             let table = FreqTable::new(2, 100_000);
-            driver.run(PpbFtl::with_classifier(device, ppb, table)?, trace)
+            driver.run(PpbFtl::new(device, (ppb, table))?, trace)
         }
         Classifier::MultiHash => {
             let sketch = MultiHash::new(1 << 16, 2, 2, 100_000);
-            driver.run(PpbFtl::with_classifier(device, ppb, sketch)?, trace)
+            driver.run(PpbFtl::new(device, (ppb, sketch))?, trace)
         }
     }
 }

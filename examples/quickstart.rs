@@ -54,9 +54,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!("\nhotness after the workload:");
     for (label, lpn) in [("metadata  LPN0", 0u64), ("cache     LPN100", 100), ("bulk      LPN200", 200)] {
-        let level = ftl.hotness_of(Lpn(lpn));
+        let level = ftl.placement().hotness_of(Lpn(lpn));
         let location = ftl.mapping().lookup(Lpn(lpn)).expect("written above");
-        let class = ftl.virtual_blocks().class_of_page(location.page());
+        let class = ftl.placement().virtual_blocks().class_of_page(location.page());
         println!(
             "  {label}: {level:<9} stored at {location} (speed class {}, {})",
             class.0,

@@ -5,7 +5,8 @@
 //! while reads of surviving data keep completing.
 
 use vflash::ftl::{
-    ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, FtlMetrics, Lpn,
+    ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlCore, FtlError, FtlMetrics, Lpn,
+    Placement,
 };
 use vflash::nand::{FaultConfig, NandConfig, NandDevice, Nanos};
 use vflash::ppb::{PpbConfig, PpbFtl};
@@ -51,8 +52,9 @@ fn drive_to_read_only<F: FlashTranslationLayer>(ftl: &mut F) -> u64 {
     panic!("the failing device never reached read-only within {WRITE_CAP} writes");
 }
 
-fn assert_graceful_end_of_life<F: FlashTranslationLayer>(mut ftl: F, label: &str) {
+fn assert_graceful_end_of_life<P: Placement>(mut ftl: FtlCore<P>, label: &str) {
     let writes = drive_to_read_only(&mut ftl);
+    ftl.check_invariants().unwrap_or_else(|violation| panic!("{label}: {violation}"));
     assert!(writes > LPNS, "{label}: the fresh device must absorb at least one full pass");
     assert!(ftl.is_read_only(), "{label}: the transition must be reported");
 

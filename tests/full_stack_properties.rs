@@ -2,7 +2,7 @@
 //! either FTL, data integrity and accounting invariants hold.
 
 use proptest::prelude::*;
-use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, Lpn};
+use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlCore, Lpn, Placement};
 use vflash::nand::{NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
 
@@ -58,6 +58,26 @@ fn apply_ops(ftl: &mut dyn FlashTranslationLayer, ops: &[Op]) -> Vec<bool> {
     written
 }
 
+fn check_data_and_metrics<P: Placement>(
+    ftl: &mut FtlCore<P>,
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    let written = apply_ops(ftl, ops);
+    // Every page that was ever written is still readable afterwards.
+    for (lpn, was_written) in written.iter().enumerate() {
+        if *was_written {
+            prop_assert!(ftl.read(Lpn(lpn as u64)).is_ok(), "lost LPN{lpn}");
+        }
+    }
+    ftl.check_invariants().map_err(TestCaseError::fail)?;
+    let metrics = ftl.metrics();
+    prop_assert!(metrics.host_write_time >= metrics.gc_time);
+    if metrics.host_writes > 0 {
+        prop_assert!(metrics.write_amplification() >= 1.0);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -73,20 +93,8 @@ proptest! {
         )
         .expect("ftl builds");
 
-        for ftl in [&mut conventional as &mut dyn FlashTranslationLayer, &mut ppb] {
-            let written = apply_ops(ftl, &ops);
-            // Every page that was ever written is still readable afterwards.
-            for (lpn, was_written) in written.iter().enumerate() {
-                if *was_written {
-                    prop_assert!(ftl.read(Lpn(lpn as u64)).is_ok(), "lost LPN{lpn}");
-                }
-            }
-            let metrics = ftl.metrics();
-            prop_assert!(metrics.host_write_time >= metrics.gc_time);
-            if metrics.host_writes > 0 {
-                prop_assert!(metrics.write_amplification() >= 1.0);
-            }
-        }
+        check_data_and_metrics(&mut conventional, &ops)?;
+        check_data_and_metrics(&mut ppb, &ops)?;
     }
 
     /// The two FTLs always agree on how many host operations they served — the PPB

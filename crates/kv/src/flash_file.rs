@@ -11,11 +11,26 @@
 //! append charges the device first and then writes its bytes into the page in
 //! place, and reads hand out slices of the shadow pages instead of copies.
 //!
+//! The shadow bytes are one contiguous arena, `logical_pages × page_size`
+//! bytes indexed by LPN, beside a bitmap of the LPNs written so far. The arena
+//! is allocated zeroed and never touched up front, so the operating system
+//! backs a page with memory only once the store writes it: resident memory
+//! follows the pages written, as it did when every page was its own
+//! allocation, and a never-written page reads as the zeroes it would have been
+//! created with. Because consecutive LPNs are consecutive bytes,
+//! [`FlashStore::read_range`] lends any range whose pages lie in one extent — a
+//! table's index bucket that straddles a page boundary, a whole data section —
+//! as one slice of the arena. Only a range that crosses from one extent of its
+//! file into the next (a file the allocator had to build from fragments) is
+//! still copied together, into the reused `assembly` buffer.
+//!
 //! A [`SegmentFile`] is an append-only byte stream laid out over a list of
 //! [`Extent`]s (contiguous LPN runs). Freeing a file returns its extents to the
 //! free list; reusing them later overwrites the stale LPNs, which is exactly what
 //! invalidates the old flash pages and generates GC pressure — no trim command
 //! is needed or modeled.
+
+use std::ops::Range;
 
 use vflash_ftl::{FlashTranslationLayer, IoRequest, Lpn};
 use vflash_nand::Nanos;
@@ -87,10 +102,16 @@ impl SegmentFile {
 
     /// The LPN backing file page `index`, or `None` past the allocated capacity.
     pub fn lpn_at(&self, index: u64) -> Option<u64> {
+        self.run_at(index).map(|(lpn, _)| lpn)
+    }
+
+    /// The LPN backing file page `index` and how many file pages from that one
+    /// on — itself included — sit on consecutive LPNs (the rest of its extent).
+    fn run_at(&self, index: u64) -> Option<(u64, u64)> {
         let mut remaining = index;
         for extent in &self.extents {
             if remaining < extent.pages {
-                return Some(extent.start + remaining);
+                return Some((extent.start + remaining, extent.pages - remaining));
             }
             remaining -= extent.pages;
         }
@@ -115,12 +136,16 @@ pub struct FlashStore<F: FlashTranslationLayer> {
     page_size: usize,
     io_depth: usize,
     clock: Nanos,
-    shadow: Vec<Option<Box<[u8]>>>,
+    logical_pages: u64,
+    /// The shadow bytes of every logical page, by LPN (see the module docs).
+    shadow: Vec<u8>,
+    /// One bit per LPN, set once the page has been written.
+    written: Vec<u64>,
     free: Vec<Extent>,
     io: StoreIoStats,
     /// The requests of the batch in flight, reused across batches.
     requests: Vec<IoRequest>,
-    /// Where a read spanning several pages is assembled;
+    /// Where a read that crosses an extent boundary is assembled;
     /// [`FlashStore::read_range`] lends it out until the next such read.
     assembly: Vec<u8>,
 }
@@ -136,7 +161,10 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             page_size,
             io_depth: 1,
             clock: Nanos::ZERO,
-            shadow: (0..logical_pages).map(|_| None).collect(),
+            logical_pages,
+            // Zeroed by the allocator, not by a write: untouched until used.
+            shadow: vec![0u8; logical_pages as usize * page_size],
+            written: vec![0u64; (logical_pages as usize).div_ceil(64)],
             free: vec![Extent { start: SUPERBLOCK_LPN + 1, pages: logical_pages - 1 }],
             io: StoreIoStats::default(),
             requests: Vec::new(),
@@ -205,7 +233,7 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     /// device (the shadow table survives a KV-level crash, the in-memory store
     /// state does not).
     pub fn is_written(&self, lpn: u64) -> bool {
-        self.shadow.get(lpn as usize).is_some_and(Option::is_some)
+        lpn < self.logical_pages && self.written[(lpn / 64) as usize] & (1 << (lpn % 64)) != 0
     }
 
     /// Allocates `pages` pages as one or more extents (first-fit, splitting the
@@ -289,10 +317,50 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             }
             cursor = cursor.max(extent.start + extent.pages);
         }
-        let logical_pages = self.shadow.len() as u64;
-        if cursor < logical_pages {
-            self.free.push(Extent { start: cursor, pages: logical_pages - cursor });
+        if cursor < self.logical_pages {
+            self.free.push(Extent { start: cursor, pages: self.logical_pages - cursor });
         }
+    }
+
+    /// Checks the allocator against `referenced`, the extents the store's
+    /// client holds (its files' and those it has yet to free): every LPN past
+    /// the superblock's is either free or referenced — not both, and by no two
+    /// extents — and none lies outside the device.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub(crate) fn check_allocation(&self, referenced: &[Extent]) -> Result<(), String> {
+        let tagged = |extents: &[Extent], free: bool| {
+            let live = extents.iter().filter(|extent| extent.pages > 0);
+            live.map(move |&extent| (extent, free)).collect::<Vec<_>>()
+        };
+        let mut all = tagged(&self.free, true);
+        all.extend(tagged(referenced, false));
+        all.sort_by_key(|(extent, _)| extent.start);
+        let describe = |(extent, free): (Extent, bool)| {
+            let kind = if free { "free" } else { "referenced" };
+            format!("{kind} LPNs [{}, {})", extent.start, extent.start + extent.pages)
+        };
+        let first_allocatable = SUPERBLOCK_LPN + 1;
+        if let Some(&outside) = all.iter().find(|(extent, _)| {
+            extent.start < first_allocatable || extent.start + extent.pages > self.logical_pages
+        }) {
+            return Err(format!("{} lie outside the allocatable device", describe(outside)));
+        }
+        for pair in all.windows(2) {
+            if pair[0].0.start + pair[0].0.pages > pair[1].0.start {
+                return Err(format!("{} overlap {}", describe(pair[0]), describe(pair[1])));
+            }
+        }
+        let covered: u64 = all.iter().map(|(extent, _)| extent.pages).sum();
+        if covered != self.logical_pages - 1 {
+            return Err(format!(
+                "{covered} of {} allocatable LPNs are free or referenced: the rest leaked",
+                self.logical_pages - 1
+            ));
+        }
+        Ok(())
     }
 
     /// Writes one full page to `lpn`, charging the program (and any GC it
@@ -334,31 +402,33 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         Ok(self.page(lpn))
     }
 
+    /// Where the shadow bytes of `lpn` lie in the arena.
+    fn page_span(&self, lpn: u64) -> Range<usize> {
+        let start = lpn as usize * self.page_size;
+        start..start + self.page_size
+    }
+
     /// The shadow bytes of a page the caller has checked (or charged) already.
     fn page(&self, lpn: u64) -> &[u8] {
-        self.shadow[lpn as usize].as_deref().expect("the page was checked to be written")
+        debug_assert!(self.is_written(lpn), "the page was checked to be written");
+        &self.shadow[self.page_span(lpn)]
     }
 
     /// Writes `bytes` into the shadow page of `lpn` at byte `at`. A write
     /// starting at byte 0 replaces the page: everything past the new bytes is
     /// zeroed, so a reused page (a WAL region after its reset) never keeps
-    /// stale bytes behind fresh ones. A write further in extends the tail page
-    /// of a file, whose bytes past the logical end are zero already.
+    /// stale bytes behind fresh ones — a page never written before is zero
+    /// there already. A write further in extends the tail page of a file,
+    /// whose bytes past the logical end are zero already.
     fn fill_page(&mut self, lpn: u64, at: usize, bytes: &[u8]) {
-        match &mut self.shadow[lpn as usize] {
-            Some(page) => {
-                page[at..at + bytes.len()].copy_from_slice(bytes);
-                if at == 0 {
-                    page[bytes.len()..].fill(0);
-                }
-            }
-            slot @ None => {
-                assert_eq!(at, 0, "partial tail page must have been written before");
-                let mut page = Vec::with_capacity(self.page_size);
-                page.extend_from_slice(bytes);
-                page.resize(self.page_size, 0);
-                *slot = Some(page.into_boxed_slice());
-            }
+        let reused = self.is_written(lpn);
+        assert!(reused || at == 0, "partial tail page must have been written before");
+        self.written[(lpn / 64) as usize] |= 1 << (lpn % 64);
+        let span = self.page_span(lpn);
+        let page = &mut self.shadow[span];
+        page[at..at + bytes.len()].copy_from_slice(bytes);
+        if at == 0 && reused {
+            page[bytes.len()..].fill(0);
         }
     }
 
@@ -502,9 +572,10 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     }
 
     /// Reads `len` bytes at `offset`, charging one page read per page touched.
-    /// The bytes are lent, not copied: a range inside one page is a slice of
-    /// that shadow page, a longer one is assembled in a buffer the store
-    /// reuses for the next such read.
+    /// The bytes are lent, not copied, whenever the range's pages sit on
+    /// consecutive LPNs — inside one extent of the file — where they are one
+    /// slice of the shadow arena; a range that crosses into the file's next
+    /// extent is assembled in a buffer the store reuses for the next such read.
     ///
     /// # Errors
     ///
@@ -529,17 +600,21 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         let page_size = self.page_size as u64;
         let (first_page, last_page) = (offset / page_size, (end - 1) / page_size);
         let from = (offset - first_page * page_size) as usize;
-        let mut lpns = (first_page..=last_page)
+        let pages = last_page - first_page + 1;
+        let (first_lpn, consecutive) =
+            file.run_at(first_page).expect("range is within the file length");
+        if pages <= consecutive {
+            self.charge_reads(first_lpn..first_lpn + pages)?;
+            let start = self.page_span(first_lpn).start + from;
+            return Ok(&self.shadow[start..start + len]);
+        }
+        let lpns = (first_page..=last_page)
             .map(|page| file.lpn_at(page).expect("range is within the file length"));
         self.charge_reads(lpns.clone())?;
-        if first_page == last_page {
-            let lpn = lpns.next().expect("a non-empty range has a first page");
-            return Ok(&self.page(lpn)[from..from + len]);
-        }
         self.assembly.clear();
         for lpn in lpns {
-            let page = self.shadow[lpn as usize].as_deref().expect("charge_reads checked");
-            self.assembly.extend_from_slice(page);
+            let span = self.page_span(lpn);
+            self.assembly.extend_from_slice(&self.shadow[span]);
         }
         Ok(&self.assembly[from..from + len])
     }
@@ -643,6 +718,23 @@ mod tests {
     }
 
     #[test]
+    fn check_allocation_finds_leaks_overlaps_and_double_references() {
+        let mut store = store();
+        assert_eq!(store.check_allocation(&[]), Ok(()));
+        let run = store.alloc_run(3).unwrap();
+        assert_eq!(store.check_allocation(&run), Ok(()));
+        let leaked = store.check_allocation(&[]).unwrap_err();
+        assert!(leaked.contains("leaked"), "{leaked}");
+        let twice = store.check_allocation(&[run[0], run[0]]).unwrap_err();
+        assert!(twice.contains("referenced LPNs [1, 4) overlap referenced LPNs [1, 4)"), "{twice}");
+        let superblock = Extent { start: SUPERBLOCK_LPN, pages: 1 };
+        assert!(store.check_allocation(&[superblock, run[0]]).unwrap_err().contains("outside"));
+        store.free_extents(&run);
+        let freed = store.check_allocation(&run).unwrap_err();
+        assert!(freed.contains("overlap") && freed.contains("free"), "{freed}");
+    }
+
+    #[test]
     fn superblock_round_trips_and_marks_the_store_formatted() {
         let mut store = store();
         assert!(!store.has_superblock());
@@ -729,6 +821,51 @@ mod tests {
         store.append(&mut file, &[1, 2, 3], 3).unwrap();
         assert!(matches!(store.read_range(&file, 0, 4), Err(KvError::Corruption(_))));
         assert!(matches!(store.read_page(5), Err(KvError::Corruption(_))));
+    }
+
+    #[test]
+    fn ranges_inside_one_extent_are_lent_from_the_arena_and_others_assembled() {
+        let mut store = store();
+        let page = store.page_size();
+        // Fragment the allocator: two free two-page holes with a live page
+        // between them, so a four-page file takes one extent from each.
+        let first_hole = store.alloc_run(2).unwrap();
+        let _between = store.alloc_run(1).unwrap();
+        let second_hole = store.alloc_run(2).unwrap();
+        store.free_extents(&first_hole);
+        store.free_extents(&second_hole);
+        let mut file = SegmentFile::new();
+        let data: Vec<u8> = (0..page * 4).map(|i| (i % 239) as u8).collect();
+        store.append(&mut file, &data, data.len() as u32).unwrap();
+        assert_eq!(file.extents(), [first_hole[0], second_hole[0]]);
+        assert_eq!(file.run_at(1), Some((first_hole[0].start + 1, 1)));
+
+        // Reads `[offset, offset + len)`, checks bytes and page charge, and
+        // says whether the slice lent lies in the arena (else: the assembly).
+        let mut read = |offset: usize, len: usize| {
+            let reads_before = store.io_stats().pages_read;
+            let bytes = store.read_range(&file, offset as u64, len).unwrap();
+            assert_eq!(bytes, &data[offset..offset + len], "[{offset}, +{len})");
+            let lent = bytes.as_ptr_range();
+            let pages = ((offset + len - 1) / page - offset / page + 1) as u64;
+            assert_eq!(store.io_stats().pages_read - reads_before, pages, "[{offset}, +{len})");
+            let within = |buffer: &[u8]| {
+                let buffer = buffer.as_ptr_range();
+                buffer.start <= lent.start && lent.end <= buffer.end
+            };
+            assert!(within(&store.shadow) != within(&store.assembly));
+            within(&store.shadow)
+        };
+        // Inside either extent — one page, both pages, a slice straddling the
+        // boundary between them — nothing is copied.
+        for (offset, len) in [(7, 100), (0, 2 * page), (page - 10, 30), (2 * page + 5, 2 * page - 5)] {
+            assert!(read(offset, len), "[{offset}, +{len}) lies in one extent: lent in place");
+        }
+        // Across the extent boundary the pages are not neighbours in the
+        // arena: the bytes come back exact, through the assembly buffer.
+        for (offset, len) in [(2 * page - 10, 30), (0, 4 * page), (page + 1, 2 * page)] {
+            assert!(!read(offset, len), "[{offset}, +{len}) crosses extents: assembled");
+        }
     }
 
     /// A conventional FTL that refuses writes on demand, the way a worn-out

@@ -16,6 +16,19 @@
 //!          IoRequest per page ──▶ ConventionalFtl / PpbFtl ──▶ NAND timing
 //! ```
 //!
+//! A read locates instead of walking: memtable, then every L0 table newest
+//! first (their key ranges overlap), then **one** table per deeper level — the
+//! first whose max key reaches the probe, found by binary search over the
+//! level's fences — and inside a table the bounds check, the bloom filter, a
+//! binary search of the sparse index and one index bucket, which the
+//! [`FlashStore`] lends as a slice of its shadow arena. A scan reads, per
+//! deeper level, exactly the tables its range overlaps. Keys are compared as
+//! integers first: the first eight bytes, big-endian, kept in contiguous
+//! arrays beside the fences, the table bounds and the sparse index; full keys
+//! are compared only where those prefixes tie. None of this is visible in
+//! simulated time — every probe that reaches a bloom filter or the device is
+//! the same probe, in the same order, as a walk over every table would make.
+//!
 //! Every byte of persistence goes through [`FlashStore`]: append-only
 //! [`SegmentFile`]s mapped onto LPN extents, one `IoRequest` per page touched —
 //! submitted one at a time at [`KvConfig::io_depth`] 1, or in chip-parallel
@@ -38,6 +51,8 @@
 mod error;
 mod flash_file;
 mod hash;
+mod key;
+mod level;
 mod memtable;
 mod merge;
 mod sstable;

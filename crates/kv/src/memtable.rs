@@ -61,12 +61,15 @@ impl Memtable {
         self.entries.get(key)
     }
 
-    /// Iterates entries with keys in `[lo, hi)` in sorted order.
+    /// Iterates entries with keys in `[lo, hi)` in sorted order; a reversed
+    /// range (`lo > hi`) is empty like `lo == hi`.
     pub fn range<'a>(
         &'a self,
         lo: &[u8],
         hi: &[u8],
     ) -> impl Iterator<Item = (&'a Vec<u8>, &'a Option<Vec<u8>>)> {
+        // `BTreeMap::range` panics when its start lies past its end.
+        let hi = hi.max(lo);
         self.entries
             .range::<[u8], _>((Bound::Included(lo), Bound::Excluded(hi)))
     }
@@ -124,5 +127,7 @@ mod tests {
         }
         let keys: Vec<&[u8]> = memtable.range(b"b", b"d").map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, vec![b"b" as &[u8], b"c"]);
+        assert_eq!(memtable.range(b"c", b"c").count(), 0, "an empty range");
+        assert_eq!(memtable.range(b"d", b"b").count(), 0, "a reversed range");
     }
 }

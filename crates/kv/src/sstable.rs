@@ -14,7 +14,10 @@
 //! bloom sections (charged as device reads). Point lookups consult the bounds,
 //! then the bloom filter, then binary-search the sparse index and read a single
 //! index bucket — at the default interval that is one small `read_range` per
-//! probed table.
+//! probed table. The bounds and the index are searched through the keys'
+//! integer prefixes (`key.rs`), kept in the handle beside the keys —
+//! the index's in one contiguous array — so the full keys are compared only
+//! where prefixes tie.
 //!
 //! Reads are borrowed: a probe compares keys inside the bytes the
 //! [`FlashStore`] lends and copies out only the value it returns; a range
@@ -22,9 +25,12 @@
 //! run buffer that an [`EntryCursor`] then walks without allocating. Tables
 //! are written by a streaming [`TableBuilder`].
 
+use std::cmp::Ordering;
+
 use crate::error::KvError;
 use crate::flash_file::{FlashStore, SegmentFile};
 use crate::hash::fnv1a_pair;
+use crate::key::{key_prefix, partition_by_prefix, KeyRef};
 use vflash_ftl::FlashTranslationLayer;
 
 /// Default sparse-index stride: every 16th entry lands in the sparse index
@@ -194,13 +200,21 @@ pub enum TableProbe {
     Read,
 }
 
+/// What a point lookup returns: the entry found (`Some(None)` is a tombstone)
+/// and how the table was probed.
+type Probed = Result<(Option<Option<Vec<u8>>>, TableProbe), KvError>;
+
 /// An open table: persisted metadata plus the in-memory sparse index and bloom
 /// filter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableHandle {
     /// The persisted metadata.
     pub meta: TableMeta,
+    /// `key_prefix` of `meta.min_key` and of `meta.max_key`.
+    bound_prefixes: (u64, u64),
     index: Vec<(Vec<u8>, u64)>,
+    /// `key_prefix` of every index key, in index order.
+    index_prefixes: Vec<u64>,
     bloom: BloomFilter,
 }
 
@@ -320,7 +334,7 @@ impl TableBuilder {
             min_key,
             max_key,
         };
-        Ok(TableHandle { meta, index, bloom })
+        Ok(TableHandle::open(meta, index, bloom))
     }
 }
 
@@ -388,19 +402,68 @@ impl TableHandle {
             (meta.file.len() - meta.bloom_off) as usize,
         )?;
         let bloom = BloomFilter::decode(bloom_bytes)?;
-        Ok(TableHandle { meta, index, bloom })
+        Ok(TableHandle::open(meta, index, bloom))
     }
 
-    /// The index bucket `[start, end)` of data offsets that can contain `key`,
-    /// or `None` when `key` sorts before the first entry.
-    fn bucket_for(&self, key: &[u8]) -> Option<(u64, u64)> {
-        let at = self.index.partition_point(|(index_key, _)| index_key.as_slice() <= key);
-        if at == 0 {
-            return None;
+    /// A handle over its three parts, with the key prefixes worked out.
+    fn open(meta: TableMeta, index: Vec<(Vec<u8>, u64)>, bloom: BloomFilter) -> Self {
+        let bound_prefixes = (key_prefix(&meta.min_key), key_prefix(&meta.max_key));
+        let index_prefixes = index.iter().map(|(key, _)| key_prefix(key)).collect();
+        TableHandle { meta, bound_prefixes, index, index_prefixes, bloom }
+    }
+
+    /// The smallest key in the table.
+    pub(crate) fn min_key(&self) -> KeyRef<'_> {
+        KeyRef::with_prefix(self.bound_prefixes.0, &self.meta.min_key)
+    }
+
+    /// The largest key in the table.
+    pub(crate) fn max_key(&self) -> KeyRef<'_> {
+        KeyRef::with_prefix(self.bound_prefixes.1, &self.meta.max_key)
+    }
+
+    /// The index bucket that can contain `key` — the one of the last index
+    /// key at or before it — or `None` when `key` sorts before the first.
+    fn bucket_for(&self, key: KeyRef<'_>) -> Option<usize> {
+        let through = partition_by_prefix(&self.index_prefixes, key.prefix(), |entry| {
+            self.index[entry].0.as_slice() <= key.bytes()
+        });
+        through.checked_sub(1)
+    }
+
+    /// The data offsets `[start, end)` of index bucket `bucket`.
+    fn bucket_span(&self, bucket: usize) -> (u64, u64) {
+        let end = self.index.get(bucket + 1).map_or(self.meta.data_len, |(_, offset)| *offset);
+        (self.index[bucket].1, end)
+    }
+
+    /// Checks what the lookups rely on: the bound and index prefixes are the
+    /// prefixes of their keys, the index starts at the table's min key and
+    /// ascends strictly in key and data offset.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let id = self.meta.id;
+        if self.bound_prefixes != (key_prefix(&self.meta.min_key), key_prefix(&self.meta.max_key)) {
+            return Err(format!("table {id}: the bound prefixes are not its min/max keys'"));
         }
-        let start = self.index[at - 1].1;
-        let end = self.index.get(at).map_or(self.meta.data_len, |(_, offset)| *offset);
-        Some((start, end))
+        if !self.index_prefixes.iter().copied().eq(self.index.iter().map(|(key, _)| key_prefix(key)))
+        {
+            return Err(format!("table {id}: the index prefixes are not the index keys'"));
+        }
+        if self.index.first().map(|(key, offset)| (key, *offset)) != Some((&self.meta.min_key, 0)) {
+            return Err(format!("table {id}: the index does not start at the min key"));
+        }
+        let ascending = self.index.windows(2).all(|pair| pair[0].0 < pair[1].0 && pair[0].1 < pair[1].1);
+        let last_in_bounds = self.index.last().is_some_and(|(key, offset)| {
+            *key <= self.meta.max_key && *offset < self.meta.data_len
+        });
+        if !ascending || !last_in_bounds {
+            return Err(format!("table {id}: the index is not strictly ascending within the table"));
+        }
+        Ok(())
     }
 
     /// Point lookup. Returns the entry (`Some(None)` is a tombstone) and how
@@ -415,25 +478,34 @@ impl TableHandle {
         store: &mut FlashStore<F>,
         key: &[u8],
     ) -> Result<(Option<Option<Vec<u8>>>, TableProbe), KvError> {
-        if key < self.meta.min_key.as_slice() || key > self.meta.max_key.as_slice() {
+        self.probe(store, KeyRef::new(key))
+    }
+
+    /// [`TableHandle::get`] for a key whose prefix is known already (the
+    /// store probes several tables with one key).
+    pub(crate) fn probe<F: FlashTranslationLayer>(
+        &self,
+        store: &mut FlashStore<F>,
+        key: KeyRef<'_>,
+    ) -> Probed {
+        if key < self.min_key() || key > self.max_key() {
             return Ok((None, TableProbe::RangeSkip));
         }
-        if !self.bloom.contains(key) {
+        if !self.bloom.contains(key.bytes()) {
             return Ok((None, TableProbe::BloomSkip));
         }
-        let Some((start, end)) = self.bucket_for(key) else {
+        let Some(bucket) = self.bucket_for(key) else {
             return Ok((None, TableProbe::Read));
         };
+        let (start, end) = self.bucket_span(bucket);
         let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
         let mut at = 0usize;
         while let Some(((entry_key, value), consumed)) = decode_entry(bytes, at)? {
-            if entry_key == key {
-                return Ok((Some(value.map(<[u8]>::to_vec)), TableProbe::Read));
+            match entry_key.cmp(key.bytes()) {
+                Ordering::Less => at += consumed,
+                Ordering::Equal => return Ok((Some(value.map(<[u8]>::to_vec)), TableProbe::Read)),
+                Ordering::Greater => break,
             }
-            if entry_key > key {
-                break;
-            }
-            at += consumed;
         }
         Ok((None, TableProbe::Read))
     }
@@ -473,23 +545,29 @@ impl TableHandle {
         hi: &[u8],
         run: &mut Vec<u8>,
     ) -> Result<(), KvError> {
-        if lo >= hi || hi <= self.meta.min_key.as_slice() || lo > self.meta.max_key.as_slice() {
+        self.scan_between(store, KeyRef::new(lo), KeyRef::new(hi), run)
+    }
+
+    /// [`TableHandle::scan_range`] for bounds whose prefixes are known
+    /// already (the store scans several tables with one pair).
+    pub(crate) fn scan_between<F: FlashTranslationLayer>(
+        &self,
+        store: &mut FlashStore<F>,
+        lo: KeyRef<'_>,
+        hi: KeyRef<'_>,
+        run: &mut Vec<u8>,
+    ) -> Result<(), KvError> {
+        if lo >= hi || hi <= self.min_key() || lo > self.max_key() {
             return Ok(());
         }
-        let start = self.bucket_for(lo).map_or(0, |(start, _)| start);
-        let mut bucket = self.index.partition_point(|(_, offset)| *offset < start);
-        debug_assert!(self.index.get(bucket).is_none_or(|(_, offset)| *offset == start));
-        let mut offset = start;
-        while offset < self.meta.data_len {
-            let end = self
-                .index
-                .get(bucket + 1)
-                .map_or(self.meta.data_len, |(_, next)| *next);
-            let bytes = store.read_range(&self.meta.file, offset, (end - offset) as usize)?;
+        for bucket in self.bucket_for(lo).unwrap_or(0)..self.index.len() {
+            let (start, end) = self.bucket_span(bucket);
+            let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
             // The in-range entries of a bucket are contiguous: [from, at).
             let (mut from, mut at) = (0usize, 0usize);
             let mut reached_hi = false;
             while let Some(((key, _), consumed)) = decode_entry(bytes, at)? {
+                let key = KeyRef::new(key);
                 if key >= hi {
                     reached_hi = true;
                     break;
@@ -503,8 +581,6 @@ impl TableHandle {
             if reached_hi {
                 break;
             }
-            offset = end;
-            bucket += 1;
         }
         Ok(())
     }
@@ -725,6 +801,41 @@ mod tests {
         assert_eq!(default.hashes, 6, "10 bits/key keeps the historical 6 probes");
         assert_eq!(many.hashes, 16);
         assert_eq!(BloomFilter::with_capacity(100), default);
+    }
+
+    #[test]
+    fn keys_that_tie_in_their_prefix_are_found_and_scanned_exactly() {
+        // Nested keys, zero padding, shared eight-byte heads: every prefix
+        // comparison that can tie does, at one, three and sixteen per bucket.
+        // Every second key is stored; the others are absent neighbours.
+        let keys = crate::key::tricky_keys();
+        let entries: Vec<Entry> = keys
+            .iter()
+            .step_by(2)
+            .enumerate()
+            .map(|(i, key)| (key.clone(), (i % 5 != 0).then(|| vec![i as u8; i])))
+            .collect();
+        for stride in [1usize, 3, 16] {
+            let mut store = store();
+            let options = TableOptions { sparse_index_interval: stride, ..TableOptions::default() };
+            let table = TableHandle::build(&mut store, 1, &entries, options).unwrap();
+            assert_eq!(table.check_invariants(), Ok(()));
+            for key in &keys {
+                let stored = entries.iter().find(|(entry_key, _)| entry_key == key);
+                let found = table.get(&mut store, key).unwrap().0;
+                assert_eq!(found.as_ref(), stored.map(|(_, value)| value), "{key:?} at stride {stride}");
+            }
+            for lo in &keys {
+                for hi in &keys {
+                    let expected: Vec<Entry> = entries
+                        .iter()
+                        .filter(|(key, _)| lo <= key && key < hi)
+                        .cloned()
+                        .collect();
+                    assert_eq!(scanned(&table, &mut store, lo, hi), expected, "{lo:?}..{hi:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! spills into the next once it exceeds `level_base_bytes ×
 //! level_size_multiplier^(n-1)`.
 //!
+//! Read path: the memtable, then every L0 table newest first (they overlap),
+//! then at most one table per deeper level — the one a binary search over the
+//! level's fences locates ([`SortedRun`]) — each probed through its bounds,
+//! bloom filter, sparse index and one lent index bucket. A scan reads, per
+//! deeper level, exactly the tables its range overlaps. Keys are compared as
+//! integer prefixes first throughout (`key.rs`).
+//!
 //! Durability is manifest-based, modeled after LevelDB's VERSION/CURRENT pair:
 //! every flush writes a fresh manifest file (WAL epoch, table metadata, extent
 //! lists) and then the fixed-LPN superblock pointing at it — the superblock
@@ -23,7 +30,9 @@ use vflash_nand::Nanos;
 
 use crate::error::KvError;
 use crate::flash_file::{Extent, FlashStore, SegmentFile};
-use crate::hash::fnv1a;
+use crate::hash::checksum64;
+use crate::key::KeyRef;
+use crate::level::SortedRun;
 use crate::memtable::Memtable;
 use crate::merge::{NewestWins, Run, RunBuffer};
 use crate::sstable::{
@@ -223,9 +232,11 @@ pub struct KvStore<F: FlashTranslationLayer> {
     memtable: Memtable,
     wal: Wal,
     manifest: Option<SegmentFile>,
-    /// `levels[0]` is L0, newest table first; deeper levels are sorted
-    /// non-overlapping runs.
-    levels: Vec<Vec<TableHandle>>,
+    /// L0: one table per flush, newest first, key ranges overlapping.
+    l0: Vec<TableHandle>,
+    /// The levels below L0 — `sorted[n - 1]` is level `n` — each a sorted,
+    /// non-overlapping run. A flush drops trailing empty levels.
+    sorted: Vec<SortedRun>,
     next_table_id: u64,
     /// Extents obsoleted since the last superblock commit; returned to the
     /// allocator only after the next commit so a crash never finds the old
@@ -268,7 +279,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             memtable: Memtable::new(),
             wal: Wal::new(wal_file, 1),
             manifest: None,
-            levels: Vec::new(),
+            l0: Vec::new(),
+            sorted: Vec::new(),
             next_table_id: 1,
             pending_free: Vec::new(),
             builder: TableBuilder::new(config.table_options()),
@@ -288,7 +300,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         let manifest_extents = cursor.extents()?;
         let manifest_len = cursor.u64()?;
         let payload_end = cursor.at;
-        if cursor.u64()? != fnv1a(&superblock[..payload_end], 0) {
+        if cursor.u64()? != checksum64(&superblock[..payload_end]) {
             return Err(KvError::Corruption("superblock checksum mismatch".to_string()));
         }
         let manifest_file = SegmentFile::from_parts(manifest_extents, manifest_len);
@@ -310,12 +322,15 @@ impl<F: FlashTranslationLayer> KvStore<F> {
 
         let mut levels = Vec::with_capacity(manifest.levels.len());
         for level in manifest.levels {
-            let mut run = Vec::with_capacity(level.len());
+            let mut tables = Vec::with_capacity(level.len());
             for meta in level {
-                run.push(TableHandle::recover(&mut store, meta)?);
+                tables.push(TableHandle::recover(&mut store, meta)?);
             }
-            levels.push(run);
+            levels.push(tables);
         }
+        let mut levels = levels.into_iter();
+        let l0 = levels.next().unwrap_or_default();
+        let sorted = levels.map(SortedRun::new).collect();
 
         let (ops, consumed) = Wal::replay(&mut store, &manifest.wal_file, manifest.wal_epoch)?;
         let mut memtable = Memtable::new();
@@ -334,7 +349,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             memtable,
             wal: Wal::new(wal_file, manifest.wal_epoch),
             manifest: Some(manifest_file),
-            levels,
+            l0,
+            sorted,
             next_table_id: manifest.next_table_id,
             pending_free: Vec::new(),
             builder: TableBuilder::new(config.table_options()),
@@ -420,29 +436,29 @@ impl<F: FlashTranslationLayer> KvStore<F> {
                 time: self.store.clock() - start,
             });
         }
-        let KvStore { store, levels, stats, .. } = self;
-        // L0 newest table first, then each deeper level (at most one candidate
-        // per sorted run; the range check skips the rest for free).
-        for run in levels.iter() {
-            for table in run {
-                let (found, probe) = table.get(store, key)?;
-                match probe {
-                    TableProbe::BloomSkip => stats.bloom_skips += 1,
-                    TableProbe::Read => stats.table_reads += 1,
-                    TableProbe::RangeSkip => {}
+        let KvStore { store, l0, sorted, stats, .. } = self;
+        let key = KeyRef::new(key);
+        // L0 newest table first, then the one table of each deeper level
+        // whose key range can hold the key.
+        let candidates = l0.iter().chain(sorted.iter().filter_map(|run| run.candidate(key)));
+        for table in candidates {
+            let (found, probe) = table.probe(store, key)?;
+            match probe {
+                TableProbe::BloomSkip => stats.bloom_skips += 1,
+                TableProbe::Read => stats.table_reads += 1,
+                TableProbe::RangeSkip => {}
+            }
+            if let Some(value) = found {
+                if value.is_some() {
+                    stats.sstable_hits += 1;
+                } else {
+                    stats.misses += 1;
                 }
-                if let Some(value) = found {
-                    if value.is_some() {
-                        stats.sstable_hits += 1;
-                    } else {
-                        stats.misses += 1;
-                    }
-                    return Ok(Lookup {
-                        value,
-                        source: LookupSource::SsTable,
-                        time: store.clock() - start,
-                    });
-                }
+                return Ok(Lookup {
+                    value,
+                    source: LookupSource::SsTable,
+                    time: store.clock() - start,
+                });
             }
         }
         stats.misses += 1;
@@ -451,29 +467,34 @@ impl<F: FlashTranslationLayer> KvStore<F> {
 
     /// Returns every live key/value pair with key in `[lo, hi)`, in key order.
     /// Tombstones and shadowed versions are resolved; deleted keys do not
-    /// appear.
+    /// appear. An empty or reversed range (`lo >= hi`) has no rows.
     ///
     /// # Errors
     ///
     /// Read and decode errors pass through.
     pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
         self.stats.scans += 1;
-        let KvStore { store, levels, memtable, scanned, .. } = self;
+        if lo >= hi {
+            return Ok(Vec::new());
+        }
+        let KvStore { store, l0, sorted, memtable, scanned, .. } = self;
+        let (lo, hi) = (KeyRef::new(lo), KeyRef::new(hi));
         scanned.clear();
-        // Deepest (oldest) data first: each sorted level is one run, each L0
-        // table — oldest first — its own.
-        for level in levels.iter().skip(1).rev() {
+        // Deepest (oldest) data first: each sorted level is one run — the
+        // tables the range overlaps — each L0 table, oldest first, its own.
+        for run in sorted.iter().rev() {
             scanned.begin_run();
-            for table in level {
-                table.scan_range(store, lo, hi, scanned.segment())?;
+            for table in run.overlapping(lo, hi) {
+                table.scan_between(store, lo, hi, scanned.segment())?;
             }
         }
-        for table in levels.first().into_iter().flatten().rev() {
+        for table in l0.iter().rev() {
             scanned.begin_run();
-            table.scan_range(store, lo, hi, scanned.segment())?;
+            table.scan_between(store, lo, hi, scanned.segment())?;
         }
-        let buffered =
-            memtable.range(lo, hi).map(|(key, value)| (key.as_slice(), value.as_deref()));
+        let buffered = memtable
+            .range(lo.bytes(), hi.bytes())
+            .map(|(key, value)| (key.as_slice(), value.as_deref()));
         let runs = scanned.cursors().map(Run::Table).chain([Run::Memtable(buffered)]);
         Ok(NewestWins::new(runs)
             .filter_map(|(key, value)| value.map(|value| (key.to_vec(), value.to_vec())))
@@ -499,10 +520,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             let id = self.next_table_id;
             self.next_table_id += 1;
             let table = self.builder.finish(&mut self.store, id)?;
-            if self.levels.is_empty() {
-                self.levels.push(Vec::new());
-            }
-            self.levels[0].insert(0, table);
+            self.l0.insert(0, table);
             self.stats.flushes += 1;
             self.maybe_compact()?;
         }
@@ -513,25 +531,39 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     }
 
     fn maybe_compact(&mut self) -> Result<(), KvError> {
-        if self.levels[0].len() >= self.config.l0_compaction_trigger {
+        if self.l0.len() >= self.config.l0_compaction_trigger {
             self.compact_level(0)?;
         }
+        // A compaction into a new bottom level lengthens `sorted` under the loop.
         let mut level = 1;
-        while level < self.levels.len() {
-            if !self.levels[level].is_empty() && self.level_bytes(level) > self.level_capacity(level)
-            {
+        while level <= self.sorted.len() {
+            if self.level_bytes(level) > self.level_capacity(level) {
                 self.compact_level(level)?;
             }
             level += 1;
         }
-        while self.levels.last().is_some_and(Vec::is_empty) {
-            self.levels.pop();
+        while self.sorted.last().is_some_and(SortedRun::is_empty) {
+            self.sorted.pop();
         }
         Ok(())
     }
 
+    /// The tables of `level` (none for a level the tree does not have).
+    fn level_tables(&self, level: usize) -> &[TableHandle] {
+        match level.checked_sub(1) {
+            None => &self.l0,
+            Some(below_l0) => self.sorted.get(below_l0).map_or(&[], SortedRun::tables),
+        }
+    }
+
+    /// Every level from L0 down, as the manifest lists them: none at all for
+    /// a tree without tables.
+    fn levels(&self) -> impl Iterator<Item = &[TableHandle]> {
+        (0..self.level_count()).map(|level| self.level_tables(level))
+    }
+
     fn level_bytes(&self, level: usize) -> u64 {
-        self.levels[level].iter().map(|table| table.meta.data_len).sum()
+        self.level_tables(level).iter().map(|table| table.meta.data_len).sum()
     }
 
     fn level_capacity(&self, level: usize) -> u64 {
@@ -548,12 +580,12 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         let start = self.store.clock();
         // Tombstones are dropped once the output is the bottom of the tree —
         // nothing older exists for them to shadow.
-        let bottom = self.levels.iter().skip(level + 2).all(Vec::is_empty);
-        let KvStore { store, builder, next_table_id, config, levels, .. } = self;
-        // The inputs stay in `levels` until the output exists: a read or build
-        // that fails returns with every table still in place and still served.
-        let sources = &levels[level];
-        let targets = levels.get(level + 1).map_or(&[][..], Vec::as_slice);
+        let bottom = self.sorted.iter().skip(level + 1).all(SortedRun::is_empty);
+        let KvStore { store, builder, next_table_id, config, l0, sorted, .. } = self;
+        // The inputs stay in their levels until the output exists: a read or
+        // build that fails returns with every table still in place and served.
+        let sources = if level == 0 { l0.as_slice() } else { sorted[level - 1].tables() };
+        let targets = sorted.get(level).map_or(&[][..], SortedRun::tables);
         // Every input is read before the first output is written: the target
         // level, a sorted run, in order; then the sources oldest first (L0 is
         // kept newest-first), each its own run. The buffer lives as long as
@@ -571,12 +603,15 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         let live =
             NewestWins::new(inputs.cursors()).filter(|(_, value)| !(bottom && value.is_none()));
         let run = build_tables(live, config.target_table_bytes, builder, store, next_table_id)?;
-        if levels.len() <= level + 1 {
-            levels.push(Vec::new());
+        if sorted.len() <= level {
+            sorted.push(SortedRun::default());
         }
-        let sources = std::mem::take(&mut levels[level]);
-        let targets = std::mem::replace(&mut levels[level + 1], run);
-        for table in sources.into_iter().chain(targets) {
+        let targets = std::mem::replace(&mut sorted[level], SortedRun::new(run));
+        let sources = match level {
+            0 => std::mem::take(l0),
+            _ => std::mem::take(&mut sorted[level - 1]).into_tables(),
+        };
+        for table in sources.into_iter().chain(targets.into_tables()) {
             self.pending_free.extend_from_slice(table.meta.file.extents());
         }
         self.stats.compactions += 1;
@@ -595,7 +630,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         superblock.extend_from_slice(&SUPERBLOCK_MAGIC.to_le_bytes());
         put_extents(&mut superblock, file.extents());
         superblock.extend_from_slice(&file.len().to_le_bytes());
-        let checksum = fnv1a(&superblock, 0);
+        let checksum = checksum64(&superblock);
         superblock.extend_from_slice(&checksum.to_le_bytes());
         self.store.write_superblock(&superblock)?; // the commit point
         if let Some(old) = self.manifest.replace(file) {
@@ -612,10 +647,10 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         out.extend_from_slice(&self.wal.epoch().to_le_bytes());
         put_extents(&mut out, self.wal.file().extents());
         out.extend_from_slice(&self.next_table_id.to_le_bytes());
-        out.extend_from_slice(&(self.levels.len() as u32).to_le_bytes());
-        for run in &self.levels {
-            out.extend_from_slice(&(run.len() as u32).to_le_bytes());
-            for table in run {
+        out.extend_from_slice(&(self.level_count() as u32).to_le_bytes());
+        for tables in self.levels() {
+            out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
+            for table in tables {
                 let meta = &table.meta;
                 out.extend_from_slice(&meta.id.to_le_bytes());
                 out.extend_from_slice(&meta.entries.to_le_bytes());
@@ -628,7 +663,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
                 put_key(&mut out, &meta.max_key);
             }
         }
-        let checksum = fnv1a(&out, 0);
+        let checksum = checksum64(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -636,11 +671,10 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// The store's table layout — a compact fingerprint for determinism
     /// checks: two runs with equal layouts placed their data identically.
     pub fn layout(&self) -> Vec<TableLayout> {
-        self.levels
-            .iter()
+        self.levels()
             .enumerate()
-            .flat_map(|(level, run)| {
-                run.iter().map(move |table| TableLayout {
+            .flat_map(|(level, tables)| {
+                tables.iter().map(move |table| TableLayout {
                     level,
                     id: table.meta.id,
                     entries: table.meta.entries,
@@ -671,9 +705,50 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         &self.store
     }
 
-    /// Number of populated levels (L0 included).
+    /// Number of levels from L0 down to the deepest one holding a table (a
+    /// store without tables has none).
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        if self.l0.is_empty() && self.sorted.is_empty() {
+            0
+        } else {
+            1 + self.sorted.len()
+        }
+    }
+
+    /// Checks the structural invariants that hold between any two operations:
+    /// every level below L0 is strictly sorted and disjoint with fences equal
+    /// to its tables' max-key prefixes, every table's bound and index prefixes
+    /// are its keys', table ids are unique and below the next one, and the
+    /// extents of the WAL region, the manifest, the tables and those waiting
+    /// to be freed account, with the allocator's free list, for every LPN
+    /// exactly once. (That last one holds while no write has failed: an append
+    /// the device refused leaks its file's reservation until the next recovery
+    /// rebuilds the free list from the manifest, and the check says so.)
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for run in &self.sorted {
+            run.check_invariants()?;
+        }
+        let mut referenced = self.pending_free.clone();
+        referenced.extend_from_slice(self.wal.file().extents());
+        referenced.extend(self.manifest.iter().flat_map(|file| file.extents()));
+        let mut ids = Vec::new();
+        for table in self.levels().flatten() {
+            table.check_invariants()?;
+            referenced.extend_from_slice(table.meta.file.extents());
+            ids.push(table.meta.id);
+        }
+        ids.sort_unstable();
+        if ids.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err("two tables share an id".to_string());
+        }
+        if ids.last().is_some_and(|&newest| newest >= self.next_table_id) {
+            return Err(format!("a table's id is not below the next id {}", self.next_table_id));
+        }
+        self.store.check_allocation(&referenced)
     }
 
     /// Simulates a crash: drops all in-memory state (memtable, table handles,
@@ -766,7 +841,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, KvError> {
     }
     let (payload, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().expect("eight bytes were split off"));
-    if fnv1a(payload, 0) != stored {
+    if checksum64(payload) != stored {
         return Err(KvError::Corruption("manifest checksum mismatch".to_string()));
     }
     let mut cursor = Cursor::new(payload);
@@ -876,6 +951,7 @@ mod tests {
     use std::collections::BTreeMap;
     use vflash_ftl::{Completion, ConventionalFtl, FtlConfig, FtlError, FtlMetrics, IoRequest};
     use vflash_nand::{NandConfig, NandDevice};
+    use vflash_ppb::{PpbConfig, PpbFtl};
 
     fn flash() -> FlashStore<ConventionalFtl> {
         let device = NandDevice::new(NandConfig::small());
@@ -942,11 +1018,12 @@ mod tests {
             );
         }
         // Deep runs are sorted and non-overlapping.
-        for run in kv.levels.iter().skip(1) {
-            for pair in run.windows(2) {
+        for run in &kv.sorted {
+            for pair in run.tables().windows(2) {
                 assert!(pair[0].meta.max_key < pair[1].meta.min_key);
             }
         }
+        assert_eq!(kv.check_invariants(), Ok(()));
     }
 
     /// A conventional FTL that fails the n-th read after being armed, the way
@@ -1008,7 +1085,7 @@ mod tests {
             kv.put(&key(i), &value(1, i)).unwrap();
         }
         kv.flush().unwrap();
-        assert!(kv.levels[0].len() >= 2 && !kv.levels[1].is_empty(), "inputs at both levels");
+        assert!(kv.l0.len() >= 2 && !kv.sorted[0].is_empty(), "inputs at both levels");
         let newest = |i: u32| value(u32::from(i.is_multiple_of(2)), i);
         let layout = kv.layout();
         let compactions = kv.stats().compactions;
@@ -1033,7 +1110,7 @@ mod tests {
         reads_until_failure.set(None);
         assert!(failed >= 3, "the target run and every source table were read: {failed}");
         // The compaction that got through serves the same data.
-        assert!(kv.levels[0].is_empty());
+        assert!(kv.l0.is_empty());
         for i in 0..120u32 {
             assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i)), "key {i}");
         }
@@ -1130,12 +1207,58 @@ mod tests {
         assert_eq!(decoded.wal_epoch, kv.wal.epoch());
         assert_eq!(decoded.next_table_id, kv.next_table_id);
         let metas: Vec<Vec<TableMeta>> =
-            kv.levels.iter().map(|run| run.iter().map(|t| t.meta.clone()).collect()).collect();
+            kv.levels().map(|tables| tables.iter().map(|t| t.meta.clone()).collect()).collect();
         assert_eq!(decoded.levels, metas);
-        // A flipped byte fails the checksum.
-        let mut bad = encoded;
-        bad[10] ^= 0xFF;
-        assert!(matches!(decode_manifest(&bad), Err(KvError::Corruption(_))));
+        // A flipped byte — any of them — fails the checksum.
+        for at in 0..encoded.len() {
+            let mut bad = encoded.clone();
+            bad[at] ^= 0xFF;
+            assert!(matches!(decode_manifest(&bad), Err(KvError::Corruption(_))), "byte {at}");
+        }
+    }
+
+    #[test]
+    fn a_flipped_superblock_byte_is_corruption_at_open() {
+        let formatted = || {
+            let mut kv = KvStore::open(flash(), small_config()).unwrap();
+            kv.put(b"key", b"value").unwrap();
+            kv.flush().unwrap();
+            kv.crash()
+        };
+        let superblock = formatted().read_superblock().unwrap();
+        // magic, extent count, the extents, manifest length, checksum.
+        let extents = u32::from_le_bytes(superblock[8..12].try_into().unwrap()) as usize;
+        let payload = 8 + 4 + 16 * extents + 8 + 8;
+        assert!(extents >= 1 && superblock[payload..].iter().all(|&byte| byte == 0));
+        for at in 0..payload {
+            let mut store = formatted();
+            let mut bad = superblock[..payload].to_vec();
+            bad[at] ^= 0x01;
+            store.write_superblock(&bad).unwrap();
+            let reopened = KvStore::open(store, small_config());
+            assert!(matches!(reopened, Err(KvError::Corruption(_))), "byte {at}");
+        }
+        let mut intact = KvStore::open(formatted(), small_config()).unwrap();
+        assert_eq!(intact.get(b"key").unwrap().value, Some(b"value".to_vec()));
+    }
+
+    #[test]
+    fn empty_and_reversed_scan_ranges_have_no_rows() {
+        let mut kv = KvStore::open(flash(), small_config()).unwrap();
+        kv.put(b"a", b"1").unwrap();
+        kv.put(b"b", b"2").unwrap();
+        // Once against the memtable alone, once with the keys in a table.
+        for flushed in [false, true] {
+            if flushed {
+                kv.flush().unwrap();
+            }
+            let (clock, scans) = (kv.device_clock(), kv.stats().scans);
+            assert_eq!(kv.scan(b"b", b"a").unwrap(), vec![], "lo > hi, flushed: {flushed}");
+            assert_eq!(kv.scan(b"a", b"a").unwrap(), vec![], "lo == hi, flushed: {flushed}");
+            assert_eq!(kv.stats().scans, scans + 2, "an empty scan is still a scan");
+            assert_eq!(kv.device_clock(), clock, "and reads nothing");
+            assert_eq!(kv.scan(b"a", b"b").unwrap(), vec![(b"a".to_vec(), b"1".to_vec())]);
+        }
     }
 
     #[test]
@@ -1211,6 +1334,250 @@ mod tests {
                 run.into_iter().collect()
             },
         )
+    }
+
+    /// `get` as it was before the levels were fence-indexed, kept as the
+    /// reference the located lookup must match probe for probe: every table
+    /// of every level — L0 newest first, then each deeper level in table order
+    /// — through the table's own `get`, which range-skips all but the
+    /// candidates.
+    fn walking_get<F: FlashTranslationLayer>(
+        kv: &mut KvStore<F>,
+        key: &[u8],
+    ) -> Result<Lookup, KvError> {
+        kv.stats.gets += 1;
+        let start = kv.store.clock();
+        if let Some(entry) = kv.memtable.get(key) {
+            let value = entry.clone();
+            if value.is_some() {
+                kv.stats.memtable_hits += 1;
+            } else {
+                kv.stats.misses += 1;
+            }
+            let time = kv.store.clock() - start;
+            return Ok(Lookup { value, source: LookupSource::Memtable, time });
+        }
+        let KvStore { store, l0, sorted, stats, .. } = kv;
+        for table in l0.iter().chain(sorted.iter().flat_map(SortedRun::tables)) {
+            let (found, probe) = table.get(store, key)?;
+            match probe {
+                TableProbe::BloomSkip => stats.bloom_skips += 1,
+                TableProbe::Read => stats.table_reads += 1,
+                TableProbe::RangeSkip => {}
+            }
+            if let Some(value) = found {
+                if value.is_some() {
+                    stats.sstable_hits += 1;
+                } else {
+                    stats.misses += 1;
+                }
+                let time = store.clock() - start;
+                return Ok(Lookup { value, source: LookupSource::SsTable, time });
+            }
+        }
+        stats.misses += 1;
+        Ok(Lookup { value: None, source: LookupSource::Miss, time: store.clock() - start })
+    }
+
+    type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// `scan` as it was before the levels were fence-indexed: every table of
+    /// every level is asked for its rows in range.
+    fn walking_scan<F: FlashTranslationLayer>(
+        kv: &mut KvStore<F>,
+        lo: &[u8],
+        hi: &[u8],
+    ) -> Result<Rows, KvError> {
+        kv.stats.scans += 1;
+        if lo >= hi {
+            return Ok(Vec::new());
+        }
+        let KvStore { store, l0, sorted, memtable, .. } = kv;
+        let mut scanned = RunBuffer::default();
+        for run in sorted.iter().rev() {
+            scanned.begin_run();
+            for table in run.tables() {
+                table.scan_range(store, lo, hi, scanned.segment())?;
+            }
+        }
+        for table in l0.iter().rev() {
+            scanned.begin_run();
+            table.scan_range(store, lo, hi, scanned.segment())?;
+        }
+        let buffered =
+            memtable.range(lo, hi).map(|(key, value)| (key.as_slice(), value.as_deref()));
+        let runs = scanned.cursors().map(Run::Table).chain([Run::Memtable(buffered)]);
+        Ok(NewestWins::new(runs)
+            .filter_map(|(key, value)| value.map(|value| (key.to_vec(), value.to_vec())))
+            .collect())
+    }
+
+    /// Keys chosen to tie and nest in their prefixes (the empty key, keys
+    /// under eight bytes, `"ab"` / `"ab\0"`, families sharing eight bytes),
+    /// and big-endian counters like the benchmark's.
+    fn key_pool() -> Vec<Vec<u8>> {
+        let mut pool = crate::key::tricky_keys();
+        pool.extend((0..26u64).map(|rank| (rank * 3).to_be_bytes().to_vec()));
+        pool
+    }
+
+    #[derive(Debug, Clone)]
+    enum HistoryOp {
+        Put(usize, usize, u8),
+        Delete(usize),
+        Get(usize),
+        Scan(usize, usize),
+        Flush,
+    }
+
+    fn history() -> impl Strategy<Value = Vec<HistoryOp>> {
+        let keys = key_pool().len();
+        let op = prop_oneof![
+            (0..keys, 0usize..100, any::<u8>()).prop_map(|(k, len, fill)| HistoryOp::Put(k, len, fill)),
+            (0..keys, 0usize..100, any::<u8>()).prop_map(|(k, len, fill)| HistoryOp::Put(k, len, fill)),
+            (0..keys, 0usize..100, any::<u8>()).prop_map(|(k, len, fill)| HistoryOp::Put(k, len, fill)),
+            (0..keys).prop_map(HistoryOp::Delete),
+            (0..keys).prop_map(HistoryOp::Get),
+            (0..keys, 0..keys).prop_map(|(lo, hi)| HistoryOp::Scan(lo, hi)),
+            (0u8..8).prop_map(|roll| if roll == 0 { HistoryOp::Flush } else { HistoryOp::Get(0) }),
+        ];
+        proptest::collection::vec(op, 150..400)
+    }
+
+    /// Runs `ops` on two stores over identical devices — one answering reads
+    /// with the store's located lookup, one with the walk above — and after
+    /// every read demands the same answer (which is also the model map's),
+    /// the same counters and the same device clock. Whenever the table tree
+    /// changed, every key of the pool is probed and a spread of ranges scanned.
+    fn located_lookup_matches_the_walk<F: FlashTranslationLayer>(
+        make_ftl: impl Fn(NandDevice) -> F,
+        config: KvConfig,
+        ops: &[HistoryOp],
+    ) -> Result<(), TestCaseError> {
+        let nand = NandConfig::builder()
+            .chips(4)
+            .blocks_per_chip(16)
+            .pages_per_block(32)
+            .page_size_bytes(4096)
+            .build()
+            .unwrap();
+        let open = || {
+            let store = FlashStore::new(make_ftl(NandDevice::new(nand.clone())));
+            KvStore::open(store, config).unwrap()
+        };
+        let (mut located, mut walked) = (open(), open());
+        let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        let pool = key_pool();
+        let mut sorted_pool = pool.clone();
+        sorted_pool.sort();
+
+        macro_rules! same_state {
+            ($what:expr) => {
+                prop_assert_eq!(located.stats(), walked.stats(), "stats after {}", $what);
+                prop_assert_eq!(located.flash().io_stats(), walked.flash().io_stats());
+                prop_assert_eq!(located.device_clock(), walked.device_clock(), "{}", $what);
+            };
+        }
+        macro_rules! same_get {
+            ($key:expr) => {
+                let key: &[u8] = $key;
+                let found = located.get(key).unwrap();
+                prop_assert_eq!(&found, &walking_get(&mut walked, key).unwrap(), "get {:?}", key);
+                prop_assert_eq!(&found.value, &model.get(key).cloned().flatten(), "get {:?}", key);
+                same_state!(format!("get {key:?}"));
+            };
+        }
+        macro_rules! same_scan {
+            ($lo:expr, $hi:expr) => {
+                let (lo, hi): (&[u8], &[u8]) = ($lo, $hi);
+                let rows = located.scan(lo, hi).unwrap();
+                prop_assert_eq!(&rows, &walking_scan(&mut walked, lo, hi).unwrap());
+                let live = model
+                    .iter()
+                    .filter(|(key, _)| lo <= key.as_slice() && key.as_slice() < hi)
+                    .filter_map(|(key, value)| value.clone().map(|value| (key.clone(), value)));
+                prop_assert_eq!(rows, live.collect::<Vec<_>>(), "scan {:?}..{:?}", lo, hi);
+                same_state!(format!("scan {lo:?}..{hi:?}"));
+            };
+        }
+
+        let mut tree = (0, 0);
+        let mut widest_run = 0;
+        for op in ops.iter().chain([&HistoryOp::Flush]) {
+            match *op {
+                HistoryOp::Put(key, len, fill) => {
+                    let value = vec![fill; len];
+                    located.put(&pool[key], &value).unwrap();
+                    walked.put(&pool[key], &value).unwrap();
+                    model.insert(pool[key].clone(), Some(value));
+                }
+                HistoryOp::Delete(key) => {
+                    located.delete(&pool[key]).unwrap();
+                    walked.delete(&pool[key]).unwrap();
+                    model.insert(pool[key].clone(), None);
+                }
+                HistoryOp::Flush => {
+                    located.flush().unwrap();
+                    walked.flush().unwrap();
+                }
+                HistoryOp::Get(key) => {
+                    same_get!(&pool[key]);
+                }
+                HistoryOp::Scan(lo, hi) => {
+                    same_scan!(&pool[lo], &pool[hi]);
+                }
+            }
+            let now = (located.stats().flushes, located.stats().compactions);
+            if std::mem::replace(&mut tree, now) != now {
+                prop_assert_eq!(located.layout(), walked.layout());
+                let widest_now = located.sorted.iter().map(|run| run.tables().len()).max();
+                widest_run = widest_run.max(widest_now.unwrap_or(0));
+                for key in &pool {
+                    same_get!(key);
+                    // And the key sorting right after it, never written.
+                    same_get!(&[key.as_slice(), &[0]].concat());
+                }
+                same_scan!(b"", &[0xFF; 10]);
+                for window in sorted_pool.windows(7).step_by(5) {
+                    same_scan!(&window[0], &window[6]);
+                }
+            }
+        }
+        prop_assert!(widest_run >= 3, "the history must build runs to locate in: {widest_run}");
+        prop_assert_eq!(located.check_invariants(), Ok(()));
+        prop_assert_eq!(walked.check_invariants(), Ok(()));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Differential test of the fence-indexed lookup against the linear
+        /// walk it replaced, at sparse-index stride 1 and 16 and queue depth 1
+        /// and 16, over both FTLs (PPB's placement also depends on the order
+        /// reads arrive in).
+        #[test]
+        fn located_lookups_match_the_linear_walk_probe_for_probe(ops in history()) {
+            // Tiny thresholds: a flush every few puts, several tables per
+            // level, three or four levels within one history.
+            let config = |sparse_index_interval, io_depth| KvConfig {
+                memtable_bytes: 600,
+                l0_compaction_trigger: 2,
+                level_base_bytes: 1_500,
+                level_size_multiplier: 2,
+                target_table_bytes: 500,
+                sparse_index_interval,
+                io_depth,
+                ..KvConfig::default()
+            };
+            let conventional =
+                |device| ConventionalFtl::new(device, FtlConfig::default()).unwrap();
+            let ppb = |device| PpbFtl::new(device, PpbConfig::default()).unwrap();
+            located_lookup_matches_the_walk(conventional, config(16, 1), &ops)?;
+            located_lookup_matches_the_walk(ppb, config(1, 16), &ops)?;
+            located_lookup_matches_the_walk(ppb, config(16, 16), &ops)?;
+            located_lookup_matches_the_walk(conventional, config(1, 1), &ops)?;
+        }
     }
 
     proptest! {

@@ -5,13 +5,13 @@
 //! place at every memtable flush: the logical length rewinds to zero and the
 //! **epoch** (persisted in the manifest) increments, so stale records from the
 //! previous epoch are still physically on the region's pages but fail the epoch
-//! check during replay. Each record carries an FNV-64 checksum; replay stops at
+//! check during replay. Each record carries a 64-bit checksum; replay stops at
 //! the first record that fails validation, which is exactly the committed
 //! prefix.
 
 use crate::error::KvError;
 use crate::flash_file::{FlashStore, SegmentFile};
-use crate::hash::fnv1a;
+use crate::hash::checksum64;
 use vflash_ftl::FlashTranslationLayer;
 
 /// One logical WAL operation.
@@ -44,7 +44,7 @@ const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 /// epoch(4) + kind(1) + klen(2) + vlen(4).
 const HEADER_BYTES: usize = 11;
-/// Trailing FNV-64 checksum.
+/// Trailing 64-bit checksum.
 const CHECKSUM_BYTES: usize = 8;
 
 /// Serializes one record into `out` (cleared first): header, key, value,
@@ -65,7 +65,7 @@ fn encode(epoch: u32, op: &WalOp, out: &mut Vec<u8>) {
     out.extend_from_slice(&value_len.to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
-    out.extend_from_slice(&fnv1a(out, 0).to_le_bytes());
+    out.extend_from_slice(&checksum64(out).to_le_bytes());
 }
 
 /// Decodes the record at `bytes[at..]`. Returns `None` when the bytes are not a
@@ -91,7 +91,7 @@ fn decode(bytes: &[u8], at: usize, epoch: u32) -> Option<(WalOp, usize)> {
     let stored = u64::from_le_bytes(
         rest[HEADER_BYTES + klen + vlen..total].try_into().unwrap(),
     );
-    if fnv1a(payload, 0) != stored {
+    if checksum64(payload) != stored {
         return None;
     }
     let key = rest[HEADER_BYTES..HEADER_BYTES + klen].to_vec();
@@ -288,5 +288,29 @@ mod tests {
         let (first, consumed) = decode(&bytes, 0, epoch).unwrap();
         assert_eq!(first, WalOp::Put { key: b"k1".to_vec(), value: b"v1".to_vec() });
         assert!(decode(&bytes, consumed, epoch).is_none(), "bit flip must fail the checksum");
+    }
+
+    #[test]
+    fn every_flipped_byte_and_every_truncation_of_a_record_is_refused() {
+        let epoch = 9;
+        let ops = [
+            WalOp::Put { key: b"key-0007".to_vec(), value: (0..=255u8).collect() },
+            WalOp::Put { key: b"k".to_vec(), value: Vec::new() },
+            WalOp::Delete { key: b"a-deleted-key".to_vec() },
+        ];
+        for op in &ops {
+            let mut record = Vec::new();
+            encode(epoch, op, &mut record);
+            assert_eq!(record.len() as u64, Wal::record_bytes(op));
+            assert_eq!(decode(&record, 0, epoch), Some((op.clone(), record.len())));
+            for at in 0..record.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut flipped = record.clone();
+                    flipped[at] ^= mask;
+                    assert_eq!(decode(&flipped, 0, epoch), None, "byte {at} ^ {mask:#04x} of {op:?}");
+                }
+                assert_eq!(decode(&record[..at], 0, epoch), None, "{at} bytes of {op:?}");
+            }
+        }
     }
 }

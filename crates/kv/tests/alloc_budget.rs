@@ -2,13 +2,15 @@
 //! any machine: a `get` that bounds checks and bloom filters answer allocates
 //! nothing, an SSTable hit allocates only the value it returns, and a
 //! non-flushing `put` allocates its key, its value and an amortised B-tree
-//! node.
+//! node. The shadow bytes under them are one arena: a `FlashStore` makes the
+//! same few allocations whatever the device size, and none per page written
+//! or per multi-page range read later.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vflash_ftl::{ConventionalFtl, FtlConfig};
-use vflash_kv::{FlashStore, KvConfig, KvStore, LookupSource};
+use vflash_kv::{FlashStore, KvConfig, KvStore, LookupSource, SegmentFile};
 use vflash_nand::{NandConfig, NandDevice};
 
 thread_local! {
@@ -65,19 +67,44 @@ fn key(i: u64) -> [u8; 8] {
     i.to_be_bytes()
 }
 
-#[test]
-fn hot_paths_stay_within_their_allocation_budget() {
+fn ftl(blocks: usize) -> ConventionalFtl {
     let device = NandDevice::new(
         NandConfig::builder()
             .chips(1)
-            .blocks_per_chip(64)
+            .blocks_per_chip(blocks)
             .pages_per_block(64)
             .page_size_bytes(4096)
             .build()
             .unwrap(),
     );
-    let ftl = ConventionalFtl::new(device, FtlConfig::default()).unwrap();
-    let mut kv = KvStore::open(FlashStore::new(ftl), KvConfig::default()).unwrap();
+    ConventionalFtl::new(device, FtlConfig::default()).unwrap()
+}
+
+#[test]
+fn the_shadow_arena_is_allocated_once_not_page_by_page() {
+    let (small, large) = (ftl(16), ftl(64));
+    let (for_small, _) = allocations_during(|| FlashStore::new(small));
+    let (for_large, mut store) = allocations_during(|| FlashStore::new(large));
+    assert_eq!(for_small, for_large, "a store's allocations do not grow with the device");
+    assert!(for_large <= 3, "arena, written bitmap, free list: {for_large}");
+
+    let page = store.page_size();
+    let mut file = SegmentFile::new();
+    store.reserve(&mut file, 65).unwrap();
+    store.append(&mut file, &vec![1u8; page], page as u32).unwrap(); // the FTL's first block
+    let data = vec![0xA5u8; 64 * page];
+    let (allocations, ()) =
+        allocations_during(|| store.append(&mut file, &data, data.len() as u32).unwrap());
+    assert_eq!(allocations, 0, "64 pages written for the first time");
+    // A range over several pages of one extent is lent, not assembled.
+    let (allocations, lent) =
+        allocations_during(|| store.read_range(&file, page as u64 + 100, 3 * page).unwrap().len());
+    assert_eq!((allocations, lent), (0, 3 * page));
+}
+
+#[test]
+fn hot_paths_stay_within_their_allocation_budget() {
+    let mut kv = KvStore::open(FlashStore::new(ftl(64)), KvConfig::default()).unwrap();
 
     // Warm the store: even keys only, through several flushes and a
     // compaction, then everything out of the memtable.

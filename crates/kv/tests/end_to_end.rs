@@ -93,6 +93,7 @@ fn worn_out_device_surfaces_read_only_and_still_recovers() {
     assert!(lookup.value.is_some() || lookup.value.is_none()); // no panic, clean answer
     // Recovery from the device needs no writes and must succeed.
     let mut recovered = KvStore::open(kv.crash(), config).unwrap();
+    assert_eq!(recovered.check_invariants(), Ok(()));
     recovered.get(&0u64.to_be_bytes()).unwrap();
     assert!(matches!(recovered.put(b"still", b"dead"), Err(KvError::ReadOnly)));
 }
@@ -152,6 +153,7 @@ fn golden_fingerprint<F: FlashTranslationLayer>(ftl: F, io_depth: usize) -> (Str
         }
     }
     kv.flush().unwrap();
+    assert_eq!(kv.check_invariants(), Ok(()));
     let mut layout_hash = 0xcbf2_9ce4_8422_2325u64;
     fold(&mut layout_hash, format!("{:?}", kv.layout()).as_bytes());
     let metrics = kv.flash().ftl().metrics();

@@ -88,6 +88,7 @@ proptest! {
         }
         // Crash: all in-memory state is dropped; only the device survives.
         let mut kv = KvStore::open(kv.crash(), config()).expect("recover at cut point");
+        prop_assert_eq!(kv.check_invariants(), Ok(()), "after the crash at op {}", cut);
         for k in 0u8..32 {
             let expected = model.get(&key(k)).cloned().flatten();
             let lookup = kv.get(&key(k)).expect("get after recovery");
@@ -101,7 +102,9 @@ proptest! {
         for op in &ops[cut..] {
             apply(&mut kv, &mut model, op);
         }
+        prop_assert_eq!(kv.check_invariants(), Ok(()), "before the second crash");
         let mut kv = KvStore::open(kv.crash(), config()).expect("recover after tail");
+        prop_assert_eq!(kv.check_invariants(), Ok(()), "after the second crash");
         for k in 0u8..32 {
             let expected = model.get(&key(k)).cloned().flatten();
             let lookup = kv.get(&key(k)).expect("get after second recovery");

@@ -366,6 +366,29 @@ fn ablations(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// One printable section of the evaluation; the flag is `--quick`.
+type Section = fn(&ExperimentScale, bool) -> Result<(), Box<dyn Error>>;
+
+/// Every selectable section, in the order `all` prints them. Dispatch,
+/// validation and the usage message all read this table.
+const SECTIONS: [(&str, Section); 15] = [
+    ("fig12", |scale, _| fig12(scale)),
+    ("fig13", |scale, _| fig13(scale)),
+    ("fig14", |scale, _| fig14(scale)),
+    ("fig15", |scale, _| fig15(scale)),
+    ("fig16", |scale, _| fig16(scale)),
+    ("fig17", |scale, _| fig17(scale)),
+    ("fig18", |scale, _| fig18(scale)),
+    ("ablation", |scale, _| ablations(scale)),
+    ("qd", |scale, _| qd(scale)),
+    ("openloop", |scale, _| openloop(scale)),
+    ("burst", |scale, _| burst(scale)),
+    ("faults", |scale, _| faults(scale)),
+    ("fleet", |scale, _| fleet(scale)),
+    ("ppb_sensitivity", |scale, _| ppb_sensitivity(scale)),
+    ("lsm", |_, quick| lsm(quick)),
+];
+
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|arg| arg == "--quick");
@@ -394,76 +417,26 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         return real_trace(path, &scale);
     }
+
+    // Nothing is printed until every name is known: a typo beside a valid
+    // name must not pass for a complete run.
+    let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+    let unknown: Vec<&str> = figures
+        .iter()
+        .copied()
+        .filter(|figure| *figure != "all" && !names.contains(figure))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment selection {unknown:?}; expected {} or all", names.join(", "));
+        std::process::exit(2);
+    }
     let run_all = figures.is_empty() || figures.contains(&"all");
 
     print_table1(&scale);
-    let mut matched = run_all;
-    if run_all || figures.contains(&"fig12") {
-        fig12(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fig13") {
-        fig13(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fig14") {
-        fig14(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fig15") {
-        fig15(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fig16") {
-        fig16(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fig17") {
-        fig17(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fig18") {
-        fig18(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"ablation") {
-        ablations(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"qd") {
-        qd(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"openloop") {
-        openloop(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"burst") {
-        burst(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"faults") {
-        faults(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"fleet") {
-        fleet(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"ppb_sensitivity") {
-        ppb_sensitivity(&scale)?;
-        matched = true;
-    }
-    if run_all || figures.contains(&"lsm") {
-        lsm(quick)?;
-        matched = true;
-    }
-    if !matched {
-        eprintln!(
-            "unknown experiment selection {figures:?}; expected fig12..fig18, ablation, qd, \
-             openloop, burst, faults, fleet, ppb_sensitivity, lsm or all"
-        );
-        std::process::exit(2);
+    for (name, section) in SECTIONS {
+        if run_all || figures.contains(&name) {
+            section(&scale, quick)?;
+        }
     }
     Ok(())
 }

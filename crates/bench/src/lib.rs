@@ -1,9 +1,9 @@
 //! # vflash-bench
 //!
-//! Experiment harness and Criterion benches for the PPB reproduction.
+//! Experiment harness for the PPB reproduction.
 //!
-//! The library part only hosts the small formatting helpers shared between the
-//! `experiments` binary and the benches; the interesting code lives in
+//! The library part only hosts the table formatting helpers the `experiments`
+//! binary prints with; the interesting code lives in
 //! [`vflash_sim::experiments`].
 
 #![forbid(unsafe_code)]

@@ -1,10 +1,9 @@
 //! Ready-made parameter sweeps reproducing the paper's evaluation (Figures 12–18).
 //!
 //! Every figure of the evaluation section has a function here that produces its data
-//! rows; the `experiments` binary in `vflash-bench` prints them and the Criterion
-//! benches time them. The sweeps are parameterised by an [`ExperimentScale`] so unit
-//! tests and benches can run a scaled-down version of the same code path that the
-//! full harness uses.
+//! rows; the `experiments` binary in `vflash-bench` prints them. The sweeps are
+//! parameterised by an [`ExperimentScale`] so unit tests and the `--quick` golden
+//! can run a scaled-down version of the same code path that the full harness uses.
 //!
 //! The original MSR-Cambridge traces are replaced by the synthetic generators in
 //! [`vflash_trace::synthetic`]; see `DESIGN.md` for the substitution rationale.
@@ -204,7 +203,7 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A fast configuration for unit tests and Criterion benches (a few thousand
+    /// A fast configuration for unit tests and `experiments --quick` (a few thousand
     /// requests, tens of megabytes).
     pub fn quick() -> Self {
         ExperimentScale {

@@ -24,6 +24,14 @@
 //! file into the next (a file the allocator had to build from fragments) is
 //! still copied together, into the reused `assembly` buffer.
 //!
+//! A slice borrows the store, so it is gone by the store's next read or write.
+//! A reader that has to keep what it read while it writes — a compaction holds
+//! every input table while it builds its outputs — asks
+//! [`FlashStore::read_span`] instead: the same page reads are charged, and the
+//! answer is a [`Span`], the offsets the bytes lie at — in the arena, or in a
+//! spill buffer of the caller's for the cross-extent case. [`FlashStore::lent`]
+//! turns spans back into bytes for as long as the caller can hold `&self`.
+//!
 //! A [`SegmentFile`] is an append-only byte stream laid out over a list of
 //! [`Extent`]s (contiguous LPN runs). Freeing a file returns its extents to the
 //! free list; reusing them later overwrites the stale LPNs, which is exactly what
@@ -126,6 +134,54 @@ pub struct StoreIoStats {
     pub pages_written: u64,
     /// Page reads submitted to the FTL.
     pub pages_read: u64,
+}
+
+/// Where the bytes of a charged read lie: a byte range of the store's shadow
+/// arena, or — for a read that crossed from one extent of its file into the
+/// next — of the spill buffer the caller passed to [`FlashStore::read_span`].
+/// A span is plain offsets, so holding one borrows nothing: the store can be
+/// written to between two looks at the bytes, through [`Lent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    /// True when the bytes are in the spill buffer, not the arena.
+    pub(crate) spilled: bool,
+    /// First byte, as an offset into that buffer.
+    pub(crate) start: usize,
+    /// One past the last byte.
+    pub(crate) end: usize,
+}
+
+impl Span {
+    /// The sub-span `[from, to)`, both relative to this span's start.
+    pub(crate) fn part(self, from: usize, to: usize) -> Span {
+        debug_assert!(from <= to && self.start + to <= self.end);
+        Span { spilled: self.spilled, start: self.start + from, end: self.start + to }
+    }
+}
+
+/// The two buffers a [`Span`] can point into, borrowed for as long as the
+/// bytes are looked at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lent<'a> {
+    pub(crate) arena: &'a [u8],
+    pub(crate) spill: &'a [u8],
+}
+
+impl<'a> Lent<'a> {
+    /// The whole buffer — arena or spill — that a span with this `spilled`
+    /// flag indexes.
+    pub(crate) fn buffer(self, spilled: bool) -> &'a [u8] {
+        if spilled {
+            self.spill
+        } else {
+            self.arena
+        }
+    }
+
+    /// The bytes of `span`.
+    pub(crate) fn bytes(self, span: Span) -> &'a [u8] {
+        &self.buffer(span.spilled)[span.start..span.end]
+    }
 }
 
 /// File storage over a [`FlashTranslationLayer`]: shadow data bytes plus an
@@ -571,6 +627,57 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         Ok(())
     }
 
+    /// Charges one page read per page of `[offset, offset + len)` and says
+    /// where the range lies: `Ok(Some(start))` when its pages sit on
+    /// consecutive LPNs — inside one extent of the file — and the range is the
+    /// arena's bytes from `start` on; `Ok(None)` when it crosses into the
+    /// file's next extent and has to be gathered page by page.
+    fn charge_range(
+        &mut self,
+        file: &SegmentFile,
+        offset: u64,
+        len: usize,
+    ) -> Result<Option<usize>, KvError> {
+        debug_assert!(len > 0, "callers answer an empty range themselves");
+        let end = offset + len as u64;
+        if end > file.len {
+            return Err(KvError::Corruption(format!(
+                "read of [{offset}, {end}) past file length {}",
+                file.len
+            )));
+        }
+        let page_size = self.page_size as u64;
+        let (first_page, last_page) = (offset / page_size, (end - 1) / page_size);
+        let pages = last_page - first_page + 1;
+        let (first_lpn, consecutive) =
+            file.run_at(first_page).expect("range is within the file length");
+        if pages <= consecutive {
+            self.charge_reads(first_lpn..first_lpn + pages)?;
+            let within_page = (offset - first_page * page_size) as usize;
+            return Ok(Some(self.page_span(first_lpn).start + within_page));
+        }
+        let lpns = (first_page..=last_page)
+            .map(|page| file.lpn_at(page).expect("range is within the file length"));
+        self.charge_reads(lpns)?;
+        Ok(None)
+    }
+
+    /// Appends the bytes `[offset, offset + len)` of `file` to `out`, page
+    /// piece by page piece (no device traffic: the range was charged).
+    fn gather(&self, file: &SegmentFile, offset: u64, len: usize, out: &mut Vec<u8>) {
+        let page_size = self.page_size as u64;
+        let end = offset + len as u64;
+        let mut at = offset;
+        while at < end {
+            let page = at / page_size;
+            let upto = end.min((page + 1) * page_size);
+            let lpn = file.lpn_at(page).expect("range is within the file length");
+            let within_page = (at - page * page_size) as usize;
+            out.extend_from_slice(&self.page(lpn)[within_page..within_page + (upto - at) as usize]);
+            at = upto;
+        }
+    }
+
     /// Reads `len` bytes at `offset`, charging one page read per page touched.
     /// The bytes are lent, not copied, whenever the range's pages sit on
     /// consecutive LPNs — inside one extent of the file — where they are one
@@ -590,33 +697,56 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         if len == 0 {
             return Ok(&[]);
         }
-        let end = offset + len as u64;
-        if end > file.len {
-            return Err(KvError::Corruption(format!(
-                "read of [{offset}, {end}) past file length {}",
-                file.len
-            )));
-        }
-        let page_size = self.page_size as u64;
-        let (first_page, last_page) = (offset / page_size, (end - 1) / page_size);
-        let from = (offset - first_page * page_size) as usize;
-        let pages = last_page - first_page + 1;
-        let (first_lpn, consecutive) =
-            file.run_at(first_page).expect("range is within the file length");
-        if pages <= consecutive {
-            self.charge_reads(first_lpn..first_lpn + pages)?;
-            let start = self.page_span(first_lpn).start + from;
+        if let Some(start) = self.charge_range(file, offset, len)? {
             return Ok(&self.shadow[start..start + len]);
         }
-        let lpns = (first_page..=last_page)
-            .map(|page| file.lpn_at(page).expect("range is within the file length"));
-        self.charge_reads(lpns.clone())?;
-        self.assembly.clear();
-        for lpn in lpns {
-            let span = self.page_span(lpn);
-            self.assembly.extend_from_slice(&self.shadow[span]);
+        let mut assembly = std::mem::take(&mut self.assembly);
+        assembly.clear();
+        self.gather(file, offset, len, &mut assembly);
+        self.assembly = assembly;
+        Ok(&self.assembly)
+    }
+
+    /// [`FlashStore::read_range`] for a reader that keeps the bytes past the
+    /// store's next read or write (a compaction holds every input while it
+    /// writes its outputs): the same page reads are charged, and instead of a
+    /// borrow the caller gets the [`Span`] the bytes lie at — in the arena
+    /// when the range sits in one extent, else appended to `spill`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FlashStore::read_range`]; `spill` is untouched then.
+    pub(crate) fn read_span(
+        &mut self,
+        file: &SegmentFile,
+        offset: u64,
+        len: usize,
+        spill: &mut Vec<u8>,
+    ) -> Result<Span, KvError> {
+        if len == 0 {
+            return Ok(Span { spilled: false, start: 0, end: 0 });
         }
-        Ok(&self.assembly[from..from + len])
+        if let Some(start) = self.charge_range(file, offset, len)? {
+            return Ok(Span { spilled: false, start, end: start + len });
+        }
+        let start = spill.len();
+        self.gather(file, offset, len, spill);
+        Ok(Span { spilled: true, start, end: start + len })
+    }
+
+    /// The arena and `spill`, for looking at the bytes of spans that
+    /// [`FlashStore::read_span`] returned with this spill buffer.
+    pub(crate) fn lent<'a>(&'a self, spill: &'a [u8]) -> Lent<'a> {
+        Lent { arena: &self.shadow, spill }
+    }
+
+    /// The shadow byte at `offset` of `file`, for a test to damage.
+    #[cfg(test)]
+    pub(crate) fn shadow_byte_mut(&mut self, file: &SegmentFile, offset: u64) -> &mut u8 {
+        let page_size = self.page_size as u64;
+        let lpn = file.lpn_at(offset / page_size).expect("offset is within the file");
+        let at = self.page_span(lpn).start + (offset % page_size) as usize;
+        &mut self.shadow[at]
     }
 
     /// True once a superblock has been written (distinguishes a fresh device

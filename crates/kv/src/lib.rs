@@ -29,6 +29,12 @@
 //! simulated time — every probe that reaches a bloom filter or the device is
 //! the same probe, in the same order, as a walk over every table would make.
 //!
+//! Compaction and scans merge in place, too: their reads are charged table by
+//! table in a fixed order and the rows then stay where the arena holds them —
+//! the newest-wins merge walks byte spans, decodes each entry once and hands
+//! the table builder slices between two table writes; only an input that
+//! crosses an extent boundary of its file is gathered into a spill buffer.
+//!
 //! Every byte of persistence goes through [`FlashStore`]: append-only
 //! [`SegmentFile`]s mapped onto LPN extents, one `IoRequest` per page touched —
 //! submitted one at a time at [`KvConfig::io_depth`] 1, or in chip-parallel

@@ -74,11 +74,16 @@ impl Memtable {
             .range::<[u8], _>((Bound::Included(lo), Bound::Excluded(hi)))
     }
 
-    /// Drains every entry in sorted order, leaving the memtable empty at once
-    /// (the flush path streams the entries into a table builder).
-    pub fn drain_sorted(&mut self) -> impl Iterator<Item = (Vec<u8>, Option<Vec<u8>>)> {
+    /// Every entry in sorted order (the flush path streams them into a table
+    /// builder; the memtable keeps them until the table exists).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Option<Vec<u8>>)> {
+        self.entries.iter()
+    }
+
+    /// Empties the memtable.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
         self.bytes = 0;
-        std::mem::take(&mut self.entries).into_iter()
     }
 }
 
@@ -101,20 +106,22 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_sorted_entries_and_empties() {
+    fn iter_is_sorted_and_clear_empties() {
         let mut memtable = Memtable::new();
         memtable.insert(b"b".to_vec(), Some(b"2".to_vec()));
         memtable.insert(b"a".to_vec(), Some(b"1".to_vec()));
         memtable.insert(b"c".to_vec(), None);
-        let drained: Vec<_> = memtable.drain_sorted().collect();
+        let sorted: Vec<_> = memtable.iter().map(|(key, value)| (key.clone(), value.clone())).collect();
         assert_eq!(
-            drained,
+            sorted,
             vec![
                 (b"a".to_vec(), Some(b"1".to_vec())),
                 (b"b".to_vec(), Some(b"2".to_vec())),
                 (b"c".to_vec(), None),
             ]
         );
+        assert_eq!(memtable.len(), 3, "iterating leaves the entries in place");
+        memtable.clear();
         assert!(memtable.is_empty());
         assert_eq!(memtable.bytes(), 0);
     }

@@ -21,9 +21,12 @@
 //!
 //! Reads are borrowed: a probe compares keys inside the bytes the
 //! [`FlashStore`] lends and copies out only the value it returns; a range
-//! scan and a whole-table read copy their rows, still encoded, into a caller's
-//! run buffer that an [`EntryCursor`] then walks without allocating. Tables
-//! are written by a streaming [`TableBuilder`].
+//! scan and a whole-table read (compaction input) charge their page reads and
+//! leave the rows where they lie, handing the caller's [`RunSpans`] the
+//! [`Span`](crate::flash_file::Span)s to walk — only a read that crosses
+//! extents is copied, into the runs' spill buffer. Tables are written by a
+//! streaming [`TableBuilder`], which gives back what it reserved when the
+//! device refuses the write.
 
 use std::cmp::Ordering;
 
@@ -31,6 +34,7 @@ use crate::error::KvError;
 use crate::flash_file::{FlashStore, SegmentFile};
 use crate::hash::fnv1a_pair;
 use crate::key::{key_prefix, partition_by_prefix, KeyRef};
+use crate::merge::RunSpans;
 use vflash_ftl::FlashTranslationLayer;
 
 /// Default sparse-index stride: every 16th entry lands in the sparse index
@@ -77,12 +81,7 @@ pub type Entry = (Vec<u8>, Option<Vec<u8>>);
 pub(crate) type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
 
 /// Fixed bytes of a data-section entry: klen(2) + flag(1) + vlen(4).
-const ENTRY_HEADER_BYTES: usize = 7;
-
-/// The encoded data-section size of one entry.
-pub(crate) fn encoded_len(key: &[u8], value: Option<&[u8]>) -> usize {
-    ENTRY_HEADER_BYTES + key.len() + value.map_or(0, <[u8]>::len)
-}
+pub(crate) const ENTRY_HEADER_BYTES: usize = 7;
 
 /// A split-block bloom filter over the table's keys (double hashing).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,6 +260,16 @@ impl TableBuilder {
         self.file_bytes.len()
     }
 
+    /// Forgets the entries added since the last `finish` (a merge that fails
+    /// part-way leaves the builder empty for its next user).
+    pub(crate) fn clear(&mut self) {
+        self.file_bytes.clear();
+        self.index.clear();
+        self.hash_pairs.clear();
+        self.min_key.clear();
+        self.max_key.clear();
+    }
+
     /// Appends one entry (`None` is a tombstone). Keys must arrive strictly
     /// ascending (a flush or merge output always does; a violation is a logic
     /// error and panics via `debug_assert`), at most `u16::MAX` bytes long,
@@ -294,7 +303,8 @@ impl TableBuilder {
     ///
     /// # Errors
     ///
-    /// Allocation and write errors pass through (the entries added so far are
+    /// Allocation and write errors pass through, with the pages reserved for
+    /// the file returned to the allocator (the entries added so far are
     /// dropped either way). At least one entry must have been added.
     pub fn finish<F: FlashTranslationLayer>(
         &mut self,
@@ -323,7 +333,10 @@ impl TableBuilder {
         self.file_bytes.clear();
         let min_key = std::mem::take(&mut self.min_key);
         let max_key = std::mem::take(&mut self.max_key);
-        written?;
+        if let Err(error) = written {
+            store.delete(file);
+            return Err(error);
+        }
         let meta = TableMeta {
             id,
             file,
@@ -510,59 +523,46 @@ impl TableHandle {
         Ok((None, TableProbe::Read))
     }
 
-    /// Appends every entry of the table, still encoded and in key order, to
-    /// `run` (compaction input; reads the whole data section and checks that
-    /// it decodes).
+    /// Charges the read of the whole data section and appends it to the open
+    /// run of `runs` (compaction input) as the span it lies at. Nothing is
+    /// decoded here: the merge that walks the run checks each entry as it
+    /// reaches it.
     ///
     /// # Errors
     ///
-    /// Read and decode errors pass through; `run` is untouched then.
-    pub fn read_entries<F: FlashTranslationLayer>(
+    /// Read errors pass through; the run is untouched then.
+    pub(crate) fn lend_entries<F: FlashTranslationLayer>(
         &self,
         store: &mut FlashStore<F>,
-        run: &mut Vec<u8>,
+        runs: &mut RunSpans,
     ) -> Result<(), KvError> {
-        let bytes = store.read_range(&self.meta.file, 0, self.meta.data_len as usize)?;
-        let mut at = 0usize;
-        while let Some((_, consumed)) = decode_entry(bytes, at)? {
-            at += consumed;
-        }
-        run.extend_from_slice(bytes);
+        let span = runs.read(store, &self.meta.file, 0, self.meta.data_len as usize)?;
+        runs.push(span);
         Ok(())
     }
 
-    /// Appends the entries with keys in `[lo, hi)`, still encoded and in key
-    /// order, to `run`, reading index buckets lazily from the first candidate
-    /// bucket until a key reaches `hi`.
+    /// Appends the entries with keys in `[lo, hi)`, in key order, to the open
+    /// run of `runs`, reading index buckets lazily from the first candidate
+    /// bucket until a key reaches `hi`: one span per bucket, narrowed to its
+    /// rows in range.
     ///
     /// # Errors
     ///
-    /// Read and decode errors pass through (`run` may have grown by then).
-    pub fn scan_range<F: FlashTranslationLayer>(
-        &self,
-        store: &mut FlashStore<F>,
-        lo: &[u8],
-        hi: &[u8],
-        run: &mut Vec<u8>,
-    ) -> Result<(), KvError> {
-        self.scan_between(store, KeyRef::new(lo), KeyRef::new(hi), run)
-    }
-
-    /// [`TableHandle::scan_range`] for bounds whose prefixes are known
-    /// already (the store scans several tables with one pair).
+    /// Read and decode errors pass through (the run may have grown by then).
     pub(crate) fn scan_between<F: FlashTranslationLayer>(
         &self,
         store: &mut FlashStore<F>,
         lo: KeyRef<'_>,
         hi: KeyRef<'_>,
-        run: &mut Vec<u8>,
+        runs: &mut RunSpans,
     ) -> Result<(), KvError> {
         if lo >= hi || hi <= self.min_key() || lo > self.max_key() {
             return Ok(());
         }
         for bucket in self.bucket_for(lo).unwrap_or(0)..self.index.len() {
             let (start, end) = self.bucket_span(bucket);
-            let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
+            let span = runs.read(store, &self.meta.file, start, (end - start) as usize)?;
+            let bytes = runs.lent(store).bytes(span);
             // The in-range entries of a bucket are contiguous: [from, at).
             let (mut from, mut at) = (0usize, 0usize);
             let mut reached_hi = false;
@@ -577,7 +577,7 @@ impl TableHandle {
                     from = at;
                 }
             }
-            run.extend_from_slice(&bytes[from..at]);
+            runs.push(span.part(from, at));
             if reached_hi {
                 break;
             }
@@ -588,7 +588,10 @@ impl TableHandle {
 
 /// Decodes the data-section entry at `bytes[at..]` without copying it;
 /// `Ok(None)` at the exact end of the buffer.
-fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(EntryRef<'_>, usize)>, KvError> {
+pub(crate) fn decode_entry(
+    bytes: &[u8],
+    at: usize,
+) -> Result<Option<(EntryRef<'_>, usize)>, KvError> {
     if at == bytes.len() {
         return Ok(None);
     }
@@ -609,43 +612,10 @@ fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(EntryRef<'_>, usize)>
     Ok(Some(((key, value), total)))
 }
 
-/// Walks a run of encoded entries — the segments that
-/// [`TableHandle::read_entries`] or [`TableHandle::scan_range`] filled, and
-/// thereby checked, one after another — without allocating.
-#[derive(Debug, Clone)]
-pub(crate) struct EntryCursor<'a> {
-    segments: &'a [Vec<u8>],
-    /// Byte position in the first of `segments`.
-    at: usize,
-}
-
-impl<'a> EntryCursor<'a> {
-    pub(crate) fn new(segments: &'a [Vec<u8>]) -> Self {
-        EntryCursor { segments, at: 0 }
-    }
-}
-
-impl<'a> Iterator for EntryCursor<'a> {
-    type Item = EntryRef<'a>;
-
-    fn next(&mut self) -> Option<EntryRef<'a>> {
-        loop {
-            let (segment, later) = self.segments.split_first()?;
-            let decoded = decode_entry(segment, self.at);
-            match decoded.expect("run segments are checked when they are filled") {
-                Some((entry, consumed)) => {
-                    self.at += consumed;
-                    return Some(entry);
-                }
-                None => (self.segments, self.at) = (later, 0),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::NewestWins;
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
 
@@ -656,9 +626,10 @@ mod tests {
 
     /// A table's whole contents, decoded.
     fn entries_of(table: &TableHandle, store: &mut FlashStore<ConventionalFtl>) -> Vec<Entry> {
-        let mut run = Vec::new();
-        table.read_entries(store, &mut run).unwrap();
-        decoded(&run)
+        let mut run = RunSpans::default();
+        run.begin_run();
+        table.lend_entries(store, &mut run).unwrap();
+        decoded(&run, store)
     }
 
     /// A table's rows in `[lo, hi)`, decoded.
@@ -668,15 +639,15 @@ mod tests {
         lo: &[u8],
         hi: &[u8],
     ) -> Vec<Entry> {
-        let mut run = Vec::new();
-        table.scan_range(store, lo, hi, &mut run).unwrap();
-        decoded(&run)
+        let mut run = RunSpans::default();
+        run.begin_run();
+        table.scan_between(store, KeyRef::new(lo), KeyRef::new(hi), &mut run).unwrap();
+        decoded(&run, store)
     }
 
-    fn decoded(run: &[u8]) -> Vec<Entry> {
-        EntryCursor::new(&[run.to_vec()])
-            .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))
-            .collect()
+    fn decoded(run: &RunSpans, store: &FlashStore<ConventionalFtl>) -> Vec<Entry> {
+        let lent = run.lent(store);
+        NewestWins::new(run, lent).unwrap().collect(lent).unwrap()
     }
 
     fn sample_entries(count: usize) -> Vec<Entry> {

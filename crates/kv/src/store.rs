@@ -3,10 +3,16 @@
 //! Write path: every put/delete is appended to the WAL (small, hot device
 //! writes), then buffered in the memtable. When the memtable crosses its byte
 //! threshold — or the WAL region would overflow — the memtable is flushed as a
-//! new L0 table (one bulk, cold device write) and compaction runs: L0 merges
-//! into L1 once it holds `l0_compaction_trigger` tables, and each deeper level
-//! spills into the next once it exceeds `level_base_bytes ×
-//! level_size_multiplier^(n-1)`.
+//! new L0 table (one bulk, cold device write; the memtable is streamed by
+//! reference and emptied only once the table exists, so a refused flush loses
+//! nothing) and compaction runs: L0 merges into L1 once it holds
+//! `l0_compaction_trigger` tables, and each deeper level spills into the next
+//! once it exceeds `level_base_bytes × level_size_multiplier^(n-1)`. A
+//! compaction charges the reads of all its inputs first, in a fixed order, and
+//! then merges them where the [`FlashStore`]'s arena holds them (`merge.rs`):
+//! nothing is copied but the inputs that cross an extent boundary. Tables and
+//! manifests the device refuses give their pages back, so a failed flush or
+//! compaction leaves every table served and the allocator whole.
 //!
 //! Read path: the memtable, then every L0 table newest first (they overlap),
 //! then at most one table per deeper level — the one a binary search over the
@@ -29,15 +35,13 @@ use vflash_ftl::FlashTranslationLayer;
 use vflash_nand::Nanos;
 
 use crate::error::KvError;
-use crate::flash_file::{Extent, FlashStore, SegmentFile};
+use crate::flash_file::{Extent, FlashStore, Lent, SegmentFile};
 use crate::hash::checksum64;
 use crate::key::KeyRef;
 use crate::level::SortedRun;
 use crate::memtable::Memtable;
-use crate::merge::{NewestWins, Run, RunBuffer};
-use crate::sstable::{
-    encoded_len, EntryRef, TableBuilder, TableHandle, TableMeta, TableOptions, TableProbe,
-};
+use crate::merge::{NewestWins, RunSpans};
+use crate::sstable::{EntryRef, TableBuilder, TableHandle, TableMeta, TableOptions, TableProbe};
 use crate::wal::{Wal, WalOp};
 
 const MANIFEST_MAGIC: u64 = 0x564b_4d41_4e49_4631; // "VKMANIF1"
@@ -244,8 +248,8 @@ pub struct KvStore<F: FlashTranslationLayer> {
     pending_free: Vec<Extent>,
     /// Builds every table this store writes (flush and compaction outputs).
     builder: TableBuilder,
-    /// The rows a scan read, until its merge is done.
-    scanned: RunBuffer,
+    /// Where the rows a scan read lie, until its merge is done.
+    scanned: RunSpans,
     stats: KvStats,
 }
 
@@ -284,7 +288,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             next_table_id: 1,
             pending_free: Vec::new(),
             builder: TableBuilder::new(config.table_options()),
-            scanned: RunBuffer::default(),
+            scanned: RunSpans::default(),
             stats: KvStats::default(),
         };
         kv.write_manifest()?;
@@ -354,7 +358,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             next_table_id: manifest.next_table_id,
             pending_free: Vec::new(),
             builder: TableBuilder::new(config.table_options()),
-            scanned: RunBuffer::default(),
+            scanned: RunSpans::default(),
             stats: KvStats::default(),
         })
     }
@@ -485,20 +489,17 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         for run in sorted.iter().rev() {
             scanned.begin_run();
             for table in run.overlapping(lo, hi) {
-                table.scan_between(store, lo, hi, scanned.segment())?;
+                table.scan_between(store, lo, hi, scanned)?;
             }
         }
         for table in l0.iter().rev() {
             scanned.begin_run();
-            table.scan_between(store, lo, hi, scanned.segment())?;
+            table.scan_between(store, lo, hi, scanned)?;
         }
         let buffered = memtable
             .range(lo.bytes(), hi.bytes())
             .map(|(key, value)| (key.as_slice(), value.as_deref()));
-        let runs = scanned.cursors().map(Run::Table).chain([Run::Memtable(buffered)]);
-        Ok(NewestWins::new(runs)
-            .filter_map(|(key, value)| value.map(|value| (key.to_vec(), value.to_vec())))
-            .collect())
+        live_rows(scanned, scanned.lent(store), buffered)
     }
 
     /// Flushes the memtable to a new L0 table, runs any due compactions and
@@ -506,21 +507,24 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// # Errors
     ///
-    /// Build and commit errors pass through (the WAL still protects the
-    /// drained operations until the commit succeeds).
+    /// Build and commit errors pass through. The memtable is emptied only once
+    /// its L0 table exists — a build the device refuses leaves every buffered
+    /// write readable — and the WAL protects the flushed operations until the
+    /// commit succeeds.
     pub fn flush(&mut self) -> Result<(), KvError> {
         if self.memtable.is_empty() && self.wal.file().is_empty() {
             return Ok(());
         }
         let start = self.store.clock();
         if !self.memtable.is_empty() {
-            for (key, value) in self.memtable.drain_sorted() {
-                self.builder.add(&key, value.as_deref());
+            for (key, value) in self.memtable.iter() {
+                self.builder.add(key, value.as_deref());
             }
             let id = self.next_table_id;
             self.next_table_id += 1;
             let table = self.builder.finish(&mut self.store, id)?;
             self.l0.insert(0, table);
+            self.memtable.clear();
             self.stats.flushes += 1;
             self.maybe_compact()?;
         }
@@ -586,23 +590,33 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         // build that fails returns with every table still in place and served.
         let sources = if level == 0 { l0.as_slice() } else { sorted[level - 1].tables() };
         let targets = sorted.get(level).map_or(&[][..], SortedRun::tables);
-        // Every input is read before the first output is written: the target
-        // level, a sorted run, in order; then the sources oldest first (L0 is
-        // kept newest-first), each its own run. The buffer lives as long as
-        // the compaction — megabytes at a deep level, which the store's
-        // reused scan buffer should not pin for good.
-        let mut inputs = RunBuffer::default();
+        // Every input is read — charged, and lent where it lies — before the
+        // first output is written: the target level, a sorted run, in order;
+        // then the sources oldest first. L0 is kept newest-first and each of
+        // its tables is a run of its own; a deeper source level is read last
+        // table first and merged as the one sorted run it is. The spans live
+        // as long as the compaction, and so does the spill buffer under the
+        // inputs that cross extents — megabytes at a deep level, which the
+        // store's reused scan buffer should not pin for good.
+        let mut inputs = RunSpans::default();
         inputs.begin_run();
         for table in targets {
-            table.read_entries(store, inputs.segment())?;
+            table.lend_entries(store, &mut inputs)?;
+        }
+        if level > 0 {
+            inputs.begin_run();
         }
         for table in sources.iter().rev() {
-            inputs.begin_run();
-            table.read_entries(store, inputs.segment())?;
+            if level == 0 {
+                inputs.begin_run();
+            }
+            table.lend_entries(store, &mut inputs)?;
         }
-        let live =
-            NewestWins::new(inputs.cursors()).filter(|(_, value)| !(bottom && value.is_none()));
-        let run = build_tables(live, config.target_table_bytes, builder, store, next_table_id)?;
+        if level > 0 {
+            inputs.reverse_run();
+        }
+        let run =
+            build_tables(&inputs, bottom, config.target_table_bytes, builder, store, next_table_id)?;
         if sorted.len() <= level {
             sorted.push(SortedRun::default());
         }
@@ -612,7 +626,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             _ => std::mem::take(&mut sorted[level - 1]).into_tables(),
         };
         for table in sources.into_iter().chain(targets.into_tables()) {
-            self.pending_free.extend_from_slice(table.meta.file.extents());
+            self.pending_free.extend(table.meta.file.extents());
         }
         self.stats.compactions += 1;
         self.stats.compaction_time += self.store.clock() - start;
@@ -625,14 +639,20 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         let bytes = self.encode_manifest();
         let mut file = SegmentFile::new();
         let request_bytes = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
-        self.store.append(&mut file, &bytes, request_bytes)?;
-        let mut superblock = Vec::with_capacity(64);
-        superblock.extend_from_slice(&SUPERBLOCK_MAGIC.to_le_bytes());
-        put_extents(&mut superblock, file.extents());
-        superblock.extend_from_slice(&file.len().to_le_bytes());
-        let checksum = checksum64(&superblock);
-        superblock.extend_from_slice(&checksum.to_le_bytes());
-        self.store.write_superblock(&superblock)?; // the commit point
+        let committed = self.store.append(&mut file, &bytes, request_bytes).and_then(|()| {
+            let mut superblock = Vec::with_capacity(64);
+            superblock.extend_from_slice(&SUPERBLOCK_MAGIC.to_le_bytes());
+            put_extents(&mut superblock, file.extents());
+            superblock.extend_from_slice(&file.len().to_le_bytes());
+            let checksum = checksum64(&superblock);
+            superblock.extend_from_slice(&checksum.to_le_bytes());
+            self.store.write_superblock(&superblock) // the commit point
+        });
+        if let Err(error) = committed {
+            // Nothing points at the new manifest: its pages go straight back.
+            self.store.delete(file);
+            return Err(error);
+        }
         if let Some(old) = self.manifest.replace(file) {
             self.pending_free.extend_from_slice(old.extents());
         }
@@ -721,9 +741,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// are its keys', table ids are unique and below the next one, and the
     /// extents of the WAL region, the manifest, the tables and those waiting
     /// to be freed account, with the allocator's free list, for every LPN
-    /// exactly once. (That last one holds while no write has failed: an append
-    /// the device refused leaks its file's reservation until the next recovery
-    /// rebuilds the free list from the manifest, and the check says so.)
+    /// exactly once — after failed writes too: a table or manifest the device
+    /// refused gives its reservation back.
     ///
     /// # Errors
     ///
@@ -783,34 +802,95 @@ fn check_entry_size(key: &[u8], value: &[u8]) -> Result<(), KvError> {
     Ok(())
 }
 
-/// Streams sorted entries into consecutive tables, numbered from
+/// Merges `inputs` newest-wins into consecutive tables, numbered from
 /// `*next_table_id` on, whose data section stays at or under `target` bytes (a
 /// table always takes at least one entry): an entry that would push the open
-/// table past the target closes it first.
-fn build_tables<'a, F: FlashTranslationLayer>(
-    entries: impl Iterator<Item = EntryRef<'a>>,
+/// table past the target closes it first. `drop_tombstones` leaves tombstones
+/// out (the output is the bottom of the tree). The inputs' bytes are borrowed
+/// from `store` one entry at a time, never across a table write.
+///
+/// # Errors
+///
+/// A damaged input entry is [`KvError::Corruption`]; write errors pass
+/// through. Either way the builder is left empty and the tables finished so
+/// far are deleted again.
+fn build_tables<F: FlashTranslationLayer>(
+    inputs: &RunSpans,
+    drop_tombstones: bool,
     target: u64,
     builder: &mut TableBuilder,
     store: &mut FlashStore<F>,
     next_table_id: &mut u64,
 ) -> Result<Vec<TableHandle>, KvError> {
     let mut tables = Vec::new();
-    let mut finish = |builder: &mut TableBuilder| {
+    let mut finish = |builder: &mut TableBuilder, store: &mut FlashStore<F>| {
         let id = *next_table_id;
         *next_table_id += 1;
-        builder.finish(store, id)
+        builder.finish(store, id).map(|table| tables.push(table))
     };
-    for (key, value) in entries {
-        let grown = (builder.data_len() + encoded_len(key, value)) as u64;
-        if !builder.is_empty() && grown > target {
-            tables.push(finish(builder)?);
+    let mut merge_all = || {
+        let mut merge = NewestWins::new(inputs, inputs.lent(store))?;
+        while let Some(entry) = merge.next(inputs.lent(store))? {
+            if drop_tombstones && entry.is_tombstone() {
+                continue;
+            }
+            let grown = (builder.data_len() + entry.encoded_len()) as u64;
+            if !builder.is_empty() && grown > target {
+                finish(builder, store)?;
+            }
+            let (key, value) = entry.resolve(inputs.lent(store));
+            builder.add(key, value);
         }
-        builder.add(key, value);
+        if !builder.is_empty() {
+            finish(builder, store)?;
+        }
+        Ok(())
+    };
+    match merge_all() {
+        Ok(()) => Ok(tables),
+        Err(error) => {
+            builder.clear();
+            for table in tables {
+                store.delete(table.meta.file);
+            }
+            Err(error)
+        }
     }
-    if !builder.is_empty() {
-        tables.push(finish(builder)?);
+}
+
+/// The rows of a scan: key and value, in key order.
+type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The live rows of a scan: the table rows in `scanned` merged newest-wins,
+/// under `buffered` — the memtable's rows in range, newer than any table's —
+/// with tombstones and what they shadow left out.
+fn live_rows<'m>(
+    scanned: &RunSpans,
+    lent: Lent<'_>,
+    buffered: impl Iterator<Item = EntryRef<'m>>,
+) -> Result<Rows, KvError> {
+    let mut rows = Vec::new();
+    let mut keep = |(key, value): EntryRef<'_>| {
+        if let Some(value) = value {
+            rows.push((key.to_vec(), value.to_vec()));
+        }
+    };
+    let mut buffered = buffered.peekable();
+    let mut merge = NewestWins::new(scanned, lent)?;
+    while let Some(entry) = merge.next(lent)? {
+        let (key, value) = entry.resolve(lent);
+        // Buffered rows up to this key go first; one of this key replaces it.
+        let mut shadowed = false;
+        while let Some(newer) = buffered.next_if(|newer| newer.0 <= key) {
+            shadowed = newer.0 == key;
+            keep(newer);
+        }
+        if !shadowed {
+            keep((key, value));
+        }
     }
-    Ok(tables)
+    buffered.for_each(keep);
+    Ok(rows)
 }
 
 fn put_extents(out: &mut Vec<u8>, extents: &[Extent]) {
@@ -1026,28 +1106,90 @@ mod tests {
         assert_eq!(kv.check_invariants(), Ok(()));
     }
 
-    /// A conventional FTL that fails the n-th read after being armed, the way
-    /// an uncorrectable page surfaces mid-compaction.
-    struct FailingRead {
-        inner: ConventionalFtl,
-        reads_until_failure: std::rc::Rc<std::cell::Cell<Option<u32>>>,
+    #[test]
+    fn a_deep_compaction_merges_its_source_level_as_one_run_and_keeps_tombstones_above_the_bottom() {
+        // Thresholds the test never reaches: it compacts by hand.
+        let config =
+            KvConfig { l0_compaction_trigger: 64, level_base_bytes: 1 << 20, ..small_config() };
+        for io_depth in [1usize, 16] {
+            let mut kv = KvStore::open(flash(), KvConfig { io_depth, ..config }).unwrap();
+            let mut model: BTreeMap<u32, Option<Vec<u8>>> = BTreeMap::new();
+            // Round `r` rewrites every `r + 1`-th key — a delete where the key
+            // is a multiple of 7 and the round is not the first — and is pushed
+            // `3 - r` levels down: rounds 0, 1, 2 end up in L3, L2, L1.
+            for round in 0..3u32 {
+                for i in (0..300u32).step_by(round as usize + 1) {
+                    let value = (round == 0 || i % 7 != 0).then(|| vec![round as u8; 100]);
+                    match &value {
+                        Some(value) => kv.put(&key(i), value).unwrap(),
+                        None => kv.delete(&key(i)).unwrap(),
+                    };
+                    model.insert(i, value);
+                }
+                kv.flush().unwrap();
+                for level in 0..3 - round as usize {
+                    kv.compact_level(level).unwrap();
+                }
+            }
+            let tables = |kv: &KvStore<ConventionalFtl>| {
+                kv.sorted.iter().map(|run| run.tables().len()).collect::<Vec<_>>()
+            };
+            let before = tables(&kv);
+            assert!(kv.l0.is_empty() && before.iter().all(|&level| level >= 3), "{before:?}");
+
+            // L1 into L2, above L3: several source tables, read last first and
+            // merged as one run over several target tables.
+            kv.compact_level(1).unwrap();
+            let after = tables(&kv);
+            assert!(after[0] == 0 && after[1] >= before[1] && after[2] == before[2], "{after:?}");
+            assert_eq!(kv.check_invariants(), Ok(()));
+            for (&i, value) in &model {
+                assert_eq!(&kv.get(&key(i)).unwrap().value, value, "key {i} at depth {io_depth}");
+            }
+            // The deletes of round 2 still shadow L3's values: they were kept.
+            let kept = kv.sorted[1].tables().iter().map(|table| table.meta.entries).sum::<u64>();
+            let rewritten = (0..300).filter(|i| i % 2 == 0 || i % 3 == 0).count() as u64;
+            assert_eq!(kept, rewritten, "every key of rounds 1 and 2, tombstones included");
+
+            // L2 into L3, the bottom: tombstones go.
+            kv.compact_level(2).unwrap();
+            let live = model.values().filter(|value| value.is_some()).count() as u64;
+            let bottom = kv.sorted[2].tables().iter().map(|table| table.meta.entries).sum::<u64>();
+            assert_eq!(bottom, live);
+            for (&i, value) in &model {
+                assert_eq!(&kv.get(&key(i)).unwrap().value, value, "key {i} at the bottom");
+            }
+            assert_eq!(kv.check_invariants(), Ok(()));
+        }
     }
 
-    impl FlashTranslationLayer for FailingRead {
+    /// A conventional FTL that fails the n-th read — or the n-th write — after
+    /// being armed, the way an uncorrectable page surfaces mid-compaction or a
+    /// worn-out device turns a table build away.
+    struct FailingNth {
+        inner: ConventionalFtl,
+        fails_writes: bool,
+        until_failure: std::rc::Rc<std::cell::Cell<Option<u32>>>,
+    }
+
+    impl FlashTranslationLayer for FailingNth {
         fn name(&self) -> &str {
-            "failing-read"
+            "failing-nth"
         }
         fn logical_pages(&self) -> u64 {
             self.inner.logical_pages()
         }
         fn submit(&mut self, request: IoRequest) -> Result<Completion, FtlError> {
-            if !request.is_write() {
-                match self.reads_until_failure.get() {
+            if request.is_write() == self.fails_writes {
+                match self.until_failure.get() {
                     Some(0) => {
-                        self.reads_until_failure.set(None);
-                        return Err(FtlError::UnmappedRead { lpn: request.lpn });
+                        self.until_failure.set(None);
+                        return Err(match self.fails_writes {
+                            true => FtlError::ReadOnly,
+                            false => FtlError::UnmappedRead { lpn: request.lpn },
+                        });
                     }
-                    Some(left) => self.reads_until_failure.set(Some(left - 1)),
+                    Some(left) => self.until_failure.set(Some(left - 1)),
                     None => {}
                 }
             }
@@ -1070,7 +1212,8 @@ mod tests {
         let inner =
             ConventionalFtl::new(NandDevice::new(NandConfig::small()), FtlConfig::default())
                 .unwrap();
-        let ftl = FailingRead { inner, reads_until_failure: reads_until_failure.clone() };
+        let ftl =
+            FailingNth { inner, fails_writes: false, until_failure: reads_until_failure.clone() };
         // A trigger the test never reaches: L0 keeps every flushed table until
         // the test compacts by hand.
         let config = KvConfig { l0_compaction_trigger: 64, ..small_config() };
@@ -1113,6 +1256,132 @@ mod tests {
         assert!(kv.l0.is_empty());
         for i in 0..120u32 {
             assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i)), "key {i}");
+        }
+    }
+
+    #[test]
+    fn a_flush_refused_at_any_write_keeps_every_put_readable_and_leaks_no_page() {
+        // The test flushes by hand, and its second flush compacts: that one's
+        // writes are an L0 table, the L1 tables, the manifest, the superblock.
+        let config = KvConfig {
+            memtable_bytes: 1 << 20,
+            wal_pages: 8,
+            l0_compaction_trigger: 2,
+            ..small_config()
+        };
+        let about_to_flush = || {
+            let writes_until_failure = std::rc::Rc::new(std::cell::Cell::new(None));
+            let inner =
+                ConventionalFtl::new(NandDevice::new(NandConfig::small()), FtlConfig::default())
+                    .unwrap();
+            let until_failure = writes_until_failure.clone();
+            let ftl = FailingNth { inner, fails_writes: true, until_failure };
+            let mut kv = KvStore::open(FlashStore::new(ftl), config).unwrap();
+            for i in 0..40u32 {
+                kv.put(&key(i), &[1; 100]).unwrap();
+            }
+            kv.flush().unwrap();
+            assert_eq!((kv.l0.len(), kv.stats().compactions), (1, 0));
+            for i in 20..60u32 {
+                kv.put(&key(i), &[2; 100]).unwrap();
+            }
+            (kv, writes_until_failure)
+        };
+        let serves_every_put = |kv: &mut KvStore<FailingNth>| {
+            for i in 0..60u32 {
+                let newest = vec![if i < 20 { 1 } else { 2 }; 100];
+                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
+            }
+        };
+        // Refuse the flush's first write, then — from the same state — its
+        // second, ... until it gets through: every page of every file it
+        // writes is the refused one once.
+        let mut refused = 0u32;
+        loop {
+            let (mut kv, writes_until_failure) = about_to_flush();
+            writes_until_failure.set(Some(refused));
+            let flushed = kv.flush();
+            if flushed.is_ok() {
+                assert_eq!(kv.stats().compactions, 1);
+                break;
+            }
+            assert!(matches!(flushed, Err(KvError::ReadOnly)), "{flushed:?}");
+            assert_eq!(writes_until_failure.get(), None, "the armed failure fired");
+            assert_eq!(kv.check_invariants(), Ok(()), "after refusing write {refused}");
+            serves_every_put(&mut kv);
+            // The device accepts writes again: the next flush commits, and
+            // what it commits survives a crash.
+            kv.flush().unwrap();
+            assert_eq!(kv.check_invariants(), Ok(()), "flushed after refusing write {refused}");
+            let mut kv = KvStore::open(kv.crash(), config).unwrap();
+            serves_every_put(&mut kv);
+            assert_eq!(kv.check_invariants(), Ok(()), "recovered after refusing write {refused}");
+            refused += 1;
+        }
+        assert!(refused >= 6, "two L0 pages, two L1 tables, manifest, superblock: {refused}");
+    }
+
+    #[test]
+    fn a_compaction_that_meets_a_damaged_entry_is_corruption_and_keeps_every_table_served() {
+        // A trigger and an L1 capacity the test never reaches: it compacts by hand.
+        let config =
+            KvConfig { l0_compaction_trigger: 64, level_base_bytes: 1 << 20, ..small_config() };
+        let mut kv = KvStore::open(flash(), config).unwrap();
+        // Every entry is 7 + 9 + 100 bytes, so entry `n` of a table starts at
+        // byte 116 n of its data section.
+        let value = |round: u8| vec![round; 100];
+        for i in 0..300u32 {
+            kv.put(&key(i), &value(0)).unwrap();
+        }
+        kv.flush().unwrap();
+        kv.compact_level(0).unwrap();
+        for i in (0..300u32).step_by(2) {
+            kv.put(&key(i), &value(1)).unwrap();
+        }
+        kv.flush().unwrap();
+        assert!(kv.l0.len() >= 2 && kv.sorted[0].tables().len() >= 4, "inputs at both levels");
+        let last_target = kv.sorted[0].tables().last().unwrap().meta.clone();
+        let newest_source = kv.l0[0].meta.clone();
+        let (layout, compactions) = (kv.layout(), kv.stats().compactions);
+
+        // Damage late in key order, so tables have been written by the time
+        // the merge reaches it: entry 3 of the target level's last table gets
+        // a flag that is neither value nor tombstone, then a length that runs
+        // past the section; the newest source table's section is cut short
+        // inside its last entry.
+        type Damage = Box<dyn Fn(&mut KvStore<ConventionalFtl>, bool)>;
+        let flip = |file: SegmentFile, offset: u64, mask: u8| -> Damage {
+            Box::new(move |kv, _| *kv.store.shadow_byte_mut(&file, offset) ^= mask)
+        };
+        let damages: [Damage; 3] = [
+            flip(last_target.file.clone(), 3 * 116 + 2, 0x40),
+            flip(last_target.file.clone(), 3 * 116 + 6, 0x01),
+            Box::new(move |kv, undo| {
+                kv.l0[0].meta.data_len = newest_source.data_len - if undo { 0 } else { 5 };
+            }),
+        ];
+        for (which, damage) in damages.iter().enumerate() {
+            damage(&mut kv, false);
+            let ids_before = kv.next_table_id;
+            let refused = kv.compact_level(0);
+            assert!(matches!(refused, Err(KvError::Corruption(_))), "damage {which}: {refused:?}");
+            assert!(kv.next_table_id > ids_before, "damage {which} was met after a table write");
+            damage(&mut kv, true);
+            assert_eq!(kv.layout(), layout, "a failed compaction must not drop or move a table");
+            assert_eq!(kv.stats().compactions, compactions);
+            assert_eq!(kv.check_invariants(), Ok(()), "the tables written so far were deleted");
+            for i in 0..300u32 {
+                let newest = value(u8::from(i.is_multiple_of(2)));
+                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
+            }
+        }
+        // Repaired, the same compaction goes through — from an empty builder.
+        kv.compact_level(0).unwrap();
+        assert!(kv.l0.is_empty());
+        assert_eq!(kv.check_invariants(), Ok(()));
+        for i in 0..300u32 {
+            let newest = value(u8::from(i.is_multiple_of(2)));
+            assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
         }
     }
 
@@ -1379,8 +1648,6 @@ mod tests {
         Ok(Lookup { value: None, source: LookupSource::Miss, time: store.clock() - start })
     }
 
-    type Rows = Vec<(Vec<u8>, Vec<u8>)>;
-
     /// `scan` as it was before the levels were fence-indexed: every table of
     /// every level is asked for its rows in range.
     fn walking_scan<F: FlashTranslationLayer>(
@@ -1393,23 +1660,22 @@ mod tests {
             return Ok(Vec::new());
         }
         let KvStore { store, l0, sorted, memtable, .. } = kv;
-        let mut scanned = RunBuffer::default();
+        let (lo, hi) = (KeyRef::new(lo), KeyRef::new(hi));
+        let mut scanned = RunSpans::default();
         for run in sorted.iter().rev() {
             scanned.begin_run();
             for table in run.tables() {
-                table.scan_range(store, lo, hi, scanned.segment())?;
+                table.scan_between(store, lo, hi, &mut scanned)?;
             }
         }
         for table in l0.iter().rev() {
             scanned.begin_run();
-            table.scan_range(store, lo, hi, scanned.segment())?;
+            table.scan_between(store, lo, hi, &mut scanned)?;
         }
-        let buffered =
-            memtable.range(lo, hi).map(|(key, value)| (key.as_slice(), value.as_deref()));
-        let runs = scanned.cursors().map(Run::Table).chain([Run::Memtable(buffered)]);
-        Ok(NewestWins::new(runs)
-            .filter_map(|(key, value)| value.map(|value| (key.to_vec(), value.to_vec())))
-            .collect())
+        let buffered = memtable
+            .range(lo.bytes(), hi.bytes())
+            .map(|(key, value)| (key.as_slice(), value.as_deref()));
+        live_rows(&scanned, scanned.lent(store), buffered)
     }
 
     /// Keys chosen to tie and nest in their prefixes (the empty key, keys
@@ -1580,75 +1846,142 @@ mod tests {
         }
     }
 
+    /// A store over 512-byte pages: tables of a few hundred bytes span
+    /// several, so the allocator can be made to break them into extents.
+    fn small_page_flash(io_depth: usize) -> FlashStore<ConventionalFtl> {
+        let nand = NandConfig::builder()
+            .chips(4)
+            .blocks_per_chip(16)
+            .pages_per_block(16)
+            .page_size_bytes(512)
+            .build()
+            .unwrap();
+        let ftl = ConventionalFtl::new(NandDevice::new(nand), FtlConfig::default()).unwrap();
+        let mut store = FlashStore::new(ftl);
+        store.set_io_depth(io_depth);
+        store
+    }
+
+    /// Leaves a free one-page hole at the head of the free list, cut off from
+    /// the free pages after it: the next file built starts in the hole and
+    /// continues elsewhere — its second page begins a second extent.
+    fn punch_hole<F: FlashTranslationLayer>(store: &mut FlashStore<F>) {
+        let hole = store.alloc_run(1).unwrap();
+        let _pinned = store.alloc_run(1).unwrap();
+        store.free_extents(&hole);
+    }
+
+    /// A fixed run of 980 data bytes whose eleventh entry lies across byte
+    /// 512 — the extent boundary of a table built right after `punch_hole`.
+    fn straddling_run() -> Vec<Entry> {
+        let run: Vec<Entry> = (0..20u8)
+            .map(|i| {
+                let key = format!("key{:03}", 2 * i).into_bytes();
+                (key, (i % 5 != 4).then(|| vec![i; 45]))
+            })
+            .collect();
+        let mut at = 0;
+        let crosses_a_page = run.iter().any(|(key, value)| {
+            let start = at;
+            at += 7 + key.len() + value.as_ref().map_or(0, Vec::len);
+            start < 512 && 512 < at
+        });
+        assert!(crosses_a_page && at > 512);
+        run
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The k-way merge over table cursors (with the memtable on top) and
-        /// the streaming table split must equal the sorted-map merge and the
-        /// slice split they replaced: same rows, same table boundaries, on the
-        /// bottom level and above it.
+        /// The k-way merge over lent table spans and the streaming table
+        /// split must equal the sorted-map merge and the slice split they
+        /// replaced: same rows, same table boundaries, on the bottom level and
+        /// above it, at queue depth 1 and 16 — with inputs the arena lends in
+        /// place and inputs that cross extents (an entry across the boundary)
+        /// and are spilled, asserted to both occur; and a scan's merge of the
+        /// same runs under a memtable equals the model's live rows.
         #[test]
         fn streaming_merge_and_split_match_the_sorted_map_model(
             runs in proptest::collection::vec(sorted_run(), 1..5),
+            fragmented in proptest::collection::vec(any::<bool>(), 5..6),
             buffered in sorted_run(),
             bottom in any::<bool>(),
             target in 60u64..900,
         ) {
-            let mut store = flash();
-            let options = TableOptions { sparse_index_interval: 4, ..TableOptions::default() };
-            let build = |entries: &[Entry], store: &mut FlashStore<ConventionalFtl>| {
-                TableHandle::build(store, 1, entries, options).unwrap()
-            };
-            // The oldest run plays a sorted level of two tables (one run, two
-            // segments); every other run is one table.
-            let mut inputs = RunBuffer::default();
-            for (age, run) in runs.iter().enumerate() {
-                inputs.begin_run();
-                let halves =
-                    if age == 0 { run.split_at(run.len() / 2) } else { (&run[..], &[][..]) };
-                for half in [halves.0, halves.1] {
-                    if !half.is_empty() {
-                        build(half, &mut store).read_entries(&mut store, inputs.segment()).unwrap();
-                    }
-                }
-            }
-            let mut memtable = Memtable::new();
-            for (key, value) in &buffered {
-                memtable.insert(key.clone(), value.clone());
-            }
-            let top = memtable
-                .range(b"", b"~")
-                .map(|(key, value)| (key.as_slice(), value.as_deref()));
-            let cursors = inputs.cursors().map(Run::Table).chain([Run::Memtable(top)]);
-            let merged =
-                NewestWins::new(cursors).filter(|(_, value)| !(bottom && value.is_none()));
-            let mut builder = TableBuilder::new(options);
-            let tables =
-                build_tables(merged, target, &mut builder, &mut store, &mut 2).unwrap();
-
-            let mut all_runs = runs.clone();
-            all_runs.push(buffered.clone());
-            let expected = model_merge(&all_runs, bottom);
-            let expected_tables = split_for_tables(&expected, target);
-            prop_assert_eq!(tables.len(), expected_tables.len());
-            for (table, expected) in tables.iter().zip(expected_tables) {
-                let mut rows = RunBuffer::default();
-                rows.begin_run();
-                table.read_entries(&mut store, rows.segment()).unwrap();
-                let rows: Vec<Entry> = rows
-                    .cursors()
-                    .flatten()
-                    .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))
-                    .collect();
-                prop_assert_eq!(rows.as_slice(), expected);
-                // Each piece is the table a plain build of the same rows gives.
-                let rebuilt = build(expected, &mut store);
-                prop_assert_eq!(&table.meta.min_key, &rebuilt.meta.min_key);
-                prop_assert_eq!(&table.meta.max_key, &rebuilt.meta.max_key);
-                let sections = |meta: &TableMeta| {
-                    (meta.entries, meta.data_len, meta.bloom_off, meta.file.len())
+            for io_depth in [1usize, 16] {
+                let mut store = small_page_flash(io_depth);
+                let options = TableOptions { sparse_index_interval: 4, ..TableOptions::default() };
+                let build = |entries: &[Entry], store: &mut FlashStore<ConventionalFtl>| {
+                    TableHandle::build(store, 1, entries, options).unwrap()
                 };
-                prop_assert_eq!(sections(&table.meta), sections(&rebuilt.meta));
+                // The oldest run plays the target level: a table broken into
+                // two extents inside its twelfth entry, then a table in one
+                // extent, its keys past every other run's.
+                let mut level = straddling_run();
+                let tail: Vec<Entry> =
+                    (40..44u8).map(|i| (format!("key{i:03}").into_bytes(), Some(vec![i; 9]))).collect();
+                let mut inputs = RunSpans::default();
+                inputs.begin_run();
+                punch_hole(&mut store);
+                let broken = build(&level, &mut store);
+                prop_assert_eq!(broken.meta.file.extents().len(), 2);
+                prop_assert_eq!(broken.meta.file.extents()[0].pages, 1);
+                broken.lend_entries(&mut store, &mut inputs).unwrap();
+                build(&tail, &mut store).lend_entries(&mut store, &mut inputs).unwrap();
+                prop_assert_eq!(inputs.lent_and_spilled(), (1, 1));
+                level.extend(tail);
+                // The next plays a sorted source level of two tables, read
+                // last table first and merged as one run; every other run is
+                // one table. Some are built across a hole.
+                for (age, run) in runs.iter().enumerate() {
+                    inputs.begin_run();
+                    let halves =
+                        if age == 0 { run.split_at(run.len() / 2) } else { (&run[..], &[][..]) };
+                    for half in [halves.1, halves.0] {
+                        if !half.is_empty() {
+                            if fragmented[age] {
+                                punch_hole(&mut store);
+                            }
+                            build(half, &mut store).lend_entries(&mut store, &mut inputs).unwrap();
+                        }
+                    }
+                    inputs.reverse_run();
+                }
+                let mut builder = TableBuilder::new(options);
+                let tables =
+                    build_tables(&inputs, bottom, target, &mut builder, &mut store, &mut 2).unwrap();
+
+                let mut all_runs = vec![level];
+                all_runs.extend(runs.iter().cloned());
+                let expected = model_merge(&all_runs, bottom);
+                let expected_tables = split_for_tables(&expected, target);
+                prop_assert_eq!(tables.len(), expected_tables.len());
+                for (table, expected) in tables.iter().zip(expected_tables) {
+                    let mut rows = RunSpans::default();
+                    rows.begin_run();
+                    table.lend_entries(&mut store, &mut rows).unwrap();
+                    let lent = rows.lent(&store);
+                    let rows = NewestWins::new(&rows, lent).unwrap().collect(lent).unwrap();
+                    prop_assert_eq!(rows.as_slice(), expected);
+                    // Each piece is the table a plain build of the same rows gives.
+                    let rebuilt = build(expected, &mut store);
+                    prop_assert_eq!(&table.meta.min_key, &rebuilt.meta.min_key);
+                    prop_assert_eq!(&table.meta.max_key, &rebuilt.meta.max_key);
+                    let sections = |meta: &TableMeta| {
+                        (meta.entries, meta.data_len, meta.bloom_off, meta.file.len())
+                    };
+                    prop_assert_eq!(sections(&table.meta), sections(&rebuilt.meta));
+                }
+
+                // The same runs under a memtable, the way a scan merges them.
+                let top = buffered.iter().map(|(key, value)| (key.as_slice(), value.as_deref()));
+                let scanned = live_rows(&inputs, inputs.lent(&store), top).unwrap();
+                all_runs.push(buffered.clone());
+                let live: Vec<_> = model_merge(&all_runs, true)
+                    .into_iter()
+                    .map(|(key, value)| (key, value.expect("tombstones were dropped")))
+                    .collect();
+                prop_assert_eq!(scanned, live);
             }
         }
     }

@@ -4,7 +4,10 @@
 //! non-flushing `put` allocates its key, its value and an amortised B-tree
 //! node. The shadow bytes under them are one arena: a `FlashStore` makes the
 //! same few allocations whatever the device size, and none per page written
-//! or per multi-page range read later.
+//! or per multi-page range read later. A compaction merges its inputs where
+//! the arena holds them: what it allocates is its output tables' handles, a
+//! fraction of the bytes it reads, in a number of pieces that follows the
+//! tables, not the entries.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,32 +19,35 @@ use vflash_nand::{NandConfig, NandDevice};
 thread_local! {
     /// Allocations (and growing reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The bytes they asked for (a reallocation counts its whole new size).
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|count| count.set(count.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` and `layout` describe a live `System` allocation, as
         // the caller guarantees for this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -58,9 +64,16 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations this thread makes while `work` runs.
 fn allocations_during<T>(work: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let ((allocations, _), result) = allocated_during(work);
+    (allocations, result)
+}
+
+/// Allocations this thread makes while `work` runs, and their bytes.
+fn allocated_during<T>(work: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
     let result = work();
-    (ALLOCATIONS.with(Cell::get) - before, result)
+    let after = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
+    ((after.0 - before.0, after.1 - before.1), result)
 }
 
 fn key(i: u64) -> [u8; 8] {
@@ -150,5 +163,57 @@ fn hot_paths_stay_within_their_allocation_budget() {
     assert!(
         allocations <= 4_000,
         "1,000 non-flushing puts made {allocations} allocations (budget: 4 each)"
+    );
+}
+
+#[test]
+fn a_compaction_allocates_for_its_outputs_not_for_its_inputs() {
+    // At a trigger of two, every table is built in one extent: each
+    // compaction frees everything below its outputs, and neither of the two
+    // flushes that follow meets the one-page hole a freed manifest leaves
+    // (the third would: its L0 table would start in that hole, cross into a
+    // second extent and be gathered into the spill buffer instead of lent).
+    let config = KvConfig { l0_compaction_trigger: 2, ..KvConfig::default() };
+    let mut kv = KvStore::open(FlashStore::new(ftl(64)), config).unwrap();
+    let value = [0xC3u8; 256];
+    let tables_at = |kv: &KvStore<ConventionalFtl>, level: usize| {
+        kv.layout().into_iter().filter(|table| table.level == level).collect::<Vec<_>>()
+    };
+    // Fill until the next flush is the third L0 -> L1 compaction: an L1 of two
+    // tables is there to merge into and the builder's image has its size.
+    let mut next_key = 0u64;
+    let mut put_next = |kv: &mut KvStore<ConventionalFtl>| {
+        kv.put(&key(next_key), &value).unwrap();
+        next_key += 1;
+    };
+    while !(kv.stats().compactions == 2 && tables_at(&kv, 0).len() == 1) {
+        put_next(&mut kv);
+    }
+    let memtable_rows = 200;
+    for _ in 0..memtable_rows {
+        put_next(&mut kv);
+    }
+    assert_eq!((kv.stats().compactions, tables_at(&kv, 0).len()), (2, 1));
+    let inputs: Vec<_> = tables_at(&kv, 0).into_iter().chain(tables_at(&kv, 1)).collect();
+    let input_entries = inputs.iter().map(|table| table.entries).sum::<u64>() + memtable_rows;
+    let input_bytes =
+        inputs.iter().map(|table| table.data_len).sum::<u64>() + memtable_rows * (7 + 8 + 256);
+
+    let ((allocations, bytes), ()) = allocated_during(|| kv.flush().unwrap());
+    assert_eq!(kv.stats().compactions, 3, "the measured flush compacted");
+    assert!(tables_at(&kv, 0).is_empty());
+    let outputs = tables_at(&kv, 1).len() as u64;
+    assert!(input_entries > 1_000 && outputs >= 3, "{input_entries} entries, {outputs} tables");
+    assert!(
+        bytes < input_bytes / 4,
+        "a flush with an L0 -> L1 compaction of {input_bytes} input bytes allocated {bytes}"
+    );
+    // Per table written — the L0 table and the outputs: the handle's key
+    // bounds, bloom words, sparse index and its prefixes, the file's extent
+    // list; per 16 entries, one index key. Nothing per entry.
+    let sparse_keys = input_entries.div_ceil(config.sparse_index_interval as u64) + outputs + 1;
+    assert!(
+        allocations <= sparse_keys + 16 * (outputs + 1) + 16,
+        "{allocations} allocations for {input_entries} entries in {outputs} tables"
     );
 }

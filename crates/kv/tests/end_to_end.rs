@@ -1,6 +1,7 @@
 //! End-to-end checks of the KV stack: determinism across identical runs, the
-//! write-amplification product identity at workload scale, and clean
-//! [`KvError::ReadOnly`] surfacing once the device wears out.
+//! write-amplification product identity at workload scale, clean
+//! [`KvError::ReadOnly`] surfacing once the device wears out, and a device
+//! that fills up: no acknowledged write lost, no page leaked.
 
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig};
 use vflash_kv::workload::{compare_conventional_vs_ppb, KvWorkloadConfig};
@@ -43,6 +44,35 @@ fn workload_write_amplification_product_identity() {
             wa.end_to_end
         );
     }
+}
+
+/// A device too small for its data set: flushes and compactions start failing
+/// with `OutOfSpace` part-way through. Every put the store acknowledged must
+/// stay readable — a flush the device refuses keeps the memtable — and every
+/// page a refused table or manifest write had reserved must be back with the
+/// allocator, or running out of space feeds itself.
+#[test]
+fn a_full_device_loses_no_acknowledged_put_and_leaks_no_page() {
+    let device = NandDevice::new(NandConfig::small());
+    let ftl = ConventionalFtl::new(device, FtlConfig::default()).unwrap();
+    let mut kv = KvStore::open(FlashStore::new(ftl), KvConfig::default()).unwrap();
+    let key = |i: u32| format!("key{i:06}").into_bytes();
+    let value = |i: u32| vec![i as u8; 256];
+    let mut acknowledged = Vec::new();
+    let mut refused = 0;
+    for i in 0..8_000u32 {
+        match kv.put(&key(i), &value(i)) {
+            Ok(_) => acknowledged.push(i),
+            Err(KvError::OutOfSpace) => refused += 1,
+            Err(other) => panic!("put {i}: {other:?}"),
+        }
+    }
+    assert!(refused > 0, "8,000 puts of 256 bytes must overrun a 4 MiB device");
+    assert!(acknowledged.len() > 4_000, "only {} puts were acknowledged", acknowledged.len());
+    for &i in &acknowledged {
+        assert_eq!(kv.get(&key(i)).unwrap().value, Some(value(i)), "acknowledged put {i}");
+    }
+    assert_eq!(kv.check_invariants(), Ok(()));
 }
 
 /// Once bad-block growth exhausts the spares the FTL turns read-only; the KV
@@ -88,6 +118,8 @@ fn worn_out_device_surfaces_read_only_and_still_recovers() {
     assert!(matches!(error, KvError::ReadOnly), "expected ReadOnly, got: {error}");
     // Read-only is sticky at the KV level too.
     assert!(matches!(kv.put(b"again", b"x"), Err(KvError::ReadOnly)));
+    // Whatever table or manifest the device turned away gave its pages back.
+    assert_eq!(kv.check_invariants(), Ok(()));
     // Reads still work (values may be stale relative to the failed write).
     let lookup = kv.get(&0u64.to_be_bytes()).unwrap();
     assert!(lookup.value.is_some() || lookup.value.is_none()); // no panic, clean answer

@@ -321,13 +321,13 @@ pub fn format_lifetime_rows(rows: &[LifetimeRow]) -> String {
 /// striped request completes at the *max* of ever more stripes.
 pub fn format_fleet_rows(rows: &[FleetCellResult]) -> String {
     let mut out = String::from(
-        "workload          ftl            width    offered   achieved   \
+        "workload          ftl            width    offered   achieved       \
          fanout p50/p99/p99.9 (us)   stripe p99.9   tail-amp\n",
     );
     for row in rows {
         let summary = &row.summary;
         out.push_str(&format!(
-            "{:<17} {:<12} {:>6} {:>10.0} {:>10.0}   {:>6.0}/{:>7.0}/{:>8.0}   {:>12.0}   {:>7.2}x\n",
+            "{:<17} {:<12} {:>6} {:>10.0} {:>10.0}   {:>9.0}/{:>9.0}/{:>9.0}   {:>12.0}   {:>7.2}x\n",
             row.cell.workload.label(),
             summary.ftl,
             summary.width,

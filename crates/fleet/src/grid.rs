@@ -118,6 +118,21 @@ mod tests {
     }
 
     #[test]
+    fn both_ftls_of_a_fleet_sweep_row_replay_the_same_trace() {
+        // One seed rule: the FTL is not part of the seed, so the two rows a
+        // table sets side by side were offered the identical request stream.
+        let grid = ExperimentGrid::fleet_sweep(tiny_scale());
+        let results = ParallelRunner::run_serial_map(&grid, run_fleet_cell).unwrap();
+        for pair in results.chunks(2) {
+            let (conventional, ppb) = (&pair[0], &pair[1]);
+            assert_eq!(conventional.cell.workload, ppb.cell.workload);
+            assert_eq!(conventional.cell.fleet_size, ppb.cell.fleet_size);
+            assert_eq!(conventional.summary.offered_iops(), ppb.summary.offered_iops());
+            assert_eq!(conventional.summary.host_requests, ppb.summary.host_requests);
+        }
+    }
+
+    #[test]
     fn fleet_grid_is_deterministic_across_worker_counts() {
         let grid = ExperimentGrid {
             fleet_sizes: vec![1, 3],

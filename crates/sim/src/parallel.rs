@@ -9,8 +9,8 @@
 //! back of a sibling's before giving up. Cell costs are wildly heterogeneous
 //! (a PPB media-server cell costs several times a conventional web cell), so
 //! stealing keeps every worker busy through the tail of the grid without any
-//! up-front cost model. Each cell derives its workload seed deterministically
-//! from the scale's base seed and the cell's position in the grid, and results
+//! up-front cost model. Every cell of one scale takes the scale's workload seed
+//! (both FTLs of a comparison replay the same trace), and results
 //! are collected by cell index, so the output is **bit-identical** to running
 //! the same grid serially — regardless of worker count or steal order, only the
 //! wall-clock time changes.
@@ -204,13 +204,10 @@ impl ExperimentGrid {
     /// arrival disciplines (queue depths first, then rate scales), then arrival
     /// models, then fleet sizes, then workloads, then FTLs.
     ///
-    /// The per-cell workload seed is derived from the cell's **discipline- and
-    /// arrival-independent** position (scale, workload, FTL): every queue-depth,
-    /// rate-scale and arrival-model row of one FTL × workload × scale shares a
-    /// seed, so differences down those axes are attributable to queuing and
-    /// burstiness alone. With the default `queue_depths = [1]`, no rate scales
-    /// and the single default arrival model, both the enumeration and every seed
-    /// are identical to the pre-open-loop grid.
+    /// One seed rule: every cell of one scale × workload takes `scale.seed`, as
+    /// the serial sweeps of [`crate::experiments`] do — so both FTLs replay the
+    /// *same* trace, and differences down the discipline, arrival-model and
+    /// width axes are attributable to queuing, burstiness and striping alone.
     pub fn cells(&self) -> Vec<GridCell> {
         let disciplines: Vec<ArrivalDiscipline> = self
             .queue_depths
@@ -225,16 +222,12 @@ impl ExperimentGrid {
         let fleet_sizes: &[usize] =
             if self.fleet_sizes.is_empty() { &[1] } else { &self.fleet_sizes };
         let mut cells = Vec::new();
-        for (scale_index, &scale) in self.scales.iter().enumerate() {
+        for &scale in &self.scales {
             for &discipline in &disciplines {
                 for &arrival in &self.arrival_models {
                     for &fleet_size in fleet_sizes {
-                        for (workload_index, &workload) in self.workloads.iter().enumerate() {
-                            for (ftl_index, &ftl) in self.ftls.iter().enumerate() {
-                                let seed_index = (scale_index * self.workloads.len()
-                                    + workload_index)
-                                    * self.ftls.len()
-                                    + ftl_index;
+                        for &workload in &self.workloads {
+                            for &ftl in &self.ftls {
                                 cells.push(GridCell {
                                     index: cells.len(),
                                     ftl,
@@ -242,10 +235,7 @@ impl ExperimentGrid {
                                     discipline,
                                     arrival,
                                     fleet_size,
-                                    scale: ExperimentScale {
-                                        seed: cell_seed(scale.seed, seed_index as u64),
-                                        ..scale
-                                    },
+                                    scale,
                                 });
                             }
                         }
@@ -274,7 +264,7 @@ pub struct GridCell {
     /// single-device [`run_cell`] ignores it; the fleet crate's
     /// `run_fleet_cell` stripes the keyspace over this many devices.
     pub fleet_size: usize,
-    /// Scale for this cell, with the per-cell seed already substituted.
+    /// Scale for this cell (its seed is the grid scale's: one seed rule).
     pub scale: ExperimentScale,
 }
 
@@ -285,17 +275,6 @@ pub struct CellResult {
     pub cell: GridCell,
     /// The replay summary.
     pub summary: RunSummary,
-}
-
-/// Derives a per-cell workload seed from the grid's base seed and the cell index.
-///
-/// splitmix64 finalisation: any two distinct (base, index) pairs give well-mixed,
-/// reproducible seeds regardless of thread scheduling.
-fn cell_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Runs one cell: generates the trace at the cell's seed and replays it against
@@ -549,20 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_seeds_are_deterministic_and_distinct() {
-        let grid = ExperimentGrid::full(tiny_scale());
-        let a = grid.cells();
-        let b = grid.cells();
-        assert_eq!(a, b);
-        let seeds: std::collections::HashSet<u64> =
-            a.iter().map(|cell| cell.scale.seed).collect();
-        assert_eq!(seeds.len(), a.len(), "per-cell seeds must not collide");
-    }
-
-    #[test]
     fn baseline_and_variant_of_one_workload_share_a_seed_free_comparison() {
-        // Different cells intentionally get different seeds; the figure-style
-        // comparisons that need a *shared* trace keep using `experiments::compare`.
         let grid = ExperimentGrid::full(tiny_scale());
         let results = ParallelRunner::run_serial(&grid).unwrap();
         for result in &results {

@@ -17,27 +17,27 @@
 
 use std::error::Error;
 
-use vflash_bench::{
-    format_burst_rows, format_enhancement_rows, format_erase_rows, format_fault_rows,
-    format_fleet_rows, format_kv_activity, format_kv_batching_rows, format_kv_rows,
-    format_latency_sweep, format_lifetime_rows, format_policy_erase_rows,
-    format_ppb_sensitivity_rows, format_queue_depth_rows, format_rate_scale_rows,
+use vflash_bench::{per_ftl, percentiles_us, render, seconds, tail_percentiles_us};
+use vflash_fleet::run_fleet_cell;
+use vflash_ftl::{ConventionalFtl, FtlConfig, FtlError};
+use vflash_kv::workload::{
+    compare_conventional_vs_ppb, run_kv_workload, KvRunSummary, KvWorkloadConfig,
 };
-use vflash_fleet::run_fleet_grid;
-use vflash_ftl::{ConventionalFtl, FtlConfig};
-use vflash_kv::workload::{compare_conventional_vs_ppb, run_kv_workload, KvWorkloadConfig};
 use vflash_kv::{FlashStore, KvConfig};
-use vflash_nand::{NandConfig, NandDevice};
+use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
+use vflash_ppb::PpbConfig;
 use vflash_sim::experiments::{
-    ablation_classifier, ablation_virtual_blocks, burst_sweep_at, burst_sweep_mean_iops,
-    enhancement_rows, erase_count_by_policy, fault_lifetime, fault_sweep, ppb_sensitivity_sweep,
-    queue_depth_sweep, rate_scale_sweep, rate_scale_sweep_for_trace, read_latency_sweep,
-    read_latency_sweep_for_trace, write_latency_sweep, write_latency_sweep_for_trace,
-    EraseCountRow, ExperimentScale, GcPolicy, Workload, FLEET_SIZES,
+    burst_axis, burst_mean_iops, fault_lifetime, Classifier, ExperimentScale, GcPolicy, Workload,
+    FAULT_SWEEP_POLICIES, FLEET_SIZES, PAGE_SIZES, PPB_COLD_PROMOTE_READS, PPB_HOT_LIST_FRACTIONS,
+    PPB_WARMUP_FRACTIONS, QUEUE_DEPTHS, RATE_SCALES, RBER_SCALES, SPEED_RATIOS,
 };
-use vflash_sim::{Comparison, ExperimentGrid, ParallelRunner};
+use vflash_sim::{
+    compare_specs, ArrivalDiscipline, Comparison, ComparisonRow, ExperimentGrid, ParallelRunner,
+    RunSpec, RunSummary, TraceSource,
+};
 use vflash_trace::msr::{self, SubsetOptions};
-use vflash_trace::Trace;
+
+type Outcome = Result<(), Box<dyn Error>>;
 
 fn print_table1(scale: &ExperimentScale) {
     let config: NandConfig = scale.device_config(16 * 1024, 2.0);
@@ -65,117 +65,263 @@ fn print_table1(scale: &ExperimentScale) {
     println!();
 }
 
-fn fig12(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Figure 12: read performance enhancement (PPB vs conventional, 2x) ==");
-    let rows = enhancement_rows(scale)?;
-    print!("{}", format_enhancement_rows(&rows, Comparison::read_enhancement_pct));
-    println!();
-    Ok(())
+/// Both FTLs on every spec, fanned out over the machine's cores: the rows of
+/// one table.
+fn compare<'a>(specs: &[RunSpec<'a>]) -> Result<Vec<ComparisonRow<'a>>, FtlError> {
+    compare_specs(&ParallelRunner::with_available_parallelism(), specs)
 }
 
-fn fig15(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Figure 15: write performance enhancement (PPB vs conventional, 2x) ==");
-    let rows = enhancement_rows(scale)?;
-    print!("{}", format_enhancement_rows(&rows, Comparison::write_enhancement_pct));
-    println!();
-    Ok(())
+/// The serial figures keep the paper's chip count; the queue-depth, open-loop
+/// and burstiness sections are about load on overlapping chips, so they get a
+/// wider device when the scale is narrow.
+fn wide(scale: &ExperimentScale) -> ExperimentScale {
+    ExperimentScale { chips: scale.chips.max(8), ..*scale }
 }
 
-fn fig13(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Figure 13: media-server read latency vs page access speed difference ==");
-    print!("{}", format_latency_sweep(&read_latency_sweep(Workload::MediaServer, scale)?));
-    println!();
-    Ok(())
-}
+/// The read or the write columns of a comparison: one FTL's total latency, and
+/// the enhancement between the two.
+type Pick = (fn(&RunSummary) -> Nanos, fn(&Comparison) -> f64);
+const READ: Pick = (|summary| summary.read_time, Comparison::read_enhancement_pct);
+const WRITE: Pick = (|summary| summary.write_time, Comparison::write_enhancement_pct);
 
-fn fig14(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Figure 14: web-server read latency vs page access speed difference ==");
-    print!("{}", format_latency_sweep(&read_latency_sweep(Workload::WebSqlServer, scale)?));
-    println!();
-    Ok(())
-}
-
-fn fig16(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Figure 16: media-server write latency vs page access speed difference ==");
-    print!("{}", format_latency_sweep(&write_latency_sweep(Workload::MediaServer, scale)?));
-    println!();
-    Ok(())
-}
-
-fn fig17(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Figure 17: web-server write latency vs page access speed difference ==");
-    print!("{}", format_latency_sweep(&write_latency_sweep(Workload::WebSqlServer, scale)?));
-    println!();
-    Ok(())
-}
-
-fn fig18(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    // The ablation's greedy rows are exactly the classic Figure 18 data
-    // (asserted in vflash-sim's tests), so one sweep feeds both tables.
-    let by_policy = erase_count_by_policy(scale)?;
-    let classic: Vec<EraseCountRow> = by_policy
+/// Figures 12 and 15 are the same eight runs — both workloads at both page
+/// sizes, 2x — under the read and the write pick.
+fn enhancement(scale: &ExperimentScale, title: &str, (_, pct): Pick) -> Outcome {
+    let specs: Vec<RunSpec> = Workload::ALL
         .iter()
-        .filter(|row| row.policy == GcPolicy::Greedy)
-        .map(|row| EraseCountRow {
-            workload: row.workload,
-            conventional: row.conventional,
-            ppb: row.ppb,
+        .flat_map(|&workload| {
+            PAGE_SIZES
+                .map(|page_size_bytes| RunSpec { page_size_bytes, ..RunSpec::new(workload, *scale) })
         })
         .collect();
-    println!("== Figure 18: erased block count comparison (2x, 16 KB pages) ==");
-    print!("{}", format_erase_rows(&classic));
-    println!();
-    println!("== Figure 18 ablation: GC victim policy (greedy / wear-aware / cost-benefit) ==");
-    print!("{}", format_policy_erase_rows(&by_policy));
-    println!();
+    render(title, "workload          page-size   enhancement", &compare(&specs)?, |row| {
+        format!(
+            "{:<17} {:>6} KiB   {:>8.2}%",
+            row.spec.source.label(),
+            row.spec.page_size_bytes / 1024,
+            pct(&row.comparison),
+        )
+    });
     Ok(())
 }
 
-fn qd(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    // The serial figures keep the paper's chip count; the queue-depth sweep is
-    // about chip overlap, so give it a wider device when the scale is narrow.
-    let scale = ExperimentScale { chips: scale.chips.max(8), ..*scale };
+/// Figures 13/16 (media server) and 14/17 (web server), and the first two
+/// tables of a real trace: one source at every speed difference, 16 KB pages.
+fn speed_rows<'a>(
+    source: impl Into<TraceSource<'a>>,
+    scale: &ExperimentScale,
+) -> Result<Vec<ComparisonRow<'a>>, FtlError> {
+    let base = RunSpec::new(source, *scale);
+    compare(&SPEED_RATIOS.map(|speed_ratio| RunSpec { speed_ratio, ..base }))
+}
+
+fn latency_table(title: &str, rows: &[ComparisonRow], (time, pct): Pick) {
+    let header = "speed-diff   conventional-ftl   ftl-with-ppb   improvement";
+    render(title, header, rows, |row| {
+        format!(
+            "{:>7.0}x   {:>16} {:>14}   {:>9.2}%",
+            row.spec.speed_ratio,
+            seconds(time(&row.comparison.baseline)),
+            seconds(time(&row.comparison.variant)),
+            pct(&row.comparison),
+        )
+    });
+}
+
+fn latency_vs_speed(scale: &ExperimentScale, workload: Workload, title: &str, pick: Pick) -> Outcome {
+    latency_table(title, &speed_rows(workload, scale)?, pick);
+    Ok(())
+}
+
+fn fig18(scale: &ExperimentScale) -> Outcome {
+    let specs: Vec<RunSpec> = Workload::ALL
+        .iter()
+        .flat_map(|&workload| {
+            GcPolicy::ALL.map(|gc_policy| RunSpec { gc_policy, ..RunSpec::new(workload, *scale) })
+        })
+        .collect();
+    let by_policy = compare(&specs)?;
+    let erases =
+        |row: &ComparisonRow| (row.comparison.baseline.erased_blocks, row.comparison.variant.erased_blocks);
+    // Greedy is the default policy, so the ablation's greedy rows are the
+    // classic Figure 18 data: one set of runs feeds both tables.
+    let classic: Vec<&ComparisonRow> =
+        by_policy.iter().filter(|row| row.spec.gc_policy == GcPolicy::Greedy).collect();
+    render(
+        "Figure 18: erased block count comparison (2x, 16 KB pages)",
+        "workload          conventional-ftl   ftl-with-ppb",
+        &classic,
+        |row| format!("{:<17} {:>16} {:>14}", row.spec.source.label(), erases(row).0, erases(row).1),
+    );
+    render(
+        "Figure 18 ablation: GC victim policy (greedy / wear-aware / cost-benefit)",
+        "workload          gc-policy        conventional-ftl   ftl-with-ppb",
+        &by_policy,
+        |row| {
+            format!(
+                "{:<17} {:<16} {:>16} {:>14}",
+                row.spec.source.label(),
+                row.spec.gc_policy.label(),
+                erases(row).0,
+                erases(row).1,
+            )
+        },
+    );
+    Ok(())
+}
+
+/// Read enhancement on web/SQL at 4x as a function of the number of virtual
+/// blocks per physical block (the paper notes the 2-way split as the
+/// overhead/benefit sweet spot) and of the first-stage hot/cold classifier.
+fn ablations(scale: &ExperimentScale) -> Outcome {
+    let base = RunSpec { speed_ratio: 4.0, ..RunSpec::new(Workload::WebSqlServer, *scale) };
+    let mut specs = [1usize, 2, 4]
+        .map(|virtual_blocks| RunSpec {
+            ppb: PpbConfig {
+                virtual_blocks_per_block: virtual_blocks,
+                max_open_blocks_per_area: virtual_blocks.max(2),
+                ..base.ppb
+            },
+            ..base
+        })
+        .to_vec();
+    specs.extend(Classifier::ALL.map(|classifier| RunSpec { classifier, ..base }));
+    let rows = compare(&specs)?;
+    let (splits, classifiers) = rows.split_at(3);
+    render("Ablation: virtual blocks per physical block (web-sql-server, 4x)", "", splits, |row| {
+        format!(
+            "{} virtual block(s)   read enhancement {:>6.2}%",
+            row.spec.ppb.virtual_blocks_per_block,
+            row.comparison.read_enhancement_pct(),
+        )
+    });
+    render("Ablation: first-stage hot/cold classifier (web-sql-server, 4x)", "", classifiers, |row| {
+        format!(
+            "{:<14}   read enhancement {:>6.2}%",
+            row.spec.classifier.label(),
+            row.comparison.read_enhancement_pct(),
+        )
+    });
+    Ok(())
+}
+
+/// Both FTLs at QD 1, 4, 16, 64 on the same multi-chip device. Device state
+/// evolves identically at every depth — only the timing overlay changes — so
+/// differences in IOPS and tail latency are attributable to queuing alone.
+fn qd(scale: &ExperimentScale) -> Outcome {
+    let scale = wide(scale);
     for workload in Workload::ALL {
-        println!(
-            "== Queue-depth sweep: {workload}, {} chips, 16 KB pages, 2x ==",
-            scale.chips
+        let base = RunSpec::new(workload, scale);
+        let specs = QUEUE_DEPTHS.map(|queue_depth| RunSpec {
+            discipline: ArrivalDiscipline::ClosedLoop { queue_depth },
+            ..base
+        });
+        render(
+            &format!("Queue-depth sweep: {workload}, {} chips, 16 KB pages, 2x", scale.chips),
+            "  qd   ftl            iops    read p50/p95/p99/max (us)   write p50/p95/p99/max (us)",
+            &compare(&specs)?,
+            |row| {
+                per_ftl(&row.comparison, |summary| {
+                    format!(
+                        "{:>4}   {:<12} {:>8.0}   {}   {}",
+                        summary.queue_depth,
+                        summary.ftl,
+                        summary.request_iops(),
+                        percentiles_us(&summary.read_latency),
+                        percentiles_us(&summary.write_latency),
+                    )
+                })
+            },
         );
-        print!("{}", format_queue_depth_rows(&queue_depth_sweep(workload, &scale)?));
-        println!();
     }
     Ok(())
 }
 
-fn openloop(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    // Like the queue-depth sweep, the open-loop sweep is about load on a wide
-    // device; arrivals come from the synthetic traces' recorded timestamps.
-    let scale = ExperimentScale { chips: scale.chips.max(8), ..*scale };
+/// The offered-load curve of one source: open loop at every rate scale. While
+/// achieved ≈ offered the device keeps up and queue delay stays near zero;
+/// past the knee, achieved flattens at saturation and the response time is
+/// queueing delay, not service time. Arrivals come from the trace's recorded
+/// timestamps.
+fn rate_table<'a>(title: &str, source: impl Into<TraceSource<'a>>, scale: &ExperimentScale) -> Outcome {
+    let base = RunSpec::new(source, *scale);
+    let specs = RATE_SCALES
+        .map(|rate_scale| RunSpec { discipline: ArrivalDiscipline::OpenLoop { rate_scale }, ..base });
+    render(
+        title,
+        " rate   ftl             offered    achieved   qdelay mean/p99 (us)   service mean/p99 (us)",
+        &RATE_SCALES.iter().zip(compare(&specs)?).collect::<Vec<_>>(),
+        |(rate_scale, row)| {
+            per_ftl(&row.comparison, |summary| {
+                format!(
+                    "{:>4}x   {:<12} {:>9.0} {:>11.0}   {:>9.0}/{:>9.0}   {:>9.0}/{:>9.0}",
+                    rate_scale,
+                    summary.ftl,
+                    summary.offered_iops(),
+                    summary.request_iops(),
+                    summary.queue_delay.mean.as_micros_f64(),
+                    summary.queue_delay.p99.as_micros_f64(),
+                    summary.service_time.mean.as_micros_f64(),
+                    summary.service_time.p99.as_micros_f64(),
+                )
+            })
+        },
+    );
+    Ok(())
+}
+
+fn openloop(scale: &ExperimentScale) -> Outcome {
+    let scale = wide(scale);
     for workload in Workload::ALL {
-        println!(
-            "== Open-loop (arrival-time) sweep: {workload}, {} chips, 16 KB pages, 2x ==",
+        let title = format!(
+            "Open-loop (arrival-time) sweep: {workload}, {} chips, 16 KB pages, 2x",
             scale.chips
         );
-        print!("{}", format_rate_scale_rows(&rate_scale_sweep(workload, &scale)?));
-        println!();
+        rate_table(&title, workload, &scale)?;
     }
     Ok(())
 }
 
-fn burst(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    // Burstiness is a queueing phenomenon: give it the same wide device the
-    // other open-loop sections use. The mean rate is probed per workload (half
-    // the device's saturation throughput), so every row offers the same load
-    // and only the arrival pattern changes.
-    let scale = ExperimentScale { chips: scale.chips.max(8), ..*scale };
+/// Open loop at the trace's own clock under every arrival model of the burst
+/// axis, at one mean rate probed per workload (half the device's saturation
+/// throughput), so every row offers the same load and only the arrival
+/// pattern changes.
+fn burst(scale: &ExperimentScale) -> Outcome {
+    let scale = wide(scale);
     for workload in Workload::ALL {
-        let mean = burst_sweep_mean_iops(workload, &scale)?;
-        println!(
-            "== Burstiness sweep: {workload}, {:.0} IOPS mean (half of saturation), \
-             open-loop x1, {} chips ==",
-            mean, scale.chips
+        let mean = burst_mean_iops(workload, &scale)?;
+        let specs: Vec<RunSpec> = burst_axis(mean)
+            .into_iter()
+            .map(|arrival| RunSpec {
+                arrival,
+                discipline: ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },
+                ..RunSpec::new(workload, scale)
+            })
+            .collect();
+        render(
+            &format!(
+                "Burstiness sweep: {workload}, {mean:.0} IOPS mean (half of saturation), \
+                 open-loop x1, {} chips",
+                scale.chips
+            ),
+            "arrival                      ftl             offered   achieved   busy%   peak-qd   \
+             read p99/p99.9 (us)",
+            &compare(&specs)?,
+            |row| {
+                per_ftl(&row.comparison, |summary| {
+                    format!(
+                        "{:<28} {:<12} {:>9.0} {:>10.0} {:>6.1} {:>9}   {:>9.0}/{:>9.0}",
+                        row.spec.arrival.label(),
+                        summary.ftl,
+                        summary.offered_iops(),
+                        summary.request_iops(),
+                        summary.busy_arrival_fraction() * 100.0,
+                        summary.peak_queue_depth,
+                        summary.read_latency.p99.as_micros_f64(),
+                        summary.read_latency.p999.as_micros_f64(),
+                    )
+                })
+            },
         );
-        print!("{}", format_burst_rows(&burst_sweep_at(workload, &scale, mean)?));
-        println!();
     }
     println!(
         "Every row offers the same mean load; only its burstiness differs. Busy%, the\n\
@@ -186,18 +332,35 @@ fn burst(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn fleet(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    // The host tier stripes one keyspace over 1–8 identical devices; every
-    // width replays the same open-loop request stream at the same seed, so the
-    // only thing changing down the width axis is the striping.
-    println!(
-        "== Fleet sweep: stripe widths {FLEET_SIZES:?}, open-loop x1, cache off, \
-         both FTLs =="
-    );
+/// The host tier stripes one keyspace over 1–8 identical devices; every width
+/// (and both FTLs) replays the same open-loop request stream, so the only
+/// thing changing down the width axis is the striping. The width-1 rows are
+/// the single-device reference; down the axis the stripe distribution barely
+/// moves while the fan-out p99.9 grows.
+fn fleet(scale: &ExperimentScale) -> Outcome {
     let grid = ExperimentGrid::fleet_sweep(*scale);
-    let rows = run_fleet_grid(&ParallelRunner::with_available_parallelism(), &grid)?;
-    print!("{}", format_fleet_rows(&rows));
-    println!();
+    let rows = ParallelRunner::with_available_parallelism().map(&grid.specs, run_fleet_cell)?;
+    render(
+        &format!("Fleet sweep: stripe widths {FLEET_SIZES:?}, open-loop x1, cache off, both FTLs"),
+        "workload          ftl            width    offered   achieved       \
+         fanout p50/p99/p99.9 (us)   stripe p99.9   tail-amp",
+        &rows,
+        |summary| {
+            format!(
+                "{:<17} {:<12} {:>6} {:>10.0} {:>10.0}   {:>9.0}/{:>9.0}/{:>9.0}   {:>12.0}   {:>7.2}x",
+                summary.trace,
+                summary.ftl,
+                summary.width,
+                summary.offered_iops(),
+                summary.request_iops(),
+                summary.fanout_read_latency.p50.as_micros_f64(),
+                summary.fanout_read_latency.p99.as_micros_f64(),
+                summary.fanout_read_latency.p999.as_micros_f64(),
+                summary.stripe_read_latency.p999.as_micros_f64(),
+                summary.read_tail_amplification(),
+            )
+        },
+    );
     println!(
         "A striped request completes at the max of its per-device stripes, so the\n\
          fan-out p99.9 grows with the width while the per-stripe distribution stays\n\
@@ -206,17 +369,38 @@ fn fleet(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn ppb_sensitivity(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!(
-        "== PPB sensitivity: warm-up length and promotion thresholds \
-         (16 KB pages, 2x, QD 1) =="
-    );
-    let mut rows = Vec::new();
+/// One-at-a-time around the default configuration: the warm-up lengths at
+/// default knobs, then each promotion threshold on an un-warmed device.
+fn ppb_sensitivity(scale: &ExperimentScale) -> Outcome {
+    let mut specs = Vec::new();
     for workload in Workload::ALL {
-        rows.extend(ppb_sensitivity_sweep(workload, scale)?);
+        let base = RunSpec::new(workload, *scale);
+        specs.extend(PPB_WARMUP_FRACTIONS.map(|warmup_fraction| RunSpec { warmup_fraction, ..base }));
+        specs.extend(PPB_COLD_PROMOTE_READS.map(|cold_promote_reads| RunSpec {
+            ppb: PpbConfig { cold_promote_reads, ..base.ppb },
+            ..base
+        }));
+        specs.extend(PPB_HOT_LIST_FRACTIONS.map(|hot_list_fraction| RunSpec {
+            ppb: PpbConfig { hot_list_fraction, ..base.ppb },
+            ..base
+        }));
     }
-    print!("{}", format_ppb_sensitivity_rows(&rows));
-    println!();
+    render(
+        "PPB sensitivity: warm-up length and promotion thresholds (16 KB pages, 2x, QD 1)",
+        "workload          warmup   promote-reads   hot-fraction   read-enh   write-enh",
+        &compare(&specs)?,
+        |row| {
+            format!(
+                "{:<17} {:>5.0}% {:>15} {:>14.2} {:>9.2}% {:>10.2}%",
+                row.spec.source.label(),
+                row.spec.warmup_fraction * 100.0,
+                row.spec.ppb.cold_promote_reads,
+                row.spec.ppb.hot_list_fraction,
+                row.comparison.read_enhancement_pct(),
+                row.comparison.write_enhancement_pct(),
+            )
+        },
+    );
     println!(
         "Each row measures the trace suffix left after replaying the warm-up prefix\n\
          un-measured on a fully prefilled device. The default-knob rows down the\n\
@@ -226,14 +410,101 @@ fn ppb_sensitivity(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn faults(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Fault sweep: web-sql-server, RBER scale x GC policy, 16 KB pages, 2x, QD 1 ==");
-    print!("{}", format_fault_rows(&fault_sweep(scale)?));
-    println!();
-    println!("== End-of-life probe: round-robin writes into a failing device until read-only ==");
-    print!("{}", format_lifetime_rows(&fault_lifetime(scale)?));
-    println!();
+/// Web/SQL at every RBER scale × GC policy with the NAND fault model on — the
+/// retry columns grow down the RBER axis and drag the p99/p99.9 with them,
+/// the reliability tax on tail latency, while the default program/erase
+/// failure probabilities keep a trickle of bad-block retirements flowing
+/// through the remap path — then the end-of-life probe.
+fn faults(scale: &ExperimentScale) -> Outcome {
+    // The fault seed is derived from the scale's workload seed, so the sweep
+    // is reproducible end to end.
+    let nominal = FaultConfig::enabled(scale.seed ^ 0xFA17);
+    let specs: Vec<RunSpec> = RBER_SCALES
+        .iter()
+        .flat_map(|&rber_scale| {
+            FAULT_SWEEP_POLICIES.map(|gc_policy| RunSpec {
+                faults: Some(FaultConfig { rber_scale, ..nominal }),
+                gc_policy,
+                ..RunSpec::new(Workload::WebSqlServer, *scale)
+            })
+        })
+        .collect();
+    render(
+        "Fault sweep: web-sql-server, RBER scale x GC policy, 16 KB pages, 2x, QD 1",
+        "rber   gc-policy        ftl             retried   retry%   uncorr   bad-blk   \
+         read p99/p99.9 (us)",
+        &compare(&specs)?,
+        |row| {
+            per_ftl(&row.comparison, |summary| {
+                format!(
+                    "{:>3.0}x   {:<16} {:<12} {:>9} {:>8.2} {:>8} {:>9}   {:>9.0}/{:>9.0}",
+                    row.spec.faults.map_or(0.0, |faults| faults.rber_scale),
+                    row.spec.gc_policy.label(),
+                    summary.ftl,
+                    summary.retried_reads,
+                    summary.retry_latency_fraction() * 100.0,
+                    summary.uncorrectable_reads,
+                    summary.bad_blocks_grown,
+                    summary.read_latency.p99.as_micros_f64(),
+                    summary.read_latency.p999.as_micros_f64(),
+                )
+            })
+        },
+    );
+    render(
+        "End-of-life probe: round-robin writes into a failing device until read-only",
+        "ftl            writes-to-read-only   bad-blocks   read-only at",
+        &fault_lifetime(scale)?,
+        |row| {
+            format!(
+                "{:<12} {:>21} {:>12}   {}",
+                row.ftl,
+                row.writes_completed,
+                row.bad_blocks,
+                seconds(row.time_to_read_only),
+            )
+        },
+    );
     Ok(())
+}
+
+/// The conventional and the PPB row of an LSM comparison: the get-latency
+/// split (memtable hits vs SSTable reads), the compaction-stall tail writes
+/// absorb, and the three write-amplification factors (app × FTL = end to
+/// end), then one activity line per FTL.
+fn kv_table(title: &str, conventional: &KvRunSummary, ppb: &KvRunSummary) {
+    render(
+        title,
+        "ftl            memhit p50/p99/p99.9 (us)   sstread p50/p99/p99.9 (us)   \
+         stall p50/p99/p99.9 (us)   app-WA  ftl-WA  e2e-WA",
+        &[conventional, ppb],
+        |summary| {
+            let wa = summary.write_amplification;
+            format!(
+                "{:<12} {:>26} {:>28} {:>26}   {:>6.2}  {:>6.2}  {:>6.2}",
+                summary.ftl,
+                tail_percentiles_us(&summary.memtable_hit),
+                tail_percentiles_us(&summary.sstable_read),
+                tail_percentiles_us(&summary.compaction_stall),
+                wa.app,
+                wa.ftl,
+                wa.end_to_end,
+            )
+        },
+    );
+    for summary in [conventional, ppb] {
+        println!(
+            "{:<12} {} ops, {} flushes, {} compactions, {} stalled writes, \
+             {} bloom skips, device time {}",
+            summary.ftl,
+            summary.ops_completed,
+            summary.flushes,
+            summary.compactions,
+            summary.stalled_writes,
+            summary.bloom_skips,
+            seconds(summary.device_time),
+        );
+    }
 }
 
 /// Runs the LSM KV store (vflash-kv) against both FTLs with the same
@@ -242,19 +513,18 @@ fn faults(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
 /// device traffic here is *generated by a real storage engine* — WAL appends
 /// (small, hot), memtable flushes and compaction rewrites (bulk, cold) — so
 /// the comparison shows what PPB's placement buys an application, not a trace.
-fn lsm(quick: bool) -> Result<(), Box<dyn Error>> {
+fn lsm(quick: bool) -> Outcome {
     let workload =
         if quick { KvWorkloadConfig::smoke() } else { KvWorkloadConfig::default() };
-    println!(
-        "== LSM KV store on flash: conventional vs PPB (zipf s={}, {} ops, {} keys, \
-         {} B values) ==",
-        workload.zipf_s, workload.ops, workload.key_space, workload.value_bytes
-    );
     let comparison = compare_conventional_vs_ppb(KvConfig::default(), &workload)?;
-    print!("{}", format_kv_rows(&comparison));
-    println!();
-    print!("{}", format_kv_activity(&comparison.conventional));
-    print!("{}", format_kv_activity(&comparison.ppb));
+    kv_table(
+        &format!(
+            "LSM KV store on flash: conventional vs PPB (zipf s={}, {} ops, {} keys, {} B values)",
+            workload.zipf_s, workload.ops, workload.key_space, workload.value_bytes
+        ),
+        &comparison.conventional,
+        &comparison.ppb,
+    );
     println!(
         "\nMemtable hits cost no device time; SSTable reads pay bloom/index probes plus\n\
          one bucket read; stalls are the foreground flush+compaction time a write\n\
@@ -271,10 +541,6 @@ fn lsm(quick: bool) -> Result<(), Box<dyn Error>> {
     const BATCH_CHIPS: usize = 4;
     const BATCH_DEPTH: usize = 16;
     let batch_workload = KvWorkloadConfig { device_chips: BATCH_CHIPS, ..workload.clone() };
-    println!(
-        "== LSM batched submission: io_depth 1 vs {BATCH_DEPTH} on {BATCH_CHIPS} chips \
-         (conventional FTL) =="
-    );
     let serial = {
         let ftl = ConventionalFtl::new(
             NandDevice::new(batch_workload.device_config()),
@@ -290,94 +556,105 @@ fn lsm(quick: bool) -> Result<(), Box<dyn Error>> {
         let kv_config = KvConfig { io_depth: BATCH_DEPTH, ..KvConfig::default() };
         run_kv_workload(FlashStore::new(ftl), kv_config, &batch_workload)?
     };
-    print!("{}", format_kv_batching_rows(&serial, &batched));
-    println!();
-
-    println!(
-        "== LSM conventional vs PPB under batching (io_depth {BATCH_DEPTH}, \
-         {BATCH_CHIPS} chips) =="
+    // One line per run with the device time spent in flushes and compactions,
+    // the stall tail the application absorbs and the batching counters; the
+    // last line is the headline of the batched path on a multi-chip device.
+    let device_time = |summary: &KvRunSummary| summary.flush_time + summary.compaction_time;
+    let speedup = format!(
+        "\nbatched flush+compaction device time is {:.2}x lower",
+        device_time(&serial).as_secs_f64() / device_time(&batched).as_secs_f64(),
     );
+    render(
+        &format!(
+            "LSM batched submission: io_depth 1 vs {BATCH_DEPTH} on {BATCH_CHIPS} chips \
+             (conventional FTL)"
+        ),
+        "mode      flush+compaction   stall p50/p99/p99.9 (us)   batches   batched pages",
+        &[("serial", &serial, ""), ("batched", &batched, speedup.as_str())],
+        |(mode, summary, trailer)| {
+            format!(
+                "{:<8} {:>17} {:>26} {:>9} {:>15}{trailer}",
+                mode,
+                seconds(device_time(summary)),
+                tail_percentiles_us(&summary.compaction_stall),
+                summary.batched_submissions,
+                summary.batched_pages,
+            )
+        },
+    );
+
     let kv_config = KvConfig { io_depth: BATCH_DEPTH, ..KvConfig::default() };
     let batched_comparison = compare_conventional_vs_ppb(kv_config, &batch_workload)?;
-    print!("{}", format_kv_rows(&batched_comparison));
-    println!();
-    print!("{}", format_kv_activity(&batched_comparison.conventional));
-    print!("{}", format_kv_activity(&batched_comparison.ppb));
+    kv_table(
+        &format!(
+            "LSM conventional vs PPB under batching (io_depth {BATCH_DEPTH}, {BATCH_CHIPS} chips)"
+        ),
+        &batched_comparison.conventional,
+        &batched_comparison.ppb,
+    );
     println!();
     Ok(())
 }
 
-/// Runs a real (MSR-Cambridge CSV) trace through the same sweeps the synthetic
-/// workloads get: the Figure 13/16-style latency-vs-speed-ratio comparison and
-/// the open-loop offered-load sweep.
-fn real_trace(path: &str, scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
+/// Runs a real (MSR-Cambridge CSV) trace through the same tables the
+/// synthetic workloads get: the Figure 13/16-style latency-vs-speed-ratio
+/// comparison and the open-loop offered-load sweep.
+fn real_trace(path: &str, scale: &ExperimentScale) -> Outcome {
     // Cap the request count at the scale's budget so `--quick` stays quick even
     // on a multi-GB file; streaming stops as soon as the quota fills.
     let trace = msr::parse_path_filtered(path, &SubsetOptions::first_n(scale.requests))?;
     if trace.is_empty() {
         return Err(format!("trace {path} contains no usable requests").into());
     }
-    let stats = trace.stats();
+    let (name, stats) = (trace.name(), trace.stats());
     println!(
-        "== Real trace {}: {} requests, {:.0}% reads, mean request {:.1} KiB, \
-         recorded rate {:.0} req/s ==",
-        trace.name(),
+        "== Real trace {name}: {} requests, {:.0}% reads, mean request {:.1} KiB, \
+         recorded rate {:.0} req/s ==\n",
         trace.len(),
         stats.read_ratio() * 100.0,
         stats.mean_request_bytes / 1024.0,
         trace.offered_iops(),
     );
-    println!();
     // Size the simulated device to the trace's footprint: an external trace
     // arrives with its own working set, unlike the generated workloads.
     let scale = scale.sized_for_trace(&trace);
-    real_trace_sweeps(&trace, &scale)
-}
-
-fn real_trace_sweeps(trace: &Trace, scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== {} read latency vs page access speed difference ==", trace.name());
-    print!("{}", format_latency_sweep(&read_latency_sweep_for_trace(trace, scale)?));
-    println!();
-    println!("== {} write latency vs page access speed difference ==", trace.name());
-    print!("{}", format_latency_sweep(&write_latency_sweep_for_trace(trace, scale)?));
-    println!();
-    let wide = ExperimentScale { chips: scale.chips.max(8), ..*scale };
-    println!(
-        "== {} open-loop (arrival-time) sweep, {} chips, 16 KB pages, 2x ==",
-        trace.name(),
-        wide.chips
-    );
-    print!("{}", format_rate_scale_rows(&rate_scale_sweep_for_trace(trace, &wide)?));
-    println!();
-    Ok(())
-}
-
-fn ablations(scale: &ExperimentScale) -> Result<(), Box<dyn Error>> {
-    println!("== Ablation: virtual blocks per physical block (web-sql-server, 4x) ==");
-    for (virtual_blocks, enhancement) in ablation_virtual_blocks(Workload::WebSqlServer, scale)? {
-        println!("{virtual_blocks} virtual block(s)   read enhancement {enhancement:>6.2}%");
-    }
-    println!();
-    println!("== Ablation: first-stage hot/cold classifier (web-sql-server, 4x) ==");
-    for (classifier, enhancement) in ablation_classifier(Workload::WebSqlServer, scale)? {
-        println!("{:<14}   read enhancement {enhancement:>6.2}%", classifier.label());
-    }
-    println!();
-    Ok(())
+    let rows = speed_rows(&trace, &scale)?;
+    latency_table(&format!("{name} read latency vs page access speed difference"), &rows, READ);
+    latency_table(&format!("{name} write latency vs page access speed difference"), &rows, WRITE);
+    let wide = wide(&scale);
+    let title =
+        format!("{name} open-loop (arrival-time) sweep, {} chips, 16 KB pages, 2x", wide.chips);
+    rate_table(&title, &trace, &wide)
 }
 
 /// One printable section of the evaluation; the flag is `--quick`.
-type Section = fn(&ExperimentScale, bool) -> Result<(), Box<dyn Error>>;
+type Section = fn(&ExperimentScale, bool) -> Outcome;
 
 /// Every selectable section, in the order `all` prints them. Dispatch,
 /// validation and the usage message all read this table.
 const SECTIONS: [(&str, Section); 15] = [
-    ("fig12", |scale, _| fig12(scale)),
-    ("fig13", |scale, _| fig13(scale)),
-    ("fig14", |scale, _| fig14(scale)),
-    ("fig15", |scale, _| fig15(scale)),
-    ("fig16", |scale, _| fig16(scale)),
-    ("fig17", |scale, _| fig17(scale)),
+    ("fig12", |scale, _| {
+        enhancement(scale, "Figure 12: read performance enhancement (PPB vs conventional, 2x)", READ)
+    }),
+    ("fig13", |scale, _| {
+        let title = "Figure 13: media-server read latency vs page access speed difference";
+        latency_vs_speed(scale, Workload::MediaServer, title, READ)
+    }),
+    ("fig14", |scale, _| {
+        let title = "Figure 14: web-server read latency vs page access speed difference";
+        latency_vs_speed(scale, Workload::WebSqlServer, title, READ)
+    }),
+    ("fig15", |scale, _| {
+        enhancement(scale, "Figure 15: write performance enhancement (PPB vs conventional, 2x)", WRITE)
+    }),
+    ("fig16", |scale, _| {
+        let title = "Figure 16: media-server write latency vs page access speed difference";
+        latency_vs_speed(scale, Workload::MediaServer, title, WRITE)
+    }),
+    ("fig17", |scale, _| {
+        let title = "Figure 17: web-server write latency vs page access speed difference";
+        latency_vs_speed(scale, Workload::WebSqlServer, title, WRITE)
+    }),
     ("fig18", |scale, _| fig18(scale)),
     ("ablation", |scale, _| ablations(scale)),
     ("qd", |scale, _| qd(scale)),
@@ -389,7 +666,7 @@ const SECTIONS: [(&str, Section); 15] = [
     ("lsm", |_, quick| lsm(quick)),
 ];
 
-fn main() -> Result<(), Box<dyn Error>> {
+fn main() -> Outcome {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|arg| arg == "--quick");
     let scale = if quick { ExperimentScale::quick() } else { ExperimentScale::standard() };

@@ -1,87 +1,52 @@
-//! Fleet-aware grid execution: the width-carrying counterpart of
-//! [`run_cell`](vflash_sim::run_cell), fanned over the same
-//! [`ParallelRunner`] work-stealing pool via
-//! [`ParallelRunner::run_map`].
+//! The width-aware executor of a [`RunSpec`]: the counterpart of
+//! [`run_spec`](vflash_sim::run_spec), mapped over spec lists by the same
+//! [`ParallelRunner`](vflash_sim::ParallelRunner).
 //!
-//! A fleet cell builds [`GridCell::fleet_size`] identical devices from the
-//! cell's scale — each lane gets the *same* geometry the single-device cell
+//! A fleet cell builds [`RunSpec::fleet_width`] identical devices from the
+//! spec — each lane gets the *same* geometry and FTL the single-device run
 //! would, so widening the fleet models scale-out (more devices behind one
 //! keyspace), not re-sharding one device. The trace wraps modulo the fleet
-//! capacity, spreading the working set across the lanes; every width of one
-//! FTL × workload shares its seed (see
-//! [`ExperimentGrid::fleet_sweep`]), so the widths replay the same request
-//! stream and differ only in striping. The cache is off and a single tenant is
-//! used, keeping width 1 bit-identical to the single-device grid row.
+//! capacity, spreading the working set across the lanes; every spec of one
+//! scale × workload shares its seed, so the widths of
+//! [`ExperimentGrid::fleet_sweep`](vflash_sim::ExperimentGrid::fleet_sweep)
+//! replay the same request stream and differ only in striping. The cache is
+//! off and a single tenant is used, keeping width 1 bit-identical to the
+//! single-device run.
 
-use vflash_ftl::{ConventionalFtl, FtlConfig, FtlError};
-use vflash_nand::NandDevice;
-use vflash_ppb::{PpbConfig, PpbFtl};
-use vflash_sim::{ExperimentGrid, FtlKind, GridCell, ParallelRunner, RunOptions};
-use vflash_trace::Trace;
+use vflash_ftl::{FlashTranslationLayer, FtlError};
+use vflash_sim::{FtlJob, RunOptions, RunSpec};
 
 use crate::fleet::{Fleet, FleetConfig, FleetDriver};
 use crate::summary::FleetSummary;
 
-/// The outcome of one fleet grid cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetCellResult {
-    /// The cell that produced this result.
-    pub cell: GridCell,
-    /// The fleet replay summary.
-    pub summary: FleetSummary,
-}
-
-/// Runs one grid cell at its fleet width: generates the trace at the cell's
-/// seed, builds [`GridCell::fleet_size`] identical devices, and replays the
-/// trace through the host tier (cache off, single tenant).
+/// Runs one spec at its fleet width: [`RunSpec::fleet_width`] lanes built by
+/// [`RunSpec::with_ftl`], the spec's trace replayed through the host tier
+/// (cache off, single tenant). The warm-up fraction does not apply.
 ///
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors from any lane.
-pub fn run_fleet_cell(cell: &GridCell, grid: &ExperimentGrid) -> Result<FleetCellResult, FtlError> {
-    let trace: Trace = cell.workload.trace_with_arrival(&cell.scale, cell.arrival);
-    let mut config = cell.scale.device_config(grid.page_size_bytes, grid.speed_ratio);
-    if let Some(faults) = grid.faults {
-        config = config.with_faults(faults)?;
+pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
+    struct Stripe<'s, 'a>(&'s RunSpec<'a>);
+    impl FtlJob for Stripe<'_, '_> {
+        type Output = FleetSummary;
+        fn run<F: FlashTranslationLayer>(
+            self,
+            build: impl Fn() -> Result<F, FtlError>,
+        ) -> Result<FleetSummary, FtlError> {
+            let lanes = (0..self.0.fleet_width).map(|_| build()).collect::<Result<Vec<F>, _>>()?;
+            FleetDriver::new(RunOptions::default(), self.0.discipline)
+                .run(Fleet::new(lanes, FleetConfig::default()), &self.0.trace())
+        }
     }
-    let driver = FleetDriver::new(RunOptions::default(), cell.discipline);
-    let summary = match cell.ftl {
-        FtlKind::Conventional => {
-            let lanes: Vec<ConventionalFtl> = (0..cell.fleet_size)
-                .map(|_| ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default()))
-                .collect::<Result<_, _>>()?;
-            driver.run(Fleet::new(lanes, FleetConfig::default()), &trace)?
-        }
-        FtlKind::Ppb => {
-            let lanes: Vec<PpbFtl> = (0..cell.fleet_size)
-                .map(|_| PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default()))
-                .collect::<Result<_, _>>()?;
-            driver.run(Fleet::new(lanes, FleetConfig::default()), &trace)?
-        }
-    };
-    Ok(FleetCellResult { cell: *cell, summary })
-}
-
-/// Fans [`run_fleet_cell`] over every cell of `grid` using `runner`'s
-/// work-stealing pool. Results come back in cell-index order, bit-identical to
-/// a serial run regardless of worker count (the fleet determinism property
-/// test pins this across worker counts 2, 3, 5 and 32).
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing cell.
-pub fn run_fleet_grid(
-    runner: &ParallelRunner,
-    grid: &ExperimentGrid,
-) -> Result<Vec<FleetCellResult>, FtlError> {
-    runner.run_map(grid, run_fleet_cell)
+    spec.with_ftl(Stripe(spec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vflash_sim::experiments::ExperimentScale;
-    use vflash_sim::{run_cell, ReplayMode};
+    use vflash_sim::{run_spec, ExperimentGrid, ParallelRunner, ReplayMode};
 
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
@@ -94,26 +59,25 @@ mod tests {
 
     #[test]
     fn width_one_fleet_cells_reproduce_single_device_cells() {
-        let grid = ExperimentGrid::full(tiny_scale());
-        for cell in grid.cells() {
-            let single = run_cell(&cell, &grid).unwrap();
-            let fleet = run_fleet_cell(&cell, &grid).unwrap();
-            assert_eq!(fleet.summary.width, 1);
-            assert_eq!(fleet.summary.lanes[0], single.summary, "cell {}", cell.index);
+        for (index, spec) in ExperimentGrid::full(tiny_scale()).specs.iter().enumerate() {
+            let single = run_spec(spec).unwrap();
+            let fleet = run_fleet_cell(spec).unwrap();
+            assert_eq!(fleet.width, 1);
+            assert_eq!(fleet.lanes[0], single, "spec {index}");
         }
     }
 
     #[test]
     fn fleet_sweep_cells_replay_at_their_width() {
         let grid = ExperimentGrid::fleet_sweep(tiny_scale());
-        let results = ParallelRunner::run_serial_map(&grid, run_fleet_cell).unwrap();
+        let results = ParallelRunner::new(1).map(&grid.specs, run_fleet_cell).unwrap();
         assert_eq!(results.len(), 16);
-        for result in &results {
-            assert_eq!(result.summary.width, result.cell.fleet_size);
-            assert_eq!(result.summary.lanes.len(), result.cell.fleet_size);
-            assert_eq!(result.summary.host_requests, 250);
-            assert!(matches!(result.summary.mode, ReplayMode::OpenLoop { rate_scale } if rate_scale == 1.0));
-            assert!(result.summary.offered_iops() > 0.0);
+        for (spec, summary) in grid.specs.iter().zip(&results) {
+            assert_eq!(summary.width, spec.fleet_width);
+            assert_eq!(summary.lanes.len(), spec.fleet_width);
+            assert_eq!(summary.host_requests, 250);
+            assert!(matches!(summary.mode, ReplayMode::OpenLoop { rate_scale } if rate_scale == 1.0));
+            assert!(summary.offered_iops() > 0.0);
         }
     }
 
@@ -122,24 +86,25 @@ mod tests {
         // One seed rule: the FTL is not part of the seed, so the two rows a
         // table sets side by side were offered the identical request stream.
         let grid = ExperimentGrid::fleet_sweep(tiny_scale());
-        let results = ParallelRunner::run_serial_map(&grid, run_fleet_cell).unwrap();
-        for pair in results.chunks(2) {
-            let (conventional, ppb) = (&pair[0], &pair[1]);
-            assert_eq!(conventional.cell.workload, ppb.cell.workload);
-            assert_eq!(conventional.cell.fleet_size, ppb.cell.fleet_size);
-            assert_eq!(conventional.summary.offered_iops(), ppb.summary.offered_iops());
-            assert_eq!(conventional.summary.host_requests, ppb.summary.host_requests);
+        let results = ParallelRunner::new(1).map(&grid.specs, run_fleet_cell).unwrap();
+        for (specs, pair) in grid.specs.chunks(2).zip(results.chunks(2)) {
+            assert_eq!(specs[0].source, specs[1].source);
+            assert_eq!(specs[0].fleet_width, specs[1].fleet_width);
+            assert_eq!((pair[0].ftl.as_str(), pair[1].ftl.as_str()), ("conventional", "ppb"));
+            assert_eq!(pair[0].offered_iops(), pair[1].offered_iops());
+            assert_eq!(pair[0].host_requests, pair[1].host_requests);
         }
     }
 
     #[test]
-    fn fleet_grid_is_deterministic_across_worker_counts() {
-        let grid = ExperimentGrid {
-            fleet_sizes: vec![1, 3],
-            ..ExperimentGrid::full(tiny_scale())
-        };
-        let serial = ParallelRunner::run_serial_map(&grid, run_fleet_cell).unwrap();
-        let parallel = run_fleet_grid(&ParallelRunner::new(4), &grid).unwrap();
+    fn fleet_cells_are_deterministic_across_worker_counts() {
+        let specs: Vec<_> = ExperimentGrid::full(tiny_scale())
+            .specs
+            .into_iter()
+            .flat_map(|spec| [1, 3].map(|fleet_width| vflash_sim::RunSpec { fleet_width, ..spec }))
+            .collect();
+        let serial = ParallelRunner::new(1).map(&specs, run_fleet_cell).unwrap();
+        let parallel = ParallelRunner::new(4).map(&specs, run_fleet_cell).unwrap();
         assert_eq!(serial, parallel);
     }
 }

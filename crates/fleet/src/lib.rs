@@ -64,7 +64,7 @@ mod summary;
 
 pub use cache::{CacheConfig, CacheStats, WritebackCache};
 pub use fleet::{Fleet, FleetConfig, FleetDriver};
-pub use grid::{run_fleet_cell, run_fleet_grid, FleetCellResult};
+pub use grid::run_fleet_cell;
 pub use qos::{dispatch_order, TenantWeight, WeightedShares};
 pub use stripe::StripeMap;
 pub use summary::{FleetSummary, TenantSummary};

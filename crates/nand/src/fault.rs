@@ -16,8 +16,8 @@
 //! bit-identical to its golden baselines); [`FaultState`] holds one independent
 //! splitmix64 stream **per chip**, so the outcome of every operation depends
 //! only on the seed and that chip's own operation history — never on how work
-//! on other chips is interleaved. That is what keeps the work-stealing parallel
-//! grid runner bit-reproducible at any worker count with faults enabled.
+//! on other chips is interleaved. That is what keeps runs fanned out over
+//! threads bit-reproducible at any worker count with faults enabled.
 //!
 //! Each fault query consumes exactly one draw from its chip's stream,
 //! regardless of outcome, so outcome sequences are trivially reproducible.
@@ -169,8 +169,7 @@ pub struct ReadFaultInfo {
     pub total_time: Nanos,
 }
 
-/// splitmix64 finalizer: the same mix `ParallelRunner` uses for per-cell seeds,
-/// so fault streams inherit its avalanche quality.
+/// splitmix64 finalizer: well-mixed, reproducible streams from any seed.
 fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1,17 +1,26 @@
-//! Ready-made parameter sweeps reproducing the paper's evaluation (Figures 12–18).
+//! One description of a run, one executor, and the axes of the paper's
+//! evaluation (Figures 12–18).
 //!
-//! Every figure of the evaluation section has a function here that produces its data
-//! rows; the `experiments` binary in `vflash-bench` prints them. The sweeps are
-//! parameterised by an [`ExperimentScale`] so unit tests and the `--quick` golden
-//! can run a scaled-down version of the same code path that the full harness uses.
+//! A [`RunSpec`] is plain data: which trace, on which device, through which
+//! FTL, under which arrival discipline. [`run_spec`] is the only code that
+//! turns one into a [`RunSummary`] — it builds device and FTL, sets the GC
+//! victim policy, prefills, warms up and drives — and [`compare_specs`] runs a
+//! list of them through both FTLs **on the same trace**, fanned out over a
+//! [`ParallelRunner`]. Every section of the `experiments` binary in
+//! `vflash-bench` is such a list over the axis constants below, so unit tests
+//! and the `--quick` golden exercise the code path the full harness uses,
+//! scaled down by an [`ExperimentScale`].
 //!
 //! The original MSR-Cambridge traces are replaced by the synthetic generators in
 //! [`vflash_trace::synthetic`]; see `DESIGN.md` for the substitution rationale.
 
+use std::borrow::Cow;
+
 use vflash_ftl::hotcold::{FreqTable, MultiHash, TwoLevelLru};
 use vflash_ftl::{
-    ConventionalFtl, CostBenefitVictimPolicy, FlashTranslationLayer, FtlConfig, FtlError,
-    GreedyVictimPolicy, HotColdVictimPolicy, IoRequest, Lpn, VictimPolicy, WearAwareVictimPolicy,
+    ConventionalFtl, CostBenefitVictimPolicy, FlashTranslationLayer, FtlConfig, FtlCore, FtlError,
+    GreedyVictimPolicy, HotColdVictimPolicy, IoRequest, Lpn, Placement, VictimPolicy,
+    WearAwareVictimPolicy,
 };
 use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
 use vflash_ppb::{PpbConfig, PpbFtl};
@@ -20,6 +29,7 @@ use vflash_trace::Trace;
 
 use crate::engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
 use crate::lane::prefill;
+use crate::parallel::ParallelRunner;
 use crate::report::{Comparison, RunSummary};
 
 /// The speed-difference sweep used throughout the evaluation (2x to 5x).
@@ -42,13 +52,16 @@ pub const RATE_SCALES: [f64; 6] = [0.1, 0.25, 0.5, 1.0, 2.0, 4.0];
 /// device (the single-drive reference) through 8-wide striping.
 pub const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
 
-/// The burstiness axis of the [`burst_sweep`]: arrival models of *identical mean
-/// rate* ordered from smooth to extremely bursty. The first entry is the
+/// The burstiness axis: arrival models of *identical mean rate* ordered from
+/// smooth to extremely bursty. The first entry is the
 /// jittered-uniform reference; the Pareto entries get heavier as the shape drops
 /// towards 1, and the on/off entries compress all arrivals into ever denser
 /// bursts. Because the mean rate is held fixed, any latency difference down the
 /// axis is attributable to burstiness alone — the queueing-theory point the
-/// paper's tail-latency claims rest on.
+/// paper's tail-latency claims rest on: mean latency moves little, what moves
+/// is the *tail* (p99/p99.9, [`RunSummary::peak_queue_depth`],
+/// [`RunSummary::busy_arrival_fraction`]), where queueing amplifies every slow
+/// page access.
 pub fn burst_axis(mean_iops: f64) -> Vec<ArrivalModel> {
     vec![
         ArrivalModel::MeanRate { iops: mean_iops },
@@ -69,35 +82,44 @@ pub fn burst_axis(mean_iops: f64) -> Vec<ArrivalModel> {
 }
 
 /// The fraction of a device's probed saturation throughput the burstiness
-/// sweeps offer as their fixed mean rate. Half of saturation puts the smooth
+/// sweep offers as its fixed mean rate. Half of saturation puts the smooth
 /// end of the [`burst_axis`] comfortably inside the device's capacity — where
 /// uniform arrivals see near-zero queueing — while the bursty end still
 /// overloads the device *transiently*, exactly the regime where the tail
 /// spreads.
 pub const BURST_SATURATION_FRACTION: f64 = 0.5;
 
-/// The mean arrival rate the
-/// [`ExperimentGrid::burst_sweep`](crate::ExperimentGrid::burst_sweep) grid
-/// holds fixed across its burstiness axis: [`BURST_SATURATION_FRACTION`] of the
-/// *smallest* saturation throughput any of the grid's workloads reaches on the
-/// grid's device (each probed like [`burst_sweep_mean_iops`]). Taking the
-/// minimum keeps the smooth end of the axis under capacity for **every**
-/// workload in the grid, so differences down the axis stay attributable to
-/// burstiness rather than to one workload saturating outright. Historically
-/// this grid pinned ≈9.1 kIOPS (the recorded rate of the default uniform-gap
-/// generators) regardless of what the device could actually serve; the
-/// rate-relative probe makes the axis meaningful at any scale.
+/// The fixed mean rate a burstiness sweep of `workload` offers on the device of
+/// `scale`: [`BURST_SATURATION_FRACTION`] of the throughput the conventional
+/// FTL saturates at — closed loop at QD 64, where arrivals cannot come in
+/// faster than the device serves them.
+///
+/// # Errors
+///
+/// Propagates FTL construction and replay errors from the probe run.
+pub fn burst_mean_iops(workload: Workload, scale: &ExperimentScale) -> Result<f64, FtlError> {
+    let probe = RunSpec {
+        discipline: ArrivalDiscipline::ClosedLoop { queue_depth: 64 },
+        ..RunSpec::new(workload, *scale)
+    };
+    Ok(run_spec(&probe)?.request_iops() * BURST_SATURATION_FRACTION)
+}
+
+/// [`burst_mean_iops`] of the workload that saturates *first*: taking the
+/// minimum keeps the smooth end of the [`burst_axis`] under capacity for
+/// **every** workload, so differences down the axis stay attributable to
+/// burstiness rather than to one workload saturating outright, and probing
+/// (rather than pinning a rate) keeps the axis meaningful at any scale.
 ///
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors from the probe runs.
 pub fn grid_burst_mean_iops(scale: &ExperimentScale) -> Result<f64, FtlError> {
-    let mut mean: Option<f64> = None;
+    let mut mean = f64::INFINITY;
     for workload in Workload::ALL {
-        let probed = burst_sweep_mean_iops(workload, scale)?;
-        mean = Some(mean.map_or(probed, |current| current.min(probed)));
+        mean = mean.min(burst_mean_iops(workload, scale)?);
     }
-    Ok(mean.expect("Workload::ALL is non-empty"))
+    Ok(mean)
 }
 
 /// The two workloads of the evaluation.
@@ -128,7 +150,7 @@ impl Workload {
     }
 
     /// Like [`Workload::trace`], but spacing arrivals with an explicit
-    /// [`ArrivalModel`] — the entry point of the burstiness sweeps.
+    /// [`ArrivalModel`] — the burstiness axis.
     pub fn trace_with_arrival(self, scale: &ExperimentScale, arrival: ArrivalModel) -> Trace {
         let config = SyntheticConfig {
             requests: scale.requests,
@@ -175,6 +197,28 @@ impl Classifier {
             Classifier::TwoLevelLru => "two-level-lru",
             Classifier::FreqTable => "freq-table",
             Classifier::MultiHash => "multi-hash",
+        }
+    }
+}
+
+/// Which flash translation layer a run exercises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FtlKind {
+    /// The conventional page-mapping baseline.
+    Conventional,
+    /// The paper's FTL with the PPB strategy.
+    Ppb,
+}
+
+impl FtlKind {
+    /// Both FTLs, baseline first.
+    pub const ALL: [FtlKind; 2] = [FtlKind::Conventional, FtlKind::Ppb];
+
+    /// The label used in reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            FtlKind::Conventional => "conventional",
+            FtlKind::Ppb => "ppb",
         }
     }
 }
@@ -286,428 +330,6 @@ impl Default for ExperimentScale {
 /// access latency per trace, no request overlap).
 pub const SERIAL: ArrivalDiscipline = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
 
-/// Replays `trace` against the conventional FTL on a device built from `config`,
-/// under `discipline` (closed loop at any depth — [`SERIAL`] for the paper's
-/// figures — or open loop at a rate scale).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn replay_conventional(
-    trace: &Trace,
-    config: &NandConfig,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
-    let ftl = ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-    WorkloadDriver::new(RunOptions::default(), discipline).run(ftl, trace)
-}
-
-/// Replays `trace` against the PPB FTL with configuration `ppb` and first-stage
-/// `classifier` on a device built from `config`, under `discipline`. The
-/// paper's PPB is `PpbConfig::default()` with `Classifier::default()`; every
-/// figure, sweep and grid row goes through this one construction path, so those
-/// defaults can never diverge between them.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn replay_ppb(
-    trace: &Trace,
-    config: &NandConfig,
-    ppb: PpbConfig,
-    classifier: Classifier,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
-    let device = NandDevice::new(config.clone());
-    let driver = WorkloadDriver::new(RunOptions::default(), discipline);
-    match classifier {
-        Classifier::SizeCheck => driver.run(PpbFtl::new(device, ppb)?, trace),
-        Classifier::TwoLevelLru => {
-            let lru = TwoLevelLru::new(4096, 4096);
-            driver.run(PpbFtl::new(device, (ppb, lru))?, trace)
-        }
-        Classifier::FreqTable => {
-            let table = FreqTable::new(2, 100_000);
-            driver.run(PpbFtl::new(device, (ppb, table))?, trace)
-        }
-        Classifier::MultiHash => {
-            let sketch = MultiHash::new(1 << 16, 2, 2, 100_000);
-            driver.run(PpbFtl::new(device, (ppb, sketch))?, trace)
-        }
-    }
-}
-
-/// Both FTLs at their default configurations on the same trace and device,
-/// under one discipline: `(conventional, PPB)`.
-fn replay_both(
-    trace: &Trace,
-    config: &NandConfig,
-    discipline: ArrivalDiscipline,
-) -> Result<(RunSummary, RunSummary), FtlError> {
-    let conventional = replay_conventional(trace, config, discipline)?;
-    let ppb = replay_ppb(trace, config, PpbConfig::default(), Classifier::default(), discipline)?;
-    Ok((conventional, ppb))
-}
-
-/// Runs conventional vs PPB on one workload / page size / speed ratio and returns the
-/// comparison.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn compare(
-    workload: Workload,
-    page_size_bytes: usize,
-    speed_ratio: f64,
-    scale: &ExperimentScale,
-) -> Result<Comparison, FtlError> {
-    let trace = workload.trace(scale);
-    let config = scale.device_config(page_size_bytes, speed_ratio);
-    compare_trace(&trace, &config)
-}
-
-/// Runs conventional vs PPB (default configurations) on an arbitrary trace and
-/// device configuration — the single comparison step [`compare`] and the
-/// latency sweeps share.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn compare_trace(trace: &Trace, config: &NandConfig) -> Result<Comparison, FtlError> {
-    let (baseline, variant) = replay_both(trace, config, SERIAL)?;
-    Ok(Comparison::new(baseline, variant))
-}
-
-/// One row of Figure 12 / Figure 15: a workload, a page size, and the comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnhancementRow {
-    /// Workload the row belongs to.
-    pub workload: Workload,
-    /// Page size in bytes.
-    pub page_size_bytes: usize,
-    /// The baseline/variant comparison.
-    pub comparison: Comparison,
-}
-
-/// Figure 12 (read) and Figure 15 (write) share the same runs: both workloads at both
-/// page sizes, 2x speed difference.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn enhancement_rows(scale: &ExperimentScale) -> Result<Vec<EnhancementRow>, FtlError> {
-    let mut rows = Vec::new();
-    for workload in Workload::ALL {
-        for &page_size in &PAGE_SIZES {
-            let comparison = compare(workload, page_size, 2.0, scale)?;
-            rows.push(EnhancementRow { workload, page_size_bytes: page_size, comparison });
-        }
-    }
-    Ok(rows)
-}
-
-/// One row of the latency-versus-speed-difference figures (13, 14, 16, 17).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencySweepRow {
-    /// Top/bottom speed ratio for this row.
-    pub speed_ratio: f64,
-    /// Total latency under the conventional FTL.
-    pub conventional: Nanos,
-    /// Total latency under the PPB FTL.
-    pub ppb: Nanos,
-}
-
-/// Figures 13 and 14: total **read** latency of one workload for speed differences
-/// 2x–5x, conventional vs PPB (16 KB pages).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn read_latency_sweep(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<LatencySweepRow>, FtlError> {
-    read_latency_sweep_for_trace(&workload.trace(scale), scale)
-}
-
-/// Figures 16 and 17: total **write** latency of one workload for speed differences
-/// 2x–5x, conventional vs PPB (16 KB pages).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn write_latency_sweep(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<LatencySweepRow>, FtlError> {
-    write_latency_sweep_for_trace(&workload.trace(scale), scale)
-}
-
-/// [`read_latency_sweep`] over an arbitrary trace — the entry point the real-trace
-/// path (`experiments --trace file.csv`) shares with the synthetic workloads.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn read_latency_sweep_for_trace(
-    trace: &Trace,
-    scale: &ExperimentScale,
-) -> Result<Vec<LatencySweepRow>, FtlError> {
-    latency_sweep_for_trace(trace, scale, |summary| summary.read_time)
-}
-
-/// [`write_latency_sweep`] over an arbitrary trace.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn write_latency_sweep_for_trace(
-    trace: &Trace,
-    scale: &ExperimentScale,
-) -> Result<Vec<LatencySweepRow>, FtlError> {
-    latency_sweep_for_trace(trace, scale, |summary| summary.write_time)
-}
-
-fn latency_sweep_for_trace(
-    trace: &Trace,
-    scale: &ExperimentScale,
-    metric: impl Fn(&RunSummary) -> Nanos,
-) -> Result<Vec<LatencySweepRow>, FtlError> {
-    let mut rows = Vec::new();
-    for &ratio in &SPEED_RATIOS {
-        let comparison = compare_trace(trace, &scale.device_config(16 * 1024, ratio))?;
-        rows.push(LatencySweepRow {
-            speed_ratio: ratio,
-            conventional: metric(&comparison.baseline),
-            ppb: metric(&comparison.variant),
-        });
-    }
-    Ok(rows)
-}
-
-/// One row of the offered-load (open-loop) sweep: both FTLs replaying the same
-/// trace at one rate scale.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateScaleRow {
-    /// Multiplier on the trace's recorded arrival rate.
-    pub rate_scale: f64,
-    /// The conventional FTL's summary (offered/achieved IOPS, queue-delay and
-    /// service-time percentiles).
-    pub conventional: RunSummary,
-    /// The PPB FTL's summary.
-    pub ppb: RunSummary,
-}
-
-/// The offered-load sweep: both FTLs replay one workload **open-loop** at every
-/// rate scale in [`RATE_SCALES`] on the same multi-chip device (16 KB pages, 2x
-/// speed difference). Device state evolves identically at every rate — only the
-/// arrival overlay changes — so this is the latency-vs-offered-load curve: as the
-/// offered rate passes what the device can absorb, achieved IOPS flattens and
-/// queueing delay (not service time) takes over the response time.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn rate_scale_sweep(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<RateScaleRow>, FtlError> {
-    rate_scale_sweep_for_trace(&workload.trace(scale), scale)
-}
-
-/// [`rate_scale_sweep`] over an arbitrary trace (the real-trace path).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn rate_scale_sweep_for_trace(
-    trace: &Trace,
-    scale: &ExperimentScale,
-) -> Result<Vec<RateScaleRow>, FtlError> {
-    let config = scale.device_config(16 * 1024, 2.0);
-    let mut rows = Vec::new();
-    for &rate_scale in &RATE_SCALES {
-        let discipline = ArrivalDiscipline::OpenLoop { rate_scale };
-        let (conventional, ppb) = replay_both(trace, &config, discipline)?;
-        rows.push(RateScaleRow { rate_scale, conventional, ppb });
-    }
-    Ok(rows)
-}
-
-/// One row of the burstiness sweep: both FTLs replaying the same workload under
-/// one arrival model of the shared-mean-rate [`burst_axis`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurstRow {
-    /// The arrival model this row was generated with.
-    pub arrival: ArrivalModel,
-    /// The conventional FTL's open-loop summary (tail percentiles, peak queue
-    /// depth, busy-arrival fraction).
-    pub conventional: RunSummary,
-    /// The PPB FTL's summary.
-    pub ppb: RunSummary,
-}
-
-/// Measures the saturation throughput of the burst-sweep device for `workload`
-/// at `scale` (conventional FTL, closed loop at QD 64 — arrivals cannot come in
-/// faster than that serves them) and returns [`BURST_SATURATION_FRACTION`] of
-/// it: the fixed mean rate the [`burst_sweep`] offers.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors from the probe run.
-pub fn burst_sweep_mean_iops(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<f64, FtlError> {
-    let config = scale.device_config(16 * 1024, 2.0);
-    let saturated = replay_conventional(
-        &workload.trace(scale),
-        &config,
-        ArrivalDiscipline::ClosedLoop { queue_depth: 64 },
-    )?;
-    Ok(saturated.request_iops() * BURST_SATURATION_FRACTION)
-}
-
-/// The burstiness sweep: both FTLs replay one workload **open-loop at the
-/// trace's own clock** (rate scale 1) under every arrival model of the
-/// [`burst_axis`], at one fixed mean rate — half the device's measured
-/// saturation throughput ([`burst_sweep_mean_iops`]) — on the same device the
-/// offered-load sweep uses (16 KB pages, 2x speed difference).
-///
-/// Because the mean rate never changes, mean latency moves little down the axis
-/// — what moves is the *tail*: p99/p99.9 response time, the peak backlog
-/// ([`RunSummary::peak_queue_depth`]) and the fraction of requests arriving into
-/// a busy system ([`RunSummary::busy_arrival_fraction`]) all grow as arrivals
-/// concentrate into bursts. This is the workload dimension the paper's
-/// latency-under-load claims actually depend on: a placement win that looks
-/// marginal in mean latency shows up multiplied in the burst tail, where
-/// queueing amplifies every slow page access.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn burst_sweep(workload: Workload, scale: &ExperimentScale) -> Result<Vec<BurstRow>, FtlError> {
-    let mean_iops = burst_sweep_mean_iops(workload, scale)?;
-    burst_sweep_at(workload, scale, mean_iops)
-}
-
-/// [`burst_sweep`] at an explicit mean rate, skipping the saturation probe —
-/// for callers that already ran [`burst_sweep_mean_iops`] (to report the mean)
-/// or want to pin the offered load themselves.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn burst_sweep_at(
-    workload: Workload,
-    scale: &ExperimentScale,
-    mean_iops: f64,
-) -> Result<Vec<BurstRow>, FtlError> {
-    let config = scale.device_config(16 * 1024, 2.0);
-    let discipline = ArrivalDiscipline::OpenLoop { rate_scale: 1.0 };
-    let mut rows = Vec::new();
-    for arrival in burst_axis(mean_iops) {
-        let trace = workload.trace_with_arrival(scale, arrival);
-        let (conventional, ppb) = replay_both(&trace, &config, discipline)?;
-        rows.push(BurstRow { arrival, conventional, ppb });
-    }
-    Ok(rows)
-}
-
-/// One row of Figure 18: erased-block counts per workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EraseCountRow {
-    /// Workload the row belongs to.
-    pub workload: Workload,
-    /// Blocks erased under the conventional FTL.
-    pub conventional: u64,
-    /// Blocks erased under the PPB FTL.
-    pub ppb: u64,
-}
-
-/// Figure 18: erased block counts for both workloads (2x speed difference, 16 KB
-/// pages).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn erase_count_rows(scale: &ExperimentScale) -> Result<Vec<EraseCountRow>, FtlError> {
-    let mut rows = Vec::new();
-    for workload in Workload::ALL {
-        let comparison = compare(workload, 16 * 1024, 2.0, scale)?;
-        rows.push(EraseCountRow {
-            workload,
-            conventional: comparison.baseline.erased_blocks,
-            ppb: comparison.variant.erased_blocks,
-        });
-    }
-    Ok(rows)
-}
-
-/// Ablation: read enhancement as a function of the number of virtual blocks per
-/// physical block (the paper notes the 2-way split as the overhead/benefit sweet
-/// spot).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn ablation_virtual_blocks(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<(usize, f64)>, FtlError> {
-    let trace = workload.trace(scale);
-    let config = scale.device_config(16 * 1024, 4.0);
-    let baseline = replay_conventional(&trace, &config, SERIAL)?;
-    let mut rows = Vec::new();
-    for virtual_blocks in [1usize, 2, 4] {
-        let ppb_config = PpbConfig {
-            virtual_blocks_per_block: virtual_blocks,
-            max_open_blocks_per_area: virtual_blocks.max(2),
-            ..PpbConfig::default()
-        };
-        let variant = replay_ppb(&trace, &config, ppb_config, Classifier::default(), SERIAL)?;
-        let comparison = Comparison::new(baseline.clone(), variant);
-        rows.push((virtual_blocks, comparison.read_enhancement_pct()));
-    }
-    Ok(rows)
-}
-
-/// One row of the queue-depth sweep: both FTLs replaying the same trace at one
-/// depth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueDepthRow {
-    /// Queue depth of this row.
-    pub queue_depth: usize,
-    /// The conventional FTL's summary (with percentiles and achieved IOPS).
-    pub conventional: RunSummary,
-    /// The PPB FTL's summary.
-    pub ppb: RunSummary,
-}
-
-/// The queue-depth sweep: both FTLs replay one workload at QD ∈
-/// [`QUEUE_DEPTHS`] on the same multi-chip device (16 KB pages, 2x speed
-/// difference). Device state evolves identically at every depth — only the timing
-/// overlay changes — so differences in IOPS and tail latency are attributable to
-/// queuing alone.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn queue_depth_sweep(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<QueueDepthRow>, FtlError> {
-    let trace = workload.trace(scale);
-    let config = scale.device_config(16 * 1024, 2.0);
-    let mut rows = Vec::new();
-    for &queue_depth in &QUEUE_DEPTHS {
-        let discipline = ArrivalDiscipline::ClosedLoop { queue_depth };
-        let (conventional, ppb) = replay_both(&trace, &config, discipline)?;
-        rows.push(QueueDepthRow { queue_depth, conventional, ppb });
-    }
-    Ok(rows)
-}
-
 /// Garbage-collection victim-selection policies compared in the Figure 18
 /// ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -775,55 +397,271 @@ impl std::fmt::Display for GcPolicy {
     }
 }
 
-/// One row of the Figure 18 policy ablation: erased-block counts of both FTLs
-/// under one victim policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyEraseRow {
-    /// Workload the row belongs to.
-    pub workload: Workload,
-    /// Victim policy both FTLs used.
-    pub policy: GcPolicy,
-    /// Blocks erased under the conventional FTL.
-    pub conventional: u64,
-    /// Blocks erased under the PPB FTL.
-    pub ppb: u64,
+/// Where a run's requests come from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceSource<'a> {
+    /// Generated from the spec's scale, seed and [`ArrivalModel`].
+    Synthetic(Workload),
+    /// A trace the caller holds (`experiments --trace file.csv`); the arrival
+    /// model does not apply.
+    External(&'a Trace),
 }
 
-/// Figure 18 ablation: erased-block counts for both workloads under every victim
-/// policy in [`GcPolicy::ALL`] (2x speed difference, 16 KB pages). The `greedy`
-/// rows coincide with [`erase_count_rows`].
+impl TraceSource<'_> {
+    /// The workload label or trace name, as reports print it.
+    pub fn label(&self) -> &str {
+        match self {
+            TraceSource::Synthetic(workload) => workload.label(),
+            TraceSource::External(trace) => trace.name(),
+        }
+    }
+}
+
+impl From<Workload> for TraceSource<'_> {
+    fn from(workload: Workload) -> Self {
+        TraceSource::Synthetic(workload)
+    }
+}
+
+impl<'a> From<&'a Trace> for TraceSource<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        TraceSource::External(trace)
+    }
+}
+
+/// One run, as plain data: every value some section of the evaluation varies.
+/// [`RunSpec::new`] is the paper's default point (16 KB pages, 2x, QD 1,
+/// greedy GC, PPB as published); sections move one or two fields off it with
+/// struct-update syntax.
+///
+/// One seed rule: the trace of a synthetic spec is generated from `scale.seed`
+/// and nothing else, so specs that differ only in FTL, discipline, fleet width
+/// or any other device-side field replay the *same* requests.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSpec<'a> {
+    /// The requests to replay.
+    pub source: TraceSource<'a>,
+    /// Trace length, working set, device geometry and workload seed.
+    pub scale: ExperimentScale,
+    /// Flash page size in bytes.
+    pub page_size_bytes: usize,
+    /// Top/bottom page speed ratio.
+    pub speed_ratio: f64,
+    /// NAND fault model for the device (`None`: fault-free). The
+    /// [`FaultConfig`] carries its own seed.
+    pub faults: Option<FaultConfig>,
+    /// The FTL under test.
+    pub ftl: FtlKind,
+    /// PPB configuration (ignored by the conventional FTL).
+    pub ppb: PpbConfig,
+    /// PPB's first-stage hot/cold classifier (ignored by the conventional FTL).
+    pub classifier: Classifier,
+    /// GC victim policy.
+    pub gc_policy: GcPolicy,
+    /// When requests are issued: closed loop at a depth, or open loop at a rate.
+    pub discipline: ArrivalDiscipline,
+    /// How a synthetic trace spaces its arrivals.
+    pub arrival: ArrivalModel,
+    /// Fraction of the trace replayed un-measured (after the prefill of the
+    /// *full* trace's pages) before the measured suffix starts, so a longer
+    /// warm-up measures a genuinely aged device rather than a shorter trace on
+    /// a fresh one.
+    pub warmup_fraction: f64,
+    /// Devices the keyspace is striped over. [`run_spec`] replays on one
+    /// device and ignores it; `vflash_fleet::run_fleet_cell` is the
+    /// width-aware executor (this crate sits below the fleet tier).
+    pub fleet_width: usize,
+}
+
+impl<'a> RunSpec<'a> {
+    /// The paper's default point for `source` at `scale`: conventional FTL,
+    /// 16 KB pages, 2x speed difference, no faults, greedy GC, [`SERIAL`]
+    /// replay of the default arrivals, no warm-up, one device.
+    pub fn new(source: impl Into<TraceSource<'a>>, scale: ExperimentScale) -> Self {
+        RunSpec {
+            source: source.into(),
+            scale,
+            page_size_bytes: 16 * 1024,
+            speed_ratio: 2.0,
+            faults: None,
+            ftl: FtlKind::Conventional,
+            ppb: PpbConfig::default(),
+            classifier: Classifier::default(),
+            gc_policy: GcPolicy::Greedy,
+            discipline: SERIAL,
+            arrival: ArrivalModel::default(),
+            warmup_fraction: 0.0,
+            fleet_width: 1,
+        }
+    }
+
+    /// This spec on `ftl`. The conventional FTL has no PPB knobs, so they are
+    /// reset: baselines of rows that differ only in those compare equal and
+    /// [`compare_specs`] runs them once.
+    pub fn on(self, ftl: FtlKind) -> Self {
+        match ftl {
+            FtlKind::Conventional => RunSpec {
+                ftl,
+                ppb: PpbConfig::default(),
+                classifier: Classifier::default(),
+                ..self
+            },
+            FtlKind::Ppb => RunSpec { ftl, ..self },
+        }
+    }
+
+    /// The trace this spec replays: generated, or the caller's.
+    pub fn trace(&self) -> Cow<'a, Trace> {
+        match self.source {
+            TraceSource::Synthetic(workload) => {
+                Cow::Owned(workload.trace_with_arrival(&self.scale, self.arrival))
+            }
+            TraceSource::External(trace) => Cow::Borrowed(trace),
+        }
+    }
+
+    /// Hands `job` a constructor of this spec's FTL — device built from the
+    /// scale, page size, speed ratio and faults; victim policy set — whatever
+    /// its concrete type. Every executor builds its FTLs here, so the paper's
+    /// defaults can never diverge between a figure, a grid and a fleet lane.
+    ///
+    /// # Errors
+    ///
+    /// Propagates an invalid fault configuration and whatever `job` returns.
+    pub fn with_ftl<J: FtlJob>(&self, job: J) -> Result<J::Output, FtlError> {
+        let mut config = self.scale.device_config(self.page_size_bytes, self.speed_ratio);
+        if let Some(faults) = self.faults {
+            config = config.with_faults(faults)?;
+        }
+        let device = || NandDevice::new(config.clone());
+        let (ppb, policy) = (self.ppb, self.gc_policy);
+        match (self.ftl, self.classifier) {
+            (FtlKind::Conventional, _) => {
+                job.run(|| with_policy(ConventionalFtl::new(device(), FtlConfig::default()), policy))
+            }
+            (FtlKind::Ppb, Classifier::SizeCheck) => {
+                job.run(|| with_policy(PpbFtl::new(device(), ppb), policy))
+            }
+            (FtlKind::Ppb, Classifier::TwoLevelLru) => job.run(|| {
+                with_policy(PpbFtl::new(device(), (ppb, TwoLevelLru::new(4096, 4096))), policy)
+            }),
+            (FtlKind::Ppb, Classifier::FreqTable) => job.run(|| {
+                with_policy(PpbFtl::new(device(), (ppb, FreqTable::new(2, 100_000))), policy)
+            }),
+            (FtlKind::Ppb, Classifier::MultiHash) => job.run(|| {
+                let sketch = MultiHash::new(1 << 16, 2, 2, 100_000);
+                with_policy(PpbFtl::new(device(), (ppb, sketch)), policy)
+            }),
+        }
+    }
+}
+
+fn with_policy<P: Placement>(
+    ftl: Result<FtlCore<P>, FtlError>,
+    policy: GcPolicy,
+) -> Result<FtlCore<P>, FtlError> {
+    let mut ftl = ftl?;
+    ftl.set_victim_policy(policy.build());
+    Ok(ftl)
+}
+
+/// Work to do on the FTL a [`RunSpec`] describes. The FTLs are five concrete
+/// types (the conventional placement, and PPB over four classifiers), so code
+/// generic over them receives a constructor instead of a value.
+pub trait FtlJob {
+    /// What the job produces.
+    type Output;
+
+    /// Runs the job. Every call of `build` makes a fresh device and FTL (a
+    /// fleet calls it once per lane).
+    ///
+    /// # Errors
+    ///
+    /// Propagates FTL construction and replay errors.
+    fn run<F: FlashTranslationLayer>(
+        self,
+        build: impl Fn() -> Result<F, FtlError>,
+    ) -> Result<Self::Output, FtlError>;
+}
+
+/// Runs one spec on a single device: builds device and FTL, prefills every
+/// page the trace touches, replays the warm-up prefix un-measured (if any) and
+/// measures the rest under the spec's discipline.
 ///
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors.
-pub fn erase_count_by_policy(scale: &ExperimentScale) -> Result<Vec<PolicyEraseRow>, FtlError> {
-    let serial = WorkloadDriver::new(RunOptions::default(), SERIAL);
-    let mut rows = Vec::new();
-    for workload in Workload::ALL {
-        let trace = workload.trace(scale);
-        let config = scale.device_config(16 * 1024, 2.0);
-        for policy in GcPolicy::ALL {
-            let mut conventional =
-                ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-            conventional.set_victim_policy(policy.build());
-            let baseline = serial.run(conventional, &trace)?;
-
-            let mut ppb = PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default())?;
-            ppb.set_victim_policy(policy.build());
-            let variant = serial.run(ppb, &trace)?;
-
-            rows.push(PolicyEraseRow {
-                workload,
-                policy,
-                conventional: baseline.erased_blocks,
-                ppb: variant.erased_blocks,
-            });
+pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
+    struct Replay<'s, 'a>(&'s RunSpec<'a>);
+    impl FtlJob for Replay<'_, '_> {
+        type Output = RunSummary;
+        fn run<F: FlashTranslationLayer>(
+            self,
+            build: impl Fn() -> Result<F, FtlError>,
+        ) -> Result<RunSummary, FtlError> {
+            let (spec, trace) = (self.0, self.0.trace());
+            let mut ftl = build()?;
+            let split = ((trace.len() as f64 * spec.warmup_fraction).round() as usize).min(trace.len());
+            let options = RunOptions::default();
+            if split == 0 {
+                return WorkloadDriver::new(options, spec.discipline).run_mut(&mut ftl, &trace);
+            }
+            let logical_pages = ftl.logical_pages();
+            prefill(&options, &mut [&mut ftl], &trace, |page| (0, page % logical_pages))?;
+            let driver = WorkloadDriver::new(RunOptions { prefill: false, ..options }, spec.discipline);
+            let (warmup, measured) = trace.requests().split_at(split);
+            driver.run_mut(&mut ftl, &Trace::new(format!("{}+warmup", trace.name()), warmup.to_vec()))?;
+            driver.run_mut(&mut ftl, &Trace::new(trace.name().to_string(), measured.to_vec()))
         }
     }
-    Ok(rows)
+    spec.with_ftl(Replay(spec))
 }
 
-/// The RBER multipliers of the [`fault_sweep`]: the device's nominal error
+/// One row of every comparison table: a spec, and both FTLs' runs of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ComparisonRow<'a> {
+    /// What was run (its `ftl` field is not meaningful here).
+    pub spec: RunSpec<'a>,
+    /// Conventional (baseline) against PPB (variant), on the same trace.
+    pub comparison: Comparison,
+}
+
+/// Runs every spec through both FTLs on `runner` and pairs the summaries up,
+/// one row per spec, in order. Runs that compare equal — the conventional
+/// baseline of rows that vary only a PPB knob — execute once.
+///
+/// # Errors
+///
+/// Returns the error of the lowest-indexed failing run.
+pub fn compare_specs<'a>(
+    runner: &ParallelRunner,
+    specs: &[RunSpec<'a>],
+) -> Result<Vec<ComparisonRow<'a>>, FtlError> {
+    let mut runs: Vec<RunSpec<'a>> = Vec::new();
+    let pairs: Vec<[usize; 2]> = specs
+        .iter()
+        .map(|spec| {
+            FtlKind::ALL.map(|ftl| {
+                let run = spec.on(ftl);
+                runs.iter().position(|seen| *seen == run).unwrap_or_else(|| {
+                    runs.push(run);
+                    runs.len() - 1
+                })
+            })
+        })
+        .collect();
+    let summaries = runner.map(&runs, run_spec)?;
+    Ok(specs
+        .iter()
+        .zip(pairs)
+        .map(|(&spec, [baseline, variant])| ComparisonRow {
+            spec,
+            comparison: Comparison::new(summaries[baseline].clone(), summaries[variant].clone()),
+        })
+        .collect())
+}
+
+/// The RBER multipliers of the fault sweep: the device's nominal error
 /// curve, a mid-life 2x, and an aged 4x. At the 16 KB page size the nominal
 /// curve sits just under the free ECC budget (most reads pass without
 /// retries), 2x pushes the typical read one retry step down the ladder, and
@@ -831,69 +669,13 @@ pub fn erase_count_by_policy(scale: &ExperimentScale) -> Result<Vec<PolicyEraseR
 /// regimes a device traverses between fresh and end of life.
 pub const RBER_SCALES: [f64; 3] = [1.0, 2.0, 4.0];
 
-/// The GC policies the [`fault_sweep`] crosses with the RBER axis: the plain
-/// greedy baseline and the tag-aware hot-cold policy, whose cold preference
-/// keeps stable data out of the copy path (fewer relocation reads → fewer
-/// chances for a retry to land on the GC critical path).
+/// The GC policies the fault sweep crosses with the RBER axis (on the web/SQL
+/// workload, whose re-read-heavy tail is where retry latency compounds with
+/// queueing): the plain greedy baseline and the tag-aware hot-cold policy,
+/// whose cold preference keeps stable data out of the copy path (fewer
+/// relocation reads → fewer chances for a retry to land on the GC critical
+/// path).
 pub const FAULT_SWEEP_POLICIES: [GcPolicy; 2] = [GcPolicy::Greedy, GcPolicy::HotCold];
-
-/// One row of the fault sweep: both FTLs replaying the web/SQL-server workload
-/// under one RBER scale and GC victim policy. The summaries carry the
-/// reliability counters ([`RunSummary::retried_reads`],
-/// [`RunSummary::uncorrectable_reads`], [`RunSummary::bad_blocks_grown`]) and
-/// the latency percentiles, so the row shows both how often the fault model
-/// fired and what it did to the p99.9 tail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRow {
-    /// Multiplier applied to the device's RBER curve.
-    pub rber_scale: f64,
-    /// GC victim policy both FTLs used.
-    pub policy: GcPolicy,
-    /// The conventional FTL's summary.
-    pub conventional: RunSummary,
-    /// The PPB FTL's summary.
-    pub ppb: RunSummary,
-}
-
-/// The fault sweep: both FTLs replay the web/SQL-server workload (16 KB pages,
-/// 2x speed difference, QD 1) with the NAND fault model enabled at every RBER
-/// scale in [`RBER_SCALES`], crossed with the [`FAULT_SWEEP_POLICIES`]. The
-/// read-retry ladder turns raw bit errors into latency — folded into the same
-/// service times the percentiles are computed from — while the default
-/// program/erase failure probabilities keep a trickle of bad-block retirements
-/// flowing through the remap path. The web workload is the interesting one
-/// here: its re-read-heavy tail is exactly where retry latency compounds with
-/// queueing.
-///
-/// The fault seed is derived from the scale's workload seed, so the sweep is
-/// reproducible end to end.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn fault_sweep(scale: &ExperimentScale) -> Result<Vec<FaultRow>, FtlError> {
-    let trace = Workload::WebSqlServer.trace(scale);
-    let base = scale.device_config(16 * 1024, 2.0);
-    let serial = WorkloadDriver::new(RunOptions::default(), SERIAL);
-    let mut rows = Vec::new();
-    for &rber_scale in &RBER_SCALES {
-        let faults = FaultConfig { rber_scale, ..FaultConfig::enabled(scale.seed ^ 0xFA17) };
-        let config = base.clone().with_faults(faults)?;
-        for policy in FAULT_SWEEP_POLICIES {
-            let mut conventional =
-                ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-            conventional.set_victim_policy(policy.build());
-            let baseline = serial.run(conventional, &trace)?;
-
-            let mut ppb = PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default())?;
-            ppb.set_victim_policy(policy.build());
-            let variant = serial.run(ppb, &trace)?;
-
-            rows.push(FaultRow { rber_scale, policy, conventional: baseline, ppb: variant });
-        }
-    }
-    Ok(rows)
-}
 
 /// One row of the end-of-life probe ([`fault_lifetime`]): how far one FTL got
 /// before bad-block growth drove its device read-only.
@@ -978,30 +760,11 @@ fn drive_to_read_only<F: FlashTranslationLayer>(
     })
 }
 
-/// Ablation: read enhancement as a function of the first-stage hot/cold classifier.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn ablation_classifier(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<(Classifier, f64)>, FtlError> {
-    let trace = workload.trace(scale);
-    let config = scale.device_config(16 * 1024, 4.0);
-    let baseline = replay_conventional(&trace, &config, SERIAL)?;
-    let mut rows = Vec::new();
-    for classifier in Classifier::ALL {
-        let variant = replay_ppb(&trace, &config, PpbConfig::default(), classifier, SERIAL)?;
-        let comparison = Comparison::new(baseline.clone(), variant);
-        rows.push((classifier, comparison.read_enhancement_pct()));
-    }
-    Ok(rows)
-}
-
-/// The warm-up prefix lengths of the [`ppb_sensitivity_sweep`], as fractions
-/// of the trace replayed un-measured (after the usual prefill) to age the
-/// device before the measured suffix starts.
+/// The warm-up prefix lengths of the PPB sensitivity sweep
+/// ([`RunSpec::warmup_fraction`]). The sweep is one-at-a-time around the
+/// default configuration: these at default knobs, then the two promotion knobs
+/// below on an un-warmed device (ROADMAP carry-over: does aging the device or
+/// retuning promotion widen the ~1% quick-scale win?).
 pub const PPB_WARMUP_FRACTIONS: [f64; 3] = [0.0, 0.25, 0.5];
 
 /// The [`PpbConfig::cold_promote_reads`] promotion thresholds the sensitivity
@@ -1012,112 +775,22 @@ pub const PPB_COLD_PROMOTE_READS: [u32; 2] = [2, 4];
 /// on top of the default configuration (whose fraction is 0.15).
 pub const PPB_HOT_LIST_FRACTIONS: [f64; 2] = [0.10, 0.25];
 
-/// One row of the PPB sensitivity sweep: the warm-up length and the two
-/// promotion knobs the row ran with, plus the conventional-vs-PPB comparison
-/// on the measured (post-warm-up) suffix of the trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PpbSensitivityRow {
-    /// Workload the row belongs to.
-    pub workload: Workload,
-    /// Fraction of the trace replayed un-measured before measurement.
-    pub warmup_fraction: f64,
-    /// The `cold_promote_reads` threshold the PPB variant ran with.
-    pub cold_promote_reads: u32,
-    /// The `hot_list_fraction` capacity the PPB variant ran with.
-    pub hot_list_fraction: f64,
-    /// The baseline/variant comparison over the measured suffix.
-    pub comparison: Comparison,
-}
-
-/// Sensitivity of the PPB win to warm-up length and promotion thresholds
-/// (ROADMAP carry-over: the quick-scale win is ~1% on web/SQL vs the paper's
-/// ~10%+; this sweep answers whether aging the device or retuning promotion
-/// widens it). One-at-a-time axes around the default configuration: the
-/// [`PPB_WARMUP_FRACTIONS`] at default knobs, then the
-/// [`PPB_COLD_PROMOTE_READS`] and [`PPB_HOT_LIST_FRACTIONS`] variations on an
-/// un-warmed device. Baselines are shared between rows with the same warm-up
-/// split (the conventional FTL has no PPB knobs to vary).
-///
-/// Each row prefills the *full* trace's pages first, replays the warm-up
-/// prefix serially without measuring it, and measures the remaining suffix —
-/// so longer warm-ups measure a genuinely aged device rather than a shorter
-/// trace on a fresh one.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn ppb_sensitivity_sweep(
-    workload: Workload,
-    scale: &ExperimentScale,
-) -> Result<Vec<PpbSensitivityRow>, FtlError> {
-    let trace = workload.trace(scale);
-    let config = scale.device_config(16 * 1024, 2.0);
-    let mut cells: Vec<(f64, PpbConfig)> = PPB_WARMUP_FRACTIONS
-        .iter()
-        .map(|&warmup| (warmup, PpbConfig::default()))
-        .collect();
-    cells.extend(PPB_COLD_PROMOTE_READS.iter().map(|&promote| {
-        (0.0, PpbConfig { cold_promote_reads: promote, ..PpbConfig::default() })
-    }));
-    cells.extend(PPB_HOT_LIST_FRACTIONS.iter().map(|&fraction| {
-        (0.0, PpbConfig { hot_list_fraction: fraction, ..PpbConfig::default() })
-    }));
-
-    let mut baselines: Vec<(usize, RunSummary)> = Vec::new();
-    let mut rows = Vec::new();
-    for (warmup_fraction, ppb) in cells {
-        let split = warmup_split(trace.len(), warmup_fraction);
-        let baseline = match baselines.iter().find(|(cached, _)| *cached == split) {
-            Some((_, summary)) => summary.clone(),
-            None => {
-                let ftl = ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-                let summary = sensitivity_run(ftl, &trace, split)?;
-                baselines.push((split, summary.clone()));
-                summary
-            }
-        };
-        let cold_promote_reads = ppb.cold_promote_reads;
-        let hot_list_fraction = ppb.hot_list_fraction;
-        let variant = sensitivity_run(PpbFtl::new(NandDevice::new(config.clone()), ppb)?, &trace, split)?;
-        rows.push(PpbSensitivityRow {
-            workload,
-            warmup_fraction,
-            cold_promote_reads,
-            hot_list_fraction,
-            comparison: Comparison::new(baseline, variant),
-        });
-    }
-    Ok(rows)
-}
-
-/// Number of leading requests the sensitivity sweep treats as warm-up.
-fn warmup_split(total: usize, fraction: f64) -> usize {
-    ((total as f64 * fraction).round() as usize).min(total)
-}
-
-/// One sensitivity measurement: prefill the full trace's pages, replay the
-/// first `split` requests serially without measuring, then measure the rest.
-fn sensitivity_run<F: FlashTranslationLayer>(
-    mut ftl: F,
-    trace: &Trace,
-    split: usize,
-) -> Result<RunSummary, FtlError> {
-    let logical_pages = ftl.logical_pages();
-    let options = RunOptions::default();
-    prefill(&options, &mut [&mut ftl], trace, |page| (0, page % logical_pages))?;
-    let driver = WorkloadDriver::new(RunOptions { prefill: false, ..options }, SERIAL);
-    if split > 0 {
-        let warmup =
-            Trace::new(format!("{}+warmup", trace.name()), trace.requests()[..split].to_vec());
-        driver.run_mut(&mut ftl, &warmup)?;
-    }
-    let measured = Trace::new(trace.name().to_string(), trace.requests()[split..].to_vec());
-    driver.run_mut(&mut ftl, &measured)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both FTLs along one axis: a row per axis value.
+    fn along<T: Copy>(
+        axis: &[T],
+        spec: impl Fn(T) -> RunSpec<'static>,
+    ) -> Vec<ComparisonRow<'static>> {
+        let specs: Vec<RunSpec<'static>> = axis.iter().map(|&value| spec(value)).collect();
+        compare_specs(&ParallelRunner::with_available_parallelism(), &specs).unwrap()
+    }
+
+    fn compare(spec: RunSpec<'static>) -> Comparison {
+        along(&[spec], |spec| spec).remove(0).comparison
+    }
 
     #[test]
     fn quick_scale_produces_a_reasonable_device() {
@@ -1138,13 +811,41 @@ mod tests {
     }
 
     #[test]
-    fn compare_runs_both_ftls_on_the_same_trace() {
+    fn a_row_runs_both_ftls_on_the_same_trace() {
         let scale = ExperimentScale { requests: 800, ..ExperimentScale::quick() };
-        let comparison = compare(Workload::WebSqlServer, 16 * 1024, 2.0, &scale).unwrap();
+        let comparison = compare(RunSpec::new(Workload::WebSqlServer, scale));
         assert_eq!(comparison.baseline.ftl, "conventional");
         assert_eq!(comparison.variant.ftl, "ppb");
         assert_eq!(comparison.baseline.host_reads, comparison.variant.host_reads);
         assert_eq!(comparison.baseline.host_writes, comparison.variant.host_writes);
+    }
+
+    #[test]
+    fn an_external_trace_replays_like_the_workload_that_generated_it() {
+        let scale = ExperimentScale { requests: 600, ..ExperimentScale::quick() };
+        let trace = Workload::MediaServer.trace(&scale);
+        for ftl in FtlKind::ALL {
+            let external = RunSpec::new(&trace, scale).on(ftl);
+            assert_eq!(external.source.label(), "media-server");
+            assert!(matches!(external.trace(), Cow::Borrowed(_)));
+            let synthetic = RunSpec::new(Workload::MediaServer, scale).on(ftl);
+            assert_eq!(run_spec(&external).unwrap(), run_spec(&synthetic).unwrap());
+        }
+    }
+
+    #[test]
+    fn baselines_of_rows_that_vary_a_ppb_knob_are_one_run() {
+        let base = RunSpec::new(Workload::WebSqlServer, ExperimentScale::quick());
+        let retuned = RunSpec {
+            ppb: PpbConfig { cold_promote_reads: 4, ..PpbConfig::default() },
+            classifier: Classifier::MultiHash,
+            ..base
+        };
+        assert_eq!(retuned.on(FtlKind::Conventional), base.on(FtlKind::Conventional));
+        assert_ne!(retuned.on(FtlKind::Ppb), base.on(FtlKind::Ppb));
+        // A device-side field is not a PPB knob: those baselines stay apart.
+        let aged = RunSpec { warmup_fraction: 0.25, ..base };
+        assert_ne!(aged.on(FtlKind::Conventional), base.on(FtlKind::Conventional));
     }
 
     #[test]
@@ -1156,7 +857,8 @@ mod tests {
             working_set_bytes: 20 * 1024 * 1024,
             ..ExperimentScale::quick()
         };
-        let comparison = compare(Workload::WebSqlServer, 16 * 1024, 4.0, &scale).unwrap();
+        let comparison =
+            compare(RunSpec { speed_ratio: 4.0, ..RunSpec::new(Workload::WebSqlServer, scale) });
         assert!(
             comparison.read_enhancement_pct() > 0.0,
             "expected a read win, got {:.2}%",
@@ -1172,23 +874,14 @@ mod tests {
     #[test]
     fn erase_counts_stay_comparable() {
         let scale = ExperimentScale { requests: 3_000, ..ExperimentScale::quick() };
-        for row in erase_count_rows(&scale).unwrap() {
-            let conventional = row.conventional.max(1) as f64;
-            let increase = (row.ppb as f64 - conventional) / conventional * 100.0;
+        for row in along(&Workload::ALL, |workload| RunSpec::new(workload, scale)) {
             assert!(
-                increase < 25.0,
-                "{}: erase count increased by {increase:.1}%",
-                row.workload
+                row.comparison.erase_increase_pct() < 25.0,
+                "{}: erase count increased by {:.1}%",
+                row.spec.source.label(),
+                row.comparison.erase_increase_pct()
             );
         }
-    }
-
-    #[test]
-    fn sweeps_cover_every_speed_ratio() {
-        let scale = ExperimentScale { requests: 600, ..ExperimentScale::quick() };
-        let rows = read_latency_sweep(Workload::WebSqlServer, &scale).unwrap();
-        let ratios: Vec<f64> = rows.iter().map(|row| row.speed_ratio).collect();
-        assert_eq!(ratios, SPEED_RATIOS.to_vec());
     }
 
     #[test]
@@ -1199,47 +892,45 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_sweep_covers_every_depth_and_reports_percentiles() {
-        let scale = ExperimentScale {
-            requests: 800,
-            chips: 4,
-            ..ExperimentScale::quick()
-        };
-        let rows = queue_depth_sweep(Workload::MediaServer, &scale).unwrap();
-        let depths: Vec<usize> = rows.iter().map(|row| row.queue_depth).collect();
-        assert_eq!(depths, QUEUE_DEPTHS.to_vec());
-        for row in &rows {
-            assert_eq!(row.conventional.queue_depth, row.queue_depth);
-            assert_eq!(row.ppb.queue_depth, row.queue_depth);
-            assert!(row.conventional.request_iops() > 0.0);
-            assert!(row.conventional.read_latency.max >= row.conventional.read_latency.p99);
+    fn queue_depth_rows_report_percentiles_and_gain_throughput_from_depth() {
+        let scale = ExperimentScale { requests: 800, chips: 4, ..ExperimentScale::quick() };
+        let rows = along(&QUEUE_DEPTHS, |queue_depth| RunSpec {
+            discipline: ArrivalDiscipline::ClosedLoop { queue_depth },
+            ..RunSpec::new(Workload::MediaServer, scale)
+        });
+        for (row, &queue_depth) in rows.iter().zip(&QUEUE_DEPTHS) {
+            let Comparison { baseline, variant } = &row.comparison;
+            assert_eq!(baseline.queue_depth, queue_depth);
+            assert_eq!(variant.queue_depth, queue_depth);
+            assert!(baseline.request_iops() > 0.0);
+            assert!(baseline.read_latency.max >= baseline.read_latency.p99);
         }
         // Device-state evolution is depth-invariant: the same reads/writes/erases
         // happened at every depth.
         assert!(rows.windows(2).all(|pair| {
-            pair[0].conventional.host_reads == pair[1].conventional.host_reads
-                && pair[0].conventional.erased_blocks == pair[1].conventional.erased_blocks
+            let (a, b) = (&pair[0].comparison.baseline, &pair[1].comparison.baseline);
+            a.host_reads == b.host_reads && a.erased_blocks == b.erased_blocks
         }));
         // On a multi-chip device the media-server (read-dominant) workload gains
         // throughput from depth.
-        let qd1 = &rows[0];
-        let qd64 = rows.iter().find(|row| row.queue_depth == 64).unwrap();
+        let (qd1, qd64) = (&rows[0].comparison.baseline, &rows[3].comparison.baseline);
         assert!(
-            qd64.conventional.request_iops() > qd1.conventional.request_iops(),
+            qd64.request_iops() > qd1.request_iops(),
             "QD64 {} IOPS should beat QD1 {}",
-            qd64.conventional.request_iops(),
-            qd1.conventional.request_iops()
+            qd64.request_iops(),
+            qd1.request_iops()
         );
     }
 
     #[test]
-    fn rate_scale_sweep_reports_offered_vs_achieved_iops() {
+    fn rate_scale_rows_report_offered_vs_achieved_iops() {
         let scale = ExperimentScale { requests: 800, chips: 4, ..ExperimentScale::quick() };
-        let rows = rate_scale_sweep(Workload::WebSqlServer, &scale).unwrap();
-        let scales: Vec<f64> = rows.iter().map(|row| row.rate_scale).collect();
-        assert_eq!(scales, RATE_SCALES.to_vec());
+        let rows = along(&RATE_SCALES, |rate_scale| RunSpec {
+            discipline: ArrivalDiscipline::OpenLoop { rate_scale },
+            ..RunSpec::new(Workload::WebSqlServer, scale)
+        });
         for row in &rows {
-            for summary in [&row.conventional, &row.ppb] {
+            for summary in [&row.comparison.baseline, &row.comparison.variant] {
                 assert_eq!(summary.queue_depth, 0, "open loop has no depth bound");
                 assert!(summary.offered_iops() > 0.0);
                 assert!(
@@ -1253,23 +944,19 @@ mod tests {
         }
         // Device-state evolution is rate-invariant: only the arrival overlay moves.
         assert!(rows.windows(2).all(|pair| {
-            pair[0].conventional.host_reads == pair[1].conventional.host_reads
-                && pair[0].conventional.erased_blocks == pair[1].conventional.erased_blocks
+            let (a, b) = (&pair[0].comparison.baseline, &pair[1].comparison.baseline);
+            a.host_reads == b.host_reads && a.erased_blocks == b.erased_blocks
         }));
         // Offered load scales with the rate multiplier (the trace is shared).
-        let first = &rows[0];
-        let last = rows.last().unwrap();
-        let expected = last.rate_scale / first.rate_scale;
-        let actual = last.conventional.offered_iops() / first.conventional.offered_iops();
+        let (first, last) = (&rows[0].comparison.baseline, &rows[5].comparison.baseline);
+        let expected = RATE_SCALES[5] / RATE_SCALES[0];
+        let actual = last.offered_iops() / first.offered_iops();
         assert!(
             (actual - expected).abs() / expected < 0.01,
             "offered load should scale ~{expected}x, got {actual}x"
         );
         // Pushing the rate never lowers queueing delay.
-        assert!(
-            last.conventional.queue_delay.mean >= first.conventional.queue_delay.mean,
-            "8x offered load should queue at least as much as 0.5x"
-        );
+        assert!(last.queue_delay.mean >= first.queue_delay.mean);
     }
 
     #[test]
@@ -1289,53 +976,52 @@ mod tests {
     }
 
     #[test]
-    fn burst_sweep_spreads_the_tail_at_fixed_mean_rate() {
+    fn burstiness_spreads_the_tail_at_fixed_mean_rate() {
         let scale = ExperimentScale {
             requests: 4_000,
             chips: 8,
             working_set_bytes: 24 * 1024 * 1024,
             ..ExperimentScale::quick()
         };
-        let mean = burst_sweep_mean_iops(Workload::WebSqlServer, &scale).unwrap();
+        let mean = burst_mean_iops(Workload::WebSqlServer, &scale).unwrap();
         assert!(mean > 0.0, "the saturation probe must measure a positive rate");
-        let rows = burst_sweep_at(Workload::WebSqlServer, &scale, mean).unwrap();
-        assert_eq!(rows.len(), burst_axis(mean).len());
-        let uniform = &rows[0];
-        assert_eq!(uniform.arrival, ArrivalModel::MeanRate { iops: mean });
+        assert!(grid_burst_mean_iops(&scale).unwrap() <= mean, "the grid rate is the smallest");
+        let rows = along(&burst_axis(mean), |arrival| RunSpec {
+            arrival,
+            discipline: ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },
+            ..RunSpec::new(Workload::WebSqlServer, scale)
+        });
+        let uniform = &rows[0].comparison;
+        assert_eq!(rows[0].spec.arrival, ArrivalModel::MeanRate { iops: mean });
         // Half of saturation: the smooth reference keeps up with its offered load.
         assert!(
-            uniform.conventional.request_iops() > 0.95 * uniform.conventional.offered_iops(),
+            uniform.baseline.request_iops() > 0.95 * uniform.baseline.offered_iops(),
             "uniform arrivals at half saturation must be served at the offered rate"
         );
         // Offered rates agree across the axis (same mean, finite-trace noise).
         for row in &rows {
-            let offered = row.conventional.offered_iops();
-            let reference = uniform.conventional.offered_iops();
+            let offered = row.comparison.baseline.offered_iops();
+            let reference = uniform.baseline.offered_iops();
             assert!(
                 (offered - reference).abs() / reference < 0.25,
                 "{}: offered {offered:.0} strayed from the shared mean {reference:.0}",
-                row.arrival
+                row.spec.arrival
             );
-            assert_eq!(row.conventional.queue_depth, 0, "burst rows replay open-loop");
+            assert_eq!(row.comparison.baseline.queue_depth, 0, "burst rows replay open-loop");
         }
         // The burstiness symptoms grow monotonically in effect, not necessarily
         // per-row: compare the smooth reference against the most extreme burst.
-        let extreme = rows.last().unwrap();
-        for (smooth, bursty) in [
-            (&uniform.conventional, &extreme.conventional),
-            (&uniform.ppb, &extreme.ppb),
-        ] {
+        let extreme = &rows.last().unwrap().comparison;
+        for (smooth, bursty) in
+            [(&uniform.baseline, &extreme.baseline), (&uniform.variant, &extreme.variant)]
+        {
             assert!(
                 bursty.queue_delay.p999 > smooth.queue_delay.p999,
-                "burstiness must spread the p99.9 queueing delay \
-                 ({} vs {})",
+                "burstiness must spread the p99.9 queueing delay ({} vs {})",
                 bursty.queue_delay.p999,
                 smooth.queue_delay.p999
             );
-            assert!(
-                bursty.peak_queue_depth > smooth.peak_queue_depth,
-                "bursts must deepen the backlog"
-            );
+            assert!(bursty.peak_queue_depth > smooth.peak_queue_depth, "bursts deepen the backlog");
             assert!(
                 bursty.busy_arrival_fraction() > smooth.busy_arrival_fraction(),
                 "bursts must raise the busy-arrival fraction"
@@ -1344,29 +1030,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_sweep_scales_retry_pressure_down_the_rber_axis() {
+    fn faults_scale_retry_pressure_down_the_rber_axis() {
         let scale = ExperimentScale { requests: 2_000, ..ExperimentScale::quick() };
-        let rows = fault_sweep(&scale).unwrap();
-        assert_eq!(rows.len(), RBER_SCALES.len() * FAULT_SWEEP_POLICIES.len());
+        let rows = along(&RBER_SCALES, |rber_scale| RunSpec {
+            faults: Some(FaultConfig { rber_scale, ..FaultConfig::enabled(scale.seed ^ 0xFA17) }),
+            ..RunSpec::new(Workload::WebSqlServer, scale)
+        });
         for row in &rows {
             // Host traffic is fault-independent: the trace is shared.
-            assert_eq!(row.conventional.host_reads, row.ppb.host_reads);
-            assert_eq!(row.conventional.host_writes, row.ppb.host_writes);
+            assert_eq!(row.comparison.baseline.host_reads, row.comparison.variant.host_reads);
+            assert_eq!(row.comparison.baseline.host_writes, row.comparison.variant.host_writes);
         }
         // The aged end of the axis must actually exercise the retry ladder, and
         // harder than the nominal curve does.
-        let nominal = &rows[0];
-        let aged = rows.last().unwrap();
-        assert_eq!(nominal.rber_scale, RBER_SCALES[0]);
-        assert_eq!(aged.rber_scale, *RBER_SCALES.last().unwrap());
-        assert!(aged.conventional.retried_reads > 0, "aged rows must see retries");
+        let (nominal, aged) = (&rows[0].comparison.baseline, &rows[2].comparison.baseline);
+        assert!(aged.retried_reads > 0, "aged rows must see retries");
         assert!(
-            aged.conventional.retried_reads >= nominal.conventional.retried_reads,
+            aged.retried_reads >= nominal.retried_reads,
             "retry pressure must not fall as the RBER curve ages"
         );
-        assert!(aged.conventional.read_retry_time > Nanos::ZERO);
+        assert!(aged.read_retry_time > Nanos::ZERO);
         // Retry latency rides inside the ordinary service times.
-        assert!(aged.conventional.retry_latency_fraction() > 0.0);
+        assert!(aged.retry_latency_fraction() > 0.0);
     }
 
     #[test]
@@ -1392,75 +1077,65 @@ mod tests {
     }
 
     #[test]
-    fn policy_ablation_covers_the_grid_and_matches_fig18_for_greedy() {
+    fn the_victim_policy_of_a_spec_reaches_both_ftls() {
         let scale = ExperimentScale { requests: 3_000, ..ExperimentScale::quick() };
-        let rows = erase_count_by_policy(&scale).unwrap();
-        assert_eq!(rows.len(), Workload::ALL.len() * GcPolicy::ALL.len());
-        let fig18 = erase_count_rows(&scale).unwrap();
-        for baseline in &fig18 {
-            let greedy = rows
-                .iter()
-                .find(|row| row.workload == baseline.workload && row.policy == GcPolicy::Greedy)
-                .unwrap();
-            assert_eq!(greedy.conventional, baseline.conventional);
-            assert_eq!(greedy.ppb, baseline.ppb);
-        }
         let labels: std::collections::HashSet<_> =
             GcPolicy::ALL.iter().map(|policy| policy.label()).collect();
         assert_eq!(labels.len(), GcPolicy::ALL.len());
-        // The cold-bonus ablation brackets the default: a zero bonus is exactly
-        // greedy (the cold preference is the *only* thing hot-cold adds), and
-        // the aggressive row must still produce a full set of counts.
         for workload in Workload::ALL {
-            let row = |policy: GcPolicy| {
-                rows.iter()
-                    .find(|row| row.workload == workload && row.policy == policy)
-                    .unwrap()
+            let rows = along(&GcPolicy::ALL, |gc_policy| RunSpec {
+                gc_policy,
+                ..RunSpec::new(workload, scale)
+            });
+            let erases = |policy: GcPolicy| {
+                let row = rows.iter().find(|row| row.spec.gc_policy == policy).unwrap();
+                (row.comparison.baseline.erased_blocks, row.comparison.variant.erased_blocks)
             };
-            let greedy = row(GcPolicy::Greedy);
-            let disabled = row(GcPolicy::HotColdBonus(0));
-            assert_eq!(disabled.conventional, greedy.conventional);
-            assert_eq!(disabled.ppb, greedy.ppb);
-            assert!(row(GcPolicy::HotColdBonus(6)).ppb > 0);
+            // The cold-bonus ablation brackets the default: a zero bonus is
+            // exactly greedy (the cold preference is the *only* thing hot-cold
+            // adds), and the aggressive row must still produce a full set of
+            // counts.
+            assert_eq!(erases(GcPolicy::HotColdBonus(0)), erases(GcPolicy::Greedy));
+            assert!(erases(GcPolicy::HotColdBonus(6)).1 > 0);
         }
     }
 
     #[test]
-    fn ppb_sensitivity_win_widens_with_warmup_on_web_sql() {
-        let rows = ppb_sensitivity_sweep(Workload::WebSqlServer, &ExperimentScale::quick()).unwrap();
-        assert_eq!(
-            rows.len(),
-            PPB_WARMUP_FRACTIONS.len()
-                + PPB_COLD_PROMOTE_READS.len()
-                + PPB_HOT_LIST_FRACTIONS.len()
-        );
-        let at_warmup = |fraction: f64| {
-            rows.iter()
-                .find(|row| {
-                    row.warmup_fraction == fraction
-                        && row.cold_promote_reads == PpbConfig::default().cold_promote_reads
-                        && row.hot_list_fraction == PpbConfig::default().hot_list_fraction
-                })
-                .unwrap()
-        };
+    fn the_ppb_write_win_widens_with_warmup_on_web_sql() {
+        let base = RunSpec::new(Workload::WebSqlServer, ExperimentScale::quick());
+        let mut specs: Vec<RunSpec<'static>> = PPB_WARMUP_FRACTIONS
+            .iter()
+            .map(|&warmup_fraction| RunSpec { warmup_fraction, ..base })
+            .collect();
+        specs.extend(PPB_COLD_PROMOTE_READS.iter().map(|&cold_promote_reads| RunSpec {
+            ppb: PpbConfig { cold_promote_reads, ..base.ppb },
+            ..base
+        }));
+        specs.extend(PPB_HOT_LIST_FRACTIONS.iter().map(|&hot_list_fraction| RunSpec {
+            ppb: PpbConfig { hot_list_fraction, ..base.ppb },
+            ..base
+        }));
+        let rows = along(&specs, |spec| spec);
+        // A warm-up measures the suffix it leaves.
+        assert_eq!(rows[0].comparison.baseline.host_requests, 4_000);
+        assert_eq!(rows[2].comparison.baseline.host_requests, 2_000);
         // Direction, pinned from the measured quick-scale sweep: the PPB *write*
         // win on web/SQL widens as the device ages (≈2.1% fresh → ≈4.3% after a
         // 50% warm-up), while the read win stays modest (≈0.8%) and positive at
         // every warm-up length. The promotion knobs are near-neutral at this
         // scale — the aging axis, not the thresholds, is what moves the number.
-        let fresh = at_warmup(0.0).comparison.write_enhancement_pct();
-        let aged = at_warmup(0.5).comparison.write_enhancement_pct();
+        let fresh = rows[0].comparison.write_enhancement_pct();
+        let aged = rows[2].comparison.write_enhancement_pct();
         assert!(aged > fresh, "write win should widen with warm-up: {fresh:.3}% -> {aged:.3}%");
         assert!(aged > 1.5 * fresh, "the widening is substantial, not noise");
         for row in &rows {
             assert!(
                 row.comparison.read_enhancement_pct() > 0.0,
                 "read win stays positive on web/SQL (warmup {}, promote {}, hot {})",
-                row.warmup_fraction,
-                row.cold_promote_reads,
-                row.hot_list_fraction
+                row.spec.warmup_fraction,
+                row.spec.ppb.cold_promote_reads,
+                row.spec.ppb.hot_list_fraction
             );
         }
     }
 }
-

@@ -26,18 +26,18 @@
 //!   plus enhancement percentages between a baseline and a variant — and, from the
 //!   driver engine, per-request latency/queue-delay/service-time percentiles
 //!   ([`LatencyPercentiles`]), achieved IOPS and (open loop) offered IOPS.
-//! * [`experiments`] — ready-made parameter sweeps that regenerate every figure of
-//!   the paper's evaluation (Figures 12–18) at a configurable scale, plus the
-//!   queue-depth sweep, the offered-load (rate-scale) sweep, the burstiness
-//!   sweep ([`experiments::burst_sweep`]: heavy-tailed Pareto / on-off arrivals
-//!   at one fixed mean rate, spreading the p99.9 tail), the GC-policy
-//!   ablation, and the reliability sweeps ([`experiments::fault_sweep`]: RBER
-//!   scale × GC policy with the NAND fault model on; [`experiments::fault_lifetime`]:
-//!   writes into a failing device until it degrades to read-only).
-//! * [`ParallelRunner`] / [`ExperimentGrid`] — fan the FTL × trace × scale ×
-//!   discipline × arrival-model grid out over `std::thread` workers with
-//!   deterministic per-cell seeds; results are bit-identical to a serial run,
-//!   only faster.
+//! * [`experiments`] — one description of a run ([`RunSpec`]: trace source,
+//!   scale, device, FTL, GC policy, arrival discipline and model, warm-up,
+//!   fleet width), one executor ([`run_spec`]) and one comparison of both FTLs
+//!   on the same trace ([`compare_specs`]), plus the axes of the paper's
+//!   evaluation (Figures 12–18) and of the queue-depth, offered-load,
+//!   burstiness, GC-policy, fault and PPB-sensitivity sections the
+//!   `experiments` binary lists its specs over, and the end-of-life probe
+//!   ([`experiments::fault_lifetime`]: writes into a failing device until it
+//!   degrades to read-only).
+//! * [`ParallelRunner`] / [`ExperimentGrid`] — map a function over any list of
+//!   runs on `std::thread` workers; every run is a pure function of its spec,
+//!   so results are bit-identical to a serial run, only faster.
 //!
 //! Replay summaries report the tail explicitly: every [`LatencyPercentiles`]
 //! carries `p50/p95/p99/p99.9` (plus exact `max` and `mean`), and open-loop
@@ -90,5 +90,6 @@ pub use calendar::{HostCalendar, Issue};
 pub use engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
 pub use lane::{prefill, LaneState, PageChain};
-pub use parallel::{run_cell, CellResult, ExperimentGrid, FtlKind, GridCell, ParallelRunner};
+pub use experiments::{compare_specs, run_spec, ComparisonRow, FtlJob, FtlKind, RunSpec, TraceSource};
+pub use parallel::{ExperimentGrid, ParallelRunner};
 pub use report::{Comparison, ReplayMode, RunSummary};

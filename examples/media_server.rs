@@ -8,11 +8,8 @@
 
 use std::error::Error;
 
-use vflash::ppb::PpbConfig;
-use vflash::sim::experiments::{
-    replay_conventional, replay_ppb, Classifier, ExperimentScale, Workload, SERIAL,
-};
-use vflash::sim::Comparison;
+use vflash::sim::experiments::{ExperimentScale, Workload};
+use vflash::sim::{run_spec, Comparison, FtlKind, RunSpec};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -39,9 +36,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.capacity_bytes() as f64 / (1024.0 * 1024.0),
     );
 
-    let baseline = replay_conventional(&trace, &config, SERIAL)?;
-    let variant =
-        replay_ppb(&trace, &config, PpbConfig::default(), Classifier::default(), SERIAL)?;
+    // The paper's default point: 16 KB pages, 2x, QD 1, on the trace above.
+    let spec = RunSpec::new(&trace, scale);
+    let baseline = run_spec(&spec.on(FtlKind::Conventional))?;
+    let variant = run_spec(&spec.on(FtlKind::Ppb))?;
     println!("conventional FTL : {baseline}");
     println!("FTL with PPB     : {variant}");
 

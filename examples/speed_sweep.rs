@@ -7,8 +7,8 @@
 
 use std::error::Error;
 
-use vflash::nand::Nanos;
-use vflash::sim::experiments::{read_latency_sweep, ExperimentScale, Workload, SPEED_RATIOS};
+use vflash::sim::experiments::{ExperimentScale, Workload, SPEED_RATIOS};
+use vflash::sim::{compare_specs, ParallelRunner, RunSpec};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -19,25 +19,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("read latency vs page access speed difference ({} requests per run)\n", scale.requests);
     println!("{:<16} {:>10} {:>18} {:>16} {:>12}", "workload", "speed diff", "conventional FTL", "FTL with PPB", "improvement");
     for workload in Workload::ALL {
-        let rows = read_latency_sweep(workload, &scale)?;
-        for row in rows {
-            let improvement = if row.conventional == Nanos::ZERO {
-                0.0
-            } else {
-                (row.conventional.as_nanos() as f64 - row.ppb.as_nanos() as f64)
-                    / row.conventional.as_nanos() as f64
-                    * 100.0
-            };
+        let base = RunSpec::new(workload, scale);
+        let specs = SPEED_RATIOS.map(|speed_ratio| RunSpec { speed_ratio, ..base });
+        for row in compare_specs(&ParallelRunner::with_available_parallelism(), &specs)? {
             println!(
                 "{:<16} {:>9.0}x {:>17.3}s {:>15.3}s {:>11.2}%",
                 workload.label(),
-                row.speed_ratio,
-                row.conventional.as_secs_f64(),
-                row.ppb.as_secs_f64(),
-                improvement,
+                row.spec.speed_ratio,
+                row.comparison.baseline.read_time.as_secs_f64(),
+                row.comparison.variant.read_time.as_secs_f64(),
+                row.comparison.read_enhancement_pct(),
             );
         }
     }
-    let _ = SPEED_RATIOS;
     Ok(())
 }

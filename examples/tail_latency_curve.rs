@@ -16,7 +16,8 @@
 
 use std::error::Error;
 
-use vflash::sim::experiments::{burst_sweep_at, burst_sweep_mean_iops, ExperimentScale, Workload};
+use vflash::sim::experiments::{burst_axis, burst_mean_iops, ExperimentScale, Workload};
+use vflash::sim::{compare_specs, ArrivalDiscipline, ParallelRunner, RunSpec};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -25,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         chips: 8,
         ..ExperimentScale::quick()
     };
-    let mean = burst_sweep_mean_iops(Workload::WebSqlServer, &scale)?;
+    let mean = burst_mean_iops(Workload::WebSqlServer, &scale)?;
     println!(
         "web-sql-server workload: {} requests at a fixed {mean:.0} IOPS mean \
          (half of device saturation), open loop\n",
@@ -36,16 +37,25 @@ fn main() -> Result<(), Box<dyn Error>> {
         "{:<28} {:>6}  {:>10} {:>10}  {:>10} {:>10}  {:>8}",
         "arrival model", "busy%", "conv p99", "ppb p99", "conv p99.9", "ppb p99.9", "peak-qd"
     );
-    for row in burst_sweep_at(Workload::WebSqlServer, &scale, mean)? {
+    let specs: Vec<RunSpec> = burst_axis(mean)
+        .into_iter()
+        .map(|arrival| RunSpec {
+            arrival,
+            discipline: ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },
+            ..RunSpec::new(Workload::WebSqlServer, scale)
+        })
+        .collect();
+    for row in compare_specs(&ParallelRunner::with_available_parallelism(), &specs)? {
+        let (conventional, ppb) = (&row.comparison.baseline, &row.comparison.variant);
         println!(
             "{:<28} {:>5.1}%  {:>10} {:>10}  {:>10} {:>10}  {:>8}",
-            row.arrival.label(),
-            row.conventional.busy_arrival_fraction() * 100.0,
-            row.conventional.read_latency.p99.to_string(),
-            row.ppb.read_latency.p99.to_string(),
-            row.conventional.read_latency.p999.to_string(),
-            row.ppb.read_latency.p999.to_string(),
-            row.conventional.peak_queue_depth,
+            row.spec.arrival.label(),
+            conventional.busy_arrival_fraction() * 100.0,
+            conventional.read_latency.p99.to_string(),
+            ppb.read_latency.p99.to_string(),
+            conventional.read_latency.p999.to_string(),
+            ppb.read_latency.p999.to_string(),
+            conventional.peak_queue_depth,
         );
     }
     println!(

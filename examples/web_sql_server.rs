@@ -10,11 +10,8 @@
 
 use std::error::Error;
 
-use vflash::ppb::PpbConfig;
-use vflash::sim::experiments::{
-    replay_conventional, replay_ppb, Classifier, ExperimentScale, Workload, SERIAL,
-};
-use vflash::sim::Comparison;
+use vflash::sim::experiments::{Classifier, ExperimentScale, Workload};
+use vflash::sim::{run_spec, Comparison, FtlKind, RunSpec};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -40,15 +37,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.page_size_bytes() / 1024,
     );
 
-    let baseline = replay_conventional(&trace, &config, SERIAL)?;
+    let spec = RunSpec { speed_ratio: 4.0, ..RunSpec::new(&trace, scale) };
+    let baseline = run_spec(&spec.on(FtlKind::Conventional))?;
     println!("conventional FTL           : {baseline}");
 
-    let ppb_size_check =
-        replay_ppb(&trace, &config, PpbConfig::default(), Classifier::default(), SERIAL)?;
+    let ppb_size_check = run_spec(&spec.on(FtlKind::Ppb))?;
     println!("PPB (size-check stage)     : {ppb_size_check}");
 
-    let ppb_lru =
-        replay_ppb(&trace, &config, PpbConfig::default(), Classifier::TwoLevelLru, SERIAL)?;
+    let ppb_lru = run_spec(&RunSpec { classifier: Classifier::TwoLevelLru, ..spec }.on(FtlKind::Ppb))?;
     println!("PPB (two-level-LRU stage)  : {ppb_lru}");
 
     let size_check = Comparison::new(baseline.clone(), ppb_size_check);

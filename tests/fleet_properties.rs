@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use vflash::fleet::{
-    run_fleet_grid, CacheConfig, CacheStats, Fleet, FleetConfig, FleetDriver, FleetSummary,
+    run_fleet_cell, CacheConfig, CacheStats, Fleet, FleetConfig, FleetDriver, FleetSummary,
     StripeMap, TenantWeight, WritebackCache, dispatch_order,
 };
 use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError};
@@ -357,16 +357,17 @@ fn tiny_scale() -> ExperimentScale {
     }
 }
 
-/// Fleet grid runs are a pure function of the grid: every worker count the
+/// Fleet cells are a pure function of their spec: every worker count the
 /// ISSUE names produces the bit-identical result list, including all latency
 /// percentiles and per-lane summaries.
 #[test]
 fn fleet_grid_is_bit_identical_across_worker_counts() {
-    let grid = ExperimentGrid { fleet_sizes: vec![1, 2, 4], ..ExperimentGrid::fleet_sweep(tiny_scale()) };
-    let serial = ParallelRunner::run_serial_map(&grid, vflash::fleet::run_fleet_cell).unwrap();
+    let mut specs = ExperimentGrid::fleet_sweep(tiny_scale()).specs;
+    specs.retain(|spec| spec.fleet_width < 8);
+    let serial = ParallelRunner::new(1).map(&specs, run_fleet_cell).unwrap();
     assert_eq!(serial.len(), 12, "3 widths x 2 workloads x 2 FTLs");
     for workers in [2, 3, 5, 32] {
-        let parallel = run_fleet_grid(&ParallelRunner::new(workers), &grid).unwrap();
+        let parallel = ParallelRunner::new(workers).map(&specs, run_fleet_cell).unwrap();
         assert_eq!(serial, parallel, "{workers} workers diverged from the serial run");
     }
 }

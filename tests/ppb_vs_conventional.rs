@@ -2,9 +2,8 @@
 //! FTLs, replayer) wired together, checking the paper's headline claims hold in
 //! direction on scaled-down experiments.
 
-use vflash::sim::experiments::{
-    compare, erase_count_rows, read_latency_sweep, write_latency_sweep, ExperimentScale, Workload,
-};
+use vflash::sim::experiments::{ExperimentScale, Workload, SPEED_RATIOS};
+use vflash::sim::{compare_specs, Comparison, ParallelRunner, RunSpec};
 
 fn test_scale() -> ExperimentScale {
     // Long enough for promotions, rewrites and garbage collection to shape data
@@ -16,11 +15,32 @@ fn test_scale() -> ExperimentScale {
     }
 }
 
+/// Both FTLs on every spec, on the same trace.
+fn comparisons(specs: &[RunSpec<'static>]) -> Vec<Comparison> {
+    compare_specs(&ParallelRunner::with_available_parallelism(), specs)
+        .unwrap()
+        .into_iter()
+        .map(|row| row.comparison)
+        .collect()
+}
+
+/// One workload at the given page size and speed difference.
+fn compare(workload: Workload, page_size_bytes: usize, speed_ratio: f64) -> Comparison {
+    let spec = RunSpec { page_size_bytes, speed_ratio, ..RunSpec::new(workload, test_scale()) };
+    comparisons(&[spec]).remove(0)
+}
+
+/// One workload at every speed difference of Figures 13/14/16/17 (16 KB pages).
+fn speed_sweep(workload: Workload) -> Vec<Comparison> {
+    let base = RunSpec::new(workload, test_scale());
+    comparisons(&SPEED_RATIOS.map(|speed_ratio| RunSpec { speed_ratio, ..base }))
+}
+
 /// The headline claim: PPB improves read performance on the re-read-heavy web/SQL
 /// workload while leaving write latency essentially unchanged.
 #[test]
 fn ppb_improves_web_reads_without_write_penalty() {
-    let comparison = compare(Workload::WebSqlServer, 16 * 1024, 4.0, &test_scale()).unwrap();
+    let comparison = compare(Workload::WebSqlServer, 16 * 1024, 4.0);
     assert!(
         comparison.read_enhancement_pct() > 1.0,
         "expected a clear read win, got {:.2}%",
@@ -37,7 +57,7 @@ fn ppb_improves_web_reads_without_write_penalty() {
 /// smaller because the workload is dominated by large sequential reads).
 #[test]
 fn ppb_does_not_hurt_media_server_reads() {
-    let comparison = compare(Workload::MediaServer, 16 * 1024, 2.0, &test_scale()).unwrap();
+    let comparison = compare(Workload::MediaServer, 16 * 1024, 2.0);
     assert!(
         comparison.read_enhancement_pct() > -1.0,
         "media-server reads regressed by {:.2}%",
@@ -49,20 +69,21 @@ fn ppb_does_not_hurt_media_server_reads() {
 /// loss) as the speed difference widens from 2x to 5x.
 #[test]
 fn read_advantage_holds_across_speed_ratios() {
-    let rows = read_latency_sweep(Workload::WebSqlServer, &test_scale()).unwrap();
+    let rows = speed_sweep(Workload::WebSqlServer);
     assert_eq!(rows.len(), 4);
-    for row in &rows {
+    for (row, speed_ratio) in rows.iter().zip(SPEED_RATIOS) {
         assert!(
-            row.ppb <= row.conventional,
-            "at {}x the PPB read latency {} exceeded conventional {}",
-            row.speed_ratio,
-            row.ppb,
-            row.conventional
+            row.variant.read_time <= row.baseline.read_time,
+            "at {speed_ratio}x the PPB read latency {} exceeded conventional {}",
+            row.variant.read_time,
+            row.baseline.read_time
         );
     }
     // The absolute gap at 5x should be at least as large as at 2x.
-    let gap_2x = rows[0].conventional.as_nanos() as i128 - rows[0].ppb.as_nanos() as i128;
-    let gap_5x = rows[3].conventional.as_nanos() as i128 - rows[3].ppb.as_nanos() as i128;
+    let gap = |row: &Comparison| {
+        row.baseline.read_time.as_nanos() as i128 - row.variant.read_time.as_nanos() as i128
+    };
+    let (gap_2x, gap_5x) = (gap(&rows[0]), gap(&rows[3]));
     assert!(
         gap_5x >= gap_2x,
         "read-latency gap shrank from {gap_2x} at 2x to {gap_5x} at 5x"
@@ -73,14 +94,12 @@ fn read_advantage_holds_across_speed_ratios() {
 #[test]
 fn write_latency_is_preserved_across_speed_ratios() {
     for workload in Workload::ALL {
-        let rows = write_latency_sweep(workload, &test_scale()).unwrap();
-        for row in rows {
-            let baseline = row.conventional.as_nanos() as f64;
-            let delta = (row.ppb.as_nanos() as f64 - baseline).abs() / baseline * 100.0;
+        for (row, speed_ratio) in speed_sweep(workload).iter().zip(SPEED_RATIOS) {
+            let baseline = row.baseline.write_time.as_nanos() as f64;
+            let delta = (row.variant.write_time.as_nanos() as f64 - baseline).abs() / baseline * 100.0;
             assert!(
                 delta < 5.0,
-                "{workload}: write latency changed by {delta:.2}% at {}x",
-                row.speed_ratio
+                "{workload}: write latency changed by {delta:.2}% at {speed_ratio}x"
             );
         }
     }
@@ -90,15 +109,14 @@ fn write_latency_is_preserved_across_speed_ratios() {
 /// collection efficiency is preserved.
 #[test]
 fn erase_counts_are_not_inflated() {
-    for row in erase_count_rows(&test_scale()).unwrap() {
-        let baseline = row.conventional.max(1) as f64;
-        let increase = (row.ppb as f64 - baseline) / baseline * 100.0;
+    for workload in Workload::ALL {
+        let row = compare(workload, 16 * 1024, 2.0);
         assert!(
-            increase <= 20.0,
-            "{}: erased blocks grew by {increase:.1}% ({} -> {})",
-            row.workload,
-            row.conventional,
-            row.ppb
+            row.erase_increase_pct() <= 20.0,
+            "{workload}: erased blocks grew by {:.1}% ({} -> {})",
+            row.erase_increase_pct(),
+            row.baseline.erased_blocks,
+            row.variant.erased_blocks
         );
     }
 }
@@ -107,7 +125,7 @@ fn erase_counts_are_not_inflated() {
 /// comparison is apples to apples.
 #[test]
 fn both_ftls_serve_identical_request_counts() {
-    let comparison = compare(Workload::MediaServer, 8 * 1024, 3.0, &test_scale()).unwrap();
+    let comparison = compare(Workload::MediaServer, 8 * 1024, 3.0);
     assert_eq!(comparison.baseline.host_reads, comparison.variant.host_reads);
     assert_eq!(comparison.baseline.host_writes, comparison.variant.host_writes);
     assert!(comparison.baseline.host_reads > 0);

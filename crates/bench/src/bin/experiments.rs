@@ -560,10 +560,14 @@ fn lsm(quick: bool) -> Outcome {
     // the stall tail the application absorbs and the batching counters; the
     // last line is the headline of the batched path on a multi-chip device.
     let device_time = |summary: &KvRunSummary| summary.flush_time + summary.compaction_time;
-    let speedup = format!(
-        "\nbatched flush+compaction device time is {:.2}x lower",
-        device_time(&serial).as_secs_f64() / device_time(&batched).as_secs_f64(),
-    );
+    let speedup = if device_time(&batched) > Nanos::ZERO {
+        format!(
+            "\nbatched flush+compaction device time is {:.2}x lower",
+            device_time(&serial).as_secs_f64() / device_time(&batched).as_secs_f64(),
+        )
+    } else {
+        String::new()
+    };
     render(
         &format!(
             "LSM batched submission: io_depth 1 vs {BATCH_DEPTH} on {BATCH_CHIPS} chips \

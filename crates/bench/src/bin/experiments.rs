@@ -535,9 +535,9 @@ fn lsm(quick: bool) -> Outcome {
     );
 
     // The batched submission path: the same store on a multi-chip device,
-    // serial (io_depth 1, scalar submits, clock charged the serial sum) versus
-    // batched (io_depth 16, multi-page extents through submit_batch, clock
-    // charged the chip-parallel makespan).
+    // serial (io_depth 1: scalar submits, each page charged to the lane in
+    // turn) versus batched (io_depth 16: a multi-page extent goes in windows,
+    // one submit_batch each, overlaid on the lane's chip clocks).
     const BATCH_CHIPS: usize = 4;
     const BATCH_DEPTH: usize = 16;
     let batch_workload = KvWorkloadConfig { device_chips: BATCH_CHIPS, ..workload.clone() };

@@ -146,6 +146,9 @@ pub struct WritebackCache {
     resident: LruList,
     dirty: LruList,
     stats: CacheStats,
+    /// The victims of the latest flush, lent out by
+    /// [`WritebackCache::flush_to_threshold`] and reused by the next.
+    flushed: Vec<u64>,
 }
 
 impl WritebackCache {
@@ -161,6 +164,7 @@ impl WritebackCache {
             resident: LruList::new(config.capacity_pages),
             dirty: LruList::new(config.capacity_pages),
             stats: CacheStats::default(),
+            flushed: Vec::new(),
         }
     }
 
@@ -241,17 +245,20 @@ impl WritebackCache {
     }
 
     /// Drains dirty pages, least-recently-used first, until the dirty count is
-    /// back at or below the threshold. The returned LPNs stay resident — at
+    /// back at or below the threshold. The LPNs drained stay resident — at
     /// their old recency — but clean; the caller must write them back to the
-    /// devices. Returns an empty list when the cache is already at or below
-    /// the threshold.
-    pub fn flush_to_threshold(&mut self) -> Vec<u64> {
+    /// devices. They are lent from a buffer of the cache's, good until its
+    /// next flush: an empty list when the cache is already at or below the
+    /// threshold.
+    pub fn flush_to_threshold(&mut self) -> &[u64] {
         let excess = self.dirty.len().saturating_sub(self.config.dirty_limit());
         self.stats.flushes += u64::from(excess > 0);
         self.stats.writebacks += excess as u64;
-        (0..excess)
-            .map(|_| self.dirty.pop_least_recent().expect("excess is at most the dirty count").0)
-            .collect()
+        self.flushed.clear();
+        self.flushed.extend((0..excess).map(|_| {
+            self.dirty.pop_least_recent().expect("excess is at most the dirty count").0
+        }));
+        &self.flushed
     }
 }
 

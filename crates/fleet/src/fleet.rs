@@ -354,7 +354,7 @@ impl FleetDriver {
                                 // page this insert evicted (if any), then
                                 // whatever the dirty-ratio flush drains.
                                 let flushed = cache.flush_to_threshold();
-                                for victim in evicted.into_iter().chain(flushed) {
+                                for victim in evicted.into_iter().chain(flushed.iter().copied()) {
                                     let (wb_lane, wb_offset) = stripe.locate(victim);
                                     lanes[wb_lane].play_background_write(
                                         &mut fleet.lanes[wb_lane],

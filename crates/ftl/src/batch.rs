@@ -1,89 +1,29 @@
 //! The completion of a batched submission.
 //!
 //! A batch models a host submitting several page requests at once (an SQ-ring
-//! doorbell, a queue-depth window): every request is eligible to issue at the
-//! batch's start instant, and the device overlaps their operations across
-//! chips. The FTL still serves the requests *in submission order* — mapping
-//! updates, GC triggers and fault draws are bit-identical to submitting each
-//! request alone — only the time accounting changes: each request's device
-//! operations are replayed through per-chip ready clocks
-//! ([`vflash_nand::ChipClocks`]), and the batch completes at the
-//! [makespan](BatchCompletion::makespan), not the serial sum.
+//! doorbell, a queue-depth window). The FTL serves the requests *in submission
+//! order* — mapping updates, GC triggers and fault draws are bit-identical to
+//! submitting each request alone — and hands back what scalar
+//! [`submit`](crate::FlashTranslationLayer::submit) would have: one
+//! [`Completion`] per request, op spans live. *When* the batch's operations
+//! run is not decided here: the caller's lane (`vflash_sim::LaneState`) plays
+//! the spans onto the device's chip clocks, where every other tier's requests
+//! are timed too.
 
-use vflash_nand::Nanos;
-
+use crate::error::FtlError;
 use crate::io::Completion;
 
-/// The completion of one batched submission: the per-request scalar
-/// completions (latency, GC/fault attribution, op spans — exactly what scalar
-/// [`submit`](crate::FlashTranslationLayer::submit) would have returned) plus
-/// the batch-level schedule.
+/// The completion of one batched submission: the scalar completions of the
+/// requests the device applied, and the error that stopped it short, if one
+/// did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchCompletion {
-    /// Per-request completions, in submission order. Each carries the
-    /// request's own serial latency and attribution, unchanged by batching.
+    /// The completions of the requests applied, in submission order — all of
+    /// them, or those before the refused one.
     pub completions: Vec<Completion>,
-    /// When each request's last device op ends under chip-parallel
-    /// scheduling, measured from the batch start. Same order as
-    /// `completions`.
-    pub finish_times: Vec<Nanos>,
-    /// When the whole batch completes: the latest per-chip busy-until
-    /// instant. Bounded below by the busiest single chip's work and above by
-    /// [`BatchCompletion::serial_time`].
-    pub makespan: Nanos,
-}
-
-impl BatchCompletion {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// Whether the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.completions.is_empty()
-    }
-
-    /// The serial sum of the per-request latencies — what the scalar path
-    /// would have charged. Never less than [`BatchCompletion::makespan`].
-    pub fn serial_time(&self) -> Nanos {
-        self.completions.iter().map(|completion| completion.latency).sum()
-    }
-
-    /// Whether any request in the batch lost its data to an uncorrectable
-    /// read.
-    pub fn any_uncorrectable(&self) -> bool {
-        self.completions.iter().any(|completion| completion.uncorrectable)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_batch_is_zeroed() {
-        let batch = BatchCompletion::default();
-        assert!(batch.is_empty());
-        assert_eq!(batch.len(), 0);
-        assert_eq!(batch.serial_time(), Nanos::ZERO);
-        assert_eq!(batch.makespan, Nanos::ZERO);
-        assert!(!batch.any_uncorrectable());
-    }
-
-    #[test]
-    fn serial_time_sums_per_request_latencies() {
-        let mut batch = BatchCompletion::default();
-        batch.completions.push(Completion::new(Nanos(30)));
-        batch.completions.push(Completion::new(Nanos(12)));
-        batch.finish_times = vec![Nanos(30), Nanos(12)];
-        batch.makespan = Nanos(30);
-        assert_eq!(batch.serial_time(), Nanos(42));
-        assert_eq!(batch.len(), 2);
-
-        let mut lost = Completion::new(Nanos(5));
-        lost.uncorrectable = true;
-        batch.completions.push(lost);
-        assert!(batch.any_uncorrectable());
-    }
+    /// The error of the first request the FTL refused; that request and the
+    /// ones after it were not applied. The applied prefix stays applied —
+    /// exactly as if it had been submitted serially — so the caller accounts
+    /// for it before it reports this error.
+    pub refused: Option<FtlError>,
 }

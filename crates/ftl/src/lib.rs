@@ -21,9 +21,9 @@
 //! submission/completion pair [`IoRequest`] → [`Completion`] (host latency, per-chip
 //! op provenance, GC attribution); the scalar `read`/`write` methods are
 //! default-implemented wrappers over [`FlashTranslationLayer::submit`], and
-//! [`FlashTranslationLayer::submit_batch`] serves a whole queue-depth window at
-//! once, scheduling its ops across per-chip ready clocks and completing at the
-//! batch makespan ([`BatchCompletion`]).
+//! [`FlashTranslationLayer::submit_batch`] serves a whole queue-depth window in
+//! one counted call ([`BatchCompletion`]: the applied requests' completions, op
+//! spans live, for the caller's lane to play onto the chip clocks).
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! The interface shared by all flash translation layers in the workspace.
 
-use vflash_nand::{ChipClocks, NandDevice, Nanos, OpSpan};
+use vflash_nand::{NandDevice, Nanos};
 
 use crate::batch::BatchCompletion;
 use crate::error::FtlError;
@@ -102,124 +102,60 @@ pub trait FlashTranslationLayer {
         self.submit(IoRequest::write(lpn, request_bytes)).map(|completion| completion.latency)
     }
 
-    /// Serves a batch of requests submitted together and returns the batch
-    /// completion: per-request scalar completions plus the chip-parallel
-    /// schedule.
-    ///
-    /// # Semantics
+    /// Serves a batch of requests submitted together — a queue-depth window —
+    /// and returns the completions of those it applied.
     ///
     /// The requests are served **in submission order** through
     /// [`submit`](FlashTranslationLayer::submit), so mapping updates, GC
     /// triggers, fault draws and per-request attribution are bit-identical to
-    /// submitting each request alone — batching never changes device state,
-    /// only time accounting. Every request is eligible to issue at the batch
-    /// start; each of its timed device ops starts when both its predecessor in
-    /// the request's own chain and its chip are ready
-    /// ([`ChipClocks::play_op`] — the same rule the replay engine's event
-    /// calendar applies), and the batch completes at the resulting makespan.
-    ///
-    /// Guaranteed bounds, which the property suite pins down:
-    ///
-    /// * `makespan <= serial_time()` — overlap never slows a batch down;
-    /// * `makespan >=` the busiest single chip's total op time — a chip's ops
-    ///   always serialise;
-    /// * a one-request batch has `makespan == completions[0].latency` and is
-    ///   bit-identical to scalar `submit`.
-    ///
-    /// Scheduling needs op→chip provenance, so the default implementation
-    /// enables [op tracing](NandDevice::set_op_tracing) for the duration of
-    /// the batch if the caller had it off — and then restores the off state
-    /// (clearing the arena) and blanks the returned op spans, exactly matching
-    /// what scalar `submit` returns with tracing off. With tracing already on,
-    /// spans are kept and stay resolvable against the arena.
+    /// submitting each request alone: batching never changes device state. Nor
+    /// does it decide time: the completions carry their op spans as scalar
+    /// `submit` returns them — live while the device has
+    /// [op tracing](NandDevice::set_op_tracing) on — for the caller's lane
+    /// (`vflash_sim::LaneState::play_window`) to play onto the device's chip
+    /// clocks. What a batch adds is the count:
+    /// [`note_batch`](FlashTranslationLayer::note_batch) hears once how many
+    /// pages it applied.
     ///
     /// # Errors
     ///
-    /// The first failing request aborts the batch with its error; earlier
-    /// requests in the batch have already been applied to the device, exactly
-    /// as if they had been submitted serially.
+    /// A request the FTL refuses ends the batch, and its error comes back
+    /// *inside* the completion ([`BatchCompletion::refused`]) beside the
+    /// completions of the requests before it: those were applied, as if
+    /// submitted serially, and the caller has to account for them. The default
+    /// implementation never returns `Err`.
     fn submit_batch(&mut self, requests: &[IoRequest]) -> Result<BatchCompletion, FtlError> {
-        if requests.is_empty() {
-            return Ok(BatchCompletion::default());
-        }
-        if let [request] = requests {
-            // A one-request batch is scalar `submit`: one op chain starting at
-            // the batch start finishes — and is the makespan — at its own
-            // latency, so no provenance, tracing toggle or chip clocks are
-            // needed, and the span is whatever the caller's tracing state gives.
-            let completion = self.submit(*request)?;
-            self.note_batch(1);
-            return Ok(BatchCompletion {
-                finish_times: vec![completion.latency],
-                makespan: completion.latency,
-                completions: vec![completion],
-            });
-        }
-        let caller_traced = self.device().op_tracing();
-        if !caller_traced {
-            self.device_mut().set_op_tracing(true);
-        }
-        let mut clocks = ChipClocks::new(self.device().config().chips());
-        let mut batch = BatchCompletion {
-            completions: Vec::with_capacity(requests.len()),
-            finish_times: Vec::with_capacity(requests.len()),
-            makespan: Nanos::ZERO,
-        };
-        let mut first_error = None;
+        let mut batch =
+            BatchCompletion { completions: Vec::with_capacity(requests.len()), refused: None };
         for &request in requests {
-            let mark = self.device().op_mark();
-            let completion = match self.submit(request) {
-                Ok(completion) => completion,
+            match self.submit(request) {
+                Ok(completion) => batch.completions.push(completion),
                 Err(error) => {
-                    first_error = Some(error);
+                    batch.refused = Some(error);
                     break;
                 }
-            };
-            // Replay the request's op chain through the per-chip clocks: ops
-            // within one request serialise (each starts no earlier than its
-            // predecessor's end), ops of different requests overlap whenever
-            // they sit on different chips.
-            let mut now = Nanos::ZERO;
-            for op in self.device().ops(self.device().ops_since(mark)) {
-                now = clocks.play_op(op.chip.0, now, op.latency);
-            }
-            batch.finish_times.push(now);
-            batch.completions.push(completion);
-        }
-        batch.makespan = clocks.makespan();
-        if !caller_traced {
-            // Restore the caller's tracing-off state. This clears the op
-            // arena, so the spans inside the returned completions would be
-            // stale — blank them, which is also exactly what scalar `submit`
-            // reports with tracing off.
-            self.device_mut().set_op_tracing(false);
-            for completion in &mut batch.completions {
-                completion.ops = OpSpan::EMPTY;
             }
         }
-        match first_error {
-            Some(error) => Err(error),
-            None => {
-                self.note_batch(batch.completions.len() as u64);
-                Ok(batch)
-            }
+        if !batch.completions.is_empty() {
+            self.note_batch(batch.completions.len() as u64);
         }
+        Ok(batch)
     }
 
     /// Bookkeeping hook called once per
-    /// [`submit_batch`](FlashTranslationLayer::submit_batch) with the number
-    /// of page requests completed. FTLs that keep [`FtlMetrics`] override
-    /// this to bump the batching counters; the default is a no-op so minimal
-    /// implementations stay minimal.
+    /// [`submit_batch`](FlashTranslationLayer::submit_batch) that applied at
+    /// least one page request, with their number. FTLs that keep
+    /// [`FtlMetrics`] override this to bump the batching counters; the default
+    /// is a no-op so minimal implementations stay minimal.
     fn note_batch(&mut self, _pages: u64) {}
 
     /// Hints how many write lanes the host keeps in flight. An FTL that honors
     /// the hint keeps up to `lanes` active blocks open for the host write
     /// stream and rotates consecutive page programs across them; because the
     /// device's free-list hands out blocks round-robin across chips, the lanes
-    /// land on different dies and a [`submit_batch`] of consecutive writes
-    /// overlaps on the per-chip clocks instead of serializing behind a single
-    /// active block.
+    /// land on different dies and the consecutive writes of a [`submit_batch`]
+    /// overlap on the lane's per-chip clocks instead of serializing behind a
+    /// single active block.
     ///
     /// `lanes == 1` must reproduce the unstriped placement bit-for-bit — it is
     /// the default, and hosts submitting at queue depth 1 never call this. The

@@ -5,9 +5,10 @@
 //! store data bytes. [`FlashStore`] bridges that gap for an application: it keeps
 //! the actual bytes in a shadow page table while issuing one [`IoRequest`] per
 //! page touched, so every append and read becomes real device traffic (queueing,
-//! GC attribution, fault and end-of-life behavior included) and the accumulated
-//! [`Completion`](vflash_ftl::Completion) latencies drive the store's simulated
-//! clock. A shadow page doubles as the writer's RAM buffer for that page: an
+//! GC attribution, fault and end-of-life behavior included). The store keeps
+//! no clock: its device is a lane of the timing core ([`LaneState`]), every
+//! page is played through it and [`FlashStore::now`] reads the time back from
+//! it. A shadow page doubles as the writer's RAM buffer for that page: an
 //! append charges the device first and then writes its bytes into the page in
 //! place, and reads hand out slices of the shadow pages instead of copies.
 //!
@@ -40,8 +41,10 @@
 
 use std::ops::Range;
 
-use vflash_ftl::{FlashTranslationLayer, IoRequest, Lpn};
+use vflash_ftl::{Completion, FlashTranslationLayer, IoRequest, Lpn};
 use vflash_nand::Nanos;
+use vflash_sim::{ArrivalDiscipline, LaneState, PageChain, RunOptions};
+use vflash_trace::IoOp;
 
 use crate::error::KvError;
 
@@ -185,13 +188,15 @@ impl<'a> Lent<'a> {
 }
 
 /// File storage over a [`FlashTranslationLayer`]: shadow data bytes plus an
-/// extent allocator, with every page touched charged through `submit`.
+/// extent allocator, with every page touched played through the device's lane.
 #[derive(Debug)]
 pub struct FlashStore<F: FlashTranslationLayer> {
     ftl: F,
+    /// The device's chip clocks, kept across windows. The store issues every
+    /// page when the lane is idle: its arrival discipline is never consulted.
+    lane: LaneState,
     page_size: usize,
     io_depth: usize,
-    clock: Nanos,
     logical_pages: u64,
     /// The shadow bytes of every logical page, by LPN (see the module docs).
     shadow: Vec<u8>,
@@ -199,8 +204,10 @@ pub struct FlashStore<F: FlashTranslationLayer> {
     written: Vec<u64>,
     free: Vec<Extent>,
     io: StoreIoStats,
-    /// The requests of the batch in flight, reused across batches.
+    /// The requests of the window in flight, reused across windows.
     requests: Vec<IoRequest>,
+    /// The completions of the pages of that window the device applied.
+    completions: Vec<Completion>,
     /// Where a read that crosses an extent boundary is assembled;
     /// [`FlashStore::read_range`] lends it out until the next such read.
     assembly: Vec<u8>,
@@ -212,11 +219,12 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     pub fn new(ftl: F) -> Self {
         let logical_pages = ftl.logical_pages();
         let page_size = ftl.device().config().page_size_bytes();
+        let serial = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
         FlashStore {
+            lane: LaneState::new(&ftl, &RunOptions::default(), serial),
             ftl,
             page_size,
             io_depth: 1,
-            clock: Nanos::ZERO,
             logical_pages,
             // Zeroed by the allocator, not by a write: untouched until used.
             shadow: vec![0u8; logical_pages as usize * page_size],
@@ -224,6 +232,7 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             free: vec![Extent { start: SUPERBLOCK_LPN + 1, pages: logical_pages - 1 }],
             io: StoreIoStats::default(),
             requests: Vec::new(),
+            completions: Vec::new(),
             assembly: Vec::new(),
         }
     }
@@ -238,17 +247,19 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         self.io_depth
     }
 
-    /// Sets the queue depth for multi-page operations. At depth 1 (the
-    /// default) every page goes through scalar `submit` and the clock is
-    /// charged the serial sum; at depth `d > 1` pages are submitted in batches
-    /// of up to `d` through
-    /// [`submit_batch`](FlashTranslationLayer::submit_batch) and the clock is
-    /// charged each batch's chip-parallel makespan.
+    /// Sets the queue depth for multi-page operations: appends and range reads
+    /// go to the lane in windows of up to `depth` pages
+    /// ([`LaneState::play_window`]). At depth 1 (the default) op tracing is
+    /// off and a window is its one page through scalar `submit`, charged
+    /// serially; deeper, tracing stays on, a window is one
+    /// [`submit_batch`](FlashTranslationLayer::submit_batch) and takes as long
+    /// as its busiest chain on the lane's chip clocks, which — like
+    /// [`FlashStore::now`] — carry over a change of depth.
     ///
     /// Raising the depth above 1 also asks the FTL (via
     /// [`set_write_stripe`](FlashTranslationLayer::set_write_stripe)) to
     /// rotate its host write stream across up to one active block per chip, so
-    /// the page programs of a batch land on different dies and genuinely
+    /// the page programs of a window land on different dies and genuinely
     /// overlap; at depth 1 the stripe is released and placement is exactly the
     /// pre-batching single-active-block layout.
     pub fn set_io_depth(&mut self, depth: usize) {
@@ -256,13 +267,13 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         self.io_depth = depth;
         let chips = self.ftl.device().config().chips();
         self.ftl.set_write_stripe(if depth > 1 { chips.min(depth) } else { 1 });
+        self.ftl.device_mut().set_op_tracing(depth > 1);
     }
 
-    /// The simulated device clock: the sum of every completion latency the
-    /// store has accumulated. Snapshot it around an operation to attribute
-    /// device time to that operation.
-    pub fn clock(&self) -> Nanos {
-        self.clock
+    /// The simulated device time: when every page played so far is done.
+    /// Snapshot it around an operation to attribute device time to it.
+    pub fn now(&self) -> Nanos {
+        self.lane.now()
     }
 
     /// Page-level I/O counters.
@@ -420,7 +431,7 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     }
 
     /// Writes one full page to `lpn`, charging the program (and any GC it
-    /// triggers) to the clock. `request_bytes` is the logical request size
+    /// triggers) to the lane. `request_bytes` is the logical request size
     /// passed to the FTL — PPB's size-based classifier sees it, so callers
     /// should pass the application-level write size (small WAL appends read as
     /// hot, bulk compaction writes as cold).
@@ -437,7 +448,7 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         Ok(())
     }
 
-    /// Reads one page, charging the read (retry ladder included) to the clock.
+    /// Reads one page, charging the read (retry ladder included) to the lane.
     ///
     /// # Errors
     ///
@@ -449,13 +460,39 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         if !self.is_written(lpn) {
             return Err(KvError::Corruption(format!("read of never-written LPN {lpn}")));
         }
-        let completion = self.ftl.submit(IoRequest::read(Lpn(lpn)))?;
-        self.clock += completion.latency;
+        let completion = self.play_page(IoOp::Read, lpn, 0)?;
         self.io.pages_read += 1;
         if completion.uncorrectable {
             return Err(KvError::Corruption(format!("uncorrectable read of LPN {lpn}")));
         }
         Ok(self.page(lpn))
+    }
+
+    /// Plays one scalar page: a one-page chain from the lane's idle instant.
+    fn play_page(&mut self, op: IoOp, lpn: u64, request_bytes: u32) -> Result<Completion, KvError> {
+        let mut chain = PageChain { now: self.lane.now(), service: Nanos::ZERO };
+        Ok(self.lane.play_page(&mut self.ftl, &mut chain, op, Lpn(lpn), request_bytes)?)
+    }
+
+    /// Plays `self.requests` — the reads, or the writes, of one queue-depth
+    /// window — and counts the pages the device applied before any refusal.
+    /// The first uncorrectable read is [`KvError::Corruption`].
+    fn play_window(&mut self) -> Result<(), KvError> {
+        let played = self.lane.play_window(&mut self.ftl, &self.requests, &mut self.completions);
+        let applied = self.completions.len() as u64;
+        if self.requests[0].is_write() {
+            self.io.pages_written += applied;
+        } else {
+            self.io.pages_read += applied;
+        }
+        played?;
+        match self.completions.iter().position(|completion| completion.uncorrectable) {
+            Some(lost) => {
+                let lpn = self.requests[lost].lpn.0;
+                Err(KvError::Corruption(format!("uncorrectable read of LPN {lpn}")))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Where the shadow bytes of `lpn` lie in the arena.
@@ -488,16 +525,15 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         }
     }
 
-    /// Charges one scalar page program of `lpn` to the clock.
+    /// Charges one scalar page program of `lpn` to the lane.
     fn charge_write(&mut self, lpn: u64, request_bytes: u32) -> Result<(), KvError> {
-        let completion = self.ftl.submit(IoRequest::write(Lpn(lpn), request_bytes))?;
-        self.clock += completion.latency;
+        self.play_page(IoOp::Write, lpn, request_bytes)?;
         self.io.pages_written += 1;
         Ok(())
     }
 
-    /// Charges device time for reading every LPN of `lpns`, batching at the
-    /// configured queue depth. The bytes themselves come from the shadow table
+    /// Charges device time for reading every LPN of `lpns`, one queue-depth
+    /// window at a time. The bytes themselves come from the shadow table
     /// afterwards — this pays for the traffic.
     ///
     /// # Errors
@@ -510,32 +546,20 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
                 return Err(KvError::Corruption(format!("read of never-written LPN {lpn}")));
             }
         }
-        if self.io_depth <= 1 {
-            for lpn in lpns {
-                self.read_page(lpn)?;
-            }
-            return Ok(());
-        }
-        let mut lpns = lpns.peekable();
-        while lpns.peek().is_some() {
+        let mut lpns = lpns;
+        loop {
             self.requests.clear();
             self.requests
                 .extend(lpns.by_ref().take(self.io_depth).map(|lpn| IoRequest::read(Lpn(lpn))));
-            let batch = self.ftl.submit_batch(&self.requests)?;
-            self.clock += batch.makespan;
-            self.io.pages_read += self.requests.len() as u64;
-            for (completion, request) in batch.completions.iter().zip(&self.requests) {
-                if completion.uncorrectable {
-                    let lpn = request.lpn.0;
-                    return Err(KvError::Corruption(format!("uncorrectable read of LPN {lpn}")));
-                }
+            if self.requests.is_empty() {
+                return Ok(());
             }
+            self.play_window()?;
         }
-        Ok(())
     }
 
     /// Reads a run of whole pages (in `lpns` order) and returns their
-    /// concatenated contents, batching the device traffic at the configured
+    /// concatenated contents, windowing the device traffic at the configured
     /// queue depth. The WAL recovery scan reads its written prefix through
     /// this in one sweep instead of page-at-a-time.
     ///
@@ -556,11 +580,13 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     /// page program per page touched, one queue-depth window at a time. Each
     /// window's bytes go into the shadow pages in place once its programs
     /// succeeded, so an append that fails leaves the pages of the failing and
-    /// all later windows — and `file.len()` — untouched. A partial tail page is
-    /// rewritten (same LPN), which models the WAL's torn-page overwrite cost
-    /// faithfully: the old version of the page is invalidated and a fresh
-    /// program pays for the new one; its already-appended prefix is simply left
-    /// where it is, the way a real writer keeps its tail page in a RAM buffer.
+    /// all later windows — and `file.len()` — untouched (the programs applied
+    /// before the refused one are counted and charged all the same). A partial
+    /// tail page is rewritten (same LPN), which models the WAL's torn-page
+    /// overwrite cost faithfully: the old version of the page is invalidated
+    /// and a fresh program pays for the new one; its already-appended prefix is
+    /// simply left where it is, the way a real writer keeps its tail page in a
+    /// RAM buffer.
     ///
     /// # Errors
     ///
@@ -583,20 +609,12 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         let last_page = (end - 1) / page_size;
         let mut page = start / page_size;
         while page <= last_page {
-            // One queue-depth window: a scalar `submit` of its single page at
-            // depth 1, one `submit_batch` charged its makespan when deeper.
             let window = page..(page + self.io_depth as u64).min(last_page + 1);
-            if self.io_depth <= 1 {
-                self.charge_write(lpn_of(page), request_bytes)?;
-            } else {
-                self.requests.clear();
-                self.requests.extend(
-                    window.clone().map(|page| IoRequest::write(Lpn(lpn_of(page)), request_bytes)),
-                );
-                let batch = self.ftl.submit_batch(&self.requests)?;
-                self.clock += batch.makespan;
-                self.io.pages_written += self.requests.len() as u64;
-            }
+            self.requests.clear();
+            self.requests.extend(
+                window.clone().map(|page| IoRequest::write(Lpn(lpn_of(page)), request_bytes)),
+            );
+            self.play_window()?;
             for page in window.clone() {
                 let page_start = page * page_size;
                 let from = page_start.max(start);
@@ -790,8 +808,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
-    use vflash_ftl::{Completion, ConventionalFtl, FtlConfig, FtlError, FtlMetrics};
-    use vflash_nand::{NandConfig, NandDevice};
+    use vflash_ftl::{BatchCompletion, ConventionalFtl, FtlConfig, FtlError, FtlMetrics};
+    use vflash_nand::{ChipClocks, NandConfig, NandDevice};
 
     fn store() -> FlashStore<ConventionalFtl> {
         let device = NandDevice::new(NandConfig::small());
@@ -814,7 +832,7 @@ mod tests {
         // An interior slice straddling a page boundary.
         let slice = store.read_range(&file, page as u64 - 10, 30).unwrap();
         assert_eq!(slice, &data[page - 10..page + 20]);
-        assert!(store.clock() > Nanos::ZERO, "device time must be charged");
+        assert!(store.now() > Nanos::ZERO, "device time must be charged");
         assert!(store.io_stats().pages_written >= 3);
     }
 
@@ -892,17 +910,17 @@ mod tests {
         let mut serial = multi_chip();
         let mut serial_file = SegmentFile::new();
         serial.append(&mut serial_file, &data, data.len() as u32).unwrap();
-        let read_start = serial.clock();
+        let read_start = serial.now();
         let serial_bytes = serial.read_range(&serial_file, 0, data.len()).unwrap().to_vec();
-        let serial_read_time = serial.clock() - read_start;
+        let serial_read_time = serial.now() - read_start;
 
         let mut batched = multi_chip();
         batched.set_io_depth(8);
         let mut batched_file = SegmentFile::new();
         batched.append(&mut batched_file, &data, data.len() as u32).unwrap();
-        let read_start = batched.clock();
+        let read_start = batched.now();
         let batched_bytes = batched.read_range(&batched_file, 0, data.len()).unwrap().to_vec();
-        let batched_read_time = batched.clock() - read_start;
+        let batched_read_time = batched.now() - read_start;
 
         assert_eq!(serial_bytes, data);
         assert_eq!(batched_bytes, data, "batching must not change the bytes");
@@ -912,10 +930,10 @@ mod tests {
             "batching changes time accounting, not page traffic"
         );
         assert!(
-            batched.clock() < serial.clock(),
+            batched.now() < serial.now(),
             "4 chips at depth 8 must beat the serial clock ({} vs {})",
-            batched.clock(),
-            serial.clock()
+            batched.now(),
+            serial.now()
         );
         assert!(batched_read_time < serial_read_time);
         let metrics = batched.ftl().metrics();
@@ -1077,8 +1095,136 @@ mod tests {
         proptest::collection::vec(op, 1..60)
     }
 
+    /// The accounting the lane replaced, kept as the reference model: a clock
+    /// that a scalar page advances by its latency and a batch by the makespan
+    /// of its pages' ops on chip clocks that start fresh with every batch.
+    struct RetiredClock {
+        inner: ConventionalFtl,
+        clock: Nanos,
+    }
+
+    impl FlashTranslationLayer for RetiredClock {
+        fn name(&self) -> &str {
+            "retired-clock"
+        }
+        fn logical_pages(&self) -> u64 {
+            self.inner.logical_pages()
+        }
+        fn submit(&mut self, request: IoRequest) -> Result<Completion, FtlError> {
+            let completion = self.inner.submit(request)?;
+            self.clock += completion.latency;
+            Ok(completion)
+        }
+        fn submit_batch(&mut self, requests: &[IoRequest]) -> Result<BatchCompletion, FtlError> {
+            // The inner FTL's own scalar submissions: `submit` above hears none.
+            let batch = self.inner.submit_batch(requests)?;
+            let device = self.inner.device();
+            let mut clocks = ChipClocks::new(device.config().chips());
+            for completion in &batch.completions {
+                let mut now = Nanos::ZERO;
+                for op in device.ops(completion.ops) {
+                    now = clocks.play_op(op.chip.0, now, op.latency);
+                }
+            }
+            self.clock += clocks.makespan();
+            Ok(batch)
+        }
+        fn set_write_stripe(&mut self, lanes: usize) {
+            self.inner.set_write_stripe(lanes);
+        }
+        fn metrics(&self) -> &FtlMetrics {
+            self.inner.metrics()
+        }
+        fn device(&self) -> &NandDevice {
+            self.inner.device()
+        }
+        fn device_mut(&mut self) -> &mut NandDevice {
+            self.inner.device_mut()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum DeviceOp {
+        Append(usize),
+        Truncate,
+        /// Start, in thousandths of the file's length, and length.
+        ReadRange(u64, usize),
+        ReadPages,
+        Superblock,
+        Depth(usize),
+    }
+
+    fn io_depths() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(1usize), Just(2usize), Just(8usize), Just(16usize)]
+    }
+
+    fn device_ops() -> impl Strategy<Value = Vec<DeviceOp>> {
+        let op = prop_oneof![
+            (1usize..700).prop_map(DeviceOp::Append),
+            (700usize..9_000).prop_map(DeviceOp::Append),
+            (0u8..1).prop_map(|_| DeviceOp::Truncate),
+            (0u64..1000, 1usize..6_000).prop_map(|(at, len)| DeviceOp::ReadRange(at, len)),
+            (0u8..1).prop_map(|_| DeviceOp::ReadPages),
+            (0u8..1).prop_map(|_| DeviceOp::Superblock),
+            io_depths().prop_map(DeviceOp::Depth),
+        ];
+        proptest::collection::vec(op, 1..100)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The lane — chip clocks kept for the store's life, every window
+        /// starting at its idle instant — tells the time the store's own clock
+        /// used to: the serial sum at depth 1, fresh chip clocks per window
+        /// deeper, through any change of depth.
+        #[test]
+        fn the_lane_tells_the_time_the_retired_clock_told(
+            ops in device_ops(),
+            depth in io_depths(),
+            four_chips in any::<bool>(),
+        ) {
+            let config = NandConfig::builder()
+                .chips(if four_chips { 4 } else { 1 })
+                .blocks_per_chip(if four_chips { 4 } else { 16 })
+                .pages_per_block(8)
+                .page_size_bytes(512)
+                .build()
+                .unwrap();
+            let device = NandDevice::new(config);
+            let inner = ConventionalFtl::new(device, FtlConfig::default()).unwrap();
+            let mut store = FlashStore::new(RetiredClock { inner, clock: Nanos::ZERO });
+            store.set_io_depth(depth);
+            let page_size = store.page_size() as u64;
+            let mut file = SegmentFile::new();
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    // Past 40 of the device's 128 pages the file starts over,
+                    // in place: the overwrites are what reaches GC.
+                    DeviceOp::Append(len) if file.len() + len as u64 <= 40 * page_size => {
+                        store.append(&mut file, &vec![step as u8; len], len as u32).unwrap();
+                    }
+                    DeviceOp::Append(_) | DeviceOp::Truncate => file.truncate(),
+                    DeviceOp::ReadRange(at, len) => {
+                        let offset = file.len() * at / 1000;
+                        let len = len.min((file.len() - offset) as usize);
+                        store.read_range(&file, offset, len).unwrap();
+                    }
+                    DeviceOp::ReadPages => {
+                        let written = file.len().div_ceil(page_size);
+                        let lpns: Vec<u64> =
+                            (0..written).map(|page| file.lpn_at(page).unwrap()).collect();
+                        store.read_pages(&lpns).unwrap();
+                    }
+                    DeviceOp::Superblock => store.write_superblock(&[step as u8; 64]).unwrap(),
+                    DeviceOp::Depth(depth) => store.set_io_depth(depth),
+                }
+                prop_assert_eq!(store.now(), store.ftl().clock, "after step {}", step);
+            }
+            let (io, served) = (store.io_stats(), store.ftl().metrics());
+            prop_assert_eq!(io.pages_written, served.host_writes);
+            prop_assert_eq!(io.pages_read, served.host_reads);
+        }
 
         /// Writing an append into the shadow pages in place must leave every
         /// page it touches byte-equal to what the store used to build for it:

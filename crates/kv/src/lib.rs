@@ -37,9 +37,10 @@
 //!
 //! Every byte of persistence goes through [`FlashStore`]: append-only
 //! [`SegmentFile`]s mapped onto LPN extents, one `IoRequest` per page touched —
-//! submitted one at a time at [`KvConfig::io_depth`] 1, or in chip-parallel
-//! batches of up to `io_depth` pages through the FTL's `submit_batch` path,
-//! charging multi-page operations the batch makespan instead of the serial sum.
+//! played through the device's lane of the timing core
+//! (`vflash_sim::LaneState`, the store's only clock): one at a time at
+//! [`KvConfig::io_depth`] 1, or in windows of up to `io_depth` pages, one
+//! `submit_batch` each, whose pages overlap on the lane's chip clocks.
 //! The request sizes passed down are the application's real write sizes, so
 //! PPB's size-based hotness classifier sees WAL appends as small (hot) writes
 //! and bulk table builds as large (cold) ones — the exact workload contrast the

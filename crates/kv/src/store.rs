@@ -68,9 +68,11 @@ pub struct KvConfig {
     /// Queue depth for multi-page device I/O. At 1 (the default) every page
     /// goes through scalar `submit` — the serial path, bit-identical to a
     /// store without batching. Deeper, SSTable builds, compaction streams, WAL
-    /// recovery scans and range scans submit up to `io_depth` pages per
+    /// recovery scans and range scans go to the device's lane in windows of up
+    /// to `io_depth` pages, each one
     /// [`submit_batch`](vflash_ftl::FlashTranslationLayer::submit_batch) call
-    /// and are charged the chip-parallel makespan instead of the serial sum.
+    /// that takes as long as its busiest chain on the lane's chip clocks, not
+    /// the serial sum.
     pub io_depth: usize,
     /// Bloom filter budget in bits per key for freshly built tables.
     pub bloom_bits_per_key: usize,
@@ -389,7 +391,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     }
 
     fn write_op(&mut self, op: WalOp) -> Result<WriteReceipt, KvError> {
-        let start = self.store.clock();
+        let start = self.store.now();
         if self.wal.would_overflow(&op, self.store.page_size()) {
             self.stats.wal_forced_flushes += 1;
             self.flush()?;
@@ -398,9 +400,9 @@ impl<F: FlashTranslationLayer> KvStore<F> {
                 return Err(KvError::OutOfSpace);
             }
         }
-        let before_append = self.store.clock();
+        let before_append = self.store.now();
         self.wal.append(&mut self.store, &op)?;
-        let log_time = self.store.clock() - before_append;
+        let log_time = self.store.now() - before_append;
         let (key, value) = match op {
             WalOp::Put { key, value } => {
                 self.stats.app_bytes_written += (key.len() + value.len()) as u64;
@@ -415,7 +417,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         if self.memtable.bytes() >= self.config.memtable_bytes {
             self.flush()?;
         }
-        let total = self.store.clock() - start;
+        let total = self.store.now() - start;
         Ok(WriteReceipt { log_time, stall_time: total - log_time })
     }
 
@@ -426,7 +428,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// Read and decode errors pass through.
     pub fn get(&mut self, key: &[u8]) -> Result<Lookup, KvError> {
         self.stats.gets += 1;
-        let start = self.store.clock();
+        let start = self.store.now();
         if let Some(entry) = self.memtable.get(key) {
             let value = entry.clone();
             if value.is_some() {
@@ -437,7 +439,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             return Ok(Lookup {
                 value,
                 source: LookupSource::Memtable,
-                time: self.store.clock() - start,
+                time: self.store.now() - start,
             });
         }
         let KvStore { store, l0, sorted, stats, .. } = self;
@@ -461,12 +463,12 @@ impl<F: FlashTranslationLayer> KvStore<F> {
                 return Ok(Lookup {
                     value,
                     source: LookupSource::SsTable,
-                    time: store.clock() - start,
+                    time: store.now() - start,
                 });
             }
         }
         stats.misses += 1;
-        Ok(Lookup { value: None, source: LookupSource::Miss, time: store.clock() - start })
+        Ok(Lookup { value: None, source: LookupSource::Miss, time: store.now() - start })
     }
 
     /// Returns every live key/value pair with key in `[lo, hi)`, in key order.
@@ -515,7 +517,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         if self.memtable.is_empty() && self.wal.file().is_empty() {
             return Ok(());
         }
-        let start = self.store.clock();
+        let start = self.store.now();
         if !self.memtable.is_empty() {
             for (key, value) in self.memtable.iter() {
                 self.builder.add(key, value.as_deref());
@@ -530,7 +532,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         }
         self.wal.reset();
         self.write_manifest()?;
-        self.stats.flush_time += self.store.clock() - start;
+        self.stats.flush_time += self.store.now() - start;
         Ok(())
     }
 
@@ -581,7 +583,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// Merges every table of `level` and `level + 1` into a fresh sorted run at
     /// `level + 1`.
     fn compact_level(&mut self, level: usize) -> Result<(), KvError> {
-        let start = self.store.clock();
+        let start = self.store.now();
         // Tombstones are dropped once the output is the bottom of the tree —
         // nothing older exists for them to shadow.
         let bottom = self.sorted.iter().skip(level + 1).all(SortedRun::is_empty);
@@ -629,7 +631,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             self.pending_free.extend(table.meta.file.extents());
         }
         self.stats.compactions += 1;
-        self.stats.compaction_time += self.store.clock() - start;
+        self.stats.compaction_time += self.store.now() - start;
         Ok(())
     }
 
@@ -715,9 +717,10 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         &self.config
     }
 
-    /// The simulated device clock (total completion latency accumulated).
+    /// The simulated device clock, read from the device's lane
+    /// ([`FlashStore::now`]).
     pub fn device_clock(&self) -> Nanos {
-        self.store.clock()
+        self.store.now()
     }
 
     /// The underlying flash store (FTL metrics, I/O counters).
@@ -1261,12 +1264,19 @@ mod tests {
 
     #[test]
     fn a_flush_refused_at_any_write_keeps_every_put_readable_and_leaks_no_page() {
+        for io_depth in [1, 8] {
+            a_flush_refused_at_any_write(io_depth);
+        }
+    }
+
+    fn a_flush_refused_at_any_write(io_depth: usize) {
         // The test flushes by hand, and its second flush compacts: that one's
         // writes are an L0 table, the L1 tables, the manifest, the superblock.
         let config = KvConfig {
             memtable_bytes: 1 << 20,
             wal_pages: 8,
             l0_compaction_trigger: 2,
+            io_depth,
             ..small_config()
         };
         let about_to_flush = || {
@@ -1293,6 +1303,16 @@ mod tests {
                 assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
             }
         };
+        // The pages of a window the device applied before it refused one are
+        // device traffic like any other.
+        let counts_every_page_served = |kv: &KvStore<FailingNth>, when: &str| {
+            let (io, served) = (kv.flash().io_stats(), kv.flash().ftl().metrics());
+            assert_eq!(
+                (io.pages_written, io.pages_read),
+                (served.host_writes, served.host_reads),
+                "{when}, depth {io_depth}"
+            );
+        };
         // Refuse the flush's first write, then — from the same state — its
         // second, ... until it gets through: every page of every file it
         // writes is the refused one once.
@@ -1308,6 +1328,7 @@ mod tests {
             assert!(matches!(flushed, Err(KvError::ReadOnly)), "{flushed:?}");
             assert_eq!(writes_until_failure.get(), None, "the armed failure fired");
             assert_eq!(kv.check_invariants(), Ok(()), "after refusing write {refused}");
+            counts_every_page_served(&kv, &format!("after refusing write {refused}"));
             serves_every_put(&mut kv);
             // The device accepts writes again: the next flush commits, and
             // what it commits survives a crash.
@@ -1316,6 +1337,7 @@ mod tests {
             let mut kv = KvStore::open(kv.crash(), config).unwrap();
             serves_every_put(&mut kv);
             assert_eq!(kv.check_invariants(), Ok(()), "recovered after refusing write {refused}");
+            counts_every_page_served(&kv, &format!("recovered after refusing write {refused}"));
             refused += 1;
         }
         assert!(refused >= 6, "two L0 pages, two L1 tables, manifest, superblock: {refused}");
@@ -1615,7 +1637,7 @@ mod tests {
         key: &[u8],
     ) -> Result<Lookup, KvError> {
         kv.stats.gets += 1;
-        let start = kv.store.clock();
+        let start = kv.store.now();
         if let Some(entry) = kv.memtable.get(key) {
             let value = entry.clone();
             if value.is_some() {
@@ -1623,7 +1645,7 @@ mod tests {
             } else {
                 kv.stats.misses += 1;
             }
-            let time = kv.store.clock() - start;
+            let time = kv.store.now() - start;
             return Ok(Lookup { value, source: LookupSource::Memtable, time });
         }
         let KvStore { store, l0, sorted, stats, .. } = kv;
@@ -1640,12 +1662,12 @@ mod tests {
                 } else {
                     stats.misses += 1;
                 }
-                let time = store.clock() - start;
+                let time = store.now() - start;
                 return Ok(Lookup { value, source: LookupSource::SsTable, time });
             }
         }
         stats.misses += 1;
-        Ok(Lookup { value: None, source: LookupSource::Miss, time: store.clock() - start })
+        Ok(Lookup { value: None, source: LookupSource::Miss, time: store.now() - start })
     }
 
     /// `scan` as it was before the levels were fence-indexed: every table of

@@ -3,10 +3,10 @@
 //! Chips are independent dies — operations on different chips overlap in time
 //! while operations on the same chip serialise. Everything in the workspace
 //! that turns a stream of timed device operations into wall-clock instants
-//! (the replay engine's event calendar, the FTL batch-submission path) applies
-//! the same rule: an op starts when both its predecessor in the request chain
-//! and its chip are ready, and it advances the chip's clock to its end.
-//! [`ChipClocks`] owns that rule so both consumers schedule identically.
+//! goes through one rule: an op starts when both its predecessor in the
+//! request chain and its chip are ready, and it advances the chip's clock to
+//! its end. [`ChipClocks`] owns that rule; `vflash-sim`'s lane, which every
+//! tier plays its pages through, holds a device's one set of them.
 
 use crate::time::Nanos;
 
@@ -53,11 +53,6 @@ impl ChipClocks {
     pub fn makespan(&self) -> Nanos {
         self.ready.iter().copied().max().unwrap_or(Nanos::ZERO)
     }
-
-    /// Rewinds every chip to ready-at-zero (reuse across batches).
-    pub fn reset(&mut self) {
-        self.ready.fill(Nanos::ZERO);
-    }
 }
 
 #[cfg(test)]
@@ -76,15 +71,5 @@ mod tests {
         assert_eq!(clocks.ready_at(0), Nanos(150));
         assert_eq!(clocks.ready_at(1), Nanos(50));
         assert_eq!(clocks.makespan(), Nanos(150));
-    }
-
-    #[test]
-    fn reset_rewinds_every_chip() {
-        let mut clocks = ChipClocks::new(3);
-        clocks.play_op(2, Nanos(0), Nanos(7));
-        assert_eq!(clocks.makespan(), Nanos(7));
-        clocks.reset();
-        assert_eq!(clocks.makespan(), Nanos::ZERO);
-        assert_eq!(clocks, ChipClocks::new(3));
     }
 }

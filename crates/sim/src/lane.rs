@@ -12,6 +12,9 @@
 //!           chip_ready[chip(k)] = start + latency(k)
 //! latency = end of last op - issue
 //! service = Σ latency(k);   queueing delay = latency - service
+//! window:   every request is a chain of its own, starting when the lane is
+//!           idle = max(lane ready clock, every chip_ready); the window ends
+//!           at the latest chain end, the lane's next idle
 //! ```
 //!
 //! A multi-page request is a dependent [`PageChain`] of page submissions on one
@@ -19,10 +22,15 @@
 //! the fleet driver drives N lanes and one chain per lane a request touches.
 //! Both go through the same [`LaneState::play_page`], [`LaneState::record`] and
 //! [`LaneState::finish`], so a lane of a fleet reports exactly what the engine
-//! would report for the requests that lane served.
+//! would report for the requests that lane served. The KV store's device
+//! (`vflash_kv::FlashStore`) is a lane too: a scalar page is a one-page chain
+//! from [`LaneState::now`], a queue-depth window of an append or a range read
+//! one [`LaneState::play_window`], on chip clocks kept for the store's life.
 
-use vflash_ftl::{FlashTranslationLayer, FtlError, FtlMetrics, IoRequest as FtlRequest, Lpn};
-use vflash_nand::{ChipClocks, ChipId, Nanos};
+use vflash_ftl::{
+    Completion, FlashTranslationLayer, FtlError, FtlMetrics, IoRequest as FtlRequest, Lpn,
+};
+use vflash_nand::{ChipClocks, ChipId, NandDevice, Nanos, OpSpan};
 use vflash_trace::{IoOp, PageSplitter, Trace};
 
 use crate::calendar::{ArrivalWindow, Issue};
@@ -140,12 +148,12 @@ pub struct LaneState {
     /// prefill, mirroring how a real host would simply get zeroes back.
     skip_unmapped_reads: bool,
     /// Per-chip busy-until clocks. Resource clocks, not events: ops ask for a
-    /// specific chip's availability by index. The same type the FTL batch path
-    /// (`submit_batch`) schedules with, so both apply the exact same rule.
+    /// specific chip's availability by index. The only ones a device has:
+    /// chains, background writes and windows all advance these.
     chips: ChipClocks,
     /// Untraced (closed-loop depth 1) device-level ready clock: with op
     /// tracing off there are no per-chip spans to overlay, so background
-    /// writes and finished chains push this one clock instead.
+    /// writes and played pages push this one clock instead.
     ready: Nanos,
     pub(crate) read_latencies: LatencyHistogram,
     pub(crate) write_latencies: LatencyHistogram,
@@ -195,9 +203,37 @@ impl LaneState {
         PageChain { now, service: Nanos::ZERO }
     }
 
-    /// Submits one logical page to the lane and advances `chain`: each timed
-    /// device op starts when both its predecessor in the chain and its chip
-    /// are ready; an untraced completion charges its latency serially.
+    /// When the lane is idle: no page played so far keeps a chip, or the ready
+    /// clock, busy past this instant.
+    #[inline]
+    pub fn now(&self) -> Nanos {
+        self.ready.max(self.chips.makespan())
+    }
+
+    /// Charges one served page to `chain`: each timed device op starts when
+    /// both its predecessor in the chain and its chip are ready; an untraced
+    /// completion charges its latency serially and pushes the ready clock.
+    #[inline]
+    fn charge(&mut self, device: &NandDevice, chain: &mut PageChain, completion: &Completion) {
+        if completion.ops.is_empty() {
+            chain.now += completion.latency;
+            chain.service += completion.latency;
+            self.ready = self.ready.max(chain.now);
+        } else {
+            let mut service = Nanos::ZERO;
+            for op in device.ops(completion.ops) {
+                chain.now = self.chips.play_op(op.chip.0, chain.now, op.latency);
+                service += op.latency;
+            }
+            // What makes the serial charge and the overlay one cost.
+            debug_assert_eq!(service, completion.latency, "latency != the sum of its ops'");
+            chain.service += service;
+        }
+    }
+
+    /// Submits one logical page to the lane, advances `chain` by it and
+    /// returns its completion (the zero completion for a skipped read), its op
+    /// span spent: the lane has played it.
     ///
     /// # Errors
     ///
@@ -211,36 +247,73 @@ impl LaneState {
         op: IoOp,
         lpn: Lpn,
         request_bytes: u32,
-    ) -> Result<(), FtlError> {
-        let completion = match op {
+    ) -> Result<Completion, FtlError> {
+        let mut completion = match op {
             IoOp::Write => ftl.submit(FtlRequest::write(lpn, request_bytes))?,
             IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
                 Ok(completion) => completion,
-                Err(FtlError::UnmappedRead { .. }) if self.skip_unmapped_reads => return Ok(()),
+                Err(FtlError::UnmappedRead { .. }) if self.skip_unmapped_reads => {
+                    return Ok(Completion::default())
+                }
                 Err(err) => return Err(err),
             },
         };
-        let span = completion.ops;
-        if span.is_empty() {
-            chain.now += completion.latency;
-            chain.service += completion.latency;
-        } else {
-            for op in ftl.device().ops(span) {
-                chain.now = self.chips.play_op(op.chip.0, chain.now, op.latency);
-                chain.service += op.latency;
-            }
+        self.charge(ftl.device(), chain, &completion);
+        if !completion.ops.is_empty() {
             // Release the op arena: spans never outlive the page that produced
             // them, so the backing buffer stays at one page's worth of records
             // and never reallocates.
             ftl.device_mut().clear_ops();
+            completion.ops = OpSpan::EMPTY;
         }
-        Ok(())
+        Ok(completion)
+    }
+
+    /// Plays one queue-depth window: `requests` submitted together once the
+    /// lane is idle. With op tracing on that is one
+    /// [`submit_batch`](FlashTranslationLayer::submit_batch), every request a
+    /// chain of its own from [`LaneState::now`]; with tracing off there are no
+    /// chips to overlap on and no batch to count, and the requests are scalar
+    /// submissions on one serial chain. `completions` is left holding those of
+    /// the requests the device applied, op spans spent.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal. The requests before it were applied: they are played
+    /// and in `completions` all the same.
+    #[inline]
+    pub fn play_window<F: FlashTranslationLayer + ?Sized>(
+        &mut self,
+        ftl: &mut F,
+        requests: &[FtlRequest],
+        completions: &mut Vec<Completion>,
+    ) -> Result<(), FtlError> {
+        completions.clear();
+        let idle = PageChain { now: self.now(), service: Nanos::ZERO };
+        if !ftl.device().op_tracing() {
+            let mut chain = idle;
+            for &request in requests {
+                let completion = ftl.submit(request)?;
+                self.charge(ftl.device(), &mut chain, &completion);
+                completions.push(completion);
+            }
+            return Ok(());
+        }
+        let mut batch = ftl.submit_batch(requests)?;
+        for completion in &mut batch.completions {
+            let mut chain = idle;
+            self.charge(ftl.device(), &mut chain, completion);
+            completion.ops = OpSpan::EMPTY;
+        }
+        ftl.device_mut().clear_ops();
+        *completions = batch.completions;
+        batch.refused.map_or(Ok(()), Err)
     }
 
     /// Plays one background page write (a host-cache writeback) issued at
-    /// `issue`: it occupies the lane's chips — or, untraced, the lane's ready
-    /// clock — so later requests queue behind it, but belongs to no request's
-    /// chain and extends no request's latency.
+    /// `issue`: a one-page chain that no request owns. It occupies the lane's
+    /// chips — or, untraced, the lane's ready clock — so later requests queue
+    /// behind it, but extends no request's latency.
     ///
     /// # Errors
     ///
@@ -252,18 +325,8 @@ impl LaneState {
         lpn: Lpn,
         request_bytes: u32,
     ) -> Result<(), FtlError> {
-        let completion = ftl.submit(FtlRequest::write(lpn, request_bytes))?;
-        let span = completion.ops;
-        if span.is_empty() {
-            self.ready = self.ready.max(issue) + completion.latency;
-        } else {
-            let mut now = issue;
-            for op in ftl.device().ops(span) {
-                now = self.chips.play_op(op.chip.0, now, op.latency);
-            }
-            ftl.device_mut().clear_ops();
-        }
-        Ok(())
+        let mut chain = self.begin(issue);
+        self.play_page(ftl, &mut chain, IoOp::Write, lpn, request_bytes).map(drop)
     }
 
     /// Records one request's finished chain: response latency into the read or
@@ -281,9 +344,6 @@ impl LaneState {
         self.requests += 1;
         if chain.now > self.last_completion {
             self.last_completion = chain.now;
-        }
-        if !self.discipline.needs_op_tracing() {
-            self.ready = chain.now.max(self.ready);
         }
         self.arrivals.observe(issue.arrival);
         latency

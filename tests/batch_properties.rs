@@ -1,20 +1,23 @@
-//! Property-based contracts of the batched submission path
-//! (`FlashTranslationLayer::submit_batch`), for both FTLs, with fault
-//! injection off and on:
+//! Property-based contracts of the queue-depth window — one
+//! `FlashTranslationLayer::submit_batch` played by `LaneState::play_window` —
+//! for both FTLs, with fault injection off and on:
 //!
-//! * the batch makespan never exceeds the serial sum of the per-request
-//!   latencies (chip overlap can only help),
-//! * the batch makespan is never below the busiest chip's serial time (a chip
-//!   can only do one op at a time),
-//! * a batch of one request is bit-identical to a scalar `submit` — same
-//!   completion, same device evolution, same metrics.
+//! * a window never takes longer than the serial sum of its pages' latencies
+//!   (chip overlap can only help),
+//! * nor less than the busiest chip's op time (a chip does one op at a time),
+//! * and it leaves the device exactly where serial submission leaves it —
+//!   same completions, same metrics, same refusal after the same pages;
+//! * a completion's latency is the sum of its ops' latencies: what lets a page
+//!   charged serially (depth 1) and the same page overlaid op by op (deeper)
+//!   cost the same.
 
 use proptest::prelude::*;
 use vflash::ftl::{
-    ConventionalFtl, FlashTranslationLayer, FtlConfig, IoRequest, Lpn,
+    Completion, ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, IoRequest, Lpn,
 };
-use vflash::nand::{FaultConfig, NandConfig, NandDevice, Nanos};
+use vflash::nand::{FaultConfig, NandConfig, NandDevice, Nanos, OpSpan};
 use vflash::ppb::{PpbConfig, PpbFtl};
+use vflash::sim::{ArrivalDiscipline, LaneState, RunOptions};
 
 /// A compact encoding of one batched host operation.
 #[derive(Debug, Clone, Copy)]
@@ -78,104 +81,111 @@ fn prefill(ftl: &mut dyn FlashTranslationLayer) -> bool {
     for lpn in 0..ftl.logical_pages() {
         match ftl.submit(IoRequest::write(Lpn(lpn), 16 * PAGE_BYTES)) {
             Ok(_) => {}
-            Err(vflash::ftl::FtlError::ReadOnly) => return false,
+            Err(FtlError::ReadOnly) => return false,
             Err(err) => panic!("prefill write failed: {err:?}"),
         }
     }
     true
 }
 
-/// Submits `ops` as one batch and checks the two makespan bounds.
-fn check_batch_bounds(ftl: &mut dyn FlashTranslationLayer, ops: &[Op]) {
-    if !prefill(ftl) {
-        return;
-    }
-    let chips = ftl.device().config().chips();
-    // Stripe the write stream like a depth>1 host would, so batches genuinely
-    // overlap and the bounds are exercised away from the degenerate
-    // makespan == serial case.
-    ftl.set_write_stripe(chips);
-    ftl.device_mut().set_op_tracing(true);
-    let batch: Vec<IoRequest> = ops.iter().map(|op| op.request(PAGE_BYTES)).collect();
-    let result = match ftl.submit_batch(&batch) {
-        Ok(result) => result,
-        Err(vflash::ftl::FtlError::ReadOnly) => return,
-        Err(err) => panic!("batch failed: {err:?}"),
-    };
-    assert_eq!(result.len(), batch.len());
+/// The pages of one queue-depth window.
+const WINDOW: usize = 16;
 
-    let serial = result.serial_time();
-    assert!(
-        result.makespan <= serial,
-        "makespan {:?} exceeds the serial sum {:?}",
-        result.makespan,
-        serial
-    );
-
-    let mut per_chip = vec![Nanos::ZERO; chips];
-    for completion in &result.completions {
-        for op in ftl.device().ops(completion.ops) {
-            per_chip[op.chip.0] += op.latency;
-        }
-    }
-    let busiest = per_chip.into_iter().max().unwrap_or(Nanos::ZERO);
-    assert!(
-        result.makespan >= busiest,
-        "makespan {:?} undercuts the busiest chip's serial time {:?}",
-        result.makespan,
-        busiest
-    );
-
-    // Every per-request finish time is within the makespan.
-    for finish in &result.finish_times {
-        assert!(*finish <= result.makespan);
-    }
-}
-
-/// Replays `ops` through a scalar FTL and a size-1-batch FTL and demands
-/// bit-identical completions, metrics and device evolution.
-fn check_single_request_identity(
-    mut scalar: Box<dyn FlashTranslationLayer>,
+/// Plays `ops` in windows on one lane over `batched`, and one by one through
+/// scalar `submit` on its twin `serial`, whose op spans say what each window's
+/// bounds are.
+fn check_window_bounds(
     mut batched: Box<dyn FlashTranslationLayer>,
+    mut serial: Box<dyn FlashTranslationLayer>,
     ops: &[Op],
 ) {
-    let alive = prefill(scalar.as_mut());
-    assert_eq!(alive, prefill(batched.as_mut()), "prefill evolution diverged");
+    let alive = prefill(batched.as_mut());
+    assert_eq!(alive, prefill(serial.as_mut()), "prefill evolution diverged");
     if !alive {
         return;
     }
-    let mut batches = 0;
-    for op in ops {
-        let request = op.request(PAGE_BYTES);
-        let expected = scalar.submit(request);
-        let batch = batched.submit_batch(std::slice::from_ref(&request));
-        match (expected, batch) {
-            (Ok(expected), Ok(batch)) => {
-                batches += 1;
-                assert_eq!(batch.completions[0], expected, "completion diverged on {op:?}");
-                assert_eq!(batch.makespan, expected.latency);
-                assert_eq!(batch.finish_times, vec![expected.latency]);
-            }
-            // Identical errors (e.g. the device going read-only) are identity
-            // too; stop there — the scalar side has applied the request's
-            // partial effects in submit order, same as the batch.
-            (Err(a), Err(b)) => {
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "errors diverged on {op:?}");
-                break;
-            }
-            (expected, batch) => {
-                panic!("one side failed on {op:?}: scalar {expected:?}, batch {batch:?}");
+    let chips = batched.device().config().chips();
+    for ftl in [&mut batched, &mut serial] {
+        // Stripe the write stream like a depth>1 host would, so windows
+        // genuinely overlap and the bounds are exercised away from the
+        // degenerate window == serial sum case.
+        ftl.set_write_stripe(chips);
+        ftl.device_mut().set_op_tracing(true);
+    }
+    let discipline = ArrivalDiscipline::ClosedLoop { queue_depth: WINDOW };
+    let mut lane = LaneState::new(batched.as_ref(), &RunOptions::default(), discipline);
+    let requests: Vec<IoRequest> = ops.iter().map(|op| op.request(PAGE_BYTES)).collect();
+    let mut completions = Vec::new();
+    let (mut windows, mut pages) = (0, 0);
+    for window in requests.chunks(WINDOW) {
+        let start = lane.now();
+        let played = lane.play_window(batched.as_mut(), window, &mut completions);
+        let took = lane.now() - start;
+
+        // The same pages, serially: the reference for state and for time.
+        let mut expected: Vec<Completion> = Vec::new();
+        let mut refused = Ok(());
+        let mut per_chip = vec![Nanos::ZERO; chips];
+        for &request in window {
+            match serial.submit(request) {
+                Ok(completion) => {
+                    for op in serial.device().ops(completion.ops) {
+                        per_chip[op.chip.0] += op.latency;
+                    }
+                    expected.push(Completion { ops: OpSpan::EMPTY, ..completion });
+                }
+                Err(error) => {
+                    refused = Err(error);
+                    break;
+                }
             }
         }
+        serial.device_mut().clear_ops();
+        assert_eq!(completions, expected, "the window applied other pages, or other costs");
+        assert_eq!(played, refused, "the window and the serial twin were refused differently");
+
+        let serial_sum: Nanos = expected.iter().map(|completion| completion.latency).sum();
+        assert!(took <= serial_sum, "window took {took:?}, the serial sum is {serial_sum:?}");
+        let busiest = per_chip.into_iter().max().unwrap_or(Nanos::ZERO);
+        assert!(took >= busiest, "window took {took:?}, its busiest chip works {busiest:?}");
+
+        windows += u64::from(!expected.is_empty());
+        pages += expected.len() as u64;
+        if played.is_err() {
+            break;
+        }
     }
-    // The batched side only differs in its batching counters.
+    // The batched side only differs in its batching counters: one submission
+    // per window that applied a page, every applied page counted.
     let mut batched_metrics = *batched.metrics();
-    assert_eq!(batched_metrics.batched_submissions, batches);
-    assert_eq!(batched_metrics.batched_pages, batches);
+    let counted = (batched_metrics.batched_submissions, batched_metrics.batched_pages);
+    assert_eq!(counted, (windows, pages));
     batched_metrics.batched_submissions = 0;
     batched_metrics.batched_pages = 0;
-    assert_eq!(batched_metrics, *scalar.metrics());
-    assert_eq!(batched.device().makespan(), scalar.device().makespan());
+    assert_eq!(batched_metrics, *serial.metrics());
+    assert_eq!(batched.device().makespan(), serial.device().makespan());
+}
+
+/// Submits `ops`, then overwrites every logical page once more so garbage
+/// collection runs whatever `ops` held, and demands of every completion that
+/// its latency is the sum of its ops' latencies.
+fn check_latency_is_the_sum_of_op_latencies(ftl: &mut dyn FlashTranslationLayer, ops: &[Op]) {
+    if !prefill(ftl) {
+        return;
+    }
+    ftl.device_mut().set_op_tracing(true);
+    let overwrites = (0..ftl.logical_pages()).map(|lpn| Op::Write { lpn, small: lpn % 3 == 0 });
+    for op in ops.iter().copied().chain(overwrites) {
+        let completion = match ftl.submit(op.request(PAGE_BYTES)) {
+            Ok(completion) => completion,
+            Err(FtlError::ReadOnly) => return,
+            Err(err) => panic!("{op:?} failed: {err:?}"),
+        };
+        let op_sum: Nanos = ftl.device().ops(completion.ops).iter().map(|op| op.latency).sum();
+        assert_eq!(completion.latency, op_sum, "{op:?}: {completion:?}");
+        ftl.device_mut().clear_ops();
+    }
+    assert!(ftl.metrics().gc_erased_blocks > 0, "the overwrites never reached GC");
 }
 
 proptest! {
@@ -184,24 +194,20 @@ proptest! {
     #[test]
     fn batch_makespan_is_bounded_on_both_ftls(ops in arb_ops(96), seed in any::<u64>()) {
         for faults in [None, Some(seed)] {
-            check_batch_bounds(&mut conventional(faults), &ops);
-            check_batch_bounds(&mut ppb(faults), &ops);
+            check_window_bounds(
+                Box::new(conventional(faults)),
+                Box::new(conventional(faults)),
+                &ops,
+            );
+            check_window_bounds(Box::new(ppb(faults)), Box::new(ppb(faults)), &ops);
         }
     }
 
     #[test]
-    fn single_request_batches_match_scalar_submission(ops in arb_ops(96), seed in any::<u64>()) {
+    fn completion_latency_is_the_sum_of_its_op_latencies(ops in arb_ops(96), seed in any::<u64>()) {
         for faults in [None, Some(seed)] {
-            check_single_request_identity(
-                Box::new(conventional(faults)),
-                Box::new(conventional(faults)),
-                &ops,
-            );
-            check_single_request_identity(
-                Box::new(ppb(faults)),
-                Box::new(ppb(faults)),
-                &ops,
-            );
+            check_latency_is_the_sum_of_op_latencies(&mut conventional(faults), &ops);
+            check_latency_is_the_sum_of_op_latencies(&mut ppb(faults), &ops);
         }
     }
 }

@@ -209,7 +209,7 @@ proptest! {
                     prop_assert!(!cache.is_resident(lpn), "write-around drops the stale copy");
                 }
                 CacheOp::Flush => {
-                    let flushed = cache.flush_to_threshold();
+                    let flushed = cache.flush_to_threshold().to_vec();
                     prop_assert!(
                         !cache.over_threshold(),
                         "a flush must drain to at most the threshold"

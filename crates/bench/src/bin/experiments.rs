@@ -27,9 +27,9 @@ use vflash_kv::{FlashStore, KvConfig};
 use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
 use vflash_ppb::PpbConfig;
 use vflash_sim::experiments::{
-    burst_axis, burst_mean_iops, fault_lifetime, Classifier, ExperimentScale, GcPolicy, Workload,
-    FAULT_SWEEP_POLICIES, FLEET_SIZES, PAGE_SIZES, PPB_COLD_PROMOTE_READS, PPB_HOT_LIST_FRACTIONS,
-    PPB_WARMUP_FRACTIONS, QUEUE_DEPTHS, RATE_SCALES, RBER_SCALES, SPEED_RATIOS,
+    burst_axis, burst_mean_iops, fault_lifetime, Classifier, ExperimentScale, Workload,
+    FLEET_SIZES, PAGE_SIZES, PPB_COLD_PROMOTE_READS, PPB_HOT_LIST_FRACTIONS, PPB_WARMUP_FRACTIONS,
+    QUEUE_DEPTHS, RATE_SCALES, RBER_SCALES, SPEED_RATIOS,
 };
 use vflash_sim::{
     compare_specs, ArrivalDiscipline, Comparison, ComparisonRow, ExperimentGrid, ParallelRunner,
@@ -134,36 +134,16 @@ fn latency_vs_speed(scale: &ExperimentScale, workload: Workload, title: &str, pi
 }
 
 fn fig18(scale: &ExperimentScale) -> Outcome {
-    let specs: Vec<RunSpec> = Workload::ALL
-        .iter()
-        .flat_map(|&workload| {
-            GcPolicy::ALL.map(|gc_policy| RunSpec { gc_policy, ..RunSpec::new(workload, *scale) })
-        })
-        .collect();
-    let by_policy = compare(&specs)?;
-    let erases =
-        |row: &ComparisonRow| (row.comparison.baseline.erased_blocks, row.comparison.variant.erased_blocks);
-    // Greedy is the default policy, so the ablation's greedy rows are the
-    // classic Figure 18 data: one set of runs feeds both tables.
-    let classic: Vec<&ComparisonRow> =
-        by_policy.iter().filter(|row| row.spec.gc_policy == GcPolicy::Greedy).collect();
     render(
         "Figure 18: erased block count comparison (2x, 16 KB pages)",
         "workload          conventional-ftl   ftl-with-ppb",
-        &classic,
-        |row| format!("{:<17} {:>16} {:>14}", row.spec.source.label(), erases(row).0, erases(row).1),
-    );
-    render(
-        "Figure 18 ablation: GC victim policy (greedy / wear-aware / cost-benefit)",
-        "workload          gc-policy        conventional-ftl   ftl-with-ppb",
-        &by_policy,
+        &compare(&Workload::ALL.map(|workload| RunSpec::new(workload, *scale)))?,
         |row| {
             format!(
-                "{:<17} {:<16} {:>16} {:>14}",
+                "{:<17} {:>16} {:>14}",
                 row.spec.source.label(),
-                row.spec.gc_policy.label(),
-                erases(row).0,
-                erases(row).1,
+                row.comparison.baseline.erased_blocks,
+                row.comparison.variant.erased_blocks,
             )
         },
     );
@@ -410,7 +390,7 @@ fn ppb_sensitivity(scale: &ExperimentScale) -> Outcome {
     Ok(())
 }
 
-/// Web/SQL at every RBER scale × GC policy with the NAND fault model on — the
+/// Web/SQL at every RBER scale on both FTLs with the NAND fault model on — the
 /// retry columns grow down the RBER axis and drag the p99/p99.9 with them,
 /// the reliability tax on tail latency, while the default program/erase
 /// failure probabilities keep a trickle of bad-block retirements flowing
@@ -419,27 +399,19 @@ fn faults(scale: &ExperimentScale) -> Outcome {
     // The fault seed is derived from the scale's workload seed, so the sweep
     // is reproducible end to end.
     let nominal = FaultConfig::enabled(scale.seed ^ 0xFA17);
-    let specs: Vec<RunSpec> = RBER_SCALES
-        .iter()
-        .flat_map(|&rber_scale| {
-            FAULT_SWEEP_POLICIES.map(|gc_policy| RunSpec {
-                faults: Some(FaultConfig { rber_scale, ..nominal }),
-                gc_policy,
-                ..RunSpec::new(Workload::WebSqlServer, *scale)
-            })
-        })
-        .collect();
+    let specs = RBER_SCALES.map(|rber_scale| RunSpec {
+        faults: Some(FaultConfig { rber_scale, ..nominal }),
+        ..RunSpec::new(Workload::WebSqlServer, *scale)
+    });
     render(
-        "Fault sweep: web-sql-server, RBER scale x GC policy, 16 KB pages, 2x, QD 1",
-        "rber   gc-policy        ftl             retried   retry%   uncorr   bad-blk   \
-         read p99/p99.9 (us)",
+        "Fault sweep: web-sql-server, RBER scale x FTL, 16 KB pages, 2x, QD 1",
+        "rber   ftl             retried   retry%   uncorr   bad-blk   read p99/p99.9 (us)",
         &compare(&specs)?,
         |row| {
             per_ftl(&row.comparison, |summary| {
                 format!(
-                    "{:>3.0}x   {:<16} {:<12} {:>9} {:>8.2} {:>8} {:>9}   {:>9.0}/{:>9.0}",
+                    "{:>3.0}x   {:<12} {:>9} {:>8.2} {:>8} {:>9}   {:>9.0}/{:>9.0}",
                     row.spec.faults.map_or(0.0, |faults| faults.rber_scale),
-                    row.spec.gc_policy.label(),
                     summary.ftl,
                     summary.retried_reads,
                     summary.retry_latency_fraction() * 100.0,

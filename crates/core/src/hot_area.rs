@@ -109,9 +109,8 @@ impl HotArea {
     ///
     /// A read of a hot-list entry is the "re-access" signal that promotes it to the
     /// iron-hot list. If the iron-hot list is full, its least recently used entry is
-    /// demoted back to the head of the hot list (which may in turn evict a hot entry —
-    /// that one is *not* returned here because it was just demoted for recency, so the
-    /// caller treats it like any other hot-list eviction on the next write).
+    /// demoted back to the head of the hot list, into the slot the promoted entry
+    /// just left.
     pub fn on_read(&mut self, lpn: Lpn) -> PromotionOutcome {
         if self.iron_hot.contains(lpn) {
             self.iron_hot.touch(lpn);
@@ -124,7 +123,8 @@ impl HotArea {
         let mut demoted_to_hot = None;
         if self.iron_hot.is_full() {
             if let Some(demoted) = self.iron_hot.pop_least_recent() {
-                self.hot.insert(demoted);
+                let evicted = self.hot.insert(demoted);
+                debug_assert!(evicted.is_none());
                 demoted_to_hot = Some(demoted);
             }
         }

@@ -14,21 +14,6 @@ pub enum Area {
     Cold,
 }
 
-impl Area {
-    /// The device-level block tag value of this area (the convention
-    /// [`HotColdVictimPolicy`](vflash_ftl::HotColdVictimPolicy) reads): the PPB FTL
-    /// stamps every block it claims with this tag via
-    /// [`NandDevice::set_block_area_tag`](vflash_nand::NandDevice::set_block_area_tag),
-    /// so hotness-aware garbage collection can tell hot-area from cold-area blocks
-    /// without reaching into FTL state.
-    pub const fn tag(self) -> u8 {
-        match self {
-            Area::Hot => vflash_ftl::gc::HOT_AREA_TAG,
-            Area::Cold => vflash_ftl::gc::COLD_AREA_TAG,
-        }
-    }
-}
-
 impl fmt::Display for Area {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

@@ -15,7 +15,7 @@ use vflash_nand::{BlockAddr, BlockState, NandConfig, NandDevice, NandError, Nano
 
 use crate::config::FtlConfig;
 use crate::error::FtlError;
-use crate::gc::{GcOutcome, GreedyVictimPolicy, VictimPolicy};
+use crate::gc::GcOutcome;
 use crate::io::{Completion, IoCommand, IoRequest};
 use crate::mapping::MappingTable;
 use crate::metrics::FtlMetrics;
@@ -106,7 +106,6 @@ pub struct FtlCore<P> {
     config: FtlConfig,
     mapping: MappingTable,
     placement: P,
-    victim_policy: Box<dyn VictimPolicy>,
     metrics: FtlMetrics,
     read_only: bool,
     /// LPNs whose data was lost to an uncorrectable relocation read. A host read
@@ -160,7 +159,6 @@ impl<P: Placement> FtlCore<P> {
             config,
             mapping,
             placement,
-            victim_policy: Box::new(GreedyVictimPolicy::new()),
             metrics: FtlMetrics::new(),
             read_only: false,
             lost: HashSet::new(),
@@ -179,13 +177,6 @@ impl<P: Placement> FtlCore<P> {
         &self.placement
     }
 
-    /// Replaces the garbage-collection victim policy (greedy by default). Used by
-    /// the Figure 18 policy ablation to compare greedy, wear-aware and
-    /// cost-benefit selection on identical workloads.
-    pub fn set_victim_policy(&mut self, policy: Box<dyn VictimPolicy>) {
-        self.victim_policy = policy;
-    }
-
     /// The mapping table (for inspection in tests and tools).
     pub fn mapping(&self) -> &MappingTable {
         &self.mapping
@@ -198,14 +189,16 @@ impl<P: Placement> FtlCore<P> {
     }
 
     /// Checks the structural invariants that hold between any two requests, whatever
-    /// they returned: the mapping table mirrors itself, the pages mapped into a
-    /// block are exactly its valid pages, no LPN is both mapped and lost, no open
-    /// block is free or bad — then [`Placement::check_invariants`].
+    /// they returned: the device's indices recount from its blocks
+    /// ([`NandDevice::check_invariants`]), the mapping table mirrors itself, the
+    /// pages mapped into a block are exactly its valid pages, no LPN is both mapped
+    /// and lost, no open block is free or bad — then [`Placement::check_invariants`].
     ///
     /// # Errors
     ///
     /// Describes the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.device.check_invariants()?;
         self.mapping.check_consistency()?;
         if let Some(lpn) = self.lost.iter().find(|&&lpn| self.mapping.lookup(lpn).is_some()) {
             return Err(format!("{lpn} is both mapped and lost"));
@@ -375,14 +368,15 @@ impl<P: Placement> FtlCore<P> {
     }
 
     /// Reclaims blocks until the free pool reaches the configured target, charging the
-    /// work to the returned outcome.
+    /// work to the returned outcome. Victims are the greedy choice — the full block
+    /// with the most invalid pages, see [`NandDevice::greedy_victim`].
     fn collect_garbage(&mut self) -> Result<GcOutcome, FtlError> {
         let mut outcome = GcOutcome::default();
         while self.device.available_blocks() < self.config.gc_target_free_blocks {
             // The open write streams are off limits.
             self.exclude.clear();
             self.placement.open_blocks(&mut self.exclude);
-            let Some(victim) = self.victim_policy.select_victim(&self.device, &self.exclude) else {
+            let Some(victim) = self.device.greedy_victim(&self.exclude) else {
                 break;
             };
             outcome.merge(self.reclaim_block(victim)?);

@@ -4,7 +4,7 @@
 //! [`vflash_nand`]: one page-mapped core, and the seam strategies plug into.
 //!
 //! * [`FtlCore`] — the standard page-mapping FTL, once: [`MappingTable`], garbage
-//!   collection ([`gc`]: victim policies), bad-block rescue, the read-only transition,
+//!   collection (greedy victims, [`gc`]), bad-block rescue, the read-only transition,
 //!   [`FtlMetrics`] and the only [`FlashTranslationLayer`] implementation of an FTL,
 //! * [`Placement`] — what an FTL built on the core decides: which open block
 //!   receives a host write or a relocated page ([`Assemble`] builds one),
@@ -59,19 +59,15 @@ mod mapping;
 mod metrics;
 mod traits;
 mod types;
-mod wear;
 
 pub use batch::BatchCompletion;
 pub use config::FtlConfig;
 pub use conventional::{ConventionalFtl, ConventionalPlacement, ConventionalStream};
 pub use error::FtlError;
 pub use ftl_core::{Assemble, FtlCore, Placement};
-pub use gc::{
-    CostBenefitVictimPolicy, GcOutcome, GreedyVictimPolicy, HotColdVictimPolicy, VictimPolicy,
-};
+pub use gc::GcOutcome;
 pub use io::{Completion, IoCommand, IoRequest};
 pub use mapping::MappingTable;
 pub use metrics::FtlMetrics;
 pub use traits::FlashTranslationLayer;
 pub use types::Lpn;
-pub use wear::{WearAwareVictimPolicy, WearStats};

@@ -50,7 +50,6 @@ pub struct Block {
     valid_pages: usize,
     erase_count: u64,
     last_modified: u64,
-    area_tag: Option<u8>,
     bad: bool,
 }
 
@@ -68,7 +67,6 @@ impl Block {
             valid_pages: 0,
             erase_count: 0,
             last_modified: 0,
-            area_tag: None,
             bad: false,
         }
     }
@@ -156,10 +154,8 @@ impl Block {
 
     /// The device's logical modification clock
     /// ([`NandDevice::mod_seq`](crate::NandDevice::mod_seq)) at the last program,
-    /// invalidation or erase of this block. Cost-benefit garbage collection uses
-    /// `mod_seq - last_modified` as the block's *age*: blocks whose contents have
-    /// been stable for long are cheap to clean because their remaining valid data
-    /// is unlikely to be invalidated soon.
+    /// invalidation or erase of this block; `mod_seq - last_modified` is the
+    /// block's *age*, which the fault model's retention term reads.
     pub fn last_modified(&self) -> u64 {
         self.last_modified
     }
@@ -167,23 +163,6 @@ impl Block {
     /// Stamps the block with the device's current modification clock.
     pub(crate) fn touch(&mut self, seq: u64) {
         self.last_modified = seq;
-    }
-
-    /// The FTL-assigned data-area tag of this block, or `None` if the block has not
-    /// been tagged since its last erase.
-    ///
-    /// The tag is an opaque host-side label (the PPB strategy uses it to mark
-    /// blocks as hot-area or cold-area); the device only stores it and clears it on
-    /// erase, mirroring how real SSD firmware keeps per-block metadata that dies
-    /// with the block's contents. Hotness-aware garbage-collection victim policies
-    /// read it through [`NandDevice::block`](crate::NandDevice::block).
-    pub fn area_tag(&self) -> Option<u8> {
-        self.area_tag
-    }
-
-    /// Sets or clears the data-area tag (see [`Block::area_tag`]).
-    pub(crate) fn set_area_tag(&mut self, tag: Option<u8>) {
-        self.area_tag = tag;
     }
 
     /// Whether every programmed page is stale, making the block an ideal, copy-free
@@ -219,9 +198,7 @@ impl Block {
         }
     }
 
-    /// Erases the block, freeing every page, incrementing the wear counter and
-    /// clearing the data-area tag (tags describe contents, and the contents are
-    /// gone).
+    /// Erases the block, freeing every page and incrementing the wear counter.
     pub(crate) fn erase(&mut self) {
         for page in &mut self.pages {
             page.set_state(PageState::Free);
@@ -229,7 +206,6 @@ impl Block {
         self.write_pointer = 0;
         self.valid_pages = 0;
         self.erase_count += 1;
-        self.area_tag = None;
     }
 
     /// Iterates over page ids of valid pages (ascending).
@@ -315,20 +291,6 @@ mod tests {
             block.page_state(PageId(4)),
             Err(NandError::PageOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn area_tags_stick_until_erase() {
-        let mut block = Block::new(4);
-        assert_eq!(block.area_tag(), None);
-        block.set_area_tag(Some(1));
-        block.program_next();
-        block.invalidate(PageId(0)).unwrap();
-        assert_eq!(block.area_tag(), Some(1), "programs and invalidations keep the tag");
-        block.set_area_tag(Some(0));
-        assert_eq!(block.area_tag(), Some(0), "retagging overwrites");
-        block.erase();
-        assert_eq!(block.area_tag(), None, "erase clears the tag with the contents");
     }
 
     #[test]

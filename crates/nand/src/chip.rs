@@ -8,10 +8,8 @@
 //!   instead of scanning every block,
 //! * **per-state counters** so occupancy queries (`free_blocks`) and wear totals
 //!   (`total_erases`) are O(1),
-//! * a **garbage-collection candidate index** (full blocks holding at least one
-//!   invalid page, position-mapped for O(1) insert/remove) that scoring policies
-//!   (cost-benefit, wear-aware, hot/cold) iterate in O(candidates),
-//! * a **greedy victim index** over the same blocks: one block bitmap per
+//! * a **greedy victim index** over the garbage-collection candidates (full
+//!   blocks holding at least one invalid page): one block bitmap per
 //!   invalid-page count plus a cursor on the highest occupied count, so the
 //!   greedy pick (`Chip::greedy_victim`: most invalid pages, lowest index) reads
 //!   the first set bit of one bitmap — O(blocks / 64) words, however many
@@ -32,9 +30,6 @@ use crate::block::{Block, BlockState};
 use crate::page::PageState;
 use crate::time::Nanos;
 
-/// Sentinel for "not currently in the candidate index".
-const NO_CANDIDATE: usize = usize::MAX;
-
 /// One NAND die holding `blocks_per_chip` blocks.
 ///
 /// Equality is structural and includes the free-pool order: two chips whose blocks
@@ -54,13 +49,9 @@ pub struct Chip {
     /// Number of blocks in [`BlockState::Free`] (including allocated-but-unwritten
     /// blocks leased out via the crate-internal `Chip::allocate`).
     free_count: usize,
-    /// Indices of full blocks with at least one invalid page — exactly the blocks a
-    /// greedy garbage collector can reclaim with benefit.
-    candidates: Vec<usize>,
-    /// Position of each block in `candidates`, or [`NO_CANDIDATE`].
-    candidate_pos: Vec<usize>,
-    /// The greedy victim index: every candidate filed under its invalid-page
-    /// count. A pure function of the block states, like `candidates`' membership.
+    /// The greedy victim index: every candidate — a full block with at least one
+    /// invalid page, exactly what a garbage collector can reclaim with benefit —
+    /// filed under its invalid-page count. A pure function of the block states.
     victims: VictimIndex,
     /// Total erases performed on this chip.
     erases: u64,
@@ -84,8 +75,6 @@ impl Chip {
             in_pool: vec![true; blocks_per_chip],
             available: blocks_per_chip,
             free_count: blocks_per_chip,
-            candidates: Vec::new(),
-            candidate_pos: vec![NO_CANDIDATE; blocks_per_chip],
             victims: VictimIndex::new(blocks_per_chip, pages_per_block),
             erases: 0,
             bad_blocks: 0,
@@ -185,13 +174,6 @@ impl Chip {
         self.free_pool.iter().copied().find(|&index| self.in_pool[index])
     }
 
-    /// Iterates over garbage-collection candidates: full blocks with at least one
-    /// invalid page. Order is maintenance order, not address order — callers that
-    /// need deterministic tie-breaking should compare addresses explicitly.
-    pub fn gc_candidates(&self) -> impl Iterator<Item = usize> + '_ {
-        self.candidates.iter().copied()
-    }
-
     /// The greedy victim on this chip — most invalid pages, ties to the lowest
     /// index, skipping every index `excluded` accepts — with its invalid-page
     /// count. One bitmap walk, plus one per bucket that is excluded whole.
@@ -208,11 +190,6 @@ impl Chip {
     /// [`Block::last_modified`]).
     pub(crate) fn touch_block(&mut self, index: usize, seq: u64) {
         self.blocks[index].touch(seq);
-    }
-
-    /// Sets or clears a block's data-area tag (see [`Block::area_tag`]).
-    pub(crate) fn tag_block(&mut self, index: usize, tag: Option<u8>) {
-        self.blocks[index].set_area_tag(tag);
     }
 
     /// Programs the next free page of a block, maintaining the accounting.
@@ -233,7 +210,7 @@ impl Chip {
         Some(page)
     }
 
-    /// Invalidates a page, maintaining the candidate index.
+    /// Invalidates a page, maintaining the victim index.
     pub(crate) fn invalidate_page(
         &mut self,
         index: usize,
@@ -244,7 +221,7 @@ impl Chip {
         Ok(())
     }
 
-    /// Erases a block, returning it to the free pool and candidate-delisting it.
+    /// Erases a block, returning it to the free pool and delisting it as a candidate.
     pub(crate) fn erase_block(&mut self, index: usize) {
         let was_free = self.blocks[index].state() == BlockState::Free;
         self.blocks[index].erase();
@@ -252,7 +229,7 @@ impl Chip {
         if !was_free {
             self.free_count += 1;
         }
-        self.remove_candidate(index);
+        self.victims.file(index, 0);
         if !self.in_pool[index] {
             self.in_pool[index] = true;
             self.available += 1;
@@ -263,7 +240,7 @@ impl Chip {
 
     /// Retires a block as bad, pulling it out of every index: the free pool (it
     /// can never be allocated), the free count (it is no longer erased capacity)
-    /// and the GC candidate list (it can never be erased). Idempotent at the
+    /// and the victim index (it can never be erased). Idempotent at the
     /// device layer, which only calls this for blocks not yet bad.
     pub(crate) fn retire_block(&mut self, index: usize) {
         let was_free = self.blocks[index].state() == BlockState::Free;
@@ -275,7 +252,7 @@ impl Chip {
             self.in_pool[index] = false;
             self.available -= 1;
         }
-        self.remove_candidate(index);
+        self.victims.file(index, 0);
         self.drop_stale_front();
         self.bad_blocks += 1;
     }
@@ -287,23 +264,63 @@ impl Chip {
             return;
         }
         self.victims.file(index, invalid);
-        if self.candidate_pos[index] == NO_CANDIDATE {
-            self.candidate_pos[index] = self.candidates.len();
-            self.candidates.push(index);
-        }
     }
 
-    fn remove_candidate(&mut self, index: usize) {
-        let pos = self.candidate_pos[index];
-        if pos == NO_CANDIDATE {
-            return;
+    /// Recounts everything the chip keeps beside its blocks from a walk over
+    /// them: the free, bad and erase counters; the allocation pool (every pooled
+    /// block is free and queued, `available` counts them); and the victim index
+    /// (a block is filed under its invalid-page count iff it is full — and so not
+    /// bad — with at least one invalid page, each bucket's bitmap and occupancy
+    /// say the same, and the cursor sits on the highest occupied bucket).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let count = |state| self.blocks.iter().filter(|block| block.state() == state).count();
+        let counters = [
+            ("free blocks", self.free_count as u64, count(BlockState::Free) as u64),
+            ("bad blocks", self.bad_blocks as u64, count(BlockState::Bad) as u64),
+            ("erases", self.erases, self.blocks.iter().map(Block::erase_count).sum()),
+            (
+                "available blocks",
+                self.available as u64,
+                self.in_pool.iter().filter(|&&pooled| pooled).count() as u64,
+            ),
+        ];
+        for (what, kept, recounted) in counters {
+            if kept != recounted {
+                return Err(format!("{what}: counter says {kept}, the blocks say {recounted}"));
+            }
         }
-        self.victims.file(index, 0);
-        self.candidates.swap_remove(pos);
-        self.candidate_pos[index] = NO_CANDIDATE;
-        if let Some(&moved) = self.candidates.get(pos) {
-            self.candidate_pos[moved] = pos;
+        let mut queued = vec![false; self.blocks.len()];
+        for &block in &self.free_pool {
+            queued[block] = true;
         }
+        let index = &self.victims;
+        let mut occupancy = vec![0u32; index.occupancy.len()];
+        for (block, state) in self.blocks.iter().enumerate() {
+            if self.in_pool[block] && (state.state() != BlockState::Free || !queued[block]) {
+                return Err(format!("pooled block {block} is {} or not queued", state.state()));
+            }
+            let expected = if state.state() == BlockState::Full { state.invalid_pages() } else { 0 };
+            if index.filed[block] as usize != expected {
+                let filed = index.filed[block];
+                return Err(format!("block {block} is filed under {filed}, not {expected}"));
+            }
+            occupancy[expected] += u32::from(expected > 0);
+            for bucket in 0..index.occupancy.len() {
+                let word = index.bits[bucket * index.words_per_bucket + block / 64];
+                if (word >> (block % 64) & 1 == 1) != (bucket == expected && bucket > 0) {
+                    return Err(format!("bit of block {block} in bucket {bucket} is wrong"));
+                }
+            }
+        }
+        if index.occupancy != occupancy {
+            return Err(format!("bucket occupancy {:?}, recounted {occupancy:?}", index.occupancy));
+        }
+        let highest = occupancy.iter().rposition(|&blocks| blocks > 0).unwrap_or(0);
+        if index.max_invalid != highest {
+            let cursor = index.max_invalid;
+            return Err(format!("victim cursor at {cursor}, highest occupied bucket {highest}"));
+        }
+        Ok(())
     }
 }
 
@@ -380,32 +397,6 @@ impl<'a> IntoIterator for &'a Chip {
 
     fn into_iter(self) -> Self::IntoIter {
         self.blocks.iter()
-    }
-}
-
-#[cfg(test)]
-impl Chip {
-    /// Recounts the greedy victim index from the block states: a block is filed
-    /// under its invalid-page count iff it is full (and so not bad) with at least
-    /// one invalid page, each bucket's bitmap and occupancy say the same, and the
-    /// cursor sits on the highest occupied bucket.
-    pub(crate) fn assert_victim_index_matches_blocks(&self) {
-        let index = &self.victims;
-        let mut occupancy = vec![0u32; index.occupancy.len()];
-        for (block, state) in self.blocks.iter().enumerate() {
-            let expected = if state.state() == BlockState::Full { state.invalid_pages() } else { 0 };
-            assert_eq!(index.filed[block] as usize, expected, "bucket of block {block}");
-            assert_eq!(expected > 0, self.candidate_pos[block] != NO_CANDIDATE, "block {block}");
-            occupancy[expected] += u32::from(expected > 0);
-            for bucket in 0..index.occupancy.len() {
-                let word = index.bits[bucket * index.words_per_bucket + block / 64];
-                let set = word >> (block % 64) & 1 == 1;
-                assert_eq!(set, bucket == expected && bucket > 0, "bit {bucket}/{block}");
-            }
-        }
-        assert_eq!(index.occupancy, occupancy);
-        let highest = occupancy.iter().rposition(|&blocks| blocks > 0).unwrap_or(0);
-        assert_eq!(index.max_invalid, highest, "cursor must sit on the highest occupied bucket");
     }
 }
 
@@ -523,19 +514,20 @@ mod tests {
     }
 
     #[test]
-    fn gc_candidates_track_full_blocks_with_invalid_pages() {
+    fn the_victim_index_tracks_full_blocks_with_invalid_pages() {
         let mut chip = Chip::new(3, 2);
-        assert_eq!(chip.gc_candidates().count(), 0);
+        assert_eq!(chip.greedy_victim(|_| false), None);
         fill_block(&mut chip, 0, 2);
         // Full but fully valid: not a candidate.
-        assert_eq!(chip.gc_candidates().count(), 0);
+        assert_eq!(chip.greedy_victim(|_| false), None);
         chip.invalidate_page(0, PageId(0)).unwrap();
-        assert_eq!(chip.gc_candidates().collect::<Vec<_>>(), vec![0]);
-        // A second invalidation must not duplicate the entry.
+        assert_eq!(chip.greedy_victim(|_| false), Some((0, 1)));
         chip.invalidate_page(0, PageId(1)).unwrap();
-        assert_eq!(chip.gc_candidates().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(chip.greedy_victim(|_| false), Some((0, 2)), "refiled, not filed twice");
+        assert_eq!(chip.greedy_victim(|index| index == 0), None);
         chip.erase_block(0);
-        assert_eq!(chip.gc_candidates().count(), 0);
+        assert_eq!(chip.greedy_victim(|_| false), None);
+        chip.check_invariants().unwrap();
     }
 
     #[test]
@@ -543,33 +535,14 @@ mod tests {
         let mut chip = Chip::new(2, 3);
         chip.program_block(0).unwrap();
         chip.invalidate_page(0, PageId(0)).unwrap();
-        assert_eq!(chip.gc_candidates().count(), 0, "open blocks are not candidates");
+        assert_eq!(chip.greedy_victim(|_| false), None, "open blocks are not candidates");
         chip.program_block(0).unwrap();
         chip.program_block(0).unwrap();
         assert_eq!(
-            chip.gc_candidates().collect::<Vec<_>>(),
-            vec![0],
+            chip.greedy_victim(|_| false),
+            Some((0, 1)),
             "filling the block must promote it to candidacy"
         );
-    }
-
-    #[test]
-    fn candidate_removal_keeps_positions_consistent() {
-        let mut chip = Chip::new(4, 1);
-        for index in 0..4 {
-            fill_block(&mut chip, index, 1);
-            chip.invalidate_page(index, PageId(0)).unwrap();
-        }
-        assert_eq!(chip.gc_candidates().count(), 4);
-        // Remove from the middle (swap_remove moves the last entry into the hole).
-        chip.erase_block(1);
-        let mut left: Vec<_> = chip.gc_candidates().collect();
-        left.sort_unstable();
-        assert_eq!(left, vec![0, 2, 3]);
-        chip.erase_block(3);
-        let mut left: Vec<_> = chip.gc_candidates().collect();
-        left.sort_unstable();
-        assert_eq!(left, vec![0, 2]);
     }
 
     #[test]
@@ -590,12 +563,31 @@ mod tests {
         let mut chip = Chip::new(2, 1);
         fill_block(&mut chip, 0, 1);
         chip.invalidate_page(0, PageId(0)).unwrap();
-        assert_eq!(chip.gc_candidates().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(chip.greedy_victim(|_| false), Some((0, 1)));
         chip.retire_block(0);
-        assert_eq!(chip.gc_candidates().count(), 0);
+        assert_eq!(chip.greedy_victim(|_| false), None);
         assert_eq!(chip.bad_blocks(), 1);
-        // Further invalidations in the bad block never resurrect candidacy.
-        assert_eq!(chip.free_blocks(), recount_free(&chip));
+        chip.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_names_whatever_drifted_from_the_blocks() {
+        let mut chip = Chip::new(4, 2);
+        fill_block(&mut chip, 0, 2);
+        chip.invalidate_page(0, PageId(0)).unwrap();
+        chip.check_invariants().unwrap();
+        let drifted = |drift: fn(&mut Chip)| {
+            let mut copy = chip.clone();
+            drift(&mut copy);
+            copy.check_invariants().unwrap_err()
+        };
+        assert!(drifted(|chip| chip.free_count += 1).starts_with("free blocks"));
+        assert!(drifted(|chip| chip.erases += 1).starts_with("erases"));
+        assert!(drifted(|chip| chip.in_pool[1] = false).starts_with("available blocks"));
+        assert!(drifted(|chip| chip.free_pool.retain(|&b| b != 2)).contains("pooled block 2"));
+        assert!(drifted(|chip| chip.victims.file(0, 2)).contains("block 0 is filed under 2"));
+        assert!(drifted(|chip| chip.victims.file(3, 1)).contains("block 3 is filed under 1"));
+        assert!(drifted(|chip| chip.victims.max_invalid = 2).contains("cursor"));
     }
 
     #[test]

@@ -22,12 +22,11 @@ use crate::time::Nanos;
 /// Each chip maintains a free-block pool and per-state counters, so
 /// [`NandDevice::allocate_block`], [`NandDevice::any_free_block`],
 /// [`NandDevice::free_block_count`] and [`NandDevice::available_blocks`] are O(1)
-/// (amortised) instead of scanning every block, and
-/// [`NandDevice::gc_candidates`] yields exactly the blocks a garbage collector can
-/// reclaim with benefit (full, at least one invalid page) in O(candidates) — the
-/// list scoring policies iterate. The greedy pick does not scan it:
-/// [`NandDevice::greedy_victim`] reads each chip's invalid-count-bucketed index in
+/// (amortised) instead of scanning every block. The blocks a garbage collector
+/// can reclaim with benefit (full, at least one invalid page) are filed per chip
+/// under their invalid-page count, so [`NandDevice::greedy_victim`] reads
 /// O(chips x blocks / 64) words, independent of how many candidates there are.
+/// [`NandDevice::check_invariants`] recounts all of it from the blocks.
 ///
 /// # Chip-level interleaving
 ///
@@ -66,8 +65,8 @@ pub struct NandDevice {
     /// Next chip to try for round-robin block allocation.
     next_alloc_chip: usize,
     /// Logical modification clock: incremented by every state-changing operation
-    /// (program, invalidate, erase). Blocks record the clock at their last change,
-    /// which is what cost-benefit garbage collection uses as block age.
+    /// (program, invalidate, erase). Blocks record the clock at their last change;
+    /// the difference is the retention age the fault model reads.
     mod_seq: u64,
     /// Whether timed operations are recorded into `op_trace`.
     trace_ops: bool,
@@ -133,8 +132,8 @@ impl NandDevice {
 
     /// The logical modification clock: a counter incremented by every
     /// state-changing operation (program, invalidate, erase). The difference
-    /// between this and a block's [`Block::last_modified`] is the block's *age* in
-    /// the cost-benefit garbage-collection sense.
+    /// between this and a block's [`Block::last_modified`] is the block's *age*,
+    /// the retention term of the fault model's error rate.
     pub fn mod_seq(&self) -> u64 {
         self.mod_seq
     }
@@ -282,21 +281,12 @@ impl NandDevice {
         self.chips.iter().map(Chip::available_blocks).sum()
     }
 
-    /// Iterates over garbage-collection candidates: full blocks with at least one
-    /// invalid page, i.e. exactly the blocks a greedy collector can reclaim with
-    /// benefit. O(candidates); iteration order is maintenance order, so policies
-    /// that need deterministic tie-breaking must compare addresses explicitly.
-    pub fn gc_candidates(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.chips.iter().enumerate().flat_map(|(chip, c)| {
-            c.gc_candidates().map(move |index| BlockAddr::new(ChipId(chip), index))
-        })
-    }
-
-    /// The greedy garbage-collection victim: the candidate (see
-    /// [`NandDevice::gc_candidates`]) with the most invalid pages that is not in
-    /// `exclude`, ties broken towards the lowest address (chip, then index).
-    /// Answers from the per-chip bucketed index instead of scanning the
-    /// candidates, and returns exactly what that scan would.
+    /// The greedy garbage-collection victim: the candidate — a full block with at
+    /// least one invalid page — with the most invalid pages that is not in
+    /// `exclude`, ties broken towards the lowest address (chip, then index), so
+    /// the choice does not depend on the order in which blocks became
+    /// candidates. Answers from the per-chip bucketed index instead of scanning
+    /// the blocks, and returns exactly what that scan would.
     pub fn greedy_victim(&self, exclude: &[BlockAddr]) -> Option<BlockAddr> {
         let mut best: Option<(BlockAddr, usize)> = None;
         for (chip, c) in self.chips.iter().enumerate() {
@@ -314,24 +304,17 @@ impl NandDevice {
         best.map(|(addr, _)| addr)
     }
 
-    /// Sets or clears a block's data-area tag: an opaque host-side label the FTL
-    /// attaches to a block (the PPB strategy marks blocks as hot-area or
-    /// cold-area) so that hotness-aware garbage-collection victim policies can
-    /// read it back via [`NandDevice::block`] + [`Block::area_tag`]. The device
-    /// clears the tag automatically on erase; tagging is pure metadata and takes
-    /// no device time, advances no clock and records no operation.
+    /// Recounts every index the chips keep beside their blocks — the free, bad
+    /// and erase counters, the allocation pools, the victim index — from a walk
+    /// over the blocks. O(blocks x pages per block); for tests and oracles.
     ///
     /// # Errors
     ///
-    /// Returns [`NandError::ChipOutOfRange`] or [`NandError::BlockOutOfRange`] for
-    /// invalid addresses.
-    pub fn set_block_area_tag(
-        &mut self,
-        addr: BlockAddr,
-        tag: Option<u8>,
-    ) -> Result<(), NandError> {
-        self.chip_for(addr)?.tag_block(addr.index(), tag);
-        Ok(())
+    /// Describes the first disagreement found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.chips.iter().enumerate().try_for_each(|(chip, c)| {
+            c.check_invariants().map_err(|err| format!("{}: {err}", ChipId(chip)))
+        })
     }
 
     /// Total erase operations performed across the device (total wear). O(chips).
@@ -353,7 +336,7 @@ impl NandDevice {
 
     /// Retires a block as bad without a failing operation, modelling
     /// factory-marked or externally detected bad blocks. The block leaves the
-    /// allocation pool and the GC candidate index and will never accept a
+    /// allocation pool and the victim index and will never accept a
     /// program or erase again; surviving valid pages remain readable.
     /// Idempotent, and takes no device time.
     ///
@@ -766,20 +749,30 @@ mod tests {
     }
 
     #[test]
-    fn gc_candidates_list_full_blocks_with_invalid_pages() {
+    fn greedy_victim_is_the_full_block_with_the_most_invalid_pages() {
         let mut device = small_device();
         let block = device.any_free_block().unwrap();
         for _ in 0..4 {
             device.program_next(block).unwrap();
         }
-        assert_eq!(device.gc_candidates().count(), 0, "fully valid blocks are kept");
+        assert_eq!(device.greedy_victim(&[]), None, "fully valid blocks are kept");
         device.invalidate(block.page(PageId(1))).unwrap();
-        assert_eq!(device.gc_candidates().collect::<Vec<_>>(), vec![block]);
-        device.invalidate(block.page(PageId(0))).unwrap();
-        device.invalidate(block.page(PageId(2))).unwrap();
-        device.invalidate(block.page(PageId(3))).unwrap();
-        device.erase(block).unwrap();
-        assert_eq!(device.gc_candidates().count(), 0);
+        assert_eq!(device.greedy_victim(&[]), Some(block));
+        // An open block is no candidate however stale; a fuller one outbids `block`.
+        let open = device.any_free_block().unwrap();
+        device.program_next(open).unwrap();
+        device.invalidate(open.page(PageId(0))).unwrap();
+        assert_eq!(device.greedy_victim(&[]), Some(block));
+        for page in 1..4 {
+            device.program_next(open).unwrap();
+            device.invalidate(open.page(PageId(page))).unwrap();
+        }
+        assert_eq!(device.greedy_victim(&[]), Some(open));
+        assert_eq!(device.greedy_victim(&[open]), Some(block));
+        assert_eq!(device.greedy_victim(&[open, block]), None);
+        device.erase(open).unwrap();
+        assert_eq!(device.greedy_victim(&[]), Some(block));
+        device.check_invariants().unwrap();
     }
 
     #[test]
@@ -898,25 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn area_tags_round_trip_and_die_with_the_erase() {
-        let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        let before = device.mod_seq();
-        device.set_block_area_tag(block, Some(1)).unwrap();
-        assert_eq!(device.block(block).unwrap().area_tag(), Some(1));
-        assert_eq!(device.mod_seq(), before, "tagging is metadata, not a state change");
-        device.program(block, PageId(0)).unwrap();
-        device.invalidate(block.page(PageId(0))).unwrap();
-        device.erase(block).unwrap();
-        assert_eq!(device.block(block).unwrap().area_tag(), None);
-        let bad = BlockAddr::new(ChipId(9), 0);
-        assert!(matches!(
-            device.set_block_area_tag(bad, Some(0)),
-            Err(NandError::ChipOutOfRange { .. })
-        ));
-    }
-
-    #[test]
     fn fault_free_reads_report_zero_fault_info() {
         let mut device = small_device();
         let block = device.any_free_block().unwrap();
@@ -947,7 +921,7 @@ mod tests {
         device.invalidate(block.page(PageId(0))).unwrap();
         device.invalidate(block.page(PageId(1))).unwrap();
         assert!(matches!(device.erase(block), Err(NandError::EraseFailed { .. })));
-        assert_eq!(device.gc_candidates().count(), 0, "bad blocks are never GC candidates");
+        assert_eq!(device.greedy_victim(&[]), None, "bad blocks are never GC candidates");
         assert_ne!(device.any_free_block(), Some(block));
     }
 
@@ -1058,18 +1032,17 @@ mod tests {
         assert!(matches!(device.program_next(block), Err(NandError::BlockFull { .. })));
     }
 
-    /// The greedy selection this index replaced, verbatim: a linear scan of the
-    /// candidate list, most invalid pages first, ties to the lowest address.
+    /// The greedy selection the index answers, as a linear scan of every block:
+    /// full, at least one invalid page, not excluded; most invalid pages first,
+    /// ties to the lowest address.
     fn linear_scan_victim(device: &NandDevice, exclude: &[BlockAddr]) -> Option<BlockAddr> {
         let mut best: Option<(BlockAddr, usize)> = None;
-        for addr in device.gc_candidates() {
-            if exclude.contains(&addr) {
+        for addr in device.block_addrs() {
+            let block = device.block(addr).expect("block_addrs yields valid addresses");
+            let invalid = block.invalid_pages();
+            if block.state() != crate::BlockState::Full || invalid == 0 || exclude.contains(&addr) {
                 continue;
             }
-            let block = device.block(addr).expect("candidate addresses are valid");
-            debug_assert_eq!(block.state(), crate::BlockState::Full);
-            let invalid = block.invalid_pages();
-            debug_assert!(invalid > 0);
             match best {
                 Some((best_addr, best_invalid))
                     if invalid < best_invalid || (invalid == best_invalid && addr > best_addr) => {}
@@ -1083,7 +1056,7 @@ mod tests {
         /// Differential: after every step of a random allocate / program /
         /// invalidate / erase / retire stream — with injected program and erase
         /// failures — on 1-, 2- and 4-chip devices, the bucketed query returns
-        /// what the linear scan returns for several exclusion lists, and the
+        /// what the linear scan returns for several exclusion lists, and every
         /// index recounts from the block states.
         #[test]
         fn greedy_victim_matches_the_linear_scan_after_every_step(
@@ -1141,9 +1114,7 @@ mod tests {
                     }
                     _ => device.retire_block(block).unwrap(),
                 }
-                for chip in &device.chips {
-                    chip.assert_victim_index_matches_blocks();
-                }
+                prop_assert_eq!(device.check_invariants(), Ok(()));
                 // Exclusion lists that bite: nothing, the winner, the winner
                 // and the runner-up, and those plus a random block.
                 let mut exclude: Vec<BlockAddr> = Vec::new();

@@ -1,5 +1,7 @@
 //! Property-based tests for the NAND device model.
 
+use std::cmp::Reverse;
+
 use proptest::prelude::*;
 use vflash_nand::{
     BlockAddr, ChipId, LatencyModel, NandConfig, NandDevice, NandError, Nanos, PageId,
@@ -250,9 +252,9 @@ proptest! {
                     .count()
             );
 
-            // Candidate index vs. brute-force scan.
-            let mut candidates: Vec<BlockAddr> = device.gc_candidates().collect();
-            candidates.sort();
+            // Victim index vs. brute-force scan: excluding each pick in turn
+            // drains the candidates in greedy order — most invalid pages first,
+            // lowest address on ties.
             let mut expected: Vec<BlockAddr> = device
                 .block_addrs()
                 .filter(|&a| {
@@ -260,8 +262,13 @@ proptest! {
                     b.state() == BlockState::Full && b.invalid_pages() > 0
                 })
                 .collect();
-            expected.sort();
-            prop_assert_eq!(candidates, expected);
+            expected.sort_by_key(|&a| (Reverse(device.block(a).unwrap().invalid_pages()), a));
+            let mut drained: Vec<BlockAddr> = Vec::new();
+            while let Some(victim) = device.greedy_victim(&drained) {
+                drained.push(victim);
+            }
+            prop_assert_eq!(drained, expected);
+            prop_assert_eq!(device.check_invariants(), Ok(()));
 
             // Bad-block accounting: the O(chips) counter matches a state scan,
             // and bad blocks are never allocatable.

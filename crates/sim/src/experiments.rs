@@ -3,8 +3,8 @@
 //!
 //! A [`RunSpec`] is plain data: which trace, on which device, through which
 //! FTL, under which arrival discipline. [`run_spec`] is the only code that
-//! turns one into a [`RunSummary`] — it builds device and FTL, sets the GC
-//! victim policy, prefills, warms up and drives — and [`compare_specs`] runs a
+//! turns one into a [`RunSummary`] — it builds device and FTL, prefills, warms
+//! up and drives — and [`compare_specs`] runs a
 //! list of them through both FTLs **on the same trace**, fanned out over a
 //! [`ParallelRunner`]. Every section of the `experiments` binary in
 //! `vflash-bench` is such a list over the axis constants below, so unit tests
@@ -17,11 +17,7 @@
 use std::borrow::Cow;
 
 use vflash_ftl::hotcold::{FreqTable, MultiHash, TwoLevelLru};
-use vflash_ftl::{
-    ConventionalFtl, CostBenefitVictimPolicy, FlashTranslationLayer, FtlConfig, FtlCore, FtlError,
-    GreedyVictimPolicy, HotColdVictimPolicy, IoRequest, Lpn, Placement, VictimPolicy,
-    WearAwareVictimPolicy,
-};
+use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, IoRequest, Lpn};
 use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
 use vflash_ppb::{PpbConfig, PpbFtl};
 use vflash_trace::synthetic::{self, ArrivalModel, SyntheticConfig};
@@ -330,73 +326,6 @@ impl Default for ExperimentScale {
 /// access latency per trace, no request overlap).
 pub const SERIAL: ArrivalDiscipline = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
 
-/// Garbage-collection victim-selection policies compared in the Figure 18
-/// ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GcPolicy {
-    /// Most invalid pages first (the default everywhere else).
-    Greedy,
-    /// Greedy score with a wear penalty per prior erase.
-    WearAware,
-    /// Rosenblum & Ousterhout's `(1-u)/2u x age` benefit/cost selector.
-    CostBenefit,
-    /// Greedy with a bonus for cold-tagged blocks, exploiting the PPB area tags
-    /// (hot-area blocks clean themselves; cold valid data is stable, so copying
-    /// it wastes nothing). On the untagged conventional FTL this coincides with
-    /// greedy.
-    HotCold,
-    /// [`GcPolicy::HotCold`] with an explicit cold-victim bonus in whole
-    /// invalid-page equivalents (the default `HotCold` uses 2) — the cold-bonus
-    /// ablation rows of the Figure 18 sweep. A bonus of 0 disables the cold
-    /// preference entirely (pure greedy even on tagged devices), so the row
-    /// isolates how much of the hot-cold policy's win the bonus itself buys.
-    HotColdBonus(u32),
-}
-
-impl GcPolicy {
-    /// All policies, in report order: the four base policies, then the
-    /// cold-bonus ablation (bonus disabled, then an aggressive bonus bracketing
-    /// the `HotCold` default of 2).
-    pub const ALL: [GcPolicy; 6] = [
-        GcPolicy::Greedy,
-        GcPolicy::WearAware,
-        GcPolicy::CostBenefit,
-        GcPolicy::HotCold,
-        GcPolicy::HotColdBonus(0),
-        GcPolicy::HotColdBonus(6),
-    ];
-
-    /// The label used in reports (e.g. `greedy`, `hot-cold`, `hot-cold(b=6)`).
-    pub fn label(self) -> String {
-        match self {
-            GcPolicy::Greedy => "greedy".to_string(),
-            GcPolicy::WearAware => "wear-aware".to_string(),
-            GcPolicy::CostBenefit => "cost-benefit".to_string(),
-            GcPolicy::HotCold => "hot-cold".to_string(),
-            GcPolicy::HotColdBonus(bonus) => format!("hot-cold(b={bonus})"),
-        }
-    }
-
-    /// Builds the policy object.
-    pub fn build(self) -> Box<dyn VictimPolicy> {
-        match self {
-            GcPolicy::Greedy => Box::new(GreedyVictimPolicy::new()),
-            GcPolicy::WearAware => Box::new(WearAwareVictimPolicy::default()),
-            GcPolicy::CostBenefit => Box::new(CostBenefitVictimPolicy::new()),
-            GcPolicy::HotCold => Box::new(HotColdVictimPolicy::default()),
-            GcPolicy::HotColdBonus(bonus) => {
-                Box::new(HotColdVictimPolicy::new(f64::from(bonus)))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for GcPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
 /// Where a run's requests come from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceSource<'a> {
@@ -431,7 +360,7 @@ impl<'a> From<&'a Trace> for TraceSource<'a> {
 
 /// One run, as plain data: every value some section of the evaluation varies.
 /// [`RunSpec::new`] is the paper's default point (16 KB pages, 2x, QD 1,
-/// greedy GC, PPB as published); sections move one or two fields off it with
+/// PPB as published); sections move one or two fields off it with
 /// struct-update syntax.
 ///
 /// One seed rule: the trace of a synthetic spec is generated from `scale.seed`
@@ -456,8 +385,6 @@ pub struct RunSpec<'a> {
     pub ppb: PpbConfig,
     /// PPB's first-stage hot/cold classifier (ignored by the conventional FTL).
     pub classifier: Classifier,
-    /// GC victim policy.
-    pub gc_policy: GcPolicy,
     /// When requests are issued: closed loop at a depth, or open loop at a rate.
     pub discipline: ArrivalDiscipline,
     /// How a synthetic trace spaces its arrivals.
@@ -475,7 +402,7 @@ pub struct RunSpec<'a> {
 
 impl<'a> RunSpec<'a> {
     /// The paper's default point for `source` at `scale`: conventional FTL,
-    /// 16 KB pages, 2x speed difference, no faults, greedy GC, [`SERIAL`]
+    /// 16 KB pages, 2x speed difference, no faults, [`SERIAL`]
     /// replay of the default arrivals, no warm-up, one device.
     pub fn new(source: impl Into<TraceSource<'a>>, scale: ExperimentScale) -> Self {
         RunSpec {
@@ -487,7 +414,6 @@ impl<'a> RunSpec<'a> {
             ftl: FtlKind::Conventional,
             ppb: PpbConfig::default(),
             classifier: Classifier::default(),
-            gc_policy: GcPolicy::Greedy,
             discipline: SERIAL,
             arrival: ArrivalModel::default(),
             warmup_fraction: 0.0,
@@ -521,9 +447,9 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Hands `job` a constructor of this spec's FTL — device built from the
-    /// scale, page size, speed ratio and faults; victim policy set — whatever
-    /// its concrete type. Every executor builds its FTLs here, so the paper's
-    /// defaults can never diverge between a figure, a grid and a fleet lane.
+    /// scale, page size, speed ratio and faults — whatever its concrete type.
+    /// Every executor builds its FTLs here, so the paper's defaults can never
+    /// diverge between a figure, a grid and a fleet lane.
     ///
     /// # Errors
     ///
@@ -534,35 +460,23 @@ impl<'a> RunSpec<'a> {
             config = config.with_faults(faults)?;
         }
         let device = || NandDevice::new(config.clone());
-        let (ppb, policy) = (self.ppb, self.gc_policy);
+        let ppb = self.ppb;
         match (self.ftl, self.classifier) {
             (FtlKind::Conventional, _) => {
-                job.run(|| with_policy(ConventionalFtl::new(device(), FtlConfig::default()), policy))
+                job.run(|| ConventionalFtl::new(device(), FtlConfig::default()))
             }
-            (FtlKind::Ppb, Classifier::SizeCheck) => {
-                job.run(|| with_policy(PpbFtl::new(device(), ppb), policy))
+            (FtlKind::Ppb, Classifier::SizeCheck) => job.run(|| PpbFtl::new(device(), ppb)),
+            (FtlKind::Ppb, Classifier::TwoLevelLru) => {
+                job.run(|| PpbFtl::new(device(), (ppb, TwoLevelLru::new(4096, 4096))))
             }
-            (FtlKind::Ppb, Classifier::TwoLevelLru) => job.run(|| {
-                with_policy(PpbFtl::new(device(), (ppb, TwoLevelLru::new(4096, 4096))), policy)
-            }),
-            (FtlKind::Ppb, Classifier::FreqTable) => job.run(|| {
-                with_policy(PpbFtl::new(device(), (ppb, FreqTable::new(2, 100_000))), policy)
-            }),
-            (FtlKind::Ppb, Classifier::MultiHash) => job.run(|| {
-                let sketch = MultiHash::new(1 << 16, 2, 2, 100_000);
-                with_policy(PpbFtl::new(device(), (ppb, sketch)), policy)
-            }),
+            (FtlKind::Ppb, Classifier::FreqTable) => {
+                job.run(|| PpbFtl::new(device(), (ppb, FreqTable::new(2, 100_000))))
+            }
+            (FtlKind::Ppb, Classifier::MultiHash) => {
+                job.run(|| PpbFtl::new(device(), (ppb, MultiHash::new(1 << 16, 2, 2, 100_000))))
+            }
         }
     }
-}
-
-fn with_policy<P: Placement>(
-    ftl: Result<FtlCore<P>, FtlError>,
-    policy: GcPolicy,
-) -> Result<FtlCore<P>, FtlError> {
-    let mut ftl = ftl?;
-    ftl.set_victim_policy(policy.build());
-    Ok(ftl)
 }
 
 /// Work to do on the FTL a [`RunSpec`] describes. The FTLs are five concrete
@@ -668,14 +582,6 @@ pub fn compare_specs<'a>(
 /// 4x needs several steps with the occasional uncorrectable page — the
 /// regimes a device traverses between fresh and end of life.
 pub const RBER_SCALES: [f64; 3] = [1.0, 2.0, 4.0];
-
-/// The GC policies the fault sweep crosses with the RBER axis (on the web/SQL
-/// workload, whose re-read-heavy tail is where retry latency compounds with
-/// queueing): the plain greedy baseline and the tag-aware hot-cold policy,
-/// whose cold preference keeps stable data out of the copy path (fewer
-/// relocation reads → fewer chances for a retry to land on the GC critical
-/// path).
-pub const FAULT_SWEEP_POLICIES: [GcPolicy; 2] = [GcPolicy::Greedy, GcPolicy::HotCold];
 
 /// One row of the end-of-life probe ([`fault_lifetime`]): how far one FTL got
 /// before bad-block growth drove its device read-only.
@@ -1073,30 +979,6 @@ mod tests {
             );
             assert!(row.bad_blocks > 0, "{}: read-only requires retired blocks", row.ftl);
             assert!(row.time_to_read_only > Nanos::ZERO, "{}: transition time unset", row.ftl);
-        }
-    }
-
-    #[test]
-    fn the_victim_policy_of_a_spec_reaches_both_ftls() {
-        let scale = ExperimentScale { requests: 3_000, ..ExperimentScale::quick() };
-        let labels: std::collections::HashSet<_> =
-            GcPolicy::ALL.iter().map(|policy| policy.label()).collect();
-        assert_eq!(labels.len(), GcPolicy::ALL.len());
-        for workload in Workload::ALL {
-            let rows = along(&GcPolicy::ALL, |gc_policy| RunSpec {
-                gc_policy,
-                ..RunSpec::new(workload, scale)
-            });
-            let erases = |policy: GcPolicy| {
-                let row = rows.iter().find(|row| row.spec.gc_policy == policy).unwrap();
-                (row.comparison.baseline.erased_blocks, row.comparison.variant.erased_blocks)
-            };
-            // The cold-bonus ablation brackets the default: a zero bonus is
-            // exactly greedy (the cold preference is the *only* thing hot-cold
-            // adds), and the aggressive row must still produce a full set of
-            // counts.
-            assert_eq!(erases(GcPolicy::HotColdBonus(0)), erases(GcPolicy::Greedy));
-            assert!(erases(GcPolicy::HotColdBonus(6)).1 > 0);
         }
     }
 

@@ -27,11 +27,11 @@
 //!   driver engine, per-request latency/queue-delay/service-time percentiles
 //!   ([`LatencyPercentiles`]), achieved IOPS and (open loop) offered IOPS.
 //! * [`experiments`] — one description of a run ([`RunSpec`]: trace source,
-//!   scale, device, FTL, GC policy, arrival discipline and model, warm-up,
+//!   scale, device, FTL, arrival discipline and model, warm-up,
 //!   fleet width), one executor ([`run_spec`]) and one comparison of both FTLs
 //!   on the same trace ([`compare_specs`]), plus the axes of the paper's
 //!   evaluation (Figures 12–18) and of the queue-depth, offered-load,
-//!   burstiness, GC-policy, fault and PPB-sensitivity sections the
+//!   burstiness, fault and PPB-sensitivity sections the
 //!   `experiments` binary lists its specs over, and the end-of-life probe
 //!   ([`experiments::fault_lifetime`]: writes into a failing device until it
 //!   degrades to read-only).

@@ -179,7 +179,7 @@ impl ParallelRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{Classifier, GcPolicy};
+    use crate::experiments::Classifier;
     use vflash_nand::FaultConfig;
     use vflash_trace::synthetic::ArrivalModel;
 
@@ -240,8 +240,8 @@ mod tests {
     }
 
     /// One of everything a section varies: a fault-injected run, a warm-up, a
-    /// non-default victim policy, a non-default classifier, a bursty open-loop
-    /// run and a spec carrying a fleet width (which `run_spec` ignores).
+    /// non-default classifier, a bursty open-loop run and a spec carrying a
+    /// fleet width (which `run_spec` ignores).
     fn mixed_specs() -> Vec<RunSpec<'static>> {
         let base = RunSpec::new(Workload::WebSqlServer, ExperimentScale { requests: 200, ..tiny_scale() });
         // Read-retry-only faults (program/erase failures off): the fault model
@@ -255,7 +255,6 @@ mod tests {
         vec![
             RunSpec { faults: Some(faults), ..base },
             RunSpec { warmup_fraction: 0.5, ..base }.on(FtlKind::Ppb),
-            RunSpec { gc_policy: GcPolicy::CostBenefit, ..base },
             RunSpec { classifier: Classifier::TwoLevelLru, speed_ratio: 4.0, ..base }.on(FtlKind::Ppb),
             RunSpec {
                 source: Workload::MediaServer.into(),
@@ -275,8 +274,8 @@ mod tests {
         assert!(reference[1..].iter().all(|run| run.retried_reads == 0 && run.bad_blocks_grown == 0));
         assert_eq!(reference[1].host_requests, 100, "half the trace is warm-up");
         assert_eq!(reference[1].ftl, "ppb");
-        assert!(reference[4].offered_iops() > 0.0);
-        assert_eq!(reference[5].queue_depth, 16);
+        assert!(reference[3].offered_iops() > 0.0);
+        assert_eq!(reference[4].queue_depth, 16);
         for workers in [2, 5, 32] {
             let parallel = ParallelRunner::new(workers).map(&specs, run_spec).unwrap();
             assert_eq!(parallel, reference, "{workers} workers diverged from one");

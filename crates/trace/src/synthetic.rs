@@ -30,8 +30,7 @@ const MIB: u64 = 1024 * 1024;
 const PARETO_BOUND_RATIO: f64 = 1_000.0;
 
 /// How many inter-arrival gaps the heavy-tailed models draw per refill of their
-/// batch buffer. Large enough to amortise the per-call sampling overhead, small
-/// enough that short traces don't waste most of a batch.
+/// batch buffer: small enough that short traces don't waste most of a batch.
 const ARRIVAL_BATCH: usize = 256;
 
 /// Seed salt for the dedicated arrival RNG the heavy-tailed models draw from.
@@ -269,10 +268,9 @@ impl std::fmt::Display for ArrivalModel {
 /// The uniform variant draws `rng.gen_range(min..max)` exactly like the
 /// pre-heavy-tail generators did, so [`ArrivalModel::UniformGap`] and
 /// [`ArrivalModel::MeanRate`] traces stay byte-identical across this refactor
-/// (locked down by the golden-fingerprint test below). The heavy-tailed
-/// variants are where [`ArrivalSampler::fill`] pays off: the generators refill
-/// a gap buffer in `ARRIVAL_BATCH`-sized batches so the distribution
-/// parameters are resolved once per batch instead of once per request.
+/// (locked down by the golden-fingerprint test below). For the heavy-tailed
+/// variants the generators refill a gap buffer in `ARRIVAL_BATCH`-sized
+/// batches ([`ArrivalSampler::fill`]) off a dedicated arrival RNG.
 #[derive(Debug, Clone)]
 pub struct ArrivalSampler {
     kind: SamplerKind,
@@ -336,50 +334,11 @@ impl ArrivalSampler {
         }
     }
 
-    /// Fills `gaps` with consecutive inter-arrival gaps, exactly as if
-    /// [`ArrivalSampler::next_gap`] had been called `gaps.len()` times with the
-    /// same RNG — the batch is purely an amortisation of the per-draw overhead
-    /// (one variant dispatch and one parameter load per batch instead of per
-    /// gap), never a different random stream.
+    /// Fills `gaps` with consecutive inter-arrival gaps: [`ArrivalSampler::next_gap`]
+    /// called `gaps.len()` times with the same RNG.
     pub fn fill(&mut self, gaps: &mut [u64], rng: &mut StdRng) {
-        match &mut self.kind {
-            SamplerKind::Uniform { min_nanos, max_nanos } => {
-                let (min, max) = (*min_nanos, *max_nanos);
-                for gap in gaps {
-                    *gap = rng.gen_range(min..max);
-                }
-            }
-            SamplerKind::Pareto { scale, inv_shape, truncated_mass } => {
-                let (scale, inv_shape, mass) = (*scale, *inv_shape, *truncated_mass);
-                for gap in gaps {
-                    let u: f64 = rng.gen();
-                    let raw = scale / (1.0 - u * mass).powf(inv_shape);
-                    *gap = (raw.round() as u64).max(1);
-                }
-            }
-            SamplerKind::OnOff {
-                on_min,
-                on_max,
-                idle_min,
-                idle_max,
-                burst_len,
-                left_in_burst,
-            } => {
-                let (on_min, on_max) = (*on_min, *on_max);
-                let (idle_min, idle_max) = (*idle_min, *idle_max);
-                let burst = *burst_len;
-                let mut left = *left_in_burst;
-                for gap in gaps {
-                    if left == 0 {
-                        left = burst;
-                        *gap = rng.gen_range(idle_min..idle_max);
-                    } else {
-                        left -= 1;
-                        *gap = rng.gen_range(on_min..on_max);
-                    }
-                }
-                *left_in_burst = left;
-            }
+        for gap in gaps {
+            *gap = self.next_gap(rng);
         }
     }
 }

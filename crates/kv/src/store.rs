@@ -1328,6 +1328,8 @@ mod tests {
             assert!(matches!(flushed, Err(KvError::ReadOnly)), "{flushed:?}");
             assert_eq!(writes_until_failure.get(), None, "the armed failure fired");
             assert_eq!(kv.check_invariants(), Ok(()), "after refusing write {refused}");
+            let device = kv.flash().ftl().device();
+            assert_eq!(device.check_invariants(), Ok(()), "after refusing write {refused}");
             counts_every_page_served(&kv, &format!("after refusing write {refused}"));
             serves_every_put(&mut kv);
             // The device accepts writes again: the next flush commits, and

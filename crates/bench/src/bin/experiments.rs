@@ -157,11 +157,7 @@ fn ablations(scale: &ExperimentScale) -> Outcome {
     let base = RunSpec { speed_ratio: 4.0, ..RunSpec::new(Workload::WebSqlServer, *scale) };
     let mut specs = [1usize, 2, 4]
         .map(|virtual_blocks| RunSpec {
-            ppb: PpbConfig {
-                virtual_blocks_per_block: virtual_blocks,
-                max_open_blocks_per_area: virtual_blocks.max(2),
-                ..base.ppb
-            },
+            ppb: PpbConfig { virtual_blocks_per_block: virtual_blocks, ..base.ppb },
             ..base
         })
         .to_vec();

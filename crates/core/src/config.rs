@@ -2,6 +2,13 @@
 
 use vflash_ftl::{FtlConfig, FtlError};
 
+/// Capacity of the hot-area *iron-hot* LRU list as a fraction of the exported
+/// logical pages.
+const IRON_HOT_LIST_FRACTION: f64 = 0.15;
+/// Capacity of the cold-area access-frequency table as a fraction of the exported
+/// logical pages. Entries evicted from the table are implicitly icy-cold.
+const COLD_TABLE_FRACTION: f64 = 0.30;
+
 /// Tunables for [`crate::PpbFtl`].
 ///
 /// # Example
@@ -14,7 +21,7 @@ use vflash_ftl::{FtlConfig, FtlError};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpbConfig {
-    /// Base FTL parameters (over-provisioning, GC thresholds).
+    /// Base FTL parameters (over-provisioning).
     pub ftl: FtlConfig,
     /// How many speed-homogeneous virtual blocks each physical block is divided into.
     /// The paper uses 2 (a slow half and a fast half) and notes that more groups trade
@@ -23,20 +30,9 @@ pub struct PpbConfig {
     /// Capacity of the hot-area *hot* LRU list as a fraction of the exported logical
     /// pages.
     pub hot_list_fraction: f64,
-    /// Capacity of the hot-area *iron-hot* LRU list as a fraction of the exported
-    /// logical pages.
-    pub iron_hot_list_fraction: f64,
-    /// Capacity of the cold-area access-frequency table as a fraction of the exported
-    /// logical pages. Entries evicted from the table are implicitly icy-cold.
-    pub cold_table_fraction: f64,
     /// Number of recorded reads after which a cold-area entry is promoted from
     /// icy-cold to cold.
     pub cold_promote_reads: u32,
-    /// Maximum number of physical blocks each data area keeps open for writing at
-    /// once. The paper's Figure 8 keeps two: one block filling its slow virtual block
-    /// and one filling its fast virtual block, which is what lets hot and iron-hot
-    /// (or icy-cold and cold) data land on pages of different speed simultaneously.
-    pub max_open_blocks_per_area: usize,
 }
 
 impl Default for PpbConfig {
@@ -45,10 +41,7 @@ impl Default for PpbConfig {
             ftl: FtlConfig::default(),
             virtual_blocks_per_block: 2,
             hot_list_fraction: 0.15,
-            iron_hot_list_fraction: 0.15,
-            cold_table_fraction: 0.30,
             cold_promote_reads: 1,
-            max_open_blocks_per_area: 2,
         }
     }
 }
@@ -59,8 +52,8 @@ impl PpbConfig {
     /// # Errors
     ///
     /// Returns [`FtlError::InvalidConfig`] if the base FTL configuration is invalid,
-    /// the virtual-block count is zero, any list fraction is outside `(0, 1]`, or the
-    /// cold promotion threshold is zero.
+    /// the virtual-block count is zero, the hot list fraction is outside `(0, 1]`, or
+    /// the cold promotion threshold is zero.
     pub fn validate(&self) -> Result<(), FtlError> {
         self.ftl.validate()?;
         fn invalid(reason: &str) -> FtlError {
@@ -69,22 +62,23 @@ impl PpbConfig {
         if self.virtual_blocks_per_block == 0 {
             return Err(invalid("virtual_blocks_per_block must be at least 1"));
         }
-        for (name, fraction) in [
-            ("hot_list_fraction", self.hot_list_fraction),
-            ("iron_hot_list_fraction", self.iron_hot_list_fraction),
-            ("cold_table_fraction", self.cold_table_fraction),
-        ] {
-            if !fraction.is_finite() || fraction <= 0.0 || fraction > 1.0 {
-                return Err(invalid(&format!("{name} must be within (0, 1]")));
-            }
+        let fraction = self.hot_list_fraction;
+        if !fraction.is_finite() || fraction <= 0.0 || fraction > 1.0 {
+            return Err(invalid("hot_list_fraction must be within (0, 1]"));
         }
         if self.cold_promote_reads == 0 {
             return Err(invalid("cold_promote_reads must be at least 1"));
         }
-        if self.max_open_blocks_per_area == 0 {
-            return Err(invalid("max_open_blocks_per_area must be at least 1"));
-        }
         Ok(())
+    }
+
+    /// Physical blocks each data area keeps open for writing at once: one per
+    /// virtual block, and never fewer than two. The paper's Figure 8 keeps two —
+    /// one block filling its slow virtual block and one filling its fast virtual
+    /// block — which is what lets hot and iron-hot (or icy-cold and cold) data land
+    /// on pages of different speed simultaneously.
+    pub fn open_blocks_per_area(&self) -> usize {
+        self.virtual_blocks_per_block.max(2)
     }
 
     /// Capacity of the hot list for a device exporting `logical_pages` pages
@@ -95,13 +89,13 @@ impl PpbConfig {
 
     /// Capacity of the iron-hot list for a device exporting `logical_pages` pages.
     pub fn iron_hot_list_capacity(&self, logical_pages: u64) -> usize {
-        ((logical_pages as f64 * self.iron_hot_list_fraction) as usize).max(8)
+        ((logical_pages as f64 * IRON_HOT_LIST_FRACTION) as usize).max(8)
     }
 
     /// Capacity of the cold-area frequency table for a device exporting
     /// `logical_pages` pages.
     pub fn cold_table_capacity(&self, logical_pages: u64) -> usize {
-        ((logical_pages as f64 * self.cold_table_fraction) as usize).max(16)
+        ((logical_pages as f64 * COLD_TABLE_FRACTION) as usize).max(16)
     }
 }
 
@@ -127,19 +121,28 @@ mod tests {
     }
 
     #[test]
+    fn open_block_budget_is_one_per_virtual_block_and_at_least_two() {
+        let with = |virtual_blocks_per_block| PpbConfig {
+            virtual_blocks_per_block,
+            ..PpbConfig::default()
+        };
+        assert_eq!(with(4).open_blocks_per_area(), 4);
+        assert_eq!(with(2).open_blocks_per_area(), 2);
+        assert_eq!(with(1).open_blocks_per_area(), 2);
+    }
+
+    #[test]
     fn invalid_parameters_are_rejected() {
         let zero_vb = PpbConfig { virtual_blocks_per_block: 0, ..PpbConfig::default() };
         assert!(zero_vb.validate().is_err());
         let bad_fraction = PpbConfig { hot_list_fraction: 0.0, ..PpbConfig::default() };
         assert!(bad_fraction.validate().is_err());
-        let too_big = PpbConfig { cold_table_fraction: 1.5, ..PpbConfig::default() };
+        let too_big = PpbConfig { hot_list_fraction: 1.5, ..PpbConfig::default() };
         assert!(too_big.validate().is_err());
         let zero_reads = PpbConfig { cold_promote_reads: 0, ..PpbConfig::default() };
         assert!(zero_reads.validate().is_err());
-        let zero_open = PpbConfig { max_open_blocks_per_area: 0, ..PpbConfig::default() };
-        assert!(zero_open.validate().is_err());
         let bad_ftl = PpbConfig {
-            ftl: FtlConfig { over_provisioning: 2.0, ..FtlConfig::default() },
+            ftl: FtlConfig { over_provisioning: 2.0 },
             ..PpbConfig::default()
         };
         assert!(bad_ftl.validate().is_err());

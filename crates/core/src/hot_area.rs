@@ -1,9 +1,8 @@
 //! The hot data area: two-level LRU tracking of hot and iron-hot entries.
 
-use vflash_ftl::Lpn;
+use vflash_ftl::{Lpn, LruList};
 
 use crate::hotness::Hotness;
-use crate::lru::LruList;
 
 /// What happened when the hot area observed a read (paper Figure 10a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -62,7 +62,6 @@ mod cold_area;
 mod config;
 mod hot_area;
 mod hotness;
-mod lru;
 mod placement;
 mod ppb_ftl;
 mod virtual_block;
@@ -71,7 +70,6 @@ pub use cold_area::ColdArea;
 pub use config::PpbConfig;
 pub use hot_area::{HotArea, PromotionOutcome};
 pub use hotness::{Area, Hotness};
-pub use lru::LruList;
 pub use placement::AreaWriter;
 pub use ppb_ftl::{PpbFtl, PpbPlacement};
 pub use virtual_block::{VirtualBlock, VirtualBlockId, VirtualBlockTable};

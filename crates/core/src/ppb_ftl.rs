@@ -88,8 +88,8 @@ impl<C: HotColdClassifier> Assemble<(PpbConfig, C)> for PpbPlacement<C> {
         let logical_pages = config.ftl.logical_pages(nand.total_pages());
         let virtual_blocks = VirtualBlockTable::new(nand, config.virtual_blocks_per_block);
         let placement = PpbPlacement {
-            hot_writer: AreaWriter::new("hot", &virtual_blocks, config.max_open_blocks_per_area),
-            cold_writer: AreaWriter::new("cold", &virtual_blocks, config.max_open_blocks_per_area),
+            hot_writer: AreaWriter::new("hot", &virtual_blocks, config.open_blocks_per_area()),
+            cold_writer: AreaWriter::new("cold", &virtual_blocks, config.open_blocks_per_area()),
             hot_area: HotArea::new(
                 logical_pages,
                 config.hot_list_capacity(logical_pages),
@@ -283,7 +283,7 @@ mod tests {
 
     fn small_ftl() -> PpbFtl {
         let config = PpbConfig {
-            ftl: vflash_ftl::FtlConfig { over_provisioning: 0.25, ..Default::default() },
+            ftl: vflash_ftl::FtlConfig { over_provisioning: 0.25 },
             ..PpbConfig::default()
         };
         PpbFtl::new(device(24, 8), config).unwrap()
@@ -391,12 +391,12 @@ mod tests {
         // Same device geometry and workload for both FTLs.
         let make_device = || device(32, 16);
         let mut conventional =
-            ConventionalFtl::new(make_device(), FtlConfig { over_provisioning: 0.25, ..Default::default() })
+            ConventionalFtl::new(make_device(), FtlConfig { over_provisioning: 0.25 })
                 .unwrap();
         let mut ppb = PpbFtl::new(
             make_device(),
             PpbConfig {
-                ftl: FtlConfig { over_provisioning: 0.25, ..Default::default() },
+                ftl: FtlConfig { over_provisioning: 0.25 },
                 ..PpbConfig::default()
             },
         )

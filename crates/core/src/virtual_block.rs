@@ -123,15 +123,6 @@ impl VirtualBlockTable {
         self.per_block
     }
 
-    /// The first page index of speed class `class` within any block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class >= per_block`.
-    pub fn class_start(&self, class: usize) -> usize {
-        self.boundaries[class]
-    }
-
     /// The page range of speed class `class` within any block.
     pub fn class_range(&self, class: usize) -> Range<usize> {
         self.boundaries[class]..self.boundaries[class + 1]
@@ -224,7 +215,6 @@ mod tests {
         let table = VirtualBlockTable::new(&config(384), 2);
         assert_eq!(table.class_range(0), 0..192);
         assert_eq!(table.class_range(1), 192..384);
-        assert_eq!(table.class_start(1), 192);
         assert_eq!(table.per_block(), 2);
     }
 

@@ -7,9 +7,9 @@
 mod model;
 
 use proptest::prelude::*;
-use vflash_ftl::Lpn;
+use vflash_ftl::{Lpn, LruList};
 use vflash_nand::{BlockAddr, NandConfig, NandDevice, PageId, SpeedClass};
-use vflash_ppb::{AreaWriter, ColdArea, HotArea, LruList, VirtualBlockTable};
+use vflash_ppb::{AreaWriter, ColdArea, HotArea, VirtualBlockTable};
 
 /// LPNs are drawn from a space a little larger than the capacities below, so the
 /// lists and the table overflow constantly.

@@ -15,10 +15,9 @@
 //!   thrash the dirty set.
 //! * **LRU residency.** Inserting into a full cache evicts the least-recently
 //!   used page; evicting a dirty page returns it for writeback.
-//! * **Dirty-ratio flush.** When the dirty count exceeds
-//!   `dirty_flush_threshold × capacity`, the cache drains dirty pages
-//!   (least-recently-used first) down to the threshold. Flushed pages stay
-//!   resident but clean.
+//! * **Dirty-ratio flush.** When more than half the capacity is dirty, the
+//!   cache drains dirty pages (least-recently-used first) down to half. Flushed
+//!   pages stay resident but clean.
 //! * **Coherence on write-around.** A write-around of a resident page drops
 //!   the cached copy (its data is superseded by the device write), keeping
 //!   read-your-writes exact.
@@ -29,51 +28,39 @@
 //! ones in the same relative order), so no operation's cost depends on the
 //! capacity or on how many clean pages are resident.
 
-use vflash_ftl::Lpn;
+use vflash_ftl::{Lpn, LruList};
 use vflash_nand::Nanos;
-use vflash_ppb::LruList;
+
+/// Latency charged for a DRAM hit (read hit or absorbed write) — orders of
+/// magnitude below a flash access.
+pub(crate) const HIT_LATENCY: Nanos = Nanos::from_micros(1);
 
 /// Tunables of the [`WritebackCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Resident capacity in pages (at least 1).
     pub capacity_pages: usize,
-    /// Fraction of the capacity that may be dirty before a flush drains the
-    /// dirty set back down to the threshold, in `(0, 1]`.
-    pub dirty_flush_threshold: f64,
     /// Host requests of at least this many bytes are treated as a cold stream
     /// and written around the cache straight to the devices.
     pub write_around_bytes: u32,
-    /// Latency charged for a DRAM hit (read hit or absorbed write) — orders of
-    /// magnitude below a flash access.
-    pub hit_latency: Nanos,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            capacity_pages: 4096,
-            dirty_flush_threshold: 0.5,
-            write_around_bytes: 256 * 1024,
-            hit_latency: Nanos::from_micros(1),
-        }
+        CacheConfig { capacity_pages: 4096, write_around_bytes: 256 * 1024 }
     }
 }
 
 impl CacheConfig {
     /// The largest dirty count the cache tolerates before (and right after) a
-    /// flush: `⌊dirty_flush_threshold × capacity_pages⌋`.
+    /// flush: half the capacity, rounded down.
     pub fn dirty_limit(&self) -> usize {
-        (self.dirty_flush_threshold * self.capacity_pages as f64).floor() as usize
+        self.capacity_pages / 2
     }
 
-    /// Panics on a zero capacity or a threshold outside `(0, 1]` (NaN included).
+    /// Panics on a zero capacity.
     pub(crate) fn validate(&self) {
         assert!(self.capacity_pages > 0, "cache capacity must be at least one page");
-        assert!(
-            self.dirty_flush_threshold > 0.0 && self.dirty_flush_threshold <= 1.0,
-            "dirty flush threshold must be within (0, 1]"
-        );
     }
 }
 
@@ -103,12 +90,6 @@ impl CacheStats {
         } else {
             self.read_hits as f64 / total as f64
         }
-    }
-
-    /// Flash page writes saved by absorption: absorbed writes minus the
-    /// writebacks that eventually materialised, saturating at zero.
-    pub fn absorbed_net(&self) -> u64 {
-        self.writes_absorbed.saturating_sub(self.writebacks)
     }
 }
 
@@ -156,7 +137,7 @@ impl WritebackCache {
     ///
     /// # Panics
     ///
-    /// Panics on a zero capacity or a dirty threshold outside `(0, 1]`.
+    /// Panics on a zero capacity.
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         WritebackCache {
@@ -266,17 +247,13 @@ impl WritebackCache {
 mod tests {
     use super::*;
 
-    fn cache(capacity: usize, threshold: f64) -> WritebackCache {
-        WritebackCache::new(CacheConfig {
-            capacity_pages: capacity,
-            dirty_flush_threshold: threshold,
-            ..CacheConfig::default()
-        })
+    fn cache(capacity: usize) -> WritebackCache {
+        WritebackCache::new(CacheConfig { capacity_pages: capacity, ..CacheConfig::default() })
     }
 
     #[test]
     fn read_misses_do_not_allocate() {
-        let mut c = cache(4, 1.0);
+        let mut c = cache(4);
         assert!(!c.read(3));
         assert!(c.is_empty());
         assert_eq!(c.stats().read_misses, 1);
@@ -284,7 +261,7 @@ mod tests {
 
     #[test]
     fn absorbed_writes_are_dirty_and_hit_on_readback() {
-        let mut c = cache(4, 1.0);
+        let mut c = cache(4);
         assert_eq!(c.write(9), None);
         assert!(c.is_resident(9));
         assert!(c.is_dirty(9));
@@ -295,7 +272,7 @@ mod tests {
 
     #[test]
     fn rewrites_do_not_double_count_dirtiness() {
-        let mut c = cache(4, 1.0);
+        let mut c = cache(4);
         c.write(1);
         c.write(1);
         assert_eq!(c.dirty_len(), 1);
@@ -304,7 +281,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_returns_dirty_victims() {
-        let mut c = cache(2, 1.0);
+        let mut c = cache(2);
         c.write(1);
         c.write(2);
         // Touch 1 so 2 becomes LRU.
@@ -316,7 +293,7 @@ mod tests {
 
     #[test]
     fn flush_drains_to_the_threshold_oldest_first() {
-        let mut c = cache(4, 0.5); // dirty limit = 2
+        let mut c = cache(4); // dirty limit = 2
         for lpn in [10, 11, 12] {
             c.write(lpn);
         }
@@ -332,30 +309,28 @@ mod tests {
 
     #[test]
     fn flush_skips_older_clean_pages_and_redirtied_pages_rejoin_at_the_mru_end() {
-        let mut c = cache(8, 0.25); // dirty limit = 2
-        for lpn in [1, 2, 3, 4] {
+        let mut c = cache(8); // dirty limit = 4
+        for lpn in 1..=6 {
             c.write(lpn);
         }
         assert_eq!(c.flush_to_threshold(), vec![1, 2]);
         // 1 and 2 are now clean and older than every dirty page. Re-dirty 1: it
-        // moves to the MRU end of both orders, behind 3, 4 and 5.
+        // moves to the MRU end of both orders, behind 3 to 6 and 7.
         c.write(1);
-        c.write(5);
-        assert_eq!(c.dirty_len(), 4);
+        c.write(7);
+        assert_eq!(c.dirty_len(), 6);
         assert_eq!(
             c.flush_to_threshold(),
             vec![3, 4],
             "clean page 2 (the LRU resident) is skipped; re-dirtied 1 is not the oldest dirty"
         );
-        assert!(c.is_dirty(1) && c.is_dirty(5) && !c.is_dirty(2));
-        // A read hit refreshes a dirty page in the dirty order too.
-        assert!(c.read(1));
-        c.write(6);
-        assert_eq!(c.flush_to_threshold(), vec![5]);
+        assert!(c.is_dirty(1) && c.is_dirty(7) && !c.is_dirty(2));
+        // A read hit refreshes a dirty page in the dirty order too: 5 was the
+        // oldest dirty page, 6 is after the read.
+        assert!(c.read(5));
+        c.write(8);
+        assert_eq!(c.flush_to_threshold(), vec![6]);
         // Residency order is untouched by flushing: clean 2 is still the LRU.
-        for lpn in [7, 8] {
-            assert_eq!(c.write(lpn), None);
-        }
         assert_eq!(c.len(), 8);
         assert_eq!(c.write(9), None, "the evicted LRU page (2) is clean: no writeback");
         assert!(!c.is_resident(2));
@@ -363,7 +338,7 @@ mod tests {
 
     #[test]
     fn write_around_drops_stale_copies_without_writeback() {
-        let mut c = cache(4, 1.0);
+        let mut c = cache(4);
         c.write(5);
         let before = c.stats().writebacks;
         c.write_around(5);
@@ -377,23 +352,18 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_and_net_absorption() {
-        let mut c = cache(4, 1.0);
+    fn hit_rate_counts_reads_only() {
+        let mut c = cache(4);
         c.write(1);
         c.read(1);
         c.read(2);
         let stats = c.stats();
         assert!((stats.read_hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(stats.absorbed_net(), 1);
         assert_eq!(CacheStats::default().read_hit_rate(), 0.0);
     }
 
     #[test]
-    fn invalid_configs_are_rejected() {
-        assert!(std::panic::catch_unwind(|| cache(0, 0.5)).is_err());
-        assert!(std::panic::catch_unwind(|| cache(4, 0.0)).is_err());
-        assert!(std::panic::catch_unwind(|| cache(4, 1.5)).is_err());
-        assert!(std::panic::catch_unwind(|| cache(4, f64::NAN)).is_err());
-        assert!(std::panic::catch_unwind(|| cache(4, f64::INFINITY)).is_err());
+    fn zero_capacity_is_rejected() {
+        assert!(std::panic::catch_unwind(|| cache(0)).is_err());
     }
 }

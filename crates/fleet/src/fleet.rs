@@ -33,13 +33,13 @@
 //! # Cache and writebacks
 //!
 //! With a [`CacheConfig`], page reads and small page writes consult the host
-//! DRAM cache first: hits cost [`CacheConfig::hit_latency`] and never touch a
-//! device; absorbed writes defer the flash program until eviction or a
-//! dirty-ratio flush. Writeback traffic is **background**: it does not extend
-//! the completing request's latency, but it does occupy the owning lane's
-//! chips (or, at closed-loop depth 1 where op tracing is off, a lane-level
-//! ready clock), so heavy writeback backlogs surface as queueing delay on
-//! later requests — the classic destaging effect.
+//! DRAM cache first: hits cost 1 µs and never touch a device; absorbed writes
+//! defer the flash program until eviction or a dirty-ratio flush. Writeback
+//! traffic is **background**: it does not extend the completing request's
+//! latency, but it does occupy the owning lane's chips (or, at closed-loop
+//! depth 1 where op tracing is off, a lane-level ready clock), so heavy
+//! writeback backlogs surface as queueing delay on later requests — the
+//! classic destaging effect.
 
 use vflash_ftl::{FlashTranslationLayer, FtlError, Lpn};
 use vflash_nand::Nanos;
@@ -49,8 +49,8 @@ use vflash_sim::{
 };
 use vflash_trace::{IoOp, PageSplitter, Trace};
 
-use crate::cache::{CacheConfig, WritebackCache};
-use crate::qos::{dispatch_order, TenantWeight};
+use crate::cache::{CacheConfig, WritebackCache, HIT_LATENCY};
+use crate::qos::{dispatch_order, validate_tenants, TenantWeight};
 use crate::stripe::StripeMap;
 use crate::summary::{FleetSummary, TenantSummary};
 
@@ -126,11 +126,13 @@ impl<F: FlashTranslationLayer> Fleet<F> {
     /// # Panics
     ///
     /// Panics on an empty lane set, heterogeneous page sizes or logical
-    /// capacities (the stripe map needs identical lanes), an empty tenant set,
-    /// or an invalid cache configuration.
+    /// capacities (the stripe map needs identical lanes), an empty tenant set or
+    /// a zero tenant weight (what [`WeightedShares`](crate::WeightedShares)
+    /// refuses, checked here for every discipline), or an invalid cache
+    /// configuration.
     pub fn new(lanes: Vec<F>, config: FleetConfig) -> Self {
         assert!(!lanes.is_empty(), "a fleet needs at least one device");
-        assert!(!config.tenants.is_empty(), "a fleet needs at least one tenant");
+        validate_tenants(&config.tenants);
         let page_size = lanes[0].device().config().page_size_bytes();
         let lane_pages = lanes[0].logical_pages();
         for lane in &lanes[1..] {
@@ -171,12 +173,6 @@ impl<F: FlashTranslationLayer> Fleet<F> {
     /// The lanes, in stripe order.
     pub fn lanes(&self) -> &[F] {
         &self.lanes
-    }
-
-    /// Consumes the fleet, returning the lanes (e.g. to inspect device state
-    /// after a run).
-    pub fn into_lanes(self) -> Vec<F> {
-        self.lanes
     }
 }
 
@@ -293,8 +289,6 @@ impl FleetDriver {
         let mut cache = fleet.config.cache.map(WritebackCache::new);
         let write_around_bytes =
             fleet.config.cache.map(|config| config.write_around_bytes).unwrap_or(u32::MAX);
-        let hit_latency =
-            fleet.config.cache.map(|config| config.hit_latency).unwrap_or(Nanos::ZERO);
 
         let mut fanout_read = LatencyHistogram::new();
         let mut fanout_write = LatencyHistogram::new();
@@ -340,7 +334,7 @@ impl FleetDriver {
                     match request.op {
                         IoOp::Read => {
                             if cache.read(fleet_lpn) {
-                                cache_now += hit_latency;
+                                cache_now += HIT_LATENCY;
                                 cache_touched = true;
                                 continue;
                             }
@@ -348,7 +342,7 @@ impl FleetDriver {
                         IoOp::Write => {
                             if request.length < write_around_bytes {
                                 let evicted = cache.write(fleet_lpn);
-                                cache_now += hit_latency;
+                                cache_now += HIT_LATENCY;
                                 cache_touched = true;
                                 // Background writebacks, in order: the dirty
                                 // page this insert evicted (if any), then
@@ -577,7 +571,6 @@ mod tests {
                 cache: Some(CacheConfig {
                     capacity_pages: 64,
                     write_around_bytes: 4096, // every 8 KiB request is "cold"
-                    ..CacheConfig::default()
                 }),
                 ..FleetConfig::default()
             },
@@ -634,27 +627,45 @@ mod tests {
         .is_err());
     }
 
+    /// The message of a panic raised by `assert!` with a literal message.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload.downcast_ref::<&str>().expect("assert! with a literal message").to_string()
+    }
+
     #[test]
     fn invalid_cache_configs_are_rejected_at_assembly() {
         // `Fleet::new` must refuse what `WritebackCache::new` refuses, with the
-        // same message — non-finite thresholds included, which would otherwise
-        // floor to a dirty limit of 0 (or saturate) mid-run.
-        let rejected = |capacity_pages: usize, dirty_flush_threshold: f64| {
-            let cache = CacheConfig {
-                capacity_pages,
-                dirty_flush_threshold,
-                ..CacheConfig::default()
-            };
-            let payload = std::panic::catch_unwind(|| {
-                let config = FleetConfig { cache: Some(cache), ..FleetConfig::default() };
-                Fleet::new(vec![lane()], config)
-            })
-            .expect_err("an invalid cache config must not assemble");
-            payload.downcast_ref::<&str>().expect("assert! with a literal message").to_string()
-        };
-        assert_eq!(rejected(0, 0.5), "cache capacity must be at least one page");
-        for threshold in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(rejected(4, threshold), "dirty flush threshold must be within (0, 1]");
+        // same message.
+        let cache = CacheConfig { capacity_pages: 0, ..CacheConfig::default() };
+        let payload = std::panic::catch_unwind(|| {
+            let config = FleetConfig { cache: Some(cache), ..FleetConfig::default() };
+            Fleet::new(vec![lane()], config)
+        })
+        .expect_err("an invalid cache config must not assemble");
+        assert_eq!(panic_message(payload), "cache capacity must be at least one page");
+    }
+
+    #[test]
+    fn zero_weight_tenants_are_rejected_at_assembly_under_both_disciplines() {
+        // A weight-0 tenant used to pass `Fleet::new`: closed loop then panicked
+        // inside the run, after the prefill had written every lane, and open
+        // loop accepted it and reported weight 0.
+        let tenants = vec![TenantWeight::new("gold", 1), TenantWeight::new("idle", 0)];
+        let trace = web_trace(50);
+        for driver in [
+            FleetDriver::closed_loop(RunOptions::default(), 4),
+            FleetDriver::open_loop(RunOptions::default(), 1.0),
+        ] {
+            let mut assembled = false;
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let config = FleetConfig { tenants: tenants.clone(), ..FleetConfig::default() };
+                let fleet = Fleet::new(vec![lane(), lane()], config);
+                assembled = true;
+                driver.run(fleet, &trace)
+            }))
+            .expect_err("a zero-weight tenant must not run");
+            assert!(!assembled, "{:?}: the fleet assembled", driver.discipline());
+            assert_eq!(panic_message(payload), "tenant weights must be positive");
         }
     }
 }

@@ -74,14 +74,8 @@ impl WeightedShares {
     ///
     /// Panics on an empty tenant list or a zero weight.
     pub fn new(tenants: &[TenantWeight]) -> Self {
-        assert!(!tenants.is_empty(), "QoS needs at least one tenant");
-        let weights: Vec<u64> = tenants
-            .iter()
-            .map(|tenant| {
-                assert!(tenant.weight > 0, "tenant weights must be positive");
-                tenant.weight
-            })
-            .collect();
+        validate_tenants(tenants);
+        let weights: Vec<u64> = tenants.iter().map(|tenant| tenant.weight).collect();
         WeightedShares { served: vec![0; weights.len()], weights }
     }
 
@@ -120,6 +114,13 @@ impl WeightedShares {
         }
         best
     }
+}
+
+/// Panics on an empty tenant list or a zero weight: the tenant sets
+/// [`WeightedShares`] can arbitrate, and so the ones a fleet accepts.
+pub(crate) fn validate_tenants(tenants: &[TenantWeight]) {
+    assert!(!tenants.is_empty(), "the tenant set must not be empty");
+    assert!(tenants.iter().all(|tenant| tenant.weight > 0), "tenant weights must be positive");
 }
 
 /// Precomputes the closed-loop dispatch order of `total` requests split

@@ -116,26 +116,17 @@ impl FleetSummary {
         }
     }
 
-    fn amplification(fanout: &LatencyPercentiles, stripe: &LatencyPercentiles) -> f64 {
-        if stripe.p999 == Nanos::ZERO {
-            0.0
-        } else {
-            fanout.p999.as_nanos() as f64 / stripe.p999.as_nanos() as f64
-        }
-    }
-
     /// Read fan-out tail amplification: fan-out p99.9 over stripe p99.9. A
     /// request striped over N devices completes at the max of its stripes, so
     /// this ratio grows with the stripe width — the core fleet-scale effect.
     /// Zero when no read stripe was served.
     pub fn read_tail_amplification(&self) -> f64 {
-        Self::amplification(&self.fanout_read_latency, &self.stripe_read_latency)
-    }
-
-    /// Write fan-out tail amplification (see
-    /// [`FleetSummary::read_tail_amplification`]).
-    pub fn write_tail_amplification(&self) -> f64 {
-        Self::amplification(&self.fanout_write_latency, &self.stripe_write_latency)
+        let (fanout, stripe) = (self.fanout_read_latency.p999, self.stripe_read_latency.p999);
+        if stripe == Nanos::ZERO {
+            0.0
+        } else {
+            fanout.as_nanos() as f64 / stripe.as_nanos() as f64
+        }
     }
 }
 

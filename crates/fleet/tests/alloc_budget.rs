@@ -88,12 +88,12 @@ fn fleet<F: FlashTranslationLayer>(make: impl Fn() -> F, cache: Option<CacheConf
 }
 
 fn conventional() -> ConventionalFtl {
-    let ftl = FtlConfig { over_provisioning: 0.25, ..FtlConfig::default() };
+    let ftl = FtlConfig { over_provisioning: 0.25 };
     ConventionalFtl::new(device(), ftl).unwrap()
 }
 
 fn ppb() -> PpbFtl {
-    let ftl = FtlConfig { over_provisioning: 0.25, ..FtlConfig::default() };
+    let ftl = FtlConfig { over_provisioning: 0.25 };
     PpbFtl::new(device(), PpbConfig { ftl, ..PpbConfig::default() }).unwrap()
 }
 

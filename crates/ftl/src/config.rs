@@ -9,7 +9,7 @@ use crate::error::FtlError;
 /// ```
 /// use vflash_ftl::FtlConfig;
 ///
-/// let config = FtlConfig { over_provisioning: 0.15, ..FtlConfig::default() };
+/// let config = FtlConfig { over_provisioning: 0.15 };
 /// assert!(config.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,21 +17,11 @@ pub struct FtlConfig {
     /// Fraction of raw capacity reserved for garbage collection headroom, in
     /// `[0, 0.9]`. The exported logical capacity is `raw * (1 - over_provisioning)`.
     pub over_provisioning: f64,
-    /// Garbage collection starts when the number of free blocks drops to this value.
-    /// Must be at least 1 so a relocation destination always exists.
-    pub gc_trigger_free_blocks: usize,
-    /// Garbage collection keeps reclaiming until this many blocks are free again.
-    /// Must be >= `gc_trigger_free_blocks`.
-    pub gc_target_free_blocks: usize,
 }
 
 impl Default for FtlConfig {
     fn default() -> Self {
-        FtlConfig {
-            over_provisioning: 0.10,
-            gc_trigger_free_blocks: 2,
-            gc_target_free_blocks: 3,
-        }
+        FtlConfig { over_provisioning: 0.10 }
     }
 }
 
@@ -40,24 +30,13 @@ impl FtlConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FtlError::InvalidConfig`] if over-provisioning is outside `[0, 0.9]`,
-    /// the trigger is zero, or the target is below the trigger.
+    /// Returns [`FtlError::InvalidConfig`] if over-provisioning is outside `[0, 0.9]`.
     pub fn validate(&self) -> Result<(), FtlError> {
         if !self.over_provisioning.is_finite()
             || !(0.0..=0.9).contains(&self.over_provisioning)
         {
             return Err(FtlError::InvalidConfig {
                 reason: "over_provisioning must be within [0, 0.9]".to_string(),
-            });
-        }
-        if self.gc_trigger_free_blocks == 0 {
-            return Err(FtlError::InvalidConfig {
-                reason: "gc_trigger_free_blocks must be at least 1".to_string(),
-            });
-        }
-        if self.gc_target_free_blocks < self.gc_trigger_free_blocks {
-            return Err(FtlError::InvalidConfig {
-                reason: "gc_target_free_blocks must be >= gc_trigger_free_blocks".to_string(),
             });
         }
         Ok(())
@@ -81,25 +60,17 @@ mod tests {
 
     #[test]
     fn logical_capacity_respects_over_provisioning() {
-        let config = FtlConfig { over_provisioning: 0.25, ..FtlConfig::default() };
+        let config = FtlConfig { over_provisioning: 0.25 };
         assert_eq!(config.logical_pages(1000), 750);
-        let none = FtlConfig { over_provisioning: 0.0, ..FtlConfig::default() };
+        let none = FtlConfig { over_provisioning: 0.0 };
         assert_eq!(none.logical_pages(1000), 1000);
     }
 
     #[test]
     fn bad_configs_are_rejected() {
-        let bad_op = FtlConfig { over_provisioning: 0.95, ..FtlConfig::default() };
+        let bad_op = FtlConfig { over_provisioning: 0.95 };
         assert!(bad_op.validate().is_err());
-        let bad_trigger = FtlConfig { gc_trigger_free_blocks: 0, ..FtlConfig::default() };
-        assert!(bad_trigger.validate().is_err());
-        let bad_target = FtlConfig {
-            gc_trigger_free_blocks: 5,
-            gc_target_free_blocks: 2,
-            ..FtlConfig::default()
-        };
-        assert!(bad_target.validate().is_err());
-        let nan = FtlConfig { over_provisioning: f64::NAN, ..FtlConfig::default() };
+        let nan = FtlConfig { over_provisioning: f64::NAN };
         assert!(nan.validate().is_err());
     }
 }

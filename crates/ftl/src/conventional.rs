@@ -168,7 +168,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let config = FtlConfig { over_provisioning: 0.2, ..FtlConfig::default() };
+        let config = FtlConfig { over_provisioning: 0.2 };
         ConventionalFtl::new(device, config).unwrap()
     }
 
@@ -183,7 +183,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let config = FtlConfig { over_provisioning: 0.2, ..FtlConfig::default() };
+        let config = FtlConfig { over_provisioning: 0.2 };
         let mut ftl = ConventionalFtl::new(device, config).unwrap();
         ftl.set_write_stripe(4);
         for lpn in 0..8 {
@@ -325,7 +325,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let config = FtlConfig { over_provisioning: 0.2, ..FtlConfig::default() };
+        let config = FtlConfig { over_provisioning: 0.2 };
         ConventionalFtl::new(device, config).unwrap()
     }
 
@@ -334,9 +334,6 @@ mod tests {
         // An absurd raw bit-error rate: every read exhausts the retry ladder.
         let mut ftl = faulty_ftl(vflash_nand::FaultConfig {
             rber_scale: 1e12,
-            ecc_correctable_bits: 0,
-            retry_extra_bits: 1,
-            max_read_retries: 2,
             program_fail_base: 0.0,
             erase_fail_base: 0.0,
             ..vflash_nand::FaultConfig::enabled(11)
@@ -344,7 +341,7 @@ mod tests {
         ftl.write(Lpn(1), 4096).unwrap();
         let completion = ftl.submit(IoRequest::read(Lpn(1))).unwrap();
         assert!(completion.uncorrectable, "extreme RBER must exhaust the ladder");
-        assert_eq!(completion.read_retries, 2);
+        assert_eq!(completion.read_retries, 4, "the whole ladder");
         assert_eq!(ftl.metrics().uncorrectable_reads, 1);
         assert_eq!(ftl.metrics().retried_reads, 1);
         assert!(ftl.metrics().read_retry_time > Nanos::ZERO);

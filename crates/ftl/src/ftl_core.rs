@@ -22,6 +22,12 @@ use crate::metrics::FtlMetrics;
 use crate::traits::FlashTranslationLayer;
 use crate::types::Lpn;
 
+/// Garbage collection starts when fewer than this many blocks are free; at least
+/// 1, so a relocation destination always exists.
+const GC_TRIGGER_FREE_BLOCKS: usize = 2;
+/// Garbage collection reclaims blocks until this many are free again.
+const GC_TARGET_FREE_BLOCKS: usize = 3;
+
 /// Where pages go: the only thing that differs between FTLs built on [`FtlCore`].
 ///
 /// A placement owns the open write streams. The core asks it for a
@@ -138,13 +144,13 @@ impl<P: Placement> FtlCore<P> {
                 reason: "over-provisioning leaves zero logical pages".to_string(),
             });
         }
-        if nand.total_blocks() <= config.gc_target_free_blocks + P::RESERVED_BLOCKS {
+        if nand.total_blocks() <= GC_TARGET_FREE_BLOCKS + P::RESERVED_BLOCKS {
             return Err(FtlError::InvalidConfig {
                 reason: format!(
                     "device has only {} blocks; {} for open write streams plus {} free for GC leave no room for data",
                     nand.total_blocks(),
                     P::RESERVED_BLOCKS,
-                    config.gc_target_free_blocks
+                    GC_TARGET_FREE_BLOCKS
                 ),
             });
         }
@@ -261,7 +267,7 @@ impl<P: Placement> FtlCore<P> {
             return Err(FtlError::ReadOnly);
         }
         let mut gc = GcOutcome::default();
-        if self.device.available_blocks() < self.config.gc_trigger_free_blocks {
+        if self.device.available_blocks() < GC_TRIGGER_FREE_BLOCKS {
             gc = self.collect_garbage()?;
             self.metrics.record_gc(gc.copied_pages, gc.erased_blocks, gc.time);
         }
@@ -367,12 +373,12 @@ impl<P: Placement> FtlCore<P> {
         Ok(time)
     }
 
-    /// Reclaims blocks until the free pool reaches the configured target, charging the
+    /// Reclaims blocks until the free pool reaches the GC target, charging the
     /// work to the returned outcome. Victims are the greedy choice — the full block
     /// with the most invalid pages, see [`NandDevice::greedy_victim`].
     fn collect_garbage(&mut self) -> Result<GcOutcome, FtlError> {
         let mut outcome = GcOutcome::default();
-        while self.device.available_blocks() < self.config.gc_target_free_blocks {
+        while self.device.available_blocks() < GC_TARGET_FREE_BLOCKS {
             // The open write streams are off limits.
             self.exclude.clear();
             self.placement.open_blocks(&mut self.exclude);

@@ -1,8 +1,7 @@
 //! Two-level LRU hot/cold identification.
 
-use std::collections::VecDeque;
-
 use crate::hotcold::{HotColdClassifier, Temperature};
+use crate::lru::LruList;
 use crate::types::Lpn;
 
 /// The two-level LRU scheme of Chang & Kuo (RTAS 2002).
@@ -24,10 +23,8 @@ use crate::types::Lpn;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwoLevelLru {
-    hot: VecDeque<Lpn>,
-    candidates: VecDeque<Lpn>,
-    hot_capacity: usize,
-    candidate_capacity: usize,
+    hot: LruList,
+    candidates: LruList,
 }
 
 impl TwoLevelLru {
@@ -37,13 +34,9 @@ impl TwoLevelLru {
     ///
     /// Panics if either capacity is zero.
     pub fn new(hot_capacity: usize, candidate_capacity: usize) -> Self {
-        assert!(hot_capacity > 0, "hot list capacity must be positive");
-        assert!(candidate_capacity > 0, "candidate list capacity must be positive");
         TwoLevelLru {
-            hot: VecDeque::with_capacity(hot_capacity),
-            candidates: VecDeque::with_capacity(candidate_capacity),
-            hot_capacity,
-            candidate_capacity,
+            hot: LruList::new(hot_capacity),
+            candidates: LruList::new(candidate_capacity),
         }
     }
 
@@ -59,14 +52,7 @@ impl TwoLevelLru {
 
     /// Whether `lpn` is currently considered hot.
     pub fn is_hot(&self, lpn: Lpn) -> bool {
-        self.hot.contains(&lpn)
-    }
-
-    fn touch_front(list: &mut VecDeque<Lpn>, lpn: Lpn) {
-        if let Some(position) = list.iter().position(|&candidate| candidate == lpn) {
-            list.remove(position);
-        }
-        list.push_front(lpn);
+        self.hot.contains(lpn)
     }
 }
 
@@ -76,30 +62,20 @@ impl HotColdClassifier for TwoLevelLru {
     }
 
     fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
-        if self.hot.contains(&lpn) {
-            Self::touch_front(&mut self.hot, lpn);
+        if self.hot.touch(lpn) {
             return Temperature::Hot;
         }
-        if let Some(position) = self.candidates.iter().position(|&candidate| candidate == lpn) {
-            // Second write while still a candidate: promote to the hot list.
-            self.candidates.remove(position);
-            self.hot.push_front(lpn);
-            if self.hot.len() > self.hot_capacity {
-                // Demote the least recently used hot entry back to the candidates.
-                if let Some(evicted) = self.hot.pop_back() {
-                    Self::touch_front(&mut self.candidates, evicted);
-                }
-            }
-            if self.candidates.len() > self.candidate_capacity {
-                self.candidates.pop_back();
+        if self.candidates.remove(lpn) {
+            // Second write while still a candidate: promote to the hot list. A full
+            // hot list demotes its least recently used entry back to the candidates,
+            // into the slot the promotion just freed.
+            if let Some(demoted) = self.hot.insert(lpn) {
+                self.candidates.insert(demoted);
             }
             return Temperature::Hot;
         }
         // First sighting: enter the candidate list, classified cold.
-        self.candidates.push_front(lpn);
-        if self.candidates.len() > self.candidate_capacity {
-            self.candidates.pop_back();
-        }
+        self.candidates.insert(lpn);
         Temperature::Cold
     }
 }

@@ -12,7 +12,7 @@
 //! [`FlashTranslationLayer`]: crate::FlashTranslationLayer
 //! [`FlashTranslationLayer::submit`]: crate::FlashTranslationLayer::submit
 
-use vflash_nand::{NandDevice, Nanos, OpSpan};
+use vflash_nand::{Nanos, OpSpan};
 
 use crate::gc::GcOutcome;
 use crate::types::Lpn;
@@ -67,7 +67,7 @@ impl IoRequest {
 /// *provenance* of that latency: every timed device operation charged to the
 /// request — in execution order, each with the chip whose clock it advanced — and
 /// the garbage-collection share. `ops` is an [`OpSpan`] — an index range into the
-/// device's op arena, resolved with [`NandDevice::ops`] — so completions are
+/// device's op arena, resolved with [`vflash_nand::NandDevice::ops`] — so completions are
 /// small `Copy` values and the submit path never allocates per request. Op
 /// provenance is only collected while the FTL's device has
 /// [op tracing](vflash_nand::NandDevice::set_op_tracing) enabled; otherwise the
@@ -106,30 +106,11 @@ impl Completion {
             uncorrectable: false,
         }
     }
-
-    /// The time this completion spent in garbage collection.
-    pub fn gc_time(&self) -> Nanos {
-        self.gc.time
-    }
-
-    /// The distinct chips whose clocks this completion advanced, in first-touch
-    /// order, resolved against the device that served the request. Empty unless
-    /// op tracing was enabled.
-    pub fn chips_touched(&self, device: &NandDevice) -> Vec<vflash_nand::ChipId> {
-        let mut chips = Vec::new();
-        for op in device.ops(self.ops) {
-            if !chips.contains(&op.chip) {
-                chips.push(op.chip);
-            }
-        }
-        chips
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vflash_nand::ChipId;
 
     #[test]
     fn request_constructors_round_trip() {
@@ -143,33 +124,4 @@ mod tests {
         assert!(write.is_write());
     }
 
-    #[test]
-    fn completions_report_touched_chips_in_first_touch_order() {
-        let config = vflash_nand::NandConfig::builder()
-            .chips(2)
-            .blocks_per_chip(4)
-            .pages_per_block(4)
-            .page_size_bytes(4096)
-            .build()
-            .unwrap();
-        let mut device = NandDevice::new(config);
-        device.set_op_tracing(true);
-        let a = device.allocate_block().unwrap(); // chip 0
-        let b = device.allocate_block().unwrap(); // chip 1
-        assert_ne!(a.chip(), b.chip());
-        let mark = device.op_mark();
-        // Touch chip 1 first, then chip 0, then chip 1 again: first-touch order
-        // must be preserved and the repeat deduplicated.
-        device.program_next(b).unwrap();
-        device.program_next(a).unwrap();
-        device.program_next(b).unwrap();
-        let mut completion = Completion::new(Nanos::from_micros(100));
-        completion.ops = device.ops_since(mark);
-        assert_eq!(completion.chips_touched(&device), vec![b.chip(), a.chip()]);
-        assert_eq!(completion.gc_time(), Nanos::ZERO);
-
-        let untraced = Completion::new(Nanos::from_micros(5));
-        assert!(untraced.chips_touched(&device).is_empty());
-        assert_eq!(untraced.chips_touched(&device), Vec::<ChipId>::new());
-    }
 }

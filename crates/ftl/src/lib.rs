@@ -55,6 +55,7 @@ mod conventional;
 mod error;
 mod ftl_core;
 mod io;
+mod lru;
 mod mapping;
 mod metrics;
 mod traits;
@@ -67,6 +68,7 @@ pub use error::FtlError;
 pub use ftl_core::{Assemble, FtlCore, Placement};
 pub use gc::GcOutcome;
 pub use io::{Completion, IoCommand, IoRequest};
+pub use lru::LruList;
 pub use mapping::MappingTable;
 pub use metrics::FtlMetrics;
 pub use traits::FlashTranslationLayer;

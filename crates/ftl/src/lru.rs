@@ -1,14 +1,15 @@
-//! An O(1) LRU list keyed by logical page number.
+//! An O(1) LRU list keyed by logical page number — the one LRU of the workspace:
+//! PPB's hot area, the two-level LRU classifier and the fleet's writeback cache.
 //!
-//! The hot area tracks (potentially many thousands of) hot and iron-hot entries and
-//! touches one on every host request, so the usual `VecDeque::remove` approach would
-//! make request handling O(list length). This implementation threads the list
+//! Each tracks (potentially many thousands of) entries and touches one on every
+//! host request, so the usual `VecDeque::remove` approach would make request
+//! handling O(list length). This implementation threads the list
 //! through a dense table indexed by LPN — entry `lpn` holds the LPNs before and
 //! after it, or the absent marker — so touch / insert / evict / remove are O(1)
 //! and hash-free. The table costs 8 bytes per key in `0..=highest key seen`; it
 //! grows on demand unless [`LruList::reserve_keys`] sized it up front.
 
-use vflash_ftl::Lpn;
+use crate::types::Lpn;
 
 /// End-of-list marker in a link.
 const NIL: u32 = u32::MAX;
@@ -33,7 +34,7 @@ const UNLINKED: Link = Link { prev: ABSENT, next: NIL };
 ///
 /// ```
 /// use vflash_ftl::Lpn;
-/// use vflash_ppb::LruList;
+/// use vflash_ftl::LruList;
 ///
 /// let mut lru = LruList::new(2);
 /// assert_eq!(lru.insert(Lpn(1)), None);

@@ -1,6 +1,6 @@
 //! Page-level logical-to-physical mapping.
 
-use vflash_nand::{BlockAddr, ChipId, PageAddr, PageId};
+use vflash_nand::{BlockAddr, PageAddr, PageId};
 
 use crate::types::Lpn;
 
@@ -63,11 +63,6 @@ impl MappingTable {
     /// The physical location of `lpn`, if it has been written.
     pub fn lookup(&self, lpn: Lpn) -> Option<PageAddr> {
         self.forward.get(lpn.as_usize()).copied().flatten()
-    }
-
-    /// The logical page stored at `addr`, if any.
-    pub fn reverse_lookup(&self, addr: PageAddr) -> Option<Lpn> {
-        self.reverse.get(self.page_ordinal(addr)).copied().flatten()
     }
 
     /// Maps `lpn` to `addr`, returning the previous physical location if the LPN was
@@ -150,17 +145,12 @@ impl MappingTable {
         }
         Ok(count)
     }
-
-    /// Helper constructing a [`BlockAddr`] from a flat block ordinal, the inverse of
-    /// [`BlockAddr::flat_index`].
-    pub fn block_from_flat(&self, flat: usize) -> BlockAddr {
-        BlockAddr::new(ChipId(flat / self.blocks_per_chip), flat % self.blocks_per_chip)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vflash_nand::ChipId;
 
     fn table() -> MappingTable {
         // 2 chips x 4 blocks x 8 pages = 64 physical pages, 48 logical
@@ -171,13 +161,18 @@ mod tests {
         BlockAddr::new(ChipId(chip), block).page(PageId(page))
     }
 
+    /// The logical page the reverse map holds at `addr`, if any.
+    fn reverse_lookup(map: &MappingTable, addr: PageAddr) -> Option<Lpn> {
+        map.lpns_in_block(addr.block()).find(|&(page, _)| page == addr.page()).map(|(_, lpn)| lpn)
+    }
+
     #[test]
     fn map_and_lookup_round_trip() {
         let mut map = table();
         assert_eq!(map.lookup(Lpn(5)), None);
         assert_eq!(map.map(Lpn(5), addr(0, 1, 2)), None);
         assert_eq!(map.lookup(Lpn(5)), Some(addr(0, 1, 2)));
-        assert_eq!(map.reverse_lookup(addr(0, 1, 2)), Some(Lpn(5)));
+        assert_eq!(reverse_lookup(&map, addr(0, 1, 2)), Some(Lpn(5)));
         assert_eq!(map.mapped_pages(), 1);
         map.check_consistency().unwrap();
     }
@@ -188,8 +183,8 @@ mod tests {
         map.map(Lpn(7), addr(0, 0, 0));
         let old = map.map(Lpn(7), addr(1, 3, 7));
         assert_eq!(old, Some(addr(0, 0, 0)));
-        assert_eq!(map.reverse_lookup(addr(0, 0, 0)), None);
-        assert_eq!(map.reverse_lookup(addr(1, 3, 7)), Some(Lpn(7)));
+        assert_eq!(reverse_lookup(&map, addr(0, 0, 0)), None);
+        assert_eq!(reverse_lookup(&map, addr(1, 3, 7)), Some(Lpn(7)));
         assert_eq!(map.mapped_pages(), 1);
         map.check_consistency().unwrap();
     }
@@ -200,7 +195,7 @@ mod tests {
         map.map(Lpn(3), addr(1, 2, 4));
         assert_eq!(map.unmap(Lpn(3)), Some(addr(1, 2, 4)));
         assert_eq!(map.lookup(Lpn(3)), None);
-        assert_eq!(map.reverse_lookup(addr(1, 2, 4)), None);
+        assert_eq!(reverse_lookup(&map, addr(1, 2, 4)), None);
         assert_eq!(map.mapped_pages(), 0);
         assert_eq!(map.unmap(Lpn(3)), None);
         map.check_consistency().unwrap();
@@ -227,16 +222,5 @@ mod tests {
         assert!(map.contains(Lpn(47)));
         assert!(!map.contains(Lpn(48)));
         assert_eq!(map.logical_pages(), 48);
-    }
-
-    #[test]
-    fn block_from_flat_inverts_flat_index() {
-        let map = table();
-        for chip in 0..2 {
-            for block in 0..4 {
-                let addr = BlockAddr::new(ChipId(chip), block);
-                assert_eq!(map.block_from_flat(addr.flat_index(4)), addr);
-            }
-        }
     }
 }

@@ -17,7 +17,7 @@ fn small_ftl(blocks: usize, pages: usize, over_provisioning: f64) -> Conventiona
             .build()
             .expect("valid geometry"),
     );
-    ConventionalFtl::new(device, FtlConfig { over_provisioning, ..FtlConfig::default() })
+    ConventionalFtl::new(device, FtlConfig { over_provisioning })
         .expect("valid ftl configuration")
 }
 

@@ -286,11 +286,6 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         &self.ftl
     }
 
-    /// Consumes the store, returning the FTL (final metrics inspection).
-    pub fn into_ftl(self) -> F {
-        self.ftl
-    }
-
     /// Free pages remaining in the allocator.
     pub fn free_pages(&self) -> u64 {
         self.free.iter().map(|extent| extent.pages).sum()
@@ -427,24 +422,6 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
                 self.logical_pages - 1
             ));
         }
-        Ok(())
-    }
-
-    /// Writes one full page to `lpn`, charging the program (and any GC it
-    /// triggers) to the lane. `request_bytes` is the logical request size
-    /// passed to the FTL — PPB's size-based classifier sees it, so callers
-    /// should pass the application-level write size (small WAL appends read as
-    /// hot, bulk compaction writes as cold).
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::ReadOnly`] once the device is at end of life;
-    /// [`KvError::OutOfSpace`] when the FTL has no free capacity; other FTL
-    /// failures pass through.
-    pub fn write_page(&mut self, lpn: u64, data: &[u8], request_bytes: u32) -> Result<(), KvError> {
-        debug_assert_eq!(data.len(), self.page_size);
-        self.charge_write(lpn, request_bytes)?;
-        self.fill_page(lpn, 0, data);
         Ok(())
     }
 

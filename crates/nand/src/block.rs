@@ -165,12 +165,6 @@ impl Block {
         self.last_modified = seq;
     }
 
-    /// Whether every programmed page is stale, making the block an ideal, copy-free
-    /// garbage-collection victim.
-    pub fn is_fully_invalid(&self) -> bool {
-        self.state() == BlockState::Full && self.valid_pages == 0
-    }
-
     /// Programs the page at the write pointer, marking it valid.
     ///
     /// # Errors
@@ -264,7 +258,7 @@ mod tests {
         for i in 0..4 {
             block.invalidate(PageId(i)).unwrap();
         }
-        assert!(block.is_fully_invalid());
+        assert_eq!((block.state(), block.valid_pages()), (BlockState::Full, 0));
         block.erase();
         assert_eq!(block.state(), BlockState::Free);
         assert_eq!(block.erase_count(), 1);
@@ -308,7 +302,7 @@ mod tests {
         assert_eq!(block.page_state(PageId(0)).unwrap(), PageState::Valid);
         assert!(block.invalidate(PageId(0)).is_ok());
         assert!(block.invalidate(PageId(1)).is_ok());
-        assert!(!block.is_fully_invalid(), "bad blocks are not copy-free GC victims");
+        assert_eq!(block.state(), BlockState::Bad, "invalidation does not revive a bad block");
         assert_eq!(BlockState::Bad.to_string(), "bad");
     }
 

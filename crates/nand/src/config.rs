@@ -2,16 +2,26 @@
 
 use crate::error::NandError;
 use crate::fault::FaultConfig;
-use crate::latency::{LatencyModel, SpeedProfile};
+use crate::latency::LatencyModel;
 use crate::time::Nanos;
+
+/// Table 1's nominal (slowest-layer) page read latency.
+const READ_LATENCY: Nanos = Nanos::from_micros(49);
+/// Table 1's nominal (slowest-layer) page program latency.
+const PROGRAM_LATENCY: Nanos = Nanos::from_micros(600);
+/// Table 1's block erase latency.
+const ERASE_LATENCY: Nanos = Nanos::from_millis(4);
+/// Table 1's interface data rate in MB/s.
+const TRANSFER_RATE_MB_S: f64 = 533.0;
 
 /// Geometry and timing parameters of a 3D charge-trap NAND device.
 ///
 /// The default values follow Table 1 of the paper (Samsung V-NAND derived): 64 GB
 /// capacity, 16 KB pages, 384 pages per block, 600 µs page program, 49 µs page read,
 /// a 533 MB/s interface (Table 1's "533 Mbps" per-pin toggle rate across the 8-bit
-/// bus) and 4 ms block erase. Use [`NandConfig::builder`] to scale the geometry down
-/// for unit tests or up for capacity studies.
+/// bus) and 4 ms block erase. The timing is fixed; use [`NandConfig::builder`] to
+/// scale the geometry down for unit tests or up for capacity studies, and to set the
+/// speed ratio and the fault model.
 ///
 /// # Example
 ///
@@ -37,12 +47,7 @@ pub struct NandConfig {
     blocks_per_chip: usize,
     pages_per_block: usize,
     page_size_bytes: usize,
-    read_latency: Nanos,
-    program_latency: Nanos,
-    erase_latency: Nanos,
-    transfer_rate_mb_s: f64,
     speed_ratio: f64,
-    speed_profile: SpeedProfile,
     faults: FaultConfig,
 }
 
@@ -98,17 +103,17 @@ impl NandConfig {
 
     /// Nominal (slowest-layer) page read latency.
     pub fn read_latency(&self) -> Nanos {
-        self.read_latency
+        READ_LATENCY
     }
 
     /// Nominal (slowest-layer) page program latency.
     pub fn program_latency(&self) -> Nanos {
-        self.program_latency
+        PROGRAM_LATENCY
     }
 
     /// Block erase latency.
     pub fn erase_latency(&self) -> Nanos {
-        self.erase_latency
+        ERASE_LATENCY
     }
 
     /// Interface data rate in megabytes per second.
@@ -117,17 +122,12 @@ impl NandConfig {
     /// the Samsung V-NAND toggle interface; across the 8-bit bus that corresponds to
     /// 533 MB/s, which is the figure that matters for page transfer time.
     pub fn transfer_rate_mb_s(&self) -> f64 {
-        self.transfer_rate_mb_s
+        TRANSFER_RATE_MB_S
     }
 
     /// Top-layer/bottom-layer access speed ratio (2.0–5.0 in the paper).
     pub fn speed_ratio(&self) -> f64 {
         self.speed_ratio
-    }
-
-    /// The per-layer latency profile.
-    pub fn speed_profile(&self) -> SpeedProfile {
-        self.speed_profile
     }
 
     /// The fault-injection knobs (disabled by default — see [`FaultConfig`]).
@@ -169,21 +169,13 @@ impl NandConfig {
 
     /// Time to move one page over the chip interface at the configured data rate.
     pub fn transfer_latency(&self) -> Nanos {
-        let seconds = self.page_size_bytes as f64 / (self.transfer_rate_mb_s * 1_000_000.0);
+        let seconds = self.page_size_bytes as f64 / (TRANSFER_RATE_MB_S * 1_000_000.0);
         Nanos::from_micros_f64(seconds * 1_000_000.0)
     }
 
     /// Builds the per-layer latency model for this configuration.
     pub fn latency_model(&self) -> LatencyModel {
-        LatencyModel::new(
-            self.read_latency,
-            self.program_latency,
-            self.erase_latency,
-            self.transfer_latency(),
-            self.pages_per_block,
-            self.speed_ratio,
-            self.speed_profile,
-        )
+        LatencyModel::new(self)
     }
 }
 
@@ -203,12 +195,7 @@ pub struct NandConfigBuilder {
     blocks_per_chip: usize,
     pages_per_block: usize,
     page_size_bytes: usize,
-    read_latency: Nanos,
-    program_latency: Nanos,
-    erase_latency: Nanos,
-    transfer_rate_mb_s: f64,
     speed_ratio: f64,
-    speed_profile: SpeedProfile,
     faults: FaultConfig,
 }
 
@@ -220,12 +207,7 @@ impl Default for NandConfigBuilder {
             blocks_per_chip: 2730,
             pages_per_block: 384,
             page_size_bytes: 16 * 1024,
-            read_latency: Nanos::from_micros(49),
-            program_latency: Nanos::from_micros(600),
-            erase_latency: Nanos::from_millis(4),
-            transfer_rate_mb_s: 533.0,
             speed_ratio: 2.0,
-            speed_profile: SpeedProfile::Linear,
             faults: FaultConfig::disabled(),
         }
     }
@@ -256,39 +238,9 @@ impl NandConfigBuilder {
         self
     }
 
-    /// Sets the nominal (slowest-layer) page read latency.
-    pub fn read_latency(mut self, latency: Nanos) -> Self {
-        self.read_latency = latency;
-        self
-    }
-
-    /// Sets the nominal (slowest-layer) page program latency.
-    pub fn program_latency(mut self, latency: Nanos) -> Self {
-        self.program_latency = latency;
-        self
-    }
-
-    /// Sets the block erase latency.
-    pub fn erase_latency(mut self, latency: Nanos) -> Self {
-        self.erase_latency = latency;
-        self
-    }
-
-    /// Sets the interface data rate in megabytes per second.
-    pub fn transfer_rate_mb_s(mut self, mb_per_second: f64) -> Self {
-        self.transfer_rate_mb_s = mb_per_second;
-        self
-    }
-
     /// Sets the top/bottom layer speed ratio (>= 1.0).
     pub fn speed_ratio(mut self, ratio: f64) -> Self {
         self.speed_ratio = ratio;
-        self
-    }
-
-    /// Sets the per-layer latency profile.
-    pub fn speed_profile(mut self, profile: SpeedProfile) -> Self {
-        self.speed_profile = profile;
         self
     }
 
@@ -303,8 +255,7 @@ impl NandConfigBuilder {
     /// # Errors
     ///
     /// Returns [`NandError::InvalidConfig`] if any dimension is zero, the speed ratio
-    /// is below 1.0 or not finite, the transfer rate is not positive, or a stepped
-    /// profile has zero steps.
+    /// is below 1.0 or not finite, or the fault knobs are out of range.
     pub fn build(self) -> Result<NandConfig, NandError> {
         fn invalid(reason: &str) -> NandError {
             NandError::InvalidConfig { reason: reason.to_string() }
@@ -324,26 +275,13 @@ impl NandConfigBuilder {
         if !self.speed_ratio.is_finite() || self.speed_ratio < 1.0 {
             return Err(invalid("speed_ratio must be finite and >= 1.0"));
         }
-        if !self.transfer_rate_mb_s.is_finite() || self.transfer_rate_mb_s <= 0.0 {
-            return Err(invalid("transfer_rate_mb_s must be finite and positive"));
-        }
-        if let SpeedProfile::Stepped { steps } = self.speed_profile {
-            if steps == 0 {
-                return Err(invalid("stepped speed profile needs at least one step"));
-            }
-        }
         self.faults.validate().map_err(invalid)?;
         Ok(NandConfig {
             chips: self.chips,
             blocks_per_chip: self.blocks_per_chip,
             pages_per_block: self.pages_per_block,
             page_size_bytes: self.page_size_bytes,
-            read_latency: self.read_latency,
-            program_latency: self.program_latency,
-            erase_latency: self.erase_latency,
-            transfer_rate_mb_s: self.transfer_rate_mb_s,
             speed_ratio: self.speed_ratio,
-            speed_profile: self.speed_profile,
             faults: self.faults,
         })
     }
@@ -377,15 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn transfer_latency_follows_data_rate() {
-        let c = NandConfig::builder()
-            .page_size_bytes(8 * 1024)
-            .transfer_rate_mb_s(400.0)
-            .build()
-            .unwrap();
-        // 8 KiB at 400 MB/s = 20.48 us
+    fn transfer_latency_follows_page_size() {
+        let c = NandConfig::builder().page_size_bytes(8 * 1024).build().unwrap();
+        // 8 KiB at 533 MB/s ≈ 15.37 us
         let us = c.transfer_latency().as_micros_f64();
-        assert!((us - 20.48).abs() < 0.1, "transfer latency was {us} us");
+        assert!((us - 15.37).abs() < 0.1, "transfer latency was {us} us");
     }
 
     #[test]
@@ -415,22 +349,6 @@ mod tests {
     fn bad_speed_ratio_rejected() {
         assert!(NandConfig::builder().speed_ratio(0.9).build().is_err());
         assert!(NandConfig::builder().speed_ratio(f64::NAN).build().is_err());
-    }
-
-    /// Regression test for the `Stepped { steps: 0 }` underflow: the builder must
-    /// return a clean configuration error, never reach the per-layer factor math.
-    #[test]
-    fn stepped_zero_steps_rejected() {
-        let result = NandConfig::builder()
-            .speed_profile(SpeedProfile::Stepped { steps: 0 })
-            .build();
-        assert!(matches!(result, Err(NandError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn bad_transfer_rate_rejected() {
-        assert!(NandConfig::builder().transfer_rate_mb_s(0.0).build().is_err());
-        assert!(NandConfig::builder().transfer_rate_mb_s(-5.0).build().is_err());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! probability, at which point firmware retires the block as *bad* and remaps
 //! the write elsewhere.
 //!
-//! This module models that lifecycle deterministically. [`FaultConfig`] holds
-//! the knobs (all off by default, so the fault-free simulator stays
+//! This module models that lifecycle deterministically. The curve's shape and
+//! the ECC / retry ladder are fixed constants; [`FaultConfig`] holds what the
+//! experiments vary (off by default, so the fault-free simulator stays
 //! bit-identical to its golden baselines); [`FaultState`] holds one independent
 //! splitmix64 stream **per chip**, so the outcome of every operation depends
 //! only on the seed and that chip's own operation history — never on how work
@@ -24,23 +25,38 @@
 
 use crate::time::Nanos;
 
+/// Raw bit-error rate of a fresh, just-written page.
+const RBER_BASE: f64 = 5e-5;
+/// Relative RBER increase per erase of the block.
+const RBER_WEAR_SLOPE: f64 = 0.02;
+/// Relative RBER increase per unit of retention age (device modification ticks
+/// since the block was last touched).
+const RBER_RETENTION_SLOPE: f64 = 1e-6;
+/// Bit errors per page the ECC corrects without any retry.
+const ECC_CORRECTABLE_BITS: u32 = 8;
+/// Read-retry steps before a read is declared uncorrectable.
+const MAX_READ_RETRIES: u32 = 4;
+/// Additional bit errors each retry step corrects.
+const RETRY_EXTRA_BITS: u32 = 8;
+/// Latency added to a read for every retry step taken.
+pub(crate) const READ_RETRY_PENALTY: Nanos = Nanos::from_micros(25);
+/// Relative program/erase failure increase per erase of the block.
+const FAIL_WEAR_SLOPE: f64 = 0.05;
+
 /// Knobs of the deterministic fault model. All off by default.
 ///
 /// The RBER curve is linear in wear and retention age:
 ///
 /// ```text
-/// rber = rber_base * rber_scale
-///      * (1 + erase_count    * rber_wear_slope)
-///      * (1 + retention_age  * rber_retention_slope)
+/// rber = 5e-5 * rber_scale
+///      * (1 + erase_count    * 0.02)
+///      * (1 + retention_age  * 1e-6)
 /// ```
 ///
 /// A read draws a bit-error count around `rber * page_bits`; ECC corrects up to
-/// [`ecc_correctable_bits`](FaultConfig::ecc_correctable_bits) for free, each
-/// retry step corrects [`retry_extra_bits`](FaultConfig::retry_extra_bits) more
-/// at a cost of [`read_retry_penalty`](FaultConfig::read_retry_penalty), and a
-/// read needing more than [`max_read_retries`](FaultConfig::max_read_retries)
-/// steps is uncorrectable. Programs and erases fail with probability
-/// `*_fail_base * (1 + erase_count * fail_wear_slope)`, retiring the block.
+/// 8 for free, each of up to 4 retry steps corrects 8 more at a cost of 25 µs,
+/// and a read needing more steps is uncorrectable. Programs and erases fail with
+/// probability `*_fail_base * (1 + erase_count * 0.05)`, retiring the block.
 ///
 /// # Example
 ///
@@ -61,27 +77,10 @@ pub struct FaultConfig {
     /// Multiplier on the whole RBER curve (the sweep axis of the fault
     /// experiments).
     pub rber_scale: f64,
-    /// Raw bit-error rate of a fresh, just-written page.
-    pub rber_base: f64,
-    /// Relative RBER increase per erase of the block.
-    pub rber_wear_slope: f64,
-    /// Relative RBER increase per unit of retention age (device modification
-    /// ticks since the block was last touched).
-    pub rber_retention_slope: f64,
-    /// Bit errors per page the ECC corrects without any retry.
-    pub ecc_correctable_bits: u32,
-    /// Maximum read-retry steps before a read is declared uncorrectable.
-    pub max_read_retries: u32,
-    /// Additional bit errors each retry step can correct.
-    pub retry_extra_bits: u32,
-    /// Latency added to the read for every retry step taken.
-    pub read_retry_penalty: Nanos,
     /// Failure probability of a program on a fresh block.
     pub program_fail_base: f64,
     /// Failure probability of an erase on a fresh block.
     pub erase_fail_base: f64,
-    /// Relative program/erase failure increase per erase of the block.
-    pub fail_wear_slope: f64,
 }
 
 impl FaultConfig {
@@ -91,16 +90,8 @@ impl FaultConfig {
             enabled: false,
             seed: 0,
             rber_scale: 1.0,
-            rber_base: 5e-5,
-            rber_wear_slope: 0.02,
-            rber_retention_slope: 1e-6,
-            ecc_correctable_bits: 8,
-            max_read_retries: 4,
-            retry_extra_bits: 8,
-            read_retry_penalty: Nanos::from_micros(25),
             program_fail_base: 1e-4,
             erase_fail_base: 5e-5,
-            fail_wear_slope: 0.05,
         }
     }
 
@@ -111,22 +102,11 @@ impl FaultConfig {
 
     /// Validates the knob combination, returning the reason a value is rejected.
     ///
-    /// Probabilities must lie in `[0, 1]`; scales and slopes must be finite and
-    /// non-negative; when retries are allowed, each step must correct at least
-    /// one extra bit (otherwise the ladder cannot make progress).
+    /// Probabilities must lie in `[0, 1]`; the RBER scale must be finite and
+    /// non-negative.
     pub fn validate(&self) -> Result<(), &'static str> {
-        for (value, name) in [
-            (self.rber_scale, "rber_scale must be finite and non-negative"),
-            (self.rber_base, "rber_base must be finite and non-negative"),
-            (self.rber_wear_slope, "rber_wear_slope must be finite and non-negative"),
-            (
-                self.rber_retention_slope,
-                "rber_retention_slope must be finite and non-negative",
-            ),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(name);
-            }
+        if !self.rber_scale.is_finite() || self.rber_scale < 0.0 {
+            return Err("rber_scale must be finite and non-negative");
         }
         for (value, name) in [
             (self.program_fail_base, "program_fail_base must be a probability in [0, 1]"),
@@ -135,12 +115,6 @@ impl FaultConfig {
             if !value.is_finite() || !(0.0..=1.0).contains(&value) {
                 return Err(name);
             }
-        }
-        if !self.fail_wear_slope.is_finite() || self.fail_wear_slope < 0.0 {
-            return Err("fail_wear_slope must be finite and non-negative");
-        }
-        if self.max_read_retries > 0 && self.retry_extra_bits == 0 {
-            return Err("retry_extra_bits must be positive when retries are allowed");
         }
         Ok(())
     }
@@ -197,10 +171,6 @@ impl FaultState {
         FaultState { config, streams }
     }
 
-    pub(crate) fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// One uniform draw in `[0, 1)` from the chip's stream.
     fn unit(&mut self, chip: usize) -> f64 {
         let state = &mut self.streams[chip];
@@ -214,7 +184,8 @@ impl FaultState {
     ///
     /// The bit-error count is exponential noise around the RBER expectation
     /// (`expected * -ln(1 - u)` has mean `expected`), so occasional reads spike
-    /// far above the mean — which is what exercises the ladder.
+    /// far above the mean — which is what exercises the ladder. The outcome
+    /// carries the retry time; the caller adds the base read to `total_time`.
     pub(crate) fn read_outcome(
         &mut self,
         chip: usize,
@@ -222,41 +193,37 @@ impl FaultState {
         retention_age: u64,
         page_bits: u64,
     ) -> ReadFaultInfo {
-        let c = self.config;
-        let rber = c.rber_base
-            * c.rber_scale
-            * (1.0 + erase_count as f64 * c.rber_wear_slope)
-            * (1.0 + retention_age as f64 * c.rber_retention_slope);
+        let rber = RBER_BASE
+            * self.config.rber_scale
+            * (1.0 + erase_count as f64 * RBER_WEAR_SLOPE)
+            * (1.0 + retention_age as f64 * RBER_RETENTION_SLOPE);
         let expected = rber * page_bits as f64;
         let u = self.unit(chip);
         let bit_errors = (expected * -(1.0 - u).ln()).round();
-        let over = bit_errors - f64::from(c.ecc_correctable_bits);
+        let over = bit_errors - f64::from(ECC_CORRECTABLE_BITS);
         if over <= 0.0 {
             return ReadFaultInfo::default();
         }
-        let steps = (over / f64::from(c.retry_extra_bits.max(1))).ceil();
-        if steps > f64::from(c.max_read_retries) {
-            ReadFaultInfo {
-                retries: c.max_read_retries,
-                uncorrectable: true,
-                ..ReadFaultInfo::default()
-            }
-        } else {
-            ReadFaultInfo { retries: steps as u32, ..ReadFaultInfo::default() }
+        let steps = (over / f64::from(RETRY_EXTRA_BITS)).ceil();
+        let uncorrectable = steps > f64::from(MAX_READ_RETRIES);
+        let retries = if uncorrectable { MAX_READ_RETRIES } else { steps as u32 };
+        ReadFaultInfo {
+            retries,
+            retry_time: READ_RETRY_PENALTY * u64::from(retries),
+            uncorrectable,
+            total_time: Nanos::ZERO,
         }
     }
 
     /// Whether this program attempt fails (retiring the block).
     pub(crate) fn program_fails(&mut self, chip: usize, erase_count: u64) -> bool {
-        let p = self.config.program_fail_base
-            * (1.0 + erase_count as f64 * self.config.fail_wear_slope);
+        let p = self.config.program_fail_base * (1.0 + erase_count as f64 * FAIL_WEAR_SLOPE);
         self.unit(chip) < p
     }
 
     /// Whether this erase attempt fails (retiring the block).
     pub(crate) fn erase_fails(&mut self, chip: usize, erase_count: u64) -> bool {
-        let p = self.config.erase_fail_base
-            * (1.0 + erase_count as f64 * self.config.fail_wear_slope);
+        let p = self.config.erase_fail_base * (1.0 + erase_count as f64 * FAIL_WEAR_SLOPE);
         self.unit(chip) < p
     }
 }
@@ -286,11 +253,6 @@ mod tests {
         let mut c = FaultConfig::enabled(1);
         c.erase_fail_base = f64::NAN;
         assert!(c.validate().is_err());
-        let mut c = FaultConfig::enabled(1);
-        c.retry_extra_bits = 0;
-        assert!(c.validate().is_err());
-        c.max_read_retries = 0;
-        assert!(c.validate().is_ok(), "ladder disabled: step size irrelevant");
     }
 
     #[test]
@@ -341,7 +303,8 @@ mod tests {
         let mut state = FaultState::new(config, 1);
         let outcome = state.read_outcome(0, 100, 0, 16 * 1024 * 8);
         assert!(outcome.uncorrectable);
-        assert_eq!(outcome.retries, config.max_read_retries);
+        assert_eq!(outcome.retries, MAX_READ_RETRIES);
+        assert_eq!(outcome.retry_time, READ_RETRY_PENALTY * u64::from(MAX_READ_RETRIES));
     }
 
     #[test]

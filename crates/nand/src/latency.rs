@@ -8,45 +8,17 @@
 //!
 //! [`LatencyModel`] turns that physical observation into numbers: given a page index
 //! (equivalently, its gate-stack layer), it produces the read/program latency for that
-//! page by scaling the nominal datasheet latency with a per-layer speed factor derived
-//! from a [`SpeedProfile`].
+//! page by scaling the nominal datasheet latency with a per-layer speed factor that
+//! shrinks linearly from 1 on the top layer to `1 / speed_ratio` on the bottom one —
+//! the paper's gradient, whose only swept parameter is the ratio.
 //!
 //! Convention used throughout the workspace: **page 0 is the top layer (slowest)** and
 //! the last page of the block is the bottom layer (fastest), matching the paper's
 //! "the last page of one block could be much faster than the first page".
 
 use crate::address::PageId;
+use crate::config::NandConfig;
 use crate::time::Nanos;
-
-/// How the per-layer speed factor varies across the gate stack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum SpeedProfile {
-    /// Latency shrinks linearly from the top layer to the bottom layer.
-    ///
-    /// This is the default and the profile used for the paper-reproduction
-    /// experiments.
-    Linear,
-    /// Latency shrinks geometrically, modelling a channel diameter that tapers
-    /// exponentially with etch depth.
-    Exponential,
-    /// The linear profile quantised into `steps` equal-latency groups of adjacent
-    /// layers, modelling string-stacked devices where a few decks share one etch.
-    Stepped {
-        /// Number of distinct latency plateaus (at least 1).
-        steps: usize,
-    },
-    /// Every layer has the nominal latency. This is the "conventional" symmetric
-    /// assumption; useful as an ablation baseline.
-    Uniform,
-}
-
-#[allow(clippy::derivable_impls)] // spelled out so the default choice is documented
-impl Default for SpeedProfile {
-    fn default() -> Self {
-        SpeedProfile::Linear
-    }
-}
 
 /// A group of adjacent layers with similar access speed.
 ///
@@ -76,26 +48,24 @@ impl SpeedClass {
     }
 }
 
-/// Per-layer latency model for one block geometry.
+/// Per-layer latency model for one block geometry, built by
+/// [`NandConfig::latency_model`].
 ///
 /// # Example
 ///
 /// ```
-/// use vflash_nand::{LatencyModel, Nanos, PageId, SpeedProfile};
+/// use vflash_nand::{NandConfig, Nanos, PageId};
 ///
-/// let model = LatencyModel::new(
-///     Nanos::from_micros(49),   // nominal read
-///     Nanos::from_micros(600),  // nominal program
-///     Nanos::from_millis(4),    // erase
-///     Nanos::from_micros(246),  // bus transfer of one page
-///     64,                       // pages (layers) per block
-///     4.0,                      // bottom layer is 4x faster than top layer
-///     SpeedProfile::Linear,
-/// );
+/// # fn main() -> Result<(), vflash_nand::NandError> {
+/// // 64 layers, the bottom layer 4x faster than the top layer.
+/// let config = NandConfig::builder().pages_per_block(64).speed_ratio(4.0).build()?;
+/// let model = config.latency_model();
 /// let top = model.read_latency(PageId(0));
 /// let bottom = model.read_latency(PageId(63));
 /// assert_eq!(top, Nanos::from_micros(49));
 /// assert_eq!(top.as_nanos(), bottom.as_nanos() * 4);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
@@ -105,7 +75,6 @@ pub struct LatencyModel {
     transfer: Nanos,
     pages_per_block: usize,
     speed_ratio: f64,
-    profile: SpeedProfile,
     /// Pre-computed per-page latency multiplier in `[1/speed_ratio, 1.0]`.
     factors: Vec<f64>,
     /// Pre-computed `read_latency + transfer` per page: the device charges one
@@ -116,35 +85,16 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// Builds a latency model.
-    ///
-    /// `speed_ratio` is the top-layer/bottom-layer latency ratio (2.0–5.0 in the
-    /// paper). The nominal latencies apply to the *slowest* (top) layer; faster layers
-    /// scale down from there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages_per_block` is zero, `speed_ratio < 1.0`, or a stepped profile
-    /// specifies zero steps.
-    pub fn new(
-        nominal_read: Nanos,
-        nominal_program: Nanos,
-        erase: Nanos,
-        transfer: Nanos,
-        pages_per_block: usize,
-        speed_ratio: f64,
-        profile: SpeedProfile,
-    ) -> Self {
-        assert!(pages_per_block > 0, "pages_per_block must be positive");
-        assert!(
-            speed_ratio.is_finite() && speed_ratio >= 1.0,
-            "speed_ratio must be >= 1.0"
-        );
-        if let SpeedProfile::Stepped { steps } = profile {
-            assert!(steps > 0, "stepped profile needs at least one step");
-        }
+    /// Builds the model of `config`, whose builder already rejected a zero page
+    /// count and a speed ratio below 1. The nominal latencies apply to the
+    /// *slowest* (top) layer; faster layers scale down from there.
+    pub(crate) fn new(config: &NandConfig) -> Self {
+        let pages_per_block = config.pages_per_block();
+        let speed_ratio = config.speed_ratio();
+        let (nominal_read, nominal_program) = (config.read_latency(), config.program_latency());
+        let transfer = config.transfer_latency();
         let factors: Vec<f64> = (0..pages_per_block)
-            .map(|i| Self::factor_at(i, pages_per_block, speed_ratio, profile))
+            .map(|i| Self::factor_at(i, pages_per_block, speed_ratio))
             .collect();
         let read_totals =
             factors.iter().map(|&factor| nominal_read.scale(factor) + transfer).collect();
@@ -153,42 +103,23 @@ impl LatencyModel {
         LatencyModel {
             nominal_read,
             nominal_program,
-            erase,
+            erase: config.erase_latency(),
             transfer,
             pages_per_block,
             speed_ratio,
-            profile,
             factors,
             read_totals,
             program_totals,
         }
     }
 
-    fn factor_at(index: usize, pages: usize, ratio: f64, profile: SpeedProfile) -> f64 {
+    fn factor_at(index: usize, pages: usize, ratio: f64) -> f64 {
         if pages == 1 {
             return 1.0;
         }
         let fastest = 1.0 / ratio;
         let position = index as f64 / (pages - 1) as f64; // 0.0 = top/slow, 1.0 = bottom/fast
-        match profile {
-            SpeedProfile::Uniform => 1.0,
-            SpeedProfile::Linear => 1.0 - position * (1.0 - fastest),
-            SpeedProfile::Exponential => fastest.powf(position),
-            SpeedProfile::Stepped { steps } => {
-                // Constructors reject `steps == 0`; catch an unvalidated call
-                // path loudly in debug builds, and clamp in release so the
-                // subtraction below can never underflow.
-                debug_assert!(steps > 0, "stepped profile needs at least one step");
-                let steps = steps.max(1);
-                let step = ((position * steps as f64).floor() as usize).min(steps - 1);
-                let step_position = if steps == 1 {
-                    0.0
-                } else {
-                    step as f64 / (steps - 1) as f64
-                };
-                1.0 - step_position * (1.0 - fastest)
-            }
-        }
+        1.0 - position * (1.0 - fastest)
     }
 
     /// The per-page latency multiplier in `[1/speed_ratio, 1.0]`.
@@ -251,112 +182,47 @@ impl LatencyModel {
     pub fn speed_ratio(&self) -> f64 {
         self.speed_ratio
     }
-
-    /// The configured speed profile.
-    pub fn profile(&self) -> SpeedProfile {
-        self.profile
-    }
-
-    /// The speed class of `page` when the block is divided into `classes` groups.
-    pub fn speed_class(&self, page: PageId, classes: usize) -> SpeedClass {
-        SpeedClass::of(page, self.pages_per_block, classes)
-    }
-
-    /// Mean speed factor across all pages of a block: useful for reasoning about the
-    /// aggregate bandwidth a block can deliver.
-    pub fn mean_speed_factor(&self) -> f64 {
-        self.factors.iter().sum::<f64>() / self.factors.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model(pages: usize, ratio: f64, profile: SpeedProfile) -> LatencyModel {
-        LatencyModel::new(
-            Nanos::from_micros(49),
-            Nanos::from_micros(600),
-            Nanos::from_millis(4),
-            Nanos::from_micros(246),
-            pages,
-            ratio,
-            profile,
-        )
+    fn model(pages: usize, ratio: f64) -> LatencyModel {
+        NandConfig::builder()
+            .pages_per_block(pages)
+            .speed_ratio(ratio)
+            .build()
+            .expect("valid test geometry")
+            .latency_model()
     }
 
     #[test]
     fn linear_endpoints_match_ratio() {
-        let m = model(384, 4.0, SpeedProfile::Linear);
+        let m = model(384, 4.0);
         assert_eq!(m.speed_factor(PageId(0)), 1.0);
         assert!((m.speed_factor(PageId(383)) - 0.25).abs() < 1e-12);
         assert_eq!(m.read_latency(PageId(0)), Nanos::from_micros(49));
     }
 
     #[test]
-    fn factors_monotonically_decrease_towards_bottom() {
-        for profile in [
-            SpeedProfile::Linear,
-            SpeedProfile::Exponential,
-            SpeedProfile::Stepped { steps: 4 },
-        ] {
-            let m = model(64, 3.0, profile);
-            for i in 1..64 {
-                assert!(
-                    m.speed_factor(PageId(i)) <= m.speed_factor(PageId(i - 1)) + 1e-12,
-                    "profile {profile:?} not monotone at page {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_profile_has_no_spread() {
-        let m = model(64, 5.0, SpeedProfile::Uniform);
-        assert_eq!(m.speed_factor(PageId(0)), 1.0);
-        assert_eq!(m.speed_factor(PageId(63)), 1.0);
-        assert_eq!(m.read_latency(PageId(63)), Nanos::from_micros(49));
-    }
-
-    #[test]
-    fn exponential_endpoints_match_ratio() {
-        let m = model(100, 2.0, SpeedProfile::Exponential);
-        assert!((m.speed_factor(PageId(0)) - 1.0).abs() < 1e-12);
-        assert!((m.speed_factor(PageId(99)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stepped_profile_produces_exactly_n_distinct_factors() {
-        let m = model(384, 4.0, SpeedProfile::Stepped { steps: 4 });
-        let mut distinct: Vec<f64> = (0..384).map(|i| m.speed_factor(PageId(i))).collect();
-        distinct.dedup();
-        assert_eq!(distinct.len(), 4);
-        assert_eq!(distinct[0], 1.0);
-        assert!((distinct[3] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn single_page_block_is_nominal() {
-        let m = model(1, 5.0, SpeedProfile::Linear);
+        let m = model(1, 5.0);
         assert_eq!(m.speed_factor(PageId(0)), 1.0);
     }
 
     #[test]
     fn totals_include_transfer() {
-        let m = model(8, 2.0, SpeedProfile::Linear);
-        assert_eq!(
-            m.read_total(PageId(0)),
-            Nanos::from_micros(49) + Nanos::from_micros(246)
-        );
-        assert_eq!(
-            m.program_total(PageId(0)),
-            Nanos::from_micros(600) + Nanos::from_micros(246)
-        );
+        let m = model(8, 2.0);
+        let transfer = m.transfer_latency();
+        assert!(transfer > Nanos::ZERO);
+        assert_eq!(m.read_total(PageId(0)), Nanos::from_micros(49) + transfer);
+        assert_eq!(m.program_total(PageId(0)), Nanos::from_micros(600) + transfer);
     }
 
     #[test]
     fn erase_is_layer_independent() {
-        let m = model(8, 5.0, SpeedProfile::Linear);
+        let m = model(8, 5.0);
         assert_eq!(m.erase_latency(), Nanos::from_millis(4));
     }
 
@@ -374,46 +240,5 @@ mod tests {
         assert_eq!(SpeedClass::of(PageId(2), 10, 4), SpeedClass(0));
         assert_eq!(SpeedClass::of(PageId(3), 10, 4), SpeedClass(1));
         assert_eq!(SpeedClass::of(PageId(9), 10, 4), SpeedClass(3));
-    }
-
-    #[test]
-    fn mean_speed_factor_between_extremes() {
-        let m = model(64, 4.0, SpeedProfile::Linear);
-        let mean = m.mean_speed_factor();
-        assert!(mean > 0.25 && mean < 1.0);
-        assert!((mean - 0.625).abs() < 0.01); // linear average of 1.0 and 0.25
-    }
-
-    #[test]
-    #[should_panic(expected = "speed_ratio")]
-    fn ratio_below_one_rejected() {
-        let _ = model(8, 0.5, SpeedProfile::Linear);
-    }
-
-    /// Regression test: `Stepped { steps: 0 }` must be rejected with the documented
-    /// construction panic, not an arithmetic underflow inside `factor_at` (the
-    /// `steps - 1` at the heart of the stepped profile).
-    #[test]
-    #[should_panic(expected = "at least one step")]
-    fn stepped_zero_steps_rejected_at_construction() {
-        let _ = model(8, 2.0, SpeedProfile::Stepped { steps: 0 });
-    }
-
-    /// A single plateau is the degenerate-but-valid edge of the stepped profile:
-    /// every layer keeps the nominal latency (equivalent to `Uniform`).
-    #[test]
-    fn stepped_single_step_is_uniform() {
-        let m = model(8, 4.0, SpeedProfile::Stepped { steps: 1 });
-        for i in 0..8 {
-            assert_eq!(m.speed_factor(PageId(i)), 1.0, "page {i} should be nominal");
-        }
-    }
-
-    /// More steps than pages must not push any factor outside `[1/ratio, 1]`.
-    #[test]
-    fn stepped_more_steps_than_pages_stays_bounded() {
-        let m = model(2, 4.0, SpeedProfile::Stepped { steps: 8 });
-        assert_eq!(m.speed_factor(PageId(0)), 1.0);
-        assert!((m.speed_factor(PageId(1)) - 0.25).abs() < 1e-12);
     }
 }

@@ -18,7 +18,8 @@
 //! * [`NandConfig`] — geometry and timing parameters (defaults follow Table 1 of the
 //!   paper: 64 GB, 16 KB pages, 384 pages/block, 600 µs program, 49 µs read,
 //!   533 MB/s transfer, 4 ms erase).
-//! * [`LatencyModel`] / [`SpeedProfile`] — per-layer asymmetric latency (2x–5x).
+//! * [`LatencyModel`] — per-layer asymmetric latency: a linear gradient from the
+//!   top layer to a bottom layer 2x–5x faster.
 //! * [`NandDevice`] — chips, blocks and pages with the flash state machine
 //!   (erase-before-write, in-order page programming, valid/invalid/free pages) and
 //!   cumulative timing/wear statistics.
@@ -83,7 +84,7 @@ pub use config::{NandConfig, NandConfigBuilder};
 pub use device::NandDevice;
 pub use error::NandError;
 pub use fault::{FaultConfig, ReadFaultInfo};
-pub use latency::{LatencyModel, SpeedClass, SpeedProfile};
+pub use latency::{LatencyModel, SpeedClass};
 pub use page::{Page, PageState};
 pub use provenance::{OpKind, OpRecord, OpSpan};
 pub use sched::ChipClocks;

@@ -31,11 +31,6 @@ impl ChipClocks {
         self.ready.len()
     }
 
-    /// The instant `chip` becomes free.
-    pub fn ready_at(&self, chip: usize) -> Nanos {
-        self.ready[chip]
-    }
-
     /// Plays one timed device op: the op starts when both its predecessor
     /// (`now`, the request chain's clock) and its chip are ready, and advances
     /// the chip's clock. Returns the op's end time — the new `now` of the
@@ -68,8 +63,7 @@ mod tests {
         assert_eq!(clocks.play_op(0, Nanos(0), Nanos(50)), Nanos(150), "chip 0 busy until 100");
         // Chip 1 is idle, so an op chained after `now` starts immediately.
         assert_eq!(clocks.play_op(1, Nanos(40), Nanos(10)), Nanos(50));
-        assert_eq!(clocks.ready_at(0), Nanos(150));
-        assert_eq!(clocks.ready_at(1), Nanos(50));
+        assert_eq!(clocks.play_op(1, Nanos(0), Nanos(0)), Nanos(50), "chip 1 busy until 50");
         assert_eq!(clocks.makespan(), Nanos(150));
     }
 }

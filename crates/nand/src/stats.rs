@@ -56,15 +56,6 @@ impl DeviceStats {
         }
     }
 
-    /// Mean program latency, or zero if no programs happened.
-    pub fn mean_program_latency(&self) -> Nanos {
-        if self.counts.programs == 0 {
-            Nanos::ZERO
-        } else {
-            self.program_time / self.counts.programs
-        }
-    }
-
     pub(crate) fn record_read(&mut self, latency: Nanos) {
         self.counts.reads += 1;
         self.read_time += latency;
@@ -91,7 +82,6 @@ mod tests {
         assert_eq!(stats.counts.page_ops(), 0);
         assert_eq!(stats.busy_time(), Nanos::ZERO);
         assert_eq!(stats.mean_read_latency(), Nanos::ZERO);
-        assert_eq!(stats.mean_program_latency(), Nanos::ZERO);
     }
 
     #[test]
@@ -106,7 +96,7 @@ mod tests {
         assert_eq!(stats.counts.erases, 1);
         assert_eq!(stats.read_time, Nanos::from_micros(80));
         assert_eq!(stats.mean_read_latency(), Nanos::from_micros(40));
-        assert_eq!(stats.mean_program_latency(), Nanos::from_micros(600));
+        assert_eq!(stats.program_time, Nanos::from_micros(600));
         assert_eq!(
             stats.busy_time(),
             Nanos::from_micros(80) + Nanos::from_micros(600) + Nanos::from_millis(4)

@@ -5,36 +5,27 @@ use std::cmp::Reverse;
 use proptest::prelude::*;
 use vflash_nand::{
     BlockAddr, ChipId, LatencyModel, NandConfig, NandDevice, NandError, Nanos, PageId,
-    SpeedProfile,
 };
 
-fn arb_profile() -> impl Strategy<Value = SpeedProfile> {
-    prop_oneof![
-        Just(SpeedProfile::Linear),
-        Just(SpeedProfile::Exponential),
-        Just(SpeedProfile::Uniform),
-        (1usize..8).prop_map(|steps| SpeedProfile::Stepped { steps }),
-    ]
+/// The latency model of a Table 1 device with `pages` layers and speed `ratio`.
+fn model(pages: usize, ratio: f64) -> LatencyModel {
+    NandConfig::builder()
+        .pages_per_block(pages)
+        .speed_ratio(ratio)
+        .build()
+        .expect("valid geometry")
+        .latency_model()
 }
 
 proptest! {
     /// Speed factors always stay inside [1/ratio, 1] and never increase towards the
-    /// bottom of the stack, for any profile and ratio.
+    /// bottom of the stack, for any page count and ratio.
     #[test]
     fn speed_factors_bounded_and_monotone(
         pages in 1usize..512,
         ratio in 1.0f64..8.0,
-        profile in arb_profile(),
     ) {
-        let model = LatencyModel::new(
-            Nanos::from_micros(49),
-            Nanos::from_micros(600),
-            Nanos::from_millis(4),
-            Nanos::from_micros(246),
-            pages,
-            ratio,
-            profile,
-        );
+        let model = model(pages, ratio);
         let mut previous = f64::INFINITY;
         for i in 0..pages {
             let factor = model.speed_factor(PageId(i));
@@ -52,22 +43,15 @@ proptest! {
         pages in 2usize..256,
         ratio in 1.0f64..6.0,
     ) {
-        let model = LatencyModel::new(
-            Nanos::from_micros(49),
-            Nanos::from_micros(600),
-            Nanos::from_millis(4),
-            Nanos::from_micros(246),
-            pages,
-            ratio,
-            SpeedProfile::Linear,
-        );
+        let model = model(pages, ratio);
         let first = model.read_latency(PageId(0));
         let last = model.read_latency(PageId(pages - 1));
         prop_assert!(last <= first);
         prop_assert_eq!(
             model.read_total(PageId(0)),
-            first + Nanos::from_micros(246)
+            first + model.transfer_latency()
         );
+        prop_assert!(model.transfer_latency() > Nanos::ZERO);
     }
 
     /// Whatever sequence of program / invalidate / erase operations an FTL issues,

@@ -73,14 +73,11 @@ pub struct RunOptions {
     /// should age the device explicitly (replay a fill trace first via
     /// [`WorkloadDriver::run_mut`]).
     pub prefill: bool,
-    /// Request size (bytes) used for the warm-up writes. Large by default so the
-    /// warm-up data is classified cold and does not pre-bias the hot/cold state.
-    pub prefill_request_bytes: u32,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions { prefill: true, prefill_request_bytes: 1 << 20 }
+        RunOptions { prefill: true }
     }
 }
 
@@ -417,7 +414,7 @@ mod tests {
             IoRequest::new(1, IoOp::Write, 0, 4096),
             IoRequest::new(2, IoOp::Read, 0, 4096),
         ]);
-        let options = RunOptions { prefill: false, ..RunOptions::default() };
+        let options = RunOptions { prefill: false };
         // Depth 1 is the scalar path, depth 4 the lane's `play_page`.
         for depth in [1usize, 4] {
             let summary = WorkloadDriver::closed_loop(options, depth).run(ftl(1), &t).unwrap();

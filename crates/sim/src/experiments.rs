@@ -522,7 +522,7 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
             }
             let logical_pages = ftl.logical_pages();
             prefill(&options, &mut [&mut ftl], &trace, |page| (0, page % logical_pages))?;
-            let driver = WorkloadDriver::new(RunOptions { prefill: false, ..options }, spec.discipline);
+            let driver = WorkloadDriver::new(RunOptions { prefill: false }, spec.discipline);
             let (warmup, measured) = trace.requests().split_at(split);
             driver.run_mut(&mut ftl, &Trace::new(format!("{}+warmup", trace.name()), warmup.to_vec()))?;
             driver.run_mut(&mut ftl, &Trace::new(trace.name().to_string(), measured.to_vec()))

@@ -38,6 +38,10 @@ use crate::engine::{ArrivalDiscipline, RunOptions};
 use crate::histogram::LatencyHistogram;
 use crate::report::{ReplayMode, RunSummary};
 
+/// Request size (bytes) of the warm-up writes: large, so the warm-up data is
+/// classified cold and does not pre-bias the hot/cold state.
+const PREFILL_REQUEST_BYTES: u32 = 1 << 20;
+
 /// A word-packed bitmap over logical page numbers.
 ///
 /// The prefill pass needs one bit per logical page; on multi-million-page devices a
@@ -113,7 +117,7 @@ pub fn prefill<F: FlashTranslationLayer + ?Sized>(
     }
     for (lane, bitmap) in lanes.iter_mut().zip(&touched) {
         for offset in bitmap.iter_set() {
-            lane.write(Lpn(offset), options.prefill_request_bytes)?;
+            lane.write(Lpn(offset), PREFILL_REQUEST_BYTES)?;
         }
     }
     Ok(())

@@ -79,7 +79,7 @@ fn device() -> NandDevice {
 /// Both FTLs on the same geometry, with the spare capacity a full-space overwrite
 /// workload needs.
 fn ftls() -> (ConventionalFtl, PpbFtl) {
-    let ftl = FtlConfig { over_provisioning: 0.25, ..FtlConfig::default() };
+    let ftl = FtlConfig { over_provisioning: 0.25 };
     (
         ConventionalFtl::new(device(), ftl).unwrap(),
         PpbFtl::new(device(), PpbConfig { ftl, ..PpbConfig::default() }).unwrap(),

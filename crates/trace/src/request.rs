@@ -50,11 +50,6 @@ impl IoRequest {
         IoRequest { at_nanos, op, offset, length }
     }
 
-    /// The half-open byte range `[offset, offset + length)` accessed by this request.
-    pub fn byte_range(&self) -> std::ops::Range<u64> {
-        self.offset..self.offset + u64::from(self.length)
-    }
-
     /// The logical page numbers touched by this request for the given page size.
     ///
     /// # Panics
@@ -62,13 +57,6 @@ impl IoRequest {
     /// Panics if `page_size` is zero.
     pub fn logical_pages(&self, page_size: usize) -> std::ops::Range<u64> {
         PageSplitter::new(page_size).pages(self)
-    }
-
-    /// Whether the request is smaller than one page — the size-check heuristic the
-    /// paper uses as its first-stage hot/cold classifier treats sub-page requests as
-    /// hot.
-    pub fn is_sub_page(&self, page_size: usize) -> bool {
-        (self.length as usize) < page_size
     }
 }
 
@@ -230,13 +218,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn byte_range_and_pages() {
+    fn logical_pages_follow_the_page_size() {
         let req = IoRequest::new(0, IoOp::Write, 16 * 1024, 4 * 1024);
-        assert_eq!(req.byte_range(), 16384..20480);
         assert_eq!(req.logical_pages(16 * 1024), 1..2);
         assert_eq!(req.logical_pages(4 * 1024), 4..5);
-        assert!(req.is_sub_page(16 * 1024));
-        assert!(!req.is_sub_page(4 * 1024));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::error::Error;
 
 use vflash::ftl::{FlashTranslationLayer, Lpn};
-use vflash::nand::{NandConfig, NandDevice, SpeedProfile};
+use vflash::nand::{NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -20,7 +20,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         .pages_per_block(32)
         .page_size_bytes(16 * 1024)
         .speed_ratio(4.0)
-        .speed_profile(SpeedProfile::Linear)
         .build()?;
     println!(
         "device: {} blocks x {} pages, {:.1} MiB raw, top-layer read {} vs bottom-layer read {}",

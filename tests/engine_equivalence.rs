@@ -53,11 +53,11 @@ fn ppb(chips: usize) -> PpbFtl {
 }
 
 /// The pre-refactor prefill pass (identical semantics to the engine's: every
-/// touched page written once in ascending order, skipped for read-free traces).
+/// touched page written once in ascending order as a 1 MiB request, skipped for
+/// read-free traces).
 fn reference_prefill<F: FlashTranslationLayer + ?Sized>(
     ftl: &mut F,
     trace: &Trace,
-    options: &RunOptions,
 ) -> Result<(), FtlError> {
     if !trace.iter().any(|request| request.op == IoOp::Read) {
         return Ok(());
@@ -72,7 +72,7 @@ fn reference_prefill<F: FlashTranslationLayer + ?Sized>(
     }
     for (page, touched) in touched.iter().enumerate() {
         if *touched {
-            ftl.write(Lpn(page as u64), options.prefill_request_bytes)?;
+            ftl.write(Lpn(page as u64), 1 << 20)?;
         }
     }
     Ok(())
@@ -105,7 +105,7 @@ fn reference_serial<F: FlashTranslationLayer + ?Sized>(
     let page_size = ftl.device().config().page_size_bytes();
     let logical_pages = ftl.logical_pages();
     if options.prefill {
-        reference_prefill(ftl, trace, &options)?;
+        reference_prefill(ftl, trace)?;
     }
     let start = *ftl.metrics();
     let busy_start = chip_busy_times(ftl);
@@ -156,7 +156,7 @@ fn reference_queued<F: FlashTranslationLayer + ?Sized>(
     let page_size = ftl.device().config().page_size_bytes();
     let logical_pages = ftl.logical_pages();
     if options.prefill {
-        reference_prefill(ftl, trace, &options)?;
+        reference_prefill(ftl, trace)?;
     }
     ftl.device_mut().set_op_tracing(true);
     let start = *ftl.metrics();
@@ -355,7 +355,7 @@ fn closed_loop_depth_n_reproduces_the_pre_refactor_queued_replayer() {
 #[test]
 fn no_prefill_paths_also_reproduce_the_references() {
     // Unmapped-read skipping is a separate code path in the engine.
-    let options = RunOptions { prefill: false, ..RunOptions::default() };
+    let options = RunOptions { prefill: false };
     let trace = synthetic::skewed(
         SyntheticConfig {
             requests: 800,

@@ -190,7 +190,7 @@ fn fleet_of_one_reproduces_the_engine_on_ppb() {
 fn fleet_of_one_reproduces_the_engine_without_prefill() {
     // Unmapped-read skipping is a separate code path in both drivers; make
     // sure the fleet takes the engine's branch, request for request.
-    let options = RunOptions { prefill: false, ..RunOptions::default() };
+    let options = RunOptions { prefill: false };
     let trace = synthetic::skewed(
         SyntheticConfig {
             requests: 600,

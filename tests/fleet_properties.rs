@@ -174,14 +174,9 @@ proptest! {
     #[test]
     fn cache_invariants_hold_under_arbitrary_ops(
         capacity in 1usize..8,
-        threshold_pct in 25u32..101,
         ops in arb_cache_ops(),
     ) {
-        let config = CacheConfig {
-            capacity_pages: capacity,
-            dirty_flush_threshold: threshold_pct as f64 / 100.0,
-            ..CacheConfig::default()
-        };
+        let config = CacheConfig { capacity_pages: capacity, ..CacheConfig::default() };
         let mut cache = WritebackCache::new(config);
         let mut write_calls = 0u64;
         for op in &ops {
@@ -245,14 +240,9 @@ proptest! {
     #[test]
     fn cache_matches_the_linear_scan_model(
         capacity in 1usize..20,
-        threshold_pct in 1u32..101,
         ops in arb_cache_ops(),
     ) {
-        let config = CacheConfig {
-            capacity_pages: capacity,
-            dirty_flush_threshold: threshold_pct as f64 / 100.0,
-            ..CacheConfig::default()
-        };
+        let config = CacheConfig { capacity_pages: capacity, ..CacheConfig::default() };
         let mut cache = WritebackCache::new(config);
         let mut model = ModelCache { config, pages: Vec::new(), stats: CacheStats::default() };
         for (step, op) in ops.iter().enumerate() {
@@ -396,15 +386,10 @@ fn ppb_lanes(faults: FaultConfig) -> Vec<PpbFtl> {
     vec![lane(), lane()]
 }
 
-/// A 128-page writeback cache over two tenants weighted 2:1.
-fn cached_fleet_config(dirty_flush_threshold: f64, write_around_bytes: u32) -> FleetConfig {
+/// A `capacity_pages`-page writeback cache over two tenants weighted 2:1.
+fn cached_fleet_config(capacity_pages: usize, write_around_bytes: u32) -> FleetConfig {
     FleetConfig {
-        cache: Some(CacheConfig {
-            capacity_pages: 128,
-            dirty_flush_threshold,
-            write_around_bytes,
-            ..CacheConfig::default()
-        }),
+        cache: Some(CacheConfig { capacity_pages, write_around_bytes }),
         tenants: vec![TenantWeight::new("gold", 2), TenantWeight::new("bronze", 1)],
     }
 }
@@ -433,7 +418,7 @@ fn run_cached_fleet<F: FlashTranslationLayer>(
 #[test]
 fn cached_multi_tenant_runs_are_bit_reproducible() {
     let lanes = || conventional_lanes(FaultConfig::disabled());
-    let config = || cached_fleet_config(0.5, CacheConfig::default().write_around_bytes);
+    let config = || cached_fleet_config(128, CacheConfig::default().write_around_bytes);
     let trace = cached_trace(500, 2 * 1024 * 1024);
     let first = run_cached_fleet(lanes(), config(), &trace).unwrap();
     let second = run_cached_fleet(lanes(), config(), &trace).unwrap();
@@ -464,49 +449,59 @@ fn fingerprint(summary: &FleetSummary) -> CachedRunFingerprint {
     }
 }
 
-/// Golden values captured on the parent commit's stamp-ordered `BTreeMap`
-/// cache, before the two-list cache replaced it: "simulated results
-/// unchanged" is a tier-1 assertion, not only a benchmark fingerprint. Dirty
-/// threshold 0.5 makes every writeback a flush; 1.0 never flushes, so every
-/// writeback is a dirty eviction. 64 KiB write-around sends the trace's bulk
-/// writes past the cache.
+/// Golden values: the 128-page case was captured on the stamp-ordered
+/// `BTreeMap` cache, before the two-list cache replaced it, the 16-page case
+/// on the parent of the change that fixed the dirty threshold at one half —
+/// "simulated results unchanged" is a tier-1 assertion, not only a benchmark
+/// fingerprint. 128 pages with a 64 KiB write-around sends the trace's bulk
+/// writes past the cache and makes every writeback a flush; 16 pages with the
+/// default write-around absorbs every write, and seven writebacks are dirty
+/// evictions.
 #[test]
 fn cached_fleet_summaries_match_the_golden_fingerprint() {
-    let golden = |writebacks, flushes, fanout_nanos, erased_blocks, gc_copied_pages| {
-        CachedRunFingerprint {
-            cache: CacheStats {
-                read_hits: 2601,
-                read_misses: 11793,
-                writes_absorbed: 2527,
-                write_arounds: 5832,
-                writebacks,
-                flushes,
-            },
-            fanout_nanos,
-            erased_blocks,
-            gc_copied_pages,
-        }
+    let golden = |cache, fanout_nanos, erased_blocks, gc_copied_pages| CachedRunFingerprint {
+        cache,
+        fanout_nanos,
+        erased_blocks,
+        gc_copied_pages,
+    };
+    let bulk_around = CacheStats {
+        read_hits: 2601,
+        read_misses: 11793,
+        writes_absorbed: 2527,
+        write_arounds: 5832,
+        writebacks: 1032,
+        flushes: 1032,
+    };
+    let all_absorbed = CacheStats {
+        read_hits: 497,
+        read_misses: 13897,
+        writes_absorbed: 8359,
+        write_arounds: 0,
+        writebacks: 8040,
+        flushes: 8033,
     };
     let cases = [
         (
-            0.5,
-            golden(1032, 1032, [2059571, 20971519, 2055941, 23217490], 387, 552),
-            golden(1032, 1032, [2300297, 18350079, 1947863, 19922943], 410, 888),
+            cached_fleet_config(128, 64 * 1024),
+            golden(bulk_around, [2059571, 20971519, 2055941, 23217490], 387, 552),
+            golden(bulk_around, [2300297, 18350079, 1947863, 19922943], 410, 888),
         ),
         (
-            1.0,
-            golden(569, 0, [1898218, 20971519, 1921558, 22544383], 351, 419),
-            golden(569, 0, [2104964, 18350079, 1915995, 20447231], 370, 739),
+            cached_fleet_config(16, CacheConfig::default().write_around_bytes),
+            golden(all_absorbed, [4156913, 23592959, 3041, 9000], 467, 645),
+            golden(all_absorbed, [4431360, 21495807, 3041, 9000], 494, 1086),
         ),
     ];
     let trace = cached_trace(6000, 6 * 1024 * 1024);
     let healthy = FaultConfig::disabled();
-    for (threshold, conventional, ppb) in cases {
-        let config = || cached_fleet_config(threshold, 64 * 1024);
-        let summary = run_cached_fleet(conventional_lanes(healthy), config(), &trace).unwrap();
-        assert_eq!(fingerprint(&summary), conventional, "conventional, threshold {threshold}");
-        let summary = run_cached_fleet(ppb_lanes(healthy), config(), &trace).unwrap();
-        assert_eq!(fingerprint(&summary), ppb, "PPB, threshold {threshold}");
+    for (config, conventional, ppb) in cases {
+        let cache = config.cache;
+        let lanes = conventional_lanes(healthy);
+        let summary = run_cached_fleet(lanes, config.clone(), &trace).unwrap();
+        assert_eq!(fingerprint(&summary), conventional, "conventional, {cache:?}");
+        let summary = run_cached_fleet(ppb_lanes(healthy), config, &trace).unwrap();
+        assert_eq!(fingerprint(&summary), ppb, "PPB, {cache:?}");
     }
 }
 
@@ -658,7 +653,7 @@ fn cached_fleet_going_read_only_mid_run_returns_the_typed_error() {
     let trace = Trace::new("wear-out", requests);
 
     fn assert_typed_read_only<F: FlashTranslationLayer>(lanes: Vec<F>, trace: &Trace) {
-        let mut fleet = Fleet::new(lanes, cached_fleet_config(0.5, u32::MAX));
+        let mut fleet = Fleet::new(lanes, cached_fleet_config(128, u32::MAX));
         let outcome =
             FleetDriver::closed_loop(RunOptions::default(), 4).run_mut(&mut fleet, trace);
         assert!(matches!(outcome, Err(FtlError::ReadOnly)), "expected ReadOnly, got {outcome:?}");

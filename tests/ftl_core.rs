@@ -27,7 +27,7 @@ fn device(chips: usize, blocks_per_chip: usize, faults: FaultConfig) -> NandDevi
 }
 
 fn base_config(over_provisioning: f64) -> FtlConfig {
-    FtlConfig { over_provisioning, ..FtlConfig::default() }
+    FtlConfig { over_provisioning }
 }
 
 /// Both placements on 1 chip x 24 blocks x 8 pages at 25% over-provisioning
@@ -54,9 +54,6 @@ fn size(index: u64) -> u32 {
 fn unreadable() -> FaultConfig {
     FaultConfig {
         rber_scale: 1e12,
-        ecc_correctable_bits: 0,
-        retry_extra_bits: 1,
-        max_read_retries: 2,
         program_fail_base: 0.0,
         erase_fail_base: 0.0,
         ..FaultConfig::enabled(11)

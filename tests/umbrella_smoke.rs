@@ -4,7 +4,7 @@
 //! doctest).
 
 use vflash::ftl::{FlashTranslationLayer, FtlError, Lpn};
-use vflash::nand::{NandConfig, NandDevice, Nanos, SpeedProfile};
+use vflash::nand::{NandConfig, NandDevice, Nanos};
 use vflash::ppb::{PpbConfig, PpbFtl};
 
 #[test]
@@ -15,7 +15,6 @@ fn ppb_ftl_round_trips_through_reexported_api() -> Result<(), FtlError> {
         .pages_per_block(16)
         .page_size_bytes(4 * 1024)
         .speed_ratio(3.0)
-        .speed_profile(SpeedProfile::Linear)
         .build()
         .expect("valid geometry");
     let mut ftl = PpbFtl::new(NandDevice::new(config), PpbConfig::default())?;

@@ -19,12 +19,9 @@ use std::error::Error;
 
 use vflash_bench::{per_ftl, percentiles_us, render, seconds, tail_percentiles_us};
 use vflash_fleet::run_fleet_cell;
-use vflash_ftl::{ConventionalFtl, FtlConfig, FtlError};
-use vflash_kv::workload::{
-    compare_conventional_vs_ppb, run_kv_workload, KvRunSummary, KvWorkloadConfig,
-};
-use vflash_kv::{FlashStore, KvConfig};
-use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
+use vflash_ftl::FtlError;
+use vflash_kv::{run_kv_cell, KvRunSummary, VALUE_BYTES, ZIPF_S};
+use vflash_nand::{FaultConfig, NandConfig, Nanos};
 use vflash_ppb::PpbConfig;
 use vflash_sim::experiments::{
     burst_axis, burst_mean_iops, fault_lifetime, Classifier, ExperimentScale, Workload,
@@ -32,8 +29,8 @@ use vflash_sim::experiments::{
     QUEUE_DEPTHS, RATE_SCALES, RBER_SCALES, SPEED_RATIOS,
 };
 use vflash_sim::{
-    compare_specs, ArrivalDiscipline, Comparison, ComparisonRow, ExperimentGrid, ParallelRunner,
-    RunSpec, RunSummary, TraceSource,
+    compare_specs, ArrivalDiscipline, Comparison, ComparisonRow, ExperimentGrid, FtlKind,
+    KvSource, ParallelRunner, RunSpec, RunSummary, TraceSource,
 };
 use vflash_trace::msr::{self, SubsetOptions};
 
@@ -466,10 +463,10 @@ fn kv_table(title: &str, conventional: &KvRunSummary, ppb: &KvRunSummary) {
              {} bloom skips, device time {}",
             summary.ftl,
             summary.ops_completed,
-            summary.flushes,
-            summary.compactions,
+            summary.stats.flushes,
+            summary.stats.compactions,
             summary.stalled_writes,
-            summary.bloom_skips,
+            summary.stats.bloom_skips,
             seconds(summary.device_time),
         );
     }
@@ -481,17 +478,35 @@ fn kv_table(title: &str, conventional: &KvRunSummary, ppb: &KvRunSummary) {
 /// device traffic here is *generated by a real storage engine* — WAL appends
 /// (small, hot), memtable flushes and compaction rewrites (bulk, cold) — so
 /// the comparison shows what PPB's placement buys an application, not a trace.
-fn lsm(quick: bool) -> Outcome {
-    let workload =
-        if quick { KvWorkloadConfig::smoke() } else { KvWorkloadConfig::default() };
-    let comparison = compare_conventional_vs_ppb(KvConfig::default(), &workload)?;
+/// Then the same store on 4 chips, serial (io_depth 1) against batched
+/// (io_depth 16: multi-page extents in windows, one `submit_batch` each).
+fn lsm(scale: &ExperimentScale, quick: bool) -> Outcome {
+    const BATCH_CHIPS: usize = 4;
+    const BATCH_DEPTH: usize = 16;
+    let (requests, key_space, working_set_bytes) =
+        if quick { (3_000, 2_000, 12 << 20) } else { (20_000, 10_000, 16 << 20) };
+    // 96 (quick) or 128 blocks of 64 × 4 KiB pages at the scale's headroom 2.0.
+    let cell = |chips, io_depth| {
+        let scale = ExperimentScale { requests, working_set_bytes, pages_per_block: 64, chips, ..*scale };
+        RunSpec::new(KvSource { key_space, io_depth }, scale)
+    };
+    let specs = [
+        cell(1, 1),
+        cell(1, 1).on(FtlKind::Ppb),
+        cell(BATCH_CHIPS, 1),
+        cell(BATCH_CHIPS, BATCH_DEPTH),
+        cell(BATCH_CHIPS, BATCH_DEPTH).on(FtlKind::Ppb),
+    ];
+    let runs = ParallelRunner::with_available_parallelism().map(&specs, run_kv_cell)?;
+    let [conventional, ppb, serial, batched, batched_ppb]: [KvRunSummary; 5] =
+        runs.try_into().expect("one summary per spec");
     kv_table(
         &format!(
-            "LSM KV store on flash: conventional vs PPB (zipf s={}, {} ops, {} keys, {} B values)",
-            workload.zipf_s, workload.ops, workload.key_space, workload.value_bytes
+            "LSM KV store on flash: conventional vs PPB (zipf s={ZIPF_S}, {requests} ops, \
+             {key_space} keys, {VALUE_BYTES} B values)"
         ),
-        &comparison.conventional,
-        &comparison.ppb,
+        &conventional,
+        &ppb,
     );
     println!(
         "\nMemtable hits cost no device time; SSTable reads pay bloom/index probes plus\n\
@@ -502,32 +517,11 @@ fn lsm(quick: bool) -> Outcome {
          the FTL never relocates live pages.\n"
     );
 
-    // The batched submission path: the same store on a multi-chip device,
-    // serial (io_depth 1: scalar submits, each page charged to the lane in
-    // turn) versus batched (io_depth 16: a multi-page extent goes in windows,
-    // one submit_batch each, overlaid on the lane's chip clocks).
-    const BATCH_CHIPS: usize = 4;
-    const BATCH_DEPTH: usize = 16;
-    let batch_workload = KvWorkloadConfig { device_chips: BATCH_CHIPS, ..workload.clone() };
-    let serial = {
-        let ftl = ConventionalFtl::new(
-            NandDevice::new(batch_workload.device_config()),
-            FtlConfig::default(),
-        )?;
-        run_kv_workload(FlashStore::new(ftl), KvConfig::default(), &batch_workload)?
-    };
-    let batched = {
-        let ftl = ConventionalFtl::new(
-            NandDevice::new(batch_workload.device_config()),
-            FtlConfig::default(),
-        )?;
-        let kv_config = KvConfig { io_depth: BATCH_DEPTH, ..KvConfig::default() };
-        run_kv_workload(FlashStore::new(ftl), kv_config, &batch_workload)?
-    };
     // One line per run with the device time spent in flushes and compactions,
     // the stall tail the application absorbs and the batching counters; the
     // last line is the headline of the batched path on a multi-chip device.
-    let device_time = |summary: &KvRunSummary| summary.flush_time + summary.compaction_time;
+    let device_time =
+        |summary: &KvRunSummary| summary.stats.flush_time + summary.stats.compaction_time;
     let speedup = if device_time(&batched) > Nanos::ZERO {
         format!(
             "\nbatched flush+compaction device time is {:.2}x lower",
@@ -555,14 +549,12 @@ fn lsm(quick: bool) -> Outcome {
         },
     );
 
-    let kv_config = KvConfig { io_depth: BATCH_DEPTH, ..KvConfig::default() };
-    let batched_comparison = compare_conventional_vs_ppb(kv_config, &batch_workload)?;
     kv_table(
         &format!(
             "LSM conventional vs PPB under batching (io_depth {BATCH_DEPTH}, {BATCH_CHIPS} chips)"
         ),
-        &batched_comparison.conventional,
-        &batched_comparison.ppb,
+        &batched,
+        &batched_ppb,
     );
     println!();
     Ok(())
@@ -635,7 +627,7 @@ const SECTIONS: [(&str, Section); 15] = [
     ("faults", |scale, _| faults(scale)),
     ("fleet", |scale, _| fleet(scale)),
     ("ppb_sensitivity", |scale, _| ppb_sensitivity(scale)),
-    ("lsm", |_, quick| lsm(quick)),
+    ("lsm", lsm),
 ];
 
 fn main() -> Outcome {

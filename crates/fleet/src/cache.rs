@@ -241,6 +241,26 @@ impl WritebackCache {
         }));
         &self.flushed
     }
+
+    /// Checks the state every operation preserves: residency within the
+    /// capacity, every dirty page resident, and the dirty order equal to the
+    /// resident order restricted to dirty pages.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let (resident, capacity) = (self.len(), self.config.capacity_pages);
+        // Equal sequences make every dirty page resident, too.
+        let resident_dirty = self.resident.iter().filter(|&lpn| self.dirty.contains(lpn));
+        if resident > capacity {
+            Err(format!("{resident} pages resident over a capacity of {capacity}"))
+        } else if !resident_dirty.eq(self.dirty.iter()) {
+            Err("the dirty pages are not the resident ones in resident order".to_string())
+        } else {
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -360,6 +380,21 @@ mod tests {
         let stats = c.stats();
         assert!((stats.read_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().read_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn check_invariants_names_a_stray_or_reordered_dirty_page() {
+        let mut c = cache(4);
+        c.write(1);
+        c.write(2);
+        assert_eq!(c.check_invariants(), Ok(()));
+        let mut stray = c.clone();
+        stray.resident.remove(Lpn(2));
+        let mut reordered = c.clone();
+        reordered.dirty.touch(Lpn(1));
+        for broken in [stray, reordered] {
+            assert!(broken.check_invariants().unwrap_err().contains("resident order"));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ use crate::summary::FleetSummary;
 ///
 /// # Errors
 ///
-/// Propagates FTL construction and replay errors from any lane.
+/// Propagates FTL construction and replay errors from any lane; a KV source
+/// or a zero width is [`FtlError::InvalidConfig`].
 pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
     struct Stripe<'s, 'a>(&'s RunSpec<'a>);
     impl FtlJob for Stripe<'_, '_> {
@@ -34,10 +35,14 @@ pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
             self,
             build: impl Fn() -> Result<F, FtlError>,
         ) -> Result<FleetSummary, FtlError> {
+            let trace = self.0.trace()?;
             let lanes = (0..self.0.fleet_width).map(|_| build()).collect::<Result<Vec<F>, _>>()?;
             FleetDriver::new(RunOptions::default(), self.0.discipline)
-                .run(Fleet::new(lanes, FleetConfig::default()), &self.0.trace())
+                .run(Fleet::new(lanes, FleetConfig::default()), &trace)
         }
+    }
+    if spec.fleet_width == 0 {
+        return Err(FtlError::InvalidConfig { reason: "a fleet needs at least one lane".into() });
     }
     spec.with_ftl(Stripe(spec))
 }
@@ -45,8 +50,8 @@ pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vflash_sim::experiments::ExperimentScale;
-    use vflash_sim::{run_spec, ExperimentGrid, ParallelRunner, ReplayMode};
+    use vflash_sim::experiments::{ExperimentScale, Workload};
+    use vflash_sim::{run_spec, ExperimentGrid, KvSource, ParallelRunner, ReplayMode};
 
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
@@ -93,6 +98,16 @@ mod tests {
             assert_eq!((pair[0].ftl.as_str(), pair[1].ftl.as_str()), ("conventional", "ppb"));
             assert_eq!(pair[0].offered_iops(), pair[1].offered_iops());
             assert_eq!(pair[0].host_requests, pair[1].host_requests);
+        }
+    }
+
+    #[test]
+    fn a_kv_source_and_a_zero_width_are_refused() {
+        let spec = RunSpec::new(Workload::WebSqlServer, tiny_scale());
+        let kv = RunSpec::new(KvSource { key_space: 100, io_depth: 1 }, tiny_scale());
+        for refused in [RunSpec { fleet_width: 0, ..spec }, kv] {
+            let outcome = run_fleet_cell(&refused);
+            assert!(matches!(outcome, Err(FtlError::InvalidConfig { .. })), "{outcome:?}");
         }
     }
 

@@ -47,14 +47,18 @@
 //! paper's placement policy is built around. Once a worn-out device turns
 //! read-only, writes surface as [`KvError::ReadOnly`] at the KV API.
 //!
-//! [`workload`] adds a deterministic, zipf-skewed driver that reports
-//! application-level latency percentiles split into memtable-hit /
-//! sstable-read / compaction-stall components, plus the three write
-//! amplification factors (app × FTL = end-to-end).
+//! A KV run is a `vflash_sim::RunSpec` whose source is a
+//! `TraceSource::Kv`: [`run_kv_cell`] executes it on the spec's FTL with one
+//! fixed zipf-skewed mix (40/50/5/5 put/get/delete/scan, [`VALUE_BYTES`]-byte
+//! values, exponent [`ZIPF_S`]) and reports application-level latency
+//! percentiles split into memtable-hit / sstable-read / compaction-stall
+//! components, plus the three write amplification factors (app × FTL =
+//! end-to-end).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cell;
 mod error;
 mod flash_file;
 mod hash;
@@ -65,8 +69,8 @@ mod merge;
 mod sstable;
 mod store;
 mod wal;
-pub mod workload;
 
+pub use cell::{run_kv_cell, KvRunSummary, VALUE_BYTES, ZIPF_S};
 pub use error::KvError;
 pub use flash_file::{Extent, FlashStore, SegmentFile, StoreIoStats, SUPERBLOCK_LPN};
 pub use memtable::Memtable;

@@ -745,12 +745,14 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// extents of the WAL region, the manifest, the tables and those waiting
     /// to be freed account, with the allocator's free list, for every LPN
     /// exactly once — after failed writes too: a table or manifest the device
-    /// refused gives its reservation back.
+    /// refused gives its reservation back. The device's own bookkeeping
+    /// (`NandDevice::check_invariants`) is checked first.
     ///
     /// # Errors
     ///
     /// Describes the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.store.ftl().device().check_invariants()?;
         for run in &self.sorted {
             run.check_invariants()?;
         }
@@ -1328,8 +1330,6 @@ mod tests {
             assert!(matches!(flushed, Err(KvError::ReadOnly)), "{flushed:?}");
             assert_eq!(writes_until_failure.get(), None, "the armed failure fired");
             assert_eq!(kv.check_invariants(), Ok(()), "after refusing write {refused}");
-            let device = kv.flash().ftl().device();
-            assert_eq!(device.check_invariants(), Ok(()), "after refusing write {refused}");
             counts_every_page_served(&kv, &format!("after refusing write {refused}"));
             serves_every_put(&mut kv);
             // The device accepts writes again: the next flush commits, and

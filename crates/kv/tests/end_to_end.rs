@@ -4,33 +4,43 @@
 //! that fills up: no acknowledged write lost, no page leaked.
 
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig};
-use vflash_kv::workload::{compare_conventional_vs_ppb, KvWorkloadConfig};
-use vflash_kv::{FlashStore, KvConfig, KvError, KvStats, KvStore};
+use vflash_kv::{run_kv_cell, FlashStore, KvConfig, KvError, KvStats, KvStore};
 use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
 use vflash_ppb::{PpbConfig, PpbFtl};
+use vflash_sim::experiments::ExperimentScale;
+use vflash_sim::{FtlKind, KvSource, RunSpec};
 
-/// Same seed + same FTL must produce bit-identical summaries — percentiles,
-/// write amplification, device time and the final SSTable layout — for both
-/// the conventional and the PPB backend.
-#[test]
-fn identical_runs_are_bit_identical_on_both_ftls() {
-    let workload = KvWorkloadConfig::smoke();
-    let first = compare_conventional_vs_ppb(KvConfig::default(), &workload).unwrap();
-    let second = compare_conventional_vs_ppb(KvConfig::default(), &workload).unwrap();
-    assert_eq!(first.conventional, second.conventional);
-    assert_eq!(first.ppb, second.ppb);
-    assert!(!first.conventional.layout.is_empty());
-    assert_eq!(first.conventional.layout, second.conventional.layout);
-    assert_eq!(first.ppb.layout, second.ppb.layout);
+/// The `--quick` `lsm` cell on `ftl`: 3,000 ops over 2,000 keys, 96 blocks of
+/// 64 × 4 KiB pages on one chip.
+fn smoke(ftl: FtlKind) -> RunSpec<'static> {
+    let scale = ExperimentScale {
+        requests: 3_000,
+        working_set_bytes: 12 << 20,
+        pages_per_block: 64,
+        ..ExperimentScale::quick()
+    };
+    RunSpec::new(KvSource { key_space: 2_000, io_depth: 1 }, scale).on(ftl)
 }
 
-/// The three write-amplification factors reported by a workload run obey the
+/// Same spec must produce bit-identical summaries — percentiles, write
+/// amplification, device time and the final SSTable layout — for both the
+/// conventional and the PPB backend.
+#[test]
+fn identical_runs_are_bit_identical_on_both_ftls() {
+    for ftl in FtlKind::ALL {
+        let first = run_kv_cell(&smoke(ftl)).unwrap();
+        let second = run_kv_cell(&smoke(ftl)).unwrap();
+        assert!(!first.layout.is_empty());
+        assert_eq!(first, second, "{}", ftl.label());
+    }
+}
+
+/// The three write-amplification factors reported by a KV cell obey the
 /// product identity: app WA x FTL WA = end-to-end WA, on both FTLs.
 #[test]
 fn workload_write_amplification_product_identity() {
-    let comparison =
-        compare_conventional_vs_ppb(KvConfig::default(), &KvWorkloadConfig::smoke()).unwrap();
-    for summary in [&comparison.conventional, &comparison.ppb] {
+    for ftl in FtlKind::ALL {
+        let summary = run_kv_cell(&smoke(ftl)).unwrap();
         let wa = summary.write_amplification;
         assert!(wa.app > 1.0, "{}: app WA must exceed 1", summary.ftl);
         assert!(wa.ftl >= 1.0, "{}: FTL WA must be at least 1", summary.ftl);

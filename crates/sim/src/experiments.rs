@@ -334,6 +334,9 @@ pub enum TraceSource<'a> {
     /// A trace the caller holds (`experiments --trace file.csv`); the arrival
     /// model does not apply.
     External(&'a Trace),
+    /// Key-value operations against an LSM store on the spec's device; no
+    /// block trace. `vflash_kv::run_kv_cell` is its executor.
+    Kv(KvSource),
 }
 
 impl TraceSource<'_> {
@@ -342,7 +345,24 @@ impl TraceSource<'_> {
         match self {
             TraceSource::Synthetic(workload) => workload.label(),
             TraceSource::External(trace) => trace.name(),
+            TraceSource::Kv(_) => "kv-zipf",
         }
+    }
+}
+
+/// A zipf-skewed key-value mix: `scale.requests` operations over `key_space`
+/// keys, seeded by `scale.seed`; the mix itself is fixed in `vflash-kv`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvSource {
+    /// Distinct keys; a key is the 8-byte big-endian encoding of a zipf rank.
+    pub key_space: usize,
+    /// Pages the store submits per window (1: one page at a time).
+    pub io_depth: usize,
+}
+
+impl From<KvSource> for TraceSource<'_> {
+    fn from(source: KvSource) -> Self {
+        TraceSource::Kv(source)
     }
 }
 
@@ -402,13 +422,15 @@ pub struct RunSpec<'a> {
 
 impl<'a> RunSpec<'a> {
     /// The paper's default point for `source` at `scale`: conventional FTL,
-    /// 16 KB pages, 2x speed difference, no faults, [`SERIAL`]
-    /// replay of the default arrivals, no warm-up, one device.
+    /// 16 KB pages (4 KB, the store's page, for a KV source), 2x speed
+    /// difference, no faults, [`SERIAL`] replay of the default arrivals, no
+    /// warm-up, one device.
     pub fn new(source: impl Into<TraceSource<'a>>, scale: ExperimentScale) -> Self {
+        let source = source.into();
         RunSpec {
-            source: source.into(),
+            source,
             scale,
-            page_size_bytes: 16 * 1024,
+            page_size_bytes: if matches!(source, TraceSource::Kv(_)) { 4 * 1024 } else { 16 * 1024 },
             speed_ratio: 2.0,
             faults: None,
             ftl: FtlKind::Conventional,
@@ -437,12 +459,19 @@ impl<'a> RunSpec<'a> {
     }
 
     /// The trace this spec replays: generated, or the caller's.
-    pub fn trace(&self) -> Cow<'a, Trace> {
+    ///
+    /// # Errors
+    ///
+    /// [`FtlError::InvalidConfig`] for a KV source, which has no block trace.
+    pub fn trace(&self) -> Result<Cow<'a, Trace>, FtlError> {
         match self.source {
             TraceSource::Synthetic(workload) => {
-                Cow::Owned(workload.trace_with_arrival(&self.scale, self.arrival))
+                Ok(Cow::Owned(workload.trace_with_arrival(&self.scale, self.arrival)))
             }
-            TraceSource::External(trace) => Cow::Borrowed(trace),
+            TraceSource::External(trace) => Ok(Cow::Borrowed(trace)),
+            TraceSource::Kv(_) => Err(FtlError::InvalidConfig {
+                reason: "a KV source has no block trace: run it with vflash_kv::run_kv_cell".into(),
+            }),
         }
     }
 
@@ -504,7 +533,8 @@ pub trait FtlJob {
 ///
 /// # Errors
 ///
-/// Propagates FTL construction and replay errors.
+/// Propagates FTL construction and replay errors; a KV source is
+/// [`FtlError::InvalidConfig`].
 pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
     struct Replay<'s, 'a>(&'s RunSpec<'a>);
     impl FtlJob for Replay<'_, '_> {
@@ -513,7 +543,7 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
             self,
             build: impl Fn() -> Result<F, FtlError>,
         ) -> Result<RunSummary, FtlError> {
-            let (spec, trace) = (self.0, self.0.trace());
+            let (spec, trace) = (self.0, self.0.trace()?);
             let mut ftl = build()?;
             let split = ((trace.len() as f64 * spec.warmup_fraction).round() as usize).min(trace.len());
             let options = RunOptions::default();
@@ -733,9 +763,20 @@ mod tests {
         for ftl in FtlKind::ALL {
             let external = RunSpec::new(&trace, scale).on(ftl);
             assert_eq!(external.source.label(), "media-server");
-            assert!(matches!(external.trace(), Cow::Borrowed(_)));
+            assert!(matches!(external.trace(), Ok(Cow::Borrowed(_))));
             let synthetic = RunSpec::new(Workload::MediaServer, scale).on(ftl);
             assert_eq!(run_spec(&external).unwrap(), run_spec(&synthetic).unwrap());
+        }
+    }
+
+    #[test]
+    fn run_spec_refuses_a_kv_source() {
+        let kv = KvSource { key_space: 100, io_depth: 1 };
+        let spec = RunSpec::new(kv, ExperimentScale::quick());
+        assert_eq!((spec.source.label(), spec.page_size_bytes), ("kv-zipf", 4 * 1024));
+        for ftl in FtlKind::ALL {
+            let refused = run_spec(&spec.on(ftl));
+            assert!(matches!(refused, Err(FtlError::InvalidConfig { .. })), "{refused:?}");
         }
     }
 

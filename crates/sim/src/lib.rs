@@ -28,7 +28,9 @@
 //!   ([`LatencyPercentiles`]), achieved IOPS and (open loop) offered IOPS.
 //! * [`experiments`] — one description of a run ([`RunSpec`]: trace source,
 //!   scale, device, FTL, arrival discipline and model, warm-up,
-//!   fleet width), one executor ([`run_spec`]) and one comparison of both FTLs
+//!   fleet width), one executor of its block traces ([`run_spec`]; a
+//!   [`KvSource`] is run by `vflash-kv`'s `run_kv_cell`, a fleet width by
+//!   `vflash-fleet`'s `run_fleet_cell`) and one comparison of both FTLs
 //!   on the same trace ([`compare_specs`]), plus the axes of the paper's
 //!   evaluation (Figures 12–18) and of the queue-depth, offered-load,
 //!   burstiness, fault and PPB-sensitivity sections the
@@ -90,6 +92,8 @@ pub use calendar::{HostCalendar, Issue};
 pub use engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
 pub use lane::{prefill, LaneState, PageChain};
-pub use experiments::{compare_specs, run_spec, ComparisonRow, FtlJob, FtlKind, RunSpec, TraceSource};
+pub use experiments::{
+    compare_specs, run_spec, ComparisonRow, FtlJob, FtlKind, KvSource, RunSpec, TraceSource,
+};
 pub use parallel::{ExperimentGrid, ParallelRunner};
 pub use report::{Comparison, ReplayMode, RunSummary};

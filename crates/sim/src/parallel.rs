@@ -112,11 +112,12 @@ impl ParallelRunner {
     /// Returns the error of the lowest-indexed failing item. A failure stops
     /// workers from claiming further items (in-flight ones still finish), so a
     /// misconfigured list does not burn through the remaining work.
-    pub fn map<T, R, G>(&self, items: &[T], run: G) -> Result<Vec<R>, FtlError>
+    pub fn map<T, R, E, G>(&self, items: &[T], run: G) -> Result<Vec<R>, E>
     where
         T: Sync,
         R: Send,
-        G: Fn(&T) -> Result<R, FtlError> + Sync,
+        E: Send,
+        G: Fn(&T) -> Result<R, E> + Sync,
     {
         let workers = self.threads.min(items.len());
         if workers <= 1 {
@@ -126,7 +127,7 @@ impl ParallelRunner {
         // results travel through the slots, read after the scope has joined.
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        let slots: Vec<Mutex<Option<Result<R, FtlError>>>> =
+        let slots: Vec<Mutex<Option<Result<R, E>>>> =
             items.iter().map(|_| Mutex::new(None)).collect();
         thread::scope(|scope| {
             for _ in 0..workers {
@@ -329,7 +330,7 @@ mod tests {
     #[test]
     fn map_keeps_input_order_for_any_function() {
         let items: Vec<usize> = (0..100).collect();
-        let square = |&item: &usize| Ok(item * item);
+        let square = |&item: &usize| Ok::<_, FtlError>(item * item);
         let serial = ParallelRunner::new(1).map(&items, square).unwrap();
         assert_eq!(serial[7], 49);
         for workers in [2, 3, 5, 32] {

@@ -218,9 +218,9 @@ proptest! {
                     }
                 }
             }
-            // Structural invariants after every single operation.
-            prop_assert!(cache.dirty_len() <= cache.len(), "dirty ⊆ resident");
-            prop_assert!(cache.len() <= capacity, "residency bounded by capacity");
+            // Structural invariants after every single operation: residency
+            // within capacity, dirty ⊆ resident, dirty order = resident order.
+            prop_assert_eq!(cache.check_invariants(), Ok(()));
         }
         let stats = cache.stats();
         prop_assert_eq!(stats.writes_absorbed, write_calls);

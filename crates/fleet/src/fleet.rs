@@ -246,8 +246,8 @@ impl FleetDriver {
         // The engine's warm-up, routed by the stripe map.
         let stripe = fleet.stripe;
         let mut lanes: Vec<&mut F> = fleet.lanes.iter_mut().collect();
-        let route = |page| stripe.locate(page % stripe.fleet_pages());
-        prefill(&self.options, &mut lanes, trace, route)?;
+        let space = stripe.fleet_pages();
+        prefill(&self.options, &mut lanes, trace, space, |page| stripe.locate(page))?;
 
         let trace_ops = self.discipline.needs_op_tracing();
         if trace_ops {

@@ -247,7 +247,7 @@ impl WorkloadDriver {
         trace: &Trace,
     ) -> Result<RunSummary, FtlError> {
         let logical_pages = ftl.logical_pages();
-        prefill(&self.options, &mut [&mut *ftl], trace, |page| (0, page % logical_pages))?;
+        prefill(&self.options, &mut [&mut *ftl], trace, logical_pages, |page| (0, page))?;
 
         let trace_ops = self.discipline.needs_op_tracing();
         if trace_ops {

@@ -551,7 +551,7 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
                 return WorkloadDriver::new(options, spec.discipline).run_mut(&mut ftl, &trace);
             }
             let logical_pages = ftl.logical_pages();
-            prefill(&options, &mut [&mut ftl], &trace, |page| (0, page % logical_pages))?;
+            prefill(&options, &mut [&mut ftl], &trace, logical_pages, |page| (0, page))?;
             let driver = WorkloadDriver::new(RunOptions { prefill: false }, spec.discipline);
             let (warmup, measured) = trace.requests().split_at(split);
             driver.run_mut(&mut ftl, &Trace::new(format!("{}+warmup", trace.name()), warmup.to_vec()))?;

@@ -46,7 +46,7 @@ const PREFILL_REQUEST_BYTES: u32 = 1 << 20;
 ///
 /// The prefill pass needs one bit per logical page; on multi-million-page devices a
 /// `Vec<bool>` would spend a byte per page, so pages are packed 64 to a `u64` (8x
-/// less memory and far fewer cache lines touched by the marking pass).
+/// less memory, and a request's run of pages is marked a word at a time).
 #[derive(Debug, Clone)]
 struct PageBitmap {
     words: Vec<u64>,
@@ -57,6 +57,7 @@ impl PageBitmap {
         PageBitmap { words: vec![0; (pages as usize).div_ceil(64)] }
     }
 
+    #[cfg(test)]
     fn set(&mut self, page: u64) {
         self.words[(page / 64) as usize] |= 1 << (page % 64);
     }
@@ -64,6 +65,24 @@ impl PageBitmap {
     #[cfg(test)]
     fn get(&self, page: u64) -> bool {
         self.words[(page / 64) as usize] & (1 << (page % 64)) != 0
+    }
+
+    /// Sets pages `start..end`: the partial words at either end under a mask,
+    /// the whole words between them in one fill.
+    fn set_range(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
+        }
+        let (first, last) = ((start / 64) as usize, ((end - 1) / 64) as usize);
+        let head = !0u64 << (start % 64);
+        let tail = !0u64 >> (63 - (end - 1) % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(!0);
+            self.words[last] |= tail;
+        }
     }
 
     /// Iterates over set pages in ascending order, skipping empty words wholesale.
@@ -83,12 +102,20 @@ impl PageBitmap {
 }
 
 /// Writes every logical page the trace touches exactly once (in ascending
-/// order per lane), so later reads always find mapped data. `locate` maps a
-/// trace page number to the `(lane, device page)` that stores it — the
-/// identity modulo capacity for one device, the stripe map for a fleet. Shared
-/// by every driver and discipline, so any replay warms a device
-/// **identically** — a precondition for the bit-identity guarantees between
-/// them. The warm-up always runs serially with tracing off.
+/// order per lane), so later reads always find mapped data. Trace pages wrap
+/// modulo `space`, the pages the lanes export together; `locate` maps a
+/// wrapped page (below `space`) to the `(lane, device page)` that stores it —
+/// the identity for one device, the stripe map for a fleet. Shared by every
+/// driver and discipline, so any replay warms a device **identically** — a
+/// precondition for the bit-identity guarantees between them. The warm-up
+/// always runs serially with tracing off.
+///
+/// Each request marks its run of wrapped pages in one bitmap over `space` —
+/// a word at a time, in two pieces when the run wraps past the end — and one
+/// ascending pass over the marked pages writes them. `locate` must be
+/// monotone per lane (ascending wrapped pages of one lane land on ascending
+/// device pages, as they do under the identity and the stripe map), which is
+/// what gives each lane its pages in ascending order.
 ///
 /// Does nothing when `options.prefill` is off, and skips traces without a
 /// single read: the prefill exists only so reads of never-written data behave
@@ -101,24 +128,32 @@ pub fn prefill<F: FlashTranslationLayer + ?Sized>(
     options: &RunOptions,
     lanes: &mut [&mut F],
     trace: &Trace,
+    space: u64,
     locate: impl Fn(u64) -> (usize, u64),
 ) -> Result<(), FtlError> {
     if !options.prefill || !trace.iter().any(|request| request.op == IoOp::Read) {
         return Ok(());
     }
     let pages = PageSplitter::new(lanes[0].device().config().page_size_bytes());
-    let mut touched: Vec<PageBitmap> =
-        lanes.iter().map(|lane| PageBitmap::new(lane.logical_pages())).collect();
+    let mut touched = PageBitmap::new(space);
     for request in trace {
-        for page in pages.pages(request) {
-            let (lane, offset) = locate(page);
-            touched[lane].set(offset);
+        let range = pages.pages(request);
+        let len = range.end - range.start;
+        if len >= space {
+            touched.set_range(0, space);
+            continue;
+        }
+        let start = range.start % space;
+        if start + len <= space {
+            touched.set_range(start, start + len);
+        } else {
+            touched.set_range(start, space);
+            touched.set_range(0, start + len - space);
         }
     }
-    for (lane, bitmap) in lanes.iter_mut().zip(&touched) {
-        for offset in bitmap.iter_set() {
-            lane.write(Lpn(offset), PREFILL_REQUEST_BYTES)?;
-        }
+    for wrapped in touched.iter_set() {
+        let (lane, offset) = locate(wrapped);
+        lanes[lane].write(Lpn(offset), PREFILL_REQUEST_BYTES)?;
     }
     Ok(())
 }
@@ -421,5 +456,158 @@ mod tests {
     fn empty_bitmap_iterates_nothing() {
         let bitmap = PageBitmap::new(500);
         assert_eq!(bitmap.iter_set().count(), 0);
+    }
+
+    #[test]
+    fn set_range_matches_repeated_set() {
+        // Every range of a 200-page (four-word, last one partial) bitmap, laid
+        // over a pattern already set, so a range must only add bits.
+        const PAGES: u64 = 200;
+        let mut seeded = PageBitmap::new(PAGES);
+        for page in (0..PAGES).step_by(7) {
+            seeded.set(page);
+        }
+        for start in 0..=PAGES {
+            for end in start..=PAGES {
+                let (mut ranged, mut single) = (seeded.clone(), seeded.clone());
+                ranged.set_range(start, end);
+                for page in start..end {
+                    single.set(page);
+                }
+                assert_eq!(ranged.words, single.words, "{start}..{end}");
+            }
+        }
+    }
+
+    /// An FTL that only records the requests submitted to it.
+    struct Recorder {
+        logical_pages: u64,
+        submitted: Vec<FtlRequest>,
+        metrics: FtlMetrics,
+        device: NandDevice,
+    }
+
+    impl Recorder {
+        fn new(logical_pages: u64, page_size: usize) -> Self {
+            let config = vflash_nand::NandConfig::builder()
+                .chips(1)
+                .blocks_per_chip(4)
+                .pages_per_block(8)
+                .page_size_bytes(page_size)
+                .build()
+                .expect("a valid geometry");
+            Recorder {
+                logical_pages,
+                submitted: Vec::new(),
+                metrics: FtlMetrics::new(),
+                device: NandDevice::new(config),
+            }
+        }
+    }
+
+    impl FlashTranslationLayer for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn logical_pages(&self) -> u64 {
+            self.logical_pages
+        }
+        fn submit(&mut self, request: FtlRequest) -> Result<Completion, FtlError> {
+            self.submitted.push(request);
+            Ok(Completion::new(Nanos::ZERO))
+        }
+        fn metrics(&self) -> &FtlMetrics {
+            &self.metrics
+        }
+        fn device(&self) -> &NandDevice {
+            &self.device
+        }
+        fn device_mut(&mut self) -> &mut NandDevice {
+            &mut self.device
+        }
+    }
+
+    /// The per-page rule `prefill` replaced: every page of every request
+    /// wrapped modulo the space one at a time, routed, and marked in its
+    /// lane's own bitmap; then each lane writes its pages in ascending order.
+    fn per_page_prefill(
+        lanes: &[Recorder],
+        trace: &Trace,
+        locate: impl Fn(u64) -> (usize, u64),
+    ) -> Vec<Vec<FtlRequest>> {
+        let space: u64 = lanes.iter().map(|lane| lane.logical_pages).sum();
+        let pages = PageSplitter::new(lanes[0].device.config().page_size_bytes());
+        let mut touched: Vec<PageBitmap> =
+            lanes.iter().map(|lane| PageBitmap::new(lane.logical_pages)).collect();
+        for request in trace {
+            for page in pages.pages(request) {
+                let (lane, offset) = locate(page % space);
+                touched[lane].set(offset);
+            }
+        }
+        touched
+            .iter()
+            .map(|bitmap| {
+                bitmap
+                    .iter_set()
+                    .map(|offset| FtlRequest::write(Lpn(offset), PREFILL_REQUEST_BYTES))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefill_writes_each_lane_what_the_per_page_rule_wrote() {
+        use vflash_trace::synthetic::{self, SyntheticConfig};
+        use vflash_trace::IoRequest;
+
+        const LANE_PAGES: u64 = 5_000;
+        for page_size in [4 << 10, 12 << 10] {
+            // One device (width 0 below stands for the engine's identity map)
+            // and fleets of 1, 3 and 4 lanes under the stripe map's rule.
+            for width in [0usize, 1, 3, 4] {
+                let lanes = width.max(1);
+                let space = LANE_PAGES * lanes as u64;
+                let locate = |page: u64| match width {
+                    0 => (0, page),
+                    _ => ((page % width as u64) as usize, page / width as u64),
+                };
+                // A sparse trace over 2.5 times the space, so pages wrap; then
+                // the same with an unaligned run across the space's end, and
+                // with one request longer than the space.
+                let page = page_size as u64;
+                let sparse = synthetic::web_sql_server(SyntheticConfig {
+                    requests: 300,
+                    seed: 3,
+                    working_set_bytes: space * page * 5 / 2,
+                    ..Default::default()
+                });
+                let with = |request: IoRequest| {
+                    let mut trace = sparse.clone();
+                    trace.extend([request]);
+                    trace
+                };
+                let wraps_at = (3 * space - 2) * page + 1;
+                let wraps = IoRequest::new(0, IoOp::Write, wraps_at, 4 * page as u32);
+                let too_long = ((space + 3) * page) as u32;
+                let too_long = IoRequest::new(0, IoOp::Read, 7 * page + 5, too_long);
+                let traces = [sparse.clone(), with(wraps), with(too_long)];
+                for (case, trace) in traces.iter().enumerate() {
+                    let mut recorders: Vec<Recorder> =
+                        (0..lanes).map(|_| Recorder::new(LANE_PAGES, page_size)).collect();
+                    let expected = per_page_prefill(&recorders, trace, locate);
+                    let written: usize = expected.iter().map(Vec::len).sum();
+                    assert_eq!(written == space as usize, case == 2, "case {case} marks too much");
+                    let mut refs: Vec<&mut Recorder> = recorders.iter_mut().collect();
+                    prefill(&RunOptions::default(), &mut refs, trace, space, locate).unwrap();
+                    for (lane, recorder) in recorders.iter().enumerate() {
+                        assert_eq!(
+                            recorder.submitted, expected[lane],
+                            "{page_size} B pages, width {width}, case {case}, lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -179,4 +179,4 @@ fn a_replay_allocates_the_same_however_many_requests_it_drives() {
 }
 
 /// What one `WorkloadDriver::run_mut` allocates at closed-loop depth 1.
-const REPLAY_ALLOCATIONS: u64 = 11;
+const REPLAY_ALLOCATIONS: u64 = 10;

@@ -58,8 +58,9 @@ impl Error for ParseTraceError {}
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] for malformed lines (wrong field count, unparsable
-/// numbers, unknown request type) and wraps I/O errors from the reader in the same
-/// error with the failing line number.
+/// numbers, unknown request type, a byte range or rebased timestamp past 64 bits)
+/// and wraps I/O errors from the reader in the same error with the failing line
+/// number.
 ///
 /// # Example
 ///
@@ -128,6 +129,16 @@ fn parse_line(trimmed: &str, line_number: usize) -> Result<Option<ParsedLine>, P
         line: line_number,
         reason: format!("request size {size} does not fit in 32 bits"),
     })?;
+    // Checked like the timestamp: a range ending past the 64-bit byte address
+    // space has no logical pages, and wrapping it would drop the request.
+    if offset.checked_add(u64::from(size)).is_none() {
+        return Err(ParseTraceError {
+            line: line_number,
+            reason: format!(
+                "byte range at offset {offset} of size {size} overflows 64-bit addresses"
+            ),
+        });
+    }
     Ok(Some(ParsedLine { timestamp, op, offset, size }))
 }
 
@@ -563,6 +574,27 @@ mod tests {
         let csv = format!("{big_base},h,0,Read,0,4096,9\n{},h,0,Write,0,4096,9\n", u64::MAX);
         let trace = parse(csv.as_bytes(), "t").unwrap();
         assert_eq!(trace.requests()[1].at_nanos, 1_000 * 100);
+    }
+
+    #[test]
+    fn a_byte_range_past_64_bits_is_a_parse_error_with_line_number() {
+        // 615 bytes below u64::MAX, a 4 KiB request ends past the address space:
+        // it used to parse, then panic in debug or drop out as an empty page
+        // range in release.
+        let csv = "1,h,0,Read,0,4096,9\n2,h,0,Write,18446744073709551000,4096,9\n";
+        let err = parse(csv.as_bytes(), "t").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.reason.contains("overflows"),
+            "reason should name the overflow: {}",
+            err.reason
+        );
+        let err = subset(csv.as_bytes(), Vec::new(), &SubsetOptions::default()).unwrap_err();
+        assert_eq!(err.line, 2);
+        // A range ending exactly at the top of the address space is well formed.
+        let csv = format!("1,h,0,Read,{},4096,9\n", u64::MAX - 4_096);
+        let trace = parse(csv.as_bytes(), "t").unwrap();
+        assert_eq!(trace.requests()[0].logical_pages(4_096).end, u64::MAX / 4_096 + 1);
     }
 
     #[test]

@@ -44,9 +44,14 @@ impl IoRequest {
     /// # Panics
     ///
     /// Panics if `length` is zero: zero-length I/O has no meaning for an FTL and is
-    /// always a generator or parser bug.
+    /// always a generator or parser bug. Panics too if `offset + length` exceeds
+    /// `u64::MAX`: such a range has no logical pages.
     pub fn new(at_nanos: u64, op: IoOp, offset: u64, length: u32) -> Self {
         assert!(length > 0, "I/O requests must access at least one byte");
+        assert!(
+            offset.checked_add(u64::from(length)).is_some(),
+            "I/O requests must end within the 64-bit byte address space"
+        );
         IoRequest { at_nanos, op, offset, length }
     }
 
@@ -235,6 +240,12 @@ mod tests {
     #[should_panic(expected = "at least one byte")]
     fn zero_length_requests_are_rejected() {
         let _ = IoRequest::new(0, IoOp::Read, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit byte address space")]
+    fn requests_ending_past_the_address_space_are_rejected() {
+        let _ = IoRequest::new(0, IoOp::Read, u64::MAX - 4_095, 4_096);
     }
 
     #[test]

@@ -788,6 +788,28 @@ mod tests {
         );
     }
 
+    /// Golden traces of the table-heavy paths: the web/SQL generator at its
+    /// default 256 MiB working set, where the table Zipf has 8,128 ranks, and
+    /// a KV-style op stream (a rank from a 100k-key Zipf at s = 0.99, then a
+    /// mix draw) off one seeded RNG. Computed with the binary-search sampler;
+    /// any change to the sampler's answers or to its RNG consumption moves them.
+    #[test]
+    fn large_zipf_tables_are_byte_identical_to_the_binary_search_sampler() {
+        let config = SyntheticConfig { requests: 20_000, seed: 42, ..Default::default() };
+        assert_eq!(fingerprint(&web_sql_server(config)), 0xf819_f86a_d6f6_e507);
+
+        let zipf = Zipf::new(100_000, 0.99);
+        let mut rng = StdRng::seed_from_u64(7);
+        let ops: Vec<IoRequest> = (0..100_000u64)
+            .map(|at| {
+                let rank = zipf.sample(&mut rng) as u64;
+                let op = if rng.gen_range(0..100) < 40 { IoOp::Write } else { IoOp::Read };
+                IoRequest::new(at, op, rank, 1)
+            })
+            .collect();
+        assert_eq!(fingerprint(&Trace::new("zipf-ops", ops)), 0x42f2_aef6_9ec9_05a6);
+    }
+
     #[test]
     fn fill_matches_repeated_next_gap_draws() {
         for model in [

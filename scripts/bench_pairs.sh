@@ -12,15 +12,16 @@
 # times (default 10), the side that goes first alternating. Prints every
 # metric's q1 / median / q3 per side and how many pairs each side won (better
 # as BENCHMARK.json declares it). Exits non-zero when a run is incorrect or has
-# failed operations, or when any simulated metric (`sim_*`, `ppb_*`) differs
-# between any two runs: a host-side change must leave those identical to the
-# last digit. `all` builds once and runs the workloads of BENCHMARK.json one
-# after the other, one table each, and fails if any of them does. SEED (7),
-# RUN_SECONDS (12) and TRACE (0; 1 = the per-layer run) come from the
-# environment; build products and results go to $BENCH_PAIRS_DIR (default
-# .bench_build/pairs), where pairs_<tag>.json keeps each table's quartiles and
-# win counts (for `all`, also merged into pairs_all_s<seed>_t<trace>.json — the
-# file a PR commits as BENCH_<pr>.json).
+# failed operations, or when any simulated metric (`sim_*`, `ppb_*`) or the
+# simulated fingerprint (from each run's result file) differs between any two
+# runs: a host-side change must leave those identical to the last digit. `all`
+# builds once and runs the workloads of BENCHMARK.json one after the other, one
+# table each, and fails if any of them does. SEED (7), RUN_SECONDS (12) and
+# TRACE (0; 1 = the per-layer run) come from the environment; build products
+# and results go to $BENCH_PAIRS_DIR (default .bench_build/pairs), where
+# pairs_<tag>.json keeps each table's quartiles, win counts and fingerprint
+# (for `all`, also merged into pairs_all_s<seed>_t<trace>.json — the file a PR
+# commits as BENCH_<pr>.json).
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -60,9 +61,14 @@ else
 fi
 
 run() { # <side> <source dir> <workload> <pair>
+  local out=$work/runs/out_$1 kind=untraced
+  if ((trace)); then kind=traced; fi
+  rm -f "$out/result_${3}_$kind.json"
   (cd "$2" && "$work/$1_target/release/vflash-benchmark" --workload "$3" \
-    --seed "$seed" --seconds "$seconds" --trace "$trace" --out "$work/runs/out_$1" \
+    --seed "$seed" --seconds "$seconds" --trace "$trace" --out "$out" \
     2>/dev/null | tail -n 1) >"$work/runs/${3}_s${seed}_t${trace}_$1_$4.json"
+  # The result file carries the simulated fingerprint; keep each run's.
+  cp "$out/result_${3}_$kind.json" "$work/runs/${3}_s${seed}_t${trace}_$1_$4.result.json"
 }
 
 status=0
@@ -108,6 +114,13 @@ for side, results in sides.items():
 
 summary = {}
 print(f"{tag}: {pairs} alternating pairs, parent vs change (q1 / median / q3)")
+fingerprints = sorted({json.load(open(f"{runs}/{tag}_{side}_{pair}.result.json"))["fingerprint"]
+                       for side in sides for pair in range(1, pairs + 1)})
+if len(fingerprints) == 1:
+    print(f"  {'fingerprint':34} identical in all {2 * pairs} runs: {fingerprints[0]}")
+else:
+    print(f"FAIL: the simulated fingerprint differs between runs: {fingerprints}")
+    bad = True
 for name in sides["parent"][0]["metrics"]:
     column = {side: [r["metrics"][name]["value"] for r in results] for side, results in sides.items()}
     distinct = set(map(repr, column["parent"] + column["change"]))
@@ -131,7 +144,9 @@ for name in sides["parent"][0]["metrics"]:
     keys = ("q1", "median", "q3")
     summary[name] = {"parent": dict(zip(keys, parent)), "change": dict(zip(keys, change)),
                      "median_ratio": ratio, "change_wins": wins, "parent_wins": losses}
-json.dump({"pairs": pairs, "ok": not bad, "metrics": summary}, open(sys.argv[5], "w"), indent=1)
+fingerprint = fingerprints[0] if len(fingerprints) == 1 else fingerprints
+json.dump({"pairs": pairs, "ok": not bad, "fingerprint": fingerprint, "metrics": summary},
+          open(sys.argv[5], "w"), indent=1)
 sys.exit(1 if bad else 0)
 PY
 done

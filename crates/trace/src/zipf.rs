@@ -98,7 +98,7 @@ impl Zipf {
     /// back, then forward, to that partition point, so the answer does not
     /// depend on how the slot thresholds round. An exact tie (`u` equal to a CDF
     /// value, possibly on a plateau of equal values) takes the binary search's
-    /// answer, which is what every draw returned before the guide existed.
+    /// answer, so ties resolve exactly as a binary search over the CDF does.
     #[inline]
     fn rank_of(&self, u: f64) -> usize {
         let n = self.cdf.len();
@@ -135,8 +135,8 @@ mod tests {
     }
 
     /// The exponents the workspace samples, the uniform and near-uniform ends,
-    /// and `s = 60`, whose CDF is a plateau of equal values past the first few
-    /// ranks.
+    /// and `s = 60`, whose CDF is one plateau of equal values (every term past
+    /// the first is lost against it).
     const EXPONENTS: [f64; 8] = [0.0, 0.5, 0.8, 0.9, 0.99, 1.0, 1.1, 60.0];
 
     proptest! {

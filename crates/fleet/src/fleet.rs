@@ -1,26 +1,27 @@
-//! The fleet and its driver: one drive loop replaying a trace against N
+//! The fleet and its replay: one drive loop replaying a trace against N
 //! devices on a shared virtual clock.
 //!
 //! # Clock sharing
 //!
-//! The timing rule is `vflash-sim`'s, called rather than copied: the fleet is N
-//! engine lanes under one calendar. One [`HostCalendar`] carries the arrival
-//! discipline for the whole fleet — closed-loop slot waits, open-loop arrival
-//! scaling and retirement, the backlog statistics — exactly as it does for the
-//! single-device [`WorkloadDriver`](vflash_sim::WorkloadDriver). Each lane has
-//! its own [`LaneState`]: per-chip ready clocks, latency histograms, and the
-//! page-chain, record and summary rules. What this module adds is only what is
-//! host-tier: a multi-page host request splits into per-lane stripe chains
-//! ([`StripeMap`] routing) — pages on the same lane serialise (one dependent
-//! [`PageChain`] against that lane's chips), stripes on different lanes run in
-//! parallel, and the request completes at the **max over its stripes**, which
-//! is where fan-out tail amplification comes from — plus the cache intercept,
-//! the QoS dispatch order and the fan-out/stripe/tenant accounting.
+//! The timing rule is `vflash-sim`'s, called rather than copied: a [`Fleet`]
+//! is a [`Replay`] target of the one [`WorkloadDriver`], N engine lanes under
+//! one calendar. One [`HostCalendar`] carries the arrival discipline for the
+//! whole fleet — closed-loop slot waits, open-loop arrival scaling and
+//! retirement, the backlog statistics — exactly as it does for one device.
+//! Each lane has its own [`LaneState`]: per-chip ready clocks, latency
+//! histograms, and the page-chain, record and summary rules. What this module
+//! adds is only what is host-tier: a multi-page host request splits into
+//! per-lane stripe chains ([`StripeMap`] routing) — pages on the same lane
+//! serialise (one dependent [`PageChain`] against that lane's chips), stripes
+//! on different lanes run in parallel, and the request completes at the **max
+//! over its stripes**, which is where fan-out tail amplification comes from —
+//! plus the cache intercept, the QoS dispatch order and the
+//! fan-out/stripe/tenant accounting.
 //!
 //! # The fleet-of-1 guarantee
 //!
 //! A 1-wide fleet with the cache disabled and a single tenant reproduces the
-//! single-device [`WorkloadDriver`](vflash_sim::WorkloadDriver) **bit-for-bit** — same per-lane
+//! [`WorkloadDriver`]'s replay of one device **bit-for-bit** — same per-lane
 //! [`RunSummary`], same device state — on both FTLs and every discipline. The
 //! stripe map at width 1 is the identity, the per-request stripe chain is then
 //! the engine's single dependent chain through the same `LaneState`, and the
@@ -44,8 +45,8 @@
 use vflash_ftl::{FlashTranslationLayer, FtlError, Lpn};
 use vflash_nand::Nanos;
 use vflash_sim::{
-    prefill, ArrivalDiscipline, HostCalendar, LaneState, LatencyHistogram, PageChain, RunOptions,
-    RunSummary,
+    prefill, ArrivalDiscipline, HostCalendar, LaneState, LatencyHistogram, PageChain, Replay,
+    RunSummary, WorkloadDriver,
 };
 use vflash_trace::{IoOp, PageSplitter, Trace};
 
@@ -81,8 +82,8 @@ impl Default for FleetConfig {
 /// ```
 /// use vflash_ftl::{ConventionalFtl, FtlConfig};
 /// use vflash_nand::{NandConfig, NandDevice};
-/// use vflash_fleet::{Fleet, FleetConfig, FleetDriver};
-/// use vflash_sim::RunOptions;
+/// use vflash_fleet::{Fleet, FleetConfig};
+/// use vflash_sim::{RunOptions, WorkloadDriver};
 /// use vflash_trace::synthetic::{self, SyntheticConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -106,7 +107,7 @@ impl Default for FleetConfig {
 ///     working_set_bytes: 2 * 1024 * 1024,
 ///     ..Default::default()
 /// });
-/// let summary = FleetDriver::closed_loop(RunOptions::default(), 4)
+/// let summary = WorkloadDriver::closed_loop(RunOptions::default(), 4)
 ///     .run_mut(&mut fleet, &trace)?;
 /// assert_eq!(summary.width, 2);
 /// assert_eq!(summary.host_requests, 300);
@@ -176,296 +177,226 @@ impl<F: FlashTranslationLayer> Fleet<F> {
     }
 }
 
-/// The fleet workload driver: replays a [`Trace`] against a [`Fleet`] under
-/// the engine's [`ArrivalDiscipline`]s and reports a [`FleetSummary`].
-///
-/// Construction mirrors [`WorkloadDriver`](vflash_sim::WorkloadDriver) exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetDriver {
-    options: RunOptions,
-    discipline: ArrivalDiscipline,
-}
+impl<F: FlashTranslationLayer> Replay for Fleet<F> {
+    type Summary = FleetSummary;
 
-impl FleetDriver {
-    /// A driver with explicit options and discipline.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero queue depth or a non-positive/non-finite rate scale
-    /// (the engine's [`ArrivalDiscipline::validate`], so both drivers reject the
-    /// same inputs).
-    pub fn new(options: RunOptions, discipline: ArrivalDiscipline) -> Self {
-        discipline.validate();
-        FleetDriver { options, discipline }
-    }
-
-    /// A closed-loop (saturation) driver at the given queue depth.
-    pub fn closed_loop(options: RunOptions, queue_depth: usize) -> Self {
-        FleetDriver::new(options, ArrivalDiscipline::ClosedLoop { queue_depth })
-    }
-
-    /// An open-loop (arrival-time) driver at the given rate scale.
-    pub fn open_loop(options: RunOptions, rate_scale: f64) -> Self {
-        FleetDriver::new(options, ArrivalDiscipline::OpenLoop { rate_scale })
-    }
-
-    /// The replay options.
-    pub fn options(&self) -> &RunOptions {
-        &self.options
-    }
-
-    /// The arrival discipline.
-    pub fn discipline(&self) -> ArrivalDiscipline {
-        self.discipline
-    }
-
-    /// Replays `trace` against `fleet`, consuming it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FTL errors from any lane; see [`WorkloadDriver::run`](vflash_sim::WorkloadDriver::run).
-    pub fn run<F: FlashTranslationLayer>(
-        &self,
-        mut fleet: Fleet<F>,
-        trace: &Trace,
-    ) -> Result<FleetSummary, FtlError> {
-        self.run_mut(&mut fleet, trace)
-    }
-
-    /// Like [`FleetDriver::run`] but borrows the fleet, so callers can inspect
-    /// or reuse the lanes afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FTL errors from any lane.
-    pub fn run_mut<F: FlashTranslationLayer>(
-        &self,
-        fleet: &mut Fleet<F>,
-        trace: &Trace,
-    ) -> Result<FleetSummary, FtlError> {
+    fn replay(&mut self, driver: &WorkloadDriver, trace: &Trace) -> Result<FleetSummary, FtlError> {
         // The engine's warm-up, routed by the stripe map.
-        let stripe = fleet.stripe;
-        let mut lanes: Vec<&mut F> = fleet.lanes.iter_mut().collect();
+        let stripe = self.stripe;
+        let mut lanes: Vec<&mut F> = self.lanes.iter_mut().collect();
         let space = stripe.fleet_pages();
-        prefill(&self.options, &mut lanes, trace, space, |page| stripe.locate(page))?;
+        prefill(driver.options(), &mut lanes, trace, space, |page| stripe.locate(page))?;
 
-        let trace_ops = self.discipline.needs_op_tracing();
+        let trace_ops = driver.discipline().needs_op_tracing();
         if trace_ops {
-            for lane in &mut fleet.lanes {
+            for lane in &mut self.lanes {
                 lane.device_mut().set_op_tracing(true);
             }
         }
-        let outcome = self.drive(fleet, trace);
+        let outcome = drive(driver, self, trace);
         if trace_ops {
-            for lane in &mut fleet.lanes {
+            for lane in &mut self.lanes {
                 lane.device_mut().set_op_tracing(false);
             }
         }
         outcome
     }
+}
 
-    /// The drive loop: the calendar issues each request, the request fans out
-    /// over per-lane stripe chains, and completes at the max over them.
-    fn drive<F: FlashTranslationLayer>(
-        &self,
-        fleet: &mut Fleet<F>,
-        trace: &Trace,
-    ) -> Result<FleetSummary, FtlError> {
-        let page_size = fleet.lanes[0].device().config().page_size_bytes();
-        let pages = PageSplitter::new(page_size);
-        let stripe = fleet.stripe;
-        let width = stripe.width();
-        let fleet_pages = stripe.fleet_pages();
-        let tenants = fleet.config.tenants.clone();
-        let tenant_count = tenants.len();
+/// The drive loop: the calendar issues each request, the request fans out
+/// over per-lane stripe chains, and completes at the max over them.
+fn drive<F: FlashTranslationLayer>(
+    driver: &WorkloadDriver,
+    fleet: &mut Fleet<F>,
+    trace: &Trace,
+) -> Result<FleetSummary, FtlError> {
+    let discipline = driver.discipline();
+    let page_size = fleet.lanes[0].device().config().page_size_bytes();
+    let pages = PageSplitter::new(page_size);
+    let stripe = fleet.stripe;
+    let width = stripe.width();
+    let fleet_pages = stripe.fleet_pages();
+    let tenants = fleet.config.tenants.clone();
+    let tenant_count = tenants.len();
 
-        let mut lanes: Vec<LaneState> = fleet
-            .lanes
-            .iter()
-            .map(|lane| LaneState::new(lane, &self.options, self.discipline))
-            .collect();
-        let mut calendar = HostCalendar::new(self.discipline);
+    let mut lanes: Vec<LaneState> =
+        fleet.lanes.iter().map(|lane| LaneState::new(lane, driver.options(), discipline)).collect();
+    let mut calendar = HostCalendar::new(discipline);
 
-        let mut cache = fleet.config.cache.map(WritebackCache::new);
-        let write_around_bytes =
-            fleet.config.cache.map(|config| config.write_around_bytes).unwrap_or(u32::MAX);
+    let mut cache = fleet.config.cache.map(WritebackCache::new);
+    let write_around_bytes =
+        fleet.config.cache.map(|config| config.write_around_bytes).unwrap_or(u32::MAX);
 
-        let mut fanout_read = LatencyHistogram::new();
-        let mut fanout_write = LatencyHistogram::new();
-        let mut stripe_read = LatencyHistogram::new();
-        let mut stripe_write = LatencyHistogram::new();
-        let mut tenant_latencies: Vec<LatencyHistogram> =
-            (0..tenant_count).map(|_| LatencyHistogram::new()).collect();
-        let mut tenant_requests = vec![0u64; tenant_count];
-        let mut tenant_last = vec![Nanos::ZERO; tenant_count];
+    let mut fanout_read = LatencyHistogram::new();
+    let mut fanout_write = LatencyHistogram::new();
+    let mut stripe_read = LatencyHistogram::new();
+    let mut stripe_write = LatencyHistogram::new();
+    let mut tenant_latencies: Vec<LatencyHistogram> =
+        (0..tenant_count).map(|_| LatencyHistogram::new()).collect();
+    let mut tenant_requests = vec![0u64; tenant_count];
+    let mut tenant_last = vec![Nanos::ZERO; tenant_count];
 
-        let mut last_completion = Nanos::ZERO;
-        let mut requests = 0u64;
+    let mut last_completion = Nanos::ZERO;
+    let mut requests = 0u64;
 
-        // Per-request scratch, allocated once.
-        let mut chains: Vec<Option<PageChain>> = vec![None; width];
-        let mut touched: Vec<usize> = Vec::with_capacity(width);
+    // Per-request scratch, allocated once.
+    let mut chains: Vec<Option<PageChain>> = vec![None; width];
+    let mut touched: Vec<usize> = Vec::with_capacity(width);
 
-        // Closed loop with several tenants dispatches via weighted-share QoS
-        // over per-tenant FIFOs; one tenant (or open loop, where arrivals set
-        // the order) replays the trace in order.
-        let order = match self.discipline {
-            ArrivalDiscipline::ClosedLoop { .. } => dispatch_order(&tenants, trace.len()),
-            ArrivalDiscipline::OpenLoop { .. } => (0..trace.len()).collect(),
-        };
-        let all_requests = trace.requests();
+    // Closed loop with several tenants dispatches via weighted-share QoS
+    // over per-tenant FIFOs; one tenant (or open loop, where arrivals set
+    // the order) replays the trace in order.
+    let order = match discipline {
+        ArrivalDiscipline::ClosedLoop { .. } => dispatch_order(&tenants, trace.len()),
+        ArrivalDiscipline::OpenLoop { .. } => (0..trace.len()).collect(),
+    };
+    let all_requests = trace.requests();
 
-        for &request_index in &order {
-            let request = &all_requests[request_index];
-            let tenant = request_index % tenant_count;
+    for &request_index in &order {
+        let request = &all_requests[request_index];
+        let tenant = request_index % tenant_count;
 
-            let issue = calendar.issue(request.at_nanos);
+        let issue = calendar.issue(request.at_nanos);
 
-            let mut cache_now = issue.at;
-            let mut cache_touched = false;
+        let mut cache_now = issue.at;
+        let mut cache_touched = false;
 
-            for page in pages.pages(request) {
-                let fleet_lpn = page % fleet_pages;
-                let (lane_index, offset) = stripe.locate(fleet_lpn);
+        for page in pages.pages(request) {
+            let fleet_lpn = page % fleet_pages;
+            let (lane_index, offset) = stripe.locate(fleet_lpn);
 
-                // Host cache first: read hits and absorbed writes never reach
-                // a device; write-arounds invalidate and fall through.
-                if let Some(cache) = cache.as_mut() {
-                    match request.op {
-                        IoOp::Read => {
-                            if cache.read(fleet_lpn) {
-                                cache_now += HIT_LATENCY;
-                                cache_touched = true;
-                                continue;
-                            }
-                        }
-                        IoOp::Write => {
-                            if request.length < write_around_bytes {
-                                let evicted = cache.write(fleet_lpn);
-                                cache_now += HIT_LATENCY;
-                                cache_touched = true;
-                                // Background writebacks, in order: the dirty
-                                // page this insert evicted (if any), then
-                                // whatever the dirty-ratio flush drains.
-                                let flushed = cache.flush_to_threshold();
-                                for victim in evicted.into_iter().chain(flushed.iter().copied()) {
-                                    let (wb_lane, wb_offset) = stripe.locate(victim);
-                                    lanes[wb_lane].play_background_write(
-                                        &mut fleet.lanes[wb_lane],
-                                        issue.at,
-                                        Lpn(wb_offset),
-                                        page_size as u32,
-                                    )?;
-                                }
-                                continue;
-                            }
-                            cache.write_around(fleet_lpn);
+            // Host cache first: read hits and absorbed writes never reach
+            // a device; write-arounds invalidate and fall through.
+            if let Some(cache) = cache.as_mut() {
+                match request.op {
+                    IoOp::Read => {
+                        if cache.read(fleet_lpn) {
+                            cache_now += HIT_LATENCY;
+                            cache_touched = true;
+                            continue;
                         }
                     }
-                }
-
-                // Open the lane's chain before submitting, so requests whose
-                // every page is skipped (unmapped reads with prefill off)
-                // still record a zero-latency stripe — the engine counts them
-                // too.
-                let state = &mut lanes[lane_index];
-                let chain = chains[lane_index].get_or_insert_with(|| {
-                    touched.push(lane_index);
-                    state.begin(issue.at)
-                });
-                state.play_page(
-                    &mut fleet.lanes[lane_index],
-                    chain,
-                    request.op,
-                    Lpn(offset),
-                    request.length,
-                )?;
-            }
-
-            // A request that produced neither cache traffic nor device pages
-            // (an empty byte range) still completes: park it on lane 0 with a
-            // zero-length chain so the accounting matches the engine's.
-            if touched.is_empty() && !cache_touched {
-                chains[0] = Some(lanes[0].begin(issue.at));
-                touched.push(0);
-            }
-
-            let mut completion = cache_now;
-            for lane_index in touched.drain(..) {
-                let chain = chains[lane_index].take().expect("touched lanes have chains");
-                let sub_latency = lanes[lane_index].record(request.op, issue, &chain);
-                match request.op {
-                    IoOp::Read => stripe_read.record(sub_latency),
-                    IoOp::Write => stripe_write.record(sub_latency),
-                }
-                if chain.now > completion {
-                    completion = chain.now;
+                    IoOp::Write => {
+                        if request.length < write_around_bytes {
+                            let evicted = cache.write(fleet_lpn);
+                            cache_now += HIT_LATENCY;
+                            cache_touched = true;
+                            // Background writebacks, in order: the dirty
+                            // page this insert evicted (if any), then
+                            // whatever the dirty-ratio flush drains.
+                            let flushed = cache.flush_to_threshold();
+                            for victim in evicted.into_iter().chain(flushed.iter().copied()) {
+                                let (wb_lane, wb_offset) = stripe.locate(victim);
+                                lanes[wb_lane].play_background_write(
+                                    &mut fleet.lanes[wb_lane],
+                                    issue.at,
+                                    Lpn(wb_offset),
+                                    page_size as u32,
+                                )?;
+                            }
+                            continue;
+                        }
+                        cache.write_around(fleet_lpn);
+                    }
                 }
             }
 
-            let latency = completion.saturating_sub(issue.at);
-            match request.op {
-                IoOp::Read => fanout_read.record(latency),
-                IoOp::Write => fanout_write.record(latency),
-            }
-            tenant_latencies[tenant].record(latency);
-            tenant_requests[tenant] += 1;
-            if completion > tenant_last[tenant] {
-                tenant_last[tenant] = completion;
-            }
-            if completion > last_completion {
-                last_completion = completion;
-            }
-            calendar.schedule_completion(completion);
-            requests += 1;
+            // Open the lane's chain before submitting, so requests whose
+            // every page is skipped (unmapped reads with prefill off)
+            // still record a zero-latency stripe — the engine counts them
+            // too.
+            let state = &mut lanes[lane_index];
+            let chain = chains[lane_index].get_or_insert_with(|| {
+                touched.push(lane_index);
+                state.begin(issue.at)
+            });
+            state.play_page(
+                &mut fleet.lanes[lane_index],
+                chain,
+                request.op,
+                Lpn(offset),
+                request.length,
+            )?;
         }
 
-        let lane_summaries: Vec<RunSummary> = lanes
-            .into_iter()
-            .zip(&fleet.lanes)
-            .map(|(state, lane)| {
-                state.finish(
-                    lane,
-                    trace.name(),
-                    calendar.peak_outstanding(),
-                    calendar.busy_arrivals(),
-                )
-            })
-            .collect();
+        // A request that produced neither cache traffic nor device pages
+        // (an empty byte range) still completes: park it on lane 0 with a
+        // zero-length chain so the accounting matches the engine's.
+        if touched.is_empty() && !cache_touched {
+            chains[0] = Some(lanes[0].begin(issue.at));
+            touched.push(0);
+        }
 
-        let tenant_summaries: Vec<TenantSummary> = tenants
-            .iter()
-            .enumerate()
-            .map(|(index, tenant)| TenantSummary {
-                name: tenant.name.clone(),
-                weight: tenant.weight,
-                requests: tenant_requests[index],
-                latency: tenant_latencies[index].percentiles(),
-                last_completion: tenant_last[index],
-            })
-            .collect();
+        let mut completion = cache_now;
+        for lane_index in touched.drain(..) {
+            let chain = chains[lane_index].take().expect("touched lanes have chains");
+            let sub_latency = lanes[lane_index].record(request.op, issue, &chain);
+            match request.op {
+                IoOp::Read => stripe_read.record(sub_latency),
+                IoOp::Write => stripe_write.record(sub_latency),
+            }
+            if chain.now > completion {
+                completion = chain.now;
+            }
+        }
 
-        Ok(FleetSummary {
-            ftl: fleet.lanes[0].name().to_string(),
-            trace: trace.name().to_string(),
-            width,
-            // Every lane ran under the one discipline; report its labels.
-            mode: lane_summaries[0].mode,
-            queue_depth: lane_summaries[0].queue_depth,
-            lanes: lane_summaries,
-            host_requests: requests,
-            host_elapsed: last_completion,
-            offered_duration: calendar.offered_duration(),
-            peak_queue_depth: calendar.peak_outstanding(),
-            busy_arrivals: calendar.busy_arrivals(),
-            fanout_read_latency: fanout_read.percentiles(),
-            fanout_write_latency: fanout_write.percentiles(),
-            stripe_read_latency: stripe_read.percentiles(),
-            stripe_write_latency: stripe_write.percentiles(),
-            cache: cache.map(|cache| cache.stats()).unwrap_or_default(),
-            tenants: tenant_summaries,
-        })
+        let latency = completion.saturating_sub(issue.at);
+        match request.op {
+            IoOp::Read => fanout_read.record(latency),
+            IoOp::Write => fanout_write.record(latency),
+        }
+        tenant_latencies[tenant].record(latency);
+        tenant_requests[tenant] += 1;
+        if completion > tenant_last[tenant] {
+            tenant_last[tenant] = completion;
+        }
+        if completion > last_completion {
+            last_completion = completion;
+        }
+        calendar.schedule_completion(completion);
+        requests += 1;
     }
+
+    let lane_summaries: Vec<RunSummary> = lanes
+        .into_iter()
+        .zip(&fleet.lanes)
+        .map(|(state, lane)| {
+            state.finish(lane, trace.name(), calendar.peak_outstanding(), calendar.busy_arrivals())
+        })
+        .collect();
+
+    let tenant_summaries: Vec<TenantSummary> = tenants
+        .iter()
+        .enumerate()
+        .map(|(index, tenant)| TenantSummary {
+            name: tenant.name.clone(),
+            weight: tenant.weight,
+            requests: tenant_requests[index],
+            latency: tenant_latencies[index].percentiles(),
+            last_completion: tenant_last[index],
+        })
+        .collect();
+
+    Ok(FleetSummary {
+        ftl: fleet.lanes[0].name().to_string(),
+        trace: trace.name().to_string(),
+        width,
+        // Every lane ran under the one discipline; report its labels.
+        mode: lane_summaries[0].mode,
+        queue_depth: lane_summaries[0].queue_depth,
+        lanes: lane_summaries,
+        host_requests: requests,
+        host_elapsed: last_completion,
+        offered_duration: calendar.offered_duration(),
+        peak_queue_depth: calendar.peak_outstanding(),
+        busy_arrivals: calendar.busy_arrivals(),
+        fanout_read_latency: fanout_read.percentiles(),
+        fanout_write_latency: fanout_write.percentiles(),
+        stripe_read_latency: stripe_read.percentiles(),
+        stripe_write_latency: stripe_write.percentiles(),
+        cache: cache.map(|cache| cache.stats()).unwrap_or_default(),
+        tenants: tenant_summaries,
+    })
 }
 
 #[cfg(test)]
@@ -473,7 +404,7 @@ mod tests {
     use super::*;
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
-    use vflash_sim::WorkloadDriver;
+    use vflash_sim::RunOptions;
     use vflash_trace::synthetic::{self, SyntheticConfig};
     use vflash_trace::IoRequest;
 
@@ -501,13 +432,9 @@ mod tests {
     #[test]
     fn fleet_of_one_matches_the_engine_bit_for_bit() {
         let trace = web_trace(400);
-        let single = WorkloadDriver::closed_loop(RunOptions::default(), 1)
-            .run(lane(), &trace)
-            .unwrap();
-        let mut fleet = Fleet::new(vec![lane()], FleetConfig::default());
-        let summary = FleetDriver::closed_loop(RunOptions::default(), 1)
-            .run_mut(&mut fleet, &trace)
-            .unwrap();
+        let driver = WorkloadDriver::closed_loop(RunOptions::default(), 1);
+        let single = driver.run(lane(), &trace).unwrap();
+        let summary = driver.run(Fleet::new(vec![lane()], FleetConfig::default()), &trace).unwrap();
         assert_eq!(summary.lanes[0], single);
         assert_eq!(summary.host_requests, single.host_requests);
         assert_eq!(summary.host_elapsed, single.host_elapsed);
@@ -519,8 +446,9 @@ mod tests {
     fn wider_fleets_serve_every_request_and_fan_out() {
         let trace = web_trace(400);
         let mut fleet = Fleet::new(vec![lane(), lane(), lane()], FleetConfig::default());
-        let summary =
-            FleetDriver::open_loop(RunOptions::default(), 1.0).run_mut(&mut fleet, &trace).unwrap();
+        let summary = WorkloadDriver::open_loop(RunOptions::default(), 1.0)
+            .run_mut(&mut fleet, &trace)
+            .unwrap();
         assert_eq!(summary.width, 3);
         assert_eq!(summary.host_requests, 400);
         let lane_requests: u64 = summary.lanes.iter().map(|lane| lane.host_requests).sum();
@@ -538,7 +466,7 @@ mod tests {
             .map(|i| IoRequest::new(i * 1_000, IoOp::Write, (i % 4) * 8192, 8192))
             .collect();
         let trace = Trace::new("hammer", requests);
-        let driver = FleetDriver::closed_loop(RunOptions::default(), 1);
+        let driver = WorkloadDriver::closed_loop(RunOptions::default(), 1);
 
         let mut plain = Fleet::new(vec![lane(), lane()], FleetConfig::default());
         let without = driver.run_mut(&mut plain, &trace).unwrap();
@@ -575,7 +503,7 @@ mod tests {
                 ..FleetConfig::default()
             },
         );
-        let summary = FleetDriver::closed_loop(RunOptions::default(), 1)
+        let summary = WorkloadDriver::closed_loop(RunOptions::default(), 1)
             .run_mut(&mut fleet, &trace)
             .unwrap();
         assert_eq!(summary.cache.write_arounds, 50);
@@ -597,7 +525,7 @@ mod tests {
                 ..FleetConfig::default()
             },
         );
-        let summary = FleetDriver::closed_loop(RunOptions::default(), 4)
+        let summary = WorkloadDriver::closed_loop(RunOptions::default(), 4)
             .run_mut(&mut fleet, &trace)
             .unwrap();
         assert_eq!(summary.tenants.len(), 3);
@@ -653,8 +581,8 @@ mod tests {
         let tenants = vec![TenantWeight::new("gold", 1), TenantWeight::new("idle", 0)];
         let trace = web_trace(50);
         for driver in [
-            FleetDriver::closed_loop(RunOptions::default(), 4),
-            FleetDriver::open_loop(RunOptions::default(), 1.0),
+            WorkloadDriver::closed_loop(RunOptions::default(), 4),
+            WorkloadDriver::open_loop(RunOptions::default(), 1.0),
         ] {
             let mut assembled = false;
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -14,19 +14,21 @@
 //! single-device run.
 
 use vflash_ftl::{FlashTranslationLayer, FtlError};
-use vflash_sim::{FtlJob, RunOptions, RunSpec};
+use vflash_sim::{FtlJob, RunOptions, RunSpec, WorkloadDriver};
 
-use crate::fleet::{Fleet, FleetConfig, FleetDriver};
+use crate::fleet::{Fleet, FleetConfig};
 use crate::summary::FleetSummary;
 
 /// Runs one spec at its fleet width: [`RunSpec::fleet_width`] lanes built by
 /// [`RunSpec::with_ftl`], the spec's trace replayed through the host tier
-/// (cache off, single tenant). The warm-up fraction does not apply.
+/// (cache off, single tenant).
 ///
 /// # Errors
 ///
-/// Propagates FTL construction and replay errors from any lane; a KV source
-/// or a zero width is [`FtlError::InvalidConfig`].
+/// Propagates FTL construction and replay errors from any lane; a KV source,
+/// a zero width, a warm-up fraction (which does not apply) and a discipline
+/// [`ArrivalDiscipline::validate`](vflash_sim::ArrivalDiscipline::validate)
+/// rejects are [`FtlError::InvalidConfig`].
 pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
     struct Stripe<'s, 'a>(&'s RunSpec<'a>);
     impl FtlJob for Stripe<'_, '_> {
@@ -37,13 +39,18 @@ pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
         ) -> Result<FleetSummary, FtlError> {
             let trace = self.0.trace()?;
             let lanes = (0..self.0.fleet_width).map(|_| build()).collect::<Result<Vec<F>, _>>()?;
-            FleetDriver::new(RunOptions::default(), self.0.discipline)
+            WorkloadDriver::new(RunOptions::default(), self.0.discipline)
                 .run(Fleet::new(lanes, FleetConfig::default()), &trace)
         }
     }
+    let refused = |reason: &str| Err(FtlError::InvalidConfig { reason: reason.into() });
     if spec.fleet_width == 0 {
-        return Err(FtlError::InvalidConfig { reason: "a fleet needs at least one lane".into() });
+        return refused("a fleet needs at least one lane");
     }
+    if spec.warmup_fraction != 0.0 {
+        return refused("run_fleet_cell replays no warm-up: leave warmup_fraction at 0");
+    }
+    spec.discipline.validate()?;
     spec.with_ftl(Stripe(spec))
 }
 
@@ -51,7 +58,9 @@ pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
 mod tests {
     use super::*;
     use vflash_sim::experiments::{ExperimentScale, Workload};
-    use vflash_sim::{run_spec, ExperimentGrid, KvSource, ParallelRunner, ReplayMode};
+    use vflash_sim::{
+        run_spec, ArrivalDiscipline, ExperimentGrid, KvSource, ParallelRunner, ReplayMode,
+    };
 
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
@@ -107,6 +116,25 @@ mod tests {
         let kv = RunSpec::new(KvSource { key_space: 100, io_depth: 1 }, tiny_scale());
         for refused in [RunSpec { fleet_width: 0, ..spec }, kv] {
             let outcome = run_fleet_cell(&refused);
+            assert!(matches!(outcome, Err(FtlError::InvalidConfig { .. })), "{outcome:?}");
+        }
+    }
+
+    #[test]
+    fn a_bad_discipline_and_a_warmup_are_refused() {
+        // A bad discipline used to panic inside the driver's constructor, and
+        // a warm-up fraction was silently ignored.
+        let spec = RunSpec::new(Workload::WebSqlServer, tiny_scale());
+        let refused = [
+            ArrivalDiscipline::ClosedLoop { queue_depth: 0 },
+            ArrivalDiscipline::OpenLoop { rate_scale: -1.0 },
+            ArrivalDiscipline::OpenLoop { rate_scale: f64::INFINITY },
+        ]
+        .map(|discipline| RunSpec { discipline, ..spec })
+        .into_iter()
+        .chain([RunSpec { warmup_fraction: 0.25, ..spec }]);
+        for spec in refused {
+            let outcome = run_fleet_cell(&spec);
             assert!(matches!(outcome, Err(FtlError::InvalidConfig { .. })), "{outcome:?}");
         }
     }

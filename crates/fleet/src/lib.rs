@@ -16,9 +16,10 @@
 //!   large cold streams),
 //! * per-tenant submission queues with weighted-share scheduling
 //!   ([`WeightedShares`] / [`dispatch_order`]),
-//! * a [`FleetDriver`] replaying a [`Trace`](vflash_trace::Trace) against the
-//!   fleet under the same arrival disciplines as the single-device
-//!   [`WorkloadDriver`](vflash_sim::WorkloadDriver), and
+//! * the fleet's drive loop: a [`Fleet`] is a [`Replay`](vflash_sim::Replay)
+//!   target, so the one [`WorkloadDriver`](vflash_sim::WorkloadDriver) replays
+//!   a [`Trace`](vflash_trace::Trace) against it under the same arrival
+//!   disciplines, options and discipline check as against one device, and
 //! * a [`FleetSummary`] reporting per-lane [`RunSummary`](vflash_sim::RunSummary)
 //!   rows next to fleet-level fan-out latency (max over the stripes each
 //!   request touched) so tail amplification is directly measurable.
@@ -32,10 +33,10 @@
 //! # Example
 //!
 //! ```
-//! use vflash_fleet::{Fleet, FleetConfig, FleetDriver};
+//! use vflash_fleet::{Fleet, FleetConfig};
 //! use vflash_ftl::{ConventionalFtl, FtlConfig};
 //! use vflash_nand::{NandConfig, NandDevice};
-//! use vflash_sim::{ArrivalDiscipline, RunOptions};
+//! use vflash_sim::{ArrivalDiscipline, RunOptions, WorkloadDriver};
 //! use vflash_trace::synthetic::{self, SyntheticConfig};
 //!
 //! # fn main() -> Result<(), vflash_ftl::FtlError> {
@@ -44,7 +45,7 @@
 //!     .collect::<Result<_, _>>()?;
 //! let fleet = Fleet::new(lanes, FleetConfig::default());
 //! let trace = synthetic::web_sql_server(SyntheticConfig { requests: 200, ..SyntheticConfig::default() });
-//! let driver = FleetDriver::new(RunOptions::default(), ArrivalDiscipline::ClosedLoop { queue_depth: 8 });
+//! let driver = WorkloadDriver::new(RunOptions::default(), ArrivalDiscipline::ClosedLoop { queue_depth: 8 });
 //! let summary = driver.run(fleet, &trace)?;
 //! assert_eq!(summary.width, 4);
 //! assert_eq!(summary.host_requests, 200);
@@ -63,8 +64,11 @@ mod stripe;
 mod summary;
 
 pub use cache::{CacheConfig, CacheStats, WritebackCache};
-pub use fleet::{Fleet, FleetConfig, FleetDriver};
+pub use fleet::{Fleet, FleetConfig};
 pub use grid::run_fleet_cell;
 pub use qos::{dispatch_order, TenantWeight, WeightedShares};
 pub use stripe::StripeMap;
 pub use summary::{FleetSummary, TenantSummary};
+/// The fleet's former driver type, now the one driver of every tier; the name
+/// stays because the repository benchmark (`benchmark/`) imports it.
+pub use vflash_sim::WorkloadDriver as FleetDriver;

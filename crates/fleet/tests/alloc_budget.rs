@@ -1,5 +1,5 @@
 //! Allocation budget of the fleet drive loop, counted — not timed — so it holds
-//! on any machine. With the cache off a `FleetDriver` run allocates per run, not
+//! on any machine. With the cache off a fleet replay allocates per run, not
 //! per request: a fixed count, plus a handful as the tenant queues behind the
 //! dispatch order double. The writeback cache adds its own tables and the
 //! buffer its dirty-ratio flushes lend their victims from — per run as well,
@@ -8,6 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+// `FleetDriver`, the re-exported `WorkloadDriver`, keeps its old name compiled.
 use vflash_fleet::{CacheConfig, Fleet, FleetConfig, FleetDriver, TenantWeight};
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig};
 use vflash_nand::{NandConfig, NandDevice};

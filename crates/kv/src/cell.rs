@@ -68,15 +68,15 @@ pub struct KvRunSummary {
 /// Runs one KV spec: `scale.requests` operations of the fixed mix, seeded by
 /// `scale.seed` alone, so the same spec yields a bit-identical summary. A
 /// device that turns read-only mid-run ends the run cleanly (`read_only` set,
-/// partial counts reported). The discipline, arrival model, warm-up and fleet
-/// width do not apply. Debug builds check [`KvStore::check_invariants`] — the
-/// device's included — at the end of every run.
+/// partial counts reported). Debug builds check [`KvStore::check_invariants`]
+/// — the device's included — at the end of every run.
 ///
 /// # Errors
 ///
-/// A block source is [`KvError::Ftl`] of [`FtlError::InvalidConfig`]; FTL
-/// construction errors and I/O or corruption errors other than
-/// [`KvError::ReadOnly`] pass through.
+/// A block source, and a discipline, arrival model, warm-up or fleet width
+/// other than [`RunSpec::new`]'s (none of them applies), are [`KvError::Ftl`]
+/// of [`FtlError::InvalidConfig`]; FTL construction errors and I/O or
+/// corruption errors other than [`KvError::ReadOnly`] pass through.
 pub fn run_kv_cell(spec: &RunSpec<'_>) -> Result<KvRunSummary, KvError> {
     struct Drive(KvSource, ExperimentScale);
     impl FtlJob for Drive {
@@ -88,10 +88,22 @@ pub fn run_kv_cell(spec: &RunSpec<'_>) -> Result<KvRunSummary, KvError> {
             Ok(drive(FlashStore::new(build()?), self.0, &self.1))
         }
     }
+    let refused = |reason: String| Err(KvError::Ftl(FtlError::InvalidConfig { reason }));
     let TraceSource::Kv(source) = spec.source else {
-        let reason = format!("run_kv_cell runs a KV source, not {}", spec.source.label());
-        return Err(KvError::Ftl(FtlError::InvalidConfig { reason }));
+        return refused(format!("run_kv_cell runs a KV source, not {}", spec.source.label()));
     };
+    let default = RunSpec::new(source, spec.scale);
+    if spec.discipline != default.discipline
+        || spec.arrival != default.arrival
+        || spec.warmup_fraction != default.warmup_fraction
+        || spec.fleet_width != default.fleet_width
+    {
+        return refused(
+            "run_kv_cell takes no discipline, arrival model, warm-up or fleet width: \
+             leave them at RunSpec::new's"
+                .into(),
+        );
+    }
     spec.with_ftl(Drive(source, spec.scale))?
 }
 
@@ -171,7 +183,8 @@ fn drive<F: FlashTranslationLayer>(
 mod tests {
     use super::*;
     use vflash_sim::experiments::{Classifier, FtlKind, Workload};
-    use vflash_sim::ParallelRunner;
+    use vflash_sim::{ArrivalDiscipline, ParallelRunner};
+    use vflash_trace::synthetic::ArrivalModel;
 
     /// The `--quick` `lsm` cell: 3,000 ops over 2,000 keys on 96 blocks of
     /// 64 × 4 KiB pages. Every cell below ends on `check_invariants` (debug).
@@ -254,6 +267,28 @@ mod tests {
         // The classifier moves placement, never what the application did.
         assert_eq!(counted.stats.puts, sized.stats.puts);
         assert_eq!(counted.stats.app_bytes_written, sized.stats.app_bytes_written);
+    }
+
+    #[test]
+    fn inapplicable_spec_values_are_refused() {
+        // The store runs every op in turn on one device: these used to be
+        // ignored, so a spec asking for them reported a run that lacked them.
+        let spec = smoke(1, 1);
+        let refused = [
+            RunSpec { discipline: ArrivalDiscipline::ClosedLoop { queue_depth: 4 }, ..spec },
+            RunSpec { discipline: ArrivalDiscipline::ClosedLoop { queue_depth: 0 }, ..spec },
+            RunSpec { discipline: ArrivalDiscipline::OpenLoop { rate_scale: 1.0 }, ..spec },
+            RunSpec { arrival: ArrivalModel::MeanRate { iops: 500.0 }, ..spec },
+            RunSpec { warmup_fraction: 0.5, ..spec },
+            RunSpec { fleet_width: 2, ..spec },
+        ];
+        for spec in refused {
+            let outcome = run_kv_cell(&spec);
+            assert!(
+                matches!(outcome, Err(KvError::Ftl(FtlError::InvalidConfig { .. }))),
+                "{spec:?}: {outcome:?}"
+            );
+        }
     }
 
     #[test]

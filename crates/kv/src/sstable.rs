@@ -35,6 +35,7 @@ use crate::flash_file::{FlashStore, SegmentFile};
 use crate::hash::fnv1a_pair;
 use crate::key::{key_prefix, partition_by_prefix, KeyRef};
 use crate::merge::RunSpans;
+use crate::store::Cursor;
 use vflash_ftl::FlashTranslationLayer;
 
 /// Default sparse-index stride: every 16th entry lands in the sparse index
@@ -150,18 +151,13 @@ impl BloomFilter {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, KvError> {
-        let corrupt = || KvError::Corruption("truncated bloom section".to_string());
-        if bytes.len() < 8 {
-            return Err(corrupt());
+        let mut cursor = Cursor::new(bytes);
+        let words = cursor.u32()?;
+        let hashes = cursor.u32()?;
+        if hashes == 0 || words == 0 {
+            return Err(KvError::Corruption("empty bloom section".to_string()));
         }
-        let words = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let hashes = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if bytes.len() < 8 + words * 8 || hashes == 0 || words == 0 {
-            return Err(corrupt());
-        }
-        let words = (0..words)
-            .map(|i| u64::from_le_bytes(bytes[8 + i * 8..16 + i * 8].try_into().unwrap()))
-            .collect();
+        let words = (0..words).map(|_| cursor.u64()).collect::<Result<_, _>>()?;
         Ok(BloomFilter { words, hashes })
     }
 }
@@ -378,36 +374,29 @@ impl TableHandle {
     ///
     /// # Errors
     ///
-    /// [`KvError::Corruption`] when a section fails to decode; read errors pass
-    /// through.
+    /// [`KvError::Corruption`] when the section offsets are out of order or a
+    /// section fails to decode; read errors pass through.
     pub fn recover<F: FlashTranslationLayer>(
         store: &mut FlashStore<F>,
         meta: TableMeta,
     ) -> Result<TableHandle, KvError> {
-        let corrupt = || KvError::Corruption("truncated index section".to_string());
+        if meta.index_off > meta.bloom_off || meta.bloom_off > meta.file.len() {
+            return Err(KvError::Corruption("table section offsets out of order".to_string()));
+        }
         let index_bytes = store.read_range(
             &meta.file,
             meta.index_off,
             (meta.bloom_off - meta.index_off) as usize,
         )?;
-        if index_bytes.len() < 4 {
-            return Err(corrupt());
-        }
-        let count = u32::from_le_bytes(index_bytes[0..4].try_into().unwrap()) as usize;
-        let mut index = Vec::with_capacity(count);
-        let mut at = 4usize;
+        let mut cursor = Cursor::new(index_bytes);
+        let count = cursor.u32()? as usize;
+        // Every index entry takes at least 10 bytes: a corrupt count cannot
+        // reserve more than the section holds.
+        let mut index = Vec::with_capacity(count.min(index_bytes.len() / 10));
         for _ in 0..count {
-            if index_bytes.len() < at + 10 {
-                return Err(corrupt());
-            }
-            let klen = u16::from_le_bytes(index_bytes[at..at + 2].try_into().unwrap()) as usize;
-            let offset = u64::from_le_bytes(index_bytes[at + 2..at + 10].try_into().unwrap());
-            at += 10;
-            if index_bytes.len() < at + klen {
-                return Err(corrupt());
-            }
-            index.push((index_bytes[at..at + klen].to_vec(), offset));
-            at += klen;
+            let klen = cursor.u16()? as usize;
+            let offset = cursor.u64()?;
+            index.push((cursor.take(klen)?.to_vec(), offset));
         }
         let bloom_bytes = store.read_range(
             &meta.file,
@@ -705,6 +694,30 @@ mod tests {
         let recovered = TableHandle::recover(&mut store, table.meta.clone()).unwrap();
         assert_eq!(recovered, table, "index + bloom must round-trip through flash");
         assert_eq!(entries_of(&recovered, &mut store), entries);
+    }
+
+    #[test]
+    fn recover_refuses_section_offsets_out_of_order() {
+        // The section lengths used to be computed unchecked, so these metas
+        // panicked on the subtraction in debug builds.
+        let mut store = store();
+        let table = TableHandle::build(&mut store, 4, &sample_entries(32), TableOptions::default())
+            .unwrap();
+        let meta = table.meta;
+        let beyond = meta.file.len() + 1;
+        for damaged in [
+            TableMeta { index_off: meta.bloom_off, bloom_off: meta.index_off, ..meta.clone() },
+            TableMeta { index_off: beyond, bloom_off: beyond, ..meta.clone() },
+            TableMeta { bloom_off: beyond, ..meta.clone() },
+        ] {
+            let (index_off, bloom_off) = (damaged.index_off, damaged.bloom_off);
+            let outcome = TableHandle::recover(&mut store, damaged);
+            assert!(
+                matches!(outcome, Err(KvError::Corruption(_))),
+                "index {index_off}, bloom {bloom_off}: {outcome:?}"
+            );
+        }
+        assert!(TableHandle::recover(&mut store, meta).is_ok());
     }
 
     #[test]

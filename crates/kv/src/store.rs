@@ -305,7 +305,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         }
         let manifest_extents = cursor.extents()?;
         let manifest_len = cursor.u64()?;
-        let payload_end = cursor.at;
+        let payload_end = cursor.position();
         if cursor.u64()? != checksum64(&superblock[..payload_end]) {
             return Err(KvError::Corruption("superblock checksum mismatch".to_string()));
         }
@@ -972,18 +972,24 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, KvError> {
     })
 }
 
-/// A bounds-checked little-endian reader over a metadata block.
-struct Cursor<'a> {
+/// A bounds-checked little-endian reader over an on-flash block: the
+/// superblock, the manifest, a table's index and bloom sections, a WAL record.
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, at: 0 }
     }
 
-    fn take(&mut self, len: usize) -> Result<&'a [u8], KvError> {
+    /// Bytes read so far.
+    pub(crate) fn position(&self) -> usize {
+        self.at
+    }
+
+    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], KvError> {
         let end = self
             .at
             .checked_add(len)
@@ -994,15 +1000,19 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    fn u16(&mut self) -> Result<u16, KvError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, KvError> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u16(&mut self) -> Result<u16, KvError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("two bytes")))
     }
 
-    fn u32(&mut self) -> Result<u32, KvError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, KvError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("four bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, KvError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, KvError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("eight bytes")))
     }
 

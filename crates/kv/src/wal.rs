@@ -12,6 +12,7 @@
 use crate::error::KvError;
 use crate::flash_file::{FlashStore, SegmentFile};
 use crate::hash::checksum64;
+use crate::store::Cursor;
 use vflash_ftl::FlashTranslationLayer;
 
 /// One logical WAL operation.
@@ -72,35 +73,26 @@ fn encode(epoch: u32, op: &WalOp, out: &mut Vec<u8>) {
 /// valid record of `epoch` — a stale record from an earlier epoch, garbage, or
 /// a truncated tail — which is the replay stop condition.
 fn decode(bytes: &[u8], at: usize, epoch: u32) -> Option<(WalOp, usize)> {
-    let rest = bytes.get(at..)?;
-    if rest.len() < HEADER_BYTES + CHECKSUM_BYTES {
+    let record = bytes.get(at..)?;
+    let mut cursor = Cursor::new(record);
+    if cursor.u32().ok()? != epoch {
         return None;
     }
-    let record_epoch = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-    if record_epoch != epoch {
+    let kind = cursor.u8().ok()?;
+    let klen = cursor.u16().ok()? as usize;
+    let vlen = cursor.u32().ok()? as usize;
+    let key = cursor.take(klen).ok()?;
+    let value = cursor.take(vlen).ok()?;
+    let payload = &record[..cursor.position()];
+    if cursor.u64().ok()? != checksum64(payload) {
         return None;
     }
-    let kind = rest[4];
-    let klen = u16::from_le_bytes(rest[5..7].try_into().unwrap()) as usize;
-    let vlen = u32::from_le_bytes(rest[7..11].try_into().unwrap()) as usize;
-    let total = HEADER_BYTES + klen + vlen + CHECKSUM_BYTES;
-    if rest.len() < total {
-        return None;
-    }
-    let payload = &rest[..HEADER_BYTES + klen + vlen];
-    let stored = u64::from_le_bytes(
-        rest[HEADER_BYTES + klen + vlen..total].try_into().unwrap(),
-    );
-    if checksum64(payload) != stored {
-        return None;
-    }
-    let key = rest[HEADER_BYTES..HEADER_BYTES + klen].to_vec();
     let op = match kind {
-        KIND_PUT => WalOp::Put { key, value: rest[HEADER_BYTES + klen..HEADER_BYTES + klen + vlen].to_vec() },
-        KIND_DELETE if vlen == 0 => WalOp::Delete { key },
+        KIND_PUT => WalOp::Put { key: key.to_vec(), value: value.to_vec() },
+        KIND_DELETE if vlen == 0 => WalOp::Delete { key: key.to_vec() },
         _ => return None,
     };
-    Some((op, total))
+    Some((op, cursor.position()))
 }
 
 /// The write-ahead log: a preallocated region plus the current epoch.

@@ -1,10 +1,10 @@
 //! The host calendar: *when* each request is issued and when it leaves.
 //!
 //! This is the host half of the timing core (the device half is
-//! [`LaneState`](crate::LaneState)). One [`HostCalendar`] serves a whole run,
-//! whether the run drives one device ([`WorkloadDriver`](crate::WorkloadDriver))
-//! or a striped fleet of them (`vflash-fleet`'s `FleetDriver`), and owns the
-//! two things every tier must agree on:
+//! [`LaneState`](crate::LaneState)). One [`HostCalendar`] serves a whole
+//! [`WorkloadDriver`](crate::WorkloadDriver) run, whether it drives one device
+//! or a striped fleet of them (`vflash-fleet`'s `Fleet`), and owns the two
+//! things every tier must agree on:
 //!
 //! * **The issue rule** of the [`ArrivalDiscipline`]. Closed loop: a request
 //!   waits for a queue slot, i.e. issues at the earliest pending completion

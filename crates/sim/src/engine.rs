@@ -14,7 +14,7 @@
 //!   **service time** (time the device actually worked), reported separately in
 //!   the [`RunSummary`], together with offered vs achieved IOPS.
 //!
-//! # One timing core, two callers
+//! # One driver, two replay targets
 //!
 //! The replay rule — issue → retire → dependent page chain against per-chip
 //! clocks → per-request latency split — exists once in this crate, in two
@@ -22,13 +22,15 @@
 //! heap of pending completions (`calendar.rs`); [`LaneState`] plays the
 //! request's pages against one device's chip clocks, records the latency split
 //! and assembles the [`RunSummary`] (`lane.rs`, which also documents the op
-//! overlay). This driver is the first caller: one calendar, **one lane**, one
-//! chain per request. `vflash-fleet`'s `FleetDriver` is the second: one
-//! calendar, N lanes, one chain per lane a request touches, request completion
-//! at the max over its chains. `tests/fleet_equivalence.rs` checks that a lane
-//! of a fleet reports what this driver reports for the same requests, and
-//! `tests/engine_equivalence.rs` checks this driver against two independent,
-//! trivially simple reference loops.
+//! overlay). [`WorkloadDriver`] holds the options and the discipline, and hands
+//! them to whatever it replays against — a [`Replay`] target. Every
+//! [`FlashTranslationLayer`] is one: one calendar, **one lane**, one chain per
+//! request. `vflash-fleet`'s `Fleet` is the other: one calendar, N lanes, one
+//! chain per lane a request touches, request completion at the max over its
+//! chains. `tests/fleet_equivalence.rs` checks that a lane of a fleet reports
+//! what one device reports for the same requests, and
+//! `tests/engine_equivalence.rs` checks the device replay against two
+//! independent, trivially simple reference loops.
 //!
 //! FTL state (mapping tables, GC, hot/cold areas) evolves in **trace order**
 //! regardless of discipline — requests are submitted to the FTL one after another
@@ -116,27 +118,43 @@ impl ArrivalDiscipline {
 
     /// Rejects parameters no run can use.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero queue depth or a non-positive/non-finite rate scale.
-    pub fn validate(self) {
-        match self {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                assert!(queue_depth > 0, "queue depth must be at least 1");
+    /// [`FtlError::InvalidConfig`] on a zero queue depth or a
+    /// non-positive/non-finite rate scale.
+    pub fn validate(self) -> Result<(), FtlError> {
+        let reason = match self {
+            ArrivalDiscipline::ClosedLoop { queue_depth: 0 } => "queue depth must be at least 1",
+            ArrivalDiscipline::OpenLoop { rate_scale }
+                if !(rate_scale.is_finite() && rate_scale > 0.0) =>
+            {
+                "rate scale must be positive and finite"
             }
-            ArrivalDiscipline::OpenLoop { rate_scale } => {
-                assert!(
-                    rate_scale.is_finite() && rate_scale > 0.0,
-                    "rate scale must be positive and finite"
-                );
-            }
-        }
+            _ => return Ok(()),
+        };
+        Err(FtlError::InvalidConfig { reason: reason.to_string() })
     }
 }
 
-/// The unified workload driver: replays a [`Trace`] against any
-/// [`FlashTranslationLayer`] under a chosen [`ArrivalDiscipline`] and reports a
-/// [`RunSummary`].
+/// What a [`WorkloadDriver`] replays a trace against: every
+/// [`FlashTranslationLayer`] (one device, reported as a [`RunSummary`]) and
+/// `vflash-fleet`'s `Fleet` (N striped devices, reported as a `FleetSummary`).
+pub trait Replay {
+    /// What one replay reports.
+    type Summary;
+
+    /// Replays `trace` against `self` under `driver`'s options and discipline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates FTL errors.
+    fn replay(&mut self, driver: &WorkloadDriver, trace: &Trace)
+        -> Result<Self::Summary, FtlError>;
+}
+
+/// The workload driver: replays a [`Trace`] against any [`Replay`] target —
+/// one [`FlashTranslationLayer`], or a fleet of them — under a chosen
+/// [`ArrivalDiscipline`] and reports the target's summary.
 ///
 /// # Example
 ///
@@ -182,7 +200,9 @@ impl WorkloadDriver {
     ///
     /// Panics on a zero queue depth or a non-positive/non-finite rate scale.
     pub fn new(options: RunOptions, discipline: ArrivalDiscipline) -> Self {
-        discipline.validate();
+        if let Err(error) = discipline.validate() {
+            panic!("{error}");
+        }
         WorkloadDriver { options, discipline }
     }
 
@@ -214,7 +234,7 @@ impl WorkloadDriver {
         self.discipline
     }
 
-    /// Replays `trace` against `ftl` and returns the run summary.
+    /// Replays `trace` against `target` and returns its summary.
     ///
     /// Byte offsets are translated to logical pages using the device's page size,
     /// and wrapped modulo the exported logical capacity so any trace can be
@@ -226,110 +246,112 @@ impl WorkloadDriver {
     /// Propagates FTL errors ([`FtlError::OutOfSpace`] and internal device
     /// errors). Unmapped reads only occur when `prefill` is disabled; with the
     /// default options they cannot happen.
-    pub fn run<F: FlashTranslationLayer>(
-        &self,
-        mut ftl: F,
-        trace: &Trace,
-    ) -> Result<RunSummary, FtlError> {
-        self.run_mut(&mut ftl, trace)
+    pub fn run<T: Replay>(&self, mut target: T, trace: &Trace) -> Result<T::Summary, FtlError> {
+        target.replay(self, trace)
     }
 
-    /// Like [`WorkloadDriver::run`] but borrows the FTL, so callers can keep using
-    /// it (and its device state) after the replay — e.g. to replay a second trace
-    /// on a pre-aged device.
+    /// Like [`WorkloadDriver::run`] but borrows the target, so callers can keep
+    /// using it (and its device state) after the replay — e.g. to replay a
+    /// second trace on a pre-aged device.
     ///
     /// # Errors
     ///
     /// Propagates FTL errors; see [`WorkloadDriver::run`].
-    pub fn run_mut<F: FlashTranslationLayer + ?Sized>(
+    pub fn run_mut<T: Replay + ?Sized>(
         &self,
-        ftl: &mut F,
+        target: &mut T,
         trace: &Trace,
-    ) -> Result<RunSummary, FtlError> {
-        let logical_pages = ftl.logical_pages();
-        prefill(&self.options, &mut [&mut *ftl], trace, logical_pages, |page| (0, page))?;
+    ) -> Result<T::Summary, FtlError> {
+        target.replay(self, trace)
+    }
+}
 
-        let trace_ops = self.discipline.needs_op_tracing();
+impl<F: FlashTranslationLayer + ?Sized> Replay for F {
+    type Summary = RunSummary;
+
+    fn replay(&mut self, driver: &WorkloadDriver, trace: &Trace) -> Result<RunSummary, FtlError> {
+        let logical_pages = self.logical_pages();
+        prefill(&driver.options, &mut [&mut *self], trace, logical_pages, |page| (0, page))?;
+
+        let trace_ops = driver.discipline.needs_op_tracing();
         if trace_ops {
-            ftl.device_mut().set_op_tracing(true);
+            self.device_mut().set_op_tracing(true);
         }
-        let outcome = self.drive(ftl, trace, logical_pages);
+        let outcome = drive(driver, self, trace, logical_pages);
         if trace_ops {
-            ftl.device_mut().set_op_tracing(false);
+            self.device_mut().set_op_tracing(false);
         }
         outcome
     }
+}
 
-    /// The drive loop: the scalar clock at closed-loop depth 1, otherwise one
-    /// [`HostCalendar`] issuing requests into one [`LaneState`].
-    fn drive<F: FlashTranslationLayer + ?Sized>(
-        &self,
-        ftl: &mut F,
-        trace: &Trace,
-        logical_pages: u64,
-    ) -> Result<RunSummary, FtlError> {
-        let pages = PageSplitter::new(ftl.device().config().page_size_bytes());
-        let mut lane = LaneState::new(ftl, &self.options, self.discipline);
+/// The drive loop of one device: the scalar clock at closed-loop depth 1,
+/// otherwise one [`HostCalendar`] issuing requests into one [`LaneState`].
+fn drive<F: FlashTranslationLayer + ?Sized>(
+    driver: &WorkloadDriver,
+    ftl: &mut F,
+    trace: &Trace,
+    logical_pages: u64,
+) -> Result<RunSummary, FtlError> {
+    let WorkloadDriver { options, discipline } = *driver;
+    let pages = PageSplitter::new(ftl.device().config().page_size_bytes());
+    let mut lane = LaneState::new(ftl, &options, discipline);
 
-        let (peak_queue_depth, busy_arrivals) = if self.discipline
-            == (ArrivalDiscipline::ClosedLoop { queue_depth: 1 })
-        {
-            // Scalar fast path. At depth 1 each request issues exactly at the
-            // previous completion: the calendar would hold at most one event,
-            // retired on the very next arrival, so no arrival ever finds the
-            // system busy and the whole event machinery reduces to one running
-            // clock (with peak backlog 1 and zero busy arrivals by
-            // construction). Tracing is off here, so pages charge serially.
-            let mut clock = Nanos::ZERO;
-            for request in trace {
-                let issue = clock;
-                for page in pages.pages(request) {
-                    let lpn = Lpn(page % logical_pages);
-                    let completion = match request.op {
-                        IoOp::Write => ftl.submit(FtlRequest::write(lpn, request.length))?,
-                        IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
-                            Ok(completion) => completion,
-                            // Without prefill, reads of never-written data are
-                            // skipped, mirroring how a real host would simply
-                            // get zeroes back.
-                            Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => {
-                                continue
-                            }
-                            Err(err) => return Err(err),
-                        },
-                    };
-                    clock += completion.latency;
-                }
-                let latency = clock.saturating_sub(issue);
-                match request.op {
-                    IoOp::Read => lane.read_latencies.record(latency),
-                    IoOp::Write => lane.write_latencies.record(latency),
-                }
-                lane.queue_delays.record(Nanos::ZERO);
-                lane.service_times.record(latency);
-                lane.requests += 1;
+    let scalar = discipline == ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
+    let (peak_queue_depth, busy_arrivals) = if scalar {
+        // Scalar fast path. At depth 1 each request issues exactly at the
+        // previous completion: the calendar would hold at most one event,
+        // retired on the very next arrival, so no arrival ever finds the
+        // system busy and the whole event machinery reduces to one running
+        // clock (with peak backlog 1 and zero busy arrivals by
+        // construction). Tracing is off here, so pages charge serially.
+        let mut clock = Nanos::ZERO;
+        for request in trace {
+            let issue = clock;
+            for page in pages.pages(request) {
+                let lpn = Lpn(page % logical_pages);
+                let completion = match request.op {
+                    IoOp::Write => ftl.submit(FtlRequest::write(lpn, request.length))?,
+                    IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
+                        Ok(completion) => completion,
+                        // Without prefill, reads of never-written data are
+                        // skipped, mirroring how a real host would simply
+                        // get zeroes back.
+                        Err(FtlError::UnmappedRead { .. }) if !options.prefill => continue,
+                        Err(err) => return Err(err),
+                    },
+                };
+                clock += completion.latency;
             }
-            lane.last_completion = clock;
-            (usize::from(lane.requests > 0), 0)
-        } else {
-            let mut calendar = HostCalendar::new(self.discipline);
-            for request in trace {
-                let issue = calendar.issue(request.at_nanos);
-                // A multi-page host request is one dependent chain of page
-                // submissions on the lane.
-                let mut chain = lane.begin(issue.at);
-                for page in pages.pages(request) {
-                    let lpn = Lpn(page % logical_pages);
-                    lane.play_page(ftl, &mut chain, request.op, lpn, request.length)?;
-                }
-                lane.record(request.op, issue, &chain);
-                calendar.schedule_completion(chain.now);
+            let latency = clock.saturating_sub(issue);
+            match request.op {
+                IoOp::Read => lane.read_latencies.record(latency),
+                IoOp::Write => lane.write_latencies.record(latency),
             }
-            (calendar.peak_outstanding(), calendar.busy_arrivals())
-        };
+            lane.queue_delays.record(Nanos::ZERO);
+            lane.service_times.record(latency);
+            lane.requests += 1;
+        }
+        lane.last_completion = clock;
+        (usize::from(lane.requests > 0), 0)
+    } else {
+        let mut calendar = HostCalendar::new(discipline);
+        for request in trace {
+            let issue = calendar.issue(request.at_nanos);
+            // A multi-page host request is one dependent chain of page
+            // submissions on the lane.
+            let mut chain = lane.begin(issue.at);
+            for page in pages.pages(request) {
+                let lpn = Lpn(page % logical_pages);
+                lane.play_page(ftl, &mut chain, request.op, lpn, request.length)?;
+            }
+            lane.record(request.op, issue, &chain);
+            calendar.schedule_completion(chain.now);
+        }
+        (calendar.peak_outstanding(), calendar.busy_arrivals())
+    };
 
-        Ok(lane.finish(ftl, trace.name(), peak_queue_depth, busy_arrivals))
-    }
+    Ok(lane.finish(ftl, trace.name(), peak_queue_depth, busy_arrivals))
 }
 
 #[cfg(test)]
@@ -534,6 +556,10 @@ mod tests {
             WorkloadDriver::closed_loop(RunOptions::default(), 0)
         })
         .is_err());
+        let invalid = |discipline: ArrivalDiscipline| {
+            matches!(discipline.validate(), Err(FtlError::InvalidConfig { .. }))
+        };
+        assert!(invalid(ArrivalDiscipline::ClosedLoop { queue_depth: 0 }));
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(
                 std::panic::catch_unwind(|| {
@@ -542,6 +568,26 @@ mod tests {
                 .is_err(),
                 "rate scale {bad} must be rejected"
             );
+            assert!(invalid(ArrivalDiscipline::OpenLoop { rate_scale: bad }), "{bad}");
+        }
+        assert_eq!(ArrivalDiscipline::OpenLoop { rate_scale: 0.5 }.validate(), Ok(()));
+        assert_eq!(ArrivalDiscipline::ClosedLoop { queue_depth: 1 }.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_dyn_ftl_replays_like_its_concrete_type() {
+        // `&mut dyn FlashTranslationLayer` is a replay target through the
+        // `?Sized` blanket impl, with the same summary and device state.
+        let t = read_heavy_trace(64);
+        for depth in [1usize, 4] {
+            let driver = WorkloadDriver::closed_loop(RunOptions::default(), depth);
+            let mut concrete = ftl(2);
+            let expected = driver.run_mut(&mut concrete, &t).unwrap();
+            let mut boxed: Box<dyn FlashTranslationLayer> = Box::new(ftl(2));
+            let dynamic: &mut dyn FlashTranslationLayer = &mut *boxed;
+            assert_eq!(driver.run_mut(dynamic, &t).unwrap(), expected, "QD{depth}");
+            assert_eq!(boxed.device().stats(), concrete.device().stats(), "QD{depth}");
+            assert!(!boxed.device().op_tracing());
         }
     }
 

@@ -415,8 +415,8 @@ pub struct RunSpec<'a> {
     /// a fresh one.
     pub warmup_fraction: f64,
     /// Devices the keyspace is striped over. [`run_spec`] replays on one
-    /// device and ignores it; `vflash_fleet::run_fleet_cell` is the
-    /// width-aware executor (this crate sits below the fleet tier).
+    /// device and refuses any other width; `vflash_fleet::run_fleet_cell` is
+    /// the width-aware executor (this crate sits below the fleet tier).
     pub fleet_width: usize,
 }
 
@@ -533,11 +533,12 @@ pub trait FtlJob {
 ///
 /// # Errors
 ///
-/// Propagates FTL construction and replay errors; a KV source is
+/// Propagates FTL construction and replay errors; a KV source, a fleet width
+/// other than 1 and a discipline [`ArrivalDiscipline::validate`] rejects are
 /// [`FtlError::InvalidConfig`].
 pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
-    struct Replay<'s, 'a>(&'s RunSpec<'a>);
-    impl FtlJob for Replay<'_, '_> {
+    struct Single<'s, 'a>(&'s RunSpec<'a>);
+    impl FtlJob for Single<'_, '_> {
         type Output = RunSummary;
         fn run<F: FlashTranslationLayer>(
             self,
@@ -558,7 +559,15 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
             driver.run_mut(&mut ftl, &Trace::new(trace.name().to_string(), measured.to_vec()))
         }
     }
-    spec.with_ftl(Replay(spec))
+    if spec.fleet_width != 1 {
+        let reason = format!(
+            "run_spec replays on one device, not {}: run the spec with vflash_fleet::run_fleet_cell",
+            spec.fleet_width
+        );
+        return Err(FtlError::InvalidConfig { reason });
+    }
+    spec.discipline.validate()?;
+    spec.with_ftl(Single(spec))
 }
 
 /// One row of every comparison table: a spec, and both FTLs' runs of it.
@@ -652,25 +661,34 @@ pub const LIFETIME_WRITE_CAP: u64 = 500_000;
 /// Propagates FTL construction errors and any replay error other than the
 /// expected read-only transition.
 pub fn fault_lifetime(scale: &ExperimentScale) -> Result<Vec<LifetimeRow>, FtlError> {
-    let faults = FaultConfig {
-        program_fail_base: 0.02,
-        erase_fail_base: 0.01,
-        ..FaultConfig::enabled(scale.seed ^ 0xE01)
+    struct Probe(FtlKind);
+    impl FtlJob for Probe {
+        type Output = LifetimeRow;
+        fn run<F: FlashTranslationLayer>(
+            self,
+            build: impl Fn() -> Result<F, FtlError>,
+        ) -> Result<LifetimeRow, FtlError> {
+            drive_to_read_only(build()?, self.0.label())
+        }
+    }
+    // 1.5 MiB at headroom 2 is 48 blocks of 16 × 4 KiB on the one chip.
+    let device = ExperimentScale {
+        working_set_bytes: 3 << 19,
+        capacity_headroom: 2.0,
+        pages_per_block: 16,
+        chips: 1,
+        ..*scale
     };
-    let config = NandConfig::builder()
-        .chips(1)
-        .blocks_per_chip(48)
-        .pages_per_block(16)
-        .page_size_bytes(4096)
-        .speed_ratio(2.0)
-        .faults(faults)
-        .build()?;
-    let conventional = ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-    let ppb = PpbFtl::new(NandDevice::new(config), PpbConfig::default())?;
-    Ok(vec![
-        drive_to_read_only(conventional, "conventional")?,
-        drive_to_read_only(ppb, "ppb")?,
-    ])
+    let probe = RunSpec {
+        page_size_bytes: 4096,
+        faults: Some(FaultConfig {
+            program_fail_base: 0.02,
+            erase_fail_base: 0.01,
+            ..FaultConfig::enabled(scale.seed ^ 0xE01)
+        }),
+        ..RunSpec::new(Workload::WebSqlServer, device)
+    };
+    FtlKind::ALL.into_iter().map(|ftl| probe.on(ftl).with_ftl(Probe(ftl))).collect()
 }
 
 /// Issues round-robin writes against `ftl` until it turns read-only (or the
@@ -778,6 +796,31 @@ mod tests {
             let refused = run_spec(&spec.on(ftl));
             assert!(matches!(refused, Err(FtlError::InvalidConfig { .. })), "{refused:?}");
         }
+    }
+
+    #[test]
+    fn run_spec_refuses_a_bad_discipline_and_any_width_but_one() {
+        // A bad discipline used to panic inside `WorkloadDriver::new` (taking
+        // a whole `ParallelRunner` sweep down), and a wider spec used to run
+        // on one device, labelled with its width.
+        let scale = ExperimentScale { requests: 50, ..ExperimentScale::quick() };
+        let base = RunSpec::new(Workload::WebSqlServer, scale);
+        let refused = [
+            ArrivalDiscipline::ClosedLoop { queue_depth: 0 },
+            ArrivalDiscipline::OpenLoop { rate_scale: 0.0 },
+            ArrivalDiscipline::OpenLoop { rate_scale: f64::NAN },
+        ]
+        .map(|discipline| RunSpec { discipline, ..base })
+        .into_iter()
+        .chain([0, 2, 8].map(|fleet_width| RunSpec { fleet_width, ..base }));
+        for spec in refused {
+            let outcome = run_spec(&spec);
+            assert!(
+                matches!(outcome, Err(FtlError::InvalidConfig { .. })),
+                "{spec:?}: {outcome:?}"
+            );
+        }
+        assert_eq!(run_spec(&base).unwrap().host_requests, 50);
     }
 
     #[test]

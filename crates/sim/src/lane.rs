@@ -18,11 +18,12 @@
 //! ```
 //!
 //! A multi-page request is a dependent [`PageChain`] of page submissions on one
-//! lane. The single-device engine drives one lane and one chain per request;
-//! the fleet driver drives N lanes and one chain per lane a request touches.
-//! Both go through the same [`LaneState::play_page`], [`LaneState::record`] and
-//! [`LaneState::finish`], so a lane of a fleet reports exactly what the engine
-//! would report for the requests that lane served. The KV store's device
+//! lane. The [`WorkloadDriver`](crate::WorkloadDriver) drives one device as one
+//! lane and one chain per request, and a fleet as N lanes and one chain per
+//! lane a request touches. Both replays go through the same
+//! [`LaneState::play_page`], [`LaneState::record`] and [`LaneState::finish`],
+//! so a lane of a fleet reports exactly what one device would report for the
+//! requests that lane served. The KV store's device
 //! (`vflash_kv::FlashStore`) is a lane too: a scalar page is a one-page chain
 //! from [`LaneState::now`], a queue-depth window of an append or a range read
 //! one [`LaneState::play_window`], on chip clocks kept for the store's life.
@@ -106,7 +107,7 @@ impl PageBitmap {
 /// modulo `space`, the pages the lanes export together; `locate` maps a
 /// wrapped page (below `space`) to the `(lane, device page)` that stores it —
 /// the identity for one device, the stripe map for a fleet. Shared by every
-/// driver and discipline, so any replay warms a device **identically** — a
+/// replay target and discipline, so any replay warms a device **identically** — a
 /// precondition for the bit-identity guarantees between them. The warm-up
 /// always runs serially with tracing off.
 ///

@@ -10,17 +10,18 @@
 //!   pending host completions, with the backlog statistics) and [`LaneState`]
 //!   (one device's chip clocks, dependent page chains, latency split and
 //!   [`RunSummary`] assembly), plus the shared warm-up [`prefill`]. It has two
-//!   callers: [`WorkloadDriver`] below drives one lane, `vflash-fleet`'s
-//!   `FleetDriver` drives N lanes under one calendar.
-//! * [`WorkloadDriver`] — the single-device replay engine: closed-loop (keep
-//!   `queue_depth` requests in flight — saturation replay; depth 1 is the
-//!   serial replay of the paper's figures) or open-loop (issue each request at
-//!   its trace-recorded arrival time scaled by `rate_scale` — latency under
-//!   load, with per-request queueing delay separated from service time). Byte
-//!   ranges are translated into logical pages, and the address space is
-//!   optionally pre-filled so reads of never-written data behave like reads of
-//!   pre-existing data (the standard warm-up used by trace-driven flash
-//!   simulators).
+//!   callers, the two [`Replay`] targets of [`WorkloadDriver`]: a
+//!   [`FlashTranslationLayer`](vflash_ftl::FlashTranslationLayer) drives one
+//!   lane, `vflash-fleet`'s `Fleet` drives N lanes under one calendar.
+//! * [`WorkloadDriver`] — the one replay engine, for one device or a fleet:
+//!   closed-loop (keep `queue_depth` requests in flight — saturation replay;
+//!   depth 1 is the serial replay of the paper's figures) or open-loop (issue
+//!   each request at its trace-recorded arrival time scaled by `rate_scale` —
+//!   latency under load, with per-request queueing delay separated from
+//!   service time). Byte ranges are translated into logical pages, and the
+//!   address space is optionally pre-filled so reads of never-written data
+//!   behave like reads of pre-existing data (the standard warm-up used by
+//!   trace-driven flash simulators).
 //! * [`RunSummary`] / [`Comparison`] — the measurements the paper reports: total and
 //!   mean read/write latency, erased-block counts, GC copies and write amplification,
 //!   plus enhancement percentages between a baseline and a variant — and, from the
@@ -89,7 +90,7 @@ mod parallel;
 mod report;
 
 pub use calendar::{HostCalendar, Issue};
-pub use engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
+pub use engine::{ArrivalDiscipline, Replay, RunOptions, WorkloadDriver};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
 pub use lane::{prefill, LaneState, PageChain};
 pub use experiments::{

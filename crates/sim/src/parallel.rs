@@ -51,7 +51,9 @@ impl ExperimentGrid {
     /// offered vs achieved IOPS is meaningful per width — fan-out tail
     /// amplification is a latency-under-load question. Every spec takes the
     /// scale's seed, so the widths (and the two FTLs) replay the *same* trace
-    /// and differ only in striping.
+    /// and differ only in striping. Its executor is `vflash_fleet::run_fleet_cell`
+    /// on [`ParallelRunner::map`]; [`ParallelRunner::run`] refuses the widths
+    /// above 1.
     pub fn fleet_sweep(scale: ExperimentScale) -> Self {
         ExperimentGrid::enumerate(scale, &FLEET_SIZES, ArrivalDiscipline::OpenLoop { rate_scale: 1.0 })
     }
@@ -241,8 +243,8 @@ mod tests {
     }
 
     /// One of everything a section varies: a fault-injected run, a warm-up, a
-    /// non-default classifier, a bursty open-loop run and a spec carrying a
-    /// fleet width (which `run_spec` ignores).
+    /// non-default classifier, a bursty open-loop run and a queued closed-loop
+    /// run.
     fn mixed_specs() -> Vec<RunSpec<'static>> {
         let base = RunSpec::new(Workload::WebSqlServer, ExperimentScale { requests: 200, ..tiny_scale() });
         // Read-retry-only faults (program/erase failures off): the fault model
@@ -263,7 +265,7 @@ mod tests {
                 arrival: ArrivalModel::Pareto { shape: 1.5, mean_iops: 2_000.0 },
                 ..base
             },
-            RunSpec { fleet_width: 3, discipline: ArrivalDiscipline::ClosedLoop { queue_depth: 16 }, ..base },
+            RunSpec { discipline: ArrivalDiscipline::ClosedLoop { queue_depth: 16 }, ..base },
         ]
     }
 
@@ -301,6 +303,17 @@ mod tests {
         let grid = ExperimentGrid::full(broken);
         assert!(matches!(ParallelRunner::run_serial(&grid), Err(FtlError::OutOfSpace)));
         assert!(matches!(ParallelRunner::new(4).run(&grid), Err(FtlError::OutOfSpace)));
+    }
+
+    #[test]
+    fn a_fleet_sweep_is_refused_by_the_single_device_runner() {
+        // `run_spec` used to ignore the width: every row came back a
+        // single-device run labelled with a width of 2 to 8.
+        let grid = ExperimentGrid::fleet_sweep(ExperimentScale { requests: 50, ..tiny_scale() });
+        for workers in [1, 4] {
+            let outcome = ParallelRunner::new(workers).run(&grid);
+            assert!(matches!(outcome, Err(FtlError::InvalidConfig { .. })), "{outcome:?}");
+        }
     }
 
     #[test]

@@ -20,12 +20,12 @@
 
 use std::error::Error;
 
-use vflash::fleet::{Fleet, FleetConfig, FleetDriver};
+use vflash::fleet::{Fleet, FleetConfig};
 use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError};
 use vflash::nand::{NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
 use vflash::sim::experiments::{ExperimentScale, Workload, FLEET_SIZES};
-use vflash::sim::RunOptions;
+use vflash::sim::{RunOptions, WorkloadDriver};
 use vflash::trace::synthetic::ArrivalModel;
 use vflash::trace::Trace;
 
@@ -40,7 +40,7 @@ fn run_width<F: FlashTranslationLayer>(
     trace: &Trace,
 ) -> Result<vflash::fleet::FleetSummary, FtlError> {
     let fleet = Fleet::new(lanes, FleetConfig::default());
-    FleetDriver::open_loop(RunOptions::default(), 1.0).run(fleet, trace)
+    WorkloadDriver::open_loop(RunOptions::default(), 1.0).run(fleet, trace)
 }
 
 fn main() -> Result<(), Box<dyn Error>> {

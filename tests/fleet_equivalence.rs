@@ -3,10 +3,11 @@
 //! A 1-wide [`Fleet`] with the cache disabled and a single tenant is the
 //! single-device engine wearing a different coat: the stripe map is the
 //! identity, every request's stripe chain is the engine's dependent chain, and
-//! the calendar sees exactly the instants it sees under the engine. Both
-//! drivers call the same timing core (`HostCalendar` + `LaneState`), so this
-//! suite checks what the fleet adds around it — routing, fan-out, roll-ups —
-//! **bit-for-bit** against the engine itself:
+//! the calendar sees exactly the instants it sees under the engine. One
+//! [`WorkloadDriver`] value replays both targets through the same timing core
+//! (`HostCalendar` + `LaneState`), so this suite checks what the fleet adds
+//! around it — routing, fan-out, roll-ups — **bit-for-bit** against the engine
+//! itself:
 //!
 //! * the lane's [`RunSummary`] equals a [`WorkloadDriver`] run of the same
 //!   trace field for field (the whole struct, not a projection),
@@ -20,7 +21,7 @@
 
 use proptest::prelude::*;
 
-use vflash::fleet::{Fleet, FleetConfig, FleetDriver};
+use vflash::fleet::{Fleet, FleetConfig};
 use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig};
 use vflash::nand::{ChipId, NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
@@ -72,11 +73,12 @@ fn assert_fleet_of_one_reproduces_engine<F: FlashTranslationLayer>(
     discipline: ArrivalDiscipline,
     context: &str,
 ) {
+    let driver = WorkloadDriver::new(options, discipline);
     let mut single = make();
-    let engine = WorkloadDriver::new(options, discipline).run_mut(&mut single, trace).unwrap();
+    let engine = driver.run_mut(&mut single, trace).unwrap();
 
     let mut fleet = Fleet::new(vec![make()], FleetConfig::default());
-    let summary = FleetDriver::new(options, discipline).run_mut(&mut fleet, trace).unwrap();
+    let summary = driver.run_mut(&mut fleet, trace).unwrap();
 
     // The lane summary is the engine summary, every field.
     assert_eq!(summary.lanes.len(), 1, "{context}: one lane");
@@ -254,13 +256,12 @@ fn lane_zero_of_a_wide_fleet_reproduces_the_engine_on_the_destriped_trace() {
         discipline: ArrivalDiscipline,
         context: &str,
     ) {
-        let options = RunOptions::default();
+        let driver = WorkloadDriver::new(RunOptions::default(), discipline);
         let mut single = make();
-        let engine =
-            WorkloadDriver::new(options, discipline).run_mut(&mut single, destriped).unwrap();
+        let engine = driver.run_mut(&mut single, destriped).unwrap();
         let lanes = (0..WIDTH).map(|_| make()).collect();
         let mut fleet = Fleet::new(lanes, FleetConfig::default());
-        let summary = FleetDriver::new(options, discipline).run_mut(&mut fleet, striped).unwrap();
+        let summary = driver.run_mut(&mut fleet, striped).unwrap();
         assert_eq!(summary.lanes[0], engine, "{context}: lane 0 RunSummary");
         assert_eq!(single.metrics(), fleet.lanes()[0].metrics(), "{context}: FTL metrics differ");
         assert_eq!(

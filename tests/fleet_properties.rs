@@ -7,14 +7,14 @@
 use proptest::prelude::*;
 
 use vflash::fleet::{
-    run_fleet_cell, CacheConfig, CacheStats, Fleet, FleetConfig, FleetDriver, FleetSummary,
+    run_fleet_cell, CacheConfig, CacheStats, Fleet, FleetConfig, FleetSummary,
     StripeMap, TenantWeight, WritebackCache, dispatch_order,
 };
 use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError};
 use vflash::nand::{FaultConfig, NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
 use vflash::sim::experiments::ExperimentScale;
-use vflash::sim::{ArrivalDiscipline, ExperimentGrid, ParallelRunner, RunOptions};
+use vflash::sim::{ArrivalDiscipline, ExperimentGrid, ParallelRunner, RunOptions, WorkloadDriver};
 use vflash::trace::synthetic::{self, ArrivalModel, SyntheticConfig};
 use vflash::trace::{IoOp, IoRequest, Trace};
 
@@ -408,7 +408,7 @@ fn run_cached_fleet<F: FlashTranslationLayer>(
     config: FleetConfig,
     trace: &Trace,
 ) -> Result<FleetSummary, FtlError> {
-    FleetDriver::closed_loop(RunOptions::default(), 4).run(Fleet::new(lanes, config), trace)
+    WorkloadDriver::closed_loop(RunOptions::default(), 4).run(Fleet::new(lanes, config), trace)
 }
 
 /// A cached, multi-tenant fleet is just as deterministic: two identically
@@ -623,7 +623,7 @@ fn striped_fleet_summaries_match_the_golden_fingerprint() {
         lanes
     }
     for (discipline, conventional, ppb) in cases {
-        let driver = FleetDriver::new(RunOptions::default(), discipline);
+        let driver = WorkloadDriver::new(RunOptions::default(), discipline);
         let fleet = Fleet::new(wide(|| conventional_lanes(healthy)), config());
         let summary = driver.run(fleet, &trace).unwrap();
         assert_eq!(striped_fingerprint(&summary), conventional, "conventional, {discipline:?}");
@@ -655,7 +655,7 @@ fn cached_fleet_going_read_only_mid_run_returns_the_typed_error() {
     fn assert_typed_read_only<F: FlashTranslationLayer>(lanes: Vec<F>, trace: &Trace) {
         let mut fleet = Fleet::new(lanes, cached_fleet_config(128, u32::MAX));
         let outcome =
-            FleetDriver::closed_loop(RunOptions::default(), 4).run_mut(&mut fleet, trace);
+            WorkloadDriver::closed_loop(RunOptions::default(), 4).run_mut(&mut fleet, trace);
         assert!(matches!(outcome, Err(FtlError::ReadOnly)), "expected ReadOnly, got {outcome:?}");
         assert!(fleet.lanes().iter().any(|lane| lane.is_read_only()));
         let written: u64 = fleet.lanes().iter().map(|lane| lane.metrics().host_writes).sum();

@@ -51,7 +51,7 @@ use vflash_sim::{
 use vflash_trace::{IoOp, PageSplitter, Trace};
 
 use crate::cache::{CacheConfig, WritebackCache, HIT_LATENCY};
-use crate::qos::{dispatch_order, validate_tenants, TenantWeight};
+use crate::qos::{validate_tenants, DispatchOrder, TenantWeight};
 use crate::stripe::StripeMap;
 use crate::summary::{FleetSummary, TenantSummary};
 
@@ -245,14 +245,14 @@ fn drive<F: FlashTranslationLayer>(
 
     // Closed loop with several tenants dispatches via weighted-share QoS
     // over per-tenant FIFOs; one tenant (or open loop, where arrivals set
-    // the order) replays the trace in order.
+    // the order) replays the trace in order. Either way the order streams.
     let order = match discipline {
-        ArrivalDiscipline::ClosedLoop { .. } => dispatch_order(&tenants, trace.len()),
-        ArrivalDiscipline::OpenLoop { .. } => (0..trace.len()).collect(),
+        ArrivalDiscipline::ClosedLoop { .. } => DispatchOrder::new(&tenants, trace.len()),
+        ArrivalDiscipline::OpenLoop { .. } => DispatchOrder::in_trace_order(trace.len()),
     };
     let all_requests = trace.requests();
 
-    for &request_index in &order {
+    for request_index in order {
         let request = &all_requests[request_index];
         let tenant = request_index % tenant_count;
 

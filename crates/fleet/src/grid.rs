@@ -57,6 +57,7 @@ pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vflash_nand::NandError;
     use vflash_sim::experiments::{ExperimentScale, Workload};
     use vflash_sim::{
         run_spec, ArrivalDiscipline, ExperimentGrid, KvSource, ParallelRunner, ReplayMode,
@@ -117,6 +118,26 @@ mod tests {
         for refused in [RunSpec { fleet_width: 0, ..spec }, kv] {
             let outcome = run_fleet_cell(&refused);
             assert!(matches!(outcome, Err(FtlError::InvalidConfig { .. })), "{outcome:?}");
+        }
+    }
+
+    #[test]
+    fn a_scale_that_makes_no_device_is_refused() {
+        // Each used to panic in `ExperimentScale::device_config` inside the
+        // sweep: a `div_ceil(0)`, a division by zero, an `expect` on the builder.
+        let spec = RunSpec { fleet_width: 2, ..RunSpec::new(Workload::WebSqlServer, tiny_scale()) };
+        let refused = [
+            RunSpec { scale: ExperimentScale { chips: 0, ..spec.scale }, ..spec },
+            RunSpec { scale: ExperimentScale { pages_per_block: 0, ..spec.scale }, ..spec },
+            RunSpec { page_size_bytes: 0, ..spec },
+            RunSpec { speed_ratio: f64::INFINITY, ..spec },
+        ];
+        for spec in refused {
+            let outcome = run_fleet_cell(&spec);
+            assert!(
+                matches!(outcome, Err(FtlError::Nand(NandError::InvalidConfig { .. }))),
+                "{spec:?}: {outcome:?}"
+            );
         }
     }
 

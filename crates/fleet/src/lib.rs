@@ -15,7 +15,10 @@
 //!   (write-allocate with a dirty-ratio flush threshold, write-around for
 //!   large cold streams),
 //! * per-tenant submission queues with weighted-share scheduling
-//!   ([`WeightedShares`] / [`dispatch_order`]),
+//!   ([`WeightedShares`]): the drive loop streams the dispatch order from one
+//!   next-request cursor per tenant, so no queue is built and a replay's
+//!   state does not grow with the trace ([`dispatch_order`] collects the same
+//!   stream),
 //! * the fleet's drive loop: a [`Fleet`] is a [`Replay`](vflash_sim::Replay)
 //!   target, so the one [`WorkloadDriver`](vflash_sim::WorkloadDriver) replays
 //!   a [`Trace`](vflash_trace::Trace) against it under the same arrival

@@ -8,6 +8,12 @@
 //! `(served + 1) / weight`, ties broken by tenant index so a run is a pure
 //! function of the trace.
 //!
+//! The queues are never materialised: request `i` belongs to tenant
+//! `i % tenants`, so a tenant's FIFO is an arithmetic progression of request
+//! indices, and the order streams from one next-request cursor and one
+//! backlog flag per tenant — O(tenants) state, no allocation per request,
+//! whatever the trace's length. [`dispatch_order`] collects the same stream.
+//!
 //! Two properties anchor the scheme (pinned in `tests/fleet_properties.rs`):
 //!
 //! * **Work conservation** — the dispatcher never idles while any tenant has
@@ -20,8 +26,6 @@
 //! arrivals requests are issued at their (scaled) trace arrival times, so the
 //! host never holds a backlog to arbitrate — QoS weights only shape
 //! closed-loop dispatch order.
-
-use std::collections::VecDeque;
 
 /// One tenant's share of the fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,32 +127,83 @@ pub(crate) fn validate_tenants(tenants: &[TenantWeight]) {
     assert!(tenants.iter().all(|tenant| tenant.weight > 0), "tenant weights must be positive");
 }
 
-/// Precomputes the closed-loop dispatch order of `total` requests split
-/// round-robin over the tenants (request `i` belongs to tenant
-/// `i % tenants.len()`), each tenant's queue served FIFO under
-/// [`WeightedShares`] arbitration. Returns the request indices in dispatch
-/// order — a permutation of `0..total`.
+/// The closed-loop dispatch order of `total` requests split round-robin over
+/// the tenants (request `i` belongs to tenant `i % tenants.len()`), each
+/// tenant's queue served FIFO under [`WeightedShares`] arbitration: the
+/// request indices in dispatch order — a permutation of `0..total`.
 ///
 /// With one tenant this is the identity permutation: the fleet replays the
-/// trace in order, exactly like the single-device engine.
+/// trace in order, exactly like the single-device engine. The fleet itself
+/// streams the same order instead of collecting it.
 pub fn dispatch_order(tenants: &[TenantWeight], total: usize) -> Vec<usize> {
-    if tenants.len() <= 1 {
-        return (0..total).collect();
+    DispatchOrder::new(tenants, total).collect()
+}
+
+/// [`dispatch_order`] as an iterator. A tenant's FIFO queue is the
+/// arithmetic progression of its request indices, so its state is the next
+/// index it owns and whether that index is still inside the trace: O(tenants)
+/// in all, allocated once, however long the trace.
+#[derive(Debug)]
+pub(crate) struct DispatchOrder {
+    /// `None`: the trace's own order (one tenant, or open loop).
+    shares: Option<WeightedShares>,
+    /// Per tenant, the next request index it owns.
+    next: Vec<usize>,
+    /// Per tenant, whether `next` is still below `total`.
+    backlogged: Vec<bool>,
+    total: usize,
+    remaining: usize,
+}
+
+impl DispatchOrder {
+    /// The weighted-fair order over `tenants`; the trace's own order for one
+    /// tenant (or none).
+    pub(crate) fn new(tenants: &[TenantWeight], total: usize) -> Self {
+        if tenants.len() <= 1 {
+            return DispatchOrder::in_trace_order(total);
+        }
+        let next: Vec<usize> = (0..tenants.len()).collect();
+        DispatchOrder {
+            shares: Some(WeightedShares::new(tenants)),
+            backlogged: next.iter().map(|&request| request < total).collect(),
+            next,
+            total,
+            remaining: total,
+        }
     }
-    let lanes = tenants.len();
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-    for request in 0..total {
-        queues[request % lanes].push_back(request);
+
+    /// `0..total`: one queue holding every request.
+    pub(crate) fn in_trace_order(total: usize) -> Self {
+        DispatchOrder {
+            shares: None,
+            next: vec![0],
+            backlogged: vec![total > 0],
+            total,
+            remaining: total,
+        }
     }
-    let mut wfq = WeightedShares::new(tenants);
-    let mut order = Vec::with_capacity(total);
-    let mut backlogged: Vec<bool> = queues.iter().map(|queue| !queue.is_empty()).collect();
-    while let Some(winner) = wfq.pick(&backlogged) {
-        order.push(queues[winner].pop_front().expect("picked tenant has backlog"));
-        backlogged[winner] = !queues[winner].is_empty();
+}
+
+impl Iterator for DispatchOrder {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let tenant = match &mut self.shares {
+            Some(shares) => shares.pick(&self.backlogged)?,
+            None if self.backlogged[0] => 0,
+            None => return None,
+        };
+        let request = self.next[tenant];
+        let step = self.next.len();
+        self.next[tenant] = request + step;
+        self.backlogged[tenant] = self.total - request > step;
+        self.remaining -= 1;
+        Some(request)
     }
-    debug_assert_eq!(order.len(), total);
-    order
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Allocation budget of the fleet drive loop, counted — not timed — so it holds
 //! on any machine. With the cache off a fleet replay allocates per run, not
-//! per request: a fixed count, plus a handful as the tenant queues behind the
-//! dispatch order double. The writeback cache adds its own tables and the
-//! buffer its dirty-ratio flushes lend their victims from — per run as well,
-//! though the flushes grow with the requests.
+//! per request: a fixed count, the same at any trace length — the QoS
+//! dispatch order streams from per-tenant cursors. The writeback cache adds
+//! its own tables and the buffer its dirty-ratio flushes lend their victims
+//! from — per run as well, though the flushes grow with the requests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,11 +109,14 @@ fn web_sql(requests: usize) -> Trace {
 }
 
 /// Allocations of one closed-loop QD-32 replay of `trace` on a fleet that has
-/// already replayed it once (so nothing in the lanes is still growing), beside
-/// the dirty-ratio flushes that replay made.
+/// already replayed it twice, beside the dirty-ratio flushes that replay made.
+/// Two warm-ups, because each device's op arena grows to the longest GC burst
+/// it has traced: at 5k requests one replay leaves it a doubling short.
 fn replay_allocations<F: FlashTranslationLayer>(fleet: &mut Fleet<F>, trace: &Trace) -> (u64, u64) {
     let driver = FleetDriver::closed_loop(RunOptions::default(), 32);
-    driver.run_mut(fleet, trace).unwrap();
+    for _ in 0..2 {
+        driver.run_mut(fleet, trace).unwrap();
+    }
     let (allocations, summary) = allocations_during(|| driver.run_mut(fleet, trace).unwrap());
     assert_eq!(summary.host_requests, trace.len() as u64);
     assert!(
@@ -133,21 +136,23 @@ fn both_ftls(cache: Option<CacheConfig>, trace: &Trace) -> [(u64, u64); 2] {
 
 #[test]
 fn an_uncached_fleet_run_allocates_per_run_not_per_request() {
-    // Four times the requests cost three more allocations: the tenant queues
-    // of `dispatch_order` doubling. Everything else — the prefill's bitmap (one
-    // over the fleet's pages, not one per lane), the dispatch order, lane
-    // states, histograms, calendar, scratch and the summary — is per run.
-    assert_eq!(both_ftls(None, &web_sql(5_000)), [(87, 0); 2], "5k requests");
-    assert_eq!(both_ftls(None, &web_sql(20_000)), [(90, 0); 2], "20k requests");
+    // Four times the requests cost not one allocation more: the dispatch
+    // order streams from one cursor per tenant, where it used to collect the
+    // trace's permutation and grow a FIFO per tenant. Everything — the
+    // prefill's bitmap (one over the fleet's pages, not one per lane), the
+    // dispatch cursors, lane states, histograms, calendar, scratch and the
+    // summary — is per run.
+    assert_eq!(both_ftls(None, &web_sql(5_000)), [(63, 0); 2], "5k requests");
+    assert_eq!(both_ftls(None, &web_sql(20_000)), [(63, 0); 2], "20k requests");
 }
 
 #[test]
 fn a_cached_fleet_run_allocates_per_run_not_per_flush() {
     // The uncached run's allocations plus the cache's own: its two LRU tables
     // and the buffer every dirty-ratio flush lends its victims from. A
-    // thousand flushes or eight thousand, the count follows the uncached
-    // run's.
+    // thousand flushes or eight thousand, the count is the uncached run's
+    // plus five to seven.
     let cache = Some(CacheConfig::default());
-    assert_eq!(both_ftls(cache, &web_sql(5_000)), [(95, 1126); 2], "5k requests");
-    assert_eq!(both_ftls(cache, &web_sql(20_000)), [(96, 7827), (95, 7827)], "20k requests");
+    assert_eq!(both_ftls(cache, &web_sql(5_000)), [(68, 1126); 2], "5k requests");
+    assert_eq!(both_ftls(cache, &web_sql(20_000)), [(68, 7827), (70, 7827)], "20k requests");
 }

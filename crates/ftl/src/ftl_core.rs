@@ -130,8 +130,10 @@ impl<P: Placement> FtlCore<P> {
     /// # Errors
     ///
     /// Returns [`FtlError::InvalidConfig`] if the configuration is inconsistent,
-    /// leaves no usable logical capacity, or the device is too small for the
-    /// placement's open streams plus the GC target.
+    /// leaves no usable logical capacity, the device is too small for the
+    /// placement's open streams plus the GC target, or its geometry is past what
+    /// the packed [`MappingTable`] addresses (2^16 chips or more, 2^24 blocks per
+    /// chip or pages per block or more, `u32::MAX` logical pages or more).
     pub fn new<Cfg>(device: NandDevice, config: Cfg) -> Result<Self, FtlError>
     where
         P: Assemble<Cfg>,
@@ -154,12 +156,11 @@ impl<P: Placement> FtlCore<P> {
                 ),
             });
         }
-        let mapping = MappingTable::new(
-            logical_pages,
-            nand.chips(),
-            nand.blocks_per_chip(),
-            nand.pages_per_block(),
-        );
+        let (chips, blocks_per_chip, pages_per_block) =
+            (nand.chips(), nand.blocks_per_chip(), nand.pages_per_block());
+        MappingTable::check_geometry(logical_pages, chips, blocks_per_chip, pages_per_block)
+            .map_err(|reason| FtlError::InvalidConfig { reason })?;
+        let mapping = MappingTable::new(logical_pages, chips, blocks_per_chip, pages_per_block);
         Ok(FtlCore {
             device,
             config,

@@ -1,11 +1,13 @@
 //! Property-based tests for the baseline FTL and the hot/cold classifiers.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use vflash_ftl::hotcold::{
     FreqTable, HotColdClassifier, MultiHash, SizeCheck, Temperature, TwoLevelLru,
 };
-use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, Lpn};
-use vflash_nand::{NandConfig, NandDevice};
+use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, Lpn, MappingTable};
+use vflash_nand::{BlockAddr, ChipId, NandConfig, NandDevice, PageAddr, PageId};
 
 fn small_ftl(blocks: usize, pages: usize, over_provisioning: f64) -> ConventionalFtl {
     let device = NandDevice::new(
@@ -123,5 +125,110 @@ proptest! {
             prop_assert!(sketch.estimate(Lpn(lpn)) <= 15);
             prop_assert!(sketch.estimate(Lpn(lpn)) >= 1);
         }
+    }
+}
+
+/// One call on a [`MappingTable`]: LPNs run a little past the logical range, so
+/// `lookup` and `unmap` also see LPNs the table does not hold.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Map { lpn: u64, ordinal: usize },
+    Unmap { lpn: u64 },
+    Lookup { lpn: u64 },
+    Residents { block: usize },
+}
+
+const MODEL_CHIPS: usize = 3;
+const MODEL_BLOCKS: usize = 5;
+const MODEL_PAGES: usize = 7;
+const MODEL_PHYSICAL: usize = MODEL_CHIPS * MODEL_BLOCKS * MODEL_PAGES;
+const MODEL_LOGICAL: u64 = 80;
+
+fn map_op() -> impl Strategy<Value = MapOp> {
+    let lpn = 0..MODEL_LOGICAL + 4;
+    let map = || {
+        (0..MODEL_LOGICAL, 0..MODEL_PHYSICAL).prop_map(|(lpn, ordinal)| MapOp::Map { lpn, ordinal })
+    };
+    // `map` twice: half the calls map, so the table fills up.
+    prop_oneof![
+        map(),
+        map(),
+        lpn.clone().prop_map(|lpn| MapOp::Unmap { lpn }),
+        lpn.prop_map(|lpn| MapOp::Lookup { lpn }),
+        (0..MODEL_CHIPS * MODEL_BLOCKS).prop_map(|block| MapOp::Residents { block }),
+    ]
+}
+
+fn model_block(flat: usize) -> BlockAddr {
+    BlockAddr::new(ChipId(flat / MODEL_BLOCKS), flat % MODEL_BLOCKS)
+}
+
+fn model_page(ordinal: usize) -> PageAddr {
+    model_block(ordinal / MODEL_PAGES).page(PageId(ordinal % MODEL_PAGES))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The packed mapping table answers every call as a `BTreeMap` from LPN to
+    /// page does, and stays consistent after each one.
+    #[test]
+    fn mapping_table_matches_the_btree_model(ops in proptest::collection::vec(map_op(), 1..300)) {
+        let mut table = MappingTable::new(MODEL_LOGICAL, MODEL_CHIPS, MODEL_BLOCKS, MODEL_PAGES);
+        let mut model: BTreeMap<Lpn, PageAddr> = BTreeMap::new();
+        let mut residents = Vec::new();
+        for op in ops {
+            match op {
+                MapOp::Map { lpn, ordinal } => {
+                    let addr = model_page(ordinal);
+                    // An FTL programs a page once before its block is erased:
+                    // never map onto a page that still holds another LPN.
+                    if model.values().any(|&held| held == addr) {
+                        continue;
+                    }
+                    prop_assert_eq!(table.map(Lpn(lpn), addr), model.insert(Lpn(lpn), addr));
+                }
+                MapOp::Unmap { lpn } => {
+                    prop_assert_eq!(table.unmap(Lpn(lpn)), model.remove(&Lpn(lpn)));
+                }
+                MapOp::Lookup { lpn } => {
+                    prop_assert_eq!(table.lookup(Lpn(lpn)), model.get(&Lpn(lpn)).copied());
+                }
+                MapOp::Residents { block } => {
+                    let block = model_block(block);
+                    table.residents_into(block, &mut residents);
+                    let mut expected: Vec<(PageAddr, Lpn)> = model
+                        .iter()
+                        .filter(|(_, addr)| addr.block() == block)
+                        .map(|(&lpn, &addr)| (addr, lpn))
+                        .collect();
+                    expected.sort();
+                    prop_assert_eq!(&residents, &expected);
+                }
+            }
+            prop_assert_eq!(table.check_consistency(), Ok(model.len() as u64));
+            prop_assert_eq!(table.mapped_pages(), model.len() as u64);
+        }
+    }
+}
+
+#[test]
+fn ftl_core_refuses_the_first_geometry_the_mapping_table_cannot_address() {
+    // A packed forward entry gives the chip 16 bits: 2^16 - 1 chips build,
+    // 2^16 is refused before the table is allocated.
+    let ftl = |chips: usize| {
+        let nand = NandConfig::builder()
+            .chips(chips)
+            .blocks_per_chip(1)
+            .pages_per_block(1)
+            .page_size_bytes(4096)
+            .build()
+            .expect("valid geometry");
+        ConventionalFtl::new(NandDevice::new(nand), FtlConfig::default())
+    };
+    assert_eq!(ftl((1 << 16) - 1).expect("addressable").device().config().chips(), (1 << 16) - 1);
+    match ftl(1 << 16) {
+        Err(FtlError::InvalidConfig { reason }) => assert!(reason.contains("chips"), "{reason}"),
+        other => panic!("2^16 chips must be refused, got {:?}", other.map(|_| ())),
     }
 }

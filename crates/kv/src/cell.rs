@@ -182,6 +182,7 @@ fn drive<F: FlashTranslationLayer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vflash_nand::NandError;
     use vflash_sim::experiments::{Classifier, FtlKind, Workload};
     use vflash_sim::{ArrivalDiscipline, ParallelRunner};
     use vflash_trace::synthetic::ArrivalModel;
@@ -286,6 +287,26 @@ mod tests {
             let outcome = run_kv_cell(&spec);
             assert!(
                 matches!(outcome, Err(KvError::Ftl(FtlError::InvalidConfig { .. }))),
+                "{spec:?}: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_scale_that_makes_no_device_is_refused() {
+        // Each used to panic in `ExperimentScale::device_config` inside the
+        // sweep: a `div_ceil(0)`, a division by zero, an `expect` on the builder.
+        let spec = smoke(1, 1);
+        let refused = [
+            RunSpec { scale: ExperimentScale { chips: 0, ..spec.scale }, ..spec },
+            RunSpec { scale: ExperimentScale { pages_per_block: 0, ..spec.scale }, ..spec },
+            RunSpec { page_size_bytes: 0, ..spec },
+            RunSpec { speed_ratio: -f64::INFINITY, ..spec },
+        ];
+        for spec in refused {
+            let outcome = run_kv_cell(&spec);
+            assert!(
+                matches!(outcome, Err(KvError::Ftl(FtlError::Nand(NandError::InvalidConfig { .. })))),
                 "{spec:?}: {outcome:?}"
             );
         }

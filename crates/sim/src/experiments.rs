@@ -18,7 +18,7 @@ use std::borrow::Cow;
 
 use vflash_ftl::hotcold::{FreqTable, MultiHash, TwoLevelLru};
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, IoRequest, Lpn};
-use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
+use vflash_nand::{FaultConfig, NandConfig, NandDevice, NandError, Nanos};
 use vflash_ppb::{PpbConfig, PpbFtl};
 use vflash_trace::synthetic::{self, ArrivalModel, SyntheticConfig};
 use vflash_trace::Trace;
@@ -274,12 +274,25 @@ impl ExperimentScale {
     /// # Panics
     ///
     /// Panics if the scale parameters produce an invalid device configuration (for
-    /// example a zero block count); the provided presets never do.
+    /// example zero chips or a non-finite speed ratio); the provided presets never
+    /// do. [`RunSpec::with_ftl`] refuses those with an error instead.
     pub fn device_config(&self, page_size_bytes: usize, speed_ratio: f64) -> NandConfig {
+        self.checked_device_config(page_size_bytes, speed_ratio)
+            .expect("experiment scale produces a valid device configuration")
+    }
+
+    /// [`ExperimentScale::device_config`], with the builder's refusal as an
+    /// error. A zero chip count or block size reaches the builder, which
+    /// refuses it, rather than a division by zero here.
+    fn checked_device_config(
+        &self,
+        page_size_bytes: usize,
+        speed_ratio: f64,
+    ) -> Result<NandConfig, NandError> {
         let raw_bytes = (self.working_set_bytes as f64 * self.capacity_headroom) as u64;
-        let block_bytes = (self.pages_per_block * page_size_bytes) as u64;
-        let total_blocks = (raw_bytes / block_bytes).max(8) as usize;
-        let blocks_per_chip = total_blocks.div_ceil(self.chips);
+        let block_bytes = (self.pages_per_block as u64).saturating_mul(page_size_bytes as u64);
+        let total_blocks = raw_bytes.checked_div(block_bytes).unwrap_or(0).max(8) as usize;
+        let blocks_per_chip = total_blocks.div_ceil(self.chips.max(1));
         NandConfig::builder()
             .chips(self.chips)
             .blocks_per_chip(blocks_per_chip)
@@ -287,7 +300,6 @@ impl ExperimentScale {
             .page_size_bytes(page_size_bytes)
             .speed_ratio(speed_ratio)
             .build()
-            .expect("experiment scale produces a valid device configuration")
     }
 
     /// Returns a copy of this scale whose working set covers `trace`'s distinct
@@ -482,9 +494,11 @@ impl<'a> RunSpec<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates an invalid fault configuration and whatever `job` returns.
+    /// Propagates an invalid device configuration (a scale or page size no
+    /// device has, a non-finite speed ratio), an invalid fault configuration
+    /// and whatever `job` returns.
     pub fn with_ftl<J: FtlJob>(&self, job: J) -> Result<J::Output, FtlError> {
-        let mut config = self.scale.device_config(self.page_size_bytes, self.speed_ratio);
+        let mut config = self.scale.checked_device_config(self.page_size_bytes, self.speed_ratio)?;
         if let Some(faults) = self.faults {
             config = config.with_faults(faults)?;
         }
@@ -821,6 +835,30 @@ mod tests {
             );
         }
         assert_eq!(run_spec(&base).unwrap().host_requests, 50);
+    }
+
+    #[test]
+    fn run_spec_refuses_a_scale_that_makes_no_device() {
+        // Each used to panic in `ExperimentScale::device_config` — a
+        // `div_ceil(0)`, a division by zero, an `expect` on the builder —
+        // taking a whole `ParallelRunner` sweep down.
+        let scale = ExperimentScale { requests: 50, ..ExperimentScale::quick() };
+        for ftl in FtlKind::ALL {
+            let spec = RunSpec::new(Workload::WebSqlServer, scale).on(ftl);
+            let refused = [
+                RunSpec { scale: ExperimentScale { chips: 0, ..scale }, ..spec },
+                RunSpec { scale: ExperimentScale { pages_per_block: 0, ..scale }, ..spec },
+                RunSpec { page_size_bytes: 0, ..spec },
+                RunSpec { speed_ratio: f64::NAN, ..spec },
+            ];
+            for spec in refused {
+                let outcome = run_spec(&spec);
+                assert!(
+                    matches!(outcome, Err(FtlError::Nand(NandError::InvalidConfig { .. }))),
+                    "{spec:?}: {outcome:?}"
+                );
+            }
+        }
     }
 
     #[test]

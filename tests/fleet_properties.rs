@@ -1,14 +1,16 @@
 //! Property-based tests of the host tier: the stripe map is a bijection, the
 //! writeback cache keeps its residency/dirtiness/coherence invariants under
-//! arbitrary op sequences, weighted-share QoS is work-conserving and
-//! weight-monotone, and fleet grid runs are bit-identical across
-//! `ParallelRunner` worker counts.
+//! arbitrary op sequences, weighted-share QoS is work-conserving,
+//! weight-monotone and streams the per-tenant-FIFO order, and fleet grid runs
+//! are bit-identical across `ParallelRunner` worker counts.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
 use vflash::fleet::{
     run_fleet_cell, CacheConfig, CacheStats, Fleet, FleetConfig, FleetSummary,
-    StripeMap, TenantWeight, WritebackCache, dispatch_order,
+    StripeMap, TenantWeight, WeightedShares, WritebackCache, dispatch_order,
 };
 use vflash::ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError};
 use vflash::nand::{FaultConfig, NandConfig, NandDevice};
@@ -280,6 +282,57 @@ proptest! {
 // Weighted-share QoS
 // ---------------------------------------------------------------------------
 
+/// The dispatch order as it was first written, kept only as a test oracle:
+/// one FIFO `VecDeque` per tenant filled with the whole trace up front, then
+/// drained under [`WeightedShares`] arbitration. The library streams the same
+/// order from one cursor per tenant.
+fn model_dispatch_order(tenants: &[TenantWeight], total: usize) -> Vec<usize> {
+    if tenants.len() <= 1 {
+        return (0..total).collect();
+    }
+    let lanes = tenants.len();
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
+    for request in 0..total {
+        queues[request % lanes].push_back(request);
+    }
+    let mut wfq = WeightedShares::new(tenants);
+    let mut order = Vec::with_capacity(total);
+    let mut backlogged: Vec<bool> = queues.iter().map(|queue| !queue.is_empty()).collect();
+    while let Some(winner) = wfq.pick(&backlogged) {
+        order.push(queues[winner].pop_front().expect("picked tenant has backlog"));
+        backlogged[winner] = !queues[winner].is_empty();
+    }
+    order
+}
+
+fn tenants_weighted(weights: &[u64]) -> Vec<TenantWeight> {
+    weights
+        .iter()
+        .enumerate()
+        .map(|(index, &weight)| TenantWeight::new(format!("t{index}"), weight))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Differential oracle: the streamed order is the per-tenant-FIFO model's,
+    /// element by element, for any tenant set and trace length.
+    #[test]
+    fn dispatch_order_matches_the_fifo_model(
+        weights in proptest::collection::vec(1u64..8, 1..6),
+        total in 0usize..300,
+    ) {
+        let tenants = tenants_weighted(&weights);
+        let streamed = dispatch_order(&tenants, total);
+        let model = model_dispatch_order(&tenants, total);
+        prop_assert_eq!(streamed.len(), model.len());
+        for (position, (got, want)) in streamed.iter().zip(&model).enumerate() {
+            prop_assert_eq!(got, want, "position {} of {}, weights {:?}", position, total, &weights);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -290,12 +343,7 @@ proptest! {
         weights in proptest::collection::vec(1u64..8, 1..5),
         total in 0usize..120,
     ) {
-        let tenants: Vec<TenantWeight> = weights
-            .iter()
-            .enumerate()
-            .map(|(index, &weight)| TenantWeight::new(format!("t{index}"), weight))
-            .collect();
-        let order = dispatch_order(&tenants, total);
+        let order = dispatch_order(&tenants_weighted(&weights), total);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..total).collect::<Vec<_>>());

@@ -8,6 +8,9 @@ const IRON_HOT_LIST_FRACTION: f64 = 0.15;
 /// Capacity of the cold-area access-frequency table as a fraction of the exported
 /// logical pages. Entries evicted from the table are implicitly icy-cold.
 const COLD_TABLE_FRACTION: f64 = 0.30;
+/// Largest accepted [`PpbConfig::cold_promote_reads`]: the cold area keeps one
+/// bucket per read count up to it, ≈1.5 MiB of bucket headers at this bound.
+const MAX_COLD_PROMOTE_READS: u32 = u16::MAX as u32;
 
 /// Tunables for [`crate::PpbFtl`].
 ///
@@ -31,7 +34,7 @@ pub struct PpbConfig {
     /// pages.
     pub hot_list_fraction: f64,
     /// Number of recorded reads after which a cold-area entry is promoted from
-    /// icy-cold to cold.
+    /// icy-cold to cold, from 1 to 65,535.
     pub cold_promote_reads: u32,
 }
 
@@ -53,7 +56,7 @@ impl PpbConfig {
     ///
     /// Returns [`FtlError::InvalidConfig`] if the base FTL configuration is invalid,
     /// the virtual-block count is zero, the hot list fraction is outside `(0, 1]`, or
-    /// the cold promotion threshold is zero.
+    /// the cold promotion threshold is zero or above 65,535.
     pub fn validate(&self) -> Result<(), FtlError> {
         self.ftl.validate()?;
         fn invalid(reason: &str) -> FtlError {
@@ -66,8 +69,9 @@ impl PpbConfig {
         if !fraction.is_finite() || fraction <= 0.0 || fraction > 1.0 {
             return Err(invalid("hot_list_fraction must be within (0, 1]"));
         }
-        if self.cold_promote_reads == 0 {
-            return Err(invalid("cold_promote_reads must be at least 1"));
+        if !(1..=MAX_COLD_PROMOTE_READS).contains(&self.cold_promote_reads) {
+            let bound = format!("cold_promote_reads must be within 1..={MAX_COLD_PROMOTE_READS}");
+            return Err(invalid(&bound));
         }
         Ok(())
     }

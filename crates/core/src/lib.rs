@@ -16,9 +16,11 @@
 //! 1. **Four-level hotness** ([`Hotness`]): hot data is split into *iron-hot*
 //!    (frequently read **and** written) and *hot* (frequently written, rarely read);
 //!    cold data into *cold* (write-once-read-many) and *icy-cold*
-//!    (write-once-read-few). See [`HotArea`] and [`ColdArea`].
+//!    (write-once-read-few). See [`HotArea`] and [`ColdArea`]; both keep their
+//!    per-LPN state in tables indexed by LPN, never in a hash map.
 //! 2. **Virtual blocks** ([`VirtualBlockTable`]): each physical block is split into
-//!    speed-homogeneous groups of adjacent pages (slow half / fast half by default),
+//!    speed-homogeneous groups of adjacent pages (slow half / fast half by default;
+//!    the table answers which speed class an in-block page belongs to),
 //!    and a physical block is dedicated to either the hot area or the cold area, so
 //!    hot and cold data never share a block. See [`AreaWriter`] for the allocation
 //!    rules of Figure 8 / Algorithm 1.
@@ -72,4 +74,4 @@ pub use hot_area::{HotArea, PromotionOutcome};
 pub use hotness::{Area, Hotness};
 pub use placement::AreaWriter;
 pub use ppb_ftl::{PpbFtl, PpbPlacement};
-pub use virtual_block::{VirtualBlock, VirtualBlockId, VirtualBlockTable};
+pub use virtual_block::VirtualBlockTable;

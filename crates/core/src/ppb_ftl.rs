@@ -468,6 +468,30 @@ mod tests {
     }
 
     #[test]
+    fn cold_promote_reads_past_u16_max_are_refused_before_allocating() {
+        // The cold area allocates one bucket per read count: u32::MAX would be
+        // ≈96 GiB of bucket headers, an abort rather than an error.
+        let build = |cold_promote_reads| {
+            let config = PpbConfig {
+                ftl: vflash_ftl::FtlConfig { over_provisioning: 0.25 },
+                cold_promote_reads,
+                ..PpbConfig::default()
+            };
+            PpbFtl::new(device(24, 8), config)
+        };
+        assert!(build(u32::from(u16::MAX)).is_ok());
+        // Past the bound first: the u32::MAX case must never reach the allocation.
+        for reads in [u32::from(u16::MAX) + 1, u32::MAX] {
+            match build(reads) {
+                Err(FtlError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("65535"), "{reason}");
+                }
+                other => panic!("{reads} must be refused, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
     fn tiny_devices_are_rejected() {
         let tiny = device(4, 4);
         assert!(matches!(

@@ -1,9 +1,9 @@
-//! `ColdArea` as it was before the per-LPN slot table: an fx hash map of slots over
-//! a `BTreeMap` of buckets. Code verbatim from the parent commit, docs dropped.
+//! `ColdArea` as it was before the per-LPN slot table: a hash map of slots over a
+//! `BTreeMap` of buckets. The replaced code with its fx hash map swapped for std's
+//! (nothing iterates it, so the order cannot show), docs dropped.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use vflash_ftl::fx::FxHashMap;
 use vflash_ftl::Lpn;
 
 use vflash_ppb::Hotness;
@@ -16,7 +16,7 @@ struct Slot {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColdArea {
-    slots: FxHashMap<Lpn, Slot>,
+    slots: HashMap<Lpn, Slot>,
     buckets: BTreeMap<u32, Vec<Lpn>>,
     capacity: usize,
     promote_reads: u32,
@@ -27,7 +27,7 @@ impl ColdArea {
         assert!(capacity > 0, "cold table capacity must be positive");
         assert!(promote_reads > 0, "promotion threshold must be positive");
         ColdArea {
-            slots: FxHashMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
+            slots: HashMap::with_capacity(capacity.min(1024)),
             buckets: BTreeMap::new(),
             capacity,
             promote_reads,

@@ -1,7 +1,9 @@
 //! `LruList` as it was before the per-LPN link table: slab nodes, a free list and
-//! an fx hash index. Code verbatim from the parent commit, docs dropped.
+//! a hash index. The replaced code with its fx hash map swapped for std's (nothing
+//! iterates it, so the order cannot show), docs dropped.
 
-use vflash_ftl::fx::FxHashMap;
+use std::collections::HashMap;
+
 use vflash_ftl::Lpn;
 
 const NIL: usize = usize::MAX;
@@ -17,7 +19,7 @@ struct Node {
 pub struct LruList {
     nodes: Vec<Node>,
     free_slots: Vec<usize>,
-    index: FxHashMap<Lpn, usize>,
+    index: HashMap<Lpn, usize>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -29,7 +31,7 @@ impl LruList {
         LruList {
             nodes: Vec::with_capacity(capacity.min(1024)),
             free_slots: Vec::new(),
-            index: FxHashMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
+            index: HashMap::with_capacity(capacity.min(1024)),
             head: NIL,
             tail: NIL,
             capacity,

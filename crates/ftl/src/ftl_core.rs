@@ -2,14 +2,12 @@
 //!
 //! [`FtlCore`] owns everything a page-mapping FTL does regardless of strategy:
 //! the mapping table, out-of-place updates, garbage collection, bad-block rescue,
-//! lost-data tracking, the read-only transition, the metrics and the
+//! the read-only transition, the metrics and the
 //! [`FlashTranslationLayer::submit`] envelope. What differs between the paper's two
 //! FTLs — *which open block receives a page* — is a [`Placement`]: the
 //! conventional baseline keeps one write pointer per stream
 //! ([`crate::ConventionalPlacement`]), the PPB strategy (`vflash_ppb::PpbPlacement`)
 //! picks by hotness. `P` is a type parameter, so the per-page path is monomorphised.
-
-use std::collections::HashSet;
 
 use vflash_nand::{BlockAddr, BlockState, NandConfig, NandDevice, NandError, Nanos, PageAddr};
 
@@ -114,10 +112,6 @@ pub struct FtlCore<P> {
     placement: P,
     metrics: FtlMetrics,
     read_only: bool,
-    /// LPNs whose data was lost to an uncorrectable relocation read. A host read
-    /// of a lost LPN completes instantly with the `uncorrectable` flag (the
-    /// device no longer holds the data); a successful rewrite clears the entry.
-    lost: HashSet<Lpn>,
     /// Scratch reused across GC rounds so steady-state collection allocates nothing:
     /// the victim-selection exclusion list and the residents of the block emptied.
     exclude: Vec<BlockAddr>,
@@ -168,7 +162,6 @@ impl<P: Placement> FtlCore<P> {
             placement,
             metrics: FtlMetrics::new(),
             read_only: false,
-            lost: HashSet::new(),
             exclude: Vec::new(),
             residents: Vec::new(),
         })
@@ -198,8 +191,8 @@ impl<P: Placement> FtlCore<P> {
     /// Checks the structural invariants that hold between any two requests, whatever
     /// they returned: the device's indices recount from its blocks
     /// ([`NandDevice::check_invariants`]), the mapping table mirrors itself, the
-    /// pages mapped into a block are exactly its valid pages, no LPN is both mapped
-    /// and lost, no open block is free or bad — then [`Placement::check_invariants`].
+    /// pages mapped into a block are exactly its valid pages, no open block is free
+    /// or bad — then [`Placement::check_invariants`].
     ///
     /// # Errors
     ///
@@ -207,9 +200,6 @@ impl<P: Placement> FtlCore<P> {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.device.check_invariants()?;
         self.mapping.check_consistency()?;
-        if let Some(lpn) = self.lost.iter().find(|&&lpn| self.mapping.lookup(lpn).is_some()) {
-            return Err(format!("{lpn} is both mapped and lost"));
-        }
         let mut open = Vec::new();
         self.placement.open_blocks(&mut open);
         for addr in self.device.block_addrs() {
@@ -227,7 +217,7 @@ impl<P: Placement> FtlCore<P> {
 
     fn serve_read(&mut self, lpn: Lpn) -> Result<Completion, FtlError> {
         let Some(addr) = self.mapping.lookup(lpn) else {
-            if !self.lost.contains(&lpn) {
+            if !self.mapping.is_lost(lpn) {
                 return Err(FtlError::UnmappedRead { lpn });
             }
             // The data fell to an uncorrectable relocation read and is gone from
@@ -274,9 +264,6 @@ impl<P: Placement> FtlCore<P> {
         }
         let stream = self.placement.host_write(lpn, request_bytes);
         let latency = gc.time + self.place_page(lpn, stream)?.1;
-        if !self.lost.is_empty() {
-            self.lost.remove(&lpn); // faults off: never hashed
-        }
         self.metrics.record_host_write(latency);
         Ok(Completion { gc, ..Completion::new(latency) })
     }
@@ -344,13 +331,13 @@ impl<P: Placement> FtlCore<P> {
 
     /// Reads `source` on behalf of a relocation (GC or bad-block rescue). Returns
     /// the time charged and whether the data survived: after an uncorrectable read
-    /// the LPN is unmapped and remembered as lost and the page invalidated — the
-    /// host's next read of the LPN completes with the `uncorrectable` flag.
+    /// the LPN is marked lost in the mapping table and the page invalidated — the
+    /// host's next read of the LPN completes with the `uncorrectable` flag, until a
+    /// rewrite maps it again.
     fn relocation_read(&mut self, source: PageAddr, lpn: Lpn) -> Result<(Nanos, bool), FtlError> {
         let (time, survived) = self.read_page(source)?;
         if !survived {
-            self.mapping.unmap(lpn);
-            self.lost.insert(lpn);
+            self.mapping.mark_lost(lpn);
             self.device.invalidate(source)?;
         }
         Ok((time, survived))

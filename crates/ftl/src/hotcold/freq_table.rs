@@ -1,6 +1,5 @@
 //! Table-based access-frequency hot/cold identification.
 
-use crate::fx::FxHashMap;
 use crate::hotcold::{HotColdClassifier, Temperature};
 use crate::types::Lpn;
 
@@ -10,6 +9,11 @@ use crate::types::Lpn;
 /// `aging_period` observed writes, all counters are halved so that pages which stop
 /// being written eventually cool down (following the aging idea of the table-based
 /// history schemes, e.g. Hsieh et al., SAC 2005).
+///
+/// The counts are a table indexed by LPN: 4 bytes per LPN up to the highest one
+/// written, which must be below `u32::MAX` (a 64 TiB device at 16 KiB pages). A
+/// count of zero is an untracked LPN. Equality compares the counts and the aging
+/// state, not how far the table happened to grow.
 ///
 /// # Example
 ///
@@ -22,16 +26,23 @@ use crate::types::Lpn;
 /// assert_eq!(table.classify_write(Lpn(9), 4096), Temperature::Cold);
 /// assert_eq!(table.classify_write(Lpn(9), 4096), Temperature::Hot);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FreqTable {
-    /// Per-LPN write counts. The deterministic [`fx`](crate::fx) hasher keeps
-    /// the per-write probe cheap; aging mutates every entry independently, so
-    /// iteration order never shows through.
-    counts: FxHashMap<Lpn, u32>,
+    counts: Vec<u32>,
     threshold: u32,
     aging_period: u64,
     writes_since_aging: u64,
 }
+
+impl PartialEq for FreqTable {
+    fn eq(&self, other: &Self) -> bool {
+        (self.threshold, self.aging_period, self.writes_since_aging)
+            == (other.threshold, other.aging_period, other.writes_since_aging)
+            && self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for FreqTable {}
 
 impl FreqTable {
     /// Creates the table.
@@ -42,24 +53,22 @@ impl FreqTable {
     pub fn new(threshold: u32, aging_period: u64) -> Self {
         assert!(threshold > 0, "threshold must be positive");
         assert!(aging_period > 0, "aging period must be positive");
-        FreqTable { counts: FxHashMap::default(), threshold, aging_period, writes_since_aging: 0 }
+        FreqTable { counts: Vec::new(), threshold, aging_period, writes_since_aging: 0 }
     }
 
     /// The current write count of `lpn` (zero if never seen).
     pub fn count(&self, lpn: Lpn) -> u32 {
-        self.counts.get(&lpn).copied().unwrap_or(0)
+        self.counts.get(lpn.as_usize()).copied().unwrap_or(0)
     }
 
-    /// Number of LPNs currently tracked.
+    /// Number of LPNs currently tracked (with a nonzero count).
     pub fn tracked(&self) -> usize {
-        self.counts.len()
+        self.entries().count()
     }
 
-    fn age(&mut self) {
-        self.counts.retain(|_, count| {
-            *count /= 2;
-            *count > 0
-        });
+    /// The tracked `(LPN index, count)` pairs, in LPN order.
+    fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.counts.iter().copied().enumerate().filter(|&(_, count)| count > 0)
     }
 }
 
@@ -72,9 +81,14 @@ impl HotColdClassifier for FreqTable {
         self.writes_since_aging += 1;
         if self.writes_since_aging >= self.aging_period {
             self.writes_since_aging = 0;
-            self.age();
+            self.counts.iter_mut().for_each(|count| *count /= 2);
         }
-        let count = self.counts.entry(lpn).or_insert(0);
+        let index = lpn.as_usize();
+        if index >= self.counts.len() {
+            assert!(lpn.0 < u64::from(u32::MAX), "freq table keys must be below u32::MAX");
+            self.counts.resize(index + 1, 0);
+        }
+        let count = &mut self.counts[index];
         *count = count.saturating_add(1);
         if *count >= self.threshold {
             Temperature::Hot
@@ -116,7 +130,7 @@ mod tests {
         // LPN1 count was halved from 3 to 1, LPN2 was inserted after the aging pass.
         assert_eq!(table.count(Lpn(1)), 1);
         assert_eq!(table.count(Lpn(2)), 1);
-        // Entries that decay to zero are dropped from the table.
+        // Entries that decay to zero are no longer tracked.
         for _ in 0..4 {
             table.classify_write(Lpn(3), 4096);
         }
@@ -124,6 +138,21 @@ mod tests {
             table.classify_write(Lpn(4), 4096);
         }
         assert_eq!(table.count(Lpn(2)), 0);
+    }
+
+    #[test]
+    fn equality_ignores_how_far_the_table_grew() {
+        // Both end with LPN1 at count 1 right after an aging pass; only `grown`
+        // ever wrote LPN9, which aged back to untracked.
+        let mut grown = FreqTable::new(2, 2);
+        grown.classify_write(Lpn(9), 4096);
+        grown.classify_write(Lpn(1), 4096);
+        let mut small = FreqTable::new(2, 2);
+        small.classify_write(Lpn(1), 4096);
+        small.classify_write(Lpn(1), 4096);
+        assert_eq!(grown, small);
+        small.classify_write(Lpn(1), 4096);
+        assert_ne!(grown, small);
     }
 
     #[test]

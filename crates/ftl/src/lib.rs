@@ -3,7 +3,8 @@
 //! The **flash translation layer** (FTL) for the 3D charge-trap NAND model in
 //! [`vflash_nand`]: one page-mapped core, and the seam strategies plug into.
 //!
-//! * [`FtlCore`] — the standard page-mapping FTL, once: [`MappingTable`], garbage
+//! * [`FtlCore`] — the standard page-mapping FTL, once: [`MappingTable`] (which
+//!   also marks the LPNs lost to an uncorrectable relocation read), garbage
 //!   collection (greedy victims, [`gc`]), bad-block rescue, the read-only transition,
 //!   [`FtlMetrics`] and the only [`FlashTranslationLayer`] implementation of an FTL,
 //! * [`Placement`] — what an FTL built on the core decides: which open block
@@ -13,6 +14,10 @@
 //! * [`hotcold`] — classical two-level hot/cold data identification mechanisms
 //!   (request-size check, two-level LRU, access-frequency table, multi-hash counting),
 //!   the first identification stage of the PPB placement.
+//!
+//! Per-LPN and per-page state — the mapping table, [`LruList`], the frequency
+//! table — is a table indexed by page number, never a hash map, so it costs a
+//! fixed number of bytes per page and its `Debug` output repeats from run to run.
 //!
 //! The [`FlashTranslationLayer`] trait is the interface the trace-driven simulator
 //! drives; the PPB strategy (`vflash_ppb::PpbFtl` = `FtlCore<PpbPlacement>`) is the
@@ -45,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fx;
 pub mod gc;
 pub mod hotcold;
 

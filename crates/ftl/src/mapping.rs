@@ -13,6 +13,9 @@ const CHIP_BITS: u32 = u64::BITS - BLOCK_BITS - PAGE_BITS;
 /// The forward entry of an unmapped LPN. Its chip field is all ones, a chip
 /// `MappingTable::check_geometry` never admits, so no address packs to it.
 const UNMAPPED: u64 = u64::MAX;
+/// The forward entry of an LPN whose data was lost: unmapped, but a host read
+/// reports the loss instead of an unwritten page. Its chip field is all ones too.
+const LOST: u64 = u64::MAX - 1;
 /// The reverse entry of a physical page holding no LPN.
 const EMPTY: u32 = u32::MAX;
 
@@ -29,6 +32,9 @@ const EMPTY: u32 = u32::MAX;
 /// 64 GB device, ≈4.2M pages, costs ≈48 MiB). The packing addresses fewer than
 /// 2^16 chips, 2^24 blocks per chip and 2^24 pages per block, and fewer than
 /// `u32::MAX` logical pages.
+///
+/// An unmapped LPN can also be *lost* ([`MappingTable::mark_lost`]): its data fell
+/// to an uncorrectable relocation read. Mapping it again clears the mark.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MappingTable {
     forward: Vec<u64>,
@@ -113,7 +119,7 @@ impl MappingTable {
     }
 
     fn unpack(entry: u64) -> Option<PageAddr> {
-        if entry == UNMAPPED {
+        if entry >= LOST {
             return None;
         }
         let field = |shift: u32, bits: u32| ((entry >> shift) & ((1 << bits) - 1)) as usize;
@@ -134,6 +140,7 @@ impl MappingTable {
 
     /// Maps `lpn` to `addr`, returning the previous physical location if the LPN was
     /// already mapped (the caller is responsible for invalidating it on the device).
+    /// A lost LPN is no longer lost once mapped.
     ///
     /// # Panics
     ///
@@ -154,10 +161,28 @@ impl MappingTable {
         previous
     }
 
-    /// Removes the mapping for `lpn`, returning the physical page it pointed to.
+    /// Removes the mapping for `lpn`, returning the physical page it pointed to. A
+    /// lost LPN is left unmapped and no longer lost.
     pub fn unmap(&mut self, lpn: Lpn) -> Option<PageAddr> {
+        self.replace_entry(lpn, UNMAPPED)
+    }
+
+    /// Unmaps `lpn` like [`MappingTable::unmap`] and marks its data lost. An LPN
+    /// outside the logical range is left alone.
+    pub fn mark_lost(&mut self, lpn: Lpn) -> Option<PageAddr> {
+        self.replace_entry(lpn, LOST)
+    }
+
+    /// Whether `lpn`'s data was lost and it has not been mapped since.
+    pub fn is_lost(&self, lpn: Lpn) -> bool {
+        self.forward.get(lpn.as_usize()) == Some(&LOST)
+    }
+
+    /// Sets the forward entry of `lpn` to the `sentinel` of an unmapped LPN,
+    /// clearing the reverse entry of the page it mapped to, which it returns.
+    fn replace_entry(&mut self, lpn: Lpn, sentinel: u64) -> Option<PageAddr> {
         let entry = self.forward.get_mut(lpn.as_usize())?;
-        let previous = Self::unpack(std::mem::replace(entry, UNMAPPED));
+        let previous = Self::unpack(std::mem::replace(entry, sentinel));
         if let Some(addr) = previous {
             let ordinal = self.page_ordinal(addr);
             self.reverse[ordinal] = EMPTY;

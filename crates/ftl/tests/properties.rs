@@ -1,6 +1,6 @@
 //! Property-based tests for the baseline FTL and the hot/cold classifiers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use vflash_ftl::hotcold::{
@@ -128,12 +128,77 @@ proptest! {
     }
 }
 
+/// `FreqTable` as it was before its counts became a table indexed by LPN: a hash
+/// map whose aging pass drops the entries that halve to zero.
+struct HashedFreqTable {
+    counts: HashMap<Lpn, u32>,
+    threshold: u32,
+    aging_period: u64,
+    writes_since_aging: u64,
+}
+
+impl HashedFreqTable {
+    fn new(threshold: u32, aging_period: u64) -> Self {
+        HashedFreqTable { counts: HashMap::new(), threshold, aging_period, writes_since_aging: 0 }
+    }
+
+    fn classify_write(&mut self, lpn: Lpn) -> Temperature {
+        self.writes_since_aging += 1;
+        if self.writes_since_aging >= self.aging_period {
+            self.writes_since_aging = 0;
+            self.counts.retain(|_, count| {
+                *count /= 2;
+                *count > 0
+            });
+        }
+        let count = self.counts.entry(lpn).or_insert(0);
+        *count = count.saturating_add(1);
+        if *count >= self.threshold {
+            Temperature::Hot
+        } else {
+            Temperature::Cold
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The LPN-indexed frequency table classifies every write, and reports every
+    /// count and the tracked total, as the hashed table it replaced does.
+    #[test]
+    fn freq_table_matches_the_hashed_model(
+        threshold in 1u32..6,
+        aging_period in 1u64..64,
+        lpns in proptest::collection::vec(
+            // Half from a small hot set, so counts build up between aging passes.
+            prop_oneof![0u64..16, 0u64..4096],
+            1..400,
+        ),
+    ) {
+        let mut table = FreqTable::new(threshold, aging_period);
+        let mut model = HashedFreqTable::new(threshold, aging_period);
+        for lpn in lpns {
+            let lpn = Lpn(lpn);
+            prop_assert_eq!(table.classify_write(lpn, 4096), model.classify_write(lpn));
+            prop_assert_eq!(table.count(lpn), model.counts.get(&lpn).copied().unwrap_or(0));
+            prop_assert_eq!(table.tracked(), model.counts.len());
+        }
+        for lpn in 0..4096 {
+            let lpn = Lpn(lpn);
+            prop_assert_eq!(table.count(lpn), model.counts.get(&lpn).copied().unwrap_or(0));
+        }
+    }
+}
+
 /// One call on a [`MappingTable`]: LPNs run a little past the logical range, so
-/// `lookup` and `unmap` also see LPNs the table does not hold.
+/// `lookup`, `unmap`, `mark_lost` and `is_lost` also see LPNs the table does not
+/// hold.
 #[derive(Debug, Clone)]
 enum MapOp {
     Map { lpn: u64, ordinal: usize },
     Unmap { lpn: u64 },
+    MarkLost { lpn: u64 },
     Lookup { lpn: u64 },
     Residents { block: usize },
 }
@@ -154,6 +219,7 @@ fn map_op() -> impl Strategy<Value = MapOp> {
         map(),
         map(),
         lpn.clone().prop_map(|lpn| MapOp::Unmap { lpn }),
+        lpn.clone().prop_map(|lpn| MapOp::MarkLost { lpn }),
         lpn.prop_map(|lpn| MapOp::Lookup { lpn }),
         (0..MODEL_CHIPS * MODEL_BLOCKS).prop_map(|block| MapOp::Residents { block }),
     ]
@@ -171,13 +237,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The packed mapping table answers every call as a `BTreeMap` from LPN to
-    /// page does, and stays consistent after each one.
+    /// page plus a `BTreeSet` of lost LPNs does, and stays consistent after each
+    /// one.
     #[test]
     fn mapping_table_matches_the_btree_model(ops in proptest::collection::vec(map_op(), 1..300)) {
         let mut table = MappingTable::new(MODEL_LOGICAL, MODEL_CHIPS, MODEL_BLOCKS, MODEL_PAGES);
         let mut model: BTreeMap<Lpn, PageAddr> = BTreeMap::new();
+        let mut lost: BTreeSet<Lpn> = BTreeSet::new();
         let mut residents = Vec::new();
         for op in ops {
+            let touched = match op {
+                MapOp::Map { lpn, .. }
+                | MapOp::Unmap { lpn }
+                | MapOp::MarkLost { lpn }
+                | MapOp::Lookup { lpn } => Some(Lpn(lpn)),
+                MapOp::Residents { .. } => None,
+            };
             match op {
                 MapOp::Map { lpn, ordinal } => {
                     let addr = model_page(ordinal);
@@ -187,9 +262,17 @@ proptest! {
                         continue;
                     }
                     prop_assert_eq!(table.map(Lpn(lpn), addr), model.insert(Lpn(lpn), addr));
+                    lost.remove(&Lpn(lpn));
                 }
                 MapOp::Unmap { lpn } => {
                     prop_assert_eq!(table.unmap(Lpn(lpn)), model.remove(&Lpn(lpn)));
+                    lost.remove(&Lpn(lpn));
+                }
+                MapOp::MarkLost { lpn } => {
+                    prop_assert_eq!(table.mark_lost(Lpn(lpn)), model.remove(&Lpn(lpn)));
+                    if lpn < MODEL_LOGICAL {
+                        lost.insert(Lpn(lpn));
+                    }
                 }
                 MapOp::Lookup { lpn } => {
                     prop_assert_eq!(table.lookup(Lpn(lpn)), model.get(&Lpn(lpn)).copied());
@@ -208,6 +291,13 @@ proptest! {
             }
             prop_assert_eq!(table.check_consistency(), Ok(model.len() as u64));
             prop_assert_eq!(table.mapped_pages(), model.len() as u64);
+            if let Some(lpn) = touched {
+                prop_assert_eq!(table.lookup(lpn), model.get(&lpn).copied());
+                prop_assert_eq!(table.is_lost(lpn), lost.contains(&lpn));
+            }
+        }
+        for lpn in (0..MODEL_LOGICAL + 4).map(Lpn) {
+            prop_assert_eq!(table.is_lost(lpn), lost.contains(&lpn));
         }
     }
 }

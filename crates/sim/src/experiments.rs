@@ -314,12 +314,10 @@ impl ExperimentScale {
     /// the scale's default device.
     pub fn sized_for_trace(&self, trace: &Trace) -> ExperimentScale {
         const PAGE: u64 = 16 * 1024;
-        let mut pages = std::collections::HashSet::new();
-        for request in trace {
-            for page in request.logical_pages(PAGE as usize) {
-                pages.insert(page);
-            }
-        }
+        let mut pages: Vec<u64> =
+            trace.into_iter().flat_map(|request| request.logical_pages(PAGE as usize)).collect();
+        pages.sort_unstable();
+        pages.dedup();
         let footprint = pages.len() as u64 * PAGE;
         ExperimentScale {
             working_set_bytes: self.working_set_bytes.max(footprint),

@@ -1,7 +1,5 @@
 //! Summary statistics of a trace.
 
-use std::collections::HashMap;
-
 use crate::request::{IoOp, IoRequest};
 
 /// Aggregate statistics describing a workload.
@@ -39,8 +37,7 @@ impl TraceStats {
         if requests.is_empty() {
             return stats;
         }
-        let mut seen: HashMap<u64, u64> = HashMap::new();
-        let mut reaccesses = 0u64;
+        let mut regions = Vec::with_capacity(requests.len());
         let mut sequential = 0u64;
         let mut previous_end: Option<u64> = None;
         let mut total_bytes = 0u64;
@@ -57,22 +54,21 @@ impl TraceStats {
                 }
             }
             total_bytes += u64::from(req.length);
-            let region = req.offset / REGION;
-            let count = seen.entry(region).or_insert(0);
-            if *count > 0 {
-                reaccesses += 1;
-            }
-            *count += 1;
+            regions.push(req.offset / REGION);
             if previous_end == Some(req.offset) {
                 sequential += 1;
             }
             previous_end = Some(req.offset + u64::from(req.length));
         }
 
+        // Every request but the first to touch its region is a re-access.
+        regions.sort_unstable();
+        regions.dedup();
         let total = requests.len() as u64;
+        let unique = regions.len() as u64;
         stats.mean_request_bytes = total_bytes as f64 / total as f64;
-        stats.unique_regions = seen.len() as u64;
-        stats.reread_fraction = reaccesses as f64 / total as f64;
+        stats.unique_regions = unique;
+        stats.reread_fraction = (total - unique) as f64 / total as f64;
         stats.sequential_fraction = sequential as f64 / total as f64;
         stats
     }

@@ -29,10 +29,6 @@ const MIB: u64 = 1024 * 1024;
 /// arrival clock for at most three decades — heavy-tailed, but bounded.
 const PARETO_BOUND_RATIO: f64 = 1_000.0;
 
-/// How many inter-arrival gaps the heavy-tailed models draw per refill of their
-/// batch buffer: small enough that short traces don't waste most of a batch.
-const ARRIVAL_BATCH: usize = 256;
-
 /// Seed salt for the dedicated arrival RNG the heavy-tailed models draw from.
 /// XORed with [`SyntheticConfig::seed`] so the arrival stream is decorrelated
 /// from the content stream while staying a pure function of the seed.
@@ -51,7 +47,7 @@ const ARRIVAL_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// All variants are deterministic: equal seeds give byte-identical traces, and
 /// the two historic variants consume the generator RNG exactly as they did
 /// before the heavy-tailed variants existed, so default traces are byte-stable.
-/// The heavy-tailed variants instead draw their gaps in batches from a
+/// The heavy-tailed variants instead draw their gaps from a
 /// *dedicated* arrival RNG (seeded from the trace seed), which keeps the
 /// content stream — ops, offsets, lengths — independent of the arrival model:
 /// two heavy-tailed traces with the same seed touch the same addresses in the
@@ -269,8 +265,7 @@ impl std::fmt::Display for ArrivalModel {
 /// pre-heavy-tail generators did, so [`ArrivalModel::UniformGap`] and
 /// [`ArrivalModel::MeanRate`] traces stay byte-identical across this refactor
 /// (locked down by the golden-fingerprint test below). For the heavy-tailed
-/// variants the generators refill a gap buffer in `ARRIVAL_BATCH`-sized
-/// batches ([`ArrivalSampler::fill`]) off a dedicated arrival RNG.
+/// variants the generators draw each gap off a dedicated arrival RNG.
 #[derive(Debug, Clone)]
 pub struct ArrivalSampler {
     kind: SamplerKind,
@@ -333,67 +328,32 @@ impl ArrivalSampler {
             }
         }
     }
-
-    /// Fills `gaps` with consecutive inter-arrival gaps: [`ArrivalSampler::next_gap`]
-    /// called `gaps.len()` times with the same RNG.
-    pub fn fill(&mut self, gaps: &mut [u64], rng: &mut StdRng) {
-        for gap in gaps {
-            *gap = self.next_gap(rng);
-        }
-    }
 }
 
-/// The arrival clock the generators advance per request: either inline draws
-/// off the shared content RNG (the historic, byte-stable path) or batched
-/// draws off a dedicated arrival RNG (the heavy-tailed path).
-enum ArrivalClock {
-    /// [`ArrivalModel::UniformGap`] / [`ArrivalModel::MeanRate`]: each gap is
-    /// drawn inline from the generator's shared RNG, preserving the historic
-    /// RNG consumption byte-for-byte.
-    Inline(ArrivalSampler),
-    /// [`ArrivalModel::Pareto`] / [`ArrivalModel::OnOffBurst`]: gaps come from
-    /// a dedicated arrival RNG, refilled [`ARRIVAL_BATCH`] at a time via
-    /// [`ArrivalSampler::fill`]. The content stream never sees these draws.
-    Batched {
-        sampler: ArrivalSampler,
-        rng: Box<StdRng>,
-        gaps: Box<[u64; ARRIVAL_BATCH]>,
-        next: usize,
-    },
+/// The arrival clock the generators advance per request.
+struct ArrivalClock {
+    sampler: ArrivalSampler,
+    /// `None` for [`ArrivalModel::UniformGap`] / [`ArrivalModel::MeanRate`]:
+    /// each gap is drawn from the generator's shared RNG, preserving the
+    /// historic RNG consumption byte-for-byte. [`ArrivalModel::Pareto`] /
+    /// [`ArrivalModel::OnOffBurst`] draw from this dedicated arrival RNG
+    /// instead, so the content stream never sees their draws.
+    own_rng: Option<StdRng>,
 }
 
 impl ArrivalClock {
     fn new(model: ArrivalModel, seed: u64) -> Self {
-        let sampler = model.sampler();
-        match model {
-            ArrivalModel::UniformGap { .. } | ArrivalModel::MeanRate { .. } => {
-                ArrivalClock::Inline(sampler)
-            }
+        let own_rng = match model {
+            ArrivalModel::UniformGap { .. } | ArrivalModel::MeanRate { .. } => None,
             ArrivalModel::Pareto { .. } | ArrivalModel::OnOffBurst { .. } => {
-                ArrivalClock::Batched {
-                    sampler,
-                    rng: Box::new(StdRng::seed_from_u64(seed ^ ARRIVAL_STREAM_SALT)),
-                    gaps: Box::new([0; ARRIVAL_BATCH]),
-                    // Start exhausted so the first gap triggers a refill.
-                    next: ARRIVAL_BATCH,
-                }
+                Some(StdRng::seed_from_u64(seed ^ ARRIVAL_STREAM_SALT))
             }
-        }
+        };
+        ArrivalClock { sampler: model.sampler(), own_rng }
     }
 
     fn next_gap(&mut self, shared_rng: &mut StdRng) -> u64 {
-        match self {
-            ArrivalClock::Inline(sampler) => sampler.next_gap(shared_rng),
-            ArrivalClock::Batched { sampler, rng, gaps, next } => {
-                if *next == ARRIVAL_BATCH {
-                    sampler.fill(&mut gaps[..], rng);
-                    *next = 0;
-                }
-                let gap = gaps[*next];
-                *next += 1;
-                gap
-            }
-        }
+        self.sampler.next_gap(self.own_rng.as_mut().unwrap_or(shared_rng))
     }
 }
 
@@ -788,6 +748,30 @@ mod tests {
         );
     }
 
+    /// The heavy-tailed models draw one gap at a time off their dedicated
+    /// arrival RNG. These fingerprints were computed when the generators
+    /// refilled a 256-gap buffer from that RNG instead, and pin that the
+    /// per-gap clock reproduces those traces byte for byte.
+    #[test]
+    fn heavy_tailed_arrival_output_is_byte_identical_to_batched_draws() {
+        let config = SyntheticConfig {
+            requests: 5_000,
+            seed: 42,
+            working_set_bytes: 64 * MIB,
+            ..Default::default()
+        };
+        let pareto = web_sql_server(SyntheticConfig {
+            arrival: ArrivalModel::Pareto { shape: 1.5, mean_iops: 20_000.0 },
+            ..config
+        });
+        let onoff = web_sql_server(SyntheticConfig {
+            arrival: ArrivalModel::OnOffBurst { burst_iops: 1e5, idle_fraction: 0.8, burst_len: 7 },
+            ..config
+        });
+        assert_eq!(fingerprint(&pareto), 0x0c15_5daf_2bec_50c0);
+        assert_eq!(fingerprint(&onoff), 0x1a9f_66c3_cc5b_8bb6);
+    }
+
     /// Golden traces of the table-heavy paths: the web/SQL generator at its
     /// default 256 MiB working set, where the table Zipf has 8,128 ranks, and
     /// a KV-style op stream (a rank from a 100k-key Zipf at s = 0.99, then a
@@ -808,28 +792,6 @@ mod tests {
             })
             .collect();
         assert_eq!(fingerprint(&Trace::new("zipf-ops", ops)), 0x42f2_aef6_9ec9_05a6);
-    }
-
-    #[test]
-    fn fill_matches_repeated_next_gap_draws() {
-        for model in [
-            ArrivalModel::default(),
-            ArrivalModel::MeanRate { iops: 30_000.0 },
-            ArrivalModel::Pareto { shape: 1.4, mean_iops: 30_000.0 },
-            ArrivalModel::OnOffBurst { burst_iops: 1e5, idle_fraction: 0.8, burst_len: 7 },
-        ] {
-            // Deliberately not a multiple of the burst length, so the on/off
-            // phase state must survive across the fill boundary.
-            let mut batch = vec![0u64; 1_000];
-            let mut batch_rng = StdRng::seed_from_u64(99);
-            model.sampler().fill(&mut batch, &mut batch_rng);
-
-            let mut single_rng = StdRng::seed_from_u64(99);
-            let mut sampler = model.sampler();
-            let singles: Vec<u64> =
-                (0..1_000).map(|_| sampler.next_gap(&mut single_rng)).collect();
-            assert_eq!(batch, singles, "{model}: fill diverged from next_gap");
-        }
     }
 
     #[test]

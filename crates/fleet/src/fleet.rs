@@ -48,7 +48,7 @@ use vflash_sim::{
     prefill, ArrivalDiscipline, HostCalendar, LaneState, LatencyHistogram, PageChain, Replay,
     RunSummary, WorkloadDriver,
 };
-use vflash_trace::{IoOp, PageSplitter, Trace};
+use vflash_trace::{IoOp, PageSplitter, TraceSlice};
 
 use crate::cache::{CacheConfig, WritebackCache, HIT_LATENCY};
 use crate::qos::{validate_tenants, DispatchOrder, TenantWeight};
@@ -180,7 +180,11 @@ impl<F: FlashTranslationLayer> Fleet<F> {
 impl<F: FlashTranslationLayer> Replay for Fleet<F> {
     type Summary = FleetSummary;
 
-    fn replay(&mut self, driver: &WorkloadDriver, trace: &Trace) -> Result<FleetSummary, FtlError> {
+    fn replay(
+        &mut self,
+        driver: &WorkloadDriver,
+        trace: TraceSlice<'_>,
+    ) -> Result<FleetSummary, FtlError> {
         // The engine's warm-up, routed by the stripe map.
         let stripe = self.stripe;
         let mut lanes: Vec<&mut F> = self.lanes.iter_mut().collect();
@@ -208,7 +212,7 @@ impl<F: FlashTranslationLayer> Replay for Fleet<F> {
 fn drive<F: FlashTranslationLayer>(
     driver: &WorkloadDriver,
     fleet: &mut Fleet<F>,
-    trace: &Trace,
+    trace: TraceSlice<'_>,
 ) -> Result<FleetSummary, FtlError> {
     let discipline = driver.discipline();
     let page_size = fleet.lanes[0].device().config().page_size_bytes();
@@ -250,10 +254,9 @@ fn drive<F: FlashTranslationLayer>(
         ArrivalDiscipline::ClosedLoop { .. } => DispatchOrder::new(&tenants, trace.len()),
         ArrivalDiscipline::OpenLoop { .. } => DispatchOrder::in_trace_order(trace.len()),
     };
-    let all_requests = trace.requests();
 
     for request_index in order {
-        let request = &all_requests[request_index];
+        let request = trace.get(request_index).expect("the dispatch order indexes the trace");
         let tenant = request_index % tenant_count;
 
         let issue = calendar.issue(request.at_nanos);
@@ -406,7 +409,7 @@ mod tests {
     use vflash_nand::{NandConfig, NandDevice};
     use vflash_sim::RunOptions;
     use vflash_trace::synthetic::{self, SyntheticConfig};
-    use vflash_trace::IoRequest;
+    use vflash_trace::{IoRequest, Trace};
 
     fn lane() -> ConventionalFtl {
         let device = NandDevice::new(

@@ -26,9 +26,10 @@ use crate::summary::FleetSummary;
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors from any lane; a KV source,
-/// a zero width, a warm-up fraction (which does not apply) and a discipline
+/// a zero width, a warm-up fraction (which does not apply), a discipline
 /// [`ArrivalDiscipline::validate`](vflash_sim::ArrivalDiscipline::validate)
-/// rejects are [`FtlError::InvalidConfig`].
+/// rejects and a synthetic source [`RunSpec::trace`] cannot generate are
+/// [`FtlError::InvalidConfig`].
 pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
     struct Stripe<'s, 'a>(&'s RunSpec<'a>);
     impl FtlJob for Stripe<'_, '_> {
@@ -40,7 +41,7 @@ pub fn run_fleet_cell(spec: &RunSpec<'_>) -> Result<FleetSummary, FtlError> {
             let trace = self.0.trace()?;
             let lanes = (0..self.0.fleet_width).map(|_| build()).collect::<Result<Vec<F>, _>>()?;
             WorkloadDriver::new(RunOptions::default(), self.0.discipline)
-                .run(Fleet::new(lanes, FleetConfig::default()), &trace)
+                .run(Fleet::new(lanes, FleetConfig::default()), trace.as_slice())
         }
     }
     let refused = |reason: &str| Err(FtlError::InvalidConfig { reason: reason.into() });
@@ -62,6 +63,7 @@ mod tests {
     use vflash_sim::{
         run_spec, ArrivalDiscipline, ExperimentGrid, KvSource, ParallelRunner, ReplayMode,
     };
+    use vflash_trace::synthetic::ArrivalModel;
 
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
@@ -157,6 +159,38 @@ mod tests {
         for spec in refused {
             let outcome = run_fleet_cell(&spec);
             assert!(matches!(outcome, Err(FtlError::InvalidConfig { .. })), "{outcome:?}");
+        }
+    }
+
+    #[test]
+    fn a_synthetic_source_it_cannot_generate_is_refused() {
+        // Each used to panic in `ArrivalModel::sampler` or in a generator
+        // inside the sweep: every degenerate case `sampler` lists, then zero
+        // requests.
+        let spec = RunSpec { fleet_width: 2, ..RunSpec::new(Workload::WebSqlServer, tiny_scale()) };
+        let refused = [
+            ArrivalModel::UniformGap { min_nanos: 7, max_nanos: 7 },
+            ArrivalModel::MeanRate { iops: 0.0 },
+            ArrivalModel::MeanRate { iops: f64::NAN },
+            ArrivalModel::Pareto { shape: 1.0, mean_iops: 100.0 },
+            ArrivalModel::Pareto { shape: 1.5, mean_iops: f64::INFINITY },
+            ArrivalModel::OnOffBurst { burst_iops: -1.0, idle_fraction: 0.5, burst_len: 8 },
+            ArrivalModel::OnOffBurst { burst_iops: 1e4, idle_fraction: 1.0, burst_len: 8 },
+            ArrivalModel::OnOffBurst { burst_iops: 1e4, idle_fraction: 0.5, burst_len: 0 },
+        ]
+        .map(|arrival| RunSpec { arrival, ..spec })
+        .into_iter()
+        .chain(Workload::ALL.map(|workload| RunSpec {
+            source: workload.into(),
+            scale: ExperimentScale { requests: 0, ..spec.scale },
+            ..spec
+        }));
+        for spec in refused {
+            let outcome = run_fleet_cell(&spec);
+            assert!(
+                matches!(outcome, Err(FtlError::InvalidConfig { .. })),
+                "{spec:?}: {outcome:?}"
+            );
         }
     }
 

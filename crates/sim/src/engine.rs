@@ -1,6 +1,6 @@
 //! The workload-driver engine: trace replay against one device.
 //!
-//! [`WorkloadDriver`] replays a [`Trace`] against any
+//! [`WorkloadDriver`] replays a [`Trace`](vflash_trace::Trace) against any
 //! [`FlashTranslationLayer`] under an [`ArrivalDiscipline`]:
 //!
 //! * [`ArrivalDiscipline::ClosedLoop`] — keep `queue_depth` requests in flight;
@@ -55,7 +55,7 @@
 
 use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
 use vflash_nand::Nanos;
-use vflash_trace::{IoOp, PageSplitter, Trace};
+use vflash_trace::{IoOp, PageSplitter, TraceSlice};
 
 use crate::calendar::HostCalendar;
 use crate::lane::{prefill, LaneState};
@@ -148,13 +148,16 @@ pub trait Replay {
     /// # Errors
     ///
     /// Propagates FTL errors.
-    fn replay(&mut self, driver: &WorkloadDriver, trace: &Trace)
-        -> Result<Self::Summary, FtlError>;
+    fn replay(
+        &mut self,
+        driver: &WorkloadDriver,
+        trace: TraceSlice<'_>,
+    ) -> Result<Self::Summary, FtlError>;
 }
 
-/// The workload driver: replays a [`Trace`] against any [`Replay`] target —
-/// one [`FlashTranslationLayer`], or a fleet of them — under a chosen
-/// [`ArrivalDiscipline`] and reports the target's summary.
+/// The workload driver: replays a [`Trace`](vflash_trace::Trace) against any
+/// [`Replay`] target — one [`FlashTranslationLayer`], or a fleet of them —
+/// under a chosen [`ArrivalDiscipline`] and reports the target's summary.
 ///
 /// # Example
 ///
@@ -234,7 +237,8 @@ impl WorkloadDriver {
         self.discipline
     }
 
-    /// Replays `trace` against `target` and returns its summary.
+    /// Replays `trace` — a `&Trace`, or a [`TraceSlice`] of one — against
+    /// `target` and returns its summary.
     ///
     /// Byte offsets are translated to logical pages using the device's page size,
     /// and wrapped modulo the exported logical capacity so any trace can be
@@ -246,8 +250,12 @@ impl WorkloadDriver {
     /// Propagates FTL errors ([`FtlError::OutOfSpace`] and internal device
     /// errors). Unmapped reads only occur when `prefill` is disabled; with the
     /// default options they cannot happen.
-    pub fn run<T: Replay>(&self, mut target: T, trace: &Trace) -> Result<T::Summary, FtlError> {
-        target.replay(self, trace)
+    pub fn run<'t, T: Replay>(
+        &self,
+        mut target: T,
+        trace: impl Into<TraceSlice<'t>>,
+    ) -> Result<T::Summary, FtlError> {
+        target.replay(self, trace.into())
     }
 
     /// Like [`WorkloadDriver::run`] but borrows the target, so callers can keep
@@ -257,19 +265,23 @@ impl WorkloadDriver {
     /// # Errors
     ///
     /// Propagates FTL errors; see [`WorkloadDriver::run`].
-    pub fn run_mut<T: Replay + ?Sized>(
+    pub fn run_mut<'t, T: Replay + ?Sized>(
         &self,
         target: &mut T,
-        trace: &Trace,
+        trace: impl Into<TraceSlice<'t>>,
     ) -> Result<T::Summary, FtlError> {
-        target.replay(self, trace)
+        target.replay(self, trace.into())
     }
 }
 
 impl<F: FlashTranslationLayer + ?Sized> Replay for F {
     type Summary = RunSummary;
 
-    fn replay(&mut self, driver: &WorkloadDriver, trace: &Trace) -> Result<RunSummary, FtlError> {
+    fn replay(
+        &mut self,
+        driver: &WorkloadDriver,
+        trace: TraceSlice<'_>,
+    ) -> Result<RunSummary, FtlError> {
         let logical_pages = self.logical_pages();
         prefill(&driver.options, &mut [&mut *self], trace, logical_pages, |page| (0, page))?;
 
@@ -290,7 +302,7 @@ impl<F: FlashTranslationLayer + ?Sized> Replay for F {
 fn drive<F: FlashTranslationLayer + ?Sized>(
     driver: &WorkloadDriver,
     ftl: &mut F,
-    trace: &Trace,
+    trace: TraceSlice<'_>,
     logical_pages: u64,
 ) -> Result<RunSummary, FtlError> {
     let WorkloadDriver { options, discipline } = *driver;
@@ -360,7 +372,7 @@ mod tests {
     use crate::report::ReplayMode;
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
-    use vflash_trace::IoRequest;
+    use vflash_trace::{IoRequest, Trace};
 
     fn ftl(chips: usize) -> ConventionalFtl {
         let device = NandDevice::new(

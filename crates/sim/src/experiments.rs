@@ -312,13 +312,29 @@ impl ExperimentScale {
     ///
     /// The working set only grows, never shrinks, so a small trace still runs on
     /// the scale's default device.
+    ///
+    /// The footprint is counted over each request's run of pages, sorted and
+    /// merged: 16 bytes per request, however many pages a request spans.
     pub fn sized_for_trace(&self, trace: &Trace) -> ExperimentScale {
         const PAGE: u64 = 16 * 1024;
-        let mut pages: Vec<u64> =
-            trace.into_iter().flat_map(|request| request.logical_pages(PAGE as usize)).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        let footprint = pages.len() as u64 * PAGE;
+        let mut runs: Vec<(u64, u64)> = trace
+            .iter()
+            .map(|request| {
+                let pages = request.logical_pages(PAGE as usize);
+                (pages.start, pages.end)
+            })
+            .collect();
+        runs.sort_unstable();
+        // Pages counted so far end at `covered`; a run adds what lies past it.
+        let (mut pages, mut covered) = (0u64, 0u64);
+        for (start, end) in runs {
+            let start = start.max(covered);
+            if end > start {
+                pages += end - start;
+                covered = end;
+            }
+        }
+        let footprint = pages.saturating_mul(PAGE);
         ExperimentScale {
             working_set_bytes: self.working_set_bytes.max(footprint),
             ..*self
@@ -472,10 +488,17 @@ impl<'a> RunSpec<'a> {
     ///
     /// # Errors
     ///
-    /// [`FtlError::InvalidConfig`] for a KV source, which has no block trace.
+    /// [`FtlError::InvalidConfig`] for a KV source, which has no block trace,
+    /// and for a synthetic source the generators cannot make: zero requests,
+    /// or an arrival model [`ArrivalModel::validate`] rejects.
     pub fn trace(&self) -> Result<Cow<'a, Trace>, FtlError> {
         match self.source {
             TraceSource::Synthetic(workload) => {
+                let generable = match self.scale.requests {
+                    0 => Err("a synthetic trace needs at least one request"),
+                    _ => self.arrival.validate(),
+                };
+                generable.map_err(|reason| FtlError::InvalidConfig { reason: reason.into() })?;
                 Ok(Cow::Owned(workload.trace_with_arrival(&self.scale, self.arrival)))
             }
             TraceSource::External(trace) => Ok(Cow::Borrowed(trace)),
@@ -546,7 +569,8 @@ pub trait FtlJob {
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors; a KV source, a fleet width
-/// other than 1 and a discipline [`ArrivalDiscipline::validate`] rejects are
+/// other than 1, a discipline [`ArrivalDiscipline::validate`] rejects and a
+/// synthetic source [`RunSpec::trace`] cannot generate are
 /// [`FtlError::InvalidConfig`].
 pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
     struct Single<'s, 'a>(&'s RunSpec<'a>);
@@ -557,18 +581,19 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
             build: impl Fn() -> Result<F, FtlError>,
         ) -> Result<RunSummary, FtlError> {
             let (spec, trace) = (self.0, self.0.trace()?);
+            let trace = trace.as_slice();
             let mut ftl = build()?;
             let split = ((trace.len() as f64 * spec.warmup_fraction).round() as usize).min(trace.len());
             let options = RunOptions::default();
             if split == 0 {
-                return WorkloadDriver::new(options, spec.discipline).run_mut(&mut ftl, &trace);
+                return WorkloadDriver::new(options, spec.discipline).run_mut(&mut ftl, trace);
             }
             let logical_pages = ftl.logical_pages();
-            prefill(&options, &mut [&mut ftl], &trace, logical_pages, |page| (0, page))?;
+            prefill(&options, &mut [&mut ftl], trace, logical_pages, |page| (0, page))?;
             let driver = WorkloadDriver::new(RunOptions { prefill: false }, spec.discipline);
-            let (warmup, measured) = trace.requests().split_at(split);
-            driver.run_mut(&mut ftl, &Trace::new(format!("{}+warmup", trace.name()), warmup.to_vec()))?;
-            driver.run_mut(&mut ftl, &Trace::new(trace.name().to_string(), measured.to_vec()))
+            let (warmup, measured) = trace.split_at(split);
+            driver.run_mut(&mut ftl, warmup)?;
+            driver.run_mut(&mut ftl, measured)
         }
     }
     if spec.fleet_width != 1 {
@@ -744,6 +769,8 @@ pub const PPB_HOT_LIST_FRACTIONS: [f64; 2] = [0.10, 0.25];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use vflash_trace::{IoOp, IoRequest};
 
     /// Both FTLs along one axis: a row per axis value.
     fn along<T: Copy>(
@@ -756,6 +783,53 @@ mod tests {
 
     fn compare(spec: RunSpec<'static>) -> Comparison {
         along(&[spec], |spec| spec).remove(0).comparison
+    }
+
+    /// The page-by-page footprint count `sized_for_trace` replaced: every
+    /// page of every request, sorted and deduplicated.
+    fn page_by_page_footprint(trace: &Trace) -> u64 {
+        const PAGE: u64 = 16 * 1024;
+        let mut pages: Vec<u64> =
+            trace.iter().flat_map(|request| request.logical_pages(PAGE as usize)).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages.len() as u64 * PAGE
+    }
+
+    proptest! {
+        /// Requests over a small span of pages, so their page runs overlap,
+        /// abut and enclose one another, some at unaligned bytes, and one
+        /// ending at the top of the address space.
+        #[test]
+        fn sized_for_trace_counts_what_the_page_by_page_rule_counted(
+            runs in proptest::collection::vec(
+                (
+                    0u64..48,
+                    prop_oneof![Just(0u64), 0u64..16_384],
+                    prop_oneof![(1u32..5).prop_map(|pages| pages * 16_384), 1u32..80_000],
+                ),
+                1..40,
+            ),
+            top in 0u32..2,
+        ) {
+            let mut trace: Trace = runs
+                .iter()
+                .map(|&(page, within, length)| {
+                    IoRequest::new(0, IoOp::Write, page * 16_384 + within, length)
+                })
+                .collect();
+            if top == 1 {
+                trace.push(IoRequest::new(0, IoOp::Read, u64::MAX - 40_000, 40_000));
+            }
+            let bare = ExperimentScale { working_set_bytes: 0, ..ExperimentScale::quick() };
+            prop_assert_eq!(
+                bare.sized_for_trace(&trace).working_set_bytes,
+                page_by_page_footprint(&trace)
+            );
+            // The working set only grows.
+            let big = ExperimentScale { working_set_bytes: u64::MAX, ..bare };
+            prop_assert_eq!(big.sized_for_trace(&trace), big);
+        }
     }
 
     #[test]
@@ -833,6 +907,39 @@ mod tests {
             );
         }
         assert_eq!(run_spec(&base).unwrap().host_requests, 50);
+    }
+
+    #[test]
+    fn run_spec_refuses_a_synthetic_source_it_cannot_generate() {
+        // Each used to panic in `ArrivalModel::sampler` or in a generator,
+        // taking a whole `ParallelRunner` sweep down: every degenerate case
+        // `sampler` lists, then zero requests.
+        let scale = ExperimentScale { requests: 50, ..ExperimentScale::quick() };
+        let base = RunSpec::new(Workload::WebSqlServer, scale);
+        let refused = [
+            ArrivalModel::UniformGap { min_nanos: 7, max_nanos: 7 },
+            ArrivalModel::MeanRate { iops: 0.0 },
+            ArrivalModel::MeanRate { iops: f64::NAN },
+            ArrivalModel::Pareto { shape: 1.0, mean_iops: 100.0 },
+            ArrivalModel::Pareto { shape: 1.5, mean_iops: f64::INFINITY },
+            ArrivalModel::OnOffBurst { burst_iops: -1.0, idle_fraction: 0.5, burst_len: 8 },
+            ArrivalModel::OnOffBurst { burst_iops: 1e4, idle_fraction: 1.0, burst_len: 8 },
+            ArrivalModel::OnOffBurst { burst_iops: 1e4, idle_fraction: 0.5, burst_len: 0 },
+        ]
+        .map(|arrival| RunSpec { arrival, ..base })
+        .into_iter()
+        .chain(Workload::ALL.map(|workload| {
+            RunSpec::new(workload, ExperimentScale { requests: 0, ..scale })
+        }));
+        for spec in refused {
+            for ftl in FtlKind::ALL {
+                let outcome = run_spec(&spec.on(ftl));
+                assert!(
+                    matches!(outcome, Err(FtlError::InvalidConfig { .. })),
+                    "{spec:?}: {outcome:?}"
+                );
+            }
+        }
     }
 
     #[test]

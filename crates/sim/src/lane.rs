@@ -32,7 +32,7 @@ use vflash_ftl::{
     Completion, FlashTranslationLayer, FtlError, FtlMetrics, IoRequest as FtlRequest, Lpn,
 };
 use vflash_nand::{ChipClocks, ChipId, NandDevice, Nanos, OpSpan};
-use vflash_trace::{IoOp, PageSplitter, Trace};
+use vflash_trace::{IoOp, PageSplitter, TraceSlice};
 
 use crate::calendar::{ArrivalWindow, Issue};
 use crate::engine::{ArrivalDiscipline, RunOptions};
@@ -128,7 +128,7 @@ impl PageBitmap {
 pub fn prefill<F: FlashTranslationLayer + ?Sized>(
     options: &RunOptions,
     lanes: &mut [&mut F],
-    trace: &Trace,
+    trace: TraceSlice<'_>,
     space: u64,
     locate: impl Fn(u64) -> (usize, u64),
 ) -> Result<(), FtlError> {
@@ -440,6 +440,7 @@ impl LaneState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vflash_trace::Trace;
 
     #[test]
     fn bitmap_sets_and_iterates_in_ascending_order() {
@@ -600,7 +601,8 @@ mod tests {
                     let written: usize = expected.iter().map(Vec::len).sum();
                     assert_eq!(written == space as usize, case == 2, "case {case} marks too much");
                     let mut refs: Vec<&mut Recorder> = recorders.iter_mut().collect();
-                    prefill(&RunOptions::default(), &mut refs, trace, space, locate).unwrap();
+                    let options = RunOptions::default();
+                    prefill(&options, &mut refs, trace.into(), space, locate).unwrap();
                     for (lane, recorder) in recorders.iter().enumerate() {
                         assert_eq!(
                             recorder.submitted, expected[lane],

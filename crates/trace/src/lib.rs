@@ -14,7 +14,15 @@
 //!   — most importantly — the skew of re-access frequency (hot/cold behaviour).
 //!
 //! A workload is just a [`Trace`]: an ordered list of [`IoRequest`]s plus derived
-//! [`TraceStats`].
+//! [`TraceStats`]. A trace stores each request in 16 bytes — the arrival time,
+//! then one word packing a 40-bit offset, `length - 1` in 23 bits and the op
+//! (MSR volumes are under 1 TiB and their requests under 8 MiB) — and keeps
+//! the rare request that does not fit whole in a side table. Requests come out
+//! by value ([`Trace::iter`], [`Trace::get`]); the generators and the parser
+//! push straight into a [`Trace::with_capacity`], so no wider copy exists
+//! while a trace is built. A replay reads a [`TraceSlice`], which
+//! [`TraceSlice::split_at`] cuts (a warm-up prefix, a measured suffix)
+//! without copying.
 //!
 //! # Example
 //!
@@ -42,6 +50,6 @@ mod request;
 mod stats;
 mod zipf;
 
-pub use request::{IoOp, IoRequest, PageSplitter, Trace};
+pub use request::{IoOp, IoRequest, PageSplitter, Trace, TraceIntoIter, TraceIter, TraceSlice};
 pub use stats::TraceStats;
 pub use zipf::Zipf;

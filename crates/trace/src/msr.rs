@@ -48,8 +48,8 @@ impl Error for ParseTraceError {}
 ///
 /// The input is consumed **streaming, line by line**, into a single reused buffer:
 /// neither the file nor per-line `String`s are materialised, so multi-GB raw traces
-/// parse within a constant memory budget (plus the decoded request vector, 24 bytes
-/// per request).
+/// parse within a constant memory budget (plus the decoded [`Trace`], 16 bytes per
+/// request, which the parser pushes into directly).
 ///
 /// Timestamps are re-based so the first request arrives at time zero. Blank lines are
 /// skipped. Requests with zero size are skipped (they occasionally appear in the raw
@@ -73,7 +73,7 @@ impl Error for ParseTraceError {}
 /// 128166372016853766,mds,0,Write,1317441536,8192,1763";
 /// let trace = msr::parse(csv.as_bytes(), "mds_0")?;
 /// assert_eq!(trace.len(), 2);
-/// assert_eq!(trace.requests()[0].at_nanos, 0);
+/// assert_eq!(trace.get(0).map(|request| request.at_nanos), Some(0));
 /// # Ok(())
 /// # }
 /// ```
@@ -272,18 +272,18 @@ pub fn parse_filtered<R: BufRead>(
     name: &str,
     options: &SubsetOptions,
 ) -> Result<Trace, ParseTraceError> {
-    let mut requests = Vec::new();
     let quota = options.first_n.unwrap_or(usize::MAX);
+    let mut trace = Trace::with_capacity(name, 0);
     scan(reader, |_line, at_nanos, parsed, _raw| {
-        if requests.len() >= quota {
+        if trace.len() >= quota {
             return false;
         }
         if options.matches(at_nanos, parsed.offset, parsed.size) {
-            requests.push(IoRequest::new(at_nanos, parsed.op, parsed.offset, parsed.size));
+            trace.push(IoRequest::new(at_nanos, parsed.op, parsed.offset, parsed.size));
         }
-        requests.len() < quota
+        trace.len() < quota
     })?;
-    Ok(Trace::new(name, requests))
+    Ok(trace)
 }
 
 /// Copies the raw lines of the requests matching `options` from `reader` to
@@ -398,7 +398,8 @@ mod tests {
         let trace = parse(SAMPLE.as_bytes(), "mds_0").unwrap();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.name(), "mds_0");
-        let reqs = trace.requests();
+        let reqs: Vec<_> = trace.iter().collect();
+        assert_eq!(trace.get(0), Some(reqs[0]));
         assert_eq!(reqs[0].at_nanos, 0);
         assert_eq!(reqs[0].op, IoOp::Read);
         assert_eq!(reqs[0].offset, 7014609920);
@@ -414,7 +415,7 @@ mod tests {
         let csv = "1,host,0,Read,0,0,10\n2,host,0,Write,4096,4096,10\n";
         let trace = parse(csv.as_bytes(), "t").unwrap();
         assert_eq!(trace.len(), 1);
-        assert_eq!(trace.requests()[0].op, IoOp::Write);
+        assert_eq!(trace.get(0).unwrap().op, IoOp::Write);
     }
 
     #[test]
@@ -466,7 +467,7 @@ mod tests {
     fn first_n_keeps_a_prefix_and_stops_early() {
         let trace = parse_filtered(SAMPLE.as_bytes(), "t", &SubsetOptions::first_n(2)).unwrap();
         assert_eq!(trace.len(), 2);
-        assert_eq!(trace.requests()[1].op, IoOp::Write);
+        assert_eq!(trace.get(1).unwrap().op, IoOp::Write);
         // A malformed line *after* the quota is never reached.
         let csv = "1,h,0,Read,0,4096,9\nbroken line\n";
         let trace = parse_filtered(csv.as_bytes(), "t", &SubsetOptions::first_n(1)).unwrap();
@@ -479,9 +480,9 @@ mod tests {
         let window = SubsetOptions::time_window(1_000_000_000, 2_000_000_000);
         let trace = parse_filtered(SAMPLE.as_bytes(), "t", &window).unwrap();
         assert_eq!(trace.len(), 1);
-        assert_eq!(trace.requests()[0].op, IoOp::Write);
+        assert_eq!(trace.get(0).unwrap().op, IoOp::Write);
         // The kept request retains its file-relative arrival time.
-        assert_eq!(trace.requests()[0].at_nanos, 13_792_137 * 100);
+        assert_eq!(trace.get(0).unwrap().at_nanos, 13_792_137 * 100);
     }
 
     #[test]
@@ -522,7 +523,7 @@ mod tests {
         // The subset is itself a parsable MSR trace.
         let reparsed = parse(text.as_bytes(), "sub").unwrap();
         assert_eq!(reparsed.len(), 2);
-        assert_eq!(reparsed.requests()[0].at_nanos, 0);
+        assert_eq!(reparsed.get(0).unwrap().at_nanos, 0);
     }
 
     #[test]
@@ -573,7 +574,7 @@ mod tests {
         let big_base = u64::MAX - 1_000;
         let csv = format!("{big_base},h,0,Read,0,4096,9\n{},h,0,Write,0,4096,9\n", u64::MAX);
         let trace = parse(csv.as_bytes(), "t").unwrap();
-        assert_eq!(trace.requests()[1].at_nanos, 1_000 * 100);
+        assert_eq!(trace.get(1).unwrap().at_nanos, 1_000 * 100);
     }
 
     #[test]
@@ -594,7 +595,7 @@ mod tests {
         // A range ending exactly at the top of the address space is well formed.
         let csv = format!("1,h,0,Read,{},4096,9\n", u64::MAX - 4_096);
         let trace = parse(csv.as_bytes(), "t").unwrap();
-        assert_eq!(trace.requests()[0].logical_pages(4_096).end, u64::MAX / 4_096 + 1);
+        assert_eq!(trace.get(0).unwrap().logical_pages(4_096).end, u64::MAX / 4_096 + 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl IoRequest {
     ///
     /// Panics if `page_size` is zero.
     pub fn logical_pages(&self, page_size: usize) -> std::ops::Range<u64> {
-        PageSplitter::new(page_size).pages(self)
+        PageSplitter::new(page_size).pages(*self)
     }
 }
 
@@ -88,7 +88,7 @@ impl PageSplitter {
     }
 
     /// The logical page numbers `request` touches.
-    pub fn pages(&self, request: &IoRequest) -> std::ops::Range<u64> {
+    pub fn pages(&self, request: IoRequest) -> std::ops::Range<u64> {
         let last_byte = request.offset + u64::from(request.length) - 1;
         match self.shift {
             Some(shift) => (request.offset >> shift)..(last_byte >> shift) + 1,
@@ -97,21 +97,102 @@ impl PageSplitter {
     }
 }
 
-/// An ordered sequence of I/O requests.
+/// Bits of a packed record's word that hold the byte offset.
+const OFFSET_BITS: u32 = 40;
+/// Bits of a packed record's word that hold `length - 1`.
+const LENGTH_BITS: u32 = 23;
+/// The word of a record whose request is in the side table, at the index the
+/// record's first field holds. No packed word equals it: that would take the
+/// offset `2^40 - 1`, which is stored wide.
+const WIDE: u64 = u64::MAX;
+
+/// One request of a [`Trace`] in 16 bytes: the arrival time, then a word
+/// holding the offset (bits 24..64), `length - 1` (bits 1..24) and the op
+/// (bit 0, set for a write).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    at_nanos: u64,
+    word: u64,
+}
+
+impl Record {
+    /// `request` packed, or `None` when its offset or length does not fit the
+    /// word (or its length is zero, which only a struct literal can make).
+    fn pack(request: IoRequest) -> Option<Record> {
+        let fits = request.offset < (1 << OFFSET_BITS) - 1
+            && (1..=1 << LENGTH_BITS).contains(&request.length);
+        fits.then(|| Record {
+            at_nanos: request.at_nanos,
+            word: request.offset << (LENGTH_BITS + 1)
+                | u64::from(request.length - 1) << 1
+                | u64::from(request.op == IoOp::Write),
+        })
+    }
+
+    /// The request this record holds; `wide` is its trace's side table.
+    #[inline]
+    fn unpack(self, wide: &[IoRequest]) -> IoRequest {
+        if self.word == WIDE {
+            return wide[self.at_nanos as usize];
+        }
+        IoRequest {
+            at_nanos: self.at_nanos,
+            op: if self.word & 1 == 0 { IoOp::Read } else { IoOp::Write },
+            offset: self.word >> (LENGTH_BITS + 1),
+            length: ((self.word >> 1) & ((1 << LENGTH_BITS) - 1)) as u32 + 1,
+        }
+    }
+}
+
+/// An ordered sequence of I/O requests, 16 bytes per request.
 ///
-/// Construction goes through [`Trace::new`] (validating time ordering is *not*
-/// required — real traces contain ties and minor inversions — but requests must be
-/// non-empty length, which [`IoRequest::new`] already enforces).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Time ordering is *not* validated — real traces contain ties and minor
+/// inversions. A request is stored packed (see `Record`): every synthetic
+/// request and every request of a real MSR volume (under 1 TiB, requests under
+/// 8 MiB) fits. One that does not — an offset from `2^40 - 1` up, a length
+/// over `2^23` bytes — is kept whole in a side table, so any [`IoRequest`]
+/// comes back exactly as it went in. Requests are yielded by value.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     name: String,
-    requests: Vec<IoRequest>,
+    records: Vec<Record>,
+    /// The requests that do not pack, in trace order. `push` appends here and
+    /// `truncate` cuts the entries of the records it drops, so the table holds
+    /// exactly the wide requests of `records`: equal requests are equal fields,
+    /// and the derived `PartialEq` means "same name, same requests".
+    wide: Vec<IoRequest>,
 }
 
 impl Trace {
     /// Creates a trace from a name and request list.
     pub fn new(name: impl Into<String>, requests: Vec<IoRequest>) -> Self {
-        Trace { name: name.into(), requests }
+        let mut trace = Trace::with_capacity(name, requests.len());
+        trace.extend(requests);
+        trace
+    }
+
+    /// An empty trace with room for `capacity` requests: what a generator or
+    /// parser pushes into, so no second copy of the requests ever exists.
+    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+        Trace { name: name.into(), records: Vec::with_capacity(capacity), wide: Vec::new() }
+    }
+
+    /// Appends `request`.
+    pub fn push(&mut self, request: IoRequest) {
+        let record = Record::pack(request).unwrap_or_else(|| {
+            self.wide.push(request);
+            Record { at_nanos: (self.wide.len() - 1) as u64, word: WIDE }
+        });
+        self.records.push(record);
+    }
+
+    /// Keeps the first `len` requests (all of them if there are fewer).
+    pub fn truncate(&mut self, len: usize) {
+        if let Some(dropped) = self.records.get(len..) {
+            let wide = dropped.iter().filter(|record| record.word == WIDE).count();
+            self.wide.truncate(self.wide.len() - wide);
+            self.records.truncate(len);
+        }
     }
 
     /// Human-readable name of the workload (e.g. `"media-server"`).
@@ -121,39 +202,44 @@ impl Trace {
 
     /// Number of requests.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.records.len()
     }
 
     /// Whether the trace contains no requests.
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.records.is_empty()
+    }
+
+    /// The whole trace as a [`TraceSlice`].
+    pub fn as_slice(&self) -> TraceSlice<'_> {
+        TraceSlice { name: &self.name, records: &self.records, wide: &self.wide }
+    }
+
+    /// The request at `index`, or `None` past the end.
+    pub fn get(&self, index: usize) -> Option<IoRequest> {
+        self.as_slice().get(index)
     }
 
     /// Iterates over the requests in arrival order.
-    pub fn iter(&self) -> std::slice::Iter<'_, IoRequest> {
-        self.requests.iter()
-    }
-
-    /// Borrow the raw request slice.
-    pub fn requests(&self) -> &[IoRequest] {
-        &self.requests
+    pub fn iter(&self) -> TraceIter<'_> {
+        self.as_slice().iter()
     }
 
     /// Computes summary statistics for the trace.
     pub fn stats(&self) -> TraceStats {
-        TraceStats::from_requests(&self.requests)
+        TraceStats::from_requests(self)
     }
 
     /// Arrival time of the first request, or `None` for an empty trace.
     pub fn first_arrival_nanos(&self) -> Option<u64> {
-        self.requests.first().map(|request| request.at_nanos)
+        self.get(0).map(|request| request.at_nanos)
     }
 
     /// The largest recorded arrival time, or `None` for an empty trace. Real traces
     /// may contain minor timestamp inversions, so this scans rather than trusting
     /// the last entry.
     pub fn last_arrival_nanos(&self) -> Option<u64> {
-        self.requests.iter().map(|request| request.at_nanos).max()
+        self.iter().map(|request| request.at_nanos).max()
     }
 
     /// The span of the recorded arrival clock: largest arrival minus first arrival.
@@ -174,47 +260,175 @@ impl Trace {
         if span == 0 {
             0.0
         } else {
-            self.requests.len() as f64 / (span as f64 / 1e9)
+            self.len() as f64 / (span as f64 / 1e9)
         }
     }
 
     /// Returns a copy of this trace truncated to at most `limit` requests, useful for
     /// keeping benchmark iterations short.
     pub fn truncated(&self, limit: usize) -> Trace {
-        Trace {
-            name: self.name.clone(),
-            requests: self.requests.iter().take(limit).copied().collect(),
-        }
+        let mut cut = Trace::with_capacity(self.name.clone(), limit.min(self.len()));
+        cut.extend(self.iter().take(limit));
+        cut
     }
 }
 
-impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a IoRequest;
-    type IntoIter = std::slice::Iter<'a, IoRequest>;
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.requests.iter()
+/// A run of consecutive requests of a [`Trace`], under the trace's name: what
+/// a replay reads. `&Trace` converts into the whole trace, and
+/// [`TraceSlice::split_at`] cuts a slice in two without copying a request.
+#[derive(Clone, Copy)]
+pub struct TraceSlice<'a> {
+    name: &'a str,
+    records: &'a [Record],
+    /// The whole trace's side table: wide records index it absolutely.
+    wide: &'a [IoRequest],
+}
+
+impl<'a> TraceSlice<'a> {
+    /// The name of the trace this slice is of.
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the slice contains no requests.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The request at `index`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, index: usize) -> Option<IoRequest> {
+        self.records.get(index).map(|record| record.unpack(self.wide))
+    }
+
+    /// Iterates over the requests in arrival order.
+    pub fn iter(&self) -> TraceIter<'a> {
+        TraceIter { records: self.records.iter(), wide: self.wide }
+    }
+
+    /// The first `mid` requests and the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mid` exceeds the length.
+    pub fn split_at(self, mid: usize) -> (TraceSlice<'a>, TraceSlice<'a>) {
+        let (head, tail) = self.records.split_at(mid);
+        (TraceSlice { records: head, ..self }, TraceSlice { records: tail, ..self })
+    }
+}
+
+/// Prints the requests, not their packed records.
+impl fmt::Debug for TraceSlice<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("name", &self.name)
+            .field("requests", &self.iter().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl<'a> From<&'a Trace> for TraceSlice<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        trace.as_slice()
+    }
+}
+
+/// The requests of a [`Trace`] or [`TraceSlice`], by value.
+#[derive(Debug, Clone)]
+pub struct TraceIter<'a> {
+    records: std::slice::Iter<'a, Record>,
+    wide: &'a [IoRequest],
+}
+
+impl Iterator for TraceIter<'_> {
+    type Item = IoRequest;
+
+    #[inline]
+    fn next(&mut self) -> Option<IoRequest> {
+        self.records.next().map(|record| record.unpack(self.wide))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for TraceIter<'_> {}
+
+/// The requests of a [`Trace`] it was consumed into, by value.
+#[derive(Debug)]
+pub struct TraceIntoIter {
+    records: std::vec::IntoIter<Record>,
+    wide: Vec<IoRequest>,
+}
+
+impl Iterator for TraceIntoIter {
+    type Item = IoRequest;
+
+    fn next(&mut self) -> Option<IoRequest> {
+        self.records.next().map(|record| record.unpack(&self.wide))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for TraceIntoIter {}
+
+impl<'a> IntoIterator for &'a Trace {
+    type Item = IoRequest;
+    type IntoIter = TraceIter<'a>;
+
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for TraceSlice<'a> {
+    type Item = IoRequest;
+    type IntoIter = TraceIter<'a>;
+
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
     }
 }
 
 impl IntoIterator for Trace {
     type Item = IoRequest;
-    type IntoIter = std::vec::IntoIter<IoRequest>;
+    type IntoIter = TraceIntoIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.requests.into_iter()
+    fn into_iter(self) -> TraceIntoIter {
+        TraceIntoIter { records: self.records.into_iter(), wide: self.wide }
     }
 }
 
 impl FromIterator<IoRequest> for Trace {
     fn from_iter<T: IntoIterator<Item = IoRequest>>(iter: T) -> Self {
-        Trace { name: String::from("unnamed"), requests: iter.into_iter().collect() }
+        let mut trace = Trace::with_capacity("unnamed", 0);
+        trace.extend(iter);
+        trace
     }
 }
 
 impl Extend<IoRequest> for Trace {
     fn extend<T: IntoIterator<Item = IoRequest>>(&mut self, iter: T) {
-        self.requests.extend(iter);
+        let iter = iter.into_iter();
+        self.records.reserve(iter.size_hint().0);
+        for request in iter {
+            self.push(request);
+        }
     }
 }
 
@@ -300,7 +514,14 @@ mod tests {
         let trace = Trace::new("t", reqs.clone());
         let cut = trace.truncated(3);
         assert_eq!(cut.len(), 3);
-        assert_eq!(cut.requests(), &reqs[..3]);
+        assert_eq!(cut.get(2), Some(reqs[2]));
+        assert_eq!(cut.get(3), None);
+        assert_eq!(cut.iter().collect::<Vec<_>>(), &reqs[..3]);
         assert_eq!(cut.name(), "t");
+    }
+
+    #[test]
+    fn a_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
     }
 }

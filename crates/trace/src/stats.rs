@@ -30,14 +30,12 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics over a request slice.
-    pub fn from_requests(requests: &[IoRequest]) -> TraceStats {
+    /// Computes statistics over a sequence of requests.
+    pub fn from_requests(requests: impl IntoIterator<Item = IoRequest>) -> TraceStats {
         const REGION: u64 = 4096;
+        let requests = requests.into_iter();
         let mut stats = TraceStats::default();
-        if requests.is_empty() {
-            return stats;
-        }
-        let mut regions = Vec::with_capacity(requests.len());
+        let mut regions = Vec::with_capacity(requests.size_hint().0);
         let mut sequential = 0u64;
         let mut previous_end: Option<u64> = None;
         let mut total_bytes = 0u64;
@@ -61,10 +59,13 @@ impl TraceStats {
             previous_end = Some(req.offset + u64::from(req.length));
         }
 
+        let total = stats.reads + stats.writes;
+        if total == 0 {
+            return stats;
+        }
         // Every request but the first to touch its region is a re-access.
         regions.sort_unstable();
         regions.dedup();
-        let total = requests.len() as u64;
         let unique = regions.len() as u64;
         stats.mean_request_bytes = total_bytes as f64 / total as f64;
         stats.unique_regions = unique;
@@ -99,7 +100,7 @@ mod tests {
 
     #[test]
     fn empty_trace_has_zero_stats() {
-        let stats = TraceStats::from_requests(&[]);
+        let stats = TraceStats::from_requests([]);
         assert_eq!(stats.total_requests(), 0);
         assert_eq!(stats.read_ratio(), 0.0);
     }
@@ -111,7 +112,7 @@ mod tests {
             req(1, IoOp::Read, 0, 8192),
             req(2, IoOp::Read, 8192, 4096),
         ];
-        let stats = TraceStats::from_requests(&reqs);
+        let stats = TraceStats::from_requests(reqs);
         assert_eq!(stats.reads, 2);
         assert_eq!(stats.writes, 1);
         assert_eq!(stats.read_bytes, 12288);
@@ -128,7 +129,7 @@ mod tests {
             req(2, IoOp::Read, 0, 4096),
             req(3, IoOp::Read, 40960, 4096),
         ];
-        let stats = TraceStats::from_requests(&reqs);
+        let stats = TraceStats::from_requests(reqs);
         assert_eq!(stats.unique_regions, 2);
         assert!((stats.reread_fraction - 0.5).abs() < 1e-12);
     }
@@ -141,7 +142,7 @@ mod tests {
             req(2, IoOp::Read, 8192, 4096),
             req(3, IoOp::Read, 1_000_000, 4096),
         ];
-        let stats = TraceStats::from_requests(&reqs);
+        let stats = TraceStats::from_requests(reqs);
         assert!((stats.sequential_fraction - 0.5).abs() < 1e-12);
     }
 }

@@ -166,24 +166,57 @@ impl ArrivalModel {
         }
     }
 
+    /// Rejects parameters no sampler can use: an empty gap range, a rate that
+    /// is not positive and finite, a Pareto shape at or below 1 (or not
+    /// finite), an idle fraction outside `[0, 1)` or a zero burst length.
+    ///
+    /// # Errors
+    ///
+    /// The reason, which [`ArrivalModel::sampler`] panics with.
+    pub fn validate(self) -> Result<(), &'static str> {
+        let positive = |rate: f64| rate.is_finite() && rate > 0.0;
+        let reason = match self {
+            ArrivalModel::UniformGap { min_nanos, max_nanos } if min_nanos >= max_nanos => {
+                "arrival gap range must be non-empty"
+            }
+            ArrivalModel::Pareto { shape, .. } if !(shape.is_finite() && shape > 1.0) => {
+                "pareto shape must be finite and exceed 1"
+            }
+            ArrivalModel::MeanRate { iops } | ArrivalModel::Pareto { mean_iops: iops, .. }
+                if !positive(iops) =>
+            {
+                "target arrival rate must be positive and finite"
+            }
+            ArrivalModel::OnOffBurst { burst_iops, .. } if !positive(burst_iops) => {
+                "burst arrival rate must be positive and finite"
+            }
+            ArrivalModel::OnOffBurst { idle_fraction, .. }
+                if !(0.0..1.0).contains(&idle_fraction) =>
+            {
+                "idle fraction must be within [0, 1)"
+            }
+            ArrivalModel::OnOffBurst { burst_len: 0, .. } => "burst length must be at least 1",
+            _ => return Ok(()),
+        };
+        Err(reason)
+    }
+
     /// Builds the stateful gap sampler, validating the parameters.
     ///
     /// # Panics
     ///
-    /// Panics if the model's parameters are degenerate (empty gap range,
-    /// non-positive rate, Pareto shape at or below 1, idle fraction outside
-    /// `[0, 1)`, or a zero burst length).
+    /// Panics if [`ArrivalModel::validate`] rejects the model (empty gap
+    /// range, non-positive rate, Pareto shape at or below 1, idle fraction
+    /// outside `[0, 1)`, or a zero burst length).
     pub fn sampler(self) -> ArrivalSampler {
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
+        }
         let kind = match self {
             ArrivalModel::UniformGap { min_nanos, max_nanos } => {
-                assert!(min_nanos < max_nanos, "arrival gap range must be non-empty");
                 SamplerKind::Uniform { min_nanos, max_nanos }
             }
             ArrivalModel::MeanRate { iops } => {
-                assert!(
-                    iops.is_finite() && iops > 0.0,
-                    "target arrival rate must be positive and finite"
-                );
                 let mean = (1e9 / iops).max(1.0) as u64;
                 SamplerKind::Uniform {
                     min_nanos: mean / 2,
@@ -191,14 +224,6 @@ impl ArrivalModel {
                 }
             }
             ArrivalModel::Pareto { shape, mean_iops } => {
-                assert!(
-                    shape.is_finite() && shape > 1.0,
-                    "pareto shape must be finite and exceed 1"
-                );
-                assert!(
-                    mean_iops.is_finite() && mean_iops > 0.0,
-                    "target arrival rate must be positive and finite"
-                );
                 // Bounded Pareto on [L, R·L] with tail exponent α. Solve the
                 // scale L so the closed-form mean equals the target mean gap:
                 //   E = L · α/(α−1) · (1 − R^(1−α)) / (1 − R^(−α))
@@ -215,15 +240,6 @@ impl ArrivalModel {
                 }
             }
             ArrivalModel::OnOffBurst { burst_iops, idle_fraction, burst_len } => {
-                assert!(
-                    burst_iops.is_finite() && burst_iops > 0.0,
-                    "burst arrival rate must be positive and finite"
-                );
-                assert!(
-                    (0.0..1.0).contains(&idle_fraction),
-                    "idle fraction must be within [0, 1)"
-                );
-                assert!(burst_len >= 1, "burst length must be at least 1");
                 let on_gap = (1e9 / burst_iops).max(1.0) as u64;
                 // One cycle = `burst_len` on-gaps + 1 idle gap carrying
                 // `burst_len + 1` requests. Solve the idle gap so the cycle's
@@ -445,7 +461,7 @@ pub fn skewed(config: SyntheticConfig, params: SkewedParams) -> Trace {
     let regions = (config.working_set_bytes / params.region_bytes).max(1) as usize;
     let zipf = Zipf::new(regions, params.zipf_exponent);
     let mut now = 0u64;
-    let mut requests = Vec::with_capacity(config.requests);
+    let mut trace = Trace::with_capacity("skewed", config.requests);
 
     for _ in 0..config.requests {
         let region = zipf.sample(&mut rng) as u64;
@@ -457,10 +473,9 @@ pub fn skewed(config: SyntheticConfig, params: SkewedParams) -> Trace {
         };
         let op = if rng.gen_bool(params.read_ratio) { IoOp::Read } else { IoOp::Write };
         let at = advance_clock(&mut rng, &mut now, &mut arrivals);
-        requests.push(IoRequest::new(at, op, offset, length));
+        trace.push(IoRequest::new(at, op, offset, length));
     }
-
-    Trace::new("skewed", requests)
+    trace
 }
 
 /// Synthetic stand-in for the MSR media-server trace.
@@ -480,18 +495,18 @@ pub fn media_server(config: SyntheticConfig) -> Trace {
     let files = (data_bytes / FILE_BYTES).max(1) as usize;
     let popularity = Zipf::new(files, 0.9);
     let mut now = 0u64;
-    let mut requests = Vec::with_capacity(config.requests);
+    let mut trace = Trace::with_capacity("media-server", config.requests);
     // Per-file streaming cursor so consecutive reads of the same file are sequential.
     let mut cursors = vec![0u64; files];
 
-    while requests.len() < config.requests {
+    while trace.len() < config.requests {
         let roll: f64 = rng.gen();
         let at = advance_clock(&mut rng, &mut now, &mut arrivals);
         if roll < 0.04 {
             // Metadata read or write: small, extremely hot.
             let offset = rng.gen_range(0..METADATA_BYTES / (4 * KIB)) * 4 * KIB;
             let op = if rng.gen_bool(0.5) { IoOp::Read } else { IoOp::Write };
-            requests.push(IoRequest::new(at, op, offset, 4 * KIB as u32));
+            trace.push(IoRequest::new(at, op, offset, 4 * KIB as u32));
         } else if roll < 0.055 {
             // Ingest: write a whole new file sequentially in 256 KiB chunks. The event
             // probability is low because each event emits a burst of 16 write requests.
@@ -499,9 +514,9 @@ pub fn media_server(config: SyntheticConfig) -> Trace {
             let base = METADATA_BYTES + file * FILE_BYTES;
             let chunk = 256 * KIB;
             let mut written = 0;
-            while written < FILE_BYTES && requests.len() < config.requests {
+            while written < FILE_BYTES && trace.len() < config.requests {
                 let at = advance_clock(&mut rng, &mut now, &mut arrivals);
-                requests.push(IoRequest::new(at, IoOp::Write, base + written, chunk as u32));
+                trace.push(IoRequest::new(at, IoOp::Write, base + written, chunk as u32));
                 written += chunk;
             }
             cursors[file as usize] = 0;
@@ -515,12 +530,11 @@ pub fn media_server(config: SyntheticConfig) -> Trace {
             let cursor = cursors[file];
             let offset = base + cursor;
             cursors[file] = (cursor + chunk) % FILE_BYTES;
-            requests.push(IoRequest::new(at, IoOp::Read, offset, chunk as u32));
+            trace.push(IoRequest::new(at, IoOp::Read, offset, chunk as u32));
         }
     }
 
-    requests.truncate(config.requests);
-    Trace::new("media-server", requests)
+    trace
 }
 
 /// Synthetic stand-in for the MSR web/SQL-server trace.
@@ -559,48 +573,47 @@ pub fn web_sql_server(config: SyntheticConfig) -> Trace {
     let asset_popularity = Zipf::new((asset_bytes / (64 * KIB)).max(1) as usize, 1.0);
 
     let mut now = 0u64;
-    let mut requests = Vec::with_capacity(config.requests);
+    let mut trace = Trace::with_capacity("web-sql-server", config.requests);
     let mut backup_cursor = 0u64;
 
-    while requests.len() < config.requests {
+    while trace.len() < config.requests {
         let roll: f64 = rng.gen();
         let at = advance_clock(&mut rng, &mut now, &mut arrivals);
         if roll < 0.10 {
             // Metadata: small, frequently read and written (iron-hot behaviour).
             let offset = rng.gen_range(0..METADATA_BYTES / (4 * KIB)) * 4 * KIB;
             let op = if rng.gen_bool(0.55) { IoOp::Read } else { IoOp::Write };
-            requests.push(IoRequest::new(at, op, offset, 4 * KIB as u32));
+            trace.push(IoRequest::new(at, op, offset, 4 * KIB as u32));
         } else if roll < 0.35 {
             // Temp/cache files: small, frequently overwritten, rarely read back
             // (hot behaviour).
             let region = temp_popularity.sample(&mut rng) as u64;
             let offset = temp_base + region * REGION;
             let op = if rng.gen_bool(0.92) { IoOp::Write } else { IoOp::Read };
-            requests.push(IoRequest::new(at, op, offset, 8 * KIB as u32));
+            trace.push(IoRequest::new(at, op, offset, 8 * KIB as u32));
         } else if roll < 0.70 {
             // Database tables: Zipf-popular pages, read-dominant with small updates.
             let region = table_popularity.sample(&mut rng) as u64;
             let offset = table_base + region * REGION;
             let op = if rng.gen_bool(0.80) { IoOp::Read } else { IoOp::Write };
             let size = *[4 * KIB, 8 * KIB].get(rng.gen_range(0..2)).expect("non-empty") as u32;
-            requests.push(IoRequest::new(at, op, offset, size));
+            trace.push(IoRequest::new(at, op, offset, size));
         } else if roll < 0.90 {
             // Served assets: write-once-read-many, larger requests, strong popularity
             // skew (cold behaviour — the popular ones deserve fast pages).
             let chunk = asset_popularity.sample(&mut rng) as u64;
             let offset = asset_base + chunk * 64 * KIB;
             let op = if rng.gen_bool(0.95) { IoOp::Read } else { IoOp::Write };
-            requests.push(IoRequest::new(at, op, offset, 64 * KIB as u32));
+            trace.push(IoRequest::new(at, op, offset, 64 * KIB as u32));
         } else {
             // Backups: sequential bulk writes, essentially never read (icy-cold).
             let offset = backup_base + (backup_cursor % backup_bytes.max(64 * KIB));
             backup_cursor += 64 * KIB;
-            requests.push(IoRequest::new(at, IoOp::Write, offset, 64 * KIB as u32));
+            trace.push(IoRequest::new(at, IoOp::Write, offset, 64 * KIB as u32));
         }
     }
 
-    requests.truncate(config.requests);
-    Trace::new("web-sql-server", requests)
+    trace
 }
 
 #[cfg(test)]
@@ -812,7 +825,7 @@ mod tests {
             ..base
         });
         assert_ne!(pareto, onoff, "timestamps must differ across models");
-        for (a, b) in pareto.requests().iter().zip(onoff.requests()) {
+        for (a, b) in pareto.iter().zip(&onoff) {
             assert_eq!((a.op, a.offset, a.length), (b.op, b.offset, b.length));
         }
     }
@@ -865,11 +878,7 @@ mod tests {
                 arrival,
                 ..Default::default()
             });
-            trace
-                .requests()
-                .windows(2)
-                .map(|pair| pair[1].at_nanos - pair[0].at_nanos)
-                .collect()
+            trace.iter().zip(trace.iter().skip(1)).map(|(a, b)| b.at_nanos - a.at_nanos).collect()
         };
         let median = |mut values: Vec<u64>| -> u64 {
             values.sort_unstable();
@@ -891,11 +900,8 @@ mod tests {
             arrival: ArrivalModel::OnOffBurst { burst_iops: 2e5, idle_fraction: 0.9, burst_len: 100 },
             ..Default::default()
         });
-        let mut gaps: Vec<u64> = trace
-            .requests()
-            .windows(2)
-            .map(|pair| pair[1].at_nanos - pair[0].at_nanos)
-            .collect();
+        let mut gaps: Vec<u64> =
+            trace.iter().zip(trace.iter().skip(1)).map(|(a, b)| b.at_nanos - a.at_nanos).collect();
         gaps.sort_unstable();
         // One gap in 101 is an idle gap (~1% of the population), so the top
         // half-percent is guaranteed to be idle time.

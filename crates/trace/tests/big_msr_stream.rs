@@ -84,9 +84,9 @@ fn multi_hundred_mb_file_streams_in_constant_memory() {
     // multi-hundred-MB file.
     let head = parse_path_filtered(&path, &SubsetOptions::first_n(1_000)).expect("head parses");
     assert_eq!(head.len(), 1_000);
-    assert_eq!(head.requests()[0].at_nanos, 0);
-    assert_eq!(head.requests()[5].op, IoOp::Write);
-    assert_eq!(head.requests()[999].at_nanos, 999 * 1_000_000);
+    assert_eq!(head.get(0).unwrap().at_nanos, 0);
+    assert_eq!(head.get(5).unwrap().op, IoOp::Write);
+    assert_eq!(head.get(999).unwrap().at_nanos, 999 * 1_000_000);
 
     #[cfg(target_os = "linux")]
     if let (Some(before), Some(after)) = (rss_before, peak_rss_bytes()) {

@@ -312,29 +312,13 @@ impl ExperimentScale {
     ///
     /// The working set only grows, never shrinks, so a small trace still runs on
     /// the scale's default device.
-    ///
-    /// The footprint is counted over each request's run of pages, sorted and
-    /// merged: 16 bytes per request, however many pages a request spans.
     pub fn sized_for_trace(&self, trace: &Trace) -> ExperimentScale {
         const PAGE: u64 = 16 * 1024;
-        let mut runs: Vec<(u64, u64)> = trace
-            .iter()
-            .map(|request| {
-                let pages = request.logical_pages(PAGE as usize);
-                (pages.start, pages.end)
-            })
-            .collect();
-        runs.sort_unstable();
-        // Pages counted so far end at `covered`; a run adds what lies past it.
-        let (mut pages, mut covered) = (0u64, 0u64);
-        for (start, end) in runs {
-            let start = start.max(covered);
-            if end > start {
-                pages += end - start;
-                covered = end;
-            }
-        }
-        let footprint = pages.saturating_mul(PAGE);
+        let mut pages: Vec<u64> =
+            trace.into_iter().flat_map(|request| request.logical_pages(PAGE as usize)).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let footprint = pages.len() as u64 * PAGE;
         ExperimentScale {
             working_set_bytes: self.working_set_bytes.max(footprint),
             ..*self
@@ -769,8 +753,6 @@ pub const PPB_HOT_LIST_FRACTIONS: [f64; 2] = [0.10, 0.25];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use vflash_trace::{IoOp, IoRequest};
 
     /// Both FTLs along one axis: a row per axis value.
     fn along<T: Copy>(
@@ -783,53 +765,6 @@ mod tests {
 
     fn compare(spec: RunSpec<'static>) -> Comparison {
         along(&[spec], |spec| spec).remove(0).comparison
-    }
-
-    /// The page-by-page footprint count `sized_for_trace` replaced: every
-    /// page of every request, sorted and deduplicated.
-    fn page_by_page_footprint(trace: &Trace) -> u64 {
-        const PAGE: u64 = 16 * 1024;
-        let mut pages: Vec<u64> =
-            trace.iter().flat_map(|request| request.logical_pages(PAGE as usize)).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len() as u64 * PAGE
-    }
-
-    proptest! {
-        /// Requests over a small span of pages, so their page runs overlap,
-        /// abut and enclose one another, some at unaligned bytes, and one
-        /// ending at the top of the address space.
-        #[test]
-        fn sized_for_trace_counts_what_the_page_by_page_rule_counted(
-            runs in proptest::collection::vec(
-                (
-                    0u64..48,
-                    prop_oneof![Just(0u64), 0u64..16_384],
-                    prop_oneof![(1u32..5).prop_map(|pages| pages * 16_384), 1u32..80_000],
-                ),
-                1..40,
-            ),
-            top in 0u32..2,
-        ) {
-            let mut trace: Trace = runs
-                .iter()
-                .map(|&(page, within, length)| {
-                    IoRequest::new(0, IoOp::Write, page * 16_384 + within, length)
-                })
-                .collect();
-            if top == 1 {
-                trace.push(IoRequest::new(0, IoOp::Read, u64::MAX - 40_000, 40_000));
-            }
-            let bare = ExperimentScale { working_set_bytes: 0, ..ExperimentScale::quick() };
-            prop_assert_eq!(
-                bare.sized_for_trace(&trace).working_set_bytes,
-                page_by_page_footprint(&trace)
-            );
-            // The working set only grows.
-            let big = ExperimentScale { working_set_bytes: u64::MAX, ..bare };
-            prop_assert_eq!(big.sized_for_trace(&trace), big);
-        }
     }
 
     #[test]

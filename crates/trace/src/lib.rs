@@ -15,9 +15,10 @@
 //!
 //! A workload is just a [`Trace`]: an ordered list of [`IoRequest`]s plus derived
 //! [`TraceStats`]. A trace stores each request in 16 bytes — the arrival time,
-//! then one word packing a 40-bit offset, `length - 1` in 23 bits and the op
-//! (MSR volumes are under 1 TiB and their requests under 8 MiB) — and keeps
-//! the rare request that does not fit whole in a side table. Requests come out
+//! then one word packing a 40-bit offset, `length - 1` in 23 bits and the op —
+//! and keeps a request that does not fit (an offset from `2^40 - 1` up, about
+//! 1 TiB; a length over `2^23` bytes, 8 MiB) whole in a side table, at 40
+//! bytes instead of 16. Requests come out
 //! by value ([`Trace::iter`], [`Trace::get`]); the generators and the parser
 //! push straight into a [`Trace::with_capacity`], so no wider copy exists
 //! while a trace is built. A replay reads a [`TraceSlice`], which
@@ -50,6 +51,6 @@ mod request;
 mod stats;
 mod zipf;
 
-pub use request::{IoOp, IoRequest, PageSplitter, Trace, TraceIntoIter, TraceIter, TraceSlice};
+pub use request::{IoOp, IoRequest, PageSplitter, Trace, TraceIter, TraceSlice};
 pub use stats::TraceStats;
 pub use zipf::Zipf;

@@ -147,19 +147,20 @@ impl Record {
 /// An ordered sequence of I/O requests, 16 bytes per request.
 ///
 /// Time ordering is *not* validated — real traces contain ties and minor
-/// inversions. A request is stored packed (see `Record`): every synthetic
-/// request and every request of a real MSR volume (under 1 TiB, requests under
-/// 8 MiB) fits. One that does not — an offset from `2^40 - 1` up, a length
-/// over `2^23` bytes — is kept whole in a side table, so any [`IoRequest`]
+/// inversions. A request is stored packed (see `Record`) when its offset is
+/// below `2^40 - 1` (1 TiB) and its length at most `2^23` bytes (8 MiB), as
+/// every request of the stock synthetic workloads is. One that does not fit
+/// is kept whole in a side
+/// table — 16 bytes of record plus 24 of side entry — so any [`IoRequest`]
 /// comes back exactly as it went in. Requests are yielded by value.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     name: String,
     records: Vec<Record>,
-    /// The requests that do not pack, in trace order. `push` appends here and
-    /// `truncate` cuts the entries of the records it drops, so the table holds
-    /// exactly the wide requests of `records`: equal requests are equal fields,
-    /// and the derived `PartialEq` means "same name, same requests".
+    /// The requests that do not pack, in trace order. Only `push` adds to a
+    /// trace and nothing removes from one, so the table holds exactly the
+    /// wide requests of `records`: equal requests are equal fields, and the
+    /// derived `PartialEq` means "same name, same requests".
     wide: Vec<IoRequest>,
 }
 
@@ -184,15 +185,6 @@ impl Trace {
             Record { at_nanos: (self.wide.len() - 1) as u64, word: WIDE }
         });
         self.records.push(record);
-    }
-
-    /// Keeps the first `len` requests (all of them if there are fewer).
-    pub fn truncate(&mut self, len: usize) {
-        if let Some(dropped) = self.records.get(len..) {
-            let wide = dropped.iter().filter(|record| record.word == WIDE).count();
-            self.wide.truncate(self.wide.len() - wide);
-            self.records.truncate(len);
-        }
     }
 
     /// Human-readable name of the workload (e.g. `"media-server"`).
@@ -366,27 +358,6 @@ impl Iterator for TraceIter<'_> {
 
 impl ExactSizeIterator for TraceIter<'_> {}
 
-/// The requests of a [`Trace`] it was consumed into, by value.
-#[derive(Debug)]
-pub struct TraceIntoIter {
-    records: std::vec::IntoIter<Record>,
-    wide: Vec<IoRequest>,
-}
-
-impl Iterator for TraceIntoIter {
-    type Item = IoRequest;
-
-    fn next(&mut self) -> Option<IoRequest> {
-        self.records.next().map(|record| record.unpack(&self.wide))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
-    }
-}
-
-impl ExactSizeIterator for TraceIntoIter {}
-
 impl<'a> IntoIterator for &'a Trace {
     type Item = IoRequest;
     type IntoIter = TraceIter<'a>;
@@ -402,15 +373,6 @@ impl<'a> IntoIterator for TraceSlice<'a> {
 
     fn into_iter(self) -> TraceIter<'a> {
         self.iter()
-    }
-}
-
-impl IntoIterator for Trace {
-    type Item = IoRequest;
-    type IntoIter = TraceIntoIter;
-
-    fn into_iter(self) -> TraceIntoIter {
-        TraceIntoIter { records: self.records.into_iter(), wide: self.wide }
     }
 }
 

@@ -46,14 +46,12 @@ fn requests() -> impl Strategy<Value = IoRequest> {
 enum Op {
     Push(IoRequest),
     Extend(Vec<IoRequest>),
-    Truncate(usize),
 }
 
 fn ops() -> impl Strategy<Value = Op> {
     prop_oneof![
         requests().prop_map(Op::Push),
         proptest::collection::vec(requests(), 0..6).prop_map(Op::Extend),
-        (0usize..24).prop_map(Op::Truncate),
     ]
 }
 
@@ -76,7 +74,6 @@ fn agrees(trace: &Trace, model: &[IoRequest]) -> Result<(), TestCaseError> {
     prop_assert_eq!(trace.is_empty(), model.is_empty());
     prop_assert_eq!(trace.iter().collect::<Vec<_>>(), model.to_vec());
     prop_assert_eq!(trace.into_iter().len(), model.len());
-    prop_assert_eq!(trace.clone().into_iter().collect::<Vec<_>>(), model.to_vec());
     for (index, &expected) in model.iter().enumerate() {
         prop_assert_eq!(trace.get(index), Some(expected));
     }
@@ -90,7 +87,7 @@ fn agrees(trace: &Trace, model: &[IoRequest]) -> Result<(), TestCaseError> {
 
     // Equality is "same name, same requests": a trace equals the one built
     // fresh from its requests, so a side-table entry no record refers to
-    // (one `truncate` failed to drop) makes them differ.
+    // makes them differ.
     let fresh = Trace::new("t", model.to_vec());
     prop_assert_eq!(trace, &fresh);
     prop_assert_ne!(trace, &Trace::new("u", model.to_vec()));
@@ -109,8 +106,8 @@ fn agrees(trace: &Trace, model: &[IoRequest]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A trace and a request vector driven through the same pushes, extends
-    /// and truncations hold the same requests after every step.
+    /// A trace and a request vector driven through the same pushes and
+    /// extends hold the same requests after every step.
     #[test]
     fn a_packed_trace_behaves_like_a_request_vector(
         initial in proptest::collection::vec(requests(), 0..8),
@@ -128,10 +125,6 @@ proptest! {
                 Op::Extend(requests) => {
                     trace.extend(requests.iter().copied());
                     model.extend(requests);
-                }
-                Op::Truncate(len) => {
-                    trace.truncate(len);
-                    model.truncate(len);
                 }
             }
             agrees(&trace, &model)?;
@@ -158,8 +151,6 @@ fn every_packing_boundary_round_trips() {
     assert_eq!(trace.iter().collect::<Vec<_>>(), model);
     // Cut through the middle of the wide requests, then past all of them.
     for len in [model.len() - 1, model.len() / 2, 3, 0] {
-        let mut cut = trace.clone();
-        cut.truncate(len);
-        assert_eq!(cut, Trace::new("t", model[..len].to_vec()), "truncate({len})");
+        assert_eq!(trace.truncated(len), Trace::new("t", model[..len].to_vec()), "truncated({len})");
     }
 }

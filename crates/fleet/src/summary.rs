@@ -2,8 +2,6 @@
 //! quantities no single device can report — fan-out tail amplification, cache
 //! effectiveness, and per-tenant shares.
 
-use std::fmt;
-
 use vflash_nand::Nanos;
 use vflash_sim::{LatencyPercentiles, ReplayMode, RunSummary};
 
@@ -130,37 +128,6 @@ impl FleetSummary {
     }
 }
 
-impl fmt::Display for FleetSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} x{}: {} requests, {:.0} IOPS, read fan-out p99.9 {} vs stripe {} ({:.2}x)",
-            self.trace,
-            self.ftl,
-            self.width,
-            self.host_requests,
-            self.request_iops(),
-            self.fanout_read_latency.p999,
-            self.stripe_read_latency.p999,
-            self.read_tail_amplification(),
-        )?;
-        if self.offered_duration > Nanos::ZERO {
-            write!(f, ", offered {:.0} IOPS", self.offered_iops())?;
-        }
-        let cache = &self.cache;
-        if cache.read_hits + cache.read_misses + cache.writes_absorbed + cache.write_arounds > 0 {
-            write!(
-                f,
-                ", cache {:.0}% hits / {} absorbed / {} writebacks",
-                cache.read_hit_rate() * 100.0,
-                cache.writes_absorbed,
-                cache.writebacks,
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +161,6 @@ mod tests {
         assert_eq!(summary.offered_iops(), 0.0);
         assert_eq!(summary.busy_arrival_fraction(), 0.0);
         assert_eq!(summary.read_tail_amplification(), 0.0);
-        assert!(summary.to_string().contains("x2"));
     }
 
     #[test]
@@ -217,18 +183,5 @@ mod tests {
         assert_eq!(tenant.achieved_iops(), 2_000.0);
         let idle = TenantSummary { requests: 0, last_completion: Nanos::ZERO, ..tenant };
         assert_eq!(idle.achieved_iops(), 0.0);
-    }
-
-    #[test]
-    fn display_mentions_cache_and_offered_load_when_present() {
-        let mut summary = empty_summary();
-        summary.host_requests = 10;
-        summary.host_elapsed = Nanos::from_millis(1);
-        summary.offered_duration = Nanos::from_millis(2);
-        summary.cache.read_hits = 3;
-        summary.cache.read_misses = 1;
-        let text = summary.to_string();
-        assert!(text.contains("offered"), "{text}");
-        assert!(text.contains("75% hits"), "{text}");
     }
 }

@@ -73,10 +73,11 @@ pub struct KvRunSummary {
 ///
 /// # Errors
 ///
-/// A block source, and a discipline, arrival model, warm-up or fleet width
-/// other than [`RunSpec::new`]'s (none of them applies), are [`KvError::Ftl`]
-/// of [`FtlError::InvalidConfig`]; FTL construction errors and I/O or
-/// corruption errors other than [`KvError::ReadOnly`] pass through.
+/// A block source, a discipline, arrival model, warm-up or fleet width other
+/// than [`RunSpec::new`]'s (none of them applies), and a source with no keys,
+/// more keys than a zipf rank holds (`u32::MAX`) or an `io_depth` of 0 are
+/// [`KvError::Ftl`] of [`FtlError::InvalidConfig`]; FTL construction errors
+/// and I/O or corruption errors other than [`KvError::ReadOnly`] pass through.
 pub fn run_kv_cell(spec: &RunSpec<'_>) -> Result<KvRunSummary, KvError> {
     struct Drive(KvSource, ExperimentScale);
     impl FtlJob for Drive {
@@ -103,6 +104,11 @@ pub fn run_kv_cell(spec: &RunSpec<'_>) -> Result<KvRunSummary, KvError> {
              leave them at RunSpec::new's"
                 .into(),
         );
+    }
+    if source.key_space == 0 || u32::try_from(source.key_space).is_err() || source.io_depth == 0 {
+        return refused(format!(
+            "run_kv_cell needs 1..=u32::MAX keys and an io_depth of at least 1, not {source:?}"
+        ));
     }
     spec.with_ftl(Drive(source, spec.scale))?
 }
@@ -282,6 +288,11 @@ mod tests {
             RunSpec { arrival: ArrivalModel::MeanRate { iops: 500.0 }, ..spec },
             RunSpec { warmup_fraction: 0.5, ..spec },
             RunSpec { fleet_width: 2, ..spec },
+            // A source the store cannot run: these used to panic inside the
+            // sweep, in `Zipf::new` and `KvConfig::validate`.
+            RunSpec::new(KvSource { key_space: 0, io_depth: 1 }, spec.scale),
+            RunSpec::new(KvSource { key_space: 2_000, io_depth: 0 }, spec.scale),
+            RunSpec::new(KvSource { key_space: 1 << 32, io_depth: 1 }, spec.scale),
         ];
         for spec in refused {
             let outcome = run_kv_cell(&spec);

@@ -130,15 +130,6 @@ impl SegmentFile {
     }
 }
 
-/// Byte-granular I/O counters of a [`FlashStore`], page-charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreIoStats {
-    /// Page writes submitted to the FTL (each one host-visible device traffic).
-    pub pages_written: u64,
-    /// Page reads submitted to the FTL.
-    pub pages_read: u64,
-}
-
 /// Where the bytes of a charged read lie: a byte range of the store's shadow
 /// arena, or — for a read that crossed from one extent of its file into the
 /// next — of the spill buffer the caller passed to [`FlashStore::read_span`].
@@ -203,7 +194,6 @@ pub struct FlashStore<F: FlashTranslationLayer> {
     /// One bit per LPN, set once the page has been written.
     written: Vec<u64>,
     free: Vec<Extent>,
-    io: StoreIoStats,
     /// The requests of the window in flight, reused across windows.
     requests: Vec<IoRequest>,
     /// The completions of the pages of that window the device applied.
@@ -230,7 +220,6 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             shadow: vec![0u8; logical_pages as usize * page_size],
             written: vec![0u64; (logical_pages as usize).div_ceil(64)],
             free: vec![Extent { start: SUPERBLOCK_LPN + 1, pages: logical_pages - 1 }],
-            io: StoreIoStats::default(),
             requests: Vec::new(),
             completions: Vec::new(),
             assembly: Vec::new(),
@@ -274,11 +263,6 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     /// Snapshot it around an operation to attribute device time to it.
     pub fn now(&self) -> Nanos {
         self.lane.now()
-    }
-
-    /// Page-level I/O counters.
-    pub fn io_stats(&self) -> StoreIoStats {
-        self.io
     }
 
     /// The wrapped FTL (metrics snapshots, device inspection).
@@ -438,7 +422,6 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             return Err(KvError::Corruption(format!("read of never-written LPN {lpn}")));
         }
         let completion = self.play_page(IoOp::Read, lpn, 0)?;
-        self.io.pages_read += 1;
         if completion.uncorrectable {
             return Err(KvError::Corruption(format!("uncorrectable read of LPN {lpn}")));
         }
@@ -452,17 +435,9 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     }
 
     /// Plays `self.requests` — the reads, or the writes, of one queue-depth
-    /// window — and counts the pages the device applied before any refusal.
-    /// The first uncorrectable read is [`KvError::Corruption`].
+    /// window. The first uncorrectable read is [`KvError::Corruption`].
     fn play_window(&mut self) -> Result<(), KvError> {
-        let played = self.lane.play_window(&mut self.ftl, &self.requests, &mut self.completions);
-        let applied = self.completions.len() as u64;
-        if self.requests[0].is_write() {
-            self.io.pages_written += applied;
-        } else {
-            self.io.pages_read += applied;
-        }
-        played?;
+        self.lane.play_window(&mut self.ftl, &self.requests, &mut self.completions)?;
         match self.completions.iter().position(|completion| completion.uncorrectable) {
             Some(lost) => {
                 let lpn = self.requests[lost].lpn.0;
@@ -504,9 +479,7 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
 
     /// Charges one scalar page program of `lpn` to the lane.
     fn charge_write(&mut self, lpn: u64, request_bytes: u32) -> Result<(), KvError> {
-        self.play_page(IoOp::Write, lpn, request_bytes)?;
-        self.io.pages_written += 1;
-        Ok(())
+        self.play_page(IoOp::Write, lpn, request_bytes).map(drop)
     }
 
     /// Charges device time for reading every LPN of `lpns`, one queue-depth
@@ -810,7 +783,7 @@ mod tests {
         let slice = store.read_range(&file, page as u64 - 10, 30).unwrap();
         assert_eq!(slice, &data[page - 10..page + 20]);
         assert!(store.now() > Nanos::ZERO, "device time must be charged");
-        assert!(store.io_stats().pages_written >= 3);
+        assert!(store.ftl().metrics().host_writes >= 3);
     }
 
     #[test]
@@ -821,7 +794,7 @@ mod tests {
             store.append(&mut file, &[7u8; 16], 16).unwrap();
         }
         // Ten small appends into one page: ten programs of the same LPN.
-        assert_eq!(store.io_stats().pages_written, 10);
+        assert_eq!(store.ftl().metrics().host_writes, 10);
         assert_eq!(file.pages(), 1);
     }
 
@@ -901,9 +874,10 @@ mod tests {
 
         assert_eq!(serial_bytes, data);
         assert_eq!(batched_bytes, data, "batching must not change the bytes");
+        let (metrics, serial_metrics) = (batched.ftl().metrics(), serial.ftl().metrics());
         assert_eq!(
-            batched.io_stats(),
-            serial.io_stats(),
+            (metrics.host_writes, metrics.host_reads),
+            (serial_metrics.host_writes, serial_metrics.host_reads),
             "batching changes time accounting, not page traffic"
         );
         assert!(
@@ -913,17 +887,14 @@ mod tests {
             serial.now()
         );
         assert!(batched_read_time < serial_read_time);
-        let metrics = batched.ftl().metrics();
         assert!(metrics.batched_submissions > 0);
         assert_eq!(
             metrics.batched_pages,
-            batched.io_stats().pages_written + batched.io_stats().pages_read,
+            metrics.host_writes + metrics.host_reads,
             "every page of this run went through the batched path"
         );
-        let serial_metrics = serial.ftl().metrics();
         assert_eq!(serial_metrics.batched_submissions, 0, "depth 1 never batches");
         // State evolution is identical: same physical traffic, same GC.
-        assert_eq!(serial_metrics.host_writes, metrics.host_writes);
         assert_eq!(serial_metrics.gc_copied_pages, metrics.gc_copied_pages);
     }
 
@@ -968,12 +939,13 @@ mod tests {
         // Reads `[offset, offset + len)`, checks bytes and page charge, and
         // says whether the slice lent lies in the arena (else: the assembly).
         let mut read = |offset: usize, len: usize| {
-            let reads_before = store.io_stats().pages_read;
+            let reads_before = store.ftl().metrics().host_reads;
             let bytes = store.read_range(&file, offset as u64, len).unwrap();
             assert_eq!(bytes, &data[offset..offset + len], "[{offset}, +{len})");
             let lent = bytes.as_ptr_range();
             let pages = ((offset + len - 1) / page - offset / page + 1) as u64;
-            assert_eq!(store.io_stats().pages_read - reads_before, pages, "[{offset}, +{len})");
+            let reads = store.ftl().metrics().host_reads - reads_before;
+            assert_eq!(reads, pages, "[{offset}, +{len})");
             let within = |buffer: &[u8]| {
                 let buffer = buffer.as_ptr_range();
                 buffer.start <= lent.start && lent.end <= buffer.end
@@ -1037,7 +1009,7 @@ mod tests {
             store.append(&mut file, &vec![7u8; page + 100], 64).unwrap();
             let tail_lpn = file.lpn_at(1).unwrap();
             let tail_before = store.page(tail_lpn).to_vec();
-            let (len_before, io_before) = (file.len(), store.io_stats());
+            let (len_before, io_before) = (file.len(), *store.ftl().metrics());
 
             store.ftl.read_only = true;
             // One record into the tail page, then one reaching past it.
@@ -1046,7 +1018,7 @@ mod tests {
                 assert!(matches!(refused, Err(KvError::ReadOnly)), "depth {depth}");
                 assert_eq!(file.len(), len_before, "depth {depth}");
                 assert_eq!(store.page(tail_lpn), tail_before, "depth {depth}");
-                assert_eq!(store.io_stats(), io_before, "depth {depth}");
+                assert_eq!(*store.ftl().metrics(), io_before, "depth {depth}");
             }
             // The file still reads back as it was.
             let bytes = store.read_range(&file, 0, page + 100).unwrap();
@@ -1198,9 +1170,6 @@ mod tests {
                 }
                 prop_assert_eq!(store.now(), store.ftl().clock, "after step {}", step);
             }
-            let (io, served) = (store.io_stats(), store.ftl().metrics());
-            prop_assert_eq!(io.pages_written, served.host_writes);
-            prop_assert_eq!(io.pages_read, served.host_reads);
         }
 
         /// Writing an append into the shadow pages in place must leave every

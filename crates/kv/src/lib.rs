@@ -72,7 +72,7 @@ mod wal;
 
 pub use cell::{run_kv_cell, KvRunSummary, VALUE_BYTES, ZIPF_S};
 pub use error::KvError;
-pub use flash_file::{Extent, FlashStore, SegmentFile, StoreIoStats, SUPERBLOCK_LPN};
+pub use flash_file::{Extent, FlashStore, SegmentFile, SUPERBLOCK_LPN};
 pub use memtable::Memtable;
 pub use sstable::{
     BloomFilter, Entry, TableBuilder, TableHandle, TableMeta, TableOptions, TableProbe,

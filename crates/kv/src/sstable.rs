@@ -661,10 +661,10 @@ mod tests {
             assert_eq!(probe, TableProbe::Read);
         }
         // Out of bounds: range skip, no device read.
-        let reads_before = store.io_stats().pages_read;
+        let reads_before = store.ftl().metrics().host_reads;
         let (miss, probe) = table.get(&mut store, b"zzz").unwrap();
         assert_eq!((miss, probe), (None, TableProbe::RangeSkip));
-        assert_eq!(store.io_stats().pages_read, reads_before);
+        assert_eq!(store.ftl().metrics().host_reads, reads_before);
         // In bounds but absent: bloom should usually skip; either way it is a miss.
         let (miss, _) = table.get(&mut store, b"key00042x").unwrap();
         assert_eq!(miss, None);

@@ -210,9 +210,9 @@ fn golden_fingerprint<F: FlashTranslationLayer>(ftl: F, io_depth: usize) -> (Str
     ];
     let untimed = KvStats { flush_time: Nanos::ZERO, compaction_time: Nanos::ZERO, ..stats };
     let traffic = format!(
-        "{untimed:?} {:?} returned={returned:016x} host_writes={} gc_copied={} \
+        "{untimed:?} host_reads={} returned={returned:016x} host_writes={} gc_copied={} \
          layout={layout_hash:016x}",
-        kv.flash().io_stats(),
+        metrics.host_reads,
         metrics.host_writes,
         metrics.gc_copied_pages,
     );
@@ -236,7 +236,7 @@ fn kv_runs_match_the_golden_fingerprint() {
         memtable_hits: 30, sstable_hits: 1776, misses: 541, bloom_skips: 5047, table_reads: 1897, \
         flushes: 154, wal_forced_flushes: 0, compactions: 61, app_bytes_written: 1165661, \
         flush_time: Nanos(0), compaction_time: Nanos(0) } \
-        StoreIoStats { pages_written: 10712, pages_read: 13115 } returned=21d38ca11411cea6 \
+        host_reads=13115 returned=21d38ca11411cea6 \
         host_writes=10712 gc_copied=0 layout=de2c3fb1866d5cc7";
     let golden = [
         ("conventional", 1usize, [1242224036u64, 851193306, 6645434579, 290, 0, 0]),

@@ -57,8 +57,8 @@ use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
 use vflash_nand::Nanos;
 use vflash_trace::{IoOp, PageSplitter, TraceSlice};
 
-use crate::calendar::HostCalendar;
-use crate::lane::{prefill, LaneState};
+use crate::calendar::{HostCalendar, Issue};
+use crate::lane::{prefill, LaneState, PageChain};
 use crate::report::RunSummary;
 
 /// Options controlling how a trace is replayed.
@@ -335,17 +335,10 @@ fn drive<F: FlashTranslationLayer + ?Sized>(
                 };
                 clock += completion.latency;
             }
-            let latency = clock.saturating_sub(issue);
-            match request.op {
-                IoOp::Read => lane.read_latencies.record(latency),
-                IoOp::Write => lane.write_latencies.record(latency),
-            }
-            lane.queue_delays.record(Nanos::ZERO);
-            lane.service_times.record(latency);
-            lane.requests += 1;
+            let chain = PageChain { now: clock, service: clock - issue };
+            lane.record(request.op, Issue { at: issue, arrival: Nanos::ZERO }, &chain);
         }
-        lane.last_completion = clock;
-        (usize::from(lane.requests > 0), 0)
+        (usize::from(!trace.is_empty()), 0)
     } else {
         let mut calendar = HostCalendar::new(discipline);
         for request in trace {

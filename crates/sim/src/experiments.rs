@@ -553,9 +553,9 @@ pub trait FtlJob {
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors; a KV source, a fleet width
-/// other than 1, a discipline [`ArrivalDiscipline::validate`] rejects and a
-/// synthetic source [`RunSpec::trace`] cannot generate are
-/// [`FtlError::InvalidConfig`].
+/// other than 1, a warm-up fraction outside `[0, 1)`, a discipline
+/// [`ArrivalDiscipline::validate`] rejects and a synthetic source
+/// [`RunSpec::trace`] cannot generate are [`FtlError::InvalidConfig`].
 pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
     struct Single<'s, 'a>(&'s RunSpec<'a>);
     impl FtlJob for Single<'_, '_> {
@@ -567,7 +567,7 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
             let (spec, trace) = (self.0, self.0.trace()?);
             let trace = trace.as_slice();
             let mut ftl = build()?;
-            let split = ((trace.len() as f64 * spec.warmup_fraction).round() as usize).min(trace.len());
+            let split = (trace.len() as f64 * spec.warmup_fraction).round() as usize;
             let options = RunOptions::default();
             if split == 0 {
                 return WorkloadDriver::new(options, spec.discipline).run_mut(&mut ftl, trace);
@@ -585,6 +585,10 @@ pub fn run_spec(spec: &RunSpec<'_>) -> Result<RunSummary, FtlError> {
             "run_spec replays on one device, not {}: run the spec with vflash_fleet::run_fleet_cell",
             spec.fleet_width
         );
+        return Err(FtlError::InvalidConfig { reason });
+    }
+    if !(0.0..1.0).contains(&spec.warmup_fraction) {
+        let reason = format!("a warm-up fraction lies in [0, 1), not {}", spec.warmup_fraction);
         return Err(FtlError::InvalidConfig { reason });
     }
     spec.discipline.validate()?;
@@ -822,8 +826,9 @@ mod tests {
     #[test]
     fn run_spec_refuses_a_bad_discipline_and_any_width_but_one() {
         // A bad discipline used to panic inside `WorkloadDriver::new` (taking
-        // a whole `ParallelRunner` sweep down), and a wider spec used to run
-        // on one device, labelled with its width.
+        // a whole `ParallelRunner` sweep down), a wider spec used to run on
+        // one device, labelled with its width, and a warm-up fraction outside
+        // [0, 1) was clamped: to the whole trace measured, or to none of it.
         let scale = ExperimentScale { requests: 50, ..ExperimentScale::quick() };
         let base = RunSpec::new(Workload::WebSqlServer, scale);
         let refused = [
@@ -833,7 +838,11 @@ mod tests {
         ]
         .map(|discipline| RunSpec { discipline, ..base })
         .into_iter()
-        .chain([0, 2, 8].map(|fleet_width| RunSpec { fleet_width, ..base }));
+        .chain([0, 2, 8].map(|fleet_width| RunSpec { fleet_width, ..base }))
+        .chain(
+            [f64::NAN, -0.5, 1.0, f64::INFINITY]
+                .map(|warmup_fraction| RunSpec { warmup_fraction, ..base }),
+        );
         for spec in refused {
             let outcome = run_spec(&spec);
             assert!(

@@ -195,12 +195,12 @@ pub struct LaneState {
     /// tracing off there are no per-chip spans to overlay, so background
     /// writes and played pages push this one clock instead.
     ready: Nanos,
-    pub(crate) read_latencies: LatencyHistogram,
-    pub(crate) write_latencies: LatencyHistogram,
-    pub(crate) queue_delays: LatencyHistogram,
-    pub(crate) service_times: LatencyHistogram,
-    pub(crate) requests: u64,
-    pub(crate) last_completion: Nanos,
+    read_latencies: LatencyHistogram,
+    write_latencies: LatencyHistogram,
+    queue_delays: LatencyHistogram,
+    service_times: LatencyHistogram,
+    requests: u64,
+    last_completion: Nanos,
     /// Arrival window of the requests this lane served.
     arrivals: ArrivalWindow,
     start_metrics: FtlMetrics,

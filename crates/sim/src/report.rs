@@ -1,7 +1,5 @@
 //! Run summaries and baseline/variant comparisons.
 
-use std::fmt;
-
 use vflash_ftl::FtlMetrics;
 use vflash_nand::Nanos;
 
@@ -262,64 +260,6 @@ impl RunSummary {
     }
 }
 
-impl fmt::Display for RunSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{}: {} reads ({} total, {} mean), {} writes ({} total, {} mean), {} erases, WAF {:.3}",
-            self.trace,
-            self.ftl,
-            self.host_reads,
-            self.read_time,
-            self.mean_read_latency,
-            self.host_writes,
-            self.write_time,
-            self.mean_write_latency,
-            self.erased_blocks,
-            self.write_amplification,
-        )?;
-        if self.host_elapsed > Nanos::ZERO {
-            match self.mode {
-                ReplayMode::ClosedLoop => write!(
-                    f,
-                    ", QD{} {:.0} IOPS (read p99 {}, write p99 {})",
-                    self.queue_depth,
-                    self.request_iops(),
-                    self.read_latency.p99,
-                    self.write_latency.p99,
-                )?,
-                ReplayMode::OpenLoop { rate_scale } => write!(
-                    f,
-                    ", open-loop x{rate_scale} {:.0}/{:.0} IOPS achieved/offered \
-                     (queue delay p99 {}, service p99 {}, peak QD {}, {:.0}% busy arrivals)",
-                    self.request_iops(),
-                    self.offered_iops(),
-                    self.queue_delay.p99,
-                    self.service_time.p99,
-                    self.peak_queue_depth,
-                    self.busy_arrival_fraction() * 100.0,
-                )?,
-            }
-        }
-        if self.retried_reads > 0 || self.uncorrectable_reads > 0 || self.bad_blocks_grown > 0 {
-            write!(
-                f,
-                ", faults: {} retried reads ({:.2}% of host time), {} uncorrectable, \
-                 {} bad blocks, {} remaps",
-                self.retried_reads,
-                self.retry_latency_fraction() * 100.0,
-                self.uncorrectable_reads,
-                self.bad_blocks_grown,
-                self.remapped_writes,
-            )?;
-            if self.time_to_read_only > Nanos::ZERO {
-                write!(f, ", read-only at {}", self.time_to_read_only)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A baseline-versus-variant comparison of two runs of the same trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
@@ -400,7 +340,6 @@ mod tests {
         assert_eq!(summary.erased_blocks, 1);
         assert_eq!(summary.gc_copied_pages, 3);
         assert_eq!(summary.write_amplification, 4.0);
-        assert!(summary.to_string().contains("web/ppb"));
     }
 
     #[test]
@@ -422,8 +361,6 @@ mod tests {
         summary.host_requests = 2_000;
         summary.host_elapsed = Nanos::from_millis(500);
         assert_eq!(summary.request_iops(), 4_000.0);
-        summary.queue_depth = 16;
-        assert!(summary.to_string().contains("QD16"), "display shows depth: {summary}");
     }
 
     #[test]
@@ -437,9 +374,6 @@ mod tests {
         summary.mode = ReplayMode::OpenLoop { rate_scale: 2.0 };
         assert_eq!(summary.offered_iops(), 10_000.0);
         assert_eq!(summary.request_iops(), 4_000.0);
-        let text = summary.to_string();
-        assert!(text.contains("open-loop x2"), "display names the mode: {text}");
-        assert!(text.contains("achieved/offered"), "{text}");
     }
 
     #[test]
@@ -462,9 +396,6 @@ mod tests {
         assert_eq!(summary.remapped_writes, 1);
         assert_eq!(summary.time_to_read_only, Nanos::from_millis(7));
         assert!((summary.retry_latency_fraction() - 0.25).abs() < 1e-12);
-        let text = summary.to_string();
-        assert!(text.contains("1 retried reads"), "{text}");
-        assert!(text.contains("read-only at"), "{text}");
 
         // A transition that happened before the measured phase is not re-reported.
         let mut warm = FtlMetrics::new();
@@ -483,7 +414,6 @@ mod tests {
         );
         assert_eq!(summary.retried_reads, 0);
         assert_eq!(summary.retry_latency_fraction(), 0.0);
-        assert!(!summary.to_string().contains("faults:"));
     }
 
     #[test]

@@ -7,17 +7,15 @@
 //! Opens a `vflash-kv` store on a PPB-managed device, writes and reads some
 //! keys, forces a flush, simulates a crash, and recovers — printing the device
 //! traffic (WAL appends, table builds, compactions) each stage generated.
-//! Then it runs the zipf-skewed KV cell (`run_kv_cell`) on both FTLs and
-//! prints the application-level comparison.
+//! The zipf-skewed KV comparison of both FTLs is the `lsm` section of the
+//! `experiments` binary.
 
 use std::error::Error;
 
 use vflash::ftl::FlashTranslationLayer;
-use vflash::kv::{run_kv_cell, FlashStore, KvConfig, KvStore};
+use vflash::kv::{FlashStore, KvConfig, KvStore};
 use vflash::nand::{NandConfig, NandDevice};
 use vflash::ppb::{PpbConfig, PpbFtl};
-use vflash::sim::experiments::ExperimentScale;
-use vflash::sim::{FtlKind, KvSource, RunSpec};
 
 fn main() -> Result<(), Box<dyn Error>> {
     // A small device under the paper's PPB FTL: 1 chip, 96 blocks of 64 pages,
@@ -52,11 +50,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         kv.layout().len(),
         kv.level_count(),
     );
-    let io = kv.flash().io_stats();
+    let io = kv.flash().ftl().metrics();
     println!(
         "  device traffic: {} page writes, {} page reads, {} of simulated device time",
-        io.pages_written,
-        io.pages_read,
+        io.host_writes,
+        io.host_reads,
         format_args!("{:.3}s", kv.device_clock().as_secs_f64()),
     );
     let wa = kv.write_amplification();
@@ -90,26 +88,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         recovered.flash().ftl().name(),
     );
 
-    // Finally, the app-level comparison the `lsm` experiments section prints:
-    // a KV cell is a `RunSpec` (3,000 ops over 2,000 keys on 96 blocks of
-    // 64 × 4 KiB pages), run once per FTL.
-    println!("\nzipf-skewed workload, conventional vs PPB (smoke scale):");
-    let scale = ExperimentScale {
-        requests: 3_000,
-        working_set_bytes: 12 << 20,
-        pages_per_block: 64,
-        ..ExperimentScale::quick()
-    };
-    let cell = RunSpec::new(KvSource { key_space: 2_000, io_depth: 1 }, scale);
-    for ftl in FtlKind::ALL {
-        let summary = run_kv_cell(&cell.on(ftl))?;
-        println!(
-            "  {:<12} sstable-read p99 {:>7.0} us, stall p99 {:>8.0} us, e2e WA {:.2}",
-            summary.ftl,
-            summary.sstable_read.p99.as_micros_f64(),
-            summary.compaction_stall.p99.as_micros_f64(),
-            summary.write_amplification.end_to_end,
-        );
-    }
     Ok(())
 }

@@ -75,9 +75,6 @@ fn assert_graceful_end_of_life<P: Placement>(mut ftl: FtlCore<P>, label: &str) {
         summary.time_to_read_only > Nanos::ZERO,
         "{label}: the transition time must be recorded"
     );
-    let text = summary.to_string();
-    assert!(text.contains("read-only at"), "{label}: summary must report the transition: {text}");
-    assert!(text.contains("bad blocks"), "{label}: summary must report bad blocks: {text}");
 }
 
 #[test]

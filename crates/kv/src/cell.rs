@@ -75,8 +75,9 @@ pub struct KvRunSummary {
 ///
 /// A block source, a discipline, arrival model, warm-up or fleet width other
 /// than [`RunSpec::new`]'s (none of them applies), and a source with no keys,
-/// more keys than a zipf rank holds (`u32::MAX`) or an `io_depth` of 0 are
-/// [`KvError::Ftl`] of [`FtlError::InvalidConfig`]; FTL construction errors
+/// more keys than a zipf rank holds (`u32::MAX`) or an `io_depth` of 0 (which
+/// [`KvStore::open`] refuses) are [`KvError::Ftl`] of
+/// [`FtlError::InvalidConfig`]; FTL construction errors
 /// and I/O or corruption errors other than [`KvError::ReadOnly`] pass through.
 pub fn run_kv_cell(spec: &RunSpec<'_>) -> Result<KvRunSummary, KvError> {
     struct Drive(KvSource, ExperimentScale);
@@ -105,10 +106,8 @@ pub fn run_kv_cell(spec: &RunSpec<'_>) -> Result<KvRunSummary, KvError> {
                 .into(),
         );
     }
-    if source.key_space == 0 || u32::try_from(source.key_space).is_err() || source.io_depth == 0 {
-        return refused(format!(
-            "run_kv_cell needs 1..=u32::MAX keys and an io_depth of at least 1, not {source:?}"
-        ));
+    if source.key_space == 0 || u32::try_from(source.key_space).is_err() {
+        return refused(format!("run_kv_cell needs 1..=u32::MAX keys, not {source:?}"));
     }
     spec.with_ftl(Drive(source, spec.scale))?
 }
@@ -289,7 +288,8 @@ mod tests {
             RunSpec { warmup_fraction: 0.5, ..spec },
             RunSpec { fleet_width: 2, ..spec },
             // A source the store cannot run: these used to panic inside the
-            // sweep, in `Zipf::new` and `KvConfig::validate`.
+            // sweep, in `Zipf::new` and `KvConfig::validate` (`KvStore::open`
+            // refuses an `io_depth` of 0 now).
             RunSpec::new(KvSource { key_space: 0, io_depth: 1 }, spec.scale),
             RunSpec::new(KvSource { key_space: 2_000, io_depth: 0 }, spec.scale),
             RunSpec::new(KvSource { key_space: 1 << 32, io_depth: 1 }, spec.scale),

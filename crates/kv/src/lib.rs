@@ -35,6 +35,13 @@
 //! the table builder slices between two table writes; only an input that
 //! crosses an extent boundary of its file is gathered into a spill buffer.
 //!
+//! Reads lend what they find. [`KvStore::get`] answers a [`Lookup`] whose
+//! value is the memtable's entry, or a table hit copied into one buffer the
+//! store reuses; [`KvStore::scan`] answers a slice of row slots the store
+//! refills in place on the next scan. Either answer is valid until the next
+//! call on the store — the borrow checker holds a caller to that — so a
+//! warmed-up store allocates nothing per get or scan.
+//!
 //! Every byte of persistence goes through [`FlashStore`]: append-only
 //! [`SegmentFile`]s mapped onto LPN extents, one `IoRequest` per page touched —
 //! played through the device's lane of the timing core

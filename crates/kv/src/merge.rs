@@ -200,24 +200,36 @@ impl RunCursor {
     }
 }
 
+/// The per-run cursors of a [`NewestWins`], kept between merges: a merge
+/// over no more runs than an earlier one on the same cursors allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct MergeCursors(Vec<RunCursor>);
+
 /// A k-way merge of sorted runs given oldest first: yields every distinct key
 /// once, in key order, with the entry of the newest run that holds it
 /// (tombstones included — dropping them is the caller's decision).
 #[derive(Debug)]
 pub(crate) struct NewestWins<'r> {
     spans: &'r [Span],
-    runs: Vec<RunCursor>,
+    runs: &'r mut Vec<RunCursor>,
 }
 
 impl<'r> NewestWins<'r> {
-    /// A merge positioned before the first entry of `inputs`' runs.
+    /// A merge positioned before the first entry of `inputs`' runs, walking
+    /// them with `cursors` (whatever they held before is dropped).
     ///
     /// # Errors
     ///
     /// [`KvError::Corruption`] when a run's first entry does not decode.
-    pub(crate) fn new(inputs: &'r RunSpans, lent: Lent<'_>) -> Result<Self, KvError> {
+    pub(crate) fn new(
+        inputs: &'r RunSpans,
+        cursors: &'r mut MergeCursors,
+        lent: Lent<'_>,
+    ) -> Result<Self, KvError> {
         let spans = inputs.spans.as_slice();
-        let mut runs = Vec::with_capacity(inputs.runs.len());
+        let runs = &mut cursors.0;
+        runs.clear();
         for run in &inputs.runs {
             let at = spans[run.clone()].first().map_or(0, |first| first.start);
             let mut cursor = RunCursor {
@@ -331,7 +343,7 @@ mod tests {
             arena: &arena,
             spill: &inputs.spill,
         };
-        NewestWins::new(&inputs, lent)?.collect(lent)
+        NewestWins::new(&inputs, &mut MergeCursors::default(), lent)?.collect(lent)
     }
 
     fn owned(rows: &[Row]) -> Vec<Entry> {
@@ -397,7 +409,7 @@ mod tests {
             spill: &inputs.spill,
         };
         assert_eq!(
-            NewestWins::new(&inputs, lent)
+            NewestWins::new(&inputs, &mut MergeCursors::default(), lent)
                 .unwrap()
                 .collect(lent)
                 .unwrap(),
@@ -446,7 +458,7 @@ mod tests {
                 arena,
                 spill: &inputs.spill,
             };
-            NewestWins::new(inputs, lent)?.collect(lent)
+            NewestWins::new(inputs, &mut MergeCursors::default(), lent)?.collect(lent)
         };
         assert_eq!(walk(&arena, &inputs).unwrap().len(), 3);
         // Entry "b" of the first run starts 9 bytes into its span: a flag that
@@ -482,7 +494,7 @@ mod tests {
             spill: &inputs.spill,
         };
         assert!(matches!(
-            NewestWins::new(&inputs, lent),
+            NewestWins::new(&inputs, &mut MergeCursors::default(), lent),
             Err(KvError::Corruption(_))
         ));
     }

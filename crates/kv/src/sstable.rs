@@ -195,9 +195,10 @@ pub enum TableProbe {
     Read,
 }
 
-/// What a point lookup returns: the entry found (`Some(None)` is a tombstone)
-/// and how the table was probed.
-type Probed = Result<(Option<Option<Vec<u8>>>, TableProbe), KvError>;
+/// What a point lookup found — `Some(true)` a value, now in the caller's
+/// buffer, `Some(false)` a tombstone, `None` no entry — and how the table was
+/// probed.
+type Probed = Result<(Option<bool>, TableProbe), KvError>;
 
 /// An open table: persisted metadata plus the in-memory sparse index and bloom
 /// filter.
@@ -480,15 +481,19 @@ impl TableHandle {
         store: &mut FlashStore<F>,
         key: &[u8],
     ) -> Result<(Option<Option<Vec<u8>>>, TableProbe), KvError> {
-        self.probe(store, KeyRef::new(key))
+        let mut value = Vec::new();
+        let (found, probe) = self.probe(store, KeyRef::new(key), &mut value)?;
+        Ok((found.map(|is_value| is_value.then_some(value)), probe))
     }
 
     /// [`TableHandle::get`] for a key whose prefix is known already (the
-    /// store probes several tables with one key).
+    /// store probes several tables with one key), writing a found value over
+    /// `value` instead of into a new allocation.
     pub(crate) fn probe<F: FlashTranslationLayer>(
         &self,
         store: &mut FlashStore<F>,
         key: KeyRef<'_>,
+        value: &mut Vec<u8>,
     ) -> Probed {
         if key < self.min_key() || key > self.max_key() {
             return Ok((None, TableProbe::RangeSkip));
@@ -502,10 +507,16 @@ impl TableHandle {
         let (start, end) = self.bucket_span(bucket);
         let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
         let mut at = 0usize;
-        while let Some(((entry_key, value), consumed)) = decode_entry(bytes, at)? {
+        while let Some(((entry_key, found), consumed)) = decode_entry(bytes, at)? {
             match entry_key.cmp(key.bytes()) {
                 Ordering::Less => at += consumed,
-                Ordering::Equal => return Ok((Some(value.map(<[u8]>::to_vec)), TableProbe::Read)),
+                Ordering::Equal => {
+                    if let Some(found) = found {
+                        value.clear();
+                        value.extend_from_slice(found);
+                    }
+                    return Ok((Some(found.is_some()), TableProbe::Read));
+                }
                 Ordering::Greater => break,
             }
         }
@@ -604,7 +615,7 @@ pub(crate) fn decode_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::NewestWins;
+    use crate::merge::{MergeCursors, NewestWins};
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
 
@@ -636,7 +647,7 @@ mod tests {
 
     fn decoded(run: &RunSpans, store: &FlashStore<ConventionalFtl>) -> Vec<Entry> {
         let lent = run.lent(store);
-        NewestWins::new(run, lent).unwrap().collect(lent).unwrap()
+        NewestWins::new(run, &mut MergeCursors::default(), lent).unwrap().collect(lent).unwrap()
     }
 
     fn sample_entries(count: usize) -> Vec<Entry> {

@@ -31,7 +31,7 @@
 //! WAL's epoch check replays exactly the committed operations since the last
 //! flush.
 
-use vflash_ftl::FlashTranslationLayer;
+use vflash_ftl::{FlashTranslationLayer, FtlError};
 use vflash_nand::Nanos;
 
 use crate::error::KvError;
@@ -40,7 +40,7 @@ use crate::hash::checksum64;
 use crate::key::KeyRef;
 use crate::level::SortedRun;
 use crate::memtable::Memtable;
-use crate::merge::{NewestWins, RunSpans};
+use crate::merge::{MergeCursors, NewestWins, RunSpans};
 use crate::sstable::{EntryRef, TableBuilder, TableHandle, TableMeta, TableOptions, TableProbe};
 use crate::wal::{Wal, WalOp};
 
@@ -99,17 +99,29 @@ impl Default for KvConfig {
 }
 
 impl KvConfig {
-    /// Panics when a knob is out of its sane range (misconfiguration is a
-    /// programming error, not a runtime condition).
-    pub fn validate(&self) {
-        assert!(self.memtable_bytes > 0, "memtable_bytes must be positive");
-        assert!(self.l0_compaction_trigger >= 2, "l0_compaction_trigger must be at least 2");
-        assert!(self.level_base_bytes > 0, "level_base_bytes must be positive");
-        assert!(self.level_size_multiplier >= 2, "level_size_multiplier must be at least 2");
-        assert!(self.target_table_bytes > 0, "target_table_bytes must be positive");
-        assert!(self.io_depth >= 1, "io_depth must be at least 1");
-        assert!(self.bloom_bits_per_key >= 1, "bloom_bits_per_key must be at least 1");
-        assert!(self.sparse_index_interval >= 1, "sparse_index_interval must be at least 1");
+    /// Checks every knob against its sane range.
+    ///
+    /// # Errors
+    ///
+    /// [`KvError::Ftl`] of [`FtlError::InvalidConfig`] naming the first knob
+    /// out of range.
+    pub fn validate(&self) -> Result<(), KvError> {
+        let checks = [
+            (self.memtable_bytes > 0, "memtable_bytes must be positive"),
+            (self.l0_compaction_trigger >= 2, "l0_compaction_trigger must be at least 2"),
+            (self.level_base_bytes > 0, "level_base_bytes must be positive"),
+            (self.level_size_multiplier >= 2, "level_size_multiplier must be at least 2"),
+            (self.target_table_bytes > 0, "target_table_bytes must be positive"),
+            (self.io_depth >= 1, "io_depth must be at least 1"),
+            (self.bloom_bits_per_key >= 1, "bloom_bits_per_key must be at least 1"),
+            (self.sparse_index_interval >= 1, "sparse_index_interval must be at least 1"),
+        ];
+        match checks.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, reason)) => {
+                Err(KvError::Ftl(FtlError::InvalidConfig { reason: reason.to_string() }))
+            }
+            None => Ok(()),
+        }
     }
 
     /// The table-construction knobs carried by this configuration.
@@ -178,11 +190,13 @@ pub enum LookupSource {
 }
 
 /// The result of a get: the value (if any), where the lookup terminated, and
-/// the device time it cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lookup {
+/// the device time it cost. The value is lent — by the memtable, or from the
+/// buffer the store copies a table hit into — until the next call on the
+/// store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookup<'a> {
     /// The value, or `None` for a tombstone or an absent key.
-    pub value: Option<Vec<u8>>,
+    pub value: Option<&'a [u8]>,
     /// Where the lookup terminated.
     pub source: LookupSource,
     /// Device time charged to this get.
@@ -252,6 +266,12 @@ pub struct KvStore<F: FlashTranslationLayer> {
     builder: TableBuilder,
     /// Where the rows a scan read lie, until its merge is done.
     scanned: RunSpans,
+    /// The cursors of the scan's merge.
+    cursors: MergeCursors,
+    /// The rows the last scan returned.
+    rows: ScanRows,
+    /// The value of the last get a table answered.
+    found: Vec<u8>,
     stats: KvStats,
 }
 
@@ -262,9 +282,11 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// # Errors
     ///
-    /// Allocation, I/O and decode errors pass through.
+    /// A configuration [`KvConfig::validate`] refuses is its error, returned
+    /// before the device is touched; allocation, I/O and decode errors pass
+    /// through.
     pub fn open(mut store: FlashStore<F>, config: KvConfig) -> Result<Self, KvError> {
-        config.validate();
+        config.validate()?;
         // Recovery scans (manifest, index/bloom sections, WAL prefix) batch at
         // the configured depth too, so set it before touching the device.
         store.set_io_depth(config.io_depth);
@@ -291,6 +313,9 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             pending_free: Vec::new(),
             builder: TableBuilder::new(config.table_options()),
             scanned: RunSpans::default(),
+            cursors: MergeCursors::default(),
+            rows: ScanRows::default(),
+            found: Vec::new(),
             stats: KvStats::default(),
         };
         kv.write_manifest()?;
@@ -361,6 +386,9 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             pending_free: Vec::new(),
             builder: TableBuilder::new(config.table_options()),
             scanned: RunSpans::default(),
+            cursors: MergeCursors::default(),
+            rows: ScanRows::default(),
+            found: Vec::new(),
             stats: KvStats::default(),
         })
     }
@@ -421,47 +449,47 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         Ok(WriteReceipt { log_time, stall_time: total - log_time })
     }
 
-    /// Looks up `key`.
+    /// Looks up `key`. A memtable hit lends the memtable's entry; a table hit
+    /// is copied into a buffer the store keeps for the next one.
     ///
     /// # Errors
     ///
     /// Read and decode errors pass through.
-    pub fn get(&mut self, key: &[u8]) -> Result<Lookup, KvError> {
+    pub fn get(&mut self, key: &[u8]) -> Result<Lookup<'_>, KvError> {
         self.stats.gets += 1;
         let start = self.store.now();
         if let Some(entry) = self.memtable.get(key) {
-            let value = entry.clone();
-            if value.is_some() {
+            if entry.is_some() {
                 self.stats.memtable_hits += 1;
             } else {
                 self.stats.misses += 1;
             }
             return Ok(Lookup {
-                value,
+                value: entry.as_deref(),
                 source: LookupSource::Memtable,
                 time: self.store.now() - start,
             });
         }
-        let KvStore { store, l0, sorted, stats, .. } = self;
+        let KvStore { store, l0, sorted, stats, found, .. } = self;
         let key = KeyRef::new(key);
         // L0 newest table first, then the one table of each deeper level
         // whose key range can hold the key.
         let candidates = l0.iter().chain(sorted.iter().filter_map(|run| run.candidate(key)));
         for table in candidates {
-            let (found, probe) = table.probe(store, key)?;
+            let (entry, probe) = table.probe(store, key, found)?;
             match probe {
                 TableProbe::BloomSkip => stats.bloom_skips += 1,
                 TableProbe::Read => stats.table_reads += 1,
                 TableProbe::RangeSkip => {}
             }
-            if let Some(value) = found {
-                if value.is_some() {
+            if let Some(is_value) = entry {
+                if is_value {
                     stats.sstable_hits += 1;
                 } else {
                     stats.misses += 1;
                 }
                 return Ok(Lookup {
-                    value,
+                    value: is_value.then_some(found.as_slice()),
                     source: LookupSource::SsTable,
                     time: store.now() - start,
                 });
@@ -473,17 +501,18 @@ impl<F: FlashTranslationLayer> KvStore<F> {
 
     /// Returns every live key/value pair with key in `[lo, hi)`, in key order.
     /// Tombstones and shadowed versions are resolved; deleted keys do not
-    /// appear. An empty or reversed range (`lo >= hi`) has no rows.
+    /// appear. An empty or reversed range (`lo >= hi`) has no rows. The rows
+    /// are lent from slots the store refills on the next scan.
     ///
     /// # Errors
     ///
     /// Read and decode errors pass through.
-    pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<&[Row], KvError> {
         self.stats.scans += 1;
         if lo >= hi {
-            return Ok(Vec::new());
+            return Ok(&[]);
         }
-        let KvStore { store, l0, sorted, memtable, scanned, .. } = self;
+        let KvStore { store, l0, sorted, memtable, scanned, cursors, rows, .. } = self;
         let (lo, hi) = (KeyRef::new(lo), KeyRef::new(hi));
         scanned.clear();
         // Deepest (oldest) data first: each sorted level is one run — the
@@ -501,7 +530,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         let buffered = memtable
             .range(lo.bytes(), hi.bytes())
             .map(|(key, value)| (key.as_slice(), value.as_deref()));
-        live_rows(scanned, scanned.lent(store), buffered)
+        live_rows(scanned, scanned.lent(store), buffered, cursors, rows)?;
+        Ok(rows.rows())
     }
 
     /// Flushes the memtable to a new L0 table, runs any due compactions and
@@ -834,7 +864,8 @@ fn build_tables<F: FlashTranslationLayer>(
         builder.finish(store, id).map(|table| tables.push(table))
     };
     let mut merge_all = || {
-        let mut merge = NewestWins::new(inputs, inputs.lent(store))?;
+        let mut cursors = MergeCursors::default();
+        let mut merge = NewestWins::new(inputs, &mut cursors, inputs.lent(store))?;
         while let Some(entry) = merge.next(inputs.lent(store))? {
             if drop_tombstones && entry.is_tombstone() {
                 continue;
@@ -863,25 +894,60 @@ fn build_tables<F: FlashTranslationLayer>(
     }
 }
 
-/// The rows of a scan: key and value, in key order.
-type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+/// A row of a scan: key and value.
+type Row = (Vec<u8>, Vec<u8>);
 
-/// The live rows of a scan: the table rows in `scanned` merged newest-wins,
-/// under `buffered` — the memtable's rows in range, newer than any table's —
-/// with tombstones and what they shadow left out.
+/// The rows a scan returns, in slots kept from scan to scan: a scan refills
+/// the leading slots in place and adds one only for a row past the most any
+/// scan before it returned.
+#[derive(Debug, Default)]
+struct ScanRows {
+    slots: Vec<Row>,
+    filled: usize,
+}
+
+impl ScanRows {
+    fn clear(&mut self) {
+        self.filled = 0;
+    }
+
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        if self.filled == self.slots.len() {
+            self.slots.push(Default::default());
+        }
+        let (slot_key, slot_value) = &mut self.slots[self.filled];
+        slot_key.clear();
+        slot_key.extend_from_slice(key);
+        slot_value.clear();
+        slot_value.extend_from_slice(value);
+        self.filled += 1;
+    }
+
+    /// The rows pushed since the last clear.
+    fn rows(&self) -> &[Row] {
+        &self.slots[..self.filled]
+    }
+}
+
+/// Fills `rows` with the live rows of a scan: the table rows in `scanned`
+/// merged newest-wins (on `cursors`), under `buffered` — the memtable's rows
+/// in range, newer than any table's — with tombstones and what they shadow
+/// left out.
 fn live_rows<'m>(
     scanned: &RunSpans,
     lent: Lent<'_>,
     buffered: impl Iterator<Item = EntryRef<'m>>,
-) -> Result<Rows, KvError> {
-    let mut rows = Vec::new();
+    cursors: &mut MergeCursors,
+    rows: &mut ScanRows,
+) -> Result<(), KvError> {
+    rows.clear();
     let mut keep = |(key, value): EntryRef<'_>| {
         if let Some(value) = value {
-            rows.push((key.to_vec(), value.to_vec()));
+            rows.push(key, value);
         }
     };
     let mut buffered = buffered.peekable();
-    let mut merge = NewestWins::new(scanned, lent)?;
+    let mut merge = NewestWins::new(scanned, cursors, lent)?;
     while let Some(entry) = merge.next(lent)? {
         let (key, value) = entry.resolve(lent);
         // Buffered rows up to this key go first; one of this key replaces it.
@@ -895,7 +961,7 @@ fn live_rows<'m>(
         }
     }
     buffered.for_each(keep);
-    Ok(rows)
+    Ok(())
 }
 
 fn put_extents(out: &mut Vec<u8>, extents: &[Extent]) {
@@ -1081,7 +1147,7 @@ mod tests {
             if i % 3 == 0 {
                 assert_eq!(lookup.value, None, "key {i} was deleted");
             } else {
-                assert_eq!(lookup.value, Some(format!("value-{i}").into_bytes()));
+                assert_eq!(lookup.value, Some(format!("value-{i}").as_bytes()));
             }
         }
         assert_eq!(kv.get(b"absent").unwrap().source, LookupSource::Miss);
@@ -1108,7 +1174,7 @@ mod tests {
         for i in 0..300u32 {
             assert_eq!(
                 kv.get(&key(i)).unwrap().value,
-                Some(format!("round-5-{i}").into_bytes()),
+                Some(format!("round-5-{i}").as_bytes()),
                 "the newest round must win"
             );
         }
@@ -1159,7 +1225,8 @@ mod tests {
             assert!(after[0] == 0 && after[1] >= before[1] && after[2] == before[2], "{after:?}");
             assert_eq!(kv.check_invariants(), Ok(()));
             for (&i, value) in &model {
-                assert_eq!(&kv.get(&key(i)).unwrap().value, value, "key {i} at depth {io_depth}");
+                let found = kv.get(&key(i)).unwrap().value;
+                assert_eq!(found, value.as_deref(), "key {i} at depth {io_depth}");
             }
             // The deletes of round 2 still shadow L3's values: they were kept.
             let kept = kv.sorted[1].tables().iter().map(|table| table.meta.entries).sum::<u64>();
@@ -1172,7 +1239,8 @@ mod tests {
             let bottom = kv.sorted[2].tables().iter().map(|table| table.meta.entries).sum::<u64>();
             assert_eq!(bottom, live);
             for (&i, value) in &model {
-                assert_eq!(&kv.get(&key(i)).unwrap().value, value, "key {i} at the bottom");
+                let found = kv.get(&key(i)).unwrap().value;
+                assert_eq!(found, value.as_deref(), "key {i} at the bottom");
             }
             assert_eq!(kv.check_invariants(), Ok(()));
         }
@@ -1261,7 +1329,7 @@ mod tests {
             assert_eq!(kv.layout(), layout, "a failed compaction must not drop or move a table");
             assert_eq!(kv.stats().compactions, compactions);
             for i in 0..120u32 {
-                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i)), "key {i}");
+                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i).as_slice()), "key {i}");
             }
             failed += 1;
         }
@@ -1270,7 +1338,7 @@ mod tests {
         // The compaction that got through serves the same data.
         assert!(kv.l0.is_empty());
         for i in 0..120u32 {
-            assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i)), "key {i}");
+            assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest(i).as_slice()), "key {i}");
         }
     }
 
@@ -1312,7 +1380,7 @@ mod tests {
         let serves_every_put = |kv: &mut KvStore<FailingNth>| {
             for i in 0..60u32 {
                 let newest = vec![if i < 20 { 1 } else { 2 }; 100];
-                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
+                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest.as_slice()), "key {i}");
             }
         };
         // Refuse the flush's first write, then — from the same state — its
@@ -1394,7 +1462,7 @@ mod tests {
             assert_eq!(kv.check_invariants(), Ok(()), "the tables written so far were deleted");
             for i in 0..300u32 {
                 let newest = value(u8::from(i.is_multiple_of(2)));
-                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
+                assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest.as_slice()), "key {i}");
             }
         }
         // Repaired, the same compaction goes through — from an empty builder.
@@ -1403,7 +1471,7 @@ mod tests {
         assert_eq!(kv.check_invariants(), Ok(()));
         for i in 0..300u32 {
             let newest = value(u8::from(i.is_multiple_of(2)));
-            assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest), "key {i}");
+            assert_eq!(kv.get(&key(i)).unwrap().value, Some(newest.as_slice()), "key {i}");
         }
     }
 
@@ -1419,7 +1487,7 @@ mod tests {
         let mut kv = KvStore::open(store, small_config()).unwrap();
         assert_eq!(kv.layout(), layout, "recovery must rebuild the exact table tree");
         for i in 0..200u32 {
-            assert_eq!(kv.get(&key(i)).unwrap().value, Some(format!("v{i}").into_bytes()));
+            assert_eq!(kv.get(&key(i)).unwrap().value, Some(format!("v{i}").as_bytes()));
         }
     }
 
@@ -1434,15 +1502,15 @@ mod tests {
         kv.delete(&key(7)).unwrap();
         let store = kv.crash();
         let mut kv = KvStore::open(store, small_config()).unwrap();
-        assert_eq!(kv.get(b"tail-1").unwrap().value, Some(b"after-flush".to_vec()));
+        assert_eq!(kv.get(b"tail-1").unwrap().value, Some(&b"after-flush"[..]));
         assert_eq!(kv.get(&key(7)).unwrap().value, None, "the tail delete must replay");
-        assert_eq!(kv.get(&key(8)).unwrap().value, Some(b"committed".to_vec()));
+        assert_eq!(kv.get(&key(8)).unwrap().value, Some(&b"committed"[..]));
         // And the recovered store keeps working, including further flushes.
         for i in 0..200u32 {
             kv.put(&key(i), format!("w{i}").as_bytes()).unwrap();
         }
         kv.flush().unwrap();
-        assert_eq!(kv.get(&key(0)).unwrap().value, Some(b"w0".to_vec()));
+        assert_eq!(kv.get(&key(0)).unwrap().value, Some(&b"w0"[..]));
     }
 
     #[test]
@@ -1530,7 +1598,35 @@ mod tests {
             assert!(matches!(reopened, Err(KvError::Corruption(_))), "byte {at}");
         }
         let mut intact = KvStore::open(formatted(), small_config()).unwrap();
-        assert_eq!(intact.get(b"key").unwrap().value, Some(b"value".to_vec()));
+        assert_eq!(intact.get(b"key").unwrap().value, Some(&b"value"[..]));
+    }
+
+    /// `open` refuses each knob `KvConfig::validate` rejects with
+    /// `InvalidConfig` naming it — these used to panic inside `validate`.
+    macro_rules! open_refuses {
+        ($($test:ident: $knob:ident = $value:expr;)*) => {$(
+            #[test]
+            fn $test() {
+                let config = KvConfig { $knob: $value, ..KvConfig::default() };
+                match KvStore::open(flash(), config).map(drop) {
+                    Err(KvError::Ftl(FtlError::InvalidConfig { reason })) => {
+                        assert!(reason.starts_with(stringify!($knob)), "{reason}");
+                    }
+                    other => panic!("{config:?}: {other:?}"),
+                }
+            }
+        )*};
+    }
+
+    open_refuses! {
+        open_refuses_a_zero_memtable: memtable_bytes = 0;
+        open_refuses_a_compaction_trigger_under_two: l0_compaction_trigger = 1;
+        open_refuses_a_zero_level_base: level_base_bytes = 0;
+        open_refuses_a_level_multiplier_under_two: level_size_multiplier = 1;
+        open_refuses_a_zero_table_target: target_table_bytes = 0;
+        open_refuses_a_zero_io_depth: io_depth = 0;
+        open_refuses_a_zero_bloom_budget: bloom_bits_per_key = 0;
+        open_refuses_a_zero_index_stride: sparse_index_interval = 0;
     }
 
     #[test]
@@ -1575,9 +1671,9 @@ mod tests {
         kv.put(&widest_key, b"fits").unwrap();
         kv.put(b"after", b"2").unwrap();
         let mut kv = KvStore::open(kv.crash(), config).unwrap();
-        assert_eq!(kv.get(&widest_key).unwrap().value, Some(b"fits".to_vec()));
-        assert_eq!(kv.get(b"after").unwrap().value, Some(b"2".to_vec()));
-        assert_eq!(kv.get(b"before").unwrap().value, Some(b"1".to_vec()));
+        assert_eq!(kv.get(&widest_key).unwrap().value, Some(&b"fits"[..]));
+        assert_eq!(kv.get(b"after").unwrap().value, Some(&b"2"[..]));
+        assert_eq!(kv.get(b"before").unwrap().value, Some(&b"1"[..]));
     }
 
     /// The merge semantics this store had before the streaming merge, kept as
@@ -1635,7 +1731,7 @@ mod tests {
     fn walking_get<F: FlashTranslationLayer>(
         kv: &mut KvStore<F>,
         key: &[u8],
-    ) -> Result<Lookup, KvError> {
+    ) -> Result<OwnedLookup, KvError> {
         kv.stats.gets += 1;
         let start = kv.store.now();
         if let Some(entry) = kv.memtable.get(key) {
@@ -1646,7 +1742,7 @@ mod tests {
                 kv.stats.misses += 1;
             }
             let time = kv.store.now() - start;
-            return Ok(Lookup { value, source: LookupSource::Memtable, time });
+            return Ok((value, LookupSource::Memtable, time));
         }
         let KvStore { store, l0, sorted, stats, .. } = kv;
         for table in l0.iter().chain(sorted.iter().flat_map(SortedRun::tables)) {
@@ -1663,11 +1759,18 @@ mod tests {
                     stats.misses += 1;
                 }
                 let time = store.now() - start;
-                return Ok(Lookup { value, source: LookupSource::SsTable, time });
+                return Ok((value, LookupSource::SsTable, time));
             }
         }
         stats.misses += 1;
-        Ok(Lookup { value: None, source: LookupSource::Miss, time: store.now() - start })
+        Ok((None, LookupSource::Miss, store.now() - start))
+    }
+
+    /// A [`Lookup`] with its value copied out of the store that lent it.
+    type OwnedLookup = (Option<Vec<u8>>, LookupSource, Nanos);
+
+    fn owned(lookup: Lookup<'_>) -> OwnedLookup {
+        (lookup.value.map(<[u8]>::to_vec), lookup.source, lookup.time)
     }
 
     /// `scan` as it was before the levels were fence-indexed: every table of
@@ -1676,7 +1779,7 @@ mod tests {
         kv: &mut KvStore<F>,
         lo: &[u8],
         hi: &[u8],
-    ) -> Result<Rows, KvError> {
+    ) -> Result<Vec<Row>, KvError> {
         kv.stats.scans += 1;
         if lo >= hi {
             return Ok(Vec::new());
@@ -1697,7 +1800,9 @@ mod tests {
         let buffered = memtable
             .range(lo.bytes(), hi.bytes())
             .map(|(key, value)| (key.as_slice(), value.as_deref()));
-        live_rows(&scanned, scanned.lent(store), buffered)
+        let (mut cursors, mut rows) = (MergeCursors::default(), ScanRows::default());
+        live_rows(&scanned, scanned.lent(store), buffered, &mut cursors, &mut rows)?;
+        Ok(rows.rows().to_vec())
     }
 
     /// Keys chosen to tie and nest in their prefixes (the empty key, keys
@@ -1769,9 +1874,9 @@ mod tests {
         macro_rules! same_get {
             ($key:expr) => {
                 let key: &[u8] = $key;
-                let found = located.get(key).unwrap();
+                let found = owned(located.get(key).unwrap());
                 prop_assert_eq!(&found, &walking_get(&mut walked, key).unwrap(), "get {:?}", key);
-                prop_assert_eq!(&found.value, &model.get(key).cloned().flatten(), "get {:?}", key);
+                prop_assert_eq!(&found.0, &model.get(key).cloned().flatten(), "get {:?}", key);
                 same_state!(format!("get {key:?}"));
             };
         }
@@ -1983,7 +2088,10 @@ mod tests {
                     rows.begin_run();
                     table.lend_entries(&mut store, &mut rows).unwrap();
                     let lent = rows.lent(&store);
-                    let rows = NewestWins::new(&rows, lent).unwrap().collect(lent).unwrap();
+                    let rows = NewestWins::new(&rows, &mut MergeCursors::default(), lent)
+                        .unwrap()
+                        .collect(lent)
+                        .unwrap();
                     prop_assert_eq!(rows.as_slice(), expected);
                     // Each piece is the table a plain build of the same rows gives.
                     let rebuilt = build(expected, &mut store);
@@ -1997,13 +2105,14 @@ mod tests {
 
                 // The same runs under a memtable, the way a scan merges them.
                 let top = buffered.iter().map(|(key, value)| (key.as_slice(), value.as_deref()));
-                let scanned = live_rows(&inputs, inputs.lent(&store), top).unwrap();
+                let (mut cursors, mut scanned) = (MergeCursors::default(), ScanRows::default());
+                live_rows(&inputs, inputs.lent(&store), top, &mut cursors, &mut scanned).unwrap();
                 all_runs.push(buffered.clone());
                 let live: Vec<_> = model_merge(&all_runs, true)
                     .into_iter()
                     .map(|(key, value)| (key, value.expect("tombstones were dropped")))
                     .collect();
-                prop_assert_eq!(scanned, live);
+                prop_assert_eq!(scanned.rows(), live);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Allocation budget of the KV hot paths, counted — not timed — so it holds on
-//! any machine: a `get` that bounds checks and bloom filters answer allocates
-//! nothing, an SSTable hit allocates only the value it returns, and a
+//! any machine: reads lend what they find, so a `get` — answered by bounds
+//! checks and bloom filters, by a table or by the memtable — and a `scan`
+//! allocate nothing once the store's buffers have grown to their rows, and a
 //! non-flushing `put` allocates its key, its value and an amortised B-tree
 //! node. The shadow bytes under them are one arena: a `FlashStore` makes the
 //! same few allocations whatever the device size, and none per page written
@@ -157,12 +158,14 @@ fn hot_paths_stay_within_their_allocation_budget() {
     }
     assert!(skipped > 2_000, "bloom filters skipped only {skipped} of 3001 absent keys");
 
-    // An SSTable hit: the returned value is the one allocation.
+    // An SSTable hit is copied into the store's buffer, which the first hit
+    // sizes.
+    kv.get(&key(0)).unwrap();
     for i in (0..3_000u64).step_by(7) {
         let (allocations, lookup) = allocations_during(|| kv.get(&key(2 * i)).unwrap());
         assert_eq!(lookup.source, LookupSource::SsTable);
-        assert_eq!(lookup.value.as_deref(), Some(&value[..]));
-        assert_eq!(allocations, 1, "an SSTable hit of key {}", 2 * i);
+        assert_eq!(lookup.value, Some(&value[..]));
+        assert_eq!(allocations, 0, "an SSTable hit of key {}", 2 * i);
     }
 
     // Non-flushing puts: small values, so 1,000 of them stay under the
@@ -179,6 +182,28 @@ fn hot_paths_stay_within_their_allocation_budget() {
         allocations <= 4_000,
         "1,000 non-flushing puts made {allocations} allocations (budget: 4 each)"
     );
+
+    // A memtable hit lends the memtable's entry.
+    for i in (0..1_000u64).step_by(7) {
+        let (allocations, lookup) = allocations_during(|| kv.get(&key(2 * i + 1)).unwrap());
+        assert_eq!(lookup.source, LookupSource::Memtable);
+        assert_eq!(lookup.value, Some(&b"sixteen byte val"[..]));
+        assert_eq!(allocations, 0, "a memtable hit of key {}", 2 * i + 1);
+    }
+
+    // A scan of 20 keys, every other one in the memtable and the rest in the
+    // tables, refills the row slots a first scan of as many rows laid out
+    // alike left behind.
+    let row_lengths = |rows: &[(Vec<u8>, Vec<u8>)]| {
+        rows.iter().map(|(key, value)| (key.len(), value.len())).collect::<Vec<_>>()
+    };
+    let warm_up = row_lengths(kv.scan(&key(100), &key(120)).unwrap());
+    for lo in [200u64, 1_000, 1_978] {
+        let (allocations, rows) = allocations_during(|| kv.scan(&key(lo), &key(lo + 20)).unwrap());
+        assert_eq!(row_lengths(rows), warm_up);
+        assert!(rows.iter().map(|(key, _)| key.as_slice()).eq((lo..lo + 20).map(key)));
+        assert_eq!(allocations, 0, "a 20-row scan from key {lo}");
+    }
 }
 
 #[test]

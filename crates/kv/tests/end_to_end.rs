@@ -1,10 +1,13 @@
 //! End-to-end checks of the KV stack: determinism across identical runs, the
 //! write-amplification product identity at workload scale, clean
-//! [`KvError::ReadOnly`] surfacing once the device wears out, and a device
-//! that fills up: no acknowledged write lost, no page leaked.
+//! [`KvError::ReadOnly`] surfacing once the device wears out, a device that
+//! fills up: no acknowledged write lost, no page leaked, and reads that lend
+//! what they find showing nothing of an earlier call.
+
+use std::collections::BTreeMap;
 
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig};
-use vflash_kv::{run_kv_cell, FlashStore, KvConfig, KvError, KvStats, KvStore};
+use vflash_kv::{run_kv_cell, FlashStore, KvConfig, KvError, KvStats, KvStore, LookupSource};
 use vflash_nand::{FaultConfig, NandConfig, NandDevice, Nanos};
 use vflash_ppb::{PpbConfig, PpbFtl};
 use vflash_sim::experiments::ExperimentScale;
@@ -80,9 +83,81 @@ fn a_full_device_loses_no_acknowledged_put_and_leaks_no_page() {
     assert!(refused > 0, "8,000 puts of 256 bytes must overrun a 4 MiB device");
     assert!(acknowledged.len() > 4_000, "only {} puts were acknowledged", acknowledged.len());
     for &i in &acknowledged {
-        assert_eq!(kv.get(&key(i)).unwrap().value, Some(value(i)), "acknowledged put {i}");
+        let found = kv.get(&key(i)).unwrap().value;
+        assert_eq!(found, Some(value(i).as_slice()), "acknowledged put {i}");
     }
     assert_eq!(kv.check_invariants(), Ok(()));
+}
+
+/// `get` and `scan` lend their answers from buffers the store reuses: a
+/// table hit's value from one buffer, a scan's rows from slots the next scan
+/// refills. A lent answer must hold exactly its own bytes — no earlier call's
+/// longer value or surplus rows — from the memtable, across a flush and
+/// across a compaction, at `io_depth` 1 and 16: a scan of 20 rows with long
+/// values is followed by one of 3 rows with short ones, and a table hit with
+/// a long value by one with a short value, a memtable hit and a miss.
+#[test]
+fn lent_reads_show_nothing_of_an_earlier_call() {
+    let key = |i: u64| i.to_be_bytes();
+    // Keys 0..20 hold long values, 100..103 short ones; 200..205 are written
+    // after each flush, so they stay memtable hits.
+    let long = |i: u64, round: u8| vec![round ^ i as u8; 200 + i as usize];
+    let short = |i: u64, round: u8| vec![round ^ i as u8; 3 + i as usize % 3];
+    for io_depth in [1usize, 16] {
+        let config = KvConfig { l0_compaction_trigger: 2, io_depth, ..KvConfig::default() };
+        let device = NandDevice::new(NandConfig::small());
+        let ftl = ConventionalFtl::new(device, FtlConfig::default()).unwrap();
+        let mut kv = KvStore::open(FlashStore::new(ftl), config).unwrap();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let put = |kv: &mut KvStore<ConventionalFtl>,
+                   model: &mut BTreeMap<u64, Vec<u8>>,
+                   i: u64,
+                   value: Vec<u8>| {
+            kv.put(&key(i), &value).unwrap();
+            model.insert(i, value);
+        };
+        for round in 0..3u8 {
+            for i in 0..20 {
+                put(&mut kv, &mut model, i, long(i, round));
+            }
+            for i in 100..103 {
+                put(&mut kv, &mut model, i, short(i, round));
+            }
+            // Round 0 reads from the memtable alone; round 1 from an L0
+            // table; round 2's flush compacts both tables into L1.
+            if round > 0 {
+                kv.flush().unwrap();
+            }
+            for i in 200..205 {
+                put(&mut kv, &mut model, i, short(i, round));
+            }
+            assert_eq!(kv.stats().compactions > 0, round == 2, "round {round}");
+
+            let rows = |lo: u64, hi: u64| {
+                model.range(lo..hi).map(|(&i, value)| (key(i).to_vec(), value.clone()))
+            };
+            let scanned = kv.scan(&key(0), &key(20)).unwrap();
+            assert!(scanned.iter().cloned().eq(rows(0, 20)), "20 long rows, round {round}");
+            let scanned = kv.scan(&key(100), &key(103)).unwrap();
+            assert_eq!(scanned.len(), 3, "round {round} at io_depth {io_depth}");
+            assert!(scanned.iter().cloned().eq(rows(100, 103)), "3 short rows, round {round}");
+
+            let from_tables =
+                if round == 0 { LookupSource::Memtable } else { LookupSource::SsTable };
+            for (i, source) in [
+                (19, from_tables),
+                (101, from_tables),
+                (200, LookupSource::Memtable),
+                (300, LookupSource::Miss),
+            ] {
+                let lookup = kv.get(&key(i)).unwrap();
+                let expected = model.get(&i).map(Vec::as_slice);
+                let answer = (lookup.value, lookup.source);
+                assert_eq!(answer, (expected, source), "key {i}, round {round}");
+            }
+        }
+        assert_eq!(kv.check_invariants(), Ok(()));
+    }
 }
 
 /// Once bad-block growth exhausts the spares the FTL turns read-only; the KV
@@ -180,7 +255,7 @@ fn golden_fingerprint<F: FlashTranslationLayer>(ftl: F, io_depth: usize) -> (Str
                 kv.put(&key, &value).unwrap();
             }
             13..=16 => match kv.get(&key).unwrap().value {
-                Some(value) => fold(&mut returned, &value),
+                Some(value) => fold(&mut returned, value),
                 None => fold(&mut returned, b"absent"),
             },
             17 => {
@@ -188,8 +263,8 @@ fn golden_fingerprint<F: FlashTranslationLayer>(ftl: F, io_depth: usize) -> (Str
             }
             _ => {
                 for (key, value) in kv.scan(&key, &(rank + 25).to_be_bytes()).unwrap() {
-                    fold(&mut returned, &key);
-                    fold(&mut returned, &value);
+                    fold(&mut returned, key);
+                    fold(&mut returned, value);
                 }
             }
         }

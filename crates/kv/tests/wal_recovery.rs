@@ -90,7 +90,7 @@ proptest! {
         let mut kv = KvStore::open(kv.crash(), config()).expect("recover at cut point");
         prop_assert_eq!(kv.check_invariants(), Ok(()), "after the crash at op {}", cut);
         for k in 0u8..32 {
-            let expected = model.get(&key(k)).cloned().flatten();
+            let expected = model.get(&key(k)).and_then(Option::as_deref);
             let lookup = kv.get(&key(k)).expect("get after recovery");
             prop_assert_eq!(
                 lookup.value, expected,
@@ -106,7 +106,7 @@ proptest! {
         let mut kv = KvStore::open(kv.crash(), config()).expect("recover after tail");
         prop_assert_eq!(kv.check_invariants(), Ok(()), "after the second crash");
         for k in 0u8..32 {
-            let expected = model.get(&key(k)).cloned().flatten();
+            let expected = model.get(&key(k)).and_then(Option::as_deref);
             let lookup = kv.get(&key(k)).expect("get after second recovery");
             prop_assert_eq!(lookup.value, expected, "key {} wrong after second crash", k);
         }

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let hot = kv.get(b"user:0007")?;
     println!(
         "\nget user:0007 -> {:?} (answered by {:?})",
-        hot.value.as_deref().map(String::from_utf8_lossy),
+        hot.value.map(String::from_utf8_lossy),
         hot.source,
     );
     let gone = kv.get(b"user:0042")?;
@@ -81,10 +81,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Recovery reads the superblock, manifest, table indexes and WAL tail.
     let device_state = kv.crash();
     let mut recovered = KvStore::open(device_state, KvConfig::default())?;
-    let back = recovered.get(b"user:0007")?;
+    // A get lends its value until the next call on the store: copy it out to
+    // keep it across one.
+    let back = recovered.get(b"user:0007")?.value.map(<[u8]>::to_vec);
     println!(
         "\nafter crash + recovery: user:0007 -> {:?}, hotness-aware FTL: {}",
-        back.value.as_deref().map(String::from_utf8_lossy),
+        back.as_deref().map(String::from_utf8_lossy),
         recovered.flash().ftl().name(),
     );
 

@@ -19,12 +19,13 @@ use std::error::Error;
 
 use vflash_bench::{per_ftl, percentiles_us, render, seconds, tail_percentiles_us};
 use vflash_fleet::run_fleet_cell;
+use vflash_ftl::hotcold::Classifier;
 use vflash_ftl::FtlError;
 use vflash_kv::{run_kv_cell, KvRunSummary, VALUE_BYTES, ZIPF_S};
 use vflash_nand::{FaultConfig, NandConfig, Nanos};
 use vflash_ppb::PpbConfig;
 use vflash_sim::experiments::{
-    burst_axis, burst_mean_iops, fault_lifetime, Classifier, ExperimentScale, Workload,
+    burst_axis, burst_mean_iops, fault_lifetime, ExperimentScale, Workload,
     FLEET_SIZES, PAGE_SIZES, PPB_COLD_PROMOTE_READS, PPB_HOT_LIST_FRACTIONS, PPB_WARMUP_FRACTIONS,
     QUEUE_DEPTHS, RATE_SCALES, RBER_SCALES, SPEED_RATIOS,
 };
@@ -158,7 +159,10 @@ fn ablations(scale: &ExperimentScale) -> Outcome {
             ..base
         })
         .to_vec();
-    specs.extend(Classifier::ALL.map(|classifier| RunSpec { classifier, ..base }));
+    specs.extend(Classifier::ALL.map(|classifier| RunSpec {
+        ppb: PpbConfig { classifier, ..base.ppb },
+        ..base
+    }));
     let rows = compare(&specs)?;
     let (splits, classifiers) = rows.split_at(3);
     render("Ablation: virtual blocks per physical block (web-sql-server, 4x)", "", splits, |row| {
@@ -171,7 +175,7 @@ fn ablations(scale: &ExperimentScale) -> Outcome {
     render("Ablation: first-stage hot/cold classifier (web-sql-server, 4x)", "", classifiers, |row| {
         format!(
             "{:<14}   read enhancement {:>6.2}%",
-            row.spec.classifier.label(),
+            row.spec.ppb.classifier.label(),
             row.comparison.read_enhancement_pct(),
         )
     });

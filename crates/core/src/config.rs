@@ -1,5 +1,6 @@
 //! Configuration of the PPB strategy.
 
+use vflash_ftl::hotcold::Classifier;
 use vflash_ftl::{FtlConfig, FtlError};
 
 /// Capacity of the hot-area *iron-hot* LRU list as a fraction of the exported
@@ -36,6 +37,9 @@ pub struct PpbConfig {
     /// Number of recorded reads after which a cold-area entry is promoted from
     /// icy-cold to cold, from 1 to 65,535.
     pub cold_promote_reads: u32,
+    /// The first-stage hot/cold classifier every host write consults; the paper's
+    /// case study is the request-size check at the page size.
+    pub classifier: Classifier,
 }
 
 impl Default for PpbConfig {
@@ -45,6 +49,7 @@ impl Default for PpbConfig {
             virtual_blocks_per_block: 2,
             hot_list_fraction: 0.15,
             cold_promote_reads: 1,
+            classifier: Classifier::SizeCheck,
         }
     }
 }

@@ -52,9 +52,6 @@ pub enum Hotness {
 }
 
 impl Hotness {
-    /// All four levels, hottest first.
-    pub const ALL: [Hotness; 4] = [Hotness::IronHot, Hotness::Hot, Hotness::Cold, Hotness::IcyCold];
-
     /// The area this level's data is stored in.
     pub const fn area(self) -> Area {
         match self {
@@ -69,28 +66,6 @@ impl Hotness {
     /// area, cold in the cold area.
     pub const fn prefers_fast_pages(self) -> bool {
         matches!(self, Hotness::IronHot | Hotness::Cold)
-    }
-
-    /// The level data of this level is promoted to when it is read
-    /// (paper Figure 6: "promote if read"), or `None` if it is already the
-    /// most-promoted level of its area.
-    pub const fn promoted(self) -> Option<Hotness> {
-        match self {
-            Hotness::Hot => Some(Hotness::IronHot),
-            Hotness::IcyCold => Some(Hotness::Cold),
-            Hotness::IronHot | Hotness::Cold => None,
-        }
-    }
-
-    /// The level data of this level is demoted to when its tracking list is full
-    /// (paper Figure 6: "demote if full"), or `None` if it is already the
-    /// least-promoted level of its area.
-    pub const fn demoted(self) -> Option<Hotness> {
-        match self {
-            Hotness::IronHot => Some(Hotness::Hot),
-            Hotness::Cold => Some(Hotness::IcyCold),
-            Hotness::Hot | Hotness::IcyCold => None,
-        }
     }
 
     /// A short lowercase label for reports.
@@ -128,22 +103,6 @@ mod tests {
         assert!(Hotness::Cold.prefers_fast_pages());
         assert!(!Hotness::Hot.prefers_fast_pages());
         assert!(!Hotness::IcyCold.prefers_fast_pages());
-    }
-
-    #[test]
-    fn promotion_and_demotion_stay_within_an_area() {
-        for level in Hotness::ALL {
-            if let Some(promoted) = level.promoted() {
-                assert_eq!(promoted.area(), level.area());
-                assert_eq!(promoted.demoted(), Some(level));
-            }
-            if let Some(demoted) = level.demoted() {
-                assert_eq!(demoted.area(), level.area());
-                assert_eq!(demoted.promoted(), Some(level));
-            }
-        }
-        assert_eq!(Hotness::IronHot.promoted(), None);
-        assert_eq!(Hotness::IcyCold.demoted(), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The PPB flash translation layer: the hotness-aware [`Placement`] on the shared
 //! [`FtlCore`].
 
-use vflash_ftl::hotcold::{HotColdClassifier, SizeCheck, Temperature};
-use vflash_ftl::{Assemble, FtlConfig, FtlCore, FtlError, Lpn, MappingTable, Placement};
+use vflash_ftl::hotcold::{FirstStage, Temperature};
+use vflash_ftl::{FtlConfig, FtlCore, FtlError, Lpn, MappingTable, Placement};
 use vflash_nand::{BlockAddr, NandConfig, NandDevice, PageAddr};
 
 use crate::cold_area::ColdArea;
@@ -15,11 +15,11 @@ use crate::virtual_block::VirtualBlockTable;
 /// The paper's FTL: conventional page mapping plus the Progressive Performance
 /// Boosting strategy.
 ///
-/// On every host write the first-stage classifier (`C`, the request-size check by
-/// default) decides hot vs cold; the hot/cold areas refine the decision into the four
-/// hotness levels based on observed re-reads; and the [`AreaWriter`]s place the data
-/// on a virtual block of suitable speed — always respecting the rule that a physical
-/// block belongs to exactly one area. Promotions and demotions never move data by
+/// On every host write the first-stage classifier ([`PpbConfig::classifier`], the
+/// request-size check by default) decides hot vs cold; the hot/cold areas refine the
+/// decision into the four hotness levels based on observed re-reads; and the
+/// [`AreaWriter`]s place the data on a virtual block of suitable speed — always
+/// respecting the rule that a physical block belongs to exactly one area. Promotions and demotions never move data by
 /// themselves: relocation happens when the data is next rewritten or garbage
 /// collected, which is why write latency and erase counts stay at the level of the
 /// conventional FTL. Everything else — mapping, garbage collection, fault handling —
@@ -28,7 +28,7 @@ use crate::virtual_block::VirtualBlockTable;
 /// # Example
 ///
 /// ```
-/// use vflash_ftl::hotcold::TwoLevelLru;
+/// use vflash_ftl::hotcold::Classifier;
 /// use vflash_ftl::{FlashTranslationLayer, Lpn};
 /// use vflash_nand::{NandConfig, NandDevice};
 /// use vflash_ppb::{Hotness, PpbConfig, PpbFtl};
@@ -39,78 +39,32 @@ use crate::virtual_block::VirtualBlockTable;
 /// ftl.write(Lpn(1), 512)?;
 /// assert_eq!((ftl.name(), ftl.placement().hotness_of(Lpn(1))), ("ppb", Hotness::Hot));
 ///
-/// // Any other classifier plugs in unchanged, paired with the configuration:
-/// let lru = TwoLevelLru::new(512, 512);
-/// let _ftl = PpbFtl::new(NandDevice::new(NandConfig::small()), (PpbConfig::default(), lru))?;
+/// // Any other first stage is a configuration value:
+/// let lru = PpbConfig { classifier: Classifier::TwoLevelLru, ..PpbConfig::default() };
+/// let _ftl = PpbFtl::new(NandDevice::new(NandConfig::small()), lru)?;
 /// # Ok(())
 /// # }
 /// ```
-pub type PpbFtl<C = SizeCheck> = FtlCore<PpbPlacement<C>>;
+pub type PpbFtl = FtlCore<PpbPlacement>;
 
 /// Hotness-aware placement: classifier, hot/cold areas, one [`AreaWriter`] per area and
 /// the block → area table. A page's stream is the [`Hotness`] level it is written at.
 #[derive(Debug)]
-pub struct PpbPlacement<C = SizeCheck> {
+pub struct PpbPlacement {
     config: PpbConfig,
     virtual_blocks: VirtualBlockTable,
     hot_writer: AreaWriter,
     cold_writer: AreaWriter,
     hot_area: HotArea,
     cold_area: ColdArea,
-    classifier: C,
+    first_stage: FirstStage,
     /// Which area each physical block currently belongs to (by flat block index).
     /// `None` means the block is free or has never been written since its last erase.
     block_areas: Vec<Option<Area>>,
     blocks_per_chip: usize,
 }
 
-/// The paper's case-study first stage: the request-size check with the flash page
-/// size as threshold.
-impl Assemble<PpbConfig> for PpbPlacement<SizeCheck> {
-    fn assemble(config: PpbConfig, nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError> {
-        let classifier = SizeCheck::new(nand.page_size_bytes() as u32);
-        Self::assemble((config, classifier), nand)
-    }
-}
-
-/// An explicit first-stage hot/cold classifier.
-impl<C: HotColdClassifier> Assemble<(PpbConfig, C)> for PpbPlacement<C> {
-    fn assemble(
-        (config, classifier): (PpbConfig, C),
-        nand: &NandConfig,
-    ) -> Result<(FtlConfig, Self), FtlError> {
-        config.validate()?;
-        if config.virtual_blocks_per_block > nand.pages_per_block() {
-            return Err(FtlError::InvalidConfig {
-                reason: "virtual_blocks_per_block exceeds pages_per_block".to_string(),
-            });
-        }
-        let logical_pages = config.ftl.logical_pages(nand.total_pages());
-        let virtual_blocks = VirtualBlockTable::new(nand, config.virtual_blocks_per_block);
-        let placement = PpbPlacement {
-            hot_writer: AreaWriter::new("hot", &virtual_blocks, config.open_blocks_per_area()),
-            cold_writer: AreaWriter::new("cold", &virtual_blocks, config.open_blocks_per_area()),
-            hot_area: HotArea::new(
-                logical_pages,
-                config.hot_list_capacity(logical_pages),
-                config.iron_hot_list_capacity(logical_pages),
-            ),
-            cold_area: ColdArea::new(
-                logical_pages,
-                config.cold_table_capacity(logical_pages),
-                config.cold_promote_reads,
-            ),
-            config,
-            virtual_blocks,
-            classifier,
-            block_areas: vec![None; nand.total_blocks()],
-            blocks_per_chip: nand.blocks_per_chip(),
-        };
-        Ok((config.ftl, placement))
-    }
-}
-
-impl<C> PpbPlacement<C> {
+impl PpbPlacement {
     /// The PPB configuration.
     pub fn config(&self) -> &PpbConfig {
         &self.config
@@ -140,17 +94,49 @@ impl<C> PpbPlacement<C> {
     }
 }
 
-impl<C: HotColdClassifier> Placement for PpbPlacement<C> {
+impl Placement for PpbPlacement {
+    type Config = PpbConfig;
     type Stream = Hotness;
 
     const NAME: &'static str = "ppb";
     /// A hot and a cold write stream.
     const RESERVED_BLOCKS: usize = 2;
 
+    fn assemble(config: PpbConfig, nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError> {
+        config.validate()?;
+        if config.virtual_blocks_per_block > nand.pages_per_block() {
+            return Err(FtlError::InvalidConfig {
+                reason: "virtual_blocks_per_block exceeds pages_per_block".to_string(),
+            });
+        }
+        let logical_pages = config.ftl.logical_pages(nand.total_pages());
+        let virtual_blocks = VirtualBlockTable::new(nand, config.virtual_blocks_per_block);
+        let placement = PpbPlacement {
+            hot_writer: AreaWriter::new("hot", &virtual_blocks, config.open_blocks_per_area()),
+            cold_writer: AreaWriter::new("cold", &virtual_blocks, config.open_blocks_per_area()),
+            hot_area: HotArea::new(
+                logical_pages,
+                config.hot_list_capacity(logical_pages),
+                config.iron_hot_list_capacity(logical_pages),
+            ),
+            cold_area: ColdArea::new(
+                logical_pages,
+                config.cold_table_capacity(logical_pages),
+                config.cold_promote_reads,
+            ),
+            config,
+            virtual_blocks,
+            first_stage: FirstStage::new(config.classifier, nand.page_size_bytes() as u32),
+            block_areas: vec![None; nand.total_blocks()],
+            blocks_per_chip: nand.blocks_per_chip(),
+        };
+        Ok((config.ftl, placement))
+    }
+
     /// Updates the area bookkeeping for a write; returns the level to place it at.
     #[inline]
     fn host_write(&mut self, lpn: Lpn, request_bytes: u32) -> Hotness {
-        match self.classifier.classify_write(lpn, request_bytes) {
+        match self.first_stage.classify_write(lpn, request_bytes) {
             Temperature::Hot => {
                 self.cold_area.remove(lpn);
                 if let Some(evicted) = self.hot_area.on_write(lpn) {
@@ -175,7 +161,6 @@ impl<C: HotColdClassifier> Placement for PpbPlacement<C> {
     /// Re-access tracking: a read is the signal that promotes hot -> iron-hot and
     /// icy-cold -> cold. The data itself is not moved here (progressive migration).
     fn host_read(&mut self, lpn: Lpn) {
-        self.classifier.record_read(lpn);
         if self.hot_area.on_read(lpn) == PromotionOutcome::NotTracked {
             self.cold_area.on_read(lpn);
         }
@@ -296,6 +281,57 @@ mod tests {
         ftl.write(Lpn(2), 64 * 1024).unwrap();
         assert_eq!(ftl.placement().hotness_of(Lpn(1)), Hotness::Hot);
         assert_eq!(ftl.placement().hotness_of(Lpn(2)), Hotness::IcyCold);
+    }
+
+    /// Each `Classifier` value is the first stage PPB consults: after every write
+    /// the LPN sits in the hot area exactly when a standalone classifier, built
+    /// with the values `FirstStage::new` documents and fed the same writes,
+    /// answers hot. Over 9,216 LPNs (more than the two-level LRU's 4,096-entry
+    /// lists) no two classifiers answer alike, so swapped arms fail.
+    #[test]
+    fn each_classifier_value_is_the_first_stage_ppb_consults() {
+        use vflash_ftl::hotcold::{Classifier, FreqTable, MultiHash, SizeCheck, TwoLevelLru};
+        let standalone = |classifier| match classifier {
+            Classifier::SizeCheck => FirstStage::SizeCheck(SizeCheck::new(4096)),
+            Classifier::TwoLevelLru => FirstStage::TwoLevelLru(TwoLevelLru::new(4096, 4096)),
+            Classifier::FreqTable => FirstStage::FreqTable(FreqTable::new(2, 100_000)),
+            Classifier::MultiHash => FirstStage::MultiHash(MultiHash::new(1 << 16, 2, 2, 100_000)),
+        };
+        for classifier in Classifier::ALL {
+            let config = PpbConfig {
+                ftl: vflash_ftl::FtlConfig { over_provisioning: 0.25 },
+                classifier,
+                ..PpbConfig::default()
+            };
+            let mut ftl = PpbFtl::new(device(192, 64), config).unwrap();
+            let mut reference = standalone(classifier);
+            let logical = ftl.logical_pages();
+            let mut state = 0x5EED_u64;
+            let mut next = move || {
+                // SplitMix64.
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let writes = logical * 3;
+            let mut hot_writes = 0;
+            for _ in 0..writes {
+                let lpn = Lpn(next() % logical);
+                let bytes = [512, 4096, 16 * 1024, 64 * 1024][(next() % 4) as usize];
+                ftl.write(lpn, bytes).unwrap();
+                let hot = reference.classify_write(lpn, bytes) == Temperature::Hot;
+                let placed_hot = ftl.placement().hotness_of(lpn).area() == Area::Hot;
+                assert_eq!(placed_hot, hot, "{}: write of {lpn} ({bytes} B)", classifier.label());
+                hot_writes += u64::from(hot);
+                if next() % 4 == 0 {
+                    ftl.read(lpn).unwrap();
+                }
+            }
+            let label = classifier.label();
+            assert!(0 < hot_writes && hot_writes < writes, "{label}: {hot_writes} of {writes} hot");
+        }
     }
 
     #[test]

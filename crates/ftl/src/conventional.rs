@@ -5,7 +5,7 @@ use vflash_nand::{BlockAddr, NandConfig, NandDevice};
 
 use crate::config::FtlConfig;
 use crate::error::FtlError;
-use crate::ftl_core::{Assemble, FtlCore, Placement};
+use crate::ftl_core::{FtlCore, Placement};
 use crate::types::Lpn;
 
 /// A conventional page-mapping FTL with greedy garbage collection.
@@ -61,13 +61,6 @@ pub struct ConventionalPlacement {
     parked: Vec<BlockAddr>,
 }
 
-impl Assemble<FtlConfig> for ConventionalPlacement {
-    fn assemble(config: FtlConfig, _nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError> {
-        config.validate()?;
-        Ok((config, ConventionalPlacement { active: vec![None], ..Default::default() }))
-    }
-}
-
 impl ConventionalPlacement {
     fn slot(&mut self, stream: ConventionalStream) -> &mut Option<BlockAddr> {
         match stream {
@@ -78,10 +71,16 @@ impl ConventionalPlacement {
 }
 
 impl Placement for ConventionalPlacement {
+    type Config = FtlConfig;
     type Stream = ConventionalStream;
 
     const NAME: &'static str = "conventional";
     const RESERVED_BLOCKS: usize = 1;
+
+    fn assemble(config: FtlConfig, _nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError> {
+        config.validate()?;
+        Ok((config, ConventionalPlacement { active: vec![None], ..Default::default() }))
+    }
 
     fn host_write(&mut self, _lpn: Lpn, _request_bytes: u32) -> ConventionalStream {
         ConventionalStream::Host(self.lane)

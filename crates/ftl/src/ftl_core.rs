@@ -31,7 +31,10 @@ const GC_TARGET_FREE_BLOCKS: usize = 3;
 /// A placement owns the open write streams. The core asks it for a
 /// [`Stream`](Placement::Stream) token per page, then drives `target` → program →
 /// `programmed` itself, calling `retired` and re-driving when the program fails.
-pub trait Placement {
+pub trait Placement: Sized {
+    /// What the FTL is constructed with ([`FtlCore::new`]).
+    type Config;
+
     /// Names the write stream a page is headed for; carried across re-drives.
     type Stream: Copy;
 
@@ -40,6 +43,10 @@ pub trait Placement {
 
     /// Blocks the open streams hold back from the data capacity.
     const RESERVED_BLOCKS: usize;
+
+    /// Validates `config` against the device geometry ([`FtlError::InvalidConfig`]);
+    /// returns the base FTL parameters it carries and the placement.
+    fn assemble(config: Self::Config, nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError>;
 
     /// Picks the stream of a host write of `lpn` (part of a `request_bytes` request)
     /// and updates the strategy's bookkeeping; called after any GC the write triggered.
@@ -93,14 +100,6 @@ pub trait Placement {
     }
 }
 
-/// Builds a [`Placement`] from the configuration type `Cfg` an FTL is constructed
-/// with — what lets [`FtlCore::new`] serve every FTL.
-pub trait Assemble<Cfg>: Placement + Sized {
-    /// Validates `config` against the device geometry ([`FtlError::InvalidConfig`]);
-    /// returns the base FTL parameters it carries and the placement.
-    fn assemble(config: Cfg, nand: &NandConfig) -> Result<(FtlConfig, Self), FtlError>;
-}
-
 /// A page-mapping FTL with garbage collection and fault handling, placing pages
 /// through `P`. Use it through its two instantiations, [`crate::ConventionalFtl`]
 /// and `vflash_ppb::PpbFtl`.
@@ -128,10 +127,7 @@ impl<P: Placement> FtlCore<P> {
     /// placement's open streams plus the GC target, or its geometry is past what
     /// the packed [`MappingTable`] addresses (2^16 chips or more, 2^24 blocks per
     /// chip or pages per block or more, `u32::MAX` logical pages or more).
-    pub fn new<Cfg>(device: NandDevice, config: Cfg) -> Result<Self, FtlError>
-    where
-        P: Assemble<Cfg>,
-    {
+    pub fn new(device: NandDevice, config: P::Config) -> Result<Self, FtlError> {
         let nand = device.config();
         let (config, placement) = P::assemble(config, nand)?;
         let logical_pages = config.logical_pages(nand.total_pages());

@@ -1,6 +1,6 @@
 //! Table-based access-frequency hot/cold identification.
 
-use crate::hotcold::{HotColdClassifier, Temperature};
+use crate::hotcold::Temperature;
 use crate::types::Lpn;
 
 /// A per-LPN write counter table with periodic exponential aging.
@@ -18,7 +18,7 @@ use crate::types::Lpn;
 /// # Example
 ///
 /// ```
-/// use vflash_ftl::hotcold::{FreqTable, HotColdClassifier, Temperature};
+/// use vflash_ftl::hotcold::{FreqTable, Temperature};
 /// use vflash_ftl::Lpn;
 ///
 /// let mut table = FreqTable::new(3, 1_000);
@@ -70,14 +70,10 @@ impl FreqTable {
     fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.counts.iter().copied().enumerate().filter(|&(_, count)| count > 0)
     }
-}
 
-impl HotColdClassifier for FreqTable {
-    fn name(&self) -> &str {
-        "freq-table"
-    }
-
-    fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
+    /// Classifies the write of `lpn` that belongs to a host request of
+    /// `request_bytes` bytes.
+    pub fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
         self.writes_since_aging += 1;
         if self.writes_since_aging >= self.aging_period {
             self.writes_since_aging = 0;
@@ -108,7 +104,6 @@ mod tests {
         assert_eq!(table.classify_write(Lpn(1), 4096), Temperature::Cold);
         assert_eq!(table.classify_write(Lpn(1), 4096), Temperature::Hot);
         assert_eq!(table.count(Lpn(1)), 2);
-        assert_eq!(table.name(), "freq-table");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`MultiHash`] — multi-hash-function counting sketch, a compact approximation of
 //!   the frequency table.
 //!
-//! All of them implement [`HotColdClassifier`], so any of them can be plugged into the
-//! PPB placement as its first identification stage.
+//! A [`Classifier`] names one of them; [`FirstStage::new`] builds it, and the
+//! [`FirstStage`] is what the PPB placement consults on every host write.
 
 mod freq_table;
 mod multi_hash;
@@ -24,8 +24,6 @@ pub use freq_table::FreqTable;
 pub use multi_hash::MultiHash;
 pub use size_check::SizeCheck;
 pub use two_level_lru::TwoLevelLru;
-
-use std::fmt;
 
 use crate::types::Lpn;
 
@@ -38,38 +36,78 @@ pub enum Temperature {
     Cold,
 }
 
-impl Temperature {
-    /// Whether this is [`Temperature::Hot`].
-    pub const fn is_hot(self) -> bool {
-        matches!(self, Temperature::Hot)
+/// First-stage classifier choices for the classifier ablation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Classifier {
+    /// Request-size check (the paper's case study).
+    #[default]
+    SizeCheck,
+    /// Two-level LRU.
+    TwoLevelLru,
+    /// Per-LPN frequency table.
+    FreqTable,
+    /// Multi-hash counting sketch.
+    MultiHash,
+}
+
+impl Classifier {
+    /// All classifier choices.
+    pub const ALL: [Classifier; 4] =
+        [Classifier::SizeCheck, Classifier::TwoLevelLru, Classifier::FreqTable, Classifier::MultiHash];
+
+    /// The label used in reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Classifier::SizeCheck => "size-check",
+            Classifier::TwoLevelLru => "two-level-lru",
+            Classifier::FreqTable => "freq-table",
+            Classifier::MultiHash => "multi-hash",
+        }
     }
 }
 
-impl fmt::Display for Temperature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Temperature::Hot => "hot",
-            Temperature::Cold => "cold",
-        })
-    }
+/// A [`Classifier`] with its state: the first stage a PPB placement consults on
+/// every host write.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FirstStage {
+    /// See [`SizeCheck`].
+    SizeCheck(SizeCheck),
+    /// See [`TwoLevelLru`].
+    TwoLevelLru(TwoLevelLru),
+    /// See [`FreqTable`].
+    FreqTable(FreqTable),
+    /// See [`MultiHash`].
+    MultiHash(MultiHash),
 }
 
-/// A first-stage hot/cold classifier consulted on every host write.
-///
-/// Implementations may also observe host reads (e.g. to age their state), but the
-/// classification decision itself is made at write time because that is when the FTL
-/// must choose a destination page.
-pub trait HotColdClassifier {
-    /// A short name for reports (e.g. `"size-check"`).
-    fn name(&self) -> &str;
+impl FirstStage {
+    /// Builds `classifier` for a device of `page_size_bytes` pages: the size check
+    /// at the page size, 4,096-entry hot and candidate lists, a frequency table
+    /// hot at 2 writes aged every 100,000, a sketch of 2^16 buckets and 2 hashes hot
+    /// at 2 and decayed every 100,000 writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classifier` is the size check and `page_size_bytes` is zero.
+    pub fn new(classifier: Classifier, page_size_bytes: u32) -> Self {
+        match classifier {
+            Classifier::SizeCheck => FirstStage::SizeCheck(SizeCheck::new(page_size_bytes)),
+            Classifier::TwoLevelLru => FirstStage::TwoLevelLru(TwoLevelLru::new(4096, 4096)),
+            Classifier::FreqTable => FirstStage::FreqTable(FreqTable::new(2, 100_000)),
+            Classifier::MultiHash => FirstStage::MultiHash(MultiHash::new(1 << 16, 2, 2, 100_000)),
+        }
+    }
 
     /// Classifies the write of `lpn` that belongs to a host request of
     /// `request_bytes` bytes.
-    fn classify_write(&mut self, lpn: Lpn, request_bytes: u32) -> Temperature;
-
-    /// Observes a host read of `lpn`. The default implementation ignores reads.
-    fn record_read(&mut self, lpn: Lpn) {
-        let _ = lpn;
+    #[inline]
+    pub fn classify_write(&mut self, lpn: Lpn, request_bytes: u32) -> Temperature {
+        match self {
+            FirstStage::SizeCheck(classifier) => classifier.classify_write(lpn, request_bytes),
+            FirstStage::TwoLevelLru(classifier) => classifier.classify_write(lpn, request_bytes),
+            FirstStage::FreqTable(classifier) => classifier.classify_write(lpn, request_bytes),
+            FirstStage::MultiHash(classifier) => classifier.classify_write(lpn, request_bytes),
+        }
     }
 }
 
@@ -78,15 +116,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn temperature_predicates_and_display() {
-        assert!(Temperature::Hot.is_hot());
-        assert!(!Temperature::Cold.is_hot());
-        assert_eq!(Temperature::Hot.to_string(), "hot");
-        assert_eq!(Temperature::Cold.to_string(), "cold");
-    }
-
-    #[test]
-    fn classifier_trait_is_object_safe() {
-        fn _takes(_: &mut dyn HotColdClassifier) {}
+    fn classifier_labels_are_distinct() {
+        let labels: std::collections::HashSet<_> =
+            Classifier::ALL.iter().map(|classifier| classifier.label()).collect();
+        assert_eq!(labels.len(), Classifier::ALL.len());
     }
 }

@@ -1,6 +1,6 @@
 //! Multi-hash counting-sketch hot/cold identification.
 
-use crate::hotcold::{HotColdClassifier, Temperature};
+use crate::hotcold::Temperature;
 use crate::types::Lpn;
 
 /// A counting-Bloom-filter style classifier.
@@ -15,7 +15,7 @@ use crate::types::Lpn;
 /// # Example
 ///
 /// ```
-/// use vflash_ftl::hotcold::{HotColdClassifier, MultiHash, Temperature};
+/// use vflash_ftl::hotcold::{MultiHash, Temperature};
 /// use vflash_ftl::Lpn;
 ///
 /// let mut sketch = MultiHash::new(1024, 2, 4, 10_000);
@@ -83,14 +83,10 @@ impl MultiHash {
             *counter >>= 1;
         }
     }
-}
 
-impl HotColdClassifier for MultiHash {
-    fn name(&self) -> &str {
-        "multi-hash"
-    }
-
-    fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
+    /// Classifies the write of `lpn` that belongs to a host request of
+    /// `request_bytes` bytes.
+    pub fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
         self.writes_since_decay += 1;
         if self.writes_since_decay >= self.decay_period {
             self.writes_since_decay = 0;
@@ -122,7 +118,6 @@ mod tests {
         assert_eq!(sketch.classify_write(Lpn(42), 4096), Temperature::Cold);
         assert_eq!(sketch.classify_write(Lpn(42), 4096), Temperature::Hot);
         assert!(sketch.estimate(Lpn(42)) >= 3);
-        assert_eq!(sketch.name(), "multi-hash");
     }
 
     #[test]

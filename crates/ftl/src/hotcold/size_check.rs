@@ -1,6 +1,6 @@
 //! Request-size based hot/cold prediction.
 
-use crate::hotcold::{HotColdClassifier, Temperature};
+use crate::hotcold::Temperature;
 use crate::types::Lpn;
 
 /// Classifies writes by the size of the host request they belong to.
@@ -14,7 +14,7 @@ use crate::types::Lpn;
 /// # Example
 ///
 /// ```
-/// use vflash_ftl::hotcold::{HotColdClassifier, SizeCheck, Temperature};
+/// use vflash_ftl::hotcold::{SizeCheck, Temperature};
 /// use vflash_ftl::Lpn;
 ///
 /// let mut classifier = SizeCheck::new(16 * 1024);
@@ -41,14 +41,10 @@ impl SizeCheck {
     pub fn threshold_bytes(&self) -> u32 {
         self.threshold_bytes
     }
-}
 
-impl HotColdClassifier for SizeCheck {
-    fn name(&self) -> &str {
-        "size-check"
-    }
-
-    fn classify_write(&mut self, _lpn: Lpn, request_bytes: u32) -> Temperature {
+    /// Classifies the write of `lpn` that belongs to a host request of
+    /// `request_bytes` bytes.
+    pub fn classify_write(&mut self, _lpn: Lpn, request_bytes: u32) -> Temperature {
         if request_bytes < self.threshold_bytes {
             Temperature::Hot
         } else {
@@ -67,7 +63,6 @@ mod tests {
         assert_eq!(c.classify_write(Lpn(0), 16 * 1024 - 1), Temperature::Hot);
         assert_eq!(c.classify_write(Lpn(0), 16 * 1024), Temperature::Cold);
         assert_eq!(c.threshold_bytes(), 16 * 1024);
-        assert_eq!(c.name(), "size-check");
     }
 
     #[test]

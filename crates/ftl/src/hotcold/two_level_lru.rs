@@ -1,6 +1,6 @@
 //! Two-level LRU hot/cold identification.
 
-use crate::hotcold::{HotColdClassifier, Temperature};
+use crate::hotcold::Temperature;
 use crate::lru::LruList;
 use crate::types::Lpn;
 
@@ -14,7 +14,7 @@ use crate::types::Lpn;
 /// # Example
 ///
 /// ```
-/// use vflash_ftl::hotcold::{HotColdClassifier, Temperature, TwoLevelLru};
+/// use vflash_ftl::hotcold::{Temperature, TwoLevelLru};
 /// use vflash_ftl::Lpn;
 ///
 /// let mut lru = TwoLevelLru::new(4, 4);
@@ -54,14 +54,10 @@ impl TwoLevelLru {
     pub fn is_hot(&self, lpn: Lpn) -> bool {
         self.hot.contains(lpn)
     }
-}
 
-impl HotColdClassifier for TwoLevelLru {
-    fn name(&self) -> &str {
-        "two-level-lru"
-    }
-
-    fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
+    /// Classifies the write of `lpn` that belongs to a host request of
+    /// `request_bytes` bytes.
+    pub fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
         if self.hot.touch(lpn) {
             return Temperature::Hot;
         }
@@ -90,7 +86,6 @@ mod tests {
         assert_eq!(lru.classify_write(Lpn(5), 4096), Temperature::Cold);
         assert_eq!(lru.classify_write(Lpn(5), 4096), Temperature::Hot);
         assert!(lru.is_hot(Lpn(5)));
-        assert_eq!(lru.name(), "two-level-lru");
     }
 
     #[test]

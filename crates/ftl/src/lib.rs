@@ -8,12 +8,15 @@
 //!   collection (greedy victims, [`gc`]), bad-block rescue, the read-only transition,
 //!   [`FtlMetrics`] and the only [`FlashTranslationLayer`] implementation of an FTL,
 //! * [`Placement`] — what an FTL built on the core decides: which open block
-//!   receives a host write or a relocated page ([`Assemble`] builds one),
+//!   receives a host write or a relocated page, built from the FTL's
+//!   configuration ([`Placement::assemble`]),
 //! * [`ConventionalFtl`] = `FtlCore<`[`ConventionalPlacement`]`>` — the paper's
 //!   baseline: one write pointer per stream, every page assumed equally fast,
 //! * [`hotcold`] — classical two-level hot/cold data identification mechanisms
 //!   (request-size check, two-level LRU, access-frequency table, multi-hash counting),
-//!   the first identification stage of the PPB placement.
+//!   the first identification stage of the PPB placement: a
+//!   [`Classifier`](hotcold::Classifier) value picks one, a
+//!   [`FirstStage`](hotcold::FirstStage) runs it.
 //!
 //! Per-LPN and per-page state — the mapping table, [`LruList`], the frequency
 //! table — is a table indexed by page number, never a hash map, so it costs a
@@ -69,7 +72,7 @@ pub use batch::BatchCompletion;
 pub use config::FtlConfig;
 pub use conventional::{ConventionalFtl, ConventionalPlacement, ConventionalStream};
 pub use error::FtlError;
-pub use ftl_core::{Assemble, FtlCore, Placement};
+pub use ftl_core::{FtlCore, Placement};
 pub use gc::GcOutcome;
 pub use io::{Completion, IoCommand, IoRequest};
 pub use lru::LruList;

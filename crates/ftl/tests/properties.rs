@@ -3,9 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
-use vflash_ftl::hotcold::{
-    FreqTable, HotColdClassifier, MultiHash, SizeCheck, Temperature, TwoLevelLru,
-};
+use vflash_ftl::hotcold::{FreqTable, MultiHash, SizeCheck, Temperature, TwoLevelLru};
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, Lpn, MappingTable};
 use vflash_nand::{BlockAddr, ChipId, NandConfig, NandDevice, PageAddr, PageId};
 

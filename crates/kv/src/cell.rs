@@ -188,7 +188,9 @@ fn drive<F: FlashTranslationLayer>(
 mod tests {
     use super::*;
     use vflash_nand::NandError;
-    use vflash_sim::experiments::{Classifier, FtlKind, Workload};
+    use vflash_ftl::hotcold::Classifier;
+    use vflash_ppb::PpbConfig;
+    use vflash_sim::experiments::{FtlKind, Workload};
     use vflash_sim::{ArrivalDiscipline, ParallelRunner};
     use vflash_trace::synthetic::ArrivalModel;
 
@@ -265,7 +267,8 @@ mod tests {
     #[test]
     fn a_freq_table_kv_spec_runs_end_to_end() {
         let size_check = smoke(1, 1).on(FtlKind::Ppb);
-        let freq_table = RunSpec { classifier: Classifier::FreqTable, ..size_check };
+        let ppb = PpbConfig { classifier: Classifier::FreqTable, ..size_check.ppb };
+        let freq_table = RunSpec { ppb, ..size_check };
         let (sized, counted) =
             (run_kv_cell(&size_check).unwrap(), run_kv_cell(&freq_table).unwrap());
         assert_eq!(counted.ops_completed, 3_000);

@@ -487,7 +487,6 @@ mod tests {
         let summary = serial().run_mut(&mut ftl, &t).unwrap();
         // Single-chip device: the makespan equals the serial host latency.
         assert_eq!(summary.device_makespan, summary.read_time + summary.write_time);
-        assert!(summary.host_ops_per_sec() > 0.0);
         // A second replay reports only its own makespan, not cumulative time.
         let again = serial().run_mut(&mut ftl, &t).unwrap();
         assert!(again.device_makespan < summary.device_makespan * 2);

@@ -16,7 +16,6 @@
 
 use std::borrow::Cow;
 
-use vflash_ftl::hotcold::{FreqTable, MultiHash, TwoLevelLru};
 use vflash_ftl::{ConventionalFtl, FlashTranslationLayer, FtlConfig, FtlError, IoRequest, Lpn};
 use vflash_nand::{FaultConfig, NandConfig, NandDevice, NandError, Nanos};
 use vflash_ppb::{PpbConfig, PpbFtl};
@@ -164,36 +163,6 @@ impl Workload {
 impl std::fmt::Display for Workload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// First-stage classifier choices for the classifier ablation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Classifier {
-    /// Request-size check (the paper's case study).
-    #[default]
-    SizeCheck,
-    /// Two-level LRU.
-    TwoLevelLru,
-    /// Per-LPN frequency table.
-    FreqTable,
-    /// Multi-hash counting sketch.
-    MultiHash,
-}
-
-impl Classifier {
-    /// All classifier choices.
-    pub const ALL: [Classifier; 4] =
-        [Classifier::SizeCheck, Classifier::TwoLevelLru, Classifier::FreqTable, Classifier::MultiHash];
-
-    /// The label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Classifier::SizeCheck => "size-check",
-            Classifier::TwoLevelLru => "two-level-lru",
-            Classifier::FreqTable => "freq-table",
-            Classifier::MultiHash => "multi-hash",
-        }
     }
 }
 
@@ -411,10 +380,9 @@ pub struct RunSpec<'a> {
     pub faults: Option<FaultConfig>,
     /// The FTL under test.
     pub ftl: FtlKind,
-    /// PPB configuration (ignored by the conventional FTL).
+    /// PPB configuration, first-stage classifier included (ignored by the
+    /// conventional FTL).
     pub ppb: PpbConfig,
-    /// PPB's first-stage hot/cold classifier (ignored by the conventional FTL).
-    pub classifier: Classifier,
     /// When requests are issued: closed loop at a depth, or open loop at a rate.
     pub discipline: ArrivalDiscipline,
     /// How a synthetic trace spaces its arrivals.
@@ -445,7 +413,6 @@ impl<'a> RunSpec<'a> {
             faults: None,
             ftl: FtlKind::Conventional,
             ppb: PpbConfig::default(),
-            classifier: Classifier::default(),
             discipline: SERIAL,
             arrival: ArrivalModel::default(),
             warmup_fraction: 0.0,
@@ -458,12 +425,7 @@ impl<'a> RunSpec<'a> {
     /// [`compare_specs`] runs them once.
     pub fn on(self, ftl: FtlKind) -> Self {
         match ftl {
-            FtlKind::Conventional => RunSpec {
-                ftl,
-                ppb: PpbConfig::default(),
-                classifier: Classifier::default(),
-                ..self
-            },
+            FtlKind::Conventional => RunSpec { ftl, ppb: PpbConfig::default(), ..self },
             FtlKind::Ppb => RunSpec { ftl, ..self },
         }
     }
@@ -508,28 +470,18 @@ impl<'a> RunSpec<'a> {
             config = config.with_faults(faults)?;
         }
         let device = || NandDevice::new(config.clone());
-        let ppb = self.ppb;
-        match (self.ftl, self.classifier) {
-            (FtlKind::Conventional, _) => {
+        match self.ftl {
+            FtlKind::Conventional => {
                 job.run(|| ConventionalFtl::new(device(), FtlConfig::default()))
             }
-            (FtlKind::Ppb, Classifier::SizeCheck) => job.run(|| PpbFtl::new(device(), ppb)),
-            (FtlKind::Ppb, Classifier::TwoLevelLru) => {
-                job.run(|| PpbFtl::new(device(), (ppb, TwoLevelLru::new(4096, 4096))))
-            }
-            (FtlKind::Ppb, Classifier::FreqTable) => {
-                job.run(|| PpbFtl::new(device(), (ppb, FreqTable::new(2, 100_000))))
-            }
-            (FtlKind::Ppb, Classifier::MultiHash) => {
-                job.run(|| PpbFtl::new(device(), (ppb, MultiHash::new(1 << 16, 2, 2, 100_000))))
-            }
+            FtlKind::Ppb => job.run(|| PpbFtl::new(device(), self.ppb)),
         }
     }
 }
 
-/// Work to do on the FTL a [`RunSpec`] describes. The FTLs are five concrete
-/// types (the conventional placement, and PPB over four classifiers), so code
-/// generic over them receives a constructor instead of a value.
+/// Work to do on the FTL a [`RunSpec`] describes. The FTLs are two concrete
+/// types (the conventional and the PPB placement), so code generic over them
+/// receives a constructor instead of a value.
 pub trait FtlJob {
     /// What the job produces.
     type Output;
@@ -757,6 +709,7 @@ pub const PPB_HOT_LIST_FRACTIONS: [f64; 2] = [0.10, 0.25];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vflash_ftl::hotcold::Classifier;
 
     /// Both FTLs along one axis: a row per axis value.
     fn along<T: Copy>(
@@ -914,8 +867,11 @@ mod tests {
     fn baselines_of_rows_that_vary_a_ppb_knob_are_one_run() {
         let base = RunSpec::new(Workload::WebSqlServer, ExperimentScale::quick());
         let retuned = RunSpec {
-            ppb: PpbConfig { cold_promote_reads: 4, ..PpbConfig::default() },
-            classifier: Classifier::MultiHash,
+            ppb: PpbConfig {
+                cold_promote_reads: 4,
+                classifier: Classifier::MultiHash,
+                ..PpbConfig::default()
+            },
             ..base
         };
         assert_eq!(retuned.on(FtlKind::Conventional), base.on(FtlKind::Conventional));
@@ -959,13 +915,6 @@ mod tests {
                 row.comparison.erase_increase_pct()
             );
         }
-    }
-
-    #[test]
-    fn classifier_labels_are_distinct() {
-        let labels: std::collections::HashSet<_> =
-            Classifier::ALL.iter().map(|classifier| classifier.label()).collect();
-        assert_eq!(labels.len(), Classifier::ALL.len());
     }
 
     #[test]

@@ -182,7 +182,8 @@ impl ParallelRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Classifier;
+    use vflash_ftl::hotcold::Classifier;
+    use vflash_ppb::PpbConfig;
     use vflash_nand::FaultConfig;
     use vflash_trace::synthetic::ArrivalModel;
 
@@ -258,7 +259,12 @@ mod tests {
         vec![
             RunSpec { faults: Some(faults), ..base },
             RunSpec { warmup_fraction: 0.5, ..base }.on(FtlKind::Ppb),
-            RunSpec { classifier: Classifier::TwoLevelLru, speed_ratio: 4.0, ..base }.on(FtlKind::Ppb),
+            RunSpec {
+                ppb: PpbConfig { classifier: Classifier::TwoLevelLru, ..base.ppb },
+                speed_ratio: 4.0,
+                ..base
+            }
+            .on(FtlKind::Ppb),
             RunSpec {
                 source: Workload::MediaServer.into(),
                 discipline: ArrivalDiscipline::OpenLoop { rate_scale: 1.0 },

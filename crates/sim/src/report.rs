@@ -220,18 +220,6 @@ impl RunSummary {
         }
     }
 
-    /// Host page operations (reads + writes, counted per logical page, not per
-    /// request) served per second of simulated device time (chip-interleaved), or
-    /// zero when no makespan was recorded. Divide by the workload's mean pages per
-    /// request to get a request rate.
-    pub fn host_ops_per_sec(&self) -> f64 {
-        if self.device_makespan == Nanos::ZERO {
-            0.0
-        } else {
-            (self.host_reads + self.host_writes) as f64 / self.device_makespan.as_secs_f64()
-        }
-    }
-
     /// Achieved IOPS: host requests completed per second of replay-clock time
     /// ([`RunSummary::host_elapsed`]), or zero when no elapsed time was recorded.
     /// This is the throughput the queue-depth sweep reports — at depth 1 it is the

@@ -178,12 +178,6 @@ impl<P: Placement> FtlCore<P> {
         &self.mapping
     }
 
-    /// Number of free blocks currently available for allocation. O(chips): the
-    /// device tracks the count, no block scan happens.
-    pub fn free_blocks(&self) -> usize {
-        self.device.available_blocks()
-    }
-
     /// Checks the structural invariants that hold between any two requests, whatever
     /// they returned: the device's indices recount from its blocks
     /// ([`NandDevice::check_invariants`]), the mapping table mirrors itself, the

@@ -62,7 +62,7 @@ proptest! {
             ftl.write(Lpn(lpn % logical), 4096).expect("write succeeds");
         }
         ftl.check_invariants().expect("every mapped page is valid, every valid page mapped");
-        prop_assert!(ftl.free_blocks() >= 1);
+        prop_assert!(ftl.device().available_blocks() >= 1);
     }
 
     /// The size-check classifier is a pure function of the request size.

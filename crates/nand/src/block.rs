@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::address::PageId;
 use crate::error::NandError;
-use crate::page::{Page, PageState};
+use crate::page::PageState;
 
 /// Aggregate state of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,7 +45,7 @@ impl fmt::Display for BlockState {
 ///   whole-block erase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
-    pages: Vec<Page>,
+    pages: Vec<PageState>,
     write_pointer: usize,
     valid_pages: usize,
     erase_count: u64,
@@ -62,7 +62,7 @@ impl Block {
     pub fn new(pages_per_block: usize) -> Self {
         assert!(pages_per_block > 0, "a block needs at least one page");
         Block {
-            pages: vec![Page::new(); pages_per_block],
+            pages: vec![PageState::Free; pages_per_block],
             write_pointer: 0,
             valid_pages: 0,
             erase_count: 0,
@@ -90,7 +90,7 @@ impl Block {
     pub fn page_state(&self, page: PageId) -> Result<PageState, NandError> {
         self.pages
             .get(page.0)
-            .map(Page::state)
+            .copied()
             .ok_or(NandError::PageOutOfRange { page, pages_per_block: self.pages.len() })
     }
 
@@ -165,16 +165,12 @@ impl Block {
         self.last_modified = seq;
     }
 
-    /// Programs the page at the write pointer, marking it valid.
-    ///
-    /// # Errors
-    ///
-    /// * [`NandError::BlockFull`]-like conditions are reported by the device layer,
-    ///   which knows the block address; here a full block returns
-    ///   `Err(NandError::PageOutOfRange)` only through [`Block::program`].
+    /// Programs the page at the write pointer, marking it valid. `None` if the
+    /// block is full or bad; the device layer, which knows the block address,
+    /// turns that into [`NandError::BlockFull`] or [`NandError::ProgramFailed`].
     pub(crate) fn program_next(&mut self) -> Option<PageId> {
         let page = self.next_page()?;
-        self.pages[page.0].set_state(PageState::Valid);
+        self.pages[page.0] = PageState::Valid;
         self.write_pointer += 1;
         self.valid_pages += 1;
         Some(page)
@@ -182,9 +178,9 @@ impl Block {
 
     /// Marks a valid page as invalid (out-of-place update or relocation source).
     pub(crate) fn invalidate(&mut self, page: PageId) -> Result<(), PageState> {
-        match self.pages[page.0].state() {
+        match self.pages[page.0] {
             PageState::Valid => {
-                self.pages[page.0].set_state(PageState::Invalid);
+                self.pages[page.0] = PageState::Invalid;
                 self.valid_pages -= 1;
                 Ok(())
             }
@@ -194,9 +190,7 @@ impl Block {
 
     /// Erases the block, freeing every page and incrementing the wear counter.
     pub(crate) fn erase(&mut self) {
-        for page in &mut self.pages {
-            page.set_state(PageState::Free);
-        }
+        self.pages.fill(PageState::Free);
         self.write_pointer = 0;
         self.valid_pages = 0;
         self.erase_count += 1;
@@ -207,7 +201,7 @@ impl Block {
         self.pages
             .iter()
             .enumerate()
-            .filter(|(_, p)| p.is_valid())
+            .filter(|(_, &state)| state == PageState::Valid)
             .map(|(i, _)| PageId(i))
     }
 }

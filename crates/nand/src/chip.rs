@@ -1,13 +1,13 @@
-//! A flash chip (die): an array of erase blocks with O(1) free-block accounting
-//! and an independent busy clock.
+//! A flash chip (die): an array of erase blocks with O(1) allocation and an
+//! independent busy clock.
 //!
-//! The chip is no longer a thin container: it owns the bookkeeping that makes the
-//! device's hot paths constant-time —
+//! Beside its blocks the chip keeps what makes the device's hot paths
+//! constant-time —
 //!
-//! * a **free-block pool** (FIFO with lazy deletion) so allocation pops in O(1)
-//!   instead of scanning every block,
-//! * **per-state counters** so occupancy queries (`free_blocks`) and wear totals
-//!   (`total_erases`) are O(1),
+//! * an exact **free-block pool**: a FIFO holding exactly the allocatable
+//!   blocks, never a stale entry, so allocation pops in O(1) instead of scanning
+//!   every block,
+//! * **counters** of wear (`total_erases`) and retired blocks (`bad_blocks`),
 //! * a **greedy victim index** over the garbage-collection candidates (full
 //!   blocks holding at least one invalid page): one block bitmap per
 //!   invalid-page count plus a cursor on the highest occupied count, so the
@@ -39,16 +39,11 @@ use crate::time::Nanos;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chip {
     blocks: Vec<Block>,
-    /// FIFO of block indices available for allocation. Entries are lazily deleted:
-    /// `in_pool` is the source of truth, and stale entries are skipped on pop.
+    /// FIFO of exactly the blocks available for allocation: erased, not leased
+    /// out, not bad, each queued once.
     free_pool: VecDeque<usize>,
-    /// Whether each block is logically in `free_pool`.
-    in_pool: Vec<bool>,
-    /// Number of logically pooled (allocatable) blocks.
-    available: usize,
-    /// Number of blocks in [`BlockState::Free`] (including allocated-but-unwritten
-    /// blocks leased out via the crate-internal `Chip::allocate`).
-    free_count: usize,
+    /// Whether each block is in `free_pool`.
+    pooled: Vec<bool>,
     /// The greedy victim index: every candidate — a full block with at least one
     /// invalid page, exactly what a garbage collector can reclaim with benefit —
     /// filed under its invalid-page count. A pure function of the block states.
@@ -72,9 +67,7 @@ impl Chip {
         Chip {
             blocks: (0..blocks_per_chip).map(|_| Block::new(pages_per_block)).collect(),
             free_pool: (0..blocks_per_chip).collect(),
-            in_pool: vec![true; blocks_per_chip],
-            available: blocks_per_chip,
-            free_count: blocks_per_chip,
+            pooled: vec![true; blocks_per_chip],
             victims: VictimIndex::new(blocks_per_chip, pages_per_block),
             erases: 0,
             bad_blocks: 0,
@@ -102,18 +95,12 @@ impl Chip {
         self.blocks.iter()
     }
 
-    /// Number of blocks currently in the [`BlockState::Free`] state. O(1).
-    pub fn free_blocks(&self) -> usize {
-        self.free_count
-    }
-
     /// Number of blocks available for allocation. O(1).
     ///
-    /// This differs from [`Chip::free_blocks`] by the blocks that have been handed
-    /// out via the crate-internal `Chip::allocate` but not programmed yet: those are still erased but
-    /// no longer allocatable.
+    /// Blocks handed out by the crate-internal `Chip::allocate` but not
+    /// programmed yet are still erased, but no longer allocatable.
     pub fn available_blocks(&self) -> usize {
-        self.available
+        self.free_pool.len()
     }
 
     /// Sum of erase counts over all blocks (total wear of the chip). O(1).
@@ -133,45 +120,23 @@ impl Chip {
         self.busy_time
     }
 
-    /// Pops a free block from the pool, or `None` if none is allocatable.
+    /// Pops the front of the free pool, or `None` if no block is allocatable.
     ///
     /// The block stays in [`BlockState::Free`] until programmed but will not be
     /// handed out again until an erase returns it to the pool.
     pub(crate) fn allocate(&mut self) -> Option<usize> {
-        while let Some(index) = self.free_pool.pop_front() {
-            if self.in_pool[index] {
-                self.in_pool[index] = false;
-                self.available -= 1;
-                self.drop_stale_front();
-                return Some(index);
-            }
-            // Stale entry: the block left the pool logically (direct program) and
-            // its queue slot is only dropped now.
-        }
-        None
+        let index = self.free_pool.pop_front()?;
+        self.pooled[index] = false;
+        Some(index)
     }
 
-    /// Drops stale entries from the front of the pool so [`Chip::peek_free`] finds a
-    /// live entry in O(1). Amortised free: every dropped entry was pushed exactly
-    /// once, and direct programs (the only source of staleness) go stale at the
-    /// front in the peek-then-program idiom.
-    fn drop_stale_front(&mut self) {
-        while let Some(&front) = self.free_pool.front() {
-            if self.in_pool[front] {
-                break;
-            }
-            self.free_pool.pop_front();
+    /// Takes a block that is programmed or retired while still pooled out of
+    /// the pool. O(blocks), and never on an FTL's path: both placements
+    /// allocate a block before they program it.
+    fn unpool(&mut self, index: usize) {
+        if std::mem::take(&mut self.pooled[index]) {
+            self.free_pool.retain(|&pooled| pooled != index);
         }
-    }
-
-    /// The index of some allocatable free block without removing it from the pool.
-    ///
-    /// Amortised O(1): mutations keep the front of the pool live, so stale entries
-    /// are only walked when they appear mid-queue (a block programmed directly
-    /// without being peeked or allocated first) — and each such entry is dropped by
-    /// a later mutation.
-    pub fn peek_free(&self) -> Option<usize> {
-        self.free_pool.iter().copied().find(|&index| self.in_pool[index])
     }
 
     /// The greedy victim on this chip — most invalid pages, ties to the lowest
@@ -194,18 +159,8 @@ impl Chip {
 
     /// Programs the next free page of a block, maintaining the accounting.
     pub(crate) fn program_block(&mut self, index: usize) -> Option<PageId> {
-        let was_free = self.blocks[index].state() == BlockState::Free;
         let page = self.blocks[index].program_next()?;
-        if was_free {
-            self.free_count -= 1;
-            if self.in_pool[index] {
-                // Programmed without allocation (tests, tools): logical removal now,
-                // the queue entry is skipped lazily.
-                self.in_pool[index] = false;
-                self.available -= 1;
-                self.drop_stale_front();
-            }
-        }
+        self.unpool(index);
         self.maybe_add_candidate(index);
         Some(page)
     }
@@ -221,39 +176,24 @@ impl Chip {
         Ok(())
     }
 
-    /// Erases a block, returning it to the free pool and delisting it as a candidate.
+    /// Erases a block, appending it to the free pool unless it is already
+    /// there and delisting it as a candidate.
     pub(crate) fn erase_block(&mut self, index: usize) {
-        let was_free = self.blocks[index].state() == BlockState::Free;
         self.blocks[index].erase();
         self.erases += 1;
-        if !was_free {
-            self.free_count += 1;
-        }
         self.victims.file(index, 0);
-        if !self.in_pool[index] {
-            self.in_pool[index] = true;
-            self.available += 1;
+        if !std::mem::replace(&mut self.pooled[index], true) {
             self.free_pool.push_back(index);
         }
-        self.drop_stale_front();
     }
 
-    /// Retires a block as bad, pulling it out of every index: the free pool (it
-    /// can never be allocated), the free count (it is no longer erased capacity)
-    /// and the victim index (it can never be erased). Idempotent at the
-    /// device layer, which only calls this for blocks not yet bad.
+    /// Retires a block as bad, pulling it out of the free pool (it can never
+    /// be allocated) and the victim index (it can never be erased). The device
+    /// layer only calls this for blocks not yet bad.
     pub(crate) fn retire_block(&mut self, index: usize) {
-        let was_free = self.blocks[index].state() == BlockState::Free;
         self.blocks[index].mark_bad();
-        if was_free {
-            self.free_count -= 1;
-        }
-        if self.in_pool[index] {
-            self.in_pool[index] = false;
-            self.available -= 1;
-        }
+        self.unpool(index);
         self.victims.file(index, 0);
-        self.drop_stale_front();
         self.bad_blocks += 1;
     }
 
@@ -267,22 +207,17 @@ impl Chip {
     }
 
     /// Recounts everything the chip keeps beside its blocks from a walk over
-    /// them: the free, bad and erase counters; the allocation pool (every pooled
-    /// block is free and queued, `available` counts them); and the victim index
-    /// (a block is filed under its invalid-page count iff it is full — and so not
-    /// bad — with at least one invalid page, each bucket's bitmap and occupancy
-    /// say the same, and the cursor sits on the highest occupied bucket).
+    /// them: the bad and erase counters; the free pool (each block queued at
+    /// most once, exactly the blocks flagged as pooled, all of them free); and
+    /// the victim index (a block is filed under its invalid-page count iff it is
+    /// full — and so not bad — with at least one invalid page, each bucket's
+    /// bitmap and occupancy say the same, and the cursor sits on the highest
+    /// occupied bucket).
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let count = |state| self.blocks.iter().filter(|block| block.state() == state).count();
         let counters = [
-            ("free blocks", self.free_count as u64, count(BlockState::Free) as u64),
             ("bad blocks", self.bad_blocks as u64, count(BlockState::Bad) as u64),
             ("erases", self.erases, self.blocks.iter().map(Block::erase_count).sum()),
-            (
-                "available blocks",
-                self.available as u64,
-                self.in_pool.iter().filter(|&&pooled| pooled).count() as u64,
-            ),
         ];
         for (what, kept, recounted) in counters {
             if kept != recounted {
@@ -291,13 +226,19 @@ impl Chip {
         }
         let mut queued = vec![false; self.blocks.len()];
         for &block in &self.free_pool {
-            queued[block] = true;
+            if std::mem::replace(&mut queued[block], true) {
+                return Err(format!("block {block} is queued twice"));
+            }
         }
         let index = &self.victims;
         let mut occupancy = vec![0u32; index.occupancy.len()];
         for (block, state) in self.blocks.iter().enumerate() {
-            if self.in_pool[block] && (state.state() != BlockState::Free || !queued[block]) {
-                return Err(format!("pooled block {block} is {} or not queued", state.state()));
+            if self.pooled[block] != queued[block] {
+                let (pooled, queued) = (self.pooled[block], queued[block]);
+                return Err(format!("block {block} is flagged pooled {pooled}, queued {queued}"));
+            }
+            if queued[block] && state.state() != BlockState::Free {
+                return Err(format!("pooled block {block} is {}", state.state()));
             }
             let expected = if state.state() == BlockState::Full { state.invalid_pages() } else { 0 };
             if index.filed[block] as usize != expected {
@@ -404,11 +345,6 @@ impl<'a> IntoIterator for &'a Chip {
 mod tests {
     use super::*;
 
-    /// Brute-force recount of blocks in the `Free` state.
-    fn recount_free(chip: &Chip) -> usize {
-        chip.iter().filter(|b| b.state() == BlockState::Free).count()
-    }
-
     fn fill_block(chip: &mut Chip, index: usize, pages: usize) {
         for _ in 0..pages {
             chip.program_block(index).unwrap();
@@ -419,7 +355,6 @@ mod tests {
     fn new_chip_has_all_free_blocks() {
         let chip = Chip::new(8, 4);
         assert_eq!(chip.len(), 8);
-        assert_eq!(chip.free_blocks(), 8);
         assert_eq!(chip.available_blocks(), 8);
         assert_eq!(chip.total_erases(), 0);
         assert_eq!(chip.busy_time(), Nanos::ZERO);
@@ -441,12 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn free_block_count_tracks_programming() {
+    fn a_block_programmed_without_allocation_leaves_the_pool() {
         let mut chip = Chip::new(3, 2);
-        chip.program_block(0).unwrap();
-        assert_eq!(chip.free_blocks(), 2);
-        assert_eq!(chip.free_blocks(), recount_free(&chip));
-        assert_eq!(chip.available_blocks(), 2, "directly programmed block leaves the pool");
+        chip.program_block(1).unwrap();
+        assert_eq!(chip.available_blocks(), 2);
+        assert_eq!(chip.free_pool, [0, 2], "no stale entry stays behind");
+        chip.check_invariants().unwrap();
+        // Erased, it rejoins at the back like any other block, not at its old place.
+        chip.invalidate_page(1, PageId(0)).unwrap();
+        chip.erase_block(1);
+        assert_eq!(chip.allocate(), Some(0));
+        assert_eq!(chip.allocate(), Some(2));
+        assert_eq!(chip.allocate(), Some(1));
+        assert_eq!(chip.allocate(), None);
     }
 
     #[test]
@@ -457,7 +399,7 @@ mod tests {
         assert_eq!(chip.allocate(), Some(2));
         assert_eq!(chip.allocate(), None);
         // All blocks are still erased; only the pool is empty.
-        assert_eq!(chip.free_blocks(), 3);
+        assert!(chip.iter().all(|block| block.state() == BlockState::Free));
         assert_eq!(chip.available_blocks(), 0);
     }
 
@@ -472,45 +414,6 @@ mod tests {
         // Block 1 was never taken, so it is handed out before the recycled block 0.
         assert_eq!(chip.allocate(), Some(1));
         assert_eq!(chip.allocate(), Some(0));
-    }
-
-    #[test]
-    fn stale_pool_entries_are_skipped() {
-        let mut chip = Chip::new(3, 2);
-        // Program block 1 directly (never allocated): its queue entry goes stale.
-        chip.program_block(1).unwrap();
-        assert_eq!(chip.allocate(), Some(0));
-        assert_eq!(chip.allocate(), Some(2), "stale entry for block 1 must be skipped");
-        assert_eq!(chip.allocate(), None);
-    }
-
-    #[test]
-    fn peek_free_skips_stale_entries_without_mutating() {
-        let mut chip = Chip::new(2, 2);
-        chip.program_block(0).unwrap();
-        assert_eq!(chip.peek_free(), Some(1));
-        assert_eq!(chip.peek_free(), Some(1), "peek must not consume");
-        chip.program_block(1).unwrap();
-        assert_eq!(chip.peek_free(), None);
-    }
-
-    #[test]
-    fn peek_then_program_never_accumulates_stale_front_entries() {
-        // The classic `any_free_block()` + `program_next()` idiom: each program goes
-        // stale at the front of the pool and must be compacted away immediately so
-        // a device fill stays O(blocks), not O(blocks^2).
-        let mut chip = Chip::new(64, 1);
-        for expected in 0..64 {
-            let peeked = chip.peek_free().unwrap();
-            assert_eq!(peeked, expected);
-            chip.program_block(peeked).unwrap();
-            assert_eq!(chip.free_pool.front().is_some(), expected + 1 < 64);
-            if let Some(&front) = chip.free_pool.front() {
-                assert!(chip.in_pool[front], "front of the pool must stay live");
-            }
-        }
-        assert_eq!(chip.peek_free(), None);
-        assert!(chip.free_pool.is_empty(), "all stale entries were compacted");
     }
 
     #[test]
@@ -550,12 +453,11 @@ mod tests {
         let mut chip = Chip::new(3, 2);
         chip.retire_block(1);
         assert_eq!(chip.bad_blocks(), 1);
-        assert_eq!(chip.free_blocks(), 2);
         assert_eq!(chip.available_blocks(), 2);
         assert_eq!(chip.allocate(), Some(0));
         assert_eq!(chip.allocate(), Some(2), "bad block 1 must be skipped");
         assert_eq!(chip.allocate(), None);
-        assert_eq!(chip.free_blocks(), recount_free(&chip));
+        chip.check_invariants().unwrap();
     }
 
     #[test]
@@ -581,10 +483,16 @@ mod tests {
             drift(&mut copy);
             copy.check_invariants().unwrap_err()
         };
-        assert!(drifted(|chip| chip.free_count += 1).starts_with("free blocks"));
+        assert!(drifted(|chip| chip.bad_blocks += 1).starts_with("bad blocks"));
         assert!(drifted(|chip| chip.erases += 1).starts_with("erases"));
-        assert!(drifted(|chip| chip.in_pool[1] = false).starts_with("available blocks"));
-        assert!(drifted(|chip| chip.free_pool.retain(|&b| b != 2)).contains("pooled block 2"));
+        assert!(drifted(|chip| chip.pooled[1] = false).contains("block 1 is flagged pooled false"));
+        assert!(drifted(|chip| chip.free_pool.retain(|&b| b != 2)).contains("block 2 is flagged"));
+        assert!(drifted(|chip| chip.free_pool.push_back(3)).contains("block 3 is queued twice"));
+        let full_in_pool = |chip: &mut Chip| {
+            chip.free_pool.push_back(0);
+            chip.pooled[0] = true;
+        };
+        assert!(drifted(full_in_pool).contains("pooled block 0 is full"));
         assert!(drifted(|chip| chip.victims.file(0, 2)).contains("block 0 is filed under 2"));
         assert!(drifted(|chip| chip.victims.file(3, 1)).contains("block 3 is filed under 1"));
         assert!(drifted(|chip| chip.victims.max_invalid = 2).contains("cursor"));
@@ -599,17 +507,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_match_brute_force_through_a_lifecycle() {
+    fn the_pool_stays_exact_through_a_lifecycle() {
         let mut chip = Chip::new(4, 2);
         let a = chip.allocate().unwrap();
         fill_block(&mut chip, a, 2);
         chip.program_block(1).unwrap();
-        assert_eq!(chip.free_blocks(), recount_free(&chip));
         chip.invalidate_page(a, PageId(0)).unwrap();
         chip.invalidate_page(a, PageId(1)).unwrap();
         chip.erase_block(a);
-        assert_eq!(chip.free_blocks(), recount_free(&chip));
-        assert_eq!(chip.free_blocks(), 3);
-        assert_eq!(chip.available_blocks(), 3, "block 1 is open; a, 2 and 3 are pooled");
+        // Erasing a pooled block leaves it where it is.
+        chip.erase_block(2);
+        assert_eq!(chip.free_pool, [2, 3, a], "block 1 is open; a went to the back");
+        assert_eq!(chip.available_blocks(), 3);
+        chip.check_invariants().unwrap();
     }
 }

@@ -19,10 +19,10 @@ use crate::time::Nanos;
 ///
 /// # Free-block accounting
 ///
-/// Each chip maintains a free-block pool and per-state counters, so
-/// [`NandDevice::allocate_block`], [`NandDevice::any_free_block`],
-/// [`NandDevice::free_block_count`] and [`NandDevice::available_blocks`] are O(1)
-/// (amortised) instead of scanning every block. The blocks a garbage collector
+/// Each chip keeps an exact FIFO pool of its allocatable blocks, so
+/// [`NandDevice::allocate_block`] pops the front of a pool and
+/// [`NandDevice::available_blocks`] adds up their lengths, neither scanning the
+/// blocks; an erase appends the block to the back. The blocks a garbage collector
 /// can reclaim with benefit (full, at least one invalid page) are filed per chip
 /// under their invalid-page count, so [`NandDevice::greedy_victim`] reads
 /// O(chips x blocks / 64) words, independent of how many candidates there are.
@@ -47,7 +47,7 @@ use crate::time::Nanos;
 ///
 /// # fn main() -> Result<(), vflash_nand::NandError> {
 /// let mut device = NandDevice::new(NandConfig::small());
-/// let block = device.any_free_block().expect("fresh device");
+/// let block = device.allocate_block().expect("fresh device");
 /// let (page, latency) = device.program_next(block)?;
 /// assert!(latency > vflash_nand::Nanos::ZERO);
 /// device.invalidate(block.page(page))?;
@@ -234,19 +234,6 @@ impl NandDevice {
         })
     }
 
-    /// Returns the address of an allocatable block in the [`BlockState::Free`](crate::BlockState::Free)
-    /// state, or `None` if none exists. Amortised O(1): each chip keeps a free-block
-    /// pool, so no block scan happens.
-    ///
-    /// Blocks leased out via [`NandDevice::allocate_block`] but not yet programmed
-    /// are *not* returned, so repeated `allocate_block` calls and `any_free_block`
-    /// agree on what is actually available.
-    pub fn any_free_block(&self) -> Option<BlockAddr> {
-        self.chips.iter().enumerate().find_map(|(chip, c)| {
-            c.peek_free().map(|index| BlockAddr::new(ChipId(chip), index))
-        })
-    }
-
     /// Takes a free block out of the allocation pool, rotating round-robin across
     /// chips so consecutive allocations land on different chips (and their
     /// programs can overlap in time). O(chips) worst case, O(1) typically.
@@ -263,12 +250,6 @@ impl NandDevice {
             }
         }
         None
-    }
-
-    /// Number of blocks currently free (fully erased), including blocks leased out
-    /// by [`NandDevice::allocate_block`] that have not been programmed yet. O(chips).
-    pub fn free_block_count(&self) -> usize {
-        self.chips.iter().map(Chip::free_blocks).sum()
     }
 
     /// Number of blocks available for allocation (free and not leased out). O(chips).
@@ -299,8 +280,8 @@ impl NandDevice {
         best.map(|(addr, _)| addr)
     }
 
-    /// Recounts every index the chips keep beside their blocks — the free, bad
-    /// and erase counters, the allocation pools, the victim index — from a walk
+    /// Recounts every index the chips keep beside their blocks — the bad and
+    /// erase counters, the allocation pools, the victim index — from a walk
     /// over the blocks. O(blocks x pages per block); for tests and oracles.
     ///
     /// # Errors
@@ -427,43 +408,25 @@ impl NandDevice {
         Ok(latency)
     }
 
-    /// Programs a specific page of a block, returning the latency.
-    ///
-    /// The page must be exactly the block's next free page; 3D NAND blocks are
-    /// programmed strictly in layer order.
+    /// Programs the next free page of a block, returning the page programmed
+    /// and the latency. This is the device's only program operation, so a 3D
+    /// NAND block is programmed strictly in layer order by construction.
     ///
     /// # Errors
     ///
-    /// * Address errors for out-of-range chips/blocks/pages.
+    /// * Address errors for out-of-range chips/blocks.
     /// * [`NandError::BlockFull`] if the block has no free pages.
-    /// * [`NandError::ProgramOrderViolation`] if `page` is not the next free page.
     /// * [`NandError::ProgramFailed`] if the block is bad, or the fault model
     ///   fails the program — which retires the block. Failure detection is
     ///   modelled as instantaneous: no device time is charged and no op is
     ///   recorded; the successful re-drive carries the cost.
-    pub fn program(&mut self, block: BlockAddr, page: PageId) -> Result<Nanos, NandError> {
-        let pages_per_block = self.config.pages_per_block();
-        if page.0 >= pages_per_block {
-            return Err(NandError::PageOutOfRange { page, pages_per_block });
+    pub fn program_next(&mut self, block: BlockAddr) -> Result<(PageId, Nanos), NandError> {
+        let blk = self.block(block)?;
+        if blk.is_bad() {
+            return Err(NandError::ProgramFailed { block });
         }
-        let erase_count = {
-            let blk = self.block(block)?;
-            if blk.is_bad() {
-                return Err(NandError::ProgramFailed { block });
-            }
-            match blk.next_page() {
-                None => return Err(NandError::BlockFull { block }),
-                Some(expected) if expected != page => {
-                    return Err(NandError::ProgramOrderViolation {
-                        block,
-                        requested: page,
-                        expected,
-                    })
-                }
-                Some(_) => {}
-            }
-            blk.erase_count()
-        };
+        let page = blk.next_page().ok_or(NandError::BlockFull { block })?;
+        let erase_count = blk.erase_count();
         if let Some(fault) = self.fault.as_mut() {
             if fault.program_fails(block.chip().0, erase_count) {
                 return Err(self.retire_failed_block(block, |block| {
@@ -471,34 +434,15 @@ impl NandDevice {
                 }));
             }
         }
-        self.chip_for(block)?.program_block(block.index());
         let latency = self.latency.program_total(page);
         self.stats.record_program(latency);
         self.mod_seq += 1;
         let chip = &mut self.chips[block.chip().0];
+        chip.program_block(block.index());
         chip.add_busy(latency);
         chip.touch_block(block.index(), self.mod_seq);
         self.record_op(block.chip(), OpKind::Program, latency);
-        Ok(latency)
-    }
-
-    /// Programs the next free page of a block, returning the page id chosen and the
-    /// latency.
-    ///
-    /// # Errors
-    ///
-    /// * Address errors for out-of-range chips/blocks.
-    /// * [`NandError::BlockFull`] if the block has no free pages.
-    /// * [`NandError::ProgramFailed`] if the block is bad or the fault model
-    ///   fails the program (see [`NandDevice::program`]).
-    pub fn program_next(&mut self, block: BlockAddr) -> Result<(PageId, Nanos), NandError> {
-        let blk = self.block(block)?;
-        if blk.is_bad() {
-            return Err(NandError::ProgramFailed { block });
-        }
-        let next = blk.next_page().ok_or(NandError::BlockFull { block })?;
-        let latency = self.program(block, next)?;
-        Ok((next, latency))
+        Ok((page, latency))
     }
 
     /// Marks a valid page as invalid (stale). This models the mapping-table update of
@@ -586,46 +530,43 @@ mod tests {
     #[test]
     fn fresh_device_is_fully_free() {
         let device = small_device();
-        assert_eq!(device.free_block_count(), 8);
+        assert_eq!(device.available_blocks(), 8);
         assert_eq!(device.total_erases(), 0);
-        assert!(device.any_free_block().is_some());
         assert_eq!(device.block_addrs().count(), 8);
     }
 
     #[test]
     fn read_requires_valid_page() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
+        let block = device.allocate_block().unwrap();
         let err = device.read(block.page(PageId(0))).unwrap_err();
         assert!(matches!(err, NandError::PageNotValid { .. }));
-        device.program(block, PageId(0)).unwrap();
+        device.program_next(block).unwrap();
         assert!(device.read(block.page(PageId(0))).is_ok());
     }
 
     #[test]
     fn program_enforces_layer_order() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        let err = device.program(block, PageId(2)).unwrap_err();
-        assert!(matches!(err, NandError::ProgramOrderViolation { .. }));
-        device.program(block, PageId(0)).unwrap();
-        device.program(block, PageId(1)).unwrap();
-        device.program(block, PageId(2)).unwrap();
-        device.program(block, PageId(3)).unwrap();
-        assert!(matches!(
-            device.program(block, PageId(3)),
-            Err(NandError::BlockFull { .. })
-        ));
+        let block = device.allocate_block().unwrap();
+        for expected in 0..4 {
+            let (page, _) = device.program_next(block).unwrap();
+            assert_eq!(page, PageId(expected));
+        }
+        let (before, stats) = (device.block(block).unwrap().clone(), device.stats().counts);
+        assert!(matches!(device.program_next(block), Err(NandError::BlockFull { .. })));
+        assert_eq!(device.block(block).unwrap(), &before, "a refused program changes nothing");
+        assert_eq!(device.stats().counts, stats);
     }
 
     #[test]
     fn bottom_pages_are_faster_than_top_pages() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        let top = device.program(block, PageId(0)).unwrap();
-        device.program(block, PageId(1)).unwrap();
-        device.program(block, PageId(2)).unwrap();
-        let bottom = device.program(block, PageId(3)).unwrap();
+        let block = device.allocate_block().unwrap();
+        let (_, top) = device.program_next(block).unwrap();
+        device.program_next(block).unwrap();
+        device.program_next(block).unwrap();
+        let (_, bottom) = device.program_next(block).unwrap();
         assert!(bottom < top, "bottom program {bottom} should beat top {top}");
 
         let top_read = device.read(block.page(PageId(0))).unwrap();
@@ -636,8 +577,8 @@ mod tests {
     #[test]
     fn erase_rejects_blocks_with_live_data() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        device.program(block, PageId(0)).unwrap();
+        let block = device.allocate_block().unwrap();
+        device.program_next(block).unwrap();
         assert!(matches!(
             device.erase(block),
             Err(NandError::EraseWithValidPages { valid_pages: 1, .. })
@@ -645,15 +586,15 @@ mod tests {
         device.invalidate(block.page(PageId(0))).unwrap();
         assert_eq!(device.erase(block).unwrap(), device.config().erase_latency());
         assert_eq!(device.total_erases(), 1);
-        // The block is usable again.
-        assert!(device.program(block, PageId(0)).is_ok());
+        // The block is usable again, from its first page.
+        assert_eq!(device.program_next(block).unwrap().0, PageId(0));
     }
 
     #[test]
     fn invalidate_twice_is_an_error() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        device.program(block, PageId(0)).unwrap();
+        let block = device.allocate_block().unwrap();
+        device.program_next(block).unwrap();
         device.invalidate(block.page(PageId(0))).unwrap();
         assert!(matches!(
             device.invalidate(block.page(PageId(0))),
@@ -667,10 +608,10 @@ mod tests {
         let bad_chip = BlockAddr::new(ChipId(9), 0);
         assert!(matches!(device.read(bad_chip.page(PageId(0))), Err(NandError::ChipOutOfRange { .. })));
         let bad_block = BlockAddr::new(ChipId(0), 99);
-        assert!(matches!(device.program(bad_block, PageId(0)), Err(NandError::BlockOutOfRange { .. })));
-        let good_block = device.any_free_block().unwrap();
+        assert!(matches!(device.program_next(bad_block), Err(NandError::BlockOutOfRange { .. })));
+        let good_block = device.allocate_block().unwrap();
         assert!(matches!(
-            device.program(good_block, PageId(99)),
+            device.read(good_block.page(PageId(99))),
             Err(NandError::PageOutOfRange { .. })
         ));
     }
@@ -678,8 +619,8 @@ mod tests {
     #[test]
     fn stats_track_operations_and_time() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        let p = device.program(block, PageId(0)).unwrap();
+        let block = device.allocate_block().unwrap();
+        let (_, p) = device.program_next(block).unwrap();
         let r = device.read(block.page(PageId(0))).unwrap();
         device.invalidate(block.page(PageId(0))).unwrap();
         let e = device.erase(block).unwrap();
@@ -700,9 +641,8 @@ mod tests {
         assert_eq!(b, BlockAddr::new(ChipId(1), 0));
         assert_eq!(c, BlockAddr::new(ChipId(0), 1));
         // Leased blocks are still erased but no longer allocatable.
-        assert_eq!(device.free_block_count(), 8);
+        assert_eq!(device.block(a).unwrap().state(), crate::BlockState::Free);
         assert_eq!(device.available_blocks(), 5);
-        assert_ne!(device.any_free_block(), Some(a));
     }
 
     #[test]
@@ -714,7 +654,7 @@ mod tests {
         }
         assert_eq!(taken.len(), 8);
         assert_eq!(device.available_blocks(), 0);
-        assert!(device.any_free_block().is_none());
+        assert_eq!(device.allocate_block(), None);
         // Erasing a (still free) leased block returns it to its chip's pool.
         device.erase(taken[0]).unwrap();
         assert_eq!(device.available_blocks(), 1);
@@ -724,7 +664,7 @@ mod tests {
     #[test]
     fn greedy_victim_is_the_full_block_with_the_most_invalid_pages() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
+        let block = device.allocate_block().unwrap();
         for _ in 0..4 {
             device.program_next(block).unwrap();
         }
@@ -732,7 +672,7 @@ mod tests {
         device.invalidate(block.page(PageId(1))).unwrap();
         assert_eq!(device.greedy_victim(&[]), Some(block));
         // An open block is no candidate however stale; a fuller one outbids `block`.
-        let open = device.any_free_block().unwrap();
+        let open = device.allocate_block().unwrap();
         device.program_next(open).unwrap();
         device.invalidate(open.page(PageId(0))).unwrap();
         assert_eq!(device.greedy_victim(&[]), Some(block));
@@ -774,16 +714,16 @@ mod tests {
     #[test]
     fn op_tracing_records_provenance_only_while_enabled() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
+        let block = device.allocate_block().unwrap();
         let mark = device.op_mark();
-        device.program(block, PageId(0)).unwrap();
+        device.program_next(block).unwrap();
         assert!(device.ops_since(mark).is_empty(), "tracing is off by default");
         assert!(!device.op_tracing());
 
         device.set_op_tracing(true);
         assert!(device.op_tracing());
         let mark = device.op_mark();
-        let program = device.program(block, PageId(1)).unwrap();
+        let (_, program) = device.program_next(block).unwrap();
         let read = device.read(block.page(PageId(0))).unwrap();
         device.invalidate(block.page(PageId(0))).unwrap();
         let span = device.ops_since(mark);
@@ -811,21 +751,21 @@ mod tests {
 
         device.set_op_tracing(false);
         let mark = device.op_mark();
-        device.program(block, PageId(0)).unwrap();
+        device.program_next(block).unwrap();
         assert!(device.ops_since(mark).is_empty());
     }
 
     #[test]
     fn op_arena_keeps_its_capacity_across_clears() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
+        let block = device.allocate_block().unwrap();
         device.set_op_tracing(true);
-        device.program(block, PageId(0)).unwrap();
-        device.program(block, PageId(1)).unwrap();
+        device.program_next(block).unwrap();
+        device.program_next(block).unwrap();
         let capacity = device.op_trace.capacity();
         let pointer = device.op_trace.as_ptr();
         device.clear_ops();
-        device.program(block, PageId(2)).unwrap();
+        device.program_next(block).unwrap();
         assert_eq!(device.op_trace.capacity(), capacity, "clear must not shrink the arena");
         assert_eq!(device.op_trace.as_ptr(), pointer, "same buffer, no reallocation");
         assert_eq!(device.ops_since(0).len(), 1);
@@ -834,9 +774,9 @@ mod tests {
     #[test]
     fn toggling_op_tracing_clears_buffered_records() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
+        let block = device.allocate_block().unwrap();
         device.set_op_tracing(true);
-        device.program(block, PageId(0)).unwrap();
+        device.program_next(block).unwrap();
         device.set_op_tracing(true);
         assert_eq!(device.op_mark(), 0, "re-enabling drops stale records");
     }
@@ -845,8 +785,8 @@ mod tests {
     fn mod_seq_advances_on_state_changes_and_stamps_blocks() {
         let mut device = small_device();
         assert_eq!(device.mod_seq(), 0);
-        let block = device.any_free_block().unwrap();
-        device.program(block, PageId(0)).unwrap();
+        let block = device.allocate_block().unwrap();
+        device.program_next(block).unwrap();
         assert_eq!(device.mod_seq(), 1);
         assert_eq!(device.block(block).unwrap().last_modified(), 1);
         // Reads do not advance the clock.
@@ -859,15 +799,15 @@ mod tests {
         assert_eq!(device.mod_seq(), 3);
         assert_eq!(device.block(block).unwrap().last_modified(), 3);
         // Untouched blocks keep their stamp, so their age keeps growing.
-        let other = device.any_free_block().unwrap();
+        let other = device.allocate_block().unwrap();
         assert_eq!(device.block(other).unwrap().last_modified(), 0);
     }
 
     #[test]
     fn fault_free_reads_report_zero_fault_info() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        device.program(block, PageId(0)).unwrap();
+        let block = device.allocate_block().unwrap();
+        device.program_next(block).unwrap();
         device.read(block.page(PageId(0))).unwrap();
         assert_eq!(device.last_read_faults(), crate::fault::ReadFaultInfo::default());
         assert_eq!(device.bad_block_count(), 0);
@@ -876,18 +816,14 @@ mod tests {
     #[test]
     fn retired_blocks_reject_everything_but_reads_and_invalidations() {
         let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        device.program(block, PageId(0)).unwrap();
-        device.program(block, PageId(1)).unwrap();
-        let free_before = device.free_block_count();
+        let block = device.allocate_block().unwrap();
+        device.program_next(block).unwrap();
+        device.program_next(block).unwrap();
+        let available_before = device.available_blocks();
         device.retire_block(block).unwrap();
         device.retire_block(block).unwrap(); // idempotent
         assert_eq!(device.bad_block_count(), 1);
-        assert_eq!(device.free_block_count(), free_before);
-        assert!(matches!(
-            device.program(block, PageId(2)),
-            Err(NandError::ProgramFailed { .. })
-        ));
+        assert_eq!(device.available_blocks(), available_before);
         assert!(matches!(device.program_next(block), Err(NandError::ProgramFailed { .. })));
         // Surviving data stays readable; invalidation still works; erase is out.
         assert!(device.read(block.page(PageId(0))).is_ok());
@@ -895,7 +831,7 @@ mod tests {
         device.invalidate(block.page(PageId(1))).unwrap();
         assert!(matches!(device.erase(block), Err(NandError::EraseFailed { .. })));
         assert_eq!(device.greedy_victim(&[]), None, "bad blocks are never GC candidates");
-        assert_ne!(device.any_free_block(), Some(block));
+        assert!(std::iter::from_fn(|| device.allocate_block()).all(|free| free != block));
     }
 
     #[test]
@@ -913,14 +849,14 @@ mod tests {
             .build()
             .unwrap();
         let mut device = NandDevice::new(config);
-        let block = device.any_free_block().unwrap();
+        let block = device.allocate_block().unwrap();
         let busy_before = device.stats().busy_time();
         assert!(matches!(device.program_next(block), Err(NandError::ProgramFailed { .. })));
         assert_eq!(device.bad_block_count(), 1);
         assert_eq!(device.stats().busy_time(), busy_before, "failed programs are free");
         assert_eq!(device.stats().counts.programs, 0);
         // The device still has other blocks to offer.
-        assert!(device.any_free_block().is_some());
+        assert_eq!(device.available_blocks(), 3);
     }
 
     #[test]
@@ -941,8 +877,8 @@ mod tests {
             .unwrap();
         let mut device = NandDevice::new(config);
         device.set_op_tracing(true);
-        let block = device.any_free_block().unwrap();
-        device.program(block, PageId(0)).unwrap();
+        let block = device.allocate_block().unwrap();
+        device.program_next(block).unwrap();
         let mut saw_retry = false;
         for _ in 0..50 {
             let mark = device.op_mark();
@@ -997,17 +933,6 @@ mod tests {
             log
         };
         assert_eq!(run(config.clone()), run(config), "same seed, same outcome sequence");
-    }
-
-    #[test]
-    fn program_next_walks_the_block() {
-        let mut device = small_device();
-        let block = device.any_free_block().unwrap();
-        for expected in 0..4 {
-            let (page, _) = device.program_next(block).unwrap();
-            assert_eq!(page, PageId(expected));
-        }
-        assert!(matches!(device.program_next(block), Err(NandError::BlockFull { .. })));
     }
 
     /// The greedy selection the index answers, as a linear scan of every block:

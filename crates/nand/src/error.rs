@@ -8,7 +8,7 @@ use crate::address::{BlockAddr, PageAddr, PageId};
 /// Errors produced by the NAND device model.
 ///
 /// Every variant corresponds to a violation of a physical constraint of NAND flash
-/// (erase-before-write, sequential in-block programming, addressing limits) or an
+/// (erase-before-write, a block's page count, addressing limits) or an
 /// invalid configuration. They are reported instead of silently "fixed" so that FTL
 /// bugs surface in tests rather than being masked by the device model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,19 +39,6 @@ pub enum NandError {
         page: PageId,
         /// The number of pages per block.
         pages_per_block: usize,
-    },
-    /// A program targeted a page other than the block's next free page.
-    ///
-    /// NAND flash must be programmed in page order within a block; 3D charge-trap
-    /// blocks additionally tie page order to the gate-stack layer order, which the
-    /// virtual-block lifecycle of the PPB strategy relies on.
-    ProgramOrderViolation {
-        /// The block being programmed.
-        block: BlockAddr,
-        /// The page the caller attempted to program.
-        requested: PageId,
-        /// The page the block expects to be programmed next.
-        expected: PageId,
     },
     /// A program targeted a block with no free pages left.
     BlockFull {
@@ -109,10 +96,6 @@ impl fmt::Display for NandError {
                 f,
                 "page {page} out of range (block has {pages_per_block} pages)"
             ),
-            NandError::ProgramOrderViolation { block, requested, expected } => write!(
-                f,
-                "program order violation in block {block}: requested page {requested}, expected {expected}"
-            ),
             NandError::BlockFull { block } => write!(f, "block {block} has no free pages"),
             NandError::PageNotValid { page, actual } => {
                 write!(f, "page {page} does not hold valid data (state: {actual})")
@@ -143,15 +126,10 @@ mod tests {
 
     #[test]
     fn errors_render_useful_messages() {
-        let err = NandError::ProgramOrderViolation {
-            block: BlockAddr::new(ChipId(0), 3),
-            requested: PageId(5),
-            expected: PageId(2),
-        };
+        let err = NandError::PageOutOfRange { page: PageId(5), pages_per_block: 4 };
         let text = err.to_string();
-        assert!(text.contains("program order violation"));
-        assert!(text.contains("requested page P5"));
-        assert!(text.contains("expected P2"));
+        assert!(text.contains("page P5 out of range"));
+        assert!(text.contains("block has 4 pages"));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! time of the whole operation stream under perfect chip interleaving (the serial
 //! sum remains available via [`DeviceStats::busy_time`]). To make the overlap real,
 //! [`NandDevice::allocate_block`] hands out free blocks round-robin across chips,
-//! so consecutive writes land on different dies. Free blocks, per-state counts and
+//! so consecutive writes land on different dies. Free blocks, wear and
 //! garbage-collection candidates are tracked per chip in O(1) — see [`Chip`].
 //!
 //! # Example
@@ -51,10 +51,11 @@
 //!     .build()?;
 //! let mut device = NandDevice::new(config);
 //!
-//! let block = device.any_free_block().expect("fresh device has free blocks");
+//! let block = device.allocate_block().expect("fresh device has free blocks");
 //! // Programming the first (top-layer, slow) page takes longer than reading it back.
-//! let program = device.program(block, PageId(0))?;
-//! let read = device.read(block.page(PageId(0)))?;
+//! let (page, program) = device.program_next(block)?;
+//! assert_eq!(page, PageId(0));
+//! let read = device.read(block.page(page))?;
 //! assert!(program > read);
 //! # Ok(())
 //! # }
@@ -85,7 +86,7 @@ pub use device::NandDevice;
 pub use error::NandError;
 pub use fault::{FaultConfig, ReadFaultInfo};
 pub use latency::{LatencyModel, SpeedClass};
-pub use page::{Page, PageState};
+pub use page::PageState;
 pub use provenance::{OpKind, OpRecord, OpSpan};
 pub use sched::ChipClocks;
 pub use stats::{DeviceStats, OpCounts};

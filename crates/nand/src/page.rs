@@ -5,7 +5,8 @@ use std::fmt;
 /// The lifecycle state of a physical page.
 ///
 /// NAND pages move `Free -> Valid -> Invalid` and only return to `Free` when their
-/// whole block is erased (erase-before-write).
+/// whole block is erased (erase-before-write). A [`Block`](crate::Block) keeps one
+/// per page and no data: the FTL layers above own the mappings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PageState {
     /// The page has been erased and not programmed since.
@@ -34,70 +35,9 @@ impl fmt::Display for PageState {
     }
 }
 
-/// A physical page: currently just its state.
-///
-/// The device model deliberately does not store user data or logical addresses — the
-/// FTL layers above own those mappings — so the per-page footprint stays minimal even
-/// for multi-million-page devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Page {
-    state: PageState,
-}
-
-impl Page {
-    /// A freshly erased page.
-    pub const fn new() -> Self {
-        Page { state: PageState::Free }
-    }
-
-    /// Current state.
-    pub const fn state(&self) -> PageState {
-        self.state
-    }
-
-    /// Whether this page can still be programmed.
-    pub const fn is_free(&self) -> bool {
-        matches!(self.state, PageState::Free)
-    }
-
-    /// Whether this page holds live data.
-    pub const fn is_valid(&self) -> bool {
-        matches!(self.state, PageState::Valid)
-    }
-
-    /// Whether this page holds stale data.
-    pub const fn is_invalid(&self) -> bool {
-        matches!(self.state, PageState::Invalid)
-    }
-
-    pub(crate) fn set_state(&mut self, state: PageState) {
-        self.state = state;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn new_page_is_free() {
-        let page = Page::new();
-        assert!(page.is_free());
-        assert!(!page.is_valid());
-        assert!(!page.is_invalid());
-        assert_eq!(page.state(), PageState::Free);
-    }
-
-    #[test]
-    fn state_transitions_reflected_by_predicates() {
-        let mut page = Page::new();
-        page.set_state(PageState::Valid);
-        assert!(page.is_valid());
-        page.set_state(PageState::Invalid);
-        assert!(page.is_invalid());
-        page.set_state(PageState::Free);
-        assert!(page.is_free());
-    }
 
     #[test]
     fn labels_are_lowercase() {

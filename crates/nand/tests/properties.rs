@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 
 use proptest::prelude::*;
 use vflash_nand::{
-    BlockAddr, ChipId, LatencyModel, NandConfig, NandDevice, NandError, Nanos, PageId,
+    BlockAddr, ChipId, FaultConfig, LatencyModel, NandConfig, NandDevice, NandError, Nanos, PageId,
 };
 
 /// The latency model of a Table 1 device with `pages` layers and speed `ratio`.
@@ -110,40 +110,12 @@ proptest! {
         }
     }
 
-    /// Program order is strictly sequential: programming any page other than the
-    /// next free one is always rejected and leaves the block untouched.
-    #[test]
-    fn out_of_order_programs_always_rejected(
-        target in 0usize..8,
-        programmed in 0usize..8,
-    ) {
-        let config = NandConfig::builder()
-            .chips(1)
-            .blocks_per_chip(1)
-            .pages_per_block(8)
-            .page_size_bytes(4096)
-            .build()
-            .unwrap();
-        let mut device = NandDevice::new(config);
-        let block = BlockAddr::new(ChipId(0), 0);
-        for _ in 0..programmed {
-            device.program_next(block).unwrap();
-        }
-        let before = device.block(block).unwrap().clone();
-        if target != programmed {
-            prop_assert!(device.program(block, PageId(target)).is_err());
-            prop_assert_eq!(device.block(block).unwrap(), &before);
-        } else {
-            prop_assert!(device.program(block, PageId(target)).is_ok());
-        }
-    }
-
     /// Whatever interleaving of allocate / program / invalidate / erase / retire
-    /// an FTL issues, each chip's O(1) free-block counter equals a brute-force
-    /// recount of blocks in the `Free` state, the garbage-collection candidate
-    /// index equals a brute-force scan for full blocks with invalid pages (and
-    /// therefore never yields a `Bad` block), the bad-block counter matches a
-    /// state scan, and the allocatable count never exceeds the free count.
+    /// an FTL issues, the allocatable count is exactly the blocks in the `Free`
+    /// state that are not leased out, the garbage-collection candidate index
+    /// equals a brute-force scan for full blocks with invalid pages (and
+    /// therefore never yields a `Bad` block), and the bad-block counter matches
+    /// a state scan.
     #[test]
     fn free_list_accounting_matches_brute_force(
         ops in proptest::collection::vec((0u8..5, 0usize..8, 0usize..6), 1..300),
@@ -222,19 +194,11 @@ proptest! {
                 }
             }
 
-            // Per-chip O(1) counters vs. brute-force recount.
             for chip_index in 0..chips {
                 let chip = device.chip(ChipId(chip_index)).unwrap();
-                let recount = chip.iter().filter(|b| b.state() == BlockState::Free).count();
-                prop_assert_eq!(chip.free_blocks(), recount, "chip {} free count", chip_index);
-                prop_assert!(chip.available_blocks() <= chip.free_blocks());
+                let free = chip.iter().filter(|b| b.state() == BlockState::Free).count();
+                prop_assert!(chip.available_blocks() <= free, "chip {} pool", chip_index);
             }
-            prop_assert_eq!(
-                device.free_block_count(),
-                device.block_addrs()
-                    .filter(|&a| device.block(a).unwrap().state() == BlockState::Free)
-                    .count()
-            );
 
             // Victim index vs. brute-force scan: excluding each pick in turn
             // drains the candidates in greedy order — most invalid pages first,
@@ -254,27 +218,130 @@ proptest! {
             prop_assert_eq!(drained, expected);
             prop_assert_eq!(device.check_invariants(), Ok(()));
 
-            // Bad-block accounting: the O(chips) counter matches a state scan,
-            // and bad blocks are never allocatable.
-            prop_assert_eq!(
-                device.bad_block_count(),
-                device.block_addrs()
-                    .filter(|&a| device.block(a).unwrap().state() == BlockState::Bad)
-                    .count()
-            );
-            if let Some(free) = device.any_free_block() {
-                prop_assert!(!device.block(free).unwrap().is_bad());
-            }
+            // Bad-block accounting: the O(chips) counter matches a state scan.
+            let in_state = |state| {
+                device.block_addrs().filter(|&a| device.block(a).unwrap().state() == state).count()
+            };
+            prop_assert_eq!(device.bad_block_count(), in_state(BlockState::Bad));
 
             // The allocatable pool is exactly the free blocks minus leased ones.
             prop_assert_eq!(
                 device.available_blocks(),
-                device.free_block_count()
+                in_state(BlockState::Free)
                     - leased
                         .iter()
                         .filter(|&&b| device.block(b).unwrap().state() == BlockState::Free)
                         .count()
             );
+        }
+    }
+
+    /// Allocation order: each chip's pool is a plain FIFO and `allocate_block`
+    /// walks the chips round-robin from a cursor. Allocation pops the front of
+    /// the first non-empty pool from the cursor on, an erase puts a block that
+    /// is not pooled at the back, and a block that is programmed (or fails to
+    /// program) or retired leaves its pool. Whatever interleaving of allocate,
+    /// program on leased and on still-pooled blocks, invalidate, erase and
+    /// retire runs — with injected program and erase failures — the device
+    /// answers every allocation as the model does, and after every step its
+    /// pool counts, its whole remaining allocation order (drained on a clone)
+    /// and `check_invariants` agree with the model.
+    #[test]
+    fn allocation_order_matches_the_fifo_model(
+        chips in 1usize..5,
+        fault_seed in 0u64..1_000,
+        steps in proptest::collection::vec((0u8..8, 0usize..1 << 12, 0usize..8), 1..300),
+    ) {
+        use std::collections::VecDeque;
+
+        let blocks_per_chip = 6usize;
+        let pages_per_block = 2usize;
+        let mut faults = FaultConfig::enabled(fault_seed);
+        faults.program_fail_base = 0.02;
+        faults.erase_fail_base = 0.05;
+        faults.rber_scale = 0.0;
+        let config = NandConfig::builder()
+            .chips(chips)
+            .blocks_per_chip(blocks_per_chip)
+            .pages_per_block(pages_per_block)
+            .page_size_bytes(4096)
+            .faults(faults)
+            .build()
+            .unwrap();
+        let mut device = NandDevice::new(config);
+        let mut pools: Vec<VecDeque<usize>> =
+            (0..chips).map(|_| (0..blocks_per_chip).collect()).collect();
+        let mut cursor = 0usize;
+        let allocate = |pools: &mut [VecDeque<usize>], cursor: &mut usize| {
+            let start = *cursor;
+            (0..chips).map(|offset| (start + offset) % chips).find_map(|chip| {
+                let index = pools[chip].pop_front()?;
+                *cursor = (chip + 1) % chips;
+                Some(BlockAddr::new(ChipId(chip), index))
+            })
+        };
+        let unpool = |pools: &mut [VecDeque<usize>], block: BlockAddr| {
+            pools[block.chip().0].retain(|&index| index != block.index());
+        };
+
+        for (op, selector, page) in steps {
+            let chip = selector % chips;
+            let block = BlockAddr::new(ChipId(chip), selector / chips % blocks_per_chip);
+            match op {
+                0 | 1 => {
+                    let expected = allocate(&mut pools, &mut cursor);
+                    prop_assert_eq!(device.allocate_block(), expected);
+                }
+                2 | 3 => {
+                    // Program a block: a still-pooled one on 2, any block on 3.
+                    let pool = &pools[chip];
+                    let block = if op == 2 && !pool.is_empty() {
+                        BlockAddr::new(ChipId(chip), pool[page % pool.len()])
+                    } else {
+                        block
+                    };
+                    match device.program_next(block) {
+                        Ok(_) | Err(NandError::ProgramFailed { .. }) => unpool(&mut pools, block),
+                        Err(NandError::BlockFull { .. }) => {}
+                        Err(other) => return Err(TestCaseError::fail(format!("{other}"))),
+                    }
+                }
+                4 => {
+                    let _ = device.invalidate(block.page(PageId(page % pages_per_block)));
+                }
+                5 | 6 => {
+                    for page in 0..pages_per_block {
+                        let _ = device.invalidate(block.page(PageId(page)));
+                    }
+                    match device.erase(block) {
+                        Ok(_) => {
+                            if !pools[chip].contains(&block.index()) {
+                                pools[chip].push_back(block.index());
+                            }
+                        }
+                        Err(NandError::EraseFailed { .. }) => unpool(&mut pools, block),
+                        Err(other) => return Err(TestCaseError::fail(format!("{other}"))),
+                    }
+                }
+                _ => {
+                    device.retire_block(block).unwrap();
+                    unpool(&mut pools, block);
+                }
+            }
+            for (chip, pool) in pools.iter().enumerate() {
+                let kept = device.chip(ChipId(chip)).unwrap().available_blocks();
+                prop_assert_eq!(kept, pool.len(), "chip {} pool size", chip);
+            }
+            prop_assert_eq!(device.available_blocks(), pools.iter().map(VecDeque::len).sum::<usize>());
+            prop_assert_eq!(device.check_invariants(), Ok(()));
+            let (mut drained, mut model, mut model_cursor) = (device.clone(), pools.clone(), cursor);
+            loop {
+                let expected = allocate(&mut model, &mut model_cursor);
+                prop_assert_eq!(drained.allocate_block(), expected, "remaining allocation order");
+                if expected.is_none() {
+                    break;
+                }
+            }
         }
     }
 

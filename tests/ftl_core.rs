@@ -90,7 +90,7 @@ fn sustained_overwrites_trigger_gc_and_stay_readable<P: Placement>(
     }
     assert!(ftl.metrics().gc_erased_blocks > 0, "GC never ran");
     assert_eq!(ftl.metrics().host_writes, logical * 10);
-    assert!(ftl.free_blocks() >= 1);
+    assert!(ftl.device().available_blocks() >= 1);
     // Every LPN is still readable after heavy GC.
     for i in 0..logical {
         ftl.read(Lpn(i)).unwrap();

@@ -14,11 +14,14 @@
 //!   — most importantly — the skew of re-access frequency (hot/cold behaviour).
 //!
 //! A workload is just a [`Trace`]: an ordered list of [`IoRequest`]s plus derived
-//! [`TraceStats`]. A trace stores each request in 16 bytes — the arrival time,
-//! then one word packing a 40-bit offset, `length - 1` in 23 bits and the op —
-//! and keeps a request that does not fit (an offset from `2^40 - 1` up, about
-//! 1 TiB; a length over `2^23` bytes, 8 MiB) whole in a side table, at 40
-//! bytes instead of 16. Requests come out
+//! [`TraceStats`]. A trace stores each request in 12 bytes — one word packing a
+//! 40-bit offset, `length - 1` in 23 bits and the op, then a 32-bit arrival
+//! offset from the first arrival of its 64-request chunk, whose 16-byte header
+//! holds that base. A chunk that holds an arrival before its first, or 2^32 ns
+//! (4.3 s) or more after it, is *far*: it keeps its arrivals' high halves
+//! beside it, at 16 bytes per request. A request that does not pack (an offset
+//! from `2^40 - 1` up, about 1 TiB; a length over `2^23` bytes, 8 MiB) is kept
+//! whole in a side table, 24 bytes more. Requests come out
 //! by value ([`Trace::iter`], [`Trace::get`]); the generators and the parser
 //! push straight into a [`Trace::with_capacity`], so no wider copy exists
 //! while a trace is built. A replay reads a [`TraceSlice`], which

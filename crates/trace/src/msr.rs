@@ -48,11 +48,14 @@ impl Error for ParseTraceError {}
 ///
 /// The input is consumed **streaming, line by line**, into a single reused buffer:
 /// neither the file nor per-line `String`s are materialised, so multi-GB raw traces
-/// parse within a constant memory budget (plus the decoded [`Trace`], 16 bytes per
-/// request, which the parser pushes into directly).
+/// parse within a constant memory budget (plus the decoded [`Trace`], which the
+/// parser pushes into directly: 12 bytes per request, 16 in a 64-request chunk
+/// that holds an inversion or a gap of 4.3 s or more).
 ///
-/// Timestamps are re-based so the first request arrives at time zero. Blank lines are
-/// skipped. Requests with zero size are skipped (they occasionally appear in the raw
+/// Timestamps are re-based so the first request arrives at time zero. A line
+/// stamped before the file's first request arrives at time zero too (the
+/// difference saturates), without an error: real files carry such minor
+/// inversions near their head. Blank lines are skipped. Requests with zero size are skipped (they occasionally appear in the raw
 /// traces and carry no FTL-visible work).
 ///
 /// # Errors
@@ -607,5 +610,57 @@ mod tests {
         ] {
             assert!(parse(csv.as_bytes(), "t").is_err(), "should reject: {csv}");
         }
+    }
+
+    /// A real trace's shapes, generated: an idle gap of 10 s, a line stamped
+    /// before the file's first request and a 200-line stretch at 2 IOPS. The
+    /// parser returns every request exactly (the early line folded onto
+    /// t = 0, not refused), and the chunks those shapes turn far cost at most
+    /// 16 bytes per request.
+    #[test]
+    fn real_trace_shapes_round_trip_at_16_bytes_per_request_or_less() {
+        const FIRST: u64 = 128_166_372_003_061_629;
+        let mut ticks = Vec::new();
+        let mut clock = FIRST;
+        // (lines, ticks after each): 10^8 ticks is 10 s, 5 * 10^6 is 2 IOPS.
+        for (lines, gap) in
+            [(99, 1_000), (1, 100_000_000), (100, 1_000), (200, 5_000_000), (100, 1_000)]
+        {
+            for _ in 0..lines {
+                ticks.push(clock);
+                clock += gap;
+            }
+        }
+        ticks.insert(150, FIRST - 5_000);
+        let mut csv = String::new();
+        let mut expected = Vec::new();
+        for (index, &tick) in ticks.iter().enumerate() {
+            let (op, offset, size) = if index % 3 == 0 {
+                ("Write", index as u64 * 8_192, 8_192)
+            } else {
+                ("Read", index as u64 * 4_096 + (1 << 35), 4_096)
+            };
+            csv.push_str(&format!("{tick},host,0,{op},{offset},{size},10\n"));
+            let op = if op == "Write" { IoOp::Write } else { IoOp::Read };
+            expected.push(IoRequest::new(tick.saturating_sub(FIRST) * 100, op, offset, size));
+        }
+        assert_eq!(expected[150].at_nanos, 0, "an early line folds onto t = 0");
+
+        let trace = parse(csv.as_bytes(), "shapes").unwrap();
+        assert_eq!(trace.iter().collect::<Vec<_>>(), expected);
+        for (index, &request) in expected.iter().enumerate() {
+            assert_eq!(trace.get(index), Some(request));
+        }
+        let footprint = trace.footprint();
+        assert_eq!(footprint.wide, 0);
+        // Far: chunk 1 (the idle gap), 2 (the early line), 3 to 6 (2 IOPS);
+        // chunks 0 and 7 stay narrow.
+        assert_eq!(footprint.far_chunks, 6);
+        let far_requests = 6 * 64;
+        assert_eq!(
+            footprint.bytes,
+            expected.len() * 12 + far_requests * 4 + footprint.header_bytes
+        );
+        assert!(footprint.bytes <= expected.len() * 16 + footprint.header_bytes);
     }
 }

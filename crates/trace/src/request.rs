@@ -97,71 +97,124 @@ impl PageSplitter {
     }
 }
 
-/// Bits of a packed record's word that hold the byte offset.
+/// Bits of a packed word that hold the byte offset.
 const OFFSET_BITS: u32 = 40;
-/// Bits of a packed record's word that hold `length - 1`.
+/// Bits of a packed word that hold `length - 1`.
 const LENGTH_BITS: u32 = 23;
-/// The word of a record whose request is in the side table, at the index the
-/// record's first field holds. No packed word equals it: that would take the
-/// offset `2^40 - 1`, which is stored wide.
+/// The word of a request kept whole in the side table, at the index its
+/// 32-bit field holds. No packed word equals it: that would take the offset
+/// `2^40 - 1`, which is stored wide.
 const WIDE: u64 = u64::MAX;
+/// `log2` of [`CHUNK`].
+const CHUNK_BITS: u32 = 6;
+/// Consecutive requests under one [`Chunk`] header.
+const CHUNK: usize = 1 << CHUNK_BITS;
+/// [`Chunk::far`] of a narrow chunk.
+const NARROW: u32 = u32::MAX;
 
-/// One request of a [`Trace`] in 16 bytes: the arrival time, then a word
-/// holding the offset (bits 24..64), `length - 1` (bits 1..24) and the op
-/// (bit 0, set for a write).
+/// `request`'s offset (bits 24..64), `length - 1` (bits 1..24) and op (bit 0,
+/// set for a write) in one word, or [`WIDE`] when its offset or length does
+/// not fit (or its length is zero, which only a struct literal can make).
+#[inline]
+fn pack(request: IoRequest) -> u64 {
+    let fits = request.offset < (1 << OFFSET_BITS) - 1
+        && (1..=1 << LENGTH_BITS).contains(&request.length);
+    if !fits {
+        return WIDE;
+    }
+    request.offset << (LENGTH_BITS + 1)
+        | u64::from(request.length - 1) << 1
+        | u64::from(request.op == IoOp::Write)
+}
+
+/// The header of 64 consecutive requests of a [`Trace`] (the last chunk may
+/// hold fewer), 16 bytes.
+///
+/// A chunk is *narrow* while the arrival of each of its packed requests lies
+/// in `base..base + 2^32` ns: each stores its offset from `base` in its 32-bit
+/// field. The first packed arrival outside that window (an inversion, or a
+/// gap of 2^32 ns, about 4.3 s, or more) turns the chunk *far*: every request
+/// of it, those already pushed included, then stores its arrival's low half
+/// in its field and the high half in [`Trace`]'s `highs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Record {
-    at_nanos: u64,
-    word: u64,
+struct Chunk {
+    /// The arrival of the chunk's first request.
+    base: u64,
+    /// [`NARROW`], or the ordinal of the far chunk among the trace's far
+    /// chunks: its high halves are `highs[far * 64..]`, one per request.
+    far: u32,
 }
 
-impl Record {
-    /// `request` packed, or `None` when its offset or length does not fit the
-    /// word (or its length is zero, which only a struct literal can make).
-    fn pack(request: IoRequest) -> Option<Record> {
-        let fits = request.offset < (1 << OFFSET_BITS) - 1
-            && (1..=1 << LENGTH_BITS).contains(&request.length);
-        fits.then(|| Record {
-            at_nanos: request.at_nanos,
-            word: request.offset << (LENGTH_BITS + 1)
-                | u64::from(request.length - 1) << 1
-                | u64::from(request.op == IoOp::Write),
-        })
-    }
+/// The parts of a [`Trace`] a request may need beyond its word and field,
+/// indexed by the request's position in the whole trace.
+#[derive(Debug, Clone, Copy)]
+struct Headers<'a> {
+    chunks: &'a [Chunk],
+    highs: &'a [u32],
+    wide: &'a [IoRequest],
+}
 
-    /// The request this record holds; `wide` is its trace's side table.
+impl Headers<'_> {
+    /// The request at position `at` of the trace, stored as `word` and `field`.
     #[inline]
-    fn unpack(self, wide: &[IoRequest]) -> IoRequest {
-        if self.word == WIDE {
-            return wide[self.at_nanos as usize];
+    fn unpack(&self, at: usize, word: u64, field: u32) -> IoRequest {
+        if word == WIDE {
+            return self.wide[field as usize];
         }
+        let chunk = self.chunks[at >> CHUNK_BITS];
+        let at_nanos = if chunk.far == NARROW {
+            chunk.base + u64::from(field)
+        } else {
+            let high = self.highs[((chunk.far as usize) << CHUNK_BITS) | (at % CHUNK)];
+            u64::from(high) << 32 | u64::from(field)
+        };
         IoRequest {
-            at_nanos: self.at_nanos,
-            op: if self.word & 1 == 0 { IoOp::Read } else { IoOp::Write },
-            offset: self.word >> (LENGTH_BITS + 1),
-            length: ((self.word >> 1) & ((1 << LENGTH_BITS) - 1)) as u32 + 1,
+            at_nanos,
+            op: if word & 1 == 0 { IoOp::Read } else { IoOp::Write },
+            offset: word >> (LENGTH_BITS + 1),
+            length: ((word >> 1) & ((1 << LENGTH_BITS) - 1)) as u32 + 1,
         }
     }
 }
 
-/// An ordered sequence of I/O requests, 16 bytes per request.
+/// An ordered sequence of I/O requests, 12 bytes per request plus a 16-byte
+/// header per 64 requests.
 ///
 /// Time ordering is *not* validated — real traces contain ties and minor
-/// inversions. A request is stored packed (see `Record`) when its offset is
-/// below `2^40 - 1` (1 TiB) and its length at most `2^23` bytes (8 MiB), as
-/// every request of the stock synthetic workloads is. One that does not fit
-/// is kept whole in a side
-/// table — 16 bytes of record plus 24 of side entry — so any [`IoRequest`]
-/// comes back exactly as it went in. Requests are yielded by value.
+/// inversions. A request is stored as one packed word (offset, length, op)
+/// and one 32-bit field, when its offset is below `2^40 - 1` (1 TiB) and its
+/// length at most `2^23` bytes (8 MiB), as every request of the stock
+/// synthetic workloads is. Every 64 consecutive requests (a *chunk*) share a
+/// header holding their first arrival; in a *narrow* chunk the field is the
+/// request's arrival offset from it. A chunk that meets an arrival before its
+/// first one, or 2^32 ns (4.3 s) or more after it, turns *far* and keeps each
+/// of its arrivals' high halves in a side vector: its requests cost 16 bytes.
+/// A request that does not pack is kept whole in a side table, 24 bytes more,
+/// so any [`IoRequest`] comes back exactly as it went in. Requests are
+/// yielded by value.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     name: String,
-    records: Vec<Record>,
+    /// Each request's packed word, or [`WIDE`].
+    words: Vec<u64>,
+    /// Each request's arrival offset from its chunk's base (narrow chunk),
+    /// its arrival's low half (far chunk) or its index in `wide`.
+    fields: Vec<u32>,
+    /// One header per 64 requests; the last is the *open* chunk, which the
+    /// next push fills unless it holds 64.
+    chunks: Vec<Chunk>,
+    /// The far chunks' arrival high halves, 64 per chunk (as many as it
+    /// holds for the open chunk), 0 for a wide request.
+    highs: Vec<u32>,
     /// The requests that do not pack, in trace order. Only `push` adds to a
-    /// trace and nothing removes from one, so the table holds exactly the
-    /// wide requests of `records`: equal requests are equal fields, and the
-    /// derived `PartialEq` means "same name, same requests".
+    /// trace and nothing removes from one, and a chunk's mode is a function
+    /// of the requests pushed into it, so equal requests are equal fields and
+    /// the derived `PartialEq` means "same name, same requests".
     wide: Vec<IoRequest>,
+    /// The open chunk's base, kept here so that `push` reads no header.
+    base: u64,
+    /// Whether the open chunk is far.
+    far: bool,
 }
 
 impl Trace {
@@ -175,16 +228,81 @@ impl Trace {
     /// An empty trace with room for `capacity` requests: what a generator or
     /// parser pushes into, so no second copy of the requests ever exists.
     pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        Trace { name: name.into(), records: Vec::with_capacity(capacity), wide: Vec::new() }
+        Trace {
+            name: name.into(),
+            words: Vec::with_capacity(capacity),
+            fields: Vec::with_capacity(capacity),
+            chunks: Vec::with_capacity(capacity.div_ceil(CHUNK)),
+            ..Trace::default()
+        }
     }
 
     /// Appends `request`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `2^32` requests that do not pack (96 GiB of side table).
+    // Always inlined: the generators push from five sites in one loop, and
+    // left to itself the compiler called `push` out of line, which cost
+    // generation a few nanoseconds per request.
+    #[inline(always)]
     pub fn push(&mut self, request: IoRequest) {
-        let record = Record::pack(request).unwrap_or_else(|| {
+        let slot = self.words.len() % CHUNK;
+        if slot == 0 {
+            self.base = request.at_nanos;
+            self.far = false;
+            self.chunks.push(Chunk { base: request.at_nanos, far: NARROW });
+        }
+        let word = pack(request);
+        let offset = request.at_nanos.wrapping_sub(self.base);
+        if word != WIDE && offset <= u64::from(u32::MAX) && !self.far {
+            self.words.push(word);
+            self.fields.push(offset as u32);
+        } else {
+            self.push_apart(slot, word, request);
+        }
+    }
+
+    /// [`Trace::push`] of a request that is wide, turns its chunk far or
+    /// lands in a far chunk; `slot` is its position in the open chunk.
+    fn push_apart(&mut self, slot: usize, word: u64, request: IoRequest) {
+        let field = if word == WIDE {
             self.wide.push(request);
-            Record { at_nanos: (self.wide.len() - 1) as u64, word: WIDE }
-        });
-        self.records.push(record);
+            u32::try_from(self.wide.len() - 1).expect("a trace holds at most 2^32 wide requests")
+        } else {
+            if !self.far {
+                self.turn_far(slot);
+            }
+            request.at_nanos as u32
+        };
+        if self.far {
+            self.highs.push(if word == WIDE { 0 } else { (request.at_nanos >> 32) as u32 });
+        }
+        self.words.push(word);
+        self.fields.push(field);
+    }
+
+    /// Turns the open chunk far. Its first `slot` requests, stored narrow,
+    /// keep their exact arrivals: each field becomes the arrival's low half
+    /// and the high half goes to `highs`.
+    fn turn_far(&mut self, slot: usize) {
+        let ordinal = u32::try_from(self.highs.len() / CHUNK)
+            .ok()
+            .filter(|&ordinal| ordinal != NARROW)
+            .expect("a trace holds fewer than 2^32 - 1 far chunks");
+        self.chunks.last_mut().expect("a push opened the chunk").far = ordinal;
+        self.far = true;
+        let first = self.words.len() - slot;
+        for (&word, field) in self.words[first..].iter().zip(&mut self.fields[first..]) {
+            let high = if word == WIDE {
+                0
+            } else {
+                let at_nanos = self.base + u64::from(*field);
+                *field = at_nanos as u32;
+                (at_nanos >> 32) as u32
+            };
+            self.highs.push(high);
+        }
     }
 
     /// Human-readable name of the workload (e.g. `"media-server"`).
@@ -194,17 +312,23 @@ impl Trace {
 
     /// Number of requests.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.words.len()
     }
 
     /// Whether the trace contains no requests.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.words.is_empty()
     }
 
     /// The whole trace as a [`TraceSlice`].
     pub fn as_slice(&self) -> TraceSlice<'_> {
-        TraceSlice { name: &self.name, records: &self.records, wide: &self.wide }
+        TraceSlice {
+            name: &self.name,
+            words: &self.words,
+            fields: &self.fields,
+            start: 0,
+            headers: Headers { chunks: &self.chunks, highs: &self.highs, wide: &self.wide },
+        }
     }
 
     /// The request at `index`, or `None` past the end.
@@ -277,9 +401,13 @@ impl fmt::Debug for Trace {
 #[derive(Clone, Copy)]
 pub struct TraceSlice<'a> {
     name: &'a str,
-    records: &'a [Record],
-    /// The whole trace's side table: wide records index it absolutely.
-    wide: &'a [IoRequest],
+    words: &'a [u64],
+    fields: &'a [u32],
+    /// The position of the slice's first request in the trace, which the
+    /// chunk headers are indexed by.
+    start: usize,
+    /// The whole trace's headers, high halves and side table.
+    headers: Headers<'a>,
 }
 
 impl<'a> TraceSlice<'a> {
@@ -290,23 +418,28 @@ impl<'a> TraceSlice<'a> {
 
     /// Number of requests.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.words.len()
     }
 
     /// Whether the slice contains no requests.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.words.is_empty()
     }
 
     /// The request at `index`, or `None` past the end.
     #[inline]
     pub fn get(&self, index: usize) -> Option<IoRequest> {
-        self.records.get(index).map(|record| record.unpack(self.wide))
+        let word = *self.words.get(index)?;
+        Some(self.headers.unpack(self.start + index, word, self.fields[index]))
     }
 
     /// Iterates over the requests in arrival order.
     pub fn iter(&self) -> TraceIter<'a> {
-        TraceIter { records: self.records.iter(), wide: self.wide }
+        TraceIter {
+            stored: self.words.iter().zip(self.fields),
+            at: self.start,
+            headers: self.headers,
+        }
     }
 
     /// The first `mid` requests and the rest.
@@ -315,12 +448,16 @@ impl<'a> TraceSlice<'a> {
     ///
     /// Panics if `mid` exceeds the length.
     pub fn split_at(self, mid: usize) -> (TraceSlice<'a>, TraceSlice<'a>) {
-        let (head, tail) = self.records.split_at(mid);
-        (TraceSlice { records: head, ..self }, TraceSlice { records: tail, ..self })
+        let (head_words, tail_words) = self.words.split_at(mid);
+        let (head_fields, tail_fields) = self.fields.split_at(mid);
+        (
+            TraceSlice { words: head_words, fields: head_fields, ..self },
+            TraceSlice { words: tail_words, fields: tail_fields, start: self.start + mid, ..self },
+        )
     }
 }
 
-/// Prints the requests, not their packed records.
+/// Prints the requests, not their packed words.
 impl fmt::Debug for TraceSlice<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Trace")
@@ -339,8 +476,10 @@ impl<'a> From<&'a Trace> for TraceSlice<'a> {
 /// The requests of a [`Trace`] or [`TraceSlice`], by value.
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
-    records: std::slice::Iter<'a, Record>,
-    wide: &'a [IoRequest],
+    stored: std::iter::Zip<std::slice::Iter<'a, u64>, std::slice::Iter<'a, u32>>,
+    /// The position in the trace of the next request.
+    at: usize,
+    headers: Headers<'a>,
 }
 
 impl Iterator for TraceIter<'_> {
@@ -348,11 +487,14 @@ impl Iterator for TraceIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<IoRequest> {
-        self.records.next().map(|record| record.unpack(self.wide))
+        let (&word, &field) = self.stored.next()?;
+        let request = self.headers.unpack(self.at, word, field);
+        self.at += 1;
+        Some(request)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
+        self.stored.size_hint()
     }
 }
 
@@ -387,9 +529,45 @@ impl FromIterator<IoRequest> for Trace {
 impl Extend<IoRequest> for Trace {
     fn extend<T: IntoIterator<Item = IoRequest>>(&mut self, iter: T) {
         let iter = iter.into_iter();
-        self.records.reserve(iter.size_hint().0);
+        let additional = iter.size_hint().0;
+        self.words.reserve(additional);
+        self.fields.reserve(additional);
+        self.chunks.reserve((self.len() + additional).div_ceil(CHUNK) - self.chunks.len());
         for request in iter {
             self.push(request);
+        }
+    }
+}
+
+/// What a [`Trace`] stores, counted by length rather than capacity.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Footprint {
+    /// Bytes of words, fields, headers, high halves and side table.
+    pub bytes: usize,
+    /// The chunk headers among `bytes`.
+    pub header_bytes: usize,
+    /// Far chunks.
+    pub far_chunks: usize,
+    /// Requests kept whole in the side table.
+    pub wide: usize,
+}
+
+#[cfg(test)]
+impl Trace {
+    /// What the trace stores.
+    pub(crate) fn footprint(&self) -> Footprint {
+        use std::mem::size_of;
+        let header_bytes = self.chunks.len() * size_of::<Chunk>();
+        Footprint {
+            bytes: self.words.len() * size_of::<u64>()
+                + self.fields.len() * size_of::<u32>()
+                + header_bytes
+                + self.highs.len() * size_of::<u32>()
+                + self.wide.len() * size_of::<IoRequest>(),
+            header_bytes,
+            far_chunks: self.highs.len().div_ceil(CHUNK),
+            wide: self.wide.len(),
         }
     }
 }
@@ -482,8 +660,24 @@ mod tests {
         assert_eq!(cut.name(), "t");
     }
 
+    /// `n` packed requests, arrivals `gap` ns apart.
+    fn spaced(n: usize, gap: u64) -> Trace {
+        (0..n as u64).map(|i| IoRequest::new(i * gap, IoOp::Read, i * 4096, 4096)).collect()
+    }
+
     #[test]
-    fn a_record_is_16_bytes() {
-        assert_eq!(std::mem::size_of::<Record>(), 16);
+    fn a_request_is_12_bytes_in_a_narrow_chunk_and_16_in_a_far_one() {
+        assert!(std::mem::size_of::<Chunk>() <= 16);
+        for n in [0usize, 1, 63, 64, 65, 129, 1_000] {
+            let headers = n.div_ceil(64) * std::mem::size_of::<Chunk>();
+            let narrow = spaced(n, 1_000).footprint();
+            assert_eq!((narrow.bytes, narrow.header_bytes), (n * (8 + 4) + headers, headers));
+            assert_eq!((narrow.far_chunks, narrow.wide), (0, 0));
+            // 2^32 ns apart: every chunk of two requests or more is far.
+            let far = spaced(n, 1 << 32).footprint();
+            let far_requests = n - n % 64 + if n % 64 > 1 { n % 64 } else { 0 };
+            assert_eq!(far.bytes, n * (8 + 4) + far_requests * 4 + headers, "{n} requests");
+            assert!(far.bytes <= n * 16 + headers);
+        }
     }
 }

@@ -984,4 +984,22 @@ mod tests {
             SkewedParams { read_ratio: 1.5, ..SkewedParams::default() },
         );
     }
+
+    /// At the repo benchmark's scales, every chunk of the stock traces is
+    /// narrow and every request packs: 12 bytes per request plus one header
+    /// per 64, no far high halves and no side table.
+    #[test]
+    fn benchmark_scale_traces_store_only_narrow_chunks() {
+        let config = SyntheticConfig { requests: 400_000, seed: 7, ..Default::default() };
+        let probed = SyntheticConfig {
+            arrival: ArrivalModel::Pareto { shape: 1.5, mean_iops: 262.0 },
+            ..config
+        };
+        for trace in [web_sql_server(config), media_server(config), web_sql_server(probed)] {
+            let footprint = trace.footprint();
+            assert_eq!((footprint.far_chunks, footprint.wide), (0, 0), "{}", trace.name());
+            assert_eq!(footprint.bytes, 400_000 * (8 + 4) + footprint.header_bytes);
+            assert!(footprint.header_bytes <= 400_000_usize.div_ceil(64) * 16);
+        }
+    }
 }

@@ -1,8 +1,11 @@
-//! A [`Trace`] stores its requests packed, 16 bytes each, with the few that do
-//! not fit the packed word kept whole in a side table. These tests hold it to
-//! the plain `Vec<IoRequest>` it replaced: the same operations on both must
-//! give the same requests, lengths, statistics and equalities, at and around
-//! every packing boundary (a 40-bit offset, a 23-bit `length - 1`).
+//! A [`Trace`] stores its requests packed, 12 bytes each plus a header per 64
+//! requests (16 bytes each in a chunk whose arrivals do not fit 32-bit offsets
+//! from its first), with the few that do not fit the packed word kept whole in
+//! a side table. These tests hold it to the plain `Vec<IoRequest>` it replaced:
+//! the same operations on both must give the same requests, lengths,
+//! statistics and equalities, at and around every packing boundary (a 40-bit
+//! offset, a 23-bit `length - 1`, a 64-request chunk, a 2^32 ns arrival
+//! window on either side of a chunk's first arrival).
 
 use proptest::prelude::*;
 
@@ -15,6 +18,10 @@ const FIRST_WIDE_OFFSET: u64 = (1 << 40) - 1;
 const LONGEST_PACKED: u32 = 1 << 23;
 /// Stands for "as high as the length allows": `u64::MAX - length`.
 const TOP: u64 = u64::MAX;
+/// Requests under one chunk header.
+const CHUNK: usize = 64;
+/// The first arrival offset from a chunk's first arrival that turns it far.
+const WINDOW: u64 = 1 << 32;
 
 fn request(at_nanos: u64, offset: u64, length: u32, write: bool) -> IoRequest {
     let offset = if offset == TOP { u64::MAX - u64::from(length) } else { offset };
@@ -22,8 +29,9 @@ fn request(at_nanos: u64, offset: u64, length: u32, write: bool) -> IoRequest {
     IoRequest::new(at_nanos, op, offset, length)
 }
 
-/// Offsets and lengths on both sides of each packing boundary, and between.
-fn requests() -> impl Strategy<Value = IoRequest> {
+/// Offsets, lengths and ops on both sides of each packing boundary, and
+/// between: `request`'s arguments but the arrival.
+fn shapes() -> impl Strategy<Value = (u64, u32, bool)> {
     let offset = prop_oneof![
         Just(FIRST_WIDE_OFFSET - 1),
         Just(FIRST_WIDE_OFFSET),
@@ -38,8 +46,73 @@ fn requests() -> impl Strategy<Value = IoRequest> {
         Just(u32::MAX),
         1u32..LONGEST_PACKED,
     ];
-    (any::<u64>(), offset, length, any::<bool>())
-        .prop_map(|(at, offset, length, write)| request(at, offset, length, write))
+    (offset, length, any::<bool>())
+}
+
+/// Mostly packed shapes, a wide one now and then.
+fn mostly_packed() -> impl Strategy<Value = (u64, u32, bool)> {
+    let packed = (0u64..FIRST_WIDE_OFFSET, 1u32..LONGEST_PACKED + 1, any::<bool>());
+    (0u8..9, packed, shapes()).prop_map(|(pick, packed, any)| if pick == 0 { any } else { packed })
+}
+
+/// Requests of any shape at any arrival: a chunk of them is almost always far.
+fn requests() -> impl Strategy<Value = IoRequest> {
+    (any::<u64>(), shapes())
+        .prop_map(|(at, (offset, length, write))| request(at, offset, length, write))
+}
+
+/// How a request's arrival follows the trace so far.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// This many nanoseconds after the previous request, as every stock
+    /// generator spaces them.
+    After(u32),
+    /// The last arrival that keeps the chunk narrow: its first plus `2^32 - 1`.
+    Edge,
+    /// The first one past it: the chunk's first arrival plus `2^32`.
+    Past,
+    /// One nanosecond before the chunk's first arrival, an inversion.
+    Before,
+    /// `u64::MAX`.
+    Max,
+}
+
+fn arrival() -> impl Strategy<Value = Arrival> {
+    (0u8..28, 0u32..200_000).prop_map(|(pick, gap)| match pick {
+        0 => Arrival::Edge,
+        1 => Arrival::Past,
+        2 => Arrival::Before,
+        3 => Arrival::Max,
+        _ => Arrival::After(gap),
+    })
+}
+
+/// The requests `arrivals` and `shapes` describe, the first arriving at
+/// `first`.
+fn build(first: u64, arrivals: &[Arrival], shapes: &[(u64, u32, bool)]) -> Vec<IoRequest> {
+    let (mut clock, mut base) = (first, first);
+    let mut model = Vec::with_capacity(arrivals.len());
+    for (index, (&arrival, &(offset, length, write))) in arrivals.iter().zip(shapes).enumerate() {
+        let at_nanos = match arrival {
+            _ if index == 0 => first,
+            Arrival::After(gap) => clock.saturating_add(u64::from(gap)),
+            Arrival::Edge => base.saturating_add(WINDOW - 1),
+            Arrival::Past => base.saturating_add(WINDOW),
+            Arrival::Before => base.wrapping_sub(1),
+            Arrival::Max => u64::MAX,
+        };
+        if index % CHUNK == 0 {
+            base = at_nanos;
+        }
+        clock = at_nanos;
+        model.push(request(at_nanos, offset, length, write));
+    }
+    model
+}
+
+/// A request of 4 KiB at `offset` pages, arriving at `at_nanos`.
+fn page(at_nanos: u64, offset: u64) -> IoRequest {
+    IoRequest::new(at_nanos, IoOp::Write, offset * 4096, 4096)
 }
 
 #[derive(Debug, Clone)]
@@ -86,7 +159,7 @@ fn agrees(trace: &Trace, model: &[IoRequest]) -> Result<(), TestCaseError> {
     );
 
     // Equality is "same name, same requests": a trace equals the one built
-    // fresh from its requests, so a side-table entry no record refers to
+    // fresh from its requests, so a side-table entry no request refers to
     // makes them differ.
     let fresh = Trace::new("t", model.to_vec());
     prop_assert_eq!(trace, &fresh);
@@ -131,6 +204,98 @@ proptest! {
         }
         let collected: Trace = model.iter().copied().collect();
         prop_assert_eq!(collected.iter().collect::<Vec<_>>(), model);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Chunks that stay narrow, start far or turn far part-way, at lengths
+    /// around the chunk size, hold the same requests as the vector, and a
+    /// trace pushed one request at a time equals the one `new` built.
+    #[test]
+    fn chunked_arrivals_behave_like_a_request_vector(
+        first in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..1 << 50, any::<u64>()],
+        len in prop_oneof![Just(63usize), Just(64), Just(65), Just(129)],
+        arrivals in proptest::collection::vec(arrival(), 129..130),
+        shapes in proptest::collection::vec(mostly_packed(), 129..130),
+    ) {
+        let model = build(first, &arrivals[..len], &shapes[..len]);
+        let trace = Trace::new("t", model.clone());
+        agrees(&trace, &model)?;
+        let mut pushed = Trace::with_capacity("t", 0);
+        for &request in &model {
+            pushed.push(request);
+        }
+        prop_assert_eq!(pushed, trace);
+    }
+}
+
+/// A chunk that turns far after `k` narrow requests keeps the arrivals of
+/// those `k` exactly, whichever arrival turns it and whichever chunk it is.
+#[test]
+fn a_chunk_turns_far_after_any_number_of_narrow_requests() {
+    let shapes: Vec<_> = (0..3 * CHUNK as u64).map(|i| (i * 4096, 4096, i % 2 == 0)).collect();
+    for chunk in 0..2 {
+        for k in 1..CHUNK {
+            for breaker in [Arrival::Past, Arrival::Before, Arrival::Max] {
+                let mut arrivals = vec![Arrival::After(1_000); 3 * CHUNK];
+                arrivals[chunk * CHUNK + k] = breaker;
+                let model = build(1 << 40, &arrivals, &shapes);
+                let trace = Trace::new("t", model.clone());
+                assert_eq!(trace.iter().collect::<Vec<_>>(), model, "{breaker:?} at {k}");
+                for (index, &expected) in model.iter().enumerate() {
+                    assert_eq!(trace.get(index), Some(expected), "{breaker:?} at {k}");
+                }
+            }
+        }
+    }
+}
+
+/// A wide request first in its chunk is the chunk's base: the packed
+/// requests after it store offsets from its arrival, and the chunk still
+/// turns far on an inversion against it.
+#[test]
+fn a_wide_request_first_in_its_chunk_sets_its_base() {
+    let mut model: Vec<_> = (0..CHUNK as u64).map(|i| page(i * 1_000, i)).collect();
+    model.push(request(5 << 32, FIRST_WIDE_OFFSET, 4096, false));
+    model.extend((1..CHUNK as u64).map(|i| page((5 << 32) + i * 1_000, i)));
+    model.push(request(9 << 32, TOP, u32::MAX, true));
+    model.extend((1..10).map(|i| page((9 << 32) + i, i)));
+    model.push(page((9 << 32) - 1, 10));
+    model.push(request(9 << 32, 0, LONGEST_PACKED + 1, false));
+    model.extend((12..CHUNK as u64 + 3).map(|i| page((9 << 32) + i, i)));
+    let trace = Trace::new("t", model.clone());
+    agrees(&trace, &model).unwrap();
+}
+
+/// `split_at` at every index of a trace with narrow, far and part-far chunks
+/// and wide requests: both halves' `get` and `iter` find the right header,
+/// and so does a second cut of the tail.
+#[test]
+fn split_at_every_index_finds_the_right_header() {
+    let len = 130;
+    let mut arrivals = vec![Arrival::After(50_000); len];
+    arrivals[CHUNK + 20] = Arrival::Before;
+    arrivals[CHUNK + 40] = Arrival::Past;
+    let mut shapes: Vec<_> = (0..len as u64).map(|i| (i * 4096, 4096, i % 3 == 0)).collect();
+    shapes[CHUNK + 5].0 = FIRST_WIDE_OFFSET;
+    shapes[2 * CHUNK].0 = TOP;
+    let model = build(1 << 35, &arrivals, &shapes);
+    let trace = Trace::new("t", model.clone());
+    for mid in 0..=len {
+        let (head, tail) = trace.as_slice().split_at(mid);
+        assert_eq!(head.iter().collect::<Vec<_>>(), model[..mid], "head of {mid}");
+        assert_eq!(tail.iter().collect::<Vec<_>>(), model[mid..], "tail of {mid}");
+        for (index, &expected) in model[..mid].iter().enumerate() {
+            assert_eq!(head.get(index), Some(expected), "head of {mid}");
+        }
+        for (index, &expected) in model[mid..].iter().enumerate() {
+            assert_eq!(tail.get(index), Some(expected), "tail of {mid}");
+        }
+        assert_eq!((head.get(mid), tail.get(len - mid)), (None, None));
+        let (_, rest) = tail.split_at((len - mid) / 2);
+        assert_eq!(rest.iter().collect::<Vec<_>>(), model[mid + (len - mid) / 2..]);
     }
 }
 

@@ -131,6 +131,11 @@ impl HotArea {
         PromotionOutcome::Promoted { demoted_to_hot }
     }
 
+    /// Whether `lpn` is on the hot list and whether it is on the iron-hot list.
+    pub(crate) fn memberships(&self, lpn: Lpn) -> (bool, bool) {
+        (self.hot.contains(lpn), self.iron_hot.contains(lpn))
+    }
+
     /// Stops tracking `lpn` (used when a write is re-classified cold and the entry
     /// moves to the cold area). Returns `true` if it was tracked.
     pub fn remove(&mut self, lpn: Lpn) -> bool {

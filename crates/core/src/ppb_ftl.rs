@@ -221,17 +221,27 @@ impl Placement for PpbPlacement {
             != self.virtual_blocks.class_of_page(destination.page())
     }
 
-    /// Every block with resident data has an owner, and every LPN tracked as hot
-    /// lives in a hot-area block: a hot classification always rewrites into the hot
-    /// area (a demotion moves nothing, so the converse does not hold). Except for the
-    /// write that hit end of life — it was classified, then failed — so a read-only
-    /// FTL skips that last check.
+    /// No LPN is in two of {hot list, iron-hot list, cold table}: a hot write
+    /// leaves the cold table, a cold write leaves the hot area and a demotion moves
+    /// the LPN from one to the other. Every block with resident data has an owner,
+    /// and every LPN tracked as hot lives in a hot-area block: a hot classification
+    /// always rewrites into the hot area (a demotion moves nothing, so the converse
+    /// does not hold). Except for the write that hit end of life — it was
+    /// classified, then failed — so a read-only FTL skips that last check.
     fn check_invariants(
         &self,
         device: &NandDevice,
         mapping: &MappingTable,
         read_only: bool,
     ) -> Result<(), String> {
+        for lpn in (0..mapping.logical_pages()).map(Lpn) {
+            let (hot, iron_hot) = self.hot_area.memberships(lpn);
+            let cold = self.cold_area.contains(lpn);
+            if u8::from(hot) + u8::from(iron_hot) + u8::from(cold) > 1 {
+                let places = format!("hot {hot}, iron-hot {iron_hot}, cold {cold}");
+                return Err(format!("{lpn} is tracked in more than one area: {places}"));
+            }
+        }
         for block in device.block_addrs() {
             let owner = self.block_area(block);
             for (_, lpn) in mapping.lpns_in_block(block) {

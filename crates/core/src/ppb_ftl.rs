@@ -7,7 +7,7 @@ use vflash_nand::{BlockAddr, NandConfig, NandDevice, PageAddr};
 
 use crate::cold_area::ColdArea;
 use crate::config::PpbConfig;
-use crate::hot_area::{HotArea, PromotionOutcome};
+use crate::hot_area::{AreaRecords, HotArea, PromotionOutcome, Tag};
 use crate::hotness::{Area, Hotness};
 use crate::placement::AreaWriter;
 use crate::virtual_block::VirtualBlockTable;
@@ -55,6 +55,9 @@ pub struct PpbPlacement {
     virtual_blocks: VirtualBlockTable,
     hot_writer: AreaWriter,
     cold_writer: AreaWriter,
+    /// Every LPN's area state, one record each; the two areas below keep only
+    /// their list heads and buckets.
+    records: AreaRecords,
     hot_area: HotArea,
     cold_area: ColdArea,
     first_stage: FirstStage,
@@ -80,8 +83,8 @@ impl PpbPlacement {
     /// write-once-read-few data.
     pub fn hotness_of(&self, lpn: Lpn) -> Hotness {
         self.hot_area
-            .level_of(lpn)
-            .or_else(|| self.cold_area.level_of(lpn))
+            .level_of(&self.records, lpn)
+            .or_else(|| self.cold_area.level_of(&self.records, lpn))
             .unwrap_or(Hotness::IcyCold)
     }
 
@@ -110,17 +113,24 @@ impl Placement for PpbPlacement {
             });
         }
         let logical_pages = config.ftl.logical_pages(nand.total_pages());
+        if logical_pages > AreaRecords::MAX_LOGICAL_PAGES {
+            return Err(FtlError::InvalidConfig {
+                reason: format!(
+                    "{logical_pages} logical pages exceed the {} the PPB area records address",
+                    AreaRecords::MAX_LOGICAL_PAGES
+                ),
+            });
+        }
         let virtual_blocks = VirtualBlockTable::new(nand, config.virtual_blocks_per_block);
         let placement = PpbPlacement {
             hot_writer: AreaWriter::new("hot", &virtual_blocks, config.open_blocks_per_area()),
             cold_writer: AreaWriter::new("cold", &virtual_blocks, config.open_blocks_per_area()),
+            records: AreaRecords::new(logical_pages),
             hot_area: HotArea::new(
-                logical_pages,
                 config.hot_list_capacity(logical_pages),
                 config.iron_hot_list_capacity(logical_pages),
             ),
             cold_area: ColdArea::new(
-                logical_pages,
                 config.cold_table_capacity(logical_pages),
                 config.cold_promote_reads,
             ),
@@ -138,21 +148,21 @@ impl Placement for PpbPlacement {
     fn host_write(&mut self, lpn: Lpn, request_bytes: u32) -> Hotness {
         match self.first_stage.classify_write(lpn, request_bytes) {
             Temperature::Hot => {
-                self.cold_area.remove(lpn);
-                if let Some(evicted) = self.hot_area.on_write(lpn) {
+                self.cold_area.remove(&mut self.records, lpn);
+                if let Some(evicted) = self.hot_area.on_write(&mut self.records, lpn) {
                     // "Demote if full": the evicted entry leaves the hot area but was
                     // recently hot, so it enters the cold area at the cold level.
-                    self.cold_area.insert_demoted(evicted);
+                    self.cold_area.insert_demoted(&mut self.records, evicted);
                 }
-                self.hot_area.level_of(lpn).expect("hot write keeps the LPN tracked")
+                self.hot_area.level_of(&self.records, lpn).expect("hot write keeps the LPN tracked")
             }
             Temperature::Cold => {
                 // A cold-classified write of a previously hot LPN demotes it: large
                 // rewrites signal the data stopped behaving like metadata.
-                self.hot_area.remove(lpn);
+                self.hot_area.remove(&mut self.records, lpn);
                 // A rewrite resets the read history, so the entry always lands at
                 // icy-cold — no need to re-probe either area.
-                self.cold_area.on_write(lpn);
+                self.cold_area.on_write(&mut self.records, lpn);
                 Hotness::IcyCold
             }
         }
@@ -161,8 +171,8 @@ impl Placement for PpbPlacement {
     /// Re-access tracking: a read is the signal that promotes hot -> iron-hot and
     /// icy-cold -> cold. The data itself is not moved here (progressive migration).
     fn host_read(&mut self, lpn: Lpn) {
-        if self.hot_area.on_read(lpn) == PromotionOutcome::NotTracked {
-            self.cold_area.on_read(lpn);
+        if self.hot_area.on_read(&mut self.records, lpn) == PromotionOutcome::NotTracked {
+            self.cold_area.on_read(&mut self.records, lpn);
         }
     }
 
@@ -221,27 +231,29 @@ impl Placement for PpbPlacement {
             != self.virtual_blocks.class_of_page(destination.page())
     }
 
-    /// No LPN is in two of {hot list, iron-hot list, cold table}: a hot write
-    /// leaves the cold table, a cold write leaves the hot area and a demotion moves
-    /// the LPN from one to the other. Every block with resident data has an owner,
-    /// and every LPN tracked as hot lives in a hot-area block: a hot classification
-    /// always rewrites into the hot area (a demotion moves nothing, so the converse
-    /// does not hold). Except for the write that hit end of life — it was
-    /// classified, then failed — so a read-only FTL skips that last check.
+    /// The area records are consistent: each list's length and the cold table's
+    /// are the number of records carrying its tag, and each list entry and bucket
+    /// entry is linked from its record — so no LPN is in two of {hot list,
+    /// iron-hot list, cold table}, which one tag per record already rules out.
+    /// Every block with resident data has an owner, and every LPN tracked as hot
+    /// lives in a hot-area block: a hot classification always rewrites into the
+    /// hot area (a demotion moves nothing, so the converse does not hold). Except
+    /// for the write that hit end of life — it was classified, then failed — so a
+    /// read-only FTL skips that last check.
     fn check_invariants(
         &self,
         device: &NandDevice,
         mapping: &MappingTable,
         read_only: bool,
     ) -> Result<(), String> {
-        for lpn in (0..mapping.logical_pages()).map(Lpn) {
-            let (hot, iron_hot) = self.hot_area.memberships(lpn);
-            let cold = self.cold_area.contains(lpn);
-            if u8::from(hot) + u8::from(iron_hot) + u8::from(cold) > 1 {
-                let places = format!("hot {hot}, iron-hot {iron_hot}, cold {cold}");
-                return Err(format!("{lpn} is tracked in more than one area: {places}"));
-            }
+        let census = self.records.census();
+        let tagged = [Tag::Hot, Tag::IronHot, Tag::Cold].map(|tag| census[tag as usize]);
+        let listed = [self.hot_area.hot_len(), self.hot_area.iron_hot_len(), self.cold_area.len()];
+        if tagged != listed {
+            return Err(format!("hot / iron-hot / cold records {tagged:?} but lengths {listed:?}"));
         }
+        self.hot_area.check(&self.records)?;
+        self.cold_area.check(&self.records)?;
         for block in device.block_addrs() {
             let owner = self.block_area(block);
             for (_, lpn) in mapping.lpns_in_block(block) {
@@ -534,6 +546,55 @@ mod tests {
                 }
                 other => panic!("{reads} must be refused, got {:?}", other.map(|_| ())),
             }
+        }
+    }
+
+    /// At the benchmark's replay geometry (4 chips, 64 pages per block, 512 MiB
+    /// raw, 16 KiB pages) the area state is one 8-byte record per logical page
+    /// plus two fixed-size area heads; the cold buckets are not counted.
+    #[test]
+    fn area_state_is_at_most_eight_bytes_per_logical_page() {
+        let nand = NandConfig::builder()
+            .chips(4)
+            .blocks_per_chip(128)
+            .pages_per_block(64)
+            .page_size_bytes(16 * 1024)
+            .build()
+            .unwrap();
+        let ftl = PpbFtl::new(NandDevice::new(nand), PpbConfig::default()).unwrap();
+        let logical = ftl.logical_pages() as usize;
+        assert_eq!(logical, 29_491);
+        let records = ftl.placement().records.heap_bytes();
+        assert!(records <= 8 * logical, "{records} B of records for {logical} logical pages");
+        let heads = std::mem::size_of::<HotArea>() + std::mem::size_of::<ColdArea>();
+        assert!(heads <= 128, "the area heads take {heads} B");
+    }
+
+    /// `PpbFtl::new` asks `assemble` before it builds anything; a device that
+    /// exported this many pages would hold 2^31 page states, so the test asks
+    /// `assemble` directly with the device's configuration.
+    #[test]
+    fn logical_pages_past_the_record_key_range_are_refused() {
+        let nand = NandConfig::builder()
+            .chips(128)
+            .blocks_per_chip(4096)
+            .pages_per_block(4096)
+            .page_size_bytes(4096)
+            .build()
+            .unwrap();
+        assert_eq!(nand.total_pages(), 1 << 31);
+        // Half of 2^31 exported is 2^30 logical pages, one past the bound.
+        let config = PpbConfig {
+            ftl: vflash_ftl::FtlConfig { over_provisioning: 0.5 },
+            ..PpbConfig::default()
+        };
+        let logical_pages = config.ftl.logical_pages(nand.total_pages());
+        assert_eq!(logical_pages, AreaRecords::MAX_LOGICAL_PAGES + 1);
+        match PpbPlacement::assemble(config, &nand) {
+            Err(FtlError::InvalidConfig { reason }) => {
+                assert!(reason.contains("1073741823"), "{reason}");
+            }
+            other => panic!("2^30 logical pages must be refused, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -21,8 +21,8 @@ fn small_ppb(classifier: Classifier) -> PpbFtl {
         .speed_ratio(4.0)
         .build()
         .unwrap();
-    let config =
-        PpbConfig { ftl: FtlConfig { over_provisioning: 0.25 }, classifier, ..PpbConfig::default() };
+    let ftl = FtlConfig { over_provisioning: 0.25 };
+    let config = PpbConfig { ftl, classifier, ..PpbConfig::default() };
     PpbFtl::new(NandDevice::new(nand), config).unwrap()
 }
 

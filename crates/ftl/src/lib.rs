@@ -75,7 +75,7 @@ pub use error::FtlError;
 pub use ftl_core::{FtlCore, Placement};
 pub use gc::GcOutcome;
 pub use io::{Completion, IoCommand, IoRequest};
-pub use lru::LruList;
+pub use lru::{Link, LinkStore, LruList, LruOrder};
 pub use mapping::MappingTable;
 pub use metrics::FtlMetrics;
 pub use traits::FlashTranslationLayer;

@@ -21,7 +21,8 @@
 # and results go to $BENCH_PAIRS_DIR (default .bench_build/pairs), where
 # pairs_<tag>.json keeps each table's quartiles, win counts and fingerprint
 # (for `all`, also merged into pairs_all_s<seed>_t<trace>.json — the file a PR
-# commits as BENCH_<pr>.json).
+# commits as BENCH_<pr>.json, whose "parent" is the 40-hex commit <parent-ref>
+# resolved to).
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -41,9 +42,11 @@ work=${BENCH_PAIRS_DIR:-$repo/.bench_build/pairs}
 mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
+# The commit, not the ref: the merged file names what it was measured against.
+parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
 rm -rf "$work/parent_src"
 mkdir -p "$work/parent_src" "$work/runs"
-git archive "$parent_ref" | tar -x -C "$work/parent_src"
+git archive "$parent_sha" | tar -x -C "$work/parent_src"
 
 build() { # <source dir> <target dir>
   CARGO_TARGET_DIR=$2 cargo build --release --offline --quiet \
@@ -152,13 +155,13 @@ PY
 done
 
 if [[ $1 == all ]]; then
-  python3 - "$work" "$seed" "$seconds" "$trace" "$parent_ref" "${workloads[@]}" <<'PY'
+  python3 - "$work" "$seed" "$seconds" "$trace" "$parent_sha" "${workloads[@]}" <<'PY'
 import json, sys
 
-work, seed, seconds, trace, parent_ref, *workloads = sys.argv[1:]
+work, seed, seconds, trace, parent_sha, *workloads = sys.argv[1:]
 tables = {w: json.load(open(f"{work}/pairs_{w}_s{seed}_t{trace}.json")) for w in workloads}
 merged = {"method": "scripts/bench_pairs.sh all: alternating parent/change pairs, q1/median/q3 per side",
-          "parent": parent_ref, "seed": int(seed), "run_seconds": float(seconds),
+          "parent": parent_sha, "seed": int(seed), "run_seconds": float(seconds),
           "trace": int(trace), "workloads": tables}
 path = f"{work}/pairs_all_s{seed}_t{trace}.json"
 json.dump(merged, open(path, "w"), indent=1)

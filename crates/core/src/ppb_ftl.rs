@@ -136,7 +136,11 @@ impl Placement for PpbPlacement {
             ),
             config,
             virtual_blocks,
-            first_stage: FirstStage::new(config.classifier, nand.page_size_bytes() as u32),
+            first_stage: FirstStage::new(
+                config.classifier,
+                nand.page_size_bytes() as u32,
+                logical_pages,
+            ),
             block_areas: vec![None; nand.total_blocks()],
             blocks_per_chip: nand.blocks_per_chip(),
         };

@@ -81,18 +81,24 @@ pub enum FirstStage {
 }
 
 impl FirstStage {
-    /// Builds `classifier` for a device of `page_size_bytes` pages: the size check
-    /// at the page size, 4,096-entry hot and candidate lists, a frequency table
-    /// hot at 2 writes aged every 100,000, a sketch of 2^16 buckets and 2 hashes hot
-    /// at 2 and decayed every 100,000 writes.
+    /// Builds `classifier` for a device of `page_size_bytes` pages and
+    /// `logical_pages` logical pages: the size check at the page size, 4,096-entry
+    /// hot and candidate lists over one link table sized for the logical pages, a
+    /// frequency table hot at 2 writes aged every 100,000, a sketch of 2^16
+    /// buckets and 2 hashes hot at 2 and decayed every 100,000 writes.
     ///
     /// # Panics
     ///
-    /// Panics if `classifier` is the size check and `page_size_bytes` is zero.
-    pub fn new(classifier: Classifier, page_size_bytes: u32) -> Self {
+    /// Panics if `classifier` is the size check and `page_size_bytes` is zero, or
+    /// the two-level LRU and `logical_pages` exceeds [`TwoLevelLru::MAX_KEYS`].
+    pub fn new(classifier: Classifier, page_size_bytes: u32, logical_pages: u64) -> Self {
         match classifier {
             Classifier::SizeCheck => FirstStage::SizeCheck(SizeCheck::new(page_size_bytes)),
-            Classifier::TwoLevelLru => FirstStage::TwoLevelLru(TwoLevelLru::new(4096, 4096)),
+            Classifier::TwoLevelLru => {
+                let mut lru = TwoLevelLru::new(4096, 4096);
+                lru.reserve_keys(logical_pages);
+                FirstStage::TwoLevelLru(lru)
+            }
             Classifier::FreqTable => FirstStage::FreqTable(FreqTable::new(2, 100_000)),
             Classifier::MultiHash => FirstStage::MultiHash(MultiHash::new(1 << 16, 2, 2, 100_000)),
         }
@@ -114,6 +120,20 @@ impl FirstStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two-level LRU PPB builds holds 8 bytes per logical page once every
+    /// logical page has been written in ascending order, the order that left a
+    /// table grown on demand with the most slack.
+    #[test]
+    fn the_two_level_lru_first_stage_is_eight_bytes_per_logical_page() {
+        let logical_pages = 29_491u64;
+        let mut stage = FirstStage::new(Classifier::TwoLevelLru, 16_384, logical_pages);
+        for lpn in 0..logical_pages {
+            stage.classify_write(Lpn(lpn), 512);
+        }
+        let FirstStage::TwoLevelLru(lru) = stage else { unreachable!("built as asked") };
+        assert!(lru.heap_bytes() <= 8 * logical_pages as usize);
+    }
 
     #[test]
     fn classifier_labels_are_distinct() {

@@ -14,7 +14,8 @@
 //! unless [`LruList::reserve_keys`] sized it up front. A caller with per-LPN state
 //! of its own can keep the links inside it instead and hand the order a view of
 //! that table on every call (PPB's hot and iron-hot lists share one record per
-//! logical page with its cold table).
+//! logical page with its cold table; the two-level LRU classifier's hot and
+//! candidate lists share one table of its own).
 
 use crate::types::Lpn;
 

@@ -49,8 +49,9 @@ impl Error for ParseTraceError {}
 /// The input is consumed **streaming, line by line**, into a single reused buffer:
 /// neither the file nor per-line `String`s are materialised, so multi-GB raw traces
 /// parse within a constant memory budget (plus the decoded [`Trace`], which the
-/// parser pushes into directly: 12 bytes per request, 16 in a 64-request chunk
-/// that holds an inversion or a gap of 4.3 s or more).
+/// parser pushes into directly: 8 bytes per request in a 64-request chunk whose
+/// requests all fit one word, 12 in one that does not, 16 in one that holds an
+/// inversion or a gap of 4.3 s or more).
 ///
 /// Timestamps are re-based so the first request arrives at time zero. A line
 /// stamped before the file's first request arrives at time zero too (the

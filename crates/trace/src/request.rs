@@ -105,12 +105,26 @@ const LENGTH_BITS: u32 = 23;
 /// 32-bit field holds. No packed word equals it: that would take the offset
 /// `2^40 - 1`, which is stored wide.
 const WIDE: u64 = u64::MAX;
+/// Bits of a compact word that hold the arrival offset from the chunk's base.
+const COMPACT_ARRIVAL_BITS: u32 = 24;
+/// Bits of a compact word that hold the byte offset.
+const COMPACT_OFFSET_BITS: u32 = 35;
+/// Bits of a compact word that hold `log2(length) - 9`.
+const COMPACT_LENGTH_BITS: u32 = 4;
+/// `log2` of the shortest length a compact word holds, 512 bytes.
+const COMPACT_LENGTH_SHIFT: u32 = 9;
+/// Where a compact word's byte offset starts.
+const COMPACT_OFFSET_SHIFT: u32 = COMPACT_LENGTH_BITS + 1;
+/// Where a compact word's arrival offset starts.
+const COMPACT_ARRIVAL_SHIFT: u32 = COMPACT_OFFSET_BITS + COMPACT_OFFSET_SHIFT;
 /// `log2` of [`CHUNK`].
 const CHUNK_BITS: u32 = 6;
 /// Consecutive requests under one [`Chunk`] header.
 const CHUNK: usize = 1 << CHUNK_BITS;
-/// [`Chunk::far`] of a narrow chunk.
+/// [`Chunk::far`] of a compact or narrow chunk.
 const NARROW: u32 = u32::MAX;
+/// [`Chunk::block`] of a compact chunk.
+const COMPACT: u32 = u32::MAX;
 
 /// `request`'s offset (bits 24..64), `length - 1` (bits 1..24) and op (bit 0,
 /// set for a write) in one word, or [`WIDE`] when its offset or length does
@@ -127,15 +141,54 @@ fn pack(request: IoRequest) -> u64 {
         | u64::from(request.op == IoOp::Write)
 }
 
+/// `request` as the compact word of a chunk whose first arrival is `base`:
+/// its arrival offset from `base` (bits 40..64), byte offset (bits 5..40),
+/// `log2(length) - 9` (bits 1..5) and op (bit 0, set for a write). `None`
+/// when the arrival offset (`at_nanos - base`, wrapping, so an arrival
+/// shortly before `base` is a huge one) is `2^24` ns or more, the byte offset
+/// `2^35` or more, or the length not a power of two from 512 bytes to 16 MiB.
+#[inline(always)]
+fn compact(request: IoRequest, base: u64) -> Option<u64> {
+    let arrival = request.at_nanos.wrapping_sub(base);
+    let code = request.length.trailing_zeros().wrapping_sub(COMPACT_LENGTH_SHIFT);
+    // `&`, not `&&`: three compares and no branch until the last. A zero
+    // length has 32 trailing zeros, so `code` rules it out.
+    let fits = (arrival >> COMPACT_ARRIVAL_BITS | request.offset >> COMPACT_OFFSET_BITS == 0)
+        & (request.length & request.length.wrapping_sub(1) == 0)
+        & (code < 1 << COMPACT_LENGTH_BITS);
+    fits.then(|| {
+        arrival << COMPACT_ARRIVAL_SHIFT
+            | request.offset << COMPACT_OFFSET_SHIFT
+            | u64::from(code) << 1
+            | u64::from(request.op == IoOp::Write)
+    })
+}
+
+/// The request a [`compact`] word of a chunk based at `base` holds.
+#[inline(always)]
+fn uncompact(base: u64, word: u64) -> IoRequest {
+    let code = (word >> 1) as u32 & ((1 << COMPACT_LENGTH_BITS) - 1);
+    IoRequest {
+        at_nanos: base.wrapping_add(word >> COMPACT_ARRIVAL_SHIFT),
+        op: if word & 1 == 0 { IoOp::Read } else { IoOp::Write },
+        offset: (word >> COMPACT_OFFSET_SHIFT) & ((1 << COMPACT_OFFSET_BITS) - 1),
+        length: 1 << (code + COMPACT_LENGTH_SHIFT),
+    }
+}
+
 /// The header of 64 consecutive requests of a [`Trace`] (the last chunk may
 /// hold fewer), 16 bytes.
 ///
-/// A chunk is *narrow* while the arrival of each of its packed requests lies
-/// in `base..base + 2^32` ns: each stores its offset from `base` in its 32-bit
-/// field. The first packed arrival outside that window (an inversion, or a
-/// gap of 2^32 ns, about 4.3 s, or more) turns the chunk *far*: every request
-/// of it, those already pushed included, then stores its arrival's low half
-/// in its field and the high half in [`Trace`]'s `highs`.
+/// A chunk opens *compact*: each request is one [`compact`] word holding its
+/// arrival as an offset from `base`, and the chunk keeps no 32-bit fields.
+/// The first request that does not fit a compact word turns the chunk
+/// *narrow*: every request of it, those already pushed included, is then a
+/// packed word plus a 32-bit field in the chunk's block of 64 in [`Trace`]'s
+/// `fields`, holding its arrival's offset from `base` while that lies in
+/// `base..base + 2^32` ns. The first packed arrival outside that window (an
+/// inversion, or a gap of 2^32 ns, about 4.3 s, or more) turns the chunk
+/// *far*: each field then holds its arrival's low half and the high half goes
+/// to [`Trace`]'s `highs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Chunk {
     /// The arrival of the chunk's first request.
@@ -143,27 +196,40 @@ struct Chunk {
     /// [`NARROW`], or the ordinal of the far chunk among the trace's far
     /// chunks: its high halves are `highs[far * 64..]`, one per request.
     far: u32,
+    /// [`COMPACT`], or the ordinal of the chunk among the trace's chunks that
+    /// are not compact: its fields are `fields[block * 64..]`, one per request.
+    block: u32,
 }
 
-/// The parts of a [`Trace`] a request may need beyond its word and field,
-/// indexed by the request's position in the whole trace.
+/// The parts of a [`Trace`] a request may need beyond its word, indexed by
+/// the request's position in the whole trace.
 #[derive(Debug, Clone, Copy)]
 struct Headers<'a> {
     chunks: &'a [Chunk],
+    fields: &'a [u32],
     highs: &'a [u32],
     wide: &'a [IoRequest],
 }
 
 impl Headers<'_> {
-    /// The request at position `at` of the trace, stored as `word` and `field`.
+    /// The request at position `at` of the trace, stored as `word`.
     #[inline]
-    fn unpack(&self, at: usize, word: u64, field: u32) -> IoRequest {
+    fn unpack(&self, at: usize, word: u64) -> IoRequest {
+        self.decode(self.chunks[at >> CHUNK_BITS], at, word)
+    }
+
+    /// [`Headers::unpack`] with the header of `at`'s chunk already read.
+    #[inline(always)]
+    fn decode(&self, chunk: Chunk, at: usize, word: u64) -> IoRequest {
+        if chunk.block == COMPACT {
+            return uncompact(chunk.base, word);
+        }
+        let field = self.fields[((chunk.block as usize) << CHUNK_BITS) | (at % CHUNK)];
         if word == WIDE {
             return self.wide[field as usize];
         }
-        let chunk = self.chunks[at >> CHUNK_BITS];
         let at_nanos = if chunk.far == NARROW {
-            chunk.base + u64::from(field)
+            chunk.base.wrapping_add(u64::from(field))
         } else {
             let high = self.highs[((chunk.far as usize) << CHUNK_BITS) | (at % CHUNK)];
             u64::from(high) << 32 | u64::from(field)
@@ -177,28 +243,48 @@ impl Headers<'_> {
     }
 }
 
-/// An ordered sequence of I/O requests, 12 bytes per request plus a 16-byte
+/// Appends `request` to a trace's side table; its index there.
+fn keep_wide(wide: &mut Vec<IoRequest>, request: IoRequest) -> u32 {
+    wide.push(request);
+    u32::try_from(wide.len() - 1).expect("a trace holds at most 2^32 wide requests")
+}
+
+/// The layout of a [`Trace`]'s open chunk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Open {
+    #[default]
+    Compact,
+    Narrow,
+    Far,
+}
+
+/// An ordered sequence of I/O requests, 8 bytes per request in a chunk where
+/// every request fits a compact word and at most 16 elsewhere, plus a 16-byte
 /// header per 64 requests.
 ///
 /// Time ordering is *not* validated — real traces contain ties and minor
-/// inversions. A request is stored as one packed word (offset, length, op)
-/// and one 32-bit field, when its offset is below `2^40 - 1` (1 TiB) and its
-/// length at most `2^23` bytes (8 MiB), as every request of the stock
-/// synthetic workloads is. Every 64 consecutive requests (a *chunk*) share a
-/// header holding their first arrival; in a *narrow* chunk the field is the
-/// request's arrival offset from it. A chunk that meets an arrival before its
-/// first one, or 2^32 ns (4.3 s) or more after it, turns *far* and keeps each
-/// of its arrivals' high halves in a side vector: its requests cost 16 bytes.
-/// A request that does not pack is kept whole in a side table, 24 bytes more,
-/// so any [`IoRequest`] comes back exactly as it went in. Requests are
-/// yielded by value.
+/// inversions. Every 64 consecutive requests (a *chunk*) share a header
+/// holding their first arrival. In a *compact* chunk each request is one
+/// word: its arrival's offset from that base (below 2^24 ns, 16.8 ms), its
+/// byte offset (below 2^35, 32 GiB), `log2` of its length (a power of two
+/// from 512 bytes to 16 MiB) and its op, as every request of the stock
+/// synthetic workloads at their default arrivals is. A chunk with a request
+/// that does not fit turns *narrow*: each request is a packed word (offset
+/// below `2^40 - 1`, 1 TiB; length at most `2^23` bytes, 8 MiB) and a 32-bit
+/// arrival offset from the base, 12 bytes. A narrow chunk that meets an
+/// arrival before its first one, or 2^32 ns (4.3 s) or more after it, turns
+/// *far* and keeps each of its arrivals' high halves in a side vector: its
+/// requests cost 16 bytes. A request that does not pack is kept whole in a
+/// side table, 24 bytes more, so any [`IoRequest`] comes back exactly as it
+/// went in. Requests are yielded by value.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     name: String,
-    /// Each request's packed word, or [`WIDE`].
+    /// Each request's compact word (compact chunk), packed word or [`WIDE`].
     words: Vec<u64>,
-    /// Each request's arrival offset from its chunk's base (narrow chunk),
-    /// its arrival's low half (far chunk) or its index in `wide`.
+    /// 64 per chunk that is not compact (as many as it holds for the open
+    /// chunk): each request's arrival offset from its chunk's base (narrow
+    /// chunk), its arrival's low half (far chunk) or its index in `wide`.
     fields: Vec<u32>,
     /// One header per 64 requests; the last is the *open* chunk, which the
     /// next push fills unless it holds 64.
@@ -207,14 +293,14 @@ pub struct Trace {
     /// holds for the open chunk), 0 for a wide request.
     highs: Vec<u32>,
     /// The requests that do not pack, in trace order. Only `push` adds to a
-    /// trace and nothing removes from one, and a chunk's mode is a function
-    /// of the requests pushed into it, so equal requests are equal fields and
-    /// the derived `PartialEq` means "same name, same requests".
+    /// trace and nothing removes from one, and a chunk's layout is a function
+    /// of the requests pushed into it, so equal requests are equal words and
+    /// fields and the derived `PartialEq` means "same name, same requests".
     wide: Vec<IoRequest>,
     /// The open chunk's base, kept here so that `push` reads no header.
     base: u64,
-    /// Whether the open chunk is far.
-    far: bool,
+    /// The open chunk's layout.
+    open: Open,
 }
 
 impl Trace {
@@ -226,12 +312,12 @@ impl Trace {
     }
 
     /// An empty trace with room for `capacity` requests: what a generator or
-    /// parser pushes into, so no second copy of the requests ever exists.
+    /// parser pushes into, so no second copy of the requests ever exists. The
+    /// 32-bit fields are reserved by the first chunk that needs them.
     pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
         Trace {
             name: name.into(),
             words: Vec::with_capacity(capacity),
-            fields: Vec::with_capacity(capacity),
             chunks: Vec::with_capacity(capacity.div_ceil(CHUNK)),
             ..Trace::default()
         }
@@ -241,7 +327,18 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics past `2^32` requests that do not pack (96 GiB of side table).
+    /// Panics on a count that outgrows its 32-bit index, each far beyond any
+    /// trace that fits in memory:
+    /// - past `2^32` requests that do not pack (96 GiB of side table): the
+    ///   side-table index is a 32-bit field;
+    /// - past `2^32 - 1` far chunks (2^38 requests): a far chunk's ordinal is
+    ///   32 bits and all ones marks a chunk that is not far;
+    /// - past `2^32 - 1` chunks that are not compact (2^38 requests): the
+    ///   ordinal of a chunk's block of fields is 32 bits and all ones marks a
+    ///   compact chunk.
+    ///
+    /// Turning a chunk narrow or far also expects the open chunk's header,
+    /// which the push that opened the chunk added; so that one never panics.
     // Always inlined: the generators push from five sites in one loop, and
     // left to itself the compiler called `push` out of line, which cost
     // generation a few nanoseconds per request.
@@ -250,12 +347,19 @@ impl Trace {
         let slot = self.words.len() % CHUNK;
         if slot == 0 {
             self.base = request.at_nanos;
-            self.far = false;
-            self.chunks.push(Chunk { base: request.at_nanos, far: NARROW });
+            self.open = Open::Compact;
+            self.chunks.push(Chunk { base: request.at_nanos, far: NARROW, block: COMPACT });
+        }
+        if self.open == Open::Compact {
+            if let Some(word) = compact(request, self.base) {
+                self.words.push(word);
+                return;
+            }
+            self.turn_narrow(slot);
         }
         let word = pack(request);
         let offset = request.at_nanos.wrapping_sub(self.base);
-        if word != WIDE && offset <= u64::from(u32::MAX) && !self.far {
+        if word != WIDE && offset <= u64::from(u32::MAX) && self.open == Open::Narrow {
             self.words.push(word);
             self.fields.push(offset as u32);
         } else {
@@ -267,19 +371,47 @@ impl Trace {
     /// lands in a far chunk; `slot` is its position in the open chunk.
     fn push_apart(&mut self, slot: usize, word: u64, request: IoRequest) {
         let field = if word == WIDE {
-            self.wide.push(request);
-            u32::try_from(self.wide.len() - 1).expect("a trace holds at most 2^32 wide requests")
+            keep_wide(&mut self.wide, request)
         } else {
-            if !self.far {
+            if self.open != Open::Far {
                 self.turn_far(slot);
             }
             request.at_nanos as u32
         };
-        if self.far {
+        if self.open == Open::Far {
             self.highs.push(if word == WIDE { 0 } else { (request.at_nanos >> 32) as u32 });
         }
         self.words.push(word);
         self.fields.push(field);
+    }
+
+    /// The open chunk's header.
+    fn open_chunk(&mut self) -> &mut Chunk {
+        self.chunks.last_mut().expect("a push opened the chunk")
+    }
+
+    /// Turns the open chunk narrow. Its first `slot` requests, stored compact,
+    /// become packed words and fields in a block of `fields` of the chunk's
+    /// own, which a trace's first such chunk reserves for every request the
+    /// words have room for from there on. A compact request longer than
+    /// `2^23` bytes does not pack and goes to the side table.
+    #[inline(never)]
+    fn turn_narrow(&mut self, slot: usize) {
+        let block = u32::try_from(self.fields.len() / CHUNK)
+            .ok()
+            .filter(|&block| block != COMPACT)
+            .expect("a trace holds fewer than 2^32 - 1 chunks that are not compact");
+        self.open_chunk().block = block;
+        self.open = Open::Narrow;
+        let first = self.words.len() - slot;
+        self.fields.reserve(self.words.capacity() - first);
+        for word in &mut self.words[first..] {
+            let request = uncompact(self.base, *word);
+            let arrival = (*word >> COMPACT_ARRIVAL_SHIFT) as u32;
+            *word = pack(request);
+            let field = if *word == WIDE { keep_wide(&mut self.wide, request) } else { arrival };
+            self.fields.push(field);
+        }
     }
 
     /// Turns the open chunk far. Its first `slot` requests, stored narrow,
@@ -290,14 +422,15 @@ impl Trace {
             .ok()
             .filter(|&ordinal| ordinal != NARROW)
             .expect("a trace holds fewer than 2^32 - 1 far chunks");
-        self.chunks.last_mut().expect("a push opened the chunk").far = ordinal;
-        self.far = true;
-        let first = self.words.len() - slot;
-        for (&word, field) in self.words[first..].iter().zip(&mut self.fields[first..]) {
+        self.open_chunk().far = ordinal;
+        self.open = Open::Far;
+        let words = &self.words[self.words.len() - slot..];
+        let first = self.fields.len() - slot;
+        for (&word, field) in words.iter().zip(&mut self.fields[first..]) {
             let high = if word == WIDE {
                 0
             } else {
-                let at_nanos = self.base + u64::from(*field);
+                let at_nanos = self.base.wrapping_add(u64::from(*field));
                 *field = at_nanos as u32;
                 (at_nanos >> 32) as u32
             };
@@ -325,9 +458,13 @@ impl Trace {
         TraceSlice {
             name: &self.name,
             words: &self.words,
-            fields: &self.fields,
             start: 0,
-            headers: Headers { chunks: &self.chunks, highs: &self.highs, wide: &self.wide },
+            headers: Headers {
+                chunks: &self.chunks,
+                fields: &self.fields,
+                highs: &self.highs,
+                wide: &self.wide,
+            },
         }
     }
 
@@ -402,11 +539,10 @@ impl fmt::Debug for Trace {
 pub struct TraceSlice<'a> {
     name: &'a str,
     words: &'a [u64],
-    fields: &'a [u32],
     /// The position of the slice's first request in the trace, which the
     /// chunk headers are indexed by.
     start: usize,
-    /// The whole trace's headers, high halves and side table.
+    /// The whole trace's headers, fields, high halves and side table.
     headers: Headers<'a>,
 }
 
@@ -430,14 +566,18 @@ impl<'a> TraceSlice<'a> {
     #[inline]
     pub fn get(&self, index: usize) -> Option<IoRequest> {
         let word = *self.words.get(index)?;
-        Some(self.headers.unpack(self.start + index, word, self.fields[index]))
+        Some(self.headers.unpack(self.start + index, word))
     }
 
     /// Iterates over the requests in arrival order.
     pub fn iter(&self) -> TraceIter<'a> {
+        // A slice that starts mid-chunk reads its first header here; an
+        // empty one may start past the last header and reads none.
+        let chunk = self.headers.chunks.get(self.start >> CHUNK_BITS).copied();
         TraceIter {
-            stored: self.words.iter().zip(self.fields),
+            words: self.words.iter(),
             at: self.start,
+            chunk: chunk.unwrap_or(Chunk { base: 0, far: NARROW, block: COMPACT }),
             headers: self.headers,
         }
     }
@@ -448,11 +588,10 @@ impl<'a> TraceSlice<'a> {
     ///
     /// Panics if `mid` exceeds the length.
     pub fn split_at(self, mid: usize) -> (TraceSlice<'a>, TraceSlice<'a>) {
-        let (head_words, tail_words) = self.words.split_at(mid);
-        let (head_fields, tail_fields) = self.fields.split_at(mid);
+        let (head, tail) = self.words.split_at(mid);
         (
-            TraceSlice { words: head_words, fields: head_fields, ..self },
-            TraceSlice { words: tail_words, fields: tail_fields, start: self.start + mid, ..self },
+            TraceSlice { words: head, ..self },
+            TraceSlice { words: tail, start: self.start + mid, ..self },
         )
     }
 }
@@ -476,25 +615,33 @@ impl<'a> From<&'a Trace> for TraceSlice<'a> {
 /// The requests of a [`Trace`] or [`TraceSlice`], by value.
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
-    stored: std::iter::Zip<std::slice::Iter<'a, u64>, std::slice::Iter<'a, u32>>,
+    words: std::slice::Iter<'a, u64>,
     /// The position in the trace of the next request.
     at: usize,
+    /// The header of `at`'s chunk, read again where a chunk starts.
+    chunk: Chunk,
     headers: Headers<'a>,
 }
 
 impl Iterator for TraceIter<'_> {
     type Item = IoRequest;
 
-    #[inline]
+    // Always inlined: a replay's drive loop is large, and left to itself the
+    // compiler called `next` out of line there, which cost the queued replay
+    // a few percent of its host time.
+    #[inline(always)]
     fn next(&mut self) -> Option<IoRequest> {
-        let (&word, &field) = self.stored.next()?;
-        let request = self.headers.unpack(self.at, word, field);
+        let &word = self.words.next()?;
+        if self.at.is_multiple_of(CHUNK) {
+            self.chunk = self.headers.chunks[self.at >> CHUNK_BITS];
+        }
+        let request = self.headers.decode(self.chunk, self.at, word);
         self.at += 1;
         Some(request)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.stored.size_hint()
+        self.words.size_hint()
     }
 }
 
@@ -531,7 +678,6 @@ impl Extend<IoRequest> for Trace {
         let iter = iter.into_iter();
         let additional = iter.size_hint().0;
         self.words.reserve(additional);
-        self.fields.reserve(additional);
         self.chunks.reserve((self.len() + additional).div_ceil(CHUNK) - self.chunks.len());
         for request in iter {
             self.push(request);
@@ -547,6 +693,8 @@ pub(crate) struct Footprint {
     pub bytes: usize,
     /// The chunk headers among `bytes`.
     pub header_bytes: usize,
+    /// Compact chunks.
+    pub compact_chunks: usize,
     /// Far chunks.
     pub far_chunks: usize,
     /// Requests kept whole in the side table.
@@ -566,6 +714,7 @@ impl Trace {
                 + self.highs.len() * size_of::<u32>()
                 + self.wide.len() * size_of::<IoRequest>(),
             header_bytes,
+            compact_chunks: self.chunks.iter().filter(|chunk| chunk.block == COMPACT).count(),
             far_chunks: self.highs.len().div_ceil(CHUNK),
             wide: self.wide.len(),
         }
@@ -666,18 +815,58 @@ mod tests {
     }
 
     #[test]
-    fn a_request_is_12_bytes_in_a_narrow_chunk_and_16_in_a_far_one() {
+    fn a_request_is_8_bytes_in_a_compact_chunk_12_in_a_narrow_one_and_16_in_a_far_one() {
         assert!(std::mem::size_of::<Chunk>() <= 16);
         for n in [0usize, 1, 63, 64, 65, 129, 1_000] {
-            let headers = n.div_ceil(64) * std::mem::size_of::<Chunk>();
-            let narrow = spaced(n, 1_000).footprint();
-            assert_eq!((narrow.bytes, narrow.header_bytes), (n * (8 + 4) + headers, headers));
-            assert_eq!((narrow.far_chunks, narrow.wide), (0, 0));
-            // 2^32 ns apart: every chunk of two requests or more is far.
+            let chunks = n.div_ceil(64);
+            let headers = chunks * std::mem::size_of::<Chunk>();
+            let compact = spaced(n, 1_000).footprint();
+            assert_eq!((compact.bytes, compact.header_bytes), (n * 8 + headers, headers));
+            assert_eq!((compact.compact_chunks, compact.far_chunks, compact.wide), (chunks, 0, 0));
+            // A chunk's lone request fits a compact word; in a chunk of two or
+            // more, the second arrival turns it narrow (2^24 ns after the
+            // first) or far (2^32 ns).
+            let lone = usize::from(n % 64 == 1);
+            let loose = n - lone;
+            let narrow = spaced(n, 1 << 24).footprint();
+            assert_eq!(narrow.bytes, n * 8 + loose * 4 + headers, "{n} requests");
+            assert_eq!((narrow.compact_chunks, narrow.far_chunks), (lone, 0));
             let far = spaced(n, 1 << 32).footprint();
-            let far_requests = n - n % 64 + if n % 64 > 1 { n % 64 } else { 0 };
-            assert_eq!(far.bytes, n * (8 + 4) + far_requests * 4 + headers, "{n} requests");
+            assert_eq!(far.bytes, n * 8 + loose * 8 + headers, "{n} requests");
+            assert_eq!((far.compact_chunks, far.far_chunks), (lone, chunks - lone));
             assert!(far.bytes <= n * 16 + headers);
+        }
+    }
+
+    /// The 32-bit fields are reserved by the first chunk that needs them, for
+    /// the requests the words have room for from there: a compact trace
+    /// reserves none, and no trace reserves more fields than words.
+    #[test]
+    fn fields_are_reserved_by_the_first_chunk_that_needs_them() {
+        let mut compact = Trace::with_capacity("c", 1_000);
+        compact.extend(spaced(1_000, 1_000).iter());
+        assert_eq!(compact.fields.capacity(), 0);
+        for gap in [1 << 24, 1 << 32] {
+            let mut loose = Trace::with_capacity("l", 1_000);
+            loose.extend(spaced(1_000, gap).iter());
+            assert!(loose.fields.capacity() <= loose.words.capacity(), "gap {gap}");
+            assert_eq!(loose.fields.len(), 1_000);
+        }
+    }
+
+    /// A chunk based just below `u64::MAX` holds an arrival that wrapped past
+    /// it as a small offset, compact or narrow, and hands it back exactly.
+    #[test]
+    fn arrivals_that_wrap_past_the_base_round_trip() {
+        let base = u64::MAX - 5;
+        for (later, length) in [(3, 4096), (3, 4095), ((1 << 30) - 6, 4096)] {
+            let requests = [
+                IoRequest::new(base, IoOp::Write, 0, 4096),
+                IoRequest::new(later, IoOp::Read, 8192, length),
+            ];
+            let trace: Trace = requests.iter().copied().collect();
+            assert_eq!(trace.iter().collect::<Vec<_>>(), requests, "{later} {length}");
+            assert_eq!(trace.get(1), Some(requests[1]));
         }
     }
 }

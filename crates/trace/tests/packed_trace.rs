@@ -1,11 +1,14 @@
-//! A [`Trace`] stores its requests packed, 12 bytes each plus a header per 64
-//! requests (16 bytes each in a chunk whose arrivals do not fit 32-bit offsets
-//! from its first), with the few that do not fit the packed word kept whole in
-//! a side table. These tests hold it to the plain `Vec<IoRequest>` it replaced:
-//! the same operations on both must give the same requests, lengths,
-//! statistics and equalities, at and around every packing boundary (a 40-bit
-//! offset, a 23-bit `length - 1`, a 64-request chunk, a 2^32 ns arrival
-//! window on either side of a chunk's first arrival).
+//! A [`Trace`] stores its requests packed, with a header per 64 requests: 8
+//! bytes each in a *compact* chunk, where every request fits one word with its
+//! arrival inside; 12 in a *narrow* one; 16 in a *far* one, whose arrivals do
+//! not fit 32-bit offsets from its first; and the few that do not fit the
+//! packed word kept whole in a side table. These tests hold it to the plain
+//! `Vec<IoRequest>` it replaced: the same operations on both must give the
+//! same requests, lengths, statistics and equalities, at and around every
+//! packing boundary (a compact word's 2^24 ns arrival window, 35-bit offset
+//! and power-of-two length from 2^9 to 2^24; a narrow word's 40-bit offset
+//! and 23-bit `length - 1`; a 64-request chunk; a 2^32 ns arrival window on
+//! either side of a chunk's first arrival).
 
 use proptest::prelude::*;
 
@@ -22,6 +25,15 @@ const TOP: u64 = u64::MAX;
 const CHUNK: usize = 64;
 /// The first arrival offset from a chunk's first arrival that turns it far.
 const WINDOW: u64 = 1 << 32;
+/// The first arrival offset from a chunk's first arrival that a compact word
+/// cannot hold.
+const COMPACT_WINDOW: u64 = 1 << 24;
+/// The first byte offset a compact word cannot hold.
+const COMPACT_OFFSETS: u64 = 1 << 35;
+/// The shortest and longest lengths a compact word holds: it holds the
+/// powers of two between.
+const SHORTEST_COMPACT: u32 = 1 << 9;
+const LONGEST_COMPACT: u32 = 1 << 24;
 
 fn request(at_nanos: u64, offset: u64, length: u32, write: bool) -> IoRequest {
     let offset = if offset == TOP { u64::MAX - u64::from(length) } else { offset };
@@ -73,6 +85,11 @@ enum Arrival {
     Past,
     /// One nanosecond before the chunk's first arrival, an inversion.
     Before,
+    /// The last arrival a compact word holds: the chunk's first plus
+    /// `2^24 - 1`.
+    CompactEdge,
+    /// The first one past it: the chunk's first arrival plus `2^24`.
+    CompactPast,
     /// `u64::MAX`.
     Max,
 }
@@ -99,6 +116,8 @@ fn build(first: u64, arrivals: &[Arrival], shapes: &[(u64, u32, bool)]) -> Vec<I
             Arrival::Edge => base.saturating_add(WINDOW - 1),
             Arrival::Past => base.saturating_add(WINDOW),
             Arrival::Before => base.wrapping_sub(1),
+            Arrival::CompactEdge => base.saturating_add(COMPACT_WINDOW - 1),
+            Arrival::CompactPast => base.saturating_add(COMPACT_WINDOW),
             Arrival::Max => u64::MAX,
         };
         if index % CHUNK == 0 {
@@ -108,6 +127,43 @@ fn build(first: u64, arrivals: &[Arrival], shapes: &[(u64, u32, bool)]) -> Vec<I
         model.push(request(at_nanos, offset, length, write));
     }
     model
+}
+
+/// Arrivals a few microseconds apart, so a chunk of them fits compact words,
+/// with each compact and narrow breaker now and then.
+fn compact_arrival() -> impl Strategy<Value = Arrival> {
+    (0u8..40, 0u32..50_000).prop_map(|(pick, gap)| match pick {
+        0 | 1 => Arrival::CompactEdge,
+        2 => Arrival::CompactPast,
+        3 => Arrival::Past,
+        4 => Arrival::Before,
+        _ => Arrival::After(gap),
+    })
+}
+
+/// Shapes that fit a compact word, with each side of its offset and length
+/// limits now and then and any shape at all rarely.
+fn mostly_compact() -> impl Strategy<Value = (u64, u32, bool)> {
+    let fits = (0u64..COMPACT_OFFSETS, 9u32..25, any::<bool>())
+        .prop_map(|(offset, log2, write)| (offset, 1 << log2, write));
+    let offset = prop_oneof![
+        Just(COMPACT_OFFSETS - 1),
+        Just(COMPACT_OFFSETS),
+        0u64..COMPACT_OFFSETS
+    ];
+    let length = prop_oneof![
+        Just(SHORTEST_COMPACT),
+        Just(LONGEST_COMPACT),
+        Just(SHORTEST_COMPACT - 1),
+        Just(3 << 12),
+        Just(LONGEST_COMPACT * 2),
+    ];
+    let limit = (offset, length, any::<bool>());
+    (0u8..24, fits, limit, shapes()).prop_map(|(pick, fits, limit, any)| match pick {
+        0..=2 => limit,
+        3 => any,
+        _ => fits,
+    })
 }
 
 /// A request of 4 KiB at `offset` pages, arriving at `at_nanos`.
@@ -231,6 +287,93 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Chunks that stay compact, or turn narrow or far part-way on either
+    /// side of each compact limit, at lengths around the chunk size: pushed
+    /// one request at a time, the trace agrees with the vector after every
+    /// push.
+    #[test]
+    fn compact_chunks_behave_like_a_request_vector(
+        first in prop_oneof![Just(0u64), Just(u64::MAX - 1_000), 0u64..1 << 50],
+        len in prop_oneof![Just(63usize), Just(64), Just(65), Just(129)],
+        arrivals in proptest::collection::vec(compact_arrival(), 129..130),
+        shapes in proptest::collection::vec(mostly_compact(), 129..130),
+    ) {
+        let model = build(first, &arrivals[..len], &shapes[..len]);
+        let mut trace = Trace::with_capacity("t", len);
+        for (pushed, &request) in model.iter().enumerate() {
+            trace.push(request);
+            agrees(&trace, &model[..=pushed])?;
+        }
+    }
+}
+
+/// One way a request can fail to fit a compact word.
+#[derive(Debug, Clone, Copy)]
+enum Misfit {
+    /// Arrives `2^24` ns after the chunk's first request.
+    Late,
+    /// Arrives 1 ns before the chunk's first request.
+    Early,
+    /// Starts at byte `2^35`.
+    FarOffset,
+    /// Is `2^9 - 1` bytes long.
+    Short,
+    /// Is `3 * 2^12` bytes long, not a power of two.
+    Uneven,
+    /// Is `2^25` bytes long: too long for a compact word and for a packed
+    /// one, so it goes to the side table.
+    Long,
+}
+
+/// A compact chunk turned narrow at every slot from 1 to 63 by each kind of
+/// misfit, then (when slots remain) given a wide request and turned far,
+/// keeps every request exactly, whichever chunk of the trace it is. One of
+/// its compact requests before the misfit is `2^24` bytes long, which a
+/// packed word cannot hold: turning narrow moves it to the side table.
+#[test]
+fn a_compact_chunk_turns_narrow_at_any_slot_by_any_misfit_then_far() {
+    let misfits =
+        [Misfit::Late, Misfit::Early, Misfit::FarOffset, Misfit::Short, Misfit::Uneven, Misfit::Long];
+    let mut arrivals = vec![Arrival::After(1_000); 3 * CHUNK];
+    let mut shapes: Vec<_> = (0..3 * CHUNK as u64).map(|i| (i * 4096, 4096, i % 2 == 0)).collect();
+    for chunk in 0..2 {
+        for k in 1..CHUNK {
+            for misfit in misfits {
+                let at = chunk * CHUNK + k;
+                let (saved_arrivals, saved_shapes) = (arrivals.clone(), shapes.clone());
+                shapes[chunk * CHUNK + k / 2].1 = LONGEST_COMPACT;
+                match misfit {
+                    Misfit::Late => arrivals[at] = Arrival::CompactPast,
+                    Misfit::Early => arrivals[at] = Arrival::Before,
+                    Misfit::FarOffset => shapes[at].0 = COMPACT_OFFSETS,
+                    Misfit::Short => shapes[at].1 = SHORTEST_COMPACT - 1,
+                    Misfit::Uneven => shapes[at].1 = 3 << 12,
+                    Misfit::Long => shapes[at].1 = LONGEST_COMPACT * 2,
+                }
+                if k + 2 < CHUNK {
+                    shapes[at + 1].0 = FIRST_WIDE_OFFSET;
+                    arrivals[at + 2] = Arrival::Past;
+                }
+                let model = build(1 << 40, &arrivals, &shapes);
+                let trace = Trace::new("t", model.clone());
+                assert_eq!(trace.iter().collect::<Vec<_>>(), model, "{misfit:?} at {k}");
+                for (index, &expected) in model.iter().enumerate() {
+                    assert_eq!(trace.get(index), Some(expected), "{misfit:?} at {k}");
+                }
+                let mut pushed = Trace::with_capacity("t", 0);
+                for &request in &model {
+                    pushed.push(request);
+                }
+                assert_eq!(pushed, trace, "{misfit:?} at {k}");
+                (arrivals, shapes) = (saved_arrivals, saved_shapes);
+            }
+        }
+    }
+}
+
 /// A chunk that turns far after `k` narrow requests keeps the arrivals of
 /// those `k` exactly, whichever arrival turns it and whichever chunk it is.
 #[test]
@@ -269,18 +412,19 @@ fn a_wide_request_first_in_its_chunk_sets_its_base() {
     agrees(&trace, &model).unwrap();
 }
 
-/// `split_at` at every index of a trace with narrow, far and part-far chunks
-/// and wide requests: both halves' `get` and `iter` find the right header,
-/// and so does a second cut of the tail.
+/// `split_at` at every index of a trace with compact, narrow, far and
+/// part-far chunks and wide requests, side by side: both halves' `get` and
+/// `iter` find the right header, and so does a second cut of the tail.
 #[test]
 fn split_at_every_index_finds_the_right_header() {
-    let len = 130;
+    let len = 4 * CHUNK + 2;
     let mut arrivals = vec![Arrival::After(50_000); len];
     arrivals[CHUNK + 20] = Arrival::Before;
     arrivals[CHUNK + 40] = Arrival::Past;
     let mut shapes: Vec<_> = (0..len as u64).map(|i| (i * 4096, 4096, i % 3 == 0)).collect();
     shapes[CHUNK + 5].0 = FIRST_WIDE_OFFSET;
-    shapes[2 * CHUNK].0 = TOP;
+    shapes[2 * CHUNK + 10].1 = 3 << 12;
+    shapes[4 * CHUNK].0 = TOP;
     let model = build(1 << 35, &arrivals, &shapes);
     let trace = Trace::new("t", model.clone());
     for mid in 0..=len {
@@ -301,8 +445,19 @@ fn split_at_every_index_finds_the_right_header() {
 
 #[test]
 fn every_packing_boundary_round_trips() {
-    let offsets = [0, FIRST_WIDE_OFFSET - 1, FIRST_WIDE_OFFSET, TOP];
-    let lengths = [1, 2, LONGEST_PACKED, LONGEST_PACKED + 1, u32::MAX];
+    let offsets =
+        [0, COMPACT_OFFSETS - 1, COMPACT_OFFSETS, FIRST_WIDE_OFFSET - 1, FIRST_WIDE_OFFSET, TOP];
+    let lengths = [
+        1,
+        2,
+        SHORTEST_COMPACT - 1,
+        SHORTEST_COMPACT,
+        3 << 12,
+        LONGEST_PACKED,
+        LONGEST_PACKED + 1,
+        LONGEST_COMPACT,
+        u32::MAX,
+    ];
     let mut model = Vec::new();
     for offset in offsets {
         for length in lengths {

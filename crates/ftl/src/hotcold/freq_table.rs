@@ -11,7 +11,7 @@ use crate::types::Lpn;
 /// history schemes, e.g. Hsieh et al., SAC 2005).
 ///
 /// The counts are a table indexed by LPN: 4 bytes per LPN up to the highest one
-/// written, which must be below `u32::MAX` (a 64 TiB device at 16 KiB pages). A
+/// written or reserved ([`FreqTable::reserve_keys`]), which must be below `u32::MAX` (a 64 TiB device at 16 KiB pages). A
 /// count of zero is an untracked LPN. Equality compares the counts and the aging
 /// state, not how far the table happened to grow.
 ///
@@ -56,6 +56,21 @@ impl FreqTable {
         FreqTable { counts: Vec::new(), threshold, aging_period, writes_since_aging: 0 }
     }
 
+    /// Sizes the table for keys in `0..keys` (at most `u32::MAX` of them) up
+    /// front, so writing any of them never reallocates it.
+    pub fn reserve_keys(&mut self, keys: u64) {
+        let keys = keys.min(u64::from(u32::MAX)) as usize;
+        if keys > self.counts.len() {
+            if self.counts.is_empty() {
+                // Zeroed by the allocator: a page of the table costs memory
+                // only once a key on it is written.
+                self.counts = vec![0; keys];
+            } else {
+                self.counts.resize(keys, 0);
+            }
+        }
+    }
+
     /// The current write count of `lpn` (zero if never seen).
     pub fn count(&self, lpn: Lpn) -> u32 {
         self.counts.get(lpn.as_usize()).copied().unwrap_or(0)
@@ -69,6 +84,12 @@ impl FreqTable {
     /// The tracked `(LPN index, count)` pairs, in LPN order.
     fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.counts.iter().copied().enumerate().filter(|&(_, count)| count > 0)
+    }
+
+    /// Heap bytes the table holds.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Classifies the write of `lpn` that belongs to a host request of
@@ -133,6 +154,20 @@ mod tests {
             table.classify_write(Lpn(4), 4096);
         }
         assert_eq!(table.count(Lpn(2)), 0);
+    }
+
+    /// A table sized up front classifies every write as one grown on demand
+    /// and equals it throughout, aging passes included.
+    #[test]
+    fn a_reserved_table_classifies_as_a_grown_one() {
+        let mut grown = FreqTable::new(3, 50);
+        let mut reserved = FreqTable::new(3, 50);
+        reserved.reserve_keys(100);
+        for i in 0..1_000u64 {
+            let lpn = Lpn(i * i % 97 + i % 7 * 20);
+            assert_eq!(reserved.classify_write(lpn, 4096), grown.classify_write(lpn, 4096));
+            assert_eq!(reserved, grown);
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl FirstStage {
     /// Builds `classifier` for a device of `page_size_bytes` pages and
     /// `logical_pages` logical pages: the size check at the page size, 4,096-entry
     /// hot and candidate lists over one link table sized for the logical pages, a
-    /// frequency table hot at 2 writes aged every 100,000, a sketch of 2^16
+    /// frequency table sized for them, hot at 2 writes aged every 100,000, a sketch of 2^16
     /// buckets and 2 hashes hot at 2 and decayed every 100,000 writes.
     ///
     /// # Panics
@@ -99,7 +99,11 @@ impl FirstStage {
                 lru.reserve_keys(logical_pages);
                 FirstStage::TwoLevelLru(lru)
             }
-            Classifier::FreqTable => FirstStage::FreqTable(FreqTable::new(2, 100_000)),
+            Classifier::FreqTable => {
+                let mut table = FreqTable::new(2, 100_000);
+                table.reserve_keys(logical_pages);
+                FirstStage::FreqTable(table)
+            }
             Classifier::MultiHash => FirstStage::MultiHash(MultiHash::new(1 << 16, 2, 2, 100_000)),
         }
     }
@@ -133,6 +137,20 @@ mod tests {
         }
         let FirstStage::TwoLevelLru(lru) = stage else { unreachable!("built as asked") };
         assert!(lru.heap_bytes() <= 8 * logical_pages as usize);
+    }
+
+    /// The frequency table PPB builds holds 4 bytes per logical page once
+    /// every logical page has been written in ascending order, the order that
+    /// left a table grown on demand with up to twice that.
+    #[test]
+    fn the_freq_table_first_stage_is_four_bytes_per_logical_page() {
+        let logical_pages = 29_491u64;
+        let mut stage = FirstStage::new(Classifier::FreqTable, 16_384, logical_pages);
+        for lpn in 0..logical_pages {
+            stage.classify_write(Lpn(lpn), 512);
+        }
+        let FirstStage::FreqTable(table) = stage else { unreachable!("built as asked") };
+        assert!(table.heap_bytes() <= 4 * logical_pages as usize);
     }
 
     #[test]

@@ -14,17 +14,13 @@
 //!   — most importantly — the skew of re-access frequency (hot/cold behaviour).
 //!
 //! A workload is just a [`Trace`]: an ordered list of [`IoRequest`]s plus derived
-//! [`TraceStats`]. Every 64 requests (a chunk) share a 16-byte header holding
-//! the first one's arrival. In a *compact* chunk a request is one 8-byte word:
-//! its arrival's offset from that base (below 2^24 ns, 16.8 ms), a 35-bit byte
-//! offset, `log2` of its power-of-two length (512 bytes to 16 MiB) and the op.
-//! A chunk with a request that does not fit is *narrow*, 12 bytes per request:
-//! one word packing a 40-bit offset, `length - 1` in 23 bits and the op, then a
-//! 32-bit arrival offset from the base. A chunk that holds an arrival before
-//! its first, or 2^32 ns (4.3 s) or more after it, is *far*: it keeps its
-//! arrivals' high halves beside it, at 16 bytes per request. A request that
-//! does not pack (an offset from `2^40 - 1` up, about 1 TiB; a length over
-//! `2^23` bytes, 8 MiB) is kept whole in a side table, 24 bytes more. Requests come out
+//! [`TraceStats`]. Every 64 requests (a chunk) are bit-packed under a 40-byte
+//! header holding their earliest arrival, lowest offset and shortest length:
+//! each request is its differences from those, each field as wide as the
+//! chunk's largest difference needs, with the trailing zeros all offsets (all
+//! lengths) share dropped — 5.5 to 7.7 bytes per request for the stock
+//! traces, at most 161 bits for any request. The last requests, fewer than
+//! 64, wait unpacked in the trace until the 64th arrives. Requests come out
 //! by value ([`Trace::iter`], [`Trace::get`]); the generators and the parser
 //! push straight into a [`Trace::with_capacity`], so no wider copy exists
 //! while a trace is built. A replay reads a [`TraceSlice`], which

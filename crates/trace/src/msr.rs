@@ -49,9 +49,8 @@ impl Error for ParseTraceError {}
 /// The input is consumed **streaming, line by line**, into a single reused buffer:
 /// neither the file nor per-line `String`s are materialised, so multi-GB raw traces
 /// parse within a constant memory budget (plus the decoded [`Trace`], which the
-/// parser pushes into directly: 8 bytes per request in a 64-request chunk whose
-/// requests all fit one word, 12 in one that does not, 16 in one that holds an
-/// inversion or a gap of 4.3 s or more).
+/// parser pushes into directly: each 64 requests cost the bits their widest
+/// arrival, offset and length differences need, plus a 40-byte header).
 ///
 /// Timestamps are re-based so the first request arrives at time zero. A line
 /// stamped before the file's first request arrives at time zero too (the
@@ -616,10 +615,10 @@ mod tests {
     /// A real trace's shapes, generated: an idle gap of 10 s, a line stamped
     /// before the file's first request and a 200-line stretch at 2 IOPS. The
     /// parser returns every request exactly (the early line folded onto
-    /// t = 0, not refused), and the chunks those shapes turn far cost at most
-    /// 16 bytes per request.
+    /// t = 0, not refused), and the chunks holding those shapes cost at most
+    /// 8 bytes per request.
     #[test]
-    fn real_trace_shapes_round_trip_at_16_bytes_per_request_or_less() {
+    fn real_trace_shapes_round_trip_at_8_bytes_per_request_or_less() {
         const FIRST: u64 = 128_166_372_003_061_629;
         let mut ticks = Vec::new();
         let mut clock = FIRST;
@@ -652,16 +651,12 @@ mod tests {
         for (index, &request) in expected.iter().enumerate() {
             assert_eq!(trace.get(index), Some(request));
         }
+        // The gap, the early line and the 2-IOPS stretch widen their chunks'
+        // arrival fields to 34-35 bits, and the two regions 2^35 bytes apart
+        // their offset fields to 36; the sealed chunks still pack into 8
+        // bytes per request.
         let footprint = trace.footprint();
-        assert_eq!(footprint.wide, 0);
-        // Far: chunk 1 (the idle gap), 2 (the early line), 3 to 6 (2 IOPS);
-        // chunks 0 and 7 stay narrow.
-        assert_eq!(footprint.far_chunks, 6);
-        let far_requests = 6 * 64;
-        assert_eq!(
-            footprint.bytes,
-            expected.len() * 12 + far_requests * 4 + footprint.header_bytes
-        );
-        assert!(footprint.bytes <= expected.len() * 16 + footprint.header_bytes);
+        let sealed = expected.len() / 64 * 64;
+        assert!(footprint.bytes <= sealed * 8 + footprint.header_bytes, "{footprint:?}");
     }
 }

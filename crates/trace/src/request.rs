@@ -97,210 +97,185 @@ impl PageSplitter {
     }
 }
 
-/// Bits of a packed word that hold the byte offset.
-const OFFSET_BITS: u32 = 40;
-/// Bits of a packed word that hold `length - 1`.
-const LENGTH_BITS: u32 = 23;
-/// The word of a request kept whole in the side table, at the index its
-/// 32-bit field holds. No packed word equals it: that would take the offset
-/// `2^40 - 1`, which is stored wide.
-const WIDE: u64 = u64::MAX;
-/// Bits of a compact word that hold the arrival offset from the chunk's base.
-const COMPACT_ARRIVAL_BITS: u32 = 24;
-/// Bits of a compact word that hold the byte offset.
-const COMPACT_OFFSET_BITS: u32 = 35;
-/// Bits of a compact word that hold `log2(length) - 9`.
-const COMPACT_LENGTH_BITS: u32 = 4;
-/// `log2` of the shortest length a compact word holds, 512 bytes.
-const COMPACT_LENGTH_SHIFT: u32 = 9;
-/// Where a compact word's byte offset starts.
-const COMPACT_OFFSET_SHIFT: u32 = COMPACT_LENGTH_BITS + 1;
-/// Where a compact word's arrival offset starts.
-const COMPACT_ARRIVAL_SHIFT: u32 = COMPACT_OFFSET_BITS + COMPACT_OFFSET_SHIFT;
 /// `log2` of [`CHUNK`].
 const CHUNK_BITS: u32 = 6;
 /// Consecutive requests under one [`Chunk`] header.
 const CHUNK: usize = 1 << CHUNK_BITS;
-/// [`Chunk::far`] of a compact or narrow chunk.
-const NARROW: u32 = u32::MAX;
-/// [`Chunk::block`] of a compact chunk.
-const COMPACT: u32 = u32::MAX;
 
-/// `request`'s offset (bits 24..64), `length - 1` (bits 1..24) and op (bit 0,
-/// set for a write) in one word, or [`WIDE`] when its offset or length does
-/// not fit (or its length is zero, which only a struct literal can make).
-#[inline]
-fn pack(request: IoRequest) -> u64 {
-    let fits = request.offset < (1 << OFFSET_BITS) - 1
-        && (1..=1 << LENGTH_BITS).contains(&request.length);
-    if !fits {
-        return WIDE;
-    }
-    request.offset << (LENGTH_BITS + 1)
-        | u64::from(request.length - 1) << 1
-        | u64::from(request.op == IoOp::Write)
-}
-
-/// `request` as the compact word of a chunk whose first arrival is `base`:
-/// its arrival offset from `base` (bits 40..64), byte offset (bits 5..40),
-/// `log2(length) - 9` (bits 1..5) and op (bit 0, set for a write). `None`
-/// when the arrival offset (`at_nanos - base`, wrapping, so an arrival
-/// shortly before `base` is a huge one) is `2^24` ns or more, the byte offset
-/// `2^35` or more, or the length not a power of two from 512 bytes to 16 MiB.
-#[inline(always)]
-fn compact(request: IoRequest, base: u64) -> Option<u64> {
-    let arrival = request.at_nanos.wrapping_sub(base);
-    let code = request.length.trailing_zeros().wrapping_sub(COMPACT_LENGTH_SHIFT);
-    // `&`, not `&&`: three compares and no branch until the last. A zero
-    // length has 32 trailing zeros, so `code` rules it out.
-    let fits = (arrival >> COMPACT_ARRIVAL_BITS | request.offset >> COMPACT_OFFSET_BITS == 0)
-        & (request.length & request.length.wrapping_sub(1) == 0)
-        & (code < 1 << COMPACT_LENGTH_BITS);
-    fits.then(|| {
-        arrival << COMPACT_ARRIVAL_SHIFT
-            | request.offset << COMPACT_OFFSET_SHIFT
-            | u64::from(code) << 1
-            | u64::from(request.op == IoOp::Write)
-    })
-}
-
-/// The request a [`compact`] word of a chunk based at `base` holds.
-#[inline(always)]
-fn uncompact(base: u64, word: u64) -> IoRequest {
-    let code = (word >> 1) as u32 & ((1 << COMPACT_LENGTH_BITS) - 1);
-    IoRequest {
-        at_nanos: base.wrapping_add(word >> COMPACT_ARRIVAL_SHIFT),
-        op: if word & 1 == 0 { IoOp::Read } else { IoOp::Write },
-        offset: (word >> COMPACT_OFFSET_SHIFT) & ((1 << COMPACT_OFFSET_BITS) - 1),
-        length: 1 << (code + COMPACT_LENGTH_SHIFT),
-    }
-}
-
-/// The header of 64 consecutive requests of a [`Trace`] (the last chunk may
-/// hold fewer), 16 bytes.
+/// The header of 64 consecutive requests of a [`Trace`], written when the
+/// 64th arrives, 40 bytes.
 ///
-/// A chunk opens *compact*: each request is one [`compact`] word holding its
-/// arrival as an offset from `base`, and the chunk keeps no 32-bit fields.
-/// The first request that does not fit a compact word turns the chunk
-/// *narrow*: every request of it, those already pushed included, is then a
-/// packed word plus a 32-bit field in the chunk's block of 64 in [`Trace`]'s
-/// `fields`, holding its arrival's offset from `base` while that lies in
-/// `base..base + 2^32` ns. The first packed arrival outside that window (an
-/// inversion, or a gap of 2^32 ns, about 4.3 s, or more) turns the chunk
-/// *far*: each field then holds its arrival's low half and the high half goes
-/// to [`Trace`]'s `highs`.
+/// Each request of the chunk is one *record* of [`Chunk::bits`] bits, three
+/// fields from the low bit up: its arrival less the chunk's earliest; its
+/// offset less the chunk's lowest, shifted right by `offset_shift`; and its
+/// length less the chunk's shortest, shifted right by `length_shift`, above
+/// its op bit (set for a write). Each field is as wide as its largest value
+/// in the chunk, and the shifts drop the trailing zeros every offset (every
+/// length) shares, so 64 records fill exactly [`Chunk::bits`] words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Chunk {
-    /// The arrival of the chunk's first request.
-    base: u64,
-    /// [`NARROW`], or the ordinal of the far chunk among the trace's far
-    /// chunks: its high halves are `highs[far * 64..]`, one per request.
-    far: u32,
-    /// [`COMPACT`], or the ordinal of the chunk among the trace's chunks that
-    /// are not compact: its fields are `fields[block * 64..]`, one per request.
-    block: u32,
+    /// Where the chunk's records start in [`Trace`]'s `words`.
+    start: usize,
+    /// The earliest arrival of the chunk's requests.
+    arrival: u64,
+    /// The lowest offset.
+    offset: u64,
+    /// The shortest length.
+    length: u32,
+    /// Bits of the arrival, offset and length-and-op fields.
+    widths: [u8; 3],
+    offset_shift: u8,
+    length_shift: u8,
 }
 
-/// The parts of a [`Trace`] a request may need beyond its word, indexed by
-/// the request's position in the whole trace.
-#[derive(Debug, Clone, Copy)]
-struct Headers<'a> {
-    chunks: &'a [Chunk],
-    fields: &'a [u32],
-    highs: &'a [u32],
-    wide: &'a [IoRequest],
-}
-
-impl Headers<'_> {
-    /// The request at position `at` of the trace, stored as `word`.
-    #[inline]
-    fn unpack(&self, at: usize, word: u64) -> IoRequest {
-        self.decode(self.chunks[at >> CHUNK_BITS], at, word)
-    }
-
-    /// [`Headers::unpack`] with the header of `at`'s chunk already read.
-    #[inline(always)]
-    fn decode(&self, chunk: Chunk, at: usize, word: u64) -> IoRequest {
-        if chunk.block == COMPACT {
-            return uncompact(chunk.base, word);
-        }
-        let field = self.fields[((chunk.block as usize) << CHUNK_BITS) | (at % CHUNK)];
-        if word == WIDE {
-            return self.wide[field as usize];
-        }
-        let at_nanos = if chunk.far == NARROW {
-            chunk.base.wrapping_add(u64::from(field))
-        } else {
-            let high = self.highs[((chunk.far as usize) << CHUNK_BITS) | (at % CHUNK)];
-            u64::from(high) << 32 | u64::from(field)
+impl Chunk {
+    /// The header of `requests`, whose records start at word `start`.
+    fn of(requests: &[IoRequest; CHUNK], start: usize) -> Chunk {
+        let fields = |request: &IoRequest| {
+            [request.at_nanos, request.offset, u64::from(request.length)]
         };
+        let first = fields(&requests[0]);
+        // Each field's smallest and largest value, and the bits in which any
+        // value differs from the first: the differences from the smallest
+        // share the trailing zeros those bits have (all of them when every
+        // value is alike, which `%` turns into no shift).
+        let (mut low, mut high, mut varied) = (first, first, [0; 3]);
+        for request in requests {
+            for (field, value) in fields(request).into_iter().enumerate() {
+                low[field] = low[field].min(value);
+                high[field] = high[field].max(value);
+                varied[field] |= value ^ first[field];
+            }
+        }
+        let [offset_shift, length_shift] = [1, 2].map(|field| varied[field].trailing_zeros() % 64);
+        let width = |field: usize, shift: u32| {
+            (u64::BITS - ((high[field] - low[field]) >> shift).leading_zeros()) as u8
+        };
+        Chunk {
+            start,
+            arrival: low[0],
+            offset: low[1],
+            length: low[2] as u32,
+            widths: [width(0, 0), width(1, offset_shift), width(2, length_shift) + 1],
+            offset_shift: offset_shift as u8,
+            length_shift: length_shift as u8,
+        }
+    }
+
+    /// Bits per record, at most 161; words per chunk too.
+    fn bits(&self) -> u32 {
+        self.widths.iter().map(|&width| u32::from(width)).sum()
+    }
+
+    /// `request`'s arrival, offset and length-and-op fields.
+    fn fields(&self, request: &IoRequest) -> [u64; 3] {
+        let length = (request.length - self.length) >> self.length_shift;
+        [
+            request.at_nanos - self.arrival,
+            (request.offset - self.offset) >> self.offset_shift,
+            u64::from(length) << 1 | u64::from(request.op == IoOp::Write),
+        ]
+    }
+}
+
+/// A [`Chunk`] header unpacked for decoding: what reading one of its
+/// requests needs, computed once per chunk.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    arrival: u64,
+    offset: u64,
+    length: u32,
+    /// The chunk's first bit in the trace's words.
+    bit: usize,
+    /// Bits per record.
+    bits: usize,
+    /// Where the offset and the length-and-op fields start in a record.
+    offset_at: u32,
+    length_at: u32,
+    /// The arrival, offset and length-and-op fields' bits.
+    masks: [u64; 3],
+    offset_shift: u32,
+    length_shift: u32,
+}
+
+impl Frame {
+    #[inline(always)]
+    fn new(chunk: &Chunk) -> Frame {
+        let [arrival, offset, _] = chunk.widths.map(u32::from);
+        Frame {
+            arrival: chunk.arrival,
+            offset: chunk.offset,
+            length: chunk.length,
+            bit: chunk.start * 64,
+            bits: chunk.bits() as usize,
+            offset_at: arrival,
+            length_at: arrival + offset,
+            masks: chunk.widths.map(|width| ((1u128 << width) - 1) as u64),
+            offset_shift: u32::from(chunk.offset_shift),
+            length_shift: u32::from(chunk.length_shift),
+        }
+    }
+
+    /// The request in slot `slot` of the chunk, read from its records in
+    /// `words`.
+    #[inline(always)]
+    fn decode(&self, words: &[u64], slot: usize) -> IoRequest {
+        let at = self.bit + slot * self.bits;
+        let [arrival, offset, length_op] = if self.bits <= 64 {
+            // The whole record is in the 64 bits from `at`.
+            let record = bits(words, at);
+            [record, record >> self.offset_at, record >> self.length_at]
+        } else {
+            [
+                bits(words, at),
+                bits(words, at + self.offset_at as usize),
+                bits(words, at + self.length_at as usize),
+            ]
+        };
+        let [arrival, offset, length_op] =
+            [arrival & self.masks[0], offset & self.masks[1], length_op & self.masks[2]];
         IoRequest {
-            at_nanos,
-            op: if word & 1 == 0 { IoOp::Read } else { IoOp::Write },
-            offset: word >> (LENGTH_BITS + 1),
-            length: ((word >> 1) & ((1 << LENGTH_BITS) - 1)) as u32 + 1,
+            at_nanos: self.arrival + arrival,
+            op: if length_op & 1 == 0 { IoOp::Read } else { IoOp::Write },
+            offset: self.offset + (offset << self.offset_shift),
+            length: self.length + (((length_op >> 1) as u32) << self.length_shift),
         }
     }
 }
 
-/// Appends `request` to a trace's side table; its index there.
-fn keep_wide(wide: &mut Vec<IoRequest>, request: IoRequest) -> u32 {
-    wide.push(request);
-    u32::try_from(wide.len() - 1).expect("a trace holds at most 2^32 wide requests")
+/// The 64 bits of `words` from bit `at` on, zeros past the end. The
+/// length-and-op field is at least one bit wide and ends each record, so
+/// every field starts inside `words`.
+#[inline(always)]
+fn bits(words: &[u64], at: usize) -> u64 {
+    let word = at / 64;
+    let next = words.get(word + 1).copied().unwrap_or_default();
+    ((u128::from(next) << 64 | u128::from(words[word])) >> (at % 64)) as u64
 }
 
-/// The layout of a [`Trace`]'s open chunk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Open {
-    #[default]
-    Compact,
-    Narrow,
-    Far,
-}
-
-/// An ordered sequence of I/O requests, 8 bytes per request in a chunk where
-/// every request fits a compact word and at most 16 elsewhere, plus a 16-byte
-/// header per 64 requests.
+/// An ordered sequence of I/O requests, bit-packed 64 at a time: a request
+/// costs the bits its chunk's widest arrival, offset and length need (at
+/// most 161), plus a 40-byte header per 64.
 ///
 /// Time ordering is *not* validated — real traces contain ties and minor
-/// inversions. Every 64 consecutive requests (a *chunk*) share a header
-/// holding their first arrival. In a *compact* chunk each request is one
-/// word: its arrival's offset from that base (below 2^24 ns, 16.8 ms), its
-/// byte offset (below 2^35, 32 GiB), `log2` of its length (a power of two
-/// from 512 bytes to 16 MiB) and its op, as every request of the stock
-/// synthetic workloads at their default arrivals is. A chunk with a request
-/// that does not fit turns *narrow*: each request is a packed word (offset
-/// below `2^40 - 1`, 1 TiB; length at most `2^23` bytes, 8 MiB) and a 32-bit
-/// arrival offset from the base, 12 bytes. A narrow chunk that meets an
-/// arrival before its first one, or 2^32 ns (4.3 s) or more after it, turns
-/// *far* and keeps each of its arrivals' high halves in a side vector: its
-/// requests cost 16 bytes. A request that does not pack is kept whole in a
-/// side table, 24 bytes more, so any [`IoRequest`] comes back exactly as it
-/// went in. Requests are yielded by value.
-#[derive(Clone, PartialEq, Eq, Default)]
+/// inversions. Every 64 consecutive requests (a *chunk*) are stored as
+/// differences from the chunk's earliest arrival, lowest offset and shortest
+/// length, each field as wide as its largest difference needs and the
+/// offsets' and lengths' shared trailing zeros dropped; see [`Chunk`]. The
+/// stock synthetic workloads' chunks take 5.5–7.7 bytes per request. The
+/// last requests, fewer than 64, wait in a fixed array inside the trace
+/// until the 64th arrives. Any [`IoRequest`] comes back exactly as it went
+/// in; requests are yielded by value.
+#[derive(Clone)]
 pub struct Trace {
     name: String,
-    /// Each request's compact word (compact chunk), packed word or [`WIDE`].
+    /// The sealed chunks' records, each chunk's in whole words of its own.
     words: Vec<u64>,
-    /// 64 per chunk that is not compact (as many as it holds for the open
-    /// chunk): each request's arrival offset from its chunk's base (narrow
-    /// chunk), its arrival's low half (far chunk) or its index in `wide`.
-    fields: Vec<u32>,
-    /// One header per 64 requests; the last is the *open* chunk, which the
-    /// next push fills unless it holds 64.
+    /// One header per sealed chunk.
     chunks: Vec<Chunk>,
-    /// The far chunks' arrival high halves, 64 per chunk (as many as it
-    /// holds for the open chunk), 0 for a wide request.
-    highs: Vec<u32>,
-    /// The requests that do not pack, in trace order. Only `push` adds to a
-    /// trace and nothing removes from one, and a chunk's layout is a function
-    /// of the requests pushed into it, so equal requests are equal words and
-    /// fields and the derived `PartialEq` means "same name, same requests".
-    wide: Vec<IoRequest>,
-    /// The open chunk's base, kept here so that `push` reads no header.
-    base: u64,
-    /// The open chunk's layout.
-    open: Open,
+    /// The open chunk's requests: the first `len % 64`.
+    open: [IoRequest; CHUNK - 1],
+    len: usize,
 }
 
 impl Trace {
@@ -311,130 +286,73 @@ impl Trace {
         trace
     }
 
-    /// An empty trace with room for `capacity` requests: what a generator or
-    /// parser pushes into, so no second copy of the requests ever exists. The
-    /// 32-bit fields are reserved by the first chunk that needs them.
+    /// An empty trace with room for `capacity` requests at 8 bytes each:
+    /// what a generator or parser pushes into, so no second copy of the
+    /// requests ever exists.
     pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+        let vacant = IoRequest { at_nanos: 0, op: IoOp::Read, offset: 0, length: 0 };
         Trace {
             name: name.into(),
             words: Vec::with_capacity(capacity),
-            chunks: Vec::with_capacity(capacity.div_ceil(CHUNK)),
-            ..Trace::default()
+            chunks: Vec::with_capacity(capacity / CHUNK),
+            open: [vacant; CHUNK - 1],
+            len: 0,
         }
     }
 
     /// Appends `request`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a count that outgrows its 32-bit index, each far beyond any
-    /// trace that fits in memory:
-    /// - past `2^32` requests that do not pack (96 GiB of side table): the
-    ///   side-table index is a 32-bit field;
-    /// - past `2^32 - 1` far chunks (2^38 requests): a far chunk's ordinal is
-    ///   32 bits and all ones marks a chunk that is not far;
-    /// - past `2^32 - 1` chunks that are not compact (2^38 requests): the
-    ///   ordinal of a chunk's block of fields is 32 bits and all ones marks a
-    ///   compact chunk.
-    ///
-    /// Turning a chunk narrow or far also expects the open chunk's header,
-    /// which the push that opened the chunk added; so that one never panics.
     // Always inlined: the generators push from five sites in one loop, and
     // left to itself the compiler called `push` out of line, which cost
     // generation a few nanoseconds per request.
     #[inline(always)]
     pub fn push(&mut self, request: IoRequest) {
-        let slot = self.words.len() % CHUNK;
-        if slot == 0 {
-            self.base = request.at_nanos;
-            self.open = Open::Compact;
-            self.chunks.push(Chunk { base: request.at_nanos, far: NARROW, block: COMPACT });
-        }
-        if self.open == Open::Compact {
-            if let Some(word) = compact(request, self.base) {
-                self.words.push(word);
-                return;
-            }
-            self.turn_narrow(slot);
-        }
-        let word = pack(request);
-        let offset = request.at_nanos.wrapping_sub(self.base);
-        if word != WIDE && offset <= u64::from(u32::MAX) && self.open == Open::Narrow {
-            self.words.push(word);
-            self.fields.push(offset as u32);
-        } else {
-            self.push_apart(slot, word, request);
+        let slot = self.len % CHUNK;
+        self.len += 1;
+        match self.open.get_mut(slot) {
+            Some(open) => *open = request,
+            None => self.seal(request),
         }
     }
 
-    /// [`Trace::push`] of a request that is wide, turns its chunk far or
-    /// lands in a far chunk; `slot` is its position in the open chunk.
-    fn push_apart(&mut self, slot: usize, word: u64, request: IoRequest) {
-        let field = if word == WIDE {
-            keep_wide(&mut self.wide, request)
-        } else {
-            if self.open != Open::Far {
-                self.turn_far(slot);
-            }
-            request.at_nanos as u32
-        };
-        if self.open == Open::Far {
-            self.highs.push(if word == WIDE { 0 } else { (request.at_nanos >> 32) as u32 });
-        }
-        self.words.push(word);
-        self.fields.push(field);
-    }
-
-    /// The open chunk's header.
-    fn open_chunk(&mut self) -> &mut Chunk {
-        self.chunks.last_mut().expect("a push opened the chunk")
-    }
-
-    /// Turns the open chunk narrow. Its first `slot` requests, stored compact,
-    /// become packed words and fields in a block of `fields` of the chunk's
-    /// own, which a trace's first such chunk reserves for every request the
-    /// words have room for from there on. A compact request longer than
-    /// `2^23` bytes does not pack and goes to the side table.
+    /// Seals the open chunk, its 63 requests and `last`, into a header and
+    /// records.
     #[inline(never)]
-    fn turn_narrow(&mut self, slot: usize) {
-        let block = u32::try_from(self.fields.len() / CHUNK)
-            .ok()
-            .filter(|&block| block != COMPACT)
-            .expect("a trace holds fewer than 2^32 - 1 chunks that are not compact");
-        self.open_chunk().block = block;
-        self.open = Open::Narrow;
-        let first = self.words.len() - slot;
-        self.fields.reserve(self.words.capacity() - first);
-        for word in &mut self.words[first..] {
-            let request = uncompact(self.base, *word);
-            let arrival = (*word >> COMPACT_ARRIVAL_SHIFT) as u32;
-            *word = pack(request);
-            let field = if *word == WIDE { keep_wide(&mut self.wide, request) } else { arrival };
-            self.fields.push(field);
+    fn seal(&mut self, last: IoRequest) {
+        let mut requests = [last; CHUNK];
+        requests[..CHUNK - 1].copy_from_slice(&self.open);
+        let chunk = Chunk::of(&requests, self.words.len());
+        let (bits, [arrival, offset, length]) = (chunk.bits(), chunk.widths.map(u32::from));
+        self.words.resize(chunk.start + bits as usize, 0);
+        let words = &mut self.words[chunk.start..];
+        let mut at = 0;
+        let mut put = |value: u64, width: u32| {
+            let (word, skip) = (at / 64, (at % 64) as u32);
+            words[word] |= value << skip;
+            if skip + width > 64 {
+                words[word + 1] |= value >> (64 - skip);
+            }
+            at += width as usize;
+        };
+        for request in &requests {
+            let fields = chunk.fields(request);
+            if bits <= 64 {
+                put(fields[0] | fields[1] << arrival | fields[2] << (arrival + offset), bits);
+            } else {
+                put(fields[0], arrival);
+                put(fields[1], offset);
+                put(fields[2], length);
+            }
         }
+        debug_assert_eq!(at, 64 * bits as usize);
+        self.chunks.push(chunk);
     }
 
-    /// Turns the open chunk far. Its first `slot` requests, stored narrow,
-    /// keep their exact arrivals: each field becomes the arrival's low half
-    /// and the high half goes to `highs`.
-    fn turn_far(&mut self, slot: usize) {
-        let ordinal = u32::try_from(self.highs.len() / CHUNK)
-            .ok()
-            .filter(|&ordinal| ordinal != NARROW)
-            .expect("a trace holds fewer than 2^32 - 1 far chunks");
-        self.open_chunk().far = ordinal;
-        self.open = Open::Far;
-        let words = &self.words[self.words.len() - slot..];
-        let first = self.fields.len() - slot;
-        for (&word, field) in words.iter().zip(&mut self.fields[first..]) {
-            let high = if word == WIDE {
-                0
-            } else {
-                let at_nanos = self.base.wrapping_add(u64::from(*field));
-                *field = at_nanos as u32;
-                (at_nanos >> 32) as u32
-            };
-            self.highs.push(high);
+    /// The request at position `at`, which must be below the length.
+    #[inline]
+    fn at(&self, at: usize) -> IoRequest {
+        match self.chunks.get(at >> CHUNK_BITS) {
+            Some(chunk) => Frame::new(chunk).decode(&self.words, at % CHUNK),
+            None => self.open[at % CHUNK],
         }
     }
 
@@ -445,27 +363,17 @@ impl Trace {
 
     /// Number of requests.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.len
     }
 
     /// Whether the trace contains no requests.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len == 0
     }
 
     /// The whole trace as a [`TraceSlice`].
     pub fn as_slice(&self) -> TraceSlice<'_> {
-        TraceSlice {
-            name: &self.name,
-            words: &self.words,
-            start: 0,
-            headers: Headers {
-                chunks: &self.chunks,
-                fields: &self.fields,
-                highs: &self.highs,
-                wide: &self.wide,
-            },
-        }
+        TraceSlice { trace: self, start: 0, end: self.len }
     }
 
     /// The request at `index`, or `None` past the end.
@@ -526,6 +434,26 @@ impl Trace {
     }
 }
 
+impl Default for Trace {
+    fn default() -> Self {
+        Trace::with_capacity(String::new(), 0)
+    }
+}
+
+/// "Same name, same requests": a sealed chunk's header and records are a
+/// function of its requests, and so is where the next chunk starts.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        fn open(trace: &Trace) -> &[IoRequest] {
+            &trace.open[..trace.len % CHUNK]
+        }
+        (&self.name, self.len, &self.words, &self.chunks, open(self))
+            == (&other.name, other.len, &other.words, &other.chunks, open(other))
+    }
+}
+
+impl Eq for Trace {}
+
 impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.as_slice().fmt(f)
@@ -537,48 +465,45 @@ impl fmt::Debug for Trace {
 /// [`TraceSlice::split_at`] cuts a slice in two without copying a request.
 #[derive(Clone, Copy)]
 pub struct TraceSlice<'a> {
-    name: &'a str,
-    words: &'a [u64],
-    /// The position of the slice's first request in the trace, which the
-    /// chunk headers are indexed by.
+    trace: &'a Trace,
+    /// The positions in the trace of the slice's first request and of the
+    /// one after its last.
     start: usize,
-    /// The whole trace's headers, fields, high halves and side table.
-    headers: Headers<'a>,
+    end: usize,
 }
 
 impl<'a> TraceSlice<'a> {
     /// The name of the trace this slice is of.
     pub fn name(&self) -> &'a str {
-        self.name
+        &self.trace.name
     }
 
     /// Number of requests.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.end - self.start
     }
 
     /// Whether the slice contains no requests.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.start == self.end
     }
 
     /// The request at `index`, or `None` past the end.
     #[inline]
     pub fn get(&self, index: usize) -> Option<IoRequest> {
-        let word = *self.words.get(index)?;
-        Some(self.headers.unpack(self.start + index, word))
+        (index < self.len()).then(|| self.trace.at(self.start + index))
     }
 
     /// Iterates over the requests in arrival order.
     pub fn iter(&self) -> TraceIter<'a> {
-        // A slice that starts mid-chunk reads its first header here; an
-        // empty one may start past the last header and reads none.
-        let chunk = self.headers.chunks.get(self.start >> CHUNK_BITS).copied();
+        let chunks = &self.trace.chunks;
         TraceIter {
-            words: self.words.iter(),
+            trace: self.trace,
             at: self.start,
-            chunk: chunk.unwrap_or(Chunk { base: 0, far: NARROW, block: COMPACT }),
-            headers: self.headers,
+            sealed: self.end.min(chunks.len() * CHUNK),
+            end: self.end,
+            // A slice that starts mid-chunk reads its first header here.
+            frame: chunks.get(self.start >> CHUNK_BITS).map(Frame::new).unwrap_or_default(),
         }
     }
 
@@ -588,19 +513,17 @@ impl<'a> TraceSlice<'a> {
     ///
     /// Panics if `mid` exceeds the length.
     pub fn split_at(self, mid: usize) -> (TraceSlice<'a>, TraceSlice<'a>) {
-        let (head, tail) = self.words.split_at(mid);
-        (
-            TraceSlice { words: head, ..self },
-            TraceSlice { words: tail, start: self.start + mid, ..self },
-        )
+        assert!(mid <= self.len(), "mid > len");
+        let cut = self.start + mid;
+        (TraceSlice { end: cut, ..self }, TraceSlice { start: cut, ..self })
     }
 }
 
-/// Prints the requests, not their packed words.
+/// Prints the requests, not their records.
 impl fmt::Debug for TraceSlice<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Trace")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("requests", &self.iter().collect::<Vec<_>>())
             .finish()
     }
@@ -615,12 +538,14 @@ impl<'a> From<&'a Trace> for TraceSlice<'a> {
 /// The requests of a [`Trace`] or [`TraceSlice`], by value.
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
-    words: std::slice::Iter<'a, u64>,
+    trace: &'a Trace,
     /// The position in the trace of the next request.
     at: usize,
+    /// Where the sealed chunks end, or `end` if that is sooner.
+    sealed: usize,
+    end: usize,
     /// The header of `at`'s chunk, read again where a chunk starts.
-    chunk: Chunk,
-    headers: Headers<'a>,
+    frame: Frame,
 }
 
 impl Iterator for TraceIter<'_> {
@@ -631,17 +556,23 @@ impl Iterator for TraceIter<'_> {
     // a few percent of its host time.
     #[inline(always)]
     fn next(&mut self) -> Option<IoRequest> {
-        let &word = self.words.next()?;
-        if self.at.is_multiple_of(CHUNK) {
-            self.chunk = self.headers.chunks[self.at >> CHUNK_BITS];
+        let at = self.at;
+        if at == self.end {
+            return None;
         }
-        let request = self.headers.decode(self.chunk, self.at, word);
         self.at += 1;
-        Some(request)
+        if at >= self.sealed {
+            return Some(self.trace.open[at % CHUNK]);
+        }
+        if at.is_multiple_of(CHUNK) {
+            self.frame = Frame::new(&self.trace.chunks[at >> CHUNK_BITS]);
+        }
+        Some(self.frame.decode(&self.trace.words, at % CHUNK))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.words.size_hint()
+        let left = self.end - self.at;
+        (left, Some(left))
     }
 }
 
@@ -678,27 +609,22 @@ impl Extend<IoRequest> for Trace {
         let iter = iter.into_iter();
         let additional = iter.size_hint().0;
         self.words.reserve(additional);
-        self.chunks.reserve((self.len() + additional).div_ceil(CHUNK) - self.chunks.len());
+        self.chunks.reserve((self.len + additional) / CHUNK - self.chunks.len());
         for request in iter {
             self.push(request);
         }
     }
 }
 
-/// What a [`Trace`] stores, counted by length rather than capacity.
+/// What a [`Trace`]'s sealed chunks store on the heap, counted by length
+/// rather than capacity. The open chunk's requests live in the trace itself.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Footprint {
-    /// Bytes of words, fields, headers, high halves and side table.
+    /// Bytes of records and headers.
     pub bytes: usize,
-    /// The chunk headers among `bytes`.
+    /// The headers among `bytes`.
     pub header_bytes: usize,
-    /// Compact chunks.
-    pub compact_chunks: usize,
-    /// Far chunks.
-    pub far_chunks: usize,
-    /// Requests kept whole in the side table.
-    pub wide: usize,
 }
 
 #[cfg(test)]
@@ -707,17 +633,7 @@ impl Trace {
     pub(crate) fn footprint(&self) -> Footprint {
         use std::mem::size_of;
         let header_bytes = self.chunks.len() * size_of::<Chunk>();
-        Footprint {
-            bytes: self.words.len() * size_of::<u64>()
-                + self.fields.len() * size_of::<u32>()
-                + header_bytes
-                + self.highs.len() * size_of::<u32>()
-                + self.wide.len() * size_of::<IoRequest>(),
-            header_bytes,
-            compact_chunks: self.chunks.iter().filter(|chunk| chunk.block == COMPACT).count(),
-            far_chunks: self.highs.len().div_ceil(CHUNK),
-            wide: self.wide.len(),
-        }
+        Footprint { bytes: self.words.len() * size_of::<u64>() + header_bytes, header_bytes }
     }
 }
 
@@ -809,64 +725,67 @@ mod tests {
         assert_eq!(cut.name(), "t");
     }
 
-    /// `n` packed requests, arrivals `gap` ns apart.
+    /// `n` requests of 4 KiB at consecutive 4 KiB offsets, arrivals `gap` ns
+    /// apart.
     fn spaced(n: usize, gap: u64) -> Trace {
         (0..n as u64).map(|i| IoRequest::new(i * gap, IoOp::Read, i * 4096, 4096)).collect()
     }
 
+    /// A sealed chunk costs the bits its widest differences need, in whole
+    /// words, and a 40-byte header; the open chunk's requests cost no heap.
     #[test]
-    fn a_request_is_8_bytes_in_a_compact_chunk_12_in_a_narrow_one_and_16_in_a_far_one() {
-        assert!(std::mem::size_of::<Chunk>() <= 16);
-        for n in [0usize, 1, 63, 64, 65, 129, 1_000] {
-            let chunks = n.div_ceil(64);
-            let headers = chunks * std::mem::size_of::<Chunk>();
-            let compact = spaced(n, 1_000).footprint();
-            assert_eq!((compact.bytes, compact.header_bytes), (n * 8 + headers, headers));
-            assert_eq!((compact.compact_chunks, compact.far_chunks, compact.wide), (chunks, 0, 0));
-            // A chunk's lone request fits a compact word; in a chunk of two or
-            // more, the second arrival turns it narrow (2^24 ns after the
-            // first) or far (2^32 ns).
-            let lone = usize::from(n % 64 == 1);
-            let loose = n - lone;
-            let narrow = spaced(n, 1 << 24).footprint();
-            assert_eq!(narrow.bytes, n * 8 + loose * 4 + headers, "{n} requests");
-            assert_eq!((narrow.compact_chunks, narrow.far_chunks), (lone, 0));
-            let far = spaced(n, 1 << 32).footprint();
-            assert_eq!(far.bytes, n * 8 + loose * 8 + headers, "{n} requests");
-            assert_eq!((far.compact_chunks, far.far_chunks), (lone, chunks - lone));
-            assert!(far.bytes <= n * 16 + headers);
+    fn a_chunk_costs_the_bits_its_widest_fields_need() {
+        assert_eq!(std::mem::size_of::<Chunk>(), 40);
+        // Arrivals up to 63 gaps after the chunk's first; offsets up to 63
+        // pages past its lowest, 6 bits once their 12 shared zeros go;
+        // equal lengths, the op bit alone.
+        for (gap, arrival_bits) in [(1_000, 16), (1 << 24, 30), (1 << 40, 46)] {
+            let bits = arrival_bits + 6 + 1;
+            for n in [0usize, 1, 63, 64, 65, 129, 1_000] {
+                let sealed = n / CHUNK;
+                let expected =
+                    Footprint { bytes: sealed * (bits * 8 + 40), header_bytes: sealed * 40 };
+                assert_eq!(spaced(n, gap).footprint(), expected, "gap {gap}, {n} requests");
+            }
         }
     }
 
-    /// The 32-bit fields are reserved by the first chunk that needs them, for
-    /// the requests the words have room for from there: a compact trace
-    /// reserves none, and no trace reserves more fields than words.
+    /// The widest record is 161 bits: arrivals spanning all of `u64`, odd
+    /// offset differences spanning all of it and odd length differences
+    /// spanning all of `u32`. So no request costs more than 21 bytes and its
+    /// share of a header.
     #[test]
-    fn fields_are_reserved_by_the_first_chunk_that_needs_them() {
-        let mut compact = Trace::with_capacity("c", 1_000);
-        compact.extend(spaced(1_000, 1_000).iter());
-        assert_eq!(compact.fields.capacity(), 0);
-        for gap in [1 << 24, 1 << 32] {
-            let mut loose = Trace::with_capacity("l", 1_000);
-            loose.extend(spaced(1_000, gap).iter());
-            assert!(loose.fields.capacity() <= loose.words.capacity(), "gap {gap}");
-            assert_eq!(loose.fields.len(), 1_000);
-        }
+    fn no_request_costs_more_than_21_bytes_and_its_header() {
+        let shapes = [
+            (0, 0, 1),
+            (u64::MAX, u64::MAX - u64::from(u32::MAX), u32::MAX),
+            (1, 1, 2),
+            (u64::MAX - 1, 0, 4096),
+        ];
+        let requests: Vec<_> = (0..2 * CHUNK)
+            .map(|i| {
+                let (at, offset, length) = shapes[i % shapes.len()];
+                let op = if i % 3 == 0 { IoOp::Write } else { IoOp::Read };
+                IoRequest::new(at, op, offset, length)
+            })
+            .collect();
+        let trace = Trace::new("t", requests.clone());
+        assert_eq!(trace.iter().collect::<Vec<_>>(), requests);
+        let footprint = trace.footprint();
+        assert_eq!(footprint.bytes, 2 * (161 * 8 + 40));
+        assert!(footprint.bytes <= requests.len() * 21 + footprint.header_bytes);
     }
 
-    /// A chunk based just below `u64::MAX` holds an arrival that wrapped past
-    /// it as a small offset, compact or narrow, and hands it back exactly.
+    /// `with_capacity` and `extend` reserve 8 bytes of records per request,
+    /// which every stock trace's chunks fit, and a header per 64.
     #[test]
-    fn arrivals_that_wrap_past_the_base_round_trip() {
-        let base = u64::MAX - 5;
-        for (later, length) in [(3, 4096), (3, 4095), ((1 << 30) - 6, 4096)] {
-            let requests = [
-                IoRequest::new(base, IoOp::Write, 0, 4096),
-                IoRequest::new(later, IoOp::Read, 8192, length),
-            ];
-            let trace: Trace = requests.iter().copied().collect();
-            assert_eq!(trace.iter().collect::<Vec<_>>(), requests, "{later} {length}");
-            assert_eq!(trace.get(1), Some(requests[1]));
-        }
+    fn a_trace_reserves_8_bytes_per_request() {
+        let mut trace = Trace::with_capacity("t", 1_000);
+        assert_eq!((trace.words.capacity(), trace.chunks.capacity()), (1_000, 15));
+        trace.extend(spaced(1_000, 1_000).iter());
+        assert_eq!((trace.words.capacity(), trace.chunks.capacity()), (1_000, 15));
+        let mut extended = Trace::default();
+        extended.extend(spaced(1_000, 1_000).iter());
+        assert_eq!((extended.words.capacity(), extended.chunks.capacity()), (1_000, 15));
     }
 }

@@ -1,39 +1,36 @@
-//! A [`Trace`] stores its requests packed, with a header per 64 requests: 8
-//! bytes each in a *compact* chunk, where every request fits one word with its
-//! arrival inside; 12 in a *narrow* one; 16 in a *far* one, whose arrivals do
-//! not fit 32-bit offsets from its first; and the few that do not fit the
-//! packed word kept whole in a side table. These tests hold it to the plain
-//! `Vec<IoRequest>` it replaced: the same operations on both must give the
-//! same requests, lengths, statistics and equalities, at and around every
-//! packing boundary (a compact word's 2^24 ns arrival window, 35-bit offset
-//! and power-of-two length from 2^9 to 2^24; a narrow word's 40-bit offset
-//! and 23-bit `length - 1`; a 64-request chunk; a 2^32 ns arrival window on
-//! either side of a chunk's first arrival).
+//! A [`Trace`] stores its requests bit-packed 64 at a time: each chunk of 64
+//! keeps its earliest arrival, lowest offset and shortest length in a header,
+//! and each request as its differences from those, each field as wide as the
+//! chunk's largest difference needs (from zero bits, every request alike, to
+//! 64) once the offsets' and lengths' shared trailing zeros are dropped; the
+//! last requests, fewer than 64, wait unpacked. These tests hold it to the
+//! plain `Vec<IoRequest>` it replaced: the same operations on both must give
+//! the same requests, lengths, statistics and equalities, at chunk lengths
+//! 63, 64 and 65, for every field width and for the extremes of each field.
 
 use proptest::prelude::*;
 
 use vflash_trace::{IoOp, IoRequest, Trace, TraceStats};
 
-/// The first offset stored wide: `2^40 - 1` (its packed word would be the
-/// side-table sentinel).
-const FIRST_WIDE_OFFSET: u64 = (1 << 40) - 1;
-/// The longest request that packs.
-const LONGEST_PACKED: u32 = 1 << 23;
+/// An offset at which the differences in a chunk of small offsets need 40
+/// bits and share no trailing zero.
+const ODD_OFFSET: u64 = (1 << 40) - 1;
+/// The longest request of the stock shapes' neighbourhood, and one past it.
+const LONG: u32 = 1 << 23;
 /// Stands for "as high as the length allows": `u64::MAX - length`.
 const TOP: u64 = u64::MAX;
 /// Requests under one chunk header.
 const CHUNK: usize = 64;
-/// The first arrival offset from a chunk's first arrival that turns it far.
+/// A gap of 2^32 ns, about 4.3 s.
 const WINDOW: u64 = 1 << 32;
-/// The first arrival offset from a chunk's first arrival that a compact word
-/// cannot hold.
-const COMPACT_WINDOW: u64 = 1 << 24;
-/// The first byte offset a compact word cannot hold.
-const COMPACT_OFFSETS: u64 = 1 << 35;
-/// The shortest and longest lengths a compact word holds: it holds the
-/// powers of two between.
-const SHORTEST_COMPACT: u32 = 1 << 9;
-const LONGEST_COMPACT: u32 = 1 << 24;
+/// A gap of 2^24 ns, about 16.8 ms.
+const SHORT_WINDOW: u64 = 1 << 24;
+/// An offset of 32 GiB.
+const FAR_OFFSET: u64 = 1 << 35;
+/// Power-of-two lengths from 512 bytes to 16 MiB: their differences share
+/// trailing zeros.
+const SHORTEST_ALIGNED: u32 = 1 << 9;
+const LONGEST_ALIGNED: u32 = 1 << 24;
 
 fn request(at_nanos: u64, offset: u64, length: u32, write: bool) -> IoRequest {
     let offset = if offset == TOP { u64::MAX - u64::from(length) } else { offset };
@@ -41,33 +38,34 @@ fn request(at_nanos: u64, offset: u64, length: u32, write: bool) -> IoRequest {
     IoRequest::new(at_nanos, op, offset, length)
 }
 
-/// Offsets, lengths and ops on both sides of each packing boundary, and
-/// between: `request`'s arguments but the arrival.
+/// Offsets, lengths and ops from each end of their range and between:
+/// `request`'s arguments but the arrival.
 fn shapes() -> impl Strategy<Value = (u64, u32, bool)> {
     let offset = prop_oneof![
-        Just(FIRST_WIDE_OFFSET - 1),
-        Just(FIRST_WIDE_OFFSET),
+        Just(ODD_OFFSET - 1),
+        Just(ODD_OFFSET),
         Just(TOP),
-        0u64..FIRST_WIDE_OFFSET,
-        FIRST_WIDE_OFFSET..u64::MAX / 2,
+        0u64..ODD_OFFSET,
+        ODD_OFFSET..u64::MAX / 2,
     ];
     let length = prop_oneof![
         Just(1u32),
-        Just(LONGEST_PACKED),
-        Just(LONGEST_PACKED + 1),
+        Just(LONG),
+        Just(LONG + 1),
         Just(u32::MAX),
-        1u32..LONGEST_PACKED,
+        1u32..LONG,
     ];
     (offset, length, any::<bool>())
 }
 
-/// Mostly packed shapes, a wide one now and then.
-fn mostly_packed() -> impl Strategy<Value = (u64, u32, bool)> {
-    let packed = (0u64..FIRST_WIDE_OFFSET, 1u32..LONGEST_PACKED + 1, any::<bool>());
+/// Mostly offsets below 2^40 and lengths up to 8 MiB, any shape now and then.
+fn mostly_moderate() -> impl Strategy<Value = (u64, u32, bool)> {
+    let packed = (0u64..ODD_OFFSET, 1u32..LONG + 1, any::<bool>());
     (0u8..9, packed, shapes()).prop_map(|(pick, packed, any)| if pick == 0 { any } else { packed })
 }
 
-/// Requests of any shape at any arrival: a chunk of them is almost always far.
+/// Requests of any shape at any arrival: a chunk of them is almost always
+/// 64 bits wide in its arrival field.
 fn requests() -> impl Strategy<Value = IoRequest> {
     (any::<u64>(), shapes())
         .prop_map(|(at, (offset, length, write))| request(at, offset, length, write))
@@ -79,17 +77,17 @@ enum Arrival {
     /// This many nanoseconds after the previous request, as every stock
     /// generator spaces them.
     After(u32),
-    /// The last arrival that keeps the chunk narrow: its first plus `2^32 - 1`.
+    /// The chunk's first arrival plus `2^32 - 1`, the most a 32-bit field
+    /// holds.
     Edge,
-    /// The first one past it: the chunk's first arrival plus `2^32`.
+    /// The chunk's first arrival plus `2^32`.
     Past,
     /// One nanosecond before the chunk's first arrival, an inversion.
     Before,
-    /// The last arrival a compact word holds: the chunk's first plus
-    /// `2^24 - 1`.
-    CompactEdge,
-    /// The first one past it: the chunk's first arrival plus `2^24`.
-    CompactPast,
+    /// The chunk's first arrival plus `2^24 - 1`.
+    ShortEdge,
+    /// The chunk's first arrival plus `2^24`.
+    ShortPast,
     /// `u64::MAX`.
     Max,
 }
@@ -116,8 +114,8 @@ fn build(first: u64, arrivals: &[Arrival], shapes: &[(u64, u32, bool)]) -> Vec<I
             Arrival::Edge => base.saturating_add(WINDOW - 1),
             Arrival::Past => base.saturating_add(WINDOW),
             Arrival::Before => base.wrapping_sub(1),
-            Arrival::CompactEdge => base.saturating_add(COMPACT_WINDOW - 1),
-            Arrival::CompactPast => base.saturating_add(COMPACT_WINDOW),
+            Arrival::ShortEdge => base.saturating_add(SHORT_WINDOW - 1),
+            Arrival::ShortPast => base.saturating_add(SHORT_WINDOW),
             Arrival::Max => u64::MAX,
         };
         if index % CHUNK == 0 {
@@ -129,34 +127,35 @@ fn build(first: u64, arrivals: &[Arrival], shapes: &[(u64, u32, bool)]) -> Vec<I
     model
 }
 
-/// Arrivals a few microseconds apart, so a chunk of them fits compact words,
-/// with each compact and narrow breaker now and then.
-fn compact_arrival() -> impl Strategy<Value = Arrival> {
+/// Arrivals a few microseconds apart, with a gap to either side of 2^24 and
+/// 2^32 ns after the chunk's first, or an inversion, now and then.
+fn close_arrival() -> impl Strategy<Value = Arrival> {
     (0u8..40, 0u32..50_000).prop_map(|(pick, gap)| match pick {
-        0 | 1 => Arrival::CompactEdge,
-        2 => Arrival::CompactPast,
+        0 | 1 => Arrival::ShortEdge,
+        2 => Arrival::ShortPast,
         3 => Arrival::Past,
         4 => Arrival::Before,
         _ => Arrival::After(gap),
     })
 }
 
-/// Shapes that fit a compact word, with each side of its offset and length
-/// limits now and then and any shape at all rarely.
-fn mostly_compact() -> impl Strategy<Value = (u64, u32, bool)> {
-    let fits = (0u64..COMPACT_OFFSETS, 9u32..25, any::<bool>())
+/// Offsets below 32 GiB and power-of-two lengths, whose differences share
+/// trailing zeros, with an odd length or a far offset now and then and any
+/// shape at all rarely.
+fn mostly_aligned() -> impl Strategy<Value = (u64, u32, bool)> {
+    let fits = (0u64..FAR_OFFSET, 9u32..25, any::<bool>())
         .prop_map(|(offset, log2, write)| (offset, 1 << log2, write));
     let offset = prop_oneof![
-        Just(COMPACT_OFFSETS - 1),
-        Just(COMPACT_OFFSETS),
-        0u64..COMPACT_OFFSETS
+        Just(FAR_OFFSET - 1),
+        Just(FAR_OFFSET),
+        0u64..FAR_OFFSET
     ];
     let length = prop_oneof![
-        Just(SHORTEST_COMPACT),
-        Just(LONGEST_COMPACT),
-        Just(SHORTEST_COMPACT - 1),
+        Just(SHORTEST_ALIGNED),
+        Just(LONGEST_ALIGNED),
+        Just(SHORTEST_ALIGNED - 1),
         Just(3 << 12),
-        Just(LONGEST_COMPACT * 2),
+        Just(LONGEST_ALIGNED * 2),
     ];
     let limit = (offset, length, any::<bool>());
     (0u8..24, fits, limit, shapes()).prop_map(|(pick, fits, limit, any)| match pick {
@@ -164,11 +163,6 @@ fn mostly_compact() -> impl Strategy<Value = (u64, u32, bool)> {
         3 => any,
         _ => fits,
     })
-}
-
-/// A request of 4 KiB at `offset` pages, arriving at `at_nanos`.
-fn page(at_nanos: u64, offset: u64) -> IoRequest {
-    IoRequest::new(at_nanos, IoOp::Write, offset * 4096, 4096)
 }
 
 #[derive(Debug, Clone)]
@@ -215,8 +209,7 @@ fn agrees(trace: &Trace, model: &[IoRequest]) -> Result<(), TestCaseError> {
     );
 
     // Equality is "same name, same requests": a trace equals the one built
-    // fresh from its requests, so a side-table entry no request refers to
-    // makes them differ.
+    // fresh from its requests.
     let fresh = Trace::new("t", model.to_vec());
     prop_assert_eq!(trace, &fresh);
     prop_assert_ne!(trace, &Trace::new("u", model.to_vec()));
@@ -266,7 +259,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Chunks that stay narrow, start far or turn far part-way, at lengths
+    /// Chunks whose arrivals need from a few bits to all 64, at lengths
     /// around the chunk size, hold the same requests as the vector, and a
     /// trace pushed one request at a time equals the one `new` built.
     #[test]
@@ -274,7 +267,7 @@ proptest! {
         first in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..1 << 50, any::<u64>()],
         len in prop_oneof![Just(63usize), Just(64), Just(65), Just(129)],
         arrivals in proptest::collection::vec(arrival(), 129..130),
-        shapes in proptest::collection::vec(mostly_packed(), 129..130),
+        shapes in proptest::collection::vec(mostly_moderate(), 129..130),
     ) {
         let model = build(first, &arrivals[..len], &shapes[..len]);
         let trace = Trace::new("t", model.clone());
@@ -290,16 +283,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Chunks that stay compact, or turn narrow or far part-way on either
-    /// side of each compact limit, at lengths around the chunk size: pushed
-    /// one request at a time, the trace agrees with the vector after every
-    /// push.
+    /// Chunks of close arrivals and aligned shapes, whose fields shift and
+    /// narrow, with a misfit that widens them now and then, at lengths around
+    /// the chunk size: pushed one request at a time, the trace agrees with the
+    /// vector after every push.
     #[test]
-    fn compact_chunks_behave_like_a_request_vector(
+    fn aligned_chunks_behave_like_a_request_vector(
         first in prop_oneof![Just(0u64), Just(u64::MAX - 1_000), 0u64..1 << 50],
         len in prop_oneof![Just(63usize), Just(64), Just(65), Just(129)],
-        arrivals in proptest::collection::vec(compact_arrival(), 129..130),
-        shapes in proptest::collection::vec(mostly_compact(), 129..130),
+        arrivals in proptest::collection::vec(close_arrival(), 129..130),
+        shapes in proptest::collection::vec(mostly_aligned(), 129..130),
     ) {
         let model = build(first, &arrivals[..len], &shapes[..len]);
         let mut trace = Trace::with_capacity("t", len);
@@ -310,111 +303,129 @@ proptest! {
     }
 }
 
-/// One way a request can fail to fit a compact word.
+/// One way a request can stand out from the ordinary ones of its chunk.
 #[derive(Debug, Clone, Copy)]
 enum Misfit {
     /// Arrives `2^24` ns after the chunk's first request.
     Late,
-    /// Arrives 1 ns before the chunk's first request.
+    /// Arrives `2^32` ns after it.
+    Later,
+    /// Arrives 1 ns before it, an inversion.
     Early,
+    /// Arrives at `u64::MAX`.
+    Last,
     /// Starts at byte `2^35`.
     FarOffset,
+    /// Starts as high as its length allows.
+    TopOffset,
+    /// Starts at an odd byte.
+    OddOffset,
     /// Is `2^9 - 1` bytes long.
     Short,
     /// Is `3 * 2^12` bytes long, not a power of two.
     Uneven,
-    /// Is `2^25` bytes long: too long for a compact word and for a packed
-    /// one, so it goes to the side table.
-    Long,
+    /// Is `u32::MAX` bytes long.
+    Longest,
 }
 
-/// A compact chunk turned narrow at every slot from 1 to 63 by each kind of
-/// misfit, then (when slots remain) given a wide request and turned far,
-/// keeps every request exactly, whichever chunk of the trace it is. One of
-/// its compact requests before the misfit is `2^24` bytes long, which a
-/// packed word cannot hold: turning narrow moves it to the side table.
+/// A chunk of ordinary requests (4 KiB pages, 1 µs apart) with one misfit at
+/// any slot from 0 to 63, of any kind, in any of the first two chunks, keeps
+/// every request exactly, and so do the chunks around it.
 #[test]
-fn a_compact_chunk_turns_narrow_at_any_slot_by_any_misfit_then_far() {
-    let misfits =
-        [Misfit::Late, Misfit::Early, Misfit::FarOffset, Misfit::Short, Misfit::Uneven, Misfit::Long];
-    let mut arrivals = vec![Arrival::After(1_000); 3 * CHUNK];
-    let mut shapes: Vec<_> = (0..3 * CHUNK as u64).map(|i| (i * 4096, 4096, i % 2 == 0)).collect();
-    for chunk in 0..2 {
-        for k in 1..CHUNK {
-            for misfit in misfits {
-                let at = chunk * CHUNK + k;
-                let (saved_arrivals, saved_shapes) = (arrivals.clone(), shapes.clone());
-                shapes[chunk * CHUNK + k / 2].1 = LONGEST_COMPACT;
-                match misfit {
-                    Misfit::Late => arrivals[at] = Arrival::CompactPast,
-                    Misfit::Early => arrivals[at] = Arrival::Before,
-                    Misfit::FarOffset => shapes[at].0 = COMPACT_OFFSETS,
-                    Misfit::Short => shapes[at].1 = SHORTEST_COMPACT - 1,
-                    Misfit::Uneven => shapes[at].1 = 3 << 12,
-                    Misfit::Long => shapes[at].1 = LONGEST_COMPACT * 2,
-                }
-                if k + 2 < CHUNK {
-                    shapes[at + 1].0 = FIRST_WIDE_OFFSET;
-                    arrivals[at + 2] = Arrival::Past;
-                }
-                let model = build(1 << 40, &arrivals, &shapes);
-                let trace = Trace::new("t", model.clone());
-                assert_eq!(trace.iter().collect::<Vec<_>>(), model, "{misfit:?} at {k}");
-                for (index, &expected) in model.iter().enumerate() {
-                    assert_eq!(trace.get(index), Some(expected), "{misfit:?} at {k}");
-                }
-                let mut pushed = Trace::with_capacity("t", 0);
-                for &request in &model {
-                    pushed.push(request);
-                }
-                assert_eq!(pushed, trace, "{misfit:?} at {k}");
-                (arrivals, shapes) = (saved_arrivals, saved_shapes);
+fn a_misfit_at_any_slot_of_any_chunk_round_trips() {
+    let misfits = [
+        Misfit::Late,
+        Misfit::Later,
+        Misfit::Early,
+        Misfit::Last,
+        Misfit::FarOffset,
+        Misfit::TopOffset,
+        Misfit::OddOffset,
+        Misfit::Short,
+        Misfit::Uneven,
+        Misfit::Longest,
+    ];
+    let ordinary_arrivals = vec![Arrival::After(1_000); 2 * CHUNK + 3];
+    let ordinary_shapes: Vec<_> =
+        (0..2 * CHUNK as u64 + 3).map(|i| (i * 4096, 4096, i % 2 == 0)).collect();
+    for at in 0..2 * CHUNK {
+        for misfit in misfits {
+            let (mut arrivals, mut shapes) = (ordinary_arrivals.clone(), ordinary_shapes.clone());
+            match misfit {
+                Misfit::Late => arrivals[at] = Arrival::ShortPast,
+                Misfit::Later => arrivals[at] = Arrival::Past,
+                Misfit::Early => arrivals[at] = Arrival::Before,
+                Misfit::Last => arrivals[at] = Arrival::Max,
+                Misfit::FarOffset => shapes[at].0 = FAR_OFFSET,
+                Misfit::TopOffset => shapes[at].0 = TOP,
+                Misfit::OddOffset => shapes[at].0 = ODD_OFFSET,
+                Misfit::Short => shapes[at].1 = SHORTEST_ALIGNED - 1,
+                Misfit::Uneven => shapes[at].1 = 3 << 12,
+                Misfit::Longest => shapes[at].1 = u32::MAX,
+            }
+            let model = build(1 << 40, &arrivals, &shapes);
+            let trace = Trace::new("t", model.clone());
+            assert_eq!(trace.iter().collect::<Vec<_>>(), model, "{misfit:?} at {at}");
+            for (index, &expected) in model.iter().enumerate() {
+                assert_eq!(trace.get(index), Some(expected), "{misfit:?} at {at}");
+            }
+            let mut pushed = Trace::with_capacity("t", 0);
+            for &request in &model {
+                pushed.push(request);
+            }
+            assert_eq!(pushed, trace, "{misfit:?} at {at}");
+        }
+    }
+}
+
+/// A request at an extreme of each field: arrivals 0, `u64::MAX` and
+/// between (so a chunk's inversions span the whole clock), offsets 0 or up
+/// to 2 bytes below `u64::MAX - length`, lengths 1, 2 and `u32::MAX`.
+fn extreme() -> impl Strategy<Value = IoRequest> {
+    let at = prop_oneof![Just(0), Just(1), Just(u64::MAX - 1), Just(u64::MAX), any::<u64>()];
+    let length = prop_oneof![Just(1), Just(2), Just(u32::MAX), 1..u32::MAX];
+    let below_top = prop_oneof![Just(None), (0u64..3).prop_map(Some)];
+    (at, length, below_top, any::<bool>()).prop_map(|(at, length, below_top, write)| {
+        let offset = below_top.map_or(0, |gap| u64::MAX - u64::from(length) - gap);
+        request(at, offset, length, write)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Chunks of field extremes round-trip through `push`, `get`, `iter` and
+    /// `split_at` at every index: one request repeated (every field zero bits
+    /// wide but the op's) or requests drawn from [`extreme`] (fields up to
+    /// 64, 64 and 33 bits), at lengths around one and two chunks.
+    #[test]
+    fn field_extremes_round_trip_at_every_index(
+        len in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(128), Just(129)],
+        repeated in any::<bool>(),
+        requests in proptest::collection::vec(extreme(), 129..130),
+    ) {
+        let model =
+            if repeated { vec![requests[0]; len] } else { requests[..len].to_vec() };
+        let mut trace = Trace::with_capacity("t", 0);
+        for &request in &model {
+            trace.push(request);
+        }
+        agrees(&trace, &model)?;
+        for mid in 0..=len {
+            let (head, tail) = trace.as_slice().split_at(mid);
+            prop_assert_eq!(head.iter().collect::<Vec<_>>(), model[..mid].to_vec());
+            prop_assert_eq!(tail.iter().collect::<Vec<_>>(), model[mid..].to_vec());
+            for (index, &expected) in model.iter().enumerate() {
+                let got = if index < mid { head.get(index) } else { tail.get(index - mid) };
+                prop_assert_eq!(got, Some(expected));
             }
         }
     }
 }
 
-/// A chunk that turns far after `k` narrow requests keeps the arrivals of
-/// those `k` exactly, whichever arrival turns it and whichever chunk it is.
-#[test]
-fn a_chunk_turns_far_after_any_number_of_narrow_requests() {
-    let shapes: Vec<_> = (0..3 * CHUNK as u64).map(|i| (i * 4096, 4096, i % 2 == 0)).collect();
-    for chunk in 0..2 {
-        for k in 1..CHUNK {
-            for breaker in [Arrival::Past, Arrival::Before, Arrival::Max] {
-                let mut arrivals = vec![Arrival::After(1_000); 3 * CHUNK];
-                arrivals[chunk * CHUNK + k] = breaker;
-                let model = build(1 << 40, &arrivals, &shapes);
-                let trace = Trace::new("t", model.clone());
-                assert_eq!(trace.iter().collect::<Vec<_>>(), model, "{breaker:?} at {k}");
-                for (index, &expected) in model.iter().enumerate() {
-                    assert_eq!(trace.get(index), Some(expected), "{breaker:?} at {k}");
-                }
-            }
-        }
-    }
-}
-
-/// A wide request first in its chunk is the chunk's base: the packed
-/// requests after it store offsets from its arrival, and the chunk still
-/// turns far on an inversion against it.
-#[test]
-fn a_wide_request_first_in_its_chunk_sets_its_base() {
-    let mut model: Vec<_> = (0..CHUNK as u64).map(|i| page(i * 1_000, i)).collect();
-    model.push(request(5 << 32, FIRST_WIDE_OFFSET, 4096, false));
-    model.extend((1..CHUNK as u64).map(|i| page((5 << 32) + i * 1_000, i)));
-    model.push(request(9 << 32, TOP, u32::MAX, true));
-    model.extend((1..10).map(|i| page((9 << 32) + i, i)));
-    model.push(page((9 << 32) - 1, 10));
-    model.push(request(9 << 32, 0, LONGEST_PACKED + 1, false));
-    model.extend((12..CHUNK as u64 + 3).map(|i| page((9 << 32) + i, i)));
-    let trace = Trace::new("t", model.clone());
-    agrees(&trace, &model).unwrap();
-}
-
-/// `split_at` at every index of a trace with compact, narrow, far and
-/// part-far chunks and wide requests, side by side: both halves' `get` and
-/// `iter` find the right header, and so does a second cut of the tail.
+/// `split_at` at every index of a trace whose chunks differ in width, side
+/// by side: both halves' `get` and `iter` find the right header, and so does
+/// a second cut of the tail.
 #[test]
 fn split_at_every_index_finds_the_right_header() {
     let len = 4 * CHUNK + 2;
@@ -422,7 +433,7 @@ fn split_at_every_index_finds_the_right_header() {
     arrivals[CHUNK + 20] = Arrival::Before;
     arrivals[CHUNK + 40] = Arrival::Past;
     let mut shapes: Vec<_> = (0..len as u64).map(|i| (i * 4096, 4096, i % 3 == 0)).collect();
-    shapes[CHUNK + 5].0 = FIRST_WIDE_OFFSET;
+    shapes[CHUNK + 5].0 = ODD_OFFSET;
     shapes[2 * CHUNK + 10].1 = 3 << 12;
     shapes[4 * CHUNK].0 = TOP;
     let model = build(1 << 35, &arrivals, &shapes);
@@ -443,34 +454,30 @@ fn split_at_every_index_finds_the_right_header() {
     }
 }
 
+/// Chunks whose arrival, offset and length differences need each width
+/// from 0 to 64 bits (lengths up to 32), sharing no trailing zero, so records
+/// start and straddle words at every bit: each request comes back exactly,
+/// and a cut through any chunk equals the fresh trace of its prefix.
 #[test]
-fn every_packing_boundary_round_trips() {
-    let offsets =
-        [0, COMPACT_OFFSETS - 1, COMPACT_OFFSETS, FIRST_WIDE_OFFSET - 1, FIRST_WIDE_OFFSET, TOP];
-    let lengths = [
-        1,
-        2,
-        SHORTEST_COMPACT - 1,
-        SHORTEST_COMPACT,
-        3 << 12,
-        LONGEST_PACKED,
-        LONGEST_PACKED + 1,
-        LONGEST_COMPACT,
-        u32::MAX,
-    ];
+fn every_field_width_round_trips() {
+    let ones = |bits: u32| u64::MAX.checked_shr(64 - bits).unwrap_or(0);
     let mut model = Vec::new();
-    for offset in offsets {
-        for length in lengths {
-            for write in [false, true] {
-                let at_nanos = u64::MAX - model.len() as u64;
-                model.push(request(at_nanos, offset, length, write));
-            }
+    for width in 0..=64u32 {
+        let (arrival, offset, length) = (width, (width * 7) % 65, (width * 3) % 33);
+        let base = (u64::MAX - ones(arrival)) / 2;
+        for i in 0..CHUNK as u64 {
+            let spread = |bits: u32| if i + 1 == CHUNK as u64 { ones(bits) } else { i & ones(bits) };
+            let length = spread(length).max(1) as u32;
+            let offset = spread(offset).min(u64::MAX - u64::from(length));
+            model.push(request(base + spread(arrival), offset, length, i % 3 == 0));
         }
     }
     let trace = Trace::new("t", model.clone());
     assert_eq!(trace.iter().collect::<Vec<_>>(), model);
-    // Cut through the middle of the wide requests, then past all of them.
-    for len in [model.len() - 1, model.len() / 2, 3, 0] {
+    for (index, &expected) in model.iter().enumerate() {
+        assert_eq!(trace.get(index), Some(expected), "request {index}");
+    }
+    for len in [model.len() - 1, model.len() / 2 + 17, 3, 0] {
         assert_eq!(trace.truncated(len), Trace::new("t", model[..len].to_vec()), "truncated({len})");
     }
 }

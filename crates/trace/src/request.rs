@@ -105,13 +105,14 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 /// The header of 64 consecutive requests of a [`Trace`], written when the
 /// 64th arrives, 40 bytes.
 ///
-/// Each request of the chunk is one *record* of [`Chunk::bits`] bits, three
-/// fields from the low bit up: its arrival less the chunk's earliest; its
-/// offset less the chunk's lowest, shifted right by `offset_shift`; and its
-/// length less the chunk's shortest, shifted right by `length_shift`, above
-/// its op bit (set for a write). Each field is as wide as its largest value
-/// in the chunk, and the shifts drop the trailing zeros every offset (every
-/// length) shares, so 64 records fill exactly [`Chunk::bits`] words.
+/// Each request of the chunk is one *record*, three fields from the low bit
+/// up: its arrival less the chunk's earliest; its offset less the chunk's
+/// lowest, shifted right by `offset_shift`; and its length less the chunk's
+/// shortest, shifted right by `length_shift`, above its op bit (set for a
+/// write). Each field is as wide as its largest value in the chunk, and the
+/// shifts drop the trailing zeros every offset (every length) shares. A
+/// record is as many bits as the three widths add up to, at most 161, so 64
+/// records fill exactly that many words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Chunk {
     /// Where the chunk's records start in [`Trace`]'s `words`.
@@ -161,26 +162,19 @@ impl Chunk {
             length_shift: length_shift as u8,
         }
     }
-
-    /// Bits per record, at most 161; words per chunk too.
-    fn bits(&self) -> u32 {
-        self.widths.iter().map(|&width| u32::from(width)).sum()
-    }
-
-    /// `request`'s arrival, offset and length-and-op fields.
-    fn fields(&self, request: &IoRequest) -> [u64; 3] {
-        let length = (request.length - self.length) >> self.length_shift;
-        [
-            request.at_nanos - self.arrival,
-            (request.offset - self.offset) >> self.offset_shift,
-            u64::from(length) << 1 | u64::from(request.op == IoOp::Write),
-        ]
-    }
 }
 
-/// A [`Chunk`] header unpacked for decoding: what reading one of its
-/// requests needs, computed once per chunk.
-#[derive(Debug, Clone, Copy, Default)]
+/// A [`Chunk`] header unpacked for writing and reading its records, once
+/// per chunk.
+///
+/// A record of at most 64 bits is read as one *window*, the 64 bits from
+/// its first; a wider one as three, one from each field's first bit. A
+/// field is found in its window by a mask of its bits in place, and is
+/// turned into the difference from its minimum by one rotation: the shift
+/// that drops its trailing zeros and the shift from its place in the window
+/// taken together. The rotation never wraps a set bit, since the field fits
+/// its place and the trailing zeros it drops are zeros.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     arrival: u64,
     offset: u64,
@@ -189,30 +183,69 @@ struct Frame {
     bit: usize,
     /// Bits per record.
     bits: usize,
-    /// Where the offset and the length-and-op fields start in a record.
-    offset_at: u32,
-    length_at: u32,
-    /// The arrival, offset and length-and-op fields' bits.
+    /// Where each field starts in a record.
+    starts: [usize; 3],
+    /// Each field's bits in its window; the length's without the op bit.
     masks: [u64; 3],
-    offset_shift: u32,
-    length_shift: u32,
+    /// How far right the offset's and the length's windows turn into
+    /// their differences (the arrival's is in place).
+    turns: [u32; 2],
+    /// The op bit in the length's window, set for a write.
+    write: u64,
 }
 
 impl Frame {
     #[inline(always)]
     fn new(chunk: &Chunk) -> Frame {
-        let [arrival, offset, _] = chunk.widths.map(u32::from);
+        let [arrival, offset, length] = chunk.widths.map(u32::from);
+        let bits = arrival + offset + length;
+        let starts = [0, arrival, arrival + offset];
+        // Where each field starts in its window.
+        let places = if bits <= 64 { starts } else { [0; 3] };
+        // A place of 64 only ever holds a field of no bits.
+        let mask = |width: u32, place: u32| {
+            u64::MAX.checked_shr(64 - width).unwrap_or(0).wrapping_shl(place)
+        };
         Frame {
             arrival: chunk.arrival,
             offset: chunk.offset,
             length: chunk.length,
             bit: chunk.start * 64,
-            bits: chunk.bits() as usize,
-            offset_at: arrival,
-            length_at: arrival + offset,
-            masks: chunk.widths.map(|width| ((1u128 << width) - 1) as u64),
-            offset_shift: u32::from(chunk.offset_shift),
-            length_shift: u32::from(chunk.length_shift),
+            bits: bits as usize,
+            starts: starts.map(|start| start as usize),
+            masks: [
+                mask(arrival, 0),
+                mask(offset, places[1]),
+                mask(length - 1, places[2] + 1),
+            ],
+            turns: [
+                places[1].wrapping_sub(u32::from(chunk.offset_shift)) % 64,
+                (places[2] + 1).wrapping_sub(u32::from(chunk.length_shift)) % 64,
+            ],
+            write: 1 << places[2],
+        }
+    }
+
+    /// `request`'s fields, each in its place in its window.
+    #[inline(always)]
+    fn fields(&self, request: &IoRequest) -> [u64; 3] {
+        let write = if request.op == IoOp::Write { self.write } else { 0 };
+        [
+            request.at_nanos - self.arrival,
+            (request.offset - self.offset).rotate_left(self.turns[0]),
+            u64::from(request.length - self.length).rotate_left(self.turns[1]) | write,
+        ]
+    }
+
+    /// The request whose fields are in `windows`.
+    #[inline(always)]
+    fn request(&self, windows: [u64; 3]) -> IoRequest {
+        let [arrival, offset, length] = [0, 1, 2].map(|field| windows[field] & self.masks[field]);
+        IoRequest {
+            at_nanos: self.arrival + arrival,
+            op: if windows[2] & self.write == 0 { IoOp::Read } else { IoOp::Write },
+            offset: self.offset + offset.rotate_right(self.turns[0]),
+            length: self.length + length.rotate_right(self.turns[1]) as u32,
         }
     }
 
@@ -221,24 +254,17 @@ impl Frame {
     #[inline(always)]
     fn decode(&self, words: &[u64], slot: usize) -> IoRequest {
         let at = self.bit + slot * self.bits;
-        let [arrival, offset, length_op] = if self.bits <= 64 {
-            // The whole record is in the 64 bits from `at`.
-            let record = bits(words, at);
-            [record, record >> self.offset_at, record >> self.length_at]
+        if self.bits <= 64 {
+            self.request([bits(words, at); 3])
         } else {
-            [
-                bits(words, at),
-                bits(words, at + self.offset_at as usize),
-                bits(words, at + self.length_at as usize),
-            ]
-        };
-        let [arrival, offset, length_op] =
-            [arrival & self.masks[0], offset & self.masks[1], length_op & self.masks[2]];
-        IoRequest {
-            at_nanos: self.arrival + arrival,
-            op: if length_op & 1 == 0 { IoOp::Read } else { IoOp::Write },
-            offset: self.offset + (offset << self.offset_shift),
-            length: self.length + (((length_op >> 1) as u32) << self.length_shift),
+            self.request(self.starts.map(|start| bits(words, at + start)))
+        }
+    }
+
+    /// All 64 requests of the chunk.
+    fn decode_all(&self, words: &[u64], requests: &mut [IoRequest; CHUNK]) {
+        for (slot, request) in requests.iter_mut().enumerate() {
+            *request = self.decode(words, slot);
         }
     }
 }
@@ -253,6 +279,9 @@ fn bits(words: &[u64], at: usize) -> u64 {
     ((u128::from(next) << 64 | u128::from(words[word])) >> (at % 64)) as u64
 }
 
+/// What fills a request slot that holds no request yet.
+const VACANT: IoRequest = IoRequest { at_nanos: 0, op: IoOp::Read, offset: 0, length: 0 };
+
 /// An ordered sequence of I/O requests, bit-packed 64 at a time: a request
 /// costs the bits its chunk's widest arrival, offset and length need (at
 /// most 161), plus a 40-byte header per 64.
@@ -261,11 +290,11 @@ fn bits(words: &[u64], at: usize) -> u64 {
 /// inversions. Every 64 consecutive requests (a *chunk*) are stored as
 /// differences from the chunk's earliest arrival, lowest offset and shortest
 /// length, each field as wide as its largest difference needs and the
-/// offsets' and lengths' shared trailing zeros dropped; see [`Chunk`]. The
-/// stock synthetic workloads' chunks take 5.5–7.7 bytes per request. The
-/// last requests, fewer than 64, wait in a fixed array inside the trace
-/// until the 64th arrives. Any [`IoRequest`] comes back exactly as it went
-/// in; requests are yielded by value.
+/// offsets' and lengths' shared trailing zeros dropped. The stock synthetic
+/// workloads' chunks take 5.5–7.7 bytes per request. The last requests,
+/// fewer than 64, wait in a fixed array inside the trace until the 64th
+/// arrives. Any [`IoRequest`] comes back exactly as it went in; requests
+/// are yielded by value.
 #[derive(Clone)]
 pub struct Trace {
     name: String,
@@ -273,8 +302,9 @@ pub struct Trace {
     words: Vec<u64>,
     /// One header per sealed chunk.
     chunks: Vec<Chunk>,
-    /// The open chunk's requests: the first `len % 64`.
-    open: [IoRequest; CHUNK - 1],
+    /// The open chunk's requests: the first `len % 64`. The last slot
+    /// holds the 64th only while it is being sealed.
+    open: [IoRequest; CHUNK],
     len: usize,
 }
 
@@ -290,12 +320,11 @@ impl Trace {
     /// what a generator or parser pushes into, so no second copy of the
     /// requests ever exists.
     pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        let vacant = IoRequest { at_nanos: 0, op: IoOp::Read, offset: 0, length: 0 };
         Trace {
             name: name.into(),
             words: Vec::with_capacity(capacity),
             chunks: Vec::with_capacity(capacity / CHUNK),
-            open: [vacant; CHUNK - 1],
+            open: [VACANT; CHUNK],
             len: 0,
         }
     }
@@ -308,42 +337,42 @@ impl Trace {
     pub fn push(&mut self, request: IoRequest) {
         let slot = self.len % CHUNK;
         self.len += 1;
-        match self.open.get_mut(slot) {
-            Some(open) => *open = request,
-            None => self.seal(request),
+        self.open[slot] = request;
+        if slot == CHUNK - 1 {
+            self.seal();
         }
     }
 
-    /// Seals the open chunk, its 63 requests and `last`, into a header and
-    /// records.
+    /// Seals the open chunk, now 64 requests, into a header and records.
     #[inline(never)]
-    fn seal(&mut self, last: IoRequest) {
-        let mut requests = [last; CHUNK];
-        requests[..CHUNK - 1].copy_from_slice(&self.open);
-        let chunk = Chunk::of(&requests, self.words.len());
-        let (bits, [arrival, offset, length]) = (chunk.bits(), chunk.widths.map(u32::from));
-        self.words.resize(chunk.start + bits as usize, 0);
-        let words = &mut self.words[chunk.start..];
-        let mut at = 0;
-        let mut put = |value: u64, width: u32| {
-            let (word, skip) = (at / 64, (at % 64) as u32);
-            words[word] |= value << skip;
-            if skip + width > 64 {
-                words[word + 1] |= value >> (64 - skip);
-            }
-            at += width as usize;
+    fn seal(&mut self) {
+        let requests = &self.open;
+        let chunk = Chunk::of(requests, self.words.len());
+        let frame = Frame::new(&chunk);
+        // The word being filled waits in `partial`, stored whole each time,
+        // so no record reads back what the one before it wrote.
+        let mut words = [0u64; 161];
+        let (mut word, mut skip, mut partial) = (0, 0, 0);
+        let mut put = |value: u64, width: usize| {
+            let filled = partial | value << skip;
+            words[word] = filled;
+            let end = skip + width;
+            partial = if end >= 64 { value >> 1 >> (63 - skip) } else { filled };
+            word += end / 64;
+            skip = end % 64;
         };
-        for request in &requests {
-            let fields = chunk.fields(request);
-            if bits <= 64 {
-                put(fields[0] | fields[1] << arrival | fields[2] << (arrival + offset), bits);
+        for request in requests {
+            let [arrival, offset, length] = frame.fields(request);
+            if frame.bits <= 64 {
+                put(arrival | offset | length, frame.bits);
             } else {
-                put(fields[0], arrival);
-                put(fields[1], offset);
-                put(fields[2], length);
+                put(arrival, frame.starts[1]);
+                put(offset, frame.starts[2] - frame.starts[1]);
+                put(length, frame.bits - frame.starts[2]);
             }
         }
-        debug_assert_eq!(at, 64 * bits as usize);
+        debug_assert_eq!((word, skip), (frame.bits, 0));
+        self.words.extend_from_slice(&words[..frame.bits]);
         self.chunks.push(chunk);
     }
 
@@ -496,14 +525,12 @@ impl<'a> TraceSlice<'a> {
 
     /// Iterates over the requests in arrival order.
     pub fn iter(&self) -> TraceIter<'a> {
-        let chunks = &self.trace.chunks;
         TraceIter {
             trace: self.trace,
             at: self.start,
-            sealed: self.end.min(chunks.len() * CHUNK),
             end: self.end,
-            // A slice that starts mid-chunk reads its first header here.
-            frame: chunks.get(self.start >> CHUNK_BITS).map(Frame::new).unwrap_or_default(),
+            ready: self.start,
+            chunk: [VACANT; CHUNK],
         }
     }
 
@@ -536,16 +563,41 @@ impl<'a> From<&'a Trace> for TraceSlice<'a> {
 }
 
 /// The requests of a [`Trace`] or [`TraceSlice`], by value.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TraceIter<'a> {
     trace: &'a Trace,
     /// The position in the trace of the next request.
     at: usize,
-    /// Where the sealed chunks end, or `end` if that is sooner.
-    sealed: usize,
     end: usize,
-    /// The header of `at`'s chunk, read again where a chunk starts.
-    frame: Frame,
+    /// Where `chunk` stops holding `at`'s chunk: the end of that chunk, or
+    /// the slice's first position before the first request is read.
+    ready: usize,
+    /// `at`'s chunk, decoded whole when the iterator enters it.
+    chunk: [IoRequest; CHUNK],
+}
+
+/// Prints where the iterator is, not the chunk it holds.
+impl fmt::Debug for TraceIter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceIter")
+            .field("name", &self.trace.name)
+            .field("at", &self.at)
+            .field("end", &self.end)
+            .finish()
+    }
+}
+
+impl TraceIter<'_> {
+    /// Decodes the chunk `at` is in.
+    #[inline(never)]
+    fn enter(&mut self) {
+        let index = self.at >> CHUNK_BITS;
+        self.ready = (index + 1) * CHUNK;
+        match self.trace.chunks.get(index) {
+            Some(chunk) => Frame::new(chunk).decode_all(&self.trace.words, &mut self.chunk),
+            None => self.chunk = self.trace.open,
+        }
+    }
 }
 
 impl Iterator for TraceIter<'_> {
@@ -560,14 +612,11 @@ impl Iterator for TraceIter<'_> {
         if at == self.end {
             return None;
         }
+        if at == self.ready {
+            self.enter();
+        }
         self.at += 1;
-        if at >= self.sealed {
-            return Some(self.trace.open[at % CHUNK]);
-        }
-        if at.is_multiple_of(CHUNK) {
-            self.frame = Frame::new(&self.trace.chunks[at >> CHUNK_BITS]);
-        }
-        Some(self.frame.decode(&self.trace.words, at % CHUNK))
+        Some(self.chunk[at % CHUNK])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -746,6 +795,29 @@ mod tests {
                 let expected =
                     Footprint { bytes: sealed * (bits * 8 + 40), header_bytes: sealed * 40 };
                 assert_eq!(spaced(n, gap).footprint(), expected, "gap {gap}, {n} requests");
+            }
+        }
+    }
+
+    /// Records of 63, 64 and 65 bits whose length field is the op bit
+    /// alone, so at 64 bits it is the record's top bit: the last record that
+    /// is read as one window and the first that is read as three.
+    #[test]
+    fn records_either_side_of_one_window_round_trip() {
+        for arrival_bits in [31, 32, 33] {
+            let requests: Vec<_> = (0..CHUNK as u64)
+                .map(|i| {
+                    let last = i + 1 == CHUNK as u64;
+                    let spread = |bits: u32| if last { (1 << bits) - 1 } else { i };
+                    let op = if i % 2 == 0 { IoOp::Write } else { IoOp::Read };
+                    IoRequest::new(spread(arrival_bits), op, spread(31), 4096)
+                })
+                .collect();
+            let trace = Trace::new("t", requests.clone());
+            assert_eq!(trace.footprint().bytes, (arrival_bits as usize + 32) * 8 + 40);
+            assert_eq!(trace.iter().collect::<Vec<_>>(), requests);
+            for (index, &request) in requests.iter().enumerate() {
+                assert_eq!(trace.get(index), Some(request), "{arrival_bits} bits, {index}");
             }
         }
     }

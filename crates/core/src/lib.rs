@@ -17,8 +17,9 @@
 //!    (frequently read **and** written) and *hot* (frequently written, rarely read);
 //!    cold data into *cold* (write-once-read-many) and *icy-cold*
 //!    (write-once-read-few). See [`HotArea`] and [`ColdArea`]; they keep their
-//!    per-LPN state in one shared table indexed by LPN ([`AreaRecords`], 8 bytes
-//!    per logical page), never in a hash map.
+//!    per-LPN state in one shared table indexed by LPN (a
+//!    [`ListTable`](vflash_ftl::ListTable), 8 bytes per logical page), never in a
+//!    hash map.
 //! 2. **Virtual blocks** ([`VirtualBlockTable`]): each physical block is split into
 //!    speed-homogeneous groups of adjacent pages (slow half / fast half by default;
 //!    the table answers which speed class an in-block page belongs to),
@@ -71,7 +72,7 @@ mod virtual_block;
 
 pub use cold_area::ColdArea;
 pub use config::PpbConfig;
-pub use hot_area::{AreaRecords, HotArea, PromotionOutcome};
+pub use hot_area::{HotArea, PromotionOutcome};
 pub use hotness::{Area, Hotness};
 pub use placement::AreaWriter;
 pub use ppb_ftl::{PpbFtl, PpbPlacement};

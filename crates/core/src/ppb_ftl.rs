@@ -2,12 +2,12 @@
 //! [`FtlCore`].
 
 use vflash_ftl::hotcold::{FirstStage, Temperature};
-use vflash_ftl::{FtlConfig, FtlCore, FtlError, Lpn, MappingTable, Placement};
+use vflash_ftl::{FtlConfig, FtlCore, FtlError, ListTable, Lpn, MappingTable, Placement};
 use vflash_nand::{BlockAddr, NandConfig, NandDevice, PageAddr};
 
 use crate::cold_area::ColdArea;
 use crate::config::PpbConfig;
-use crate::hot_area::{AreaRecords, HotArea, PromotionOutcome, Tag};
+use crate::hot_area::{HotArea, PromotionOutcome, COLD, HOT, IRON_HOT};
 use crate::hotness::{Area, Hotness};
 use crate::placement::AreaWriter;
 use crate::virtual_block::VirtualBlockTable;
@@ -55,9 +55,9 @@ pub struct PpbPlacement {
     virtual_blocks: VirtualBlockTable,
     hot_writer: AreaWriter,
     cold_writer: AreaWriter,
-    /// Every LPN's area state, one record each; the two areas below keep only
-    /// their list heads and buckets.
-    records: AreaRecords,
+    /// Every LPN's area state, one tagged entry each; the two areas below keep
+    /// only their list heads and buckets.
+    table: ListTable,
     hot_area: HotArea,
     cold_area: ColdArea,
     first_stage: FirstStage,
@@ -83,8 +83,8 @@ impl PpbPlacement {
     /// write-once-read-few data.
     pub fn hotness_of(&self, lpn: Lpn) -> Hotness {
         self.hot_area
-            .level_of(&self.records, lpn)
-            .or_else(|| self.cold_area.level_of(&self.records, lpn))
+            .level_of(&self.table, lpn)
+            .or_else(|| self.cold_area.level_of(&self.table, lpn))
             .unwrap_or(Hotness::IcyCold)
     }
 
@@ -113,11 +113,11 @@ impl Placement for PpbPlacement {
             });
         }
         let logical_pages = config.ftl.logical_pages(nand.total_pages());
-        if logical_pages > AreaRecords::MAX_LOGICAL_PAGES {
+        if logical_pages > ListTable::MAX_KEYS {
             return Err(FtlError::InvalidConfig {
                 reason: format!(
-                    "{logical_pages} logical pages exceed the {} the PPB area records address",
-                    AreaRecords::MAX_LOGICAL_PAGES
+                    "{logical_pages} logical pages exceed the {} the PPB list table addresses",
+                    ListTable::MAX_KEYS
                 ),
             });
         }
@@ -125,7 +125,7 @@ impl Placement for PpbPlacement {
         let placement = PpbPlacement {
             hot_writer: AreaWriter::new("hot", &virtual_blocks, config.open_blocks_per_area()),
             cold_writer: AreaWriter::new("cold", &virtual_blocks, config.open_blocks_per_area()),
-            records: AreaRecords::new(logical_pages),
+            table: ListTable::new(logical_pages),
             hot_area: HotArea::new(
                 config.hot_list_capacity(logical_pages),
                 config.iron_hot_list_capacity(logical_pages),
@@ -152,21 +152,21 @@ impl Placement for PpbPlacement {
     fn host_write(&mut self, lpn: Lpn, request_bytes: u32) -> Hotness {
         match self.first_stage.classify_write(lpn, request_bytes) {
             Temperature::Hot => {
-                self.cold_area.remove(&mut self.records, lpn);
-                if let Some(evicted) = self.hot_area.on_write(&mut self.records, lpn) {
+                self.cold_area.remove(&mut self.table, lpn);
+                if let Some(evicted) = self.hot_area.on_write(&mut self.table, lpn) {
                     // "Demote if full": the evicted entry leaves the hot area but was
                     // recently hot, so it enters the cold area at the cold level.
-                    self.cold_area.insert_demoted(&mut self.records, evicted);
+                    self.cold_area.insert_demoted(&mut self.table, evicted);
                 }
-                self.hot_area.level_of(&self.records, lpn).expect("hot write keeps the LPN tracked")
+                self.hot_area.level_of(&self.table, lpn).expect("hot write keeps the LPN tracked")
             }
             Temperature::Cold => {
                 // A cold-classified write of a previously hot LPN demotes it: large
                 // rewrites signal the data stopped behaving like metadata.
-                self.hot_area.remove(&mut self.records, lpn);
+                self.hot_area.remove(&mut self.table, lpn);
                 // A rewrite resets the read history, so the entry always lands at
                 // icy-cold — no need to re-probe either area.
-                self.cold_area.on_write(&mut self.records, lpn);
+                self.cold_area.on_write(&mut self.table, lpn);
                 Hotness::IcyCold
             }
         }
@@ -175,8 +175,8 @@ impl Placement for PpbPlacement {
     /// Re-access tracking: a read is the signal that promotes hot -> iron-hot and
     /// icy-cold -> cold. The data itself is not moved here (progressive migration).
     fn host_read(&mut self, lpn: Lpn) {
-        if self.hot_area.on_read(&mut self.records, lpn) == PromotionOutcome::NotTracked {
-            self.cold_area.on_read(&mut self.records, lpn);
+        if self.hot_area.on_read(&mut self.table, lpn) == PromotionOutcome::NotTracked {
+            self.cold_area.on_read(&mut self.table, lpn);
         }
     }
 
@@ -235,10 +235,10 @@ impl Placement for PpbPlacement {
             != self.virtual_blocks.class_of_page(destination.page())
     }
 
-    /// The area records are consistent: each list's length and the cold table's
-    /// are the number of records carrying its tag, and each list entry and bucket
-    /// entry is linked from its record — so no LPN is in two of {hot list,
-    /// iron-hot list, cold table}, which one tag per record already rules out.
+    /// The area state is consistent: each list's length and the cold table's are
+    /// the number of table entries carrying its tag, and each list entry and
+    /// bucket entry is linked from its table entry — so no LPN is in two of {hot
+    /// list, iron-hot list, cold table}, which one tag per entry already rules out.
     /// Every block with resident data has an owner, and every LPN tracked as hot
     /// lives in a hot-area block: a hot classification always rewrites into the
     /// hot area (a demotion moves nothing, so the converse does not hold). Except
@@ -250,14 +250,14 @@ impl Placement for PpbPlacement {
         mapping: &MappingTable,
         read_only: bool,
     ) -> Result<(), String> {
-        let census = self.records.census();
-        let tagged = [Tag::Hot, Tag::IronHot, Tag::Cold].map(|tag| census[tag as usize]);
+        let census = self.table.census();
+        let tagged = [HOT, IRON_HOT, COLD].map(|tag| census[tag as usize]);
         let listed = [self.hot_area.hot_len(), self.hot_area.iron_hot_len(), self.cold_area.len()];
         if tagged != listed {
-            return Err(format!("hot / iron-hot / cold records {tagged:?} but lengths {listed:?}"));
+            return Err(format!("hot / iron-hot / cold entries {tagged:?} but lengths {listed:?}"));
         }
-        self.hot_area.check(&self.records)?;
-        self.cold_area.check(&self.records)?;
+        self.hot_area.check(&self.table)?;
+        self.cold_area.check(&self.table)?;
         for block in device.block_addrs() {
             let owner = self.block_area(block);
             for (_, lpn) in mapping.lpns_in_block(block) {
@@ -554,7 +554,7 @@ mod tests {
     }
 
     /// At the benchmark's replay geometry (4 chips, 64 pages per block, 512 MiB
-    /// raw, 16 KiB pages) the area state is one 8-byte record per logical page
+    /// raw, 16 KiB pages) the area state is one 8-byte entry per logical page
     /// plus two fixed-size area heads; the cold buckets are not counted.
     #[test]
     fn area_state_is_at_most_eight_bytes_per_logical_page() {
@@ -568,8 +568,8 @@ mod tests {
         let ftl = PpbFtl::new(NandDevice::new(nand), PpbConfig::default()).unwrap();
         let logical = ftl.logical_pages() as usize;
         assert_eq!(logical, 29_491);
-        let records = ftl.placement().records.heap_bytes();
-        assert!(records <= 8 * logical, "{records} B of records for {logical} logical pages");
+        let table = ftl.placement().table.heap_bytes();
+        assert!(table <= 8 * logical, "{table} B of table for {logical} logical pages");
         let heads = std::mem::size_of::<HotArea>() + std::mem::size_of::<ColdArea>();
         assert!(heads <= 128, "the area heads take {heads} B");
     }
@@ -593,7 +593,7 @@ mod tests {
             ..PpbConfig::default()
         };
         let logical_pages = config.ftl.logical_pages(nand.total_pages());
-        assert_eq!(logical_pages, AreaRecords::MAX_LOGICAL_PAGES + 1);
+        assert_eq!(logical_pages, ListTable::MAX_KEYS + 1);
         match PpbPlacement::assemble(config, &nand) {
             Err(FtlError::InvalidConfig { reason }) => {
                 assert!(reason.contains("1073741823"), "{reason}");

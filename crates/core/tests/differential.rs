@@ -7,9 +7,9 @@
 mod model;
 
 use proptest::prelude::*;
-use vflash_ftl::{Lpn, LruList};
+use vflash_ftl::{ListTable, Lpn, LruList};
 use vflash_nand::{BlockAddr, NandConfig, NandDevice, PageId, SpeedClass};
-use vflash_ppb::{AreaRecords, AreaWriter, ColdArea, HotArea, PromotionOutcome, VirtualBlockTable};
+use vflash_ppb::{AreaWriter, ColdArea, HotArea, PromotionOutcome, VirtualBlockTable};
 
 /// LPNs are drawn from a space a little larger than the capacities below, so the
 /// lists and the table overflow constantly.
@@ -66,23 +66,23 @@ proptest! {
         iron_capacity in 1usize..8,
         ops in lpn_ops(0..6),
     ) {
-        let mut records = AreaRecords::new(LPNS);
+        let mut table = ListTable::new(LPNS);
         let mut new = HotArea::new(hot_capacity, iron_capacity);
         let mut old = model::hot_area::HotArea::new(hot_capacity, iron_capacity);
         for (op, lpn) in ops {
             let lpn = Lpn(lpn);
-            let records = &mut records;
+            let table = &mut table;
             match op {
-                0..=2 => prop_assert_eq!(new.on_write(records, lpn), old.on_write(lpn)),
-                3 | 4 => prop_assert_eq!(new.on_read(records, lpn), old.on_read(lpn)),
-                _ => prop_assert_eq!(new.remove(records, lpn), old.remove(lpn)),
+                0..=2 => prop_assert_eq!(new.on_write(table, lpn), old.on_write(lpn)),
+                3 | 4 => prop_assert_eq!(new.on_read(table, lpn), old.on_read(lpn)),
+                _ => prop_assert_eq!(new.remove(table, lpn), old.remove(lpn)),
             }
             prop_assert_eq!(new.hot_len(), old.hot_len());
             prop_assert_eq!(new.iron_hot_len(), old.iron_hot_len());
             for probe in 0..LPNS {
-                let level = new.level_of(records, Lpn(probe));
+                let level = new.level_of(table, Lpn(probe));
                 prop_assert_eq!(level, old.level_of(Lpn(probe)), "lpn {}", probe);
-                prop_assert_eq!(new.contains(records, Lpn(probe)), old.contains(Lpn(probe)));
+                prop_assert_eq!(new.contains(table, Lpn(probe)), old.contains(Lpn(probe)));
             }
         }
     }
@@ -93,37 +93,37 @@ proptest! {
         promote_reads in 1u32..4,
         ops in lpn_ops(0..8),
     ) {
-        let mut records = AreaRecords::new(LPNS);
+        let mut table = ListTable::new(LPNS);
         let mut new = ColdArea::new(capacity, promote_reads);
         let mut old = model::cold_area::ColdArea::new(capacity, promote_reads);
         for (op, lpn) in ops {
             let lpn = Lpn(lpn);
-            let records = &mut records;
+            let table = &mut table;
             match op {
                 0..=2 => {
-                    new.on_write(records, lpn);
+                    new.on_write(table, lpn);
                     old.on_write(lpn);
                 }
                 3 => {
-                    new.insert_demoted(records, lpn);
+                    new.insert_demoted(table, lpn);
                     old.insert_demoted(lpn);
                 }
-                4..=6 => prop_assert_eq!(new.on_read(records, lpn), old.on_read(lpn)),
-                _ => prop_assert_eq!(new.remove(records, lpn), old.remove(lpn)),
+                4..=6 => prop_assert_eq!(new.on_read(table, lpn), old.on_read(lpn)),
+                _ => prop_assert_eq!(new.remove(table, lpn), old.remove(lpn)),
             }
             prop_assert_eq!(new.len(), old.len());
             // The same entries survive every overflow — the eviction victim is
             // whatever the other one evicted — at the same count and level.
             for probe in 0..LPNS {
                 let probe = Lpn(probe);
-                prop_assert_eq!(new.contains(records, probe), old.contains(probe), "{}", probe);
-                prop_assert_eq!(new.level_of(records, probe), old.level_of(probe), "{}", probe);
-                prop_assert_eq!(new.read_count(records, probe), old.read_count(probe), "{}", probe);
+                prop_assert_eq!(new.contains(table, probe), old.contains(probe), "{}", probe);
+                prop_assert_eq!(new.level_of(table, probe), old.level_of(probe), "{}", probe);
+                prop_assert_eq!(new.read_count(table, probe), old.read_count(probe), "{}", probe);
             }
         }
     }
 
-    /// The two areas over one shared record table, driven the way the PPB
+    /// The two areas over one shared list table, driven the way the PPB
     /// placement drives them (a hot write leaves the cold table and demotes the
     /// hot list's overflow into it, a cold write leaves the hot area, a read the
     /// hot area does not track goes to the cold table), against the two models
@@ -136,34 +136,34 @@ proptest! {
         promote_reads in 1u32..4,
         ops in lpn_ops(0..3),
     ) {
-        let mut records = AreaRecords::new(LPNS);
+        let mut table = ListTable::new(LPNS);
         let mut hot = HotArea::new(hot_capacity, iron_capacity);
         let mut cold = ColdArea::new(cold_capacity, promote_reads);
         let mut old_hot = model::hot_area::HotArea::new(hot_capacity, iron_capacity);
         let mut old_cold = model::cold_area::ColdArea::new(cold_capacity, promote_reads);
         for (op, lpn) in ops {
             let lpn = Lpn(lpn);
-            let records = &mut records;
+            let table = &mut table;
             match op {
                 0 => {
-                    prop_assert_eq!(cold.remove(records, lpn), old_cold.remove(lpn));
-                    let evicted = hot.on_write(records, lpn);
+                    prop_assert_eq!(cold.remove(table, lpn), old_cold.remove(lpn));
+                    let evicted = hot.on_write(table, lpn);
                     prop_assert_eq!(evicted, old_hot.on_write(lpn));
                     if let Some(evicted) = evicted {
-                        cold.insert_demoted(records, evicted);
+                        cold.insert_demoted(table, evicted);
                         old_cold.insert_demoted(evicted);
                     }
                 }
                 1 => {
-                    prop_assert_eq!(hot.remove(records, lpn), old_hot.remove(lpn));
-                    cold.on_write(records, lpn);
+                    prop_assert_eq!(hot.remove(table, lpn), old_hot.remove(lpn));
+                    cold.on_write(table, lpn);
                     old_cold.on_write(lpn);
                 }
                 _ => {
-                    let outcome = hot.on_read(records, lpn);
+                    let outcome = hot.on_read(table, lpn);
                     prop_assert_eq!(outcome, old_hot.on_read(lpn));
                     if outcome == PromotionOutcome::NotTracked {
-                        prop_assert_eq!(cold.on_read(records, lpn), old_cold.on_read(lpn));
+                        prop_assert_eq!(cold.on_read(table, lpn), old_cold.on_read(lpn));
                     }
                 }
             }
@@ -171,9 +171,9 @@ proptest! {
             prop_assert_eq!(hot.iron_hot_len(), old_hot.iron_hot_len());
             prop_assert_eq!(cold.len(), old_cold.len());
             for probe in (0..LPNS).map(Lpn) {
-                let levels = (hot.level_of(records, probe), cold.level_of(records, probe));
+                let levels = (hot.level_of(table, probe), cold.level_of(table, probe));
                 prop_assert_eq!(levels, (old_hot.level_of(probe), old_cold.level_of(probe)));
-                let count = cold.read_count(records, probe);
+                let count = cold.read_count(table, probe);
                 prop_assert_eq!(count, old_cold.read_count(probe), "{}", probe);
             }
         }

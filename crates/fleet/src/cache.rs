@@ -28,7 +28,7 @@
 //! ones in the same relative order), so no operation's cost depends on the
 //! capacity or on how many clean pages are resident.
 
-use vflash_ftl::{Lpn, LruList};
+use vflash_ftl::{ListTable, Lpn, LruList};
 use vflash_nand::Nanos;
 
 /// Latency charged for a DRAM hit (read hit or absorbed write) — orders of
@@ -61,6 +61,13 @@ impl CacheConfig {
     /// Panics on a zero capacity.
     pub(crate) fn validate(&self) {
         assert!(self.capacity_pages > 0, "cache capacity must be at least one page");
+    }
+
+    /// Panics if a cache in front of `fleet_pages` pages could be asked to hold
+    /// a page its lists cannot key (one at or past [`ListTable::MAX_KEYS`]).
+    pub(crate) fn validate_keyspace(fleet_pages: u64) {
+        let fits = fleet_pages <= ListTable::MAX_KEYS;
+        assert!(fits, "a cached fleet must hold at most 2^30 - 1 pages");
     }
 }
 
@@ -242,14 +249,16 @@ impl WritebackCache {
         &self.flushed
     }
 
-    /// Checks the state every operation preserves: residency within the
-    /// capacity, every dirty page resident, and the dirty order equal to the
-    /// resident order restricted to dirty pages.
+    /// Checks the state every operation preserves: both lists well formed,
+    /// residency within the capacity, every dirty page resident, and the dirty
+    /// order equal to the resident order restricted to dirty pages.
     ///
     /// # Errors
     ///
     /// Describes the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.resident.check().map_err(|err| format!("the resident list: {err}"))?;
+        self.dirty.check().map_err(|err| format!("the dirty list: {err}"))?;
         let (resident, capacity) = (self.len(), self.config.capacity_pages);
         // Equal sequences make every dirty page resident, too.
         let resident_dirty = self.resident.iter().filter(|&lpn| self.dirty.contains(lpn));
@@ -400,5 +409,18 @@ mod tests {
     #[test]
     fn zero_capacity_is_rejected() {
         assert!(std::panic::catch_unwind(|| cache(0)).is_err());
+    }
+
+    /// `Fleet::new` calls this for a cached fleet; a fleet that exported this
+    /// many pages would need 2^30 page states, so the check is asked directly.
+    #[test]
+    fn a_keyspace_past_the_list_key_range_is_refused() {
+        CacheConfig::validate_keyspace(ListTable::MAX_KEYS);
+        let payload = std::panic::catch_unwind(|| {
+            CacheConfig::validate_keyspace(ListTable::MAX_KEYS + 1);
+        })
+        .expect_err("2^30 pages must be refused");
+        let message = payload.downcast_ref::<&str>();
+        assert_eq!(message, Some(&"a cached fleet must hold at most 2^30 - 1 pages"));
     }
 }

@@ -130,7 +130,8 @@ impl<F: FlashTranslationLayer> Fleet<F> {
     /// capacities (the stripe map needs identical lanes), an empty tenant set or
     /// a zero tenant weight (what [`WeightedShares`](crate::WeightedShares)
     /// refuses, checked here for every discipline), or an invalid cache
-    /// configuration.
+    /// configuration — a zero capacity, or a cache in front of more than
+    /// [`ListTable::MAX_KEYS`](vflash_ftl::ListTable::MAX_KEYS) fleet pages.
     pub fn new(lanes: Vec<F>, config: FleetConfig) -> Self {
         assert!(!lanes.is_empty(), "a fleet needs at least one device");
         validate_tenants(&config.tenants);
@@ -148,11 +149,12 @@ impl<F: FlashTranslationLayer> Fleet<F> {
                 "fleet lanes must share one logical capacity"
             );
         }
+        let stripe = StripeMap::new(lanes.len(), lane_pages);
         if let Some(cache) = &config.cache {
             // Validate eagerly so a bad config fails at assembly, not mid-run.
             cache.validate();
+            CacheConfig::validate_keyspace(stripe.fleet_pages());
         }
-        let stripe = StripeMap::new(lanes.len(), lane_pages);
         Fleet { lanes, config, stripe }
     }
 

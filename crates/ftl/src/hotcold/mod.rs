@@ -90,7 +90,8 @@ impl FirstStage {
     /// # Panics
     ///
     /// Panics if `classifier` is the size check and `page_size_bytes` is zero, or
-    /// the two-level LRU and `logical_pages` exceeds [`TwoLevelLru::MAX_KEYS`].
+    /// the two-level LRU and `logical_pages` exceeds
+    /// [`ListTable::MAX_KEYS`](crate::ListTable::MAX_KEYS).
     pub fn new(classifier: Classifier, page_size_bytes: u32, logical_pages: u64) -> Self {
         match classifier {
             Classifier::SizeCheck => FirstStage::SizeCheck(SizeCheck::new(page_size_bytes)),

@@ -1,23 +1,14 @@
-//! Two-level LRU hot/cold identification.
+//! Two-level LRU hot/cold identification: two LRU lists threaded through one
+//! [`ListTable`].
 
 use crate::hotcold::Temperature;
-use crate::lru::{Link, LinkStore, LruOrder};
+use crate::lru::{ListTable, LruOrder};
 use crate::types::Lpn;
 
-/// The list an entry is on: the top two bits of its table word, zero for
-/// neither.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum List {
-    Hot = 1,
-    Candidates = 2,
-}
-
-/// Where an entry's list tag starts.
-const TAG_SHIFT: u32 = 62;
-/// Where an entry's `prev` link starts.
-const PREV_SHIFT: u32 = 32;
-/// The bits of an entry's `prev` link: a key, or all ones at the head.
-const PREV: u64 = (1 << 30) - 1;
+/// The tag of a key on the hot list.
+const HOT: u32 = 1;
+/// The tag of a key on the candidate list.
+const CANDIDATE: u32 = 2;
 
 /// The two-level LRU scheme of Chang & Kuo (RTAS 2002).
 ///
@@ -27,11 +18,11 @@ const PREV: u64 = (1 << 30) - 1;
 /// classified hot from then on, until it ages out of the hot list.
 ///
 /// A page is on at most one of the two lists, so both are threaded through one
-/// table indexed by LPN: 8 bytes per key in `0..=highest key written` (or in the
-/// range [`TwoLevelLru::reserve_keys`] sized up front), holding the key's list
-/// and its links on that list. Keys must be below `2^30 - 1` (16 TiB of 16 KiB
-/// pages). Equality compares the capacities and both lists' recency order, not
-/// how far the table happened to grow.
+/// [`ListTable`]: 8 bytes per key in `0..=highest key written` (or in the range
+/// [`TwoLevelLru::reserve_keys`] sized up front). Keys must be below
+/// [`ListTable::MAX_KEYS`] (16 TiB of 16 KiB pages). Equality compares the
+/// capacities and both lists' recency order, not how far the table happened to
+/// grow.
 ///
 /// # Example
 ///
@@ -47,69 +38,23 @@ const PREV: u64 = (1 << 30) - 1;
 pub struct TwoLevelLru {
     hot: LruOrder,
     candidates: LruOrder,
-    /// One word per key: its [`List`] (bits 62..64, zero for neither), its
-    /// `prev` link (bits 32..62, [`PREV`] at the head) and its `next` link
-    /// (bits 0..32, [`Link::NIL`] at the tail).
-    entries: Vec<u64>,
+    table: ListTable,
 }
 
 impl PartialEq for TwoLevelLru {
     fn eq(&self, other: &Self) -> bool {
-        [List::Hot, List::Candidates].into_iter().all(|list| {
-            self.order(list).capacity() == other.order(list).capacity()
-                && self.keys(list).eq(other.keys(list))
-        })
+        [(&self.hot, &other.hot), (&self.candidates, &other.candidates)].into_iter().all(
+            |(mine, theirs)| {
+                mine.capacity() == theirs.capacity()
+                    && mine.iter(&self.table).eq(theirs.iter(&other.table))
+            },
+        )
     }
 }
 
 impl Eq for TwoLevelLru {}
 
-/// The table as one list's [`LinkStore`]: a key is on the list when its entry
-/// carries the list's tag.
-struct ListLinks<'a> {
-    entries: &'a mut [u64],
-    list: List,
-}
-
-impl LinkStore for ListLinks<'_> {
-    #[inline]
-    fn link(&self, key: u32) -> Option<Link> {
-        let entry = self.entries[key as usize];
-        (entry >> TAG_SHIFT == self.list as u64).then(|| {
-            let prev = (entry >> PREV_SHIFT) & PREV;
-            Link { prev: if prev == PREV { Link::NIL } else { prev as u32 }, next: entry as u32 }
-        })
-    }
-
-    #[inline]
-    fn set_link(&mut self, key: u32, Link { prev, next }: Link) {
-        let tag = (self.list as u64) << TAG_SHIFT;
-        self.entries[key as usize] = tag | (u64::from(prev) & PREV) << PREV_SHIFT | u64::from(next);
-    }
-
-    #[inline]
-    fn set_prev(&mut self, key: u32, prev: u32) {
-        let entry = &mut self.entries[key as usize];
-        *entry = *entry & !(PREV << PREV_SHIFT) | (u64::from(prev) & PREV) << PREV_SHIFT;
-    }
-
-    #[inline]
-    fn set_next(&mut self, key: u32, next: u32) {
-        let entry = &mut self.entries[key as usize];
-        *entry = *entry & !u64::from(u32::MAX) | u64::from(next);
-    }
-
-    #[inline]
-    fn unlink(&mut self, key: u32) {
-        self.entries[key as usize] = 0;
-    }
-}
-
 impl TwoLevelLru {
-    /// Most keys the table holds: a `prev` link keeps 30 bits of key, and all
-    /// ones marks the head of a list.
-    pub const MAX_KEYS: u64 = PREV;
-
     /// Creates the classifier with the given list capacities.
     ///
     /// # Panics
@@ -117,9 +62,9 @@ impl TwoLevelLru {
     /// Panics if either capacity is zero.
     pub fn new(hot_capacity: usize, candidate_capacity: usize) -> Self {
         TwoLevelLru {
-            hot: LruOrder::new(hot_capacity),
-            candidates: LruOrder::new(candidate_capacity),
-            entries: Vec::new(),
+            hot: LruOrder::new(hot_capacity, HOT),
+            candidates: LruOrder::new(candidate_capacity, CANDIDATE),
+            table: ListTable::default(),
         }
     }
 
@@ -128,18 +73,9 @@ impl TwoLevelLru {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` exceeds [`TwoLevelLru::MAX_KEYS`].
+    /// Panics if `keys` exceeds [`ListTable::MAX_KEYS`].
     pub fn reserve_keys(&mut self, keys: u64) {
-        if keys as usize > self.entries.len() {
-            assert!(keys <= Self::MAX_KEYS, "two-level LRU keys must be below 2^30 - 1");
-            if self.entries.is_empty() {
-                // Zeroed by the allocator: a page of the table costs memory
-                // only once a key on it is written.
-                self.entries = vec![0; keys as usize];
-            } else {
-                self.entries.resize(keys as usize, 0);
-            }
-        }
+        self.table.reserve(keys);
     }
 
     /// Number of pages currently tracked as hot.
@@ -154,10 +90,7 @@ impl TwoLevelLru {
 
     /// Whether `lpn` is currently considered hot.
     pub fn is_hot(&self, lpn: Lpn) -> bool {
-        usize::try_from(lpn.0)
-            .ok()
-            .and_then(|key| self.entries.get(key))
-            .is_some_and(|&entry| entry >> TAG_SHIFT == List::Hot as u64)
+        self.hot.contains(&self.table, self.table.key(lpn))
     }
 
     /// Classifies the write of `lpn` that belongs to a host request of
@@ -165,50 +98,31 @@ impl TwoLevelLru {
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is not below [`TwoLevelLru::MAX_KEYS`].
+    /// Panics if `lpn` is not below [`ListTable::MAX_KEYS`].
     pub fn classify_write(&mut self, lpn: Lpn, _request_bytes: u32) -> Temperature {
-        self.reserve_keys(lpn.0.saturating_add(1));
-        let key = lpn.0 as u32;
-        let entries = &mut self.entries;
-        if self.hot.touch(&mut ListLinks { entries, list: List::Hot }, key) {
+        self.table.reserve(lpn.0.saturating_add(1));
+        let (key, table) = (lpn.0 as u32, &mut self.table);
+        if self.hot.touch(table, key) {
             return Temperature::Hot;
         }
-        let mut candidates = ListLinks { entries, list: List::Candidates };
-        if self.candidates.remove(&mut candidates, key) {
+        if self.candidates.remove(table, key) {
             // Second write while still a candidate: promote to the hot list. A full
             // hot list demotes its least recently used entry back to the candidates,
             // into the slot the promotion just freed.
-            let demoted = self.hot.insert(&mut ListLinks { entries, list: List::Hot }, key);
-            if let Some(demoted) = demoted {
-                let mut candidates = ListLinks { entries, list: List::Candidates };
-                self.candidates.insert(&mut candidates, demoted);
+            if let Some(demoted) = self.hot.insert(table, key) {
+                self.candidates.insert(table, demoted);
             }
             return Temperature::Hot;
         }
         // First sighting: enter the candidate list, classified cold.
-        self.candidates.insert(&mut candidates, key);
+        self.candidates.insert(table, key);
         Temperature::Cold
-    }
-
-    fn order(&self, list: List) -> &LruOrder {
-        match list {
-            List::Hot => &self.hot,
-            List::Candidates => &self.candidates,
-        }
-    }
-
-    /// The keys on `list`, most recently used first.
-    fn keys(&self, list: List) -> impl Iterator<Item = u32> + '_ {
-        std::iter::successors(self.order(list).most_recent(), move |&key| {
-            let next = self.entries[key as usize] as u32;
-            (next != Link::NIL).then_some(next)
-        })
     }
 
     /// Heap bytes the table holds.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<u64>()
+        self.table.heap_bytes()
     }
 }
 
@@ -244,8 +158,8 @@ mod tests {
 
     /// Both lists of `lru`, most recently used first.
     fn lists(lru: &TwoLevelLru) -> [Vec<Lpn>; 2] {
-        [List::Hot, List::Candidates]
-            .map(|list| lru.keys(list).map(|key| Lpn(key.into())).collect())
+        [&lru.hot, &lru.candidates]
+            .map(|list| list.iter(&lru.table).map(|key| Lpn(key.into())).collect())
     }
 
     proptest! {
@@ -266,6 +180,8 @@ mod tests {
             for &lpn in &lpns {
                 let lpn = Lpn(lpn);
                 prop_assert_eq!(lru.classify_write(lpn, 4096), model.classify_write(lpn));
+                prop_assert_eq!(lru.hot.check(&lru.table), Ok(()));
+                prop_assert_eq!(lru.candidates.check(&lru.table), Ok(()));
                 prop_assert_eq!(lru.hot_len(), model.hot.len());
                 prop_assert_eq!(lru.candidate_len(), model.candidates.len());
                 let [hot, candidates] = lists(&lru);
@@ -324,7 +240,7 @@ mod tests {
     #[should_panic(expected = "below 2^30 - 1")]
     fn writing_past_the_key_range_panics() {
         let mut lru = TwoLevelLru::new(2, 2);
-        lru.classify_write(Lpn(TwoLevelLru::MAX_KEYS), 4096);
+        lru.classify_write(Lpn(ListTable::MAX_KEYS), 4096);
     }
 
     #[test]

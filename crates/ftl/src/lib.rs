@@ -18,7 +18,7 @@
 //!   [`Classifier`](hotcold::Classifier) value picks one, a
 //!   [`FirstStage`](hotcold::FirstStage) runs it.
 //!
-//! Per-LPN and per-page state — the mapping table, [`LruList`], the frequency
+//! Per-LPN and per-page state — the mapping table, [`ListTable`], the frequency
 //! table — is a table indexed by page number, never a hash map, so it costs a
 //! fixed number of bytes per page and its `Debug` output repeats from run to run.
 //!
@@ -75,7 +75,7 @@ pub use error::FtlError;
 pub use ftl_core::{FtlCore, Placement};
 pub use gc::GcOutcome;
 pub use io::{Completion, IoCommand, IoRequest};
-pub use lru::{Link, LinkStore, LruList, LruOrder};
+pub use lru::{ListTable, LruList, LruOrder};
 pub use mapping::MappingTable;
 pub use metrics::FtlMetrics;
 pub use traits::FlashTranslationLayer;

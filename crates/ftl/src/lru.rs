@@ -8,79 +8,172 @@
 //! key is not on the list — so touch / insert / evict / remove are O(1) and
 //! hash-free.
 //!
-//! The list comes in two parts: its order ([`LruOrder`]: head, tail, length and
-//! capacity) and the table its links live in ([`LinkStore`]). [`LruList`] owns
-//! both, at 8 bytes per key in `0..=highest key seen`; the table grows on demand
-//! unless [`LruList::reserve_keys`] sized it up front. A caller with per-LPN state
-//! of its own can keep the links inside it instead and hand the order a view of
-//! that table on every call (PPB's hot and iron-hot lists share one record per
-//! logical page with its cold table; the two-level LRU classifier's hot and
-//! candidate lists share one table of its own).
+//! A list is its order ([`LruOrder`]) plus the [`ListTable`] its links live
+//! in. Lists whose keys are on at most one of them share a table, told apart by
+//! the tag of each entry: PPB's hot and iron-hot lists (beside its cold table),
+//! and the two-level LRU classifier's two lists. [`LruList`] owns one order and
+//! its own table (the fleet's writeback cache).
 
 use crate::types::Lpn;
 
-/// One key's neighbours on its list: the key before it (more recently used) and
-/// the key after it, or [`Link::NIL`] at either end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Link {
-    /// The next more recently used key, or [`Link::NIL`] at the head.
-    pub prev: u32,
-    /// The next less recently used key, or [`Link::NIL`] at the tail.
-    pub next: u32,
-}
+/// Where an entry's tag starts in its first word.
+const TAG_SHIFT: u32 = 30;
 
-impl Link {
-    /// End-of-list marker in a link and in an [`LruOrder`]'s head and tail.
-    pub const NIL: u32 = u32::MAX;
-}
+/// The bits of an entry's 30-bit field; all ones is also the end-of-list marker,
+/// in a link and in an [`LruOrder`]'s head and tail.
+const END: u32 = (1 << TAG_SHIFT) - 1;
 
-const NIL: u32 = Link::NIL;
-
-/// Per-key link storage that an [`LruOrder`] threads its list through.
+/// One 8-byte entry per key, in keys `0..len`: a 2-bit tag (0 means the key is in
+/// nothing), a 30-bit field and a 32-bit word, stored as two `u32`s so that each
+/// link update is one plain store.
 ///
-/// The store answers for one list: a key another list (or nothing) holds is not
-/// on it. The order only ever sets links of keys it puts on the list and clears
-/// links of keys it takes off.
-pub trait LinkStore {
-    /// `key`'s links, or `None` if `key` is not on this list.
-    fn link(&self, key: u32) -> Option<Link>;
-
-    /// Puts `key` on this list with `link`, or replaces its links.
-    fn set_link(&mut self, key: u32, link: Link);
-
-    /// Replaces the `prev` of `key`, which is on this list.
-    fn set_prev(&mut self, key: u32, prev: u32);
-
-    /// Replaces the `next` of `key`, which is on this list.
-    fn set_next(&mut self, key: u32, next: u32);
-
-    /// Takes `key` off this list.
-    fn unlink(&mut self, key: u32);
+/// What the field and word mean is up to the owner of the tag. On an
+/// [`LruOrder`]'s list they are the links to the more recently used key and to
+/// the less recently used one (the 30-bit all-ones value at either end); PPB's
+/// cold table keeps a read count and a bucket position there. A key at or past
+/// [`ListTable::MAX_KEYS`] cannot be held, and a key past the table reads as in
+/// nothing.
+///
+/// # Example
+///
+/// ```
+/// use vflash_ftl::{ListTable, LruOrder};
+///
+/// let mut table = ListTable::new(100);
+/// let (mut first, mut second) = (LruOrder::new(4, 1), LruOrder::new(4, 2));
+/// first.insert(&mut table, 7);
+/// second.insert(&mut table, 8);
+/// table.set(9, 3, 42, 5); // tag 3 is neither list's: a read count and a slot
+/// assert_eq!([7, 8, 9, 10].map(|key| table.tag(key)), [1, 2, 3, 0]);
+/// assert_eq!(table.entry(9), (3, 42, 5));
+/// assert!(first.check(&table).is_ok() && second.check(&table).is_ok());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ListTable {
+    /// Per key: `[tag << 30 | field, word]`.
+    entries: Vec<[u32; 2]>,
 }
 
-/// The order of a fixed-capacity LRU list whose links live in a [`LinkStore`]
-/// the caller passes to every call: head (most recently used), tail (least
-/// recently used), length and capacity.
+impl ListTable {
+    /// Most keys a table holds: a field keeps 30 bits of key, and all ones marks
+    /// the end of a list (16 TiB of 16 KiB pages).
+    pub const MAX_KEYS: u64 = END as u64;
+
+    /// A table of keys `0..keys`, every one in nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` exceeds [`ListTable::MAX_KEYS`].
+    pub fn new(keys: u64) -> Self {
+        let mut table = ListTable::default();
+        table.reserve(keys);
+        table
+    }
+
+    /// Grows the table to hold keys `0..keys`, if it does not already.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` exceeds [`ListTable::MAX_KEYS`].
+    #[inline]
+    pub fn reserve(&mut self, keys: u64) {
+        if keys as usize > self.entries.len() {
+            assert!(keys <= Self::MAX_KEYS, "list table keys must be below 2^30 - 1");
+            if self.entries.is_empty() {
+                // Zeroed by the allocator: a page of the table costs memory only
+                // once a key on it is set.
+                self.entries = vec![[0; 2]; keys as usize];
+            } else {
+                self.entries.resize(keys as usize, [0; 2]);
+            }
+        }
+    }
+
+    /// The key of `lpn`. An LPN past the table clamps to its length, which reads
+    /// as in nothing and which every write refuses (an index panic, never an
+    /// aliased key).
+    #[inline]
+    pub fn key(&self, lpn: Lpn) -> u32 {
+        lpn.0.min(self.entries.len() as u64) as u32
+    }
+
+    /// The tag of `key`: 0 if it is in nothing or past the table.
+    #[inline]
+    pub fn tag(&self, key: u32) -> u32 {
+        self.entry(key).0
+    }
+
+    /// The tag, field and word of `key`; all zero past the table.
+    #[inline]
+    pub fn entry(&self, key: u32) -> (u32, u32, u32) {
+        let [tagged, word] = self.entries.get(key as usize).copied().unwrap_or_default();
+        (tagged >> TAG_SHIFT, tagged & END, word)
+    }
+
+    /// Sets the entry of `key`: a tag in `0..4`, a field below 2^30 and a word.
+    #[inline]
+    pub fn set(&mut self, key: u32, tag: u32, field: u32, word: u32) {
+        debug_assert!(tag < 4 && field <= END, "tag {tag} or field {field} out of range");
+        self.entries[key as usize] = [tag << TAG_SHIFT | field, word];
+    }
+
+    /// Replaces the word of `key`.
+    #[inline]
+    pub fn set_word(&mut self, key: u32, word: u32) {
+        self.entries[key as usize][1] = word;
+    }
+
+    /// Puts `key` in nothing.
+    #[inline]
+    pub fn clear(&mut self, key: u32) {
+        self.entries[key as usize] = [0; 2];
+    }
+
+    /// Number of keys carrying each tag, indexed by tag.
+    pub fn census(&self) -> [usize; 4] {
+        let mut census = [0; 4];
+        for &[tagged, _] in &self.entries {
+            census[(tagged >> TAG_SHIFT) as usize] += 1;
+        }
+        census
+    }
+
+    /// Heap bytes the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<[u32; 2]>()
+    }
+}
+
+/// The order of a fixed-capacity LRU list threaded through a [`ListTable`] the
+/// caller passes to every call: head (most recently used), tail (least recently
+/// used), length, capacity and the tag that marks the list's keys in the table.
 ///
-/// Keys are `u32`s; the store decides which keys it can hold. Every method that
-/// reads or changes the list takes the same store the list was built in.
+/// A key is on the list when its entry carries the list's tag; its field then
+/// links to the more recently used key and its word to the less recently used
+/// one. Every method that reads or changes the list takes the same table the
+/// list was built in, and a key must leave whatever else holds it in the table
+/// before the list takes it.
 #[derive(Debug, Clone)]
 pub struct LruOrder {
     head: u32,
     tail: u32,
+    /// The list's tag, in place: `tag << 30`.
+    tag_bits: u32,
     len: usize,
     capacity: usize,
 }
 
 impl LruOrder {
-    /// Creates an empty order holding at most `capacity` entries.
+    /// Creates an empty order holding at most `capacity` entries, marking its keys
+    /// with `tag`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    /// Panics if `capacity` is zero or `tag` is not 1, 2 or 3.
+    pub fn new(capacity: usize, tag: u32) -> Self {
         assert!(capacity > 0, "lru capacity must be positive");
-        LruOrder { head: NIL, tail: NIL, len: 0, capacity }
+        assert!((1..4).contains(&tag), "a list's tag must be 1, 2 or 3");
+        LruOrder { head: END, tail: END, tag_bits: tag << TAG_SHIFT, len: 0, capacity }
     }
 
     /// Maximum number of entries.
@@ -105,45 +198,60 @@ impl LruOrder {
 
     /// The least recently used key, if any.
     pub fn least_recent(&self) -> Option<u32> {
-        (self.tail != NIL).then_some(self.tail)
+        (self.tail != END).then_some(self.tail)
     }
 
     /// The most recently used key, if any.
     pub fn most_recent(&self) -> Option<u32> {
-        (self.head != NIL).then_some(self.head)
+        (self.head != END).then_some(self.head)
     }
 
-    fn detach(&mut self, links: &mut impl LinkStore, Link { prev, next }: Link) {
-        if prev != NIL {
-            links.set_next(prev, next);
+    /// Whether `key` is on the list.
+    #[inline]
+    pub fn contains(&self, table: &ListTable, key: u32) -> bool {
+        self.links(table, key).is_some()
+    }
+
+    /// `key`'s links `(prev, next)`, or `None` if it is not on the list.
+    #[inline]
+    fn links(&self, table: &ListTable, key: u32) -> Option<(u32, u32)> {
+        let &[tagged, next] = table.entries.get(key as usize)?;
+        (tagged & !END == self.tag_bits).then_some((tagged & END, next))
+    }
+
+    #[inline]
+    fn detach(&mut self, table: &mut ListTable, (prev, next): (u32, u32)) {
+        if prev != END {
+            table.entries[prev as usize][1] = next;
         } else {
             self.head = next;
         }
-        if next != NIL {
-            links.set_prev(next, prev);
+        if next != END {
+            table.entries[next as usize][0] = self.tag_bits | prev;
         } else {
             self.tail = prev;
         }
     }
 
-    fn attach_front(&mut self, links: &mut impl LinkStore, key: u32) {
-        links.set_link(key, Link { prev: NIL, next: self.head });
-        if self.head != NIL {
-            links.set_prev(self.head, key);
-        }
-        self.head = key;
-        if self.tail == NIL {
+    #[inline]
+    fn attach_front(&mut self, table: &mut ListTable, key: u32) {
+        table.entries[key as usize] = [self.tag_bits | END, self.head];
+        if self.head != END {
+            table.entries[self.head as usize][0] = self.tag_bits | key;
+        } else {
             self.tail = key;
         }
+        self.head = key;
     }
 
     /// Moves `key` to the most-recently-used position. Returns `false` if it was
     /// not on the list.
-    pub fn touch(&mut self, links: &mut impl LinkStore, key: u32) -> bool {
-        let Some(link) = links.link(key) else { return false };
+    #[inline]
+    pub fn touch(&mut self, table: &mut ListTable, key: u32) -> bool {
+        let Some(links) = self.links(table, key) else { return false };
         if self.head != key {
-            self.detach(links, link);
-            self.attach_front(links, key);
+            self.detach(table, links);
+            self.attach_front(table, key);
         }
         true
     }
@@ -151,83 +259,81 @@ impl LruOrder {
     /// Inserts `key` at the most-recently-used position (touching it if already
     /// present). If the list overflows, the least recently used key is evicted and
     /// returned.
-    pub fn insert(&mut self, links: &mut impl LinkStore, key: u32) -> Option<u32> {
-        if self.touch(links, key) {
+    #[inline]
+    pub fn insert(&mut self, table: &mut ListTable, key: u32) -> Option<u32> {
+        if self.touch(table, key) {
             return None;
         }
-        let evicted = if self.is_full() { self.pop_least_recent(links) } else { None };
-        self.attach_front(links, key);
+        let evicted = if self.is_full() { self.pop_least_recent(table) } else { None };
+        self.attach_front(table, key);
         self.len += 1;
         evicted
     }
 
     /// Removes and returns the least recently used key.
-    pub fn pop_least_recent(&mut self, links: &mut impl LinkStore) -> Option<u32> {
+    #[inline]
+    pub fn pop_least_recent(&mut self, table: &mut ListTable) -> Option<u32> {
         let key = self.least_recent()?;
-        self.remove(links, key);
+        self.remove(table, key);
         Some(key)
     }
 
     /// Removes `key` from the list. Returns `true` if it was present.
-    pub fn remove(&mut self, links: &mut impl LinkStore, key: u32) -> bool {
-        let Some(link) = links.link(key) else { return false };
-        self.detach(links, link);
-        links.unlink(key);
+    #[inline]
+    pub fn remove(&mut self, table: &mut ListTable, key: u32) -> bool {
+        let Some(links) = self.links(table, key) else { return false };
+        self.detach(table, links);
+        table.clear(key);
         self.len -= 1;
         true
     }
 
     /// Iterates from most recently used to least recently used.
-    pub fn iter<'a, S: LinkStore>(&self, links: &'a S) -> impl Iterator<Item = u32> + 'a {
-        let listed = |key: u32| (key != NIL).then_some(key);
-        std::iter::successors(listed(self.head), move |&key| {
-            links.link(key).and_then(|link| listed(link.next))
-        })
+    pub fn iter<'a>(&self, table: &'a ListTable) -> impl Iterator<Item = u32> + 'a {
+        let listed = |key: u32| (key != END).then_some(key);
+        std::iter::successors(listed(self.head), move |&key| listed(table.entries[key as usize][1]))
+    }
+
+    /// Checks that the list is well formed in `table`: walked from the head, each
+    /// key carries the list's tag and links back to the key before it, and the
+    /// walk ends at the tail after exactly the list's length.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn check(&self, table: &ListTable) -> Result<(), String> {
+        let tag = self.tag_bits >> TAG_SHIFT;
+        let (mut prev, mut key, mut walked) = (END, self.head, 0);
+        while key != END {
+            let Some((back, next)) = self.links(table, key) else {
+                return Err(format!("list {tag} holds key {key}, tagged {}", table.tag(key)));
+            };
+            if back != prev {
+                return Err(format!("key {key} on list {tag} does not link back to key {prev}"));
+            }
+            walked += 1;
+            if walked > self.len {
+                return Err(format!("list {tag} is longer than its length {}", self.len));
+            }
+            (prev, key) = (key, next);
+        }
+        if walked != self.len || self.tail != prev {
+            return Err(format!("list {tag} walks {walked} keys but holds {}", self.len));
+        }
+        Ok(())
     }
 }
 
-/// `prev` value of a key that is not on an owned list.
-const ABSENT: u32 = u32::MAX - 1;
-
-const UNLINKED: Link = Link { prev: ABSENT, next: NIL };
-
-/// The link table an [`LruList`] owns: one [`Link`] per key, [`ABSENT`] for a
-/// key off the list.
-#[derive(Debug, Clone, Default)]
-struct OwnedLinks(Vec<Link>);
-
-impl LinkStore for OwnedLinks {
-    #[inline]
-    fn link(&self, key: u32) -> Option<Link> {
-        self.0.get(key as usize).copied().filter(|link| link.prev != ABSENT)
-    }
-
-    #[inline]
-    fn set_link(&mut self, key: u32, link: Link) {
-        self.0[key as usize] = link;
-    }
-
-    #[inline]
-    fn set_prev(&mut self, key: u32, prev: u32) {
-        self.0[key as usize].prev = prev;
-    }
-
-    #[inline]
-    fn set_next(&mut self, key: u32, next: u32) {
-        self.0[key as usize].next = next;
-    }
-
-    #[inline]
-    fn unlink(&mut self, key: u32) {
-        self.0[key as usize] = UNLINKED;
-    }
-}
+/// The tag of an [`LruList`]'s keys in its own table.
+const LISTED: u32 = 1;
 
 /// A fixed-capacity least-recently-used list of LPNs that owns its link table.
 ///
 /// The *head* is the most recently used entry, the *tail* the least recently used.
-/// Keys must be below `u32::MAX - 1` (a 64 TiB device at 16 KiB pages). Equality
-/// compares capacity and recency order, not how far the key table happened to grow.
+/// Keys must be below [`ListTable::MAX_KEYS`] (16 TiB of 16 KiB pages); the table
+/// holds 8 bytes per key in `0..=highest key seen`, grown on demand unless
+/// [`LruList::reserve_keys`] sized it up front. Equality compares capacity and
+/// recency order, not how far the key table happened to grow.
 ///
 /// # Example
 ///
@@ -245,7 +351,7 @@ impl LinkStore for OwnedLinks {
 #[derive(Debug, Clone)]
 pub struct LruList {
     order: LruOrder,
-    links: OwnedLinks,
+    table: ListTable,
 }
 
 impl PartialEq for LruList {
@@ -256,9 +362,8 @@ impl PartialEq for LruList {
 
 impl Eq for LruList {}
 
-/// The key of `lpn` if an owned list can hold it; a larger LPN is on no list.
-fn key_of(lpn: Lpn) -> Option<u32> {
-    u32::try_from(lpn.0).ok().filter(|&key| key < ABSENT)
+fn lpn_of(key: u32) -> Lpn {
+    Lpn(u64::from(key))
 }
 
 impl LruList {
@@ -268,7 +373,7 @@ impl LruList {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        LruList { order: LruOrder::new(capacity), links: OwnedLinks::default() }
+        LruList { order: LruOrder::new(capacity, LISTED), table: ListTable::default() }
     }
 
     /// Sizes the key table for keys in `0..keys` up front, so inserting any of
@@ -276,12 +381,9 @@ impl LruList {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` is above `u32::MAX - 1`.
+    /// Panics if `keys` exceeds [`ListTable::MAX_KEYS`].
     pub fn reserve_keys(&mut self, keys: u64) {
-        if keys as usize > self.links.0.len() {
-            assert!(keys <= u64::from(ABSENT), "lru keys must be below u32::MAX - 1");
-            self.links.0.resize(keys as usize, UNLINKED);
-        }
+        self.table.reserve(keys);
     }
 
     /// Maximum number of entries.
@@ -305,24 +407,27 @@ impl LruList {
     }
 
     /// Whether `lpn` is on the list.
+    #[inline]
     pub fn contains(&self, lpn: Lpn) -> bool {
-        key_of(lpn).is_some_and(|key| self.links.link(key).is_some())
+        self.order.contains(&self.table, self.table.key(lpn))
     }
 
     /// The least recently used entry, if any.
     pub fn least_recent(&self) -> Option<Lpn> {
-        self.order.least_recent().map(|key| Lpn(u64::from(key)))
+        self.order.least_recent().map(lpn_of)
     }
 
     /// The most recently used entry, if any.
     pub fn most_recent(&self) -> Option<Lpn> {
-        self.order.most_recent().map(|key| Lpn(u64::from(key)))
+        self.order.most_recent().map(lpn_of)
     }
 
     /// Moves `lpn` to the most-recently-used position. Returns `false` if it was not
     /// on the list.
+    #[inline]
     pub fn touch(&mut self, lpn: Lpn) -> bool {
-        key_of(lpn).is_some_and(|key| self.order.touch(&mut self.links, key))
+        let key = self.table.key(lpn);
+        self.order.touch(&mut self.table, key)
     }
 
     /// Inserts `lpn` at the most-recently-used position (touching it if already
@@ -331,26 +436,38 @@ impl LruList {
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is not below `u32::MAX - 1`.
+    /// Panics if `lpn` is not below [`ListTable::MAX_KEYS`].
+    #[inline]
     pub fn insert(&mut self, lpn: Lpn) -> Option<Lpn> {
-        self.reserve_keys(lpn.0.saturating_add(1));
-        let evicted = self.order.insert(&mut self.links, lpn.0 as u32);
-        evicted.map(|key| Lpn(u64::from(key)))
+        self.table.reserve(lpn.0.saturating_add(1));
+        self.order.insert(&mut self.table, lpn.0 as u32).map(lpn_of)
     }
 
     /// Removes and returns the least recently used entry.
+    #[inline]
     pub fn pop_least_recent(&mut self) -> Option<Lpn> {
-        self.order.pop_least_recent(&mut self.links).map(|key| Lpn(u64::from(key)))
+        self.order.pop_least_recent(&mut self.table).map(lpn_of)
     }
 
     /// Removes `lpn` from the list. Returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, lpn: Lpn) -> bool {
-        key_of(lpn).is_some_and(|key| self.order.remove(&mut self.links, key))
+        let key = self.table.key(lpn);
+        self.order.remove(&mut self.table, key)
     }
 
     /// Iterates from most recently used to least recently used.
     pub fn iter(&self) -> impl Iterator<Item = Lpn> + '_ {
-        self.order.iter(&self.links).map(|key| Lpn(u64::from(key)))
+        self.order.iter(&self.table).map(lpn_of)
+    }
+
+    /// Checks that the list is well formed (see [`LruOrder::check`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn check(&self) -> Result<(), String> {
+        self.order.check(&self.table)
     }
 }
 
@@ -441,10 +558,61 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below u32::MAX - 1")]
+    #[should_panic(expected = "below 2^30 - 1")]
     fn inserting_past_the_key_range_panics() {
         let mut lru = LruList::new(2);
-        lru.insert(Lpn(u64::from(ABSENT)));
+        lru.insert(Lpn(ListTable::MAX_KEYS));
+    }
+
+    #[test]
+    fn a_table_entry_round_trips_its_tag_field_and_word() {
+        let mut table = ListTable::new(4);
+        let last = (ListTable::MAX_KEYS - 1) as u32;
+        for tag in 0..4 {
+            for field in [0, last, END] {
+                for word in [0, u32::MAX] {
+                    table.set(2, tag, field, word);
+                    assert_eq!(table.entry(2), (tag, field, word));
+                    assert_eq!(table.tag(2), tag);
+                    assert_eq!(table.entry(1), (0, 0, 0), "a neighbour stays in nothing");
+                }
+            }
+        }
+        table.set_word(2, 7);
+        assert_eq!(table.entry(2), (3, END, 7));
+        table.clear(2);
+        assert_eq!(table.entry(2), (0, 0, 0));
+        // Past the table a key reads as in nothing, whatever its value.
+        for key in [4, END, u32::MAX] {
+            assert_eq!(table.entry(key), (0, 0, 0));
+        }
+        assert_eq!(table.key(Lpn((1 << 32) + 1)), 4, "an LPN past the table clamps to its length");
+        assert_eq!(table.heap_bytes(), 4 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^30 - 1")]
+    fn tables_past_the_key_range_are_refused() {
+        let _ = ListTable::new(ListTable::MAX_KEYS + 1);
+    }
+
+    #[test]
+    fn the_check_finds_a_broken_link_a_stray_tag_and_a_wrong_length() {
+        let mut table = ListTable::new(8);
+        let mut order = LruOrder::new(4, 2);
+        for key in [1, 2, 3] {
+            order.insert(&mut table, key);
+        }
+        order.check(&table).unwrap();
+        let (tag, prev, next) = table.entry(2);
+        table.set(2, 3, prev, next);
+        assert!(order.check(&table).unwrap_err().contains("holds key 2, tagged 3"));
+        table.set(2, tag, 1, next);
+        assert!(order.check(&table).unwrap_err().contains("does not link back"));
+        table.set(2, tag, prev, next);
+        order.check(&table).unwrap();
+        order.len = 2;
+        assert!(order.check(&table).unwrap_err().contains("longer than its length 2"));
     }
 
     #[test]
